@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from pch.ec_graph import (
-    ColouredComplete,
     DirectedCycle,
     DirectedPath,
+    colour_counts,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
@@ -31,16 +31,6 @@ from pch.ec_graph import (
 
 class AbsorptionError(RuntimeError):
     """An absorption step that verified universality promised cannot fail."""
-
-
-def colour_matrix(g: ColouredComplete) -> np.ndarray:
-    """Dense symmetric colour matrix with -1 on the diagonal."""
-    n = g.n
-    m = np.full((n, n), -1, dtype=np.int32)
-    for u in range(n):
-        for v in range(u + 1, n):
-            m[u, v] = m[v, u] = g.colour(u, v)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +71,7 @@ def enumerate_absorbing(g, quad):
             yield zs
 
 
-def count_absorbing(g, quad, matrix: np.ndarray | None = None) -> int:
+def count_absorbing(g, quad) -> int:
     """Exact number of absorbing 4-tuples for the quadruple.
 
     Counts pairs (z1, z4) around each middle edge (z2, z3) by colour
@@ -91,7 +81,7 @@ def count_absorbing(g, quad, matrix: np.ndarray | None = None) -> int:
     if g.n < 8:
         return sum(1 for _ in enumerate_absorbing(g, quad))
     x1, x2, y1, y2 = quad
-    C = matrix if matrix is not None else colour_matrix(g)
+    C = g.matrix
     k = g.k
     ext = np.array([v for v in range(g.n) if v not in set(quad)], dtype=np.intp)
     m = len(ext)
@@ -101,11 +91,7 @@ def count_absorbing(g, quad, matrix: np.ndarray | None = None) -> int:
     gate2 = a != C[x1, x2]                        # z1 z2 x1 x2 needs c(z2,x1) != c(x1,x2)
     gate3 = b != C[y1, y2]                        # y1 y2 z3 z4 needs c(y2,z3) != c(y1,y2)
 
-    # per-row colour counts over the outside vertices (diagonal -1 drops out)
-    cnts = np.zeros((m, k), dtype=np.int64)
-    for i in range(m):
-        row = Cx[i]
-        cnts[i] = np.bincount(row[row >= 0], minlength=k)
+    cnts = colour_counts(Cx, k)                   # per-row colour counts over outside vertices
 
     idx = np.arange(m)
     total = 0
@@ -159,17 +145,24 @@ class FamilyResult:
         return {v for member in self.members for v in member}
 
 
+def _attach_tables(C: np.ndarray, member):
+    """Boolean n x n tables of a member z1 z2 z3 z4: xok[a, b] says z1 z2 a b
+    is a PC path, yok[a, b] says a b z3 z4 is one (vertex overlaps ignored)."""
+    z1, z2, z3, z4 = member
+    col2 = C[:, z2]
+    row3 = C[z3]
+    xok = (col2[:, None] != C[z1, z2]) & (col2[:, None] != C)
+    yok = (row3[None, :] != C[z3, z4]) & (C != row3[None, :])
+    return xok, yok
+
+
 class _MemberTables:
     """Per-member lookup tables so an absorption test costs a few indexings."""
 
-    def __init__(self, g, member, C: np.ndarray):
-        z1, z2, z3, z4 = member
+    def __init__(self, g, member):
         self.member = member
         self.inside = set(member)
-        col2 = C[:, z2]
-        self.xok = ((col2[:, None] != C[z1, z2]) & (col2[:, None] != C)).tolist()
-        row3 = C[z3]
-        self.yok = ((row3[None, :] != C[z3, z4]) & (C != row3[None, :])).tolist()
+        self.xok, self.yok = (t.tolist() for t in _attach_tables(g.matrix, member))
 
     def absorbs(self, x1, x2, y1, y2) -> bool:
         if x1 in self.inside or x2 in self.inside or y1 in self.inside or y2 in self.inside:
@@ -177,31 +170,32 @@ class _MemberTables:
         return self.xok[x1][x2] and self.yok[y1][y2]
 
 
-def _family_tables(g, members, C=None):
-    C = C if C is not None else colour_matrix(g)
-    return [_MemberTables(g, mb, C) for mb in members]
+MASK_MEMBERS = 64
+MISS_SEARCH_BUDGET = 200_000
 
 
-def _pair_member_masks(g, members, C: np.ndarray):
+def _pair_member_masks(g, members):
     """Bitmask arrays X, Y: bit m of X[a, b] says member m can attach the
     ordered pair (a, b) on its left side and avoids both vertices; Y likewise
     on the right.  A quadruple is absorbed by member m iff bit m is set in
     both its pair entries, so coverage questions reduce to mask intersections.
+    The masks are uint64, so at most 64 members fit.
     """
+    if len(members) > MASK_MEMBERS:
+        raise ValueError(
+            f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}; use mode='sample'"
+        )
     n = g.n
-    X = np.zeros((n, n), dtype=np.int64)
-    Y = np.zeros((n, n), dtype=np.int64)
+    C = g.matrix
+    X = np.zeros((n, n), dtype=np.uint64)
+    Y = np.zeros((n, n), dtype=np.uint64)
     for bit, mb in enumerate(members):
-        z1, z2, z3, z4 = mb
-        col2 = C[:, z2]
-        xok = (col2[:, None] != C[z1, z2]) & (col2[:, None] != C)
-        row3 = C[z3]
-        yok = (row3[None, :] != C[z3, z4]) & (C != row3[None, :])
+        xok, yok = _attach_tables(C, mb)
         free = np.ones(n, dtype=bool)
         free[list(mb)] = False
         pair_free = free[:, None] & free[None, :]
-        X |= (xok & pair_free).astype(np.int64) << bit
-        Y |= (yok & pair_free).astype(np.int64) << bit
+        X |= (xok & pair_free).astype(np.uint64) << np.uint64(bit)
+        Y |= (yok & pair_free).astype(np.uint64) << np.uint64(bit)
     return X, Y
 
 
@@ -216,9 +210,10 @@ def verify_family_universality(
     """Check that some member absorbs every ordered quadruple of `outside` vertices.
 
     `outside` defaults to the vertices not used by the family.  The default
-    check is exact over the whole quadruple space via pair-member bitmasks;
-    mode="sample" instead scans `sample` random quadruples.  Returns
-    (ok, coverage, an uncovered quadruple or None).
+    check is exact over the whole quadruple space via pair-member bitmasks and
+    raises ValueError for more than 64 members; mode="sample" instead scans
+    `sample` random quadruples.  Returns (ok, coverage, an uncovered
+    quadruple or None).
     """
     used = {v for mb in members for v in mb}
     if outside is None:
@@ -228,10 +223,8 @@ def verify_family_universality(
         return True, 1.0, None
     if not members:
         return False, 0.0, tuple(outside[:4])
-    C = colour_matrix(g)
-
     if mode == "sample":
-        tables = _family_tables(g, members, C)
+        tables = [_MemberTables(g, mb) for mb in members]
         rng = random.Random(seed)
         covered = 0
         first_miss = None
@@ -243,51 +236,38 @@ def verify_family_universality(
                 first_miss = (x1, x2, y1, y2)
         return first_miss is None, covered / sample, first_miss
 
-    X, Y = _pair_member_masks(g, members, C)
+    X, Y = _pair_member_masks(g, members)
     out = np.array(outside)
     Xo = X[np.ix_(out, out)]
     Yo = Y[np.ix_(out, out)]
-    m = len(out)
-    offdiag = ~np.eye(m, dtype=bool)
+    offdiag = ~np.eye(len(out), dtype=bool)
     ux, cx = np.unique(Xo[offdiag], return_counts=True)
     uy, cy = np.unique(Yo[offdiag], return_counts=True)
-    bad = [(int(a), int(b)) for a in ux for b in uy if (int(a) & int(b)) == 0]
-    if not bad:
+    meets = (ux[:, None] & uy[None, :]) != 0      # some member absorbs this mask pair
+    if meets.all():
         return True, 1.0, None
     # pair-level covered fraction (overlapping-vertex combinations not excluded);
     # exact enough for ranking failed attempts
-    total = int(cx.sum()) * int(cy.sum())
-    good = sum(
-        int(ca) * int(cb)
-        for a, ca in zip(ux, cx)
-        for b, cb in zip(uy, cy)
-        if int(a) & int(b)
-    )
-    coverage = good / total if total else 0.0
+    coverage = int(cx @ meets @ cy) / (int(cx.sum()) * int(cy.sum()))
 
     # some mask combination admits no member; look for a realisation with four
     # distinct vertices (combinations sharing a vertex are not quadruples)
-    miss = None
-    budget = 200_000
-    for a, b in bad:
-        xs = np.argwhere((Xo == a) & offdiag)
-        ys = np.argwhere((Yo == b) & offdiag)
-        for i1, i2 in xs:
-            for j1, j2 in ys:
-                budget -= 1
-                if i1 != j1 and i1 != j2 and i2 != j1 and i2 != j2:
-                    miss = (int(out[i1]), int(out[i2]), int(out[j1]), int(out[j2]))
-                    break
-                if budget <= 0:
-                    break
-            if miss is not None or budget <= 0:
-                break
-        if miss is not None or budget <= 0:
-            break
-    if miss is None and budget > 0:
+    def realisations():
+        for i, j in np.argwhere(~meets):
+            ys = np.argwhere((Yo == uy[j]) & offdiag)
+            for i1, i2 in np.argwhere((Xo == ux[i]) & offdiag):
+                for j1, j2 in ys:
+                    yield i1, i2, j1, j2
+
+    tried = 0
+    for quad in itertools.islice(realisations(), MISS_SEARCH_BUDGET):
+        tried += 1
+        if len(set(quad)) == 4:
+            return False, coverage, tuple(int(out[i]) for i in quad)
+    if tried < MISS_SEARCH_BUDGET:
         # every conflicting combination shares a vertex: no true quadruple misses
         return True, 1.0, None
-    return False, coverage, miss
+    return False, coverage, None
 
 
 def sample_absorbing_family(g, params: FamilyParams) -> FamilyResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import random
 import sys
@@ -234,8 +235,7 @@ def cmd_absorb_check(args) -> int:
     else:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
 
-    matrix = absorbing.colour_matrix(g)
-    counts = [absorbing.count_absorbing(g, q, matrix) for q in quads]
+    counts = [absorbing.count_absorbing(g, q) for q in quads]
     violations = [
         {"quad": list(q), "count": c} for q, c in zip(quads, counts) if c < bound
     ]
@@ -286,22 +286,21 @@ def _lemma_abspath(params: dict) -> dict:
     bound = eps * eps * n ** 4 / 4
     worst = None
     violations = 0
-    for seed in range(seeds):
+    for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
-        matrix = absorbing.colour_matrix(g)
         rng = random.Random(seed)
         for _ in range(quads):
             quad = tuple(rng.sample(range(n), 4))
-            c = absorbing.count_absorbing(g, quad, matrix)
+            c = absorbing.count_absorbing(g, quad)
             if worst is None or c < worst:
                 worst = c
             if c < bound:
                 violations += 1
-    return {
+    return _derived({
         "lemma": "abspath", "n": n, "eps": eps, "dmax": dmax, "bound": bound,
-        "instances": seeds, "quads_per_instance": quads,
-        "min_count": worst, "violations": violations, "pass": violations == 0,
-    }
+        "instances": len(seeds), "quads_per_instance": quads,
+        "min_count": worst, "violations": violations,
+    })
 
 
 def _lemma_ifar(params: dict) -> dict:
@@ -311,7 +310,7 @@ def _lemma_ifar(params: dict) -> dict:
     trials = params.get("trials", 20)
     succ = 0
     total = 0
-    for seed in range(seeds):
+    for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
         rng = random.Random(seed)
         for _ in range(trials):
@@ -320,18 +319,17 @@ def _lemma_ifar(params: dict) -> dict:
             p = absorbing.join_ends(g, v1, v2, v1p, v2p, max_len=max_len)
             if p is not None:
                 succ += 1
-    return {
+    return _derived({
         "lemma": "ifar", "n": n, "eps": eps, "dmax": dmax, "max_len": max_len,
-        "trials": total, "successes": succ, "rate": succ / total if total else None,
-        "pass": succ == total,
-    }
+        "trials": total, "successes": succ,
+    })
 
 
 def _lemma_rotation3(params: dict) -> dict:
     n, eps, seeds = params["n"], params["eps"], params["seeds"]
     dmax = params.get("dmax") or int((0.5 - eps) * n)
     ratios = []
-    for seed in range(seeds):
+    for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
         sys = rotations.maximal_path_cycle(g, seed=seed)
         res = rotations.expand_endpoint_colours(
@@ -341,12 +339,11 @@ def _lemma_rotation3(params: dict) -> dict:
         for a, b in zip(sizes, sizes[1:]):
             if a:
                 ratios.append(b / a)
-    mean = sum(ratios) / len(ratios) if ratios else None
-    return {
+    return _derived({
         "lemma": "rotation3", "n": n, "eps": eps, "dmax": dmax,
-        "growth_ratios": ratios, "mean_ratio": mean, "reference": 1 + eps,
+        "growth_ratios": ratios, "reference": 1 + eps,
         "note": "probe only: the growth bound assumes maximality and spacing",
-    }
+    })
 
 
 def _lemma_2factor(params: dict) -> dict:
@@ -356,7 +353,7 @@ def _lemma_2factor(params: dict) -> dict:
     oracle_yes = 0
     heur_yes = 0
     invalid = 0
-    for seed in range(seeds):
+    for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
         oracle = exact.exact_pc_two_factor(g)
         heur = rotations.find_pc_two_factor(g, rotations.TwoFactorConfig(seed=seed))
@@ -368,13 +365,11 @@ def _lemma_2factor(params: dict) -> dict:
             oracle_yes += 1
             if heur.success:
                 agree += 1
-    return {
-        "lemma": "2factor", "n": n, "dmax": dmax, "instances": seeds,
+    return _derived({
+        "lemma": "2factor", "n": n, "dmax": dmax, "instances": len(seeds),
         "oracle_exists": oracle_yes, "heuristic_success": heur_yes,
         "agreement": agree, "invalid_certificates": invalid,
-        "rate": agree / oracle_yes if oracle_yes else None,
-        "pass": invalid == 0 and (oracle_yes == 0 or agree / oracle_yes >= 0.9),
-    }
+    })
 
 
 def _lemma_abscycle(params: dict) -> dict:
@@ -385,7 +380,7 @@ def _lemma_abscycle(params: dict) -> dict:
     built = 0
     orders = []
     bound_ok = True
-    for seed in range(seeds):
+    for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
         res = absorbing.build_absorbing_cycle(
             g, absorbing.BuildParams(target, seed=seed, join_max_len=join_cap)
@@ -396,11 +391,57 @@ def _lemma_abscycle(params: dict) -> dict:
             orders.append(order)
             if order > (4 + join_cap) * len(res.cycle.family):
                 bound_ok = False
-    return {
-        "lemma": "abscycle", "n": n, "dmax": dmax, "instances": seeds,
+    return _derived({
+        "lemma": "abscycle", "n": n, "dmax": dmax, "instances": len(seeds),
         "built": built, "orders": orders, "size_bound_ok": bound_ok,
-        "pass": built > 0 and bound_ok,
-    }
+    })
+
+
+def _ratio(num, den):
+    return num / den if den else None
+
+
+# the fields of a lemma report computed from its counts
+_DERIVED = {
+    "abspath": lambda r: {"pass": r["violations"] == 0},
+    "ifar": lambda r: {
+        "rate": _ratio(r["successes"], r["trials"]), "pass": r["successes"] == r["trials"],
+    },
+    "rotation3": lambda r: {"mean_ratio": _ratio(sum(r["growth_ratios"]), len(r["growth_ratios"]))},
+    "2factor": lambda r: {
+        "rate": _ratio(r["agreement"], r["oracle_exists"]),
+        "pass": r["invalid_certificates"] == 0
+        and (not r["oracle_exists"] or r["agreement"] / r["oracle_exists"] >= 0.9),
+    },
+    "abscycle": lambda r: {"pass": r["built"] > 0 and r["size_bound_ok"]},
+}
+
+
+def _derived(report: dict) -> dict:
+    return {**report, **_DERIVED[report["lemma"]](report)}
+
+
+# how lemma-check --jobs combines the reports of its seed chunks: counts add,
+# lists concatenate, min_count is the least (None only when no quads ran);
+# every other field is copied from the first chunk (n, eps, dmax, bound,
+# quads_per_instance, ...) or derived again from the merged counts
+_MERGE = {
+    "min_count": lambda a, b: a if a is None else min(a, b),
+    "size_bound_ok": operator.and_,
+    **dict.fromkeys((
+        "instances", "violations", "trials", "successes", "oracle_exists", "heuristic_success",
+        "agreement", "invalid_certificates", "built", "orders", "growth_ratios",
+    ), operator.add),
+}
+
+
+def _merge_reports(parts: list[dict]) -> dict:
+    out = dict(parts[0])
+    for part in parts[1:]:
+        for key, rule in _MERGE.items():
+            if key in out:
+                out[key] = rule(out[key], part[key])
+    return _derived(out)
 
 
 _LEMMAS = {
@@ -413,15 +454,14 @@ _LEMMAS = {
 
 
 def lemma_check(name: str, params: dict) -> dict:
-    """Run one lemma-style property suite and aggregate its statistics."""
+    """Run one lemma-style property suite and aggregate its statistics.
+
+    ``params["seeds"]`` is a number of seeds from 0 or a range of seeds.
+    """
     if name not in _LEMMAS:
         raise UsageError(f"unknown lemma {name!r}; choose from {sorted(_LEMMAS)}")
-    return _LEMMAS[name](params)
-
-
-def _lemma_worker(arg):
-    name, params = arg
-    return lemma_check(name, params)
+    seeds = params["seeds"]
+    return _LEMMAS[name]({**params, "seeds": range(seeds) if isinstance(seeds, int) else seeds})
 
 
 def cmd_lemma_check(args) -> int:
@@ -430,26 +470,13 @@ def cmd_lemma_check(args) -> int:
         "dmax": args.dmax, "family_size": args.family_size,
     }
     if args.jobs > 1 and args.seeds > 1:
-        # split the seed range across workers and merge counters
-        per = max(1, args.seeds // args.jobs)
-        chunks = []
-        s = 0
-        while s < args.seeds:
-            chunk = dict(params)
-            chunk["seeds"] = min(per, args.seeds - s)
-            chunks.append((args.lemma, chunk))
-            s += per
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_lemma_worker, chunks))
-        out = parts[0]
-        for extra in parts[1:]:
-            for key, val in extra.items():
-                if isinstance(val, (int, float)) and key in out and isinstance(out[key], (int, float)):
-                    if key not in ("n", "eps", "dmax", "bound", "rate", "mean_ratio", "reference"):
-                        out[key] = out[key] + val
-                elif isinstance(val, list):
-                    out[key] = out.get(key, []) + val
-        out["pass"] = all(p.get("pass", True) for p in parts)
+        # consecutive seed ranges, one per worker
+        per = -(-args.seeds // args.jobs)
+        chunks = [
+            {**params, "seeds": range(s, min(s + per, args.seeds))} for s in range(0, args.seeds, per)
+        ]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            out = _merge_reports(list(pool.map(lemma_check, [args.lemma] * len(chunks), chunks)))
     else:
         out = lemma_check(args.lemma, params)
     report = RunReport("lemma-check", seed=0, result=out)

@@ -9,8 +9,11 @@ monochromatic degree, for stress-testing the solvers.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from pch.ec_graph import ColouredComplete, ColouredGraph, is_properly_coloured_cycle
 
@@ -119,9 +122,8 @@ def monochromatic(n: int, colour: int = 0, k: int | None = None) -> ColouredComp
 
 def rainbow(n: int) -> ColouredComplete:
     """All edges distinctly coloured."""
-    k = max(1, n * (n - 1) // 2)
-    counter = iter(range(k))
-    return ColouredComplete.from_function(n, k, lambda u, v: next(counter))
+    m = n * (n - 1) // 2
+    return ColouredComplete(n, max(1, m), range(m))
 
 
 def bollobas_erdos(k: int) -> ColouredComplete:
@@ -134,13 +136,8 @@ def bollobas_erdos(k: int) -> ColouredComplete:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = 4 * k + 1
-
-    def col(u: int, v: int) -> int:
-        d = abs(u - v)
-        d = min(d, n - d)
-        return 0 if d <= k else 1
-
-    return ColouredComplete.from_function(n, 2, col)
+    u, v = np.triu_indices(n, 1)
+    return ColouredComplete(n, 2, (np.minimum(v - u, n - (v - u)) > k).astype(int))
 
 
 def colouring_from_oriented(og: OrientedGraph, complete_with: str | None = None):
@@ -255,24 +252,29 @@ def random_bounded_colouring(
         )
 
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = list(enumerate(itertools.combinations(range(n), 2)))
     for _ in range(restarts):
         counts = [[0] * k for _ in range(n)]
-        tab: dict[tuple[int, int], int] = {}
+        # colours that reached the cap at each vertex; while both endpoints have
+        # none, every colour is allowed and the draw skips the O(k) filter
+        capped: list[set[int]] = [set() for _ in range(n)]
+        flat = [0] * len(pairs)
         rng.shuffle(pairs)
-        stuck = False
-        for u, v in pairs:
-            cu, cv = counts[u], counts[v]
-            allowed = [c for c in range(k) if cu[c] < dmax and cv[c] < dmax]
+        for i, (u, v) in pairs:
+            fu, fv = capped[u], capped[v]
+            allowed = [c for c in range(k) if c not in fu and c not in fv] if fu or fv else range(k)
             if not allowed:
-                stuck = True
                 break
-            c = rng.choice(allowed)
-            tab[(u, v)] = c
+            c = flat[i] = rng.choice(allowed)
+            cu, cv = counts[u], counts[v]
             cu[c] += 1
             cv[c] += 1
-        if not stuck:
-            return ColouredComplete.from_function(n, k, lambda u, v: tab[(u, v)])
+            if cu[c] == dmax:
+                fu.add(c)
+            if cv[c] == dmax:
+                fv.add(c)
+        else:
+            return ColouredComplete(n, k, flat)
     raise GenerationError(f"no colouring with dmax={dmax}, colours={k} found in {restarts} restarts")
 
 

@@ -5,16 +5,20 @@ declared colour count ``k``.  A colouring is arbitrary: many edges at a vertex
 may share a colour.  "Properly coloured" (PC) always means that no two
 adjacent edges of the structure under discussion share a colour.
 
-``ColouredComplete`` stores one colour per unordered pair in a flat table and
-is immutable after construction, so instances can be shared freely between
-workers.  ``ColouredGraph`` is the partial (non-complete) variant used by the
-oriented-graph construction.
+``ColouredComplete`` builds its colours once, at construction, into one
+representation: a read-only ``np.int32`` n x n ``matrix`` with -1 on the
+diagonal for vectorised code, and the same values as row tuples ``rows`` for
+scalar hot loops.  Instances are immutable, so they can be shared freely
+between workers.  ``ColouredGraph`` is the partial (non-complete) variant used
+by the oriented-graph construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 Vertex = int
 ColourId = int
@@ -39,17 +43,10 @@ class GraphFormatError(ValueError):
         self.message = message
 
 
-def _pair_index(n: int, u: int, v: int) -> int:
-    # flat index of the unordered pair (u, v), u < v, in row-major triangle order
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 class ColouredComplete:
-    """Complete graph on n vertices with a colour on every edge."""
+    """Complete graph on n vertices; ``table`` colours the pairs u < v in row-major order."""
 
-    __slots__ = ("n", "k", "_tab")
+    __slots__ = ("n", "k", "matrix", "rows")
 
     def __init__(self, n: int, k: int, table: Sequence[ColourId]):
         if n < 1:
@@ -57,15 +54,24 @@ class ColouredComplete:
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
         expected = n * (n - 1) // 2
-        tab = list(table)
-        if len(tab) != expected:
-            raise ValueError(f"colour table has {len(tab)} entries, expected {expected}")
-        for c in tab:
-            if not (0 <= c < k):
-                raise ValueError(f"colour {c} outside 0..{k - 1}")
+        flat = np.asarray(table)
+        if flat.ndim != 1 or len(flat) != expected:
+            raise ValueError(f"colour table has {flat.size} entries, expected {expected}")
+        if expected:
+            lo, hi = flat.min(), flat.max()
+            if lo < 0 or hi >= k:
+                raise ValueError(f"colour {lo if lo < 0 else hi} outside 0..{k - 1}")
+            if hi > np.iinfo(np.int32).max:
+                raise ValueError(f"colour {hi} does not fit the int32 colour matrix")
+        m = np.full((n, n), -1, dtype=np.int32)
+        upper = np.triu_indices(n, 1)
+        m[upper] = flat
+        m[upper[::-1]] = flat
+        m.setflags(write=False)
         self.n = n
         self.k = k
-        self._tab = tab
+        self.matrix = m
+        self.rows = tuple(map(tuple, m.tolist()))
 
     @classmethod
     def from_function(cls, n: int, k: int, colour_fn: Callable[[int, int], ColourId]) -> "ColouredComplete":
@@ -78,7 +84,7 @@ class ColouredComplete:
             raise ValueError(f"no self-edge at vertex {u}")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) outside 0..{self.n - 1}")
-        return self._tab[_pair_index(self.n, u, v)]
+        return self.rows[u][v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u != v and 0 <= u < self.n and 0 <= v < self.n
@@ -86,13 +92,12 @@ class ColouredComplete:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColouredComplete)
-            and self.n == other.n
             and self.k == other.k
-            and self._tab == other._tab
+            and np.array_equal(self.matrix, other.matrix)
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, tuple(self._tab)))
+        return hash((self.n, self.k, self.matrix.tobytes()))
 
     def __repr__(self) -> str:
         return f"ColouredComplete(n={self.n}, k={self.k})"
@@ -146,44 +151,30 @@ def colour_of(g, u: Vertex, v: Vertex) -> ColourId:
     return g.colour(u, v)
 
 
-def colour_rows(g: ColouredComplete) -> list[list[int]]:
-    """Dense n x n colour lookup with -1 on the diagonal, for hot loops."""
-    n = g.n
-    rows = [[-1] * n for _ in range(n)]
-    for u in range(n):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            c = g.colour(u, v)
-            ru[v] = c
-            rows[v][u] = c
-    return rows
+def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
+    """counts[i, c] = entries of colour c in row i of a colour matrix (-1 skipped)."""
+    rows = matrix.shape[0]
+    cells = (matrix + k * np.arange(rows, dtype=np.int64)[:, None])[matrix >= 0]
+    return np.bincount(cells, minlength=rows * k).reshape(rows, k)
 
 
 def colour_histograms(g: ColouredComplete) -> list[list[int]]:
     """Per-vertex colour counts: hist[v][c] = number of edges at v coloured c."""
-    n, k = g.n, g.k
-    hist = [[0] * k for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = g.colour(u, v)
-            hist[u][c] += 1
-            hist[v][c] += 1
-    return hist
+    return colour_counts(g.matrix, g.k).tolist()
 
 
 def max_mono_degree(g: ColouredComplete) -> int:
     """Largest number of same-coloured edges incident with one vertex."""
     if g.n < 2:
         raise ValueError("need n >= 2")
-    return max(max(row) for row in colour_histograms(g))
+    return int(colour_counts(g.matrix, g.k).max())
 
 
 def min_colour_degree(g: ColouredComplete) -> int:
     """Minimum over vertices of the number of distinct colours at that vertex."""
     if g.n < 2:
         raise ValueError("need n >= 2")
-    hist = colour_histograms(g)
-    return min(sum(1 for c in row if c > 0) for row in hist)
+    return int((colour_counts(g.matrix, g.k) > 0).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +452,14 @@ def induced_subgraph(g: ColouredComplete, keep: Iterable[int]) -> tuple[Coloured
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     if len(old) < 1:
         raise ValueError("keep list is empty")
-    sub = ColouredComplete.from_function(len(old), g.k, lambda a, b: g.colour(old[a], old[b]))
-    return sub, old
+    sub = g.matrix[np.ix_(old, old)]
+    return ColouredComplete(len(old), g.k, sub[np.triu_indices(len(old), 1)]), old
 
 
 def graph_to_text(g: ColouredComplete) -> str:
     lines = [f"{g.n} {g.k}"]
     for u in range(g.n - 1):
-        lines.append(" ".join(str(g.colour(u, v)) for v in range(u + 1, g.n)))
+        lines.append(" ".join(map(str, g.rows[u][u + 1 :])))
     return "\n".join(lines) + "\n"
 
 

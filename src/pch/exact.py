@@ -17,7 +17,6 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
-    colour_rows,
     ham_cycle_certificate,
     ham_path_certificate,
     two_factor_certificate,
@@ -104,7 +103,7 @@ def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) 
     n, k = g.n, g.k
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    rows = colour_rows(g)
+    rows = g.rows
     full = (1 << n) - 1
     meter = _Meter(budget)
     # memo value: next vertex to move to, -2 for "close now", -1 for dead end
@@ -180,7 +179,7 @@ def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -
     if n == 2:
         cert = _verified(g, ham_path_certificate((0, 1)))
         return OracleResult(SearchStatus.EXISTS, cert, 0)
-    rows = colour_rows(g)
+    rows = g.rows
     full = (1 << n) - 1
     meter = _Meter(budget)
     memo: dict[int, int] = {}
@@ -254,7 +253,7 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    rows = colour_rows(g)
+    rows = g.rows
     meter = _Meter(budget)
     # memo value: a cycle (tuple) through the lowest vertex completing the mask, or None
     memo: dict[int, tuple[int, ...] | None] = {}
@@ -329,7 +328,7 @@ def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) ->
     n, k = g.n, g.k
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    rows = colour_rows(g)
+    rows = g.rows
     meter = _Meter(budget)
     # memo value: (best closable total length from this state, action); action is
     # the next vertex, -2 to close immediately, -1 if nothing closes
@@ -402,7 +401,7 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
     n, k = g.n, g.k
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = colour_rows(g)
+    rows = g.rows
     meter = _Meter(budget)
     # memo value: (best final order reachable from this state, next vertex or -1)
     memo: dict[int, tuple[int, int]] = {}

@@ -544,24 +544,23 @@ def _mirror_expansion(res: ExpansionResult) -> ExpansionResult:
 
 def _grow_path(g, rng: random.Random, path: list[int], allowed: set[int]) -> list[int]:
     """Greedily extend a PC path at both ends through `allowed` until stuck."""
-    used = set(path)
-    cand = sorted(allowed - used)
+    cand = sorted(allowed - set(path))
     while True:
         grew = False
         inner = path[-2] if len(path) >= 2 else None
-        opts = [u for u in cand if inner is None or g.colour(path[-1], u) != g.colour(path[-1], inner)]
+        end = g.rows[path[-1]]
+        opts = [u for u in cand if inner is None or end[u] != end[inner]]
         if opts:
             nxt = rng.choice(opts)
             path.append(nxt)
-            used.add(nxt)
             cand.remove(nxt)
             grew = True
         inner = path[1] if len(path) >= 2 else None
-        opts = [u for u in cand if inner is None or g.colour(path[0], u) != g.colour(path[0], inner)]
+        end = g.rows[path[0]]
+        opts = [u for u in cand if inner is None or end[u] != end[inner]]
         if opts:
             nxt = rng.choice(opts)
             path.insert(0, nxt)
-            used.add(nxt)
             cand.remove(nxt)
             grew = True
         if not grew:

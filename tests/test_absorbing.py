@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from pch.absorbing import (
     FamilyParams,
     absorb_path,
     build_absorbing_cycle,
-    colour_matrix,
     count_absorbing,
     enumerate_absorbing,
     is_absorbing,
@@ -83,11 +83,10 @@ def test_enumerate_yields_absorbing_tuples():
 def test_count_bound_single_instance():
     # the quantitative bound at n = 50, eps = 0.1 (cap at (1/2 - eps) n = 20)
     g = random_bounded_colouring(50, 20, 0)
-    m = colour_matrix(g)
     rng = random.Random(1)
     for _ in range(10):
         quad = tuple(rng.sample(range(50), 4))
-        assert count_absorbing(g, quad, m) >= 0.1 ** 2 * 50 ** 4 / 4
+        assert count_absorbing(g, quad) >= 0.1 ** 2 * 50 ** 4 / 4
 
 
 def test_family_rainbow_and_mono():
@@ -129,6 +128,26 @@ def test_universality_modes():
     assert ok and cov == 1.0 and miss is None
     ok, cov, _ = verify_family_universality(g, fam.members, mode="sample", sample=500)
     assert ok
+
+
+def test_universality_beyond_mask_width_fails_loudly():
+    # 65 disjoint members of which only the last absorbs anything: every
+    # quadruple of the four outside vertices is covered, but only by member 64
+    n = 264
+    members = [tuple(range(4 * i, 4 * i + 4)) for i in range(65)]
+    live = set(members[-1])
+    g = ColouredComplete.from_function(
+        n, n * n, lambda u, v: 1 + u * n + v if u in live or v in live else 0
+    )
+    outside = range(260, 264)
+    for quad in itertools.permutations(outside, 4):
+        assert [mb for mb in members if is_absorbing(g, quad, mb)] == [members[-1]]
+    # an exact check that silently dropped member 64 would report a miss
+    with pytest.raises(ValueError, match="at most 64 members"):
+        verify_family_universality(g, members)
+    # 64 members fit, the live one in the top bit
+    assert verify_family_universality(g, members[1:]) == (True, 1.0, None)
+    assert not verify_family_universality(g, members[:64])[0]
 
 
 def test_join_ends_rainbow_immediate():

@@ -13,7 +13,6 @@ from pch.absorbing import (
     BuildParams,
     absorb_path,
     build_absorbing_cycle,
-    colour_matrix,
     count_absorbing,
 )
 from pch.constructions import (
@@ -105,11 +104,10 @@ def test_acceptance_4_absorbing_count_bound():
     for seed in range(10):
         g = random_bounded_colouring(n, dmax, seed)
         assert max_mono_degree(g) <= dmax
-        C = colour_matrix(g)
         rng = random.Random(seed)
         for _ in range(50):
             quad = tuple(rng.sample(range(n), 4))
-            c = count_absorbing(g, quad, C)
+            c = count_absorbing(g, quad)
             worst = c if worst is None else min(worst, c)
             assert c >= bound
     elapsed = time.time() - t0

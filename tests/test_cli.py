@@ -160,6 +160,20 @@ def test_lemma_check_parallel_jobs(tmp_path):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("lemma,extra", [
+    ("abspath", ["--n", "20", "--dmax", "7", "--quads", "5"]),
+    ("ifar", ["--n", "16", "--dmax", "6"]),
+])
+def test_lemma_check_jobs_match_serial(tmp_path, lemma, extra):
+    results = []
+    for jobs in ("1", "2"):
+        rpath = tmp_path / f"{lemma}-{jobs}.json"
+        run("lemma-check", "--lemma", lemma, *extra, "--seeds", "5", "--jobs", jobs,
+            "--report", str(rpath))
+        results.append(json.loads(rpath.read_text())["result"])
+    assert results[1] == results[0]
+
+
 def test_lemma_check_abspath_at_contract_scale(tmp_path):
     rpath = tmp_path / "abspath.json"
     code = run("lemma-check", "--lemma", "abspath", "--n", "50", "--eps", "0.1",

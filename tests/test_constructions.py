@@ -16,7 +16,7 @@ from pch.constructions import (
     random_oriented,
     tournament_with_source,
 )
-from pch.ec_graph import max_mono_degree, min_colour_degree
+from pch.ec_graph import ColouredComplete, max_mono_degree, min_colour_degree
 from pch.exact import exact_pc_ham_cycle
 
 
@@ -200,3 +200,71 @@ def test_random_bounded_many_seeds_at_scale():
     for seed in range(30):
         g = random_bounded_colouring(50, 20, seed)
         assert max_mono_degree(g) <= 20
+
+
+# ---------------------------------------------------------------------------
+# random_bounded_colouring against its original O(k)-per-pair draw
+# ---------------------------------------------------------------------------
+
+def _reference_bounded_colouring(n, dmax, seed, colours=None, restarts=100):
+    """The generator as first written: every pair filters the whole palette."""
+    k = colours if colours is not None else n
+    if dmax * k < n - 1:
+        raise GenerationError("infeasible")
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(restarts):
+        counts = [[0] * k for _ in range(n)]
+        tab = {}
+        rng.shuffle(pairs)
+        stuck = False
+        for u, v in pairs:
+            cu, cv = counts[u], counts[v]
+            allowed = [c for c in range(k) if cu[c] < dmax and cv[c] < dmax]
+            if not allowed:
+                stuck = True
+                break
+            c = rng.choice(allowed)
+            tab[(u, v)] = c
+            cu[c] += 1
+            cv[c] += 1
+        if not stuck:
+            return ColouredComplete.from_function(n, k, lambda u, v: tab[(u, v)])
+    raise GenerationError("no colouring")
+
+
+def _same_outcome(n, dmax, seed, colours=None):
+    try:
+        want = _reference_bounded_colouring(n, dmax, seed, colours)
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            random_bounded_colouring(n, dmax, seed, colours=colours)
+        return False
+    assert random_bounded_colouring(n, dmax, seed, colours=colours) == want
+    return True
+
+
+# (palette, max monochromatic degree in percent of n) of the benchmark grid
+BENCH_MIXES = ((3, 45), (4, 40), (6, 30), (None, 40))
+
+
+@pytest.mark.parametrize("n", [40, 80, 160, 320])
+@pytest.mark.parametrize("colours,pct", BENCH_MIXES)
+def test_random_bounded_matches_reference_on_bench_grid(n, colours, pct):
+    for seed in range(3):
+        _same_outcome(n, n * pct // 100, seed, colours)
+
+
+def test_random_bounded_matches_reference_on_exhaustive_families():
+    for seed in range(40):
+        _same_outcome(20, 9, seed, 3)
+        _same_outcome(14, 6, seed, 3)
+    for seed in range(5):
+        assert _same_outcome(50, 20, seed)
+
+
+def test_random_bounded_matches_reference_when_generation_fails():
+    # three colours at cap 3 on K_10 leave no slack: some seeds dead-end on
+    # every restart, others find a colouring
+    outcomes = {_same_outcome(10, 3, seed, 3) for seed in range(4)}
+    assert outcomes == {True, False}

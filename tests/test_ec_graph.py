@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,3 +279,81 @@ def test_parser_raises_only_format_errors(text):
         graph_from_text(text)
     except GraphFormatError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the colour matrix and its row tuples
+# ---------------------------------------------------------------------------
+
+def _representation_cases():
+    from pch.constructions import bollobas_erdos, random_bounded_colouring
+
+    return [
+        random_colouring(9, 4, 3),
+        random_bounded_colouring(17, 6, 1, colours=3),
+        random_bounded_colouring(12, 5, 2),
+        bollobas_erdos(2),
+        layered_colouring(10, 3),
+        rainbow(7),
+        monochromatic(5),
+        colouring_from_oriented(tournament_with_source(3), complete_with="extra"),
+    ]
+
+
+@pytest.mark.parametrize("g", _representation_cases(), ids=repr)
+def test_matrix_and_rows_agree_with_colour(g):
+    m = g.matrix
+    assert m.shape == (g.n, g.n) and m.dtype == np.int32
+    assert (m == m.T).all()
+    assert (np.diag(m) == -1).all()
+    assert len(g.rows) == g.n
+    for u in range(g.n):
+        assert g.rows[u] == tuple(m[u].tolist())
+        for v in range(g.n):
+            if u != v:
+                assert g.rows[u][v] == m[u, v] == g.colour(u, v)
+
+
+def test_matrix_is_read_only():
+    g = random_colouring(6, 3, 0)
+    with pytest.raises(ValueError):
+        g.matrix[0, 1] = 2
+    assert g.colour(0, 1) == g.matrix[0, 1]
+
+
+@pytest.mark.parametrize("g", _representation_cases(), ids=repr)
+def test_induced_subgraph_matches_per_pair_reference(g):
+    from pch.ec_graph import ColouredComplete
+
+    keep = [v for v in range(g.n) if v % 3 != 1][::-1]
+    sub, old = induced_subgraph(g, keep)
+    ref = ColouredComplete.from_function(len(old), g.k, lambda a, b: g.colour(old[a], old[b]))
+    assert old == tuple(keep)
+    assert sub == ref
+
+
+@pytest.mark.parametrize("g", _representation_cases(), ids=repr)
+def test_colour_histograms_match_per_pair_loop(g):
+    from pch.ec_graph import colour_histograms
+
+    hist = [[0] * g.k for _ in range(g.n)]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            hist[u][g.colour(u, v)] += 1
+            hist[v][g.colour(u, v)] += 1
+    assert colour_histograms(g) == hist
+    assert max_mono_degree(g) == max(max(row) for row in hist)
+    assert min_colour_degree(g) == min(sum(1 for c in row if c) for row in hist)
+
+
+def test_constructor_rejects_colours_beyond_int32():
+    from pch.ec_graph import ColouredComplete
+
+    assert ColouredComplete(2, 2 ** 31, [2 ** 31 - 1]).colour(0, 1) == 2 ** 31 - 1
+    for big in (2 ** 31, 2 ** 40, 2 ** 70):
+        with pytest.raises(ValueError, match="int32"):
+            ColouredComplete(2, 2 ** 80, [big])
+    with pytest.raises(ValueError, match="outside"):
+        ColouredComplete(3, 2, [0, 2, 1])
+    with pytest.raises(ValueError, match="outside"):
+        ColouredComplete(3, 2, [0, -1, 1])
