@@ -1,13 +1,22 @@
 """Exhaustive oracles for properly coloured structures at small n.
 
-These are the ground truth for every heuristic: memoized state-space searches
-over (visited-set, last vertex, incoming colour [, first colour]) states.  A
-"not exists" answer is definitive; running out of budget is reported as a
+These are the ground truth for every heuristic.  Two searches serve them:
+
+- One memoised search over (visited set, last vertex, incoming colour,
+  first colour) states answers the Hamiltonian cycle and path oracles and the
+  longest cycle and path oracles.  It returns the largest order that closes
+  under the cycle or path rule and reads a witness back from its memo.  Each
+  oracle only chooses the rule, the shortest order that counts (n for the
+  Hamiltonian oracles) and the first edges to search from.
+- `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
+
+A "not exists" answer is definitive; running out of budget is reported as a
 distinct outcome, never conflated with non-existence.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -72,7 +81,7 @@ class _Meter:
         b = budget or SearchBudget()
         self.nodes = 0
         self.limit = b.node_limit
-        self.deadline = time.monotonic() + b.time_limit if b.time_limit else None
+        self.deadline = None if b.time_limit is None else time.monotonic() + b.time_limit
 
     def tick(self):
         self.nodes += 1
@@ -85,159 +94,130 @@ class _Meter:
 
 def _verified(g, cert: Certificate) -> Certificate:
     out = verify_certificate(g, cert)
-    assert out.valid, f"oracle produced an invalid certificate: {out.reason}"
+    if not out.valid:
+        raise RuntimeError(f"oracle produced an invalid certificate: {out.reason}")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian cycle
+# one memoised search for PC cycles and paths
 # ---------------------------------------------------------------------------
 
-def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
-    """Definitive search for a properly coloured Hamiltonian cycle.
+def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int, seeds):
+    """Largest order, at least `shortest`, of a PC cycle (or path) whose first edge is in `seeds`.
 
-    States are (visited set, last vertex, incoming colour, first-edge colour)
-    with the start fixed at vertex 0; memoisation makes the search complete
-    even on adversarial two-colourings.
+    A cycle is rooted at the lowest vertex of its set and grows only above it;
+    it closes when the edge back to the root differs from both the incoming
+    and the first colour.  A path may stop anywhere and holds the first colour
+    at 0.  The search stops as soon as it reaches order n.
+
+    Returns (order, witness vertices, exact, nodes); the order is 0 and the
+    witness None when nothing closes.  Out of budget, exact is False and the
+    result keeps the best first edge whose search finished.
     """
     n, k = g.n, g.k
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     rows = g.rows
     full = (1 << n) - 1
     meter = _Meter(budget)
-    # memo value: next vertex to move to, -2 for "close now", -1 for dead end
+    # memo value: best * m + act + 1, where best is the largest closable order
+    # from the state and act the next vertex on the way there (-1: close here).
+    # One int, not a tuple: Hamiltonian proofs memoise ~10^6 states, and their
+    # values (best 0) stay in the interpreter's cached small ints.
+    m = n + 1
     memo: dict[int, int] = {}
 
     def key(mask: int, last: int, in_c: int, first_c: int) -> int:
         return ((mask * n + last) * k + in_c) * k + first_c
 
-    def extend(mask: int, last: int, in_c: int, first_c: int) -> bool:
-        if mask == full:
-            c = rows[last][0]
-            return c != in_c and c != first_c
-        ky = key(mask, last, in_c, first_c)
+    tick = meter.tick
+
+    def search(mask: int, last: int, in_c: int, first_c: int, size: int) -> int:
+        ky = ((mask * n + last) * k + in_c) * k + first_c  # key(), inlined
         hit = memo.get(ky)
         if hit is not None:
-            return hit != -1
-        meter.tick()
+            return hit // m
         row = rows[last]
-        for u in range(1, n):
-            if mask >> u & 1:
-                continue
-            c = row[u]
-            if c == in_c:
-                continue
-            if extend(mask | (1 << u), u, c, first_c):
-                memo[ky] = u
-                return True
-        memo[ky] = -1
-        return False
-
-    def reconstruct(v0: int) -> list[int]:
-        path = [0, v0]
-        mask = 1 | (1 << v0)
-        in_c = rows[0][v0]
-        first_c = in_c
-        while mask != full:
-            ky = key(mask, path[-1], in_c, first_c)
-            nxt = memo.get(ky)
-            if nxt is None or nxt < 0:
-                # the winning move was found before memoisation kicked in; re-derive
-                row = rows[path[-1]]
-                for u in range(1, n):
-                    if not (mask >> u & 1) and row[u] != in_c and extend(mask | (1 << u), u, row[u], first_c):
-                        nxt = u
+        if cycle:
+            s = (mask & -mask).bit_length() - 1
+            best = size if size >= shortest and (c := row[s]) != in_c and c != first_c else 0
+        else:
+            s, best = -1, size if size >= shortest else 0
+        act = -1
+        if mask != full:  # a spanning state is a leaf, not a search node
+            tick()
+            for u in range(s + 1, n):
+                if mask >> u & 1:
+                    continue
+                c = row[u]
+                if c == in_c:
+                    continue
+                got = search(mask | (1 << u), u, c, first_c, size + 1)
+                if got > best:
+                    best, act = got, u
+                    if got == n:
                         break
-            assert nxt is not None and nxt >= 0
-            path.append(nxt)
-            in_c = rows[path[-2]][nxt]
-            mask |= 1 << nxt
-        return path
+        memo[ky] = best * m + act + 1
+        return best
 
+    best, start = 0, None
     try:
-        for v0 in range(1, n):
-            c0 = rows[0][v0]
-            if extend(1 | (1 << v0), v0, c0, c0):
-                cyc = reconstruct(v0)
-                cert = _verified(g, ham_cycle_certificate(cyc))
-                return OracleResult(SearchStatus.EXISTS, cert, meter.nodes)
+        for a, b in seeds:
+            c = rows[a][b]
+            got = search((1 << a) | (1 << b), b, c, c if cycle else 0, 2)
+            if got > best:
+                best, start = got, (a, b)
+                if got == n:
+                    break
+        exact = True
     except _OutOfBudget:
-        return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
-    return OracleResult(SearchStatus.NOT_EXISTS, None, meter.nodes)
+        exact = False
+
+    witness = None
+    if start is not None:
+        seq = list(start)
+        mask = (1 << seq[0]) | (1 << seq[1])
+        in_c = rows[seq[0]][seq[1]]
+        first_c = in_c if cycle else 0
+        while (act := memo[key(mask, seq[-1], in_c, first_c)] % m - 1) >= 0:
+            in_c = rows[seq[-1]][act]
+            seq.append(act)
+            mask |= 1 << act
+        witness = tuple(seq)
+    return best, witness, exact, meter.nodes
+
+
+def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
+    """An oracle answer from a `_search` result: spanning order, exhausted, or neither."""
+    order, witness, exact, nodes = found
+    if order == g.n:
+        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness)), nodes)
+    return OracleResult(SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED, None, nodes)
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian path
+# Hamiltonian cycle and path
 # ---------------------------------------------------------------------------
+
+def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
+    """Definitive search for a properly coloured Hamiltonian cycle.
+
+    Every cycle through vertex 0 is searched from its first edge (0, v);
+    memoisation makes the search complete even on adversarial two-colourings.
+    """
+    n = g.n
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    found = _search(g, budget, True, n, ((0, v) for v in range(1, n)))
+    return _existence(g, found, ham_cycle_certificate)
+
 
 def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
     """Definitive search for a properly coloured Hamiltonian path."""
-    n, k = g.n, g.k
+    n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n == 2:
-        cert = _verified(g, ham_path_certificate((0, 1)))
-        return OracleResult(SearchStatus.EXISTS, cert, 0)
-    rows = g.rows
-    full = (1 << n) - 1
-    meter = _Meter(budget)
-    memo: dict[int, int] = {}
-
-    def key(mask: int, last: int, in_c: int) -> int:
-        return (mask * n + last) * k + in_c
-
-    def extend(mask: int, last: int, in_c: int) -> bool:
-        if mask == full:
-            return True
-        ky = key(mask, last, in_c)
-        hit = memo.get(ky)
-        if hit is not None:
-            return hit != -1
-        meter.tick()
-        row = rows[last]
-        for u in range(n):
-            if mask >> u & 1:
-                continue
-            c = row[u]
-            if c == in_c:
-                continue
-            if extend(mask | (1 << u), u, c):
-                memo[ky] = u
-                return True
-        memo[ky] = -1
-        return False
-
-    def reconstruct(a: int, b: int) -> list[int]:
-        path = [a, b]
-        mask = (1 << a) | (1 << b)
-        in_c = rows[a][b]
-        while mask != full:
-            ky = key(mask, path[-1], in_c)
-            nxt = memo.get(ky)
-            if nxt is None or nxt < 0:
-                row = rows[path[-1]]
-                for u in range(n):
-                    if not (mask >> u & 1) and row[u] != in_c and extend(mask | (1 << u), u, row[u]):
-                        nxt = u
-                        break
-            assert nxt is not None and nxt >= 0
-            path.append(nxt)
-            in_c = rows[path[-2]][nxt]
-            mask |= 1 << nxt
-        return path
-
-    try:
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                if extend((1 << a) | (1 << b), b, rows[a][b]):
-                    cert = _verified(g, ham_path_certificate(reconstruct(a, b)))
-                    return OracleResult(SearchStatus.EXISTS, cert, meter.nodes)
-    except _OutOfBudget:
-        return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
-    return OracleResult(SearchStatus.NOT_EXISTS, None, meter.nodes)
+    found = _search(g, budget, False, n, itertools.permutations(range(n), 2))
+    return _existence(g, found, ham_path_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,137 +305,17 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
 
 def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
     """Maximum length of a PC cycle (0 if none), with a witness."""
-    n, k = g.n, g.k
+    n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    rows = g.rows
-    meter = _Meter(budget)
-    # memo value: (best closable total length from this state, action); action is
-    # the next vertex, -2 to close immediately, -1 if nothing closes
-    memo: dict[int, tuple[int, int]] = {}
-    best_overall = 0
-    best_state: tuple | None = None  # seed (s, v) achieving best_overall
-
-    def key(mask: int, last: int, in_c: int, first_c: int) -> int:
-        return ((mask * n + last) * k + in_c) * k + first_c
-
-    def search(mask: int, last: int, in_c: int, first_c: int, size: int) -> int:
-        ky = key(mask, last, in_c, first_c)
-        hit = memo.get(ky)
-        if hit is not None:
-            return hit[0] + size if hit[0] >= 0 else 0
-        meter.tick()
-        s = (mask & -mask).bit_length() - 1
-        best = -1  # best extra length beyond current size, relative
-        act = -1
-        close_c = rows[last][s]
-        if size >= 3 and close_c != in_c and close_c != first_c:
-            best = 0
-            act = -2
-        row = rows[last]
-        for u in range(s + 1, n):
-            if mask >> u & 1:
-                continue
-            c = row[u]
-            if c == in_c:
-                continue
-            got = search(mask | (1 << u), u, c, first_c, size + 1)
-            if got and got - size > best:
-                best = got - size
-                act = u
-        memo[ky] = (best, act)
-        return best + size if best >= 0 else 0
-
-    try:
-        for s in range(n):
-            for v in range(s + 1, n):
-                c0 = rows[s][v]
-                got = search((1 << s) | (1 << v), v, c0, c0, 2)
-                if got > best_overall:
-                    best_overall = got
-                    best_state = (s, v)
-        exact = True
-    except _OutOfBudget:
-        exact = False
-
-    witness = None
-    if best_state is not None:
-        s, v = best_state
-        seq = [s, v]
-        mask = (1 << s) | (1 << v)
-        in_c = rows[s][v]
-        first_c = in_c
-        while True:
-            _, act = memo[key(mask, seq[-1], in_c, first_c)]
-            if act == -2:
-                break
-            seq.append(act)
-            in_c = rows[seq[-2]][act]
-            mask |= 1 << act
-        witness = DirectedCycle(tuple(seq))
-    return ExtremalResult(best_overall, witness, exact, meter.nodes)
+    order, witness, exact, nodes = _search(g, budget, True, 3, itertools.combinations(range(n), 2))
+    return ExtremalResult(order, None if witness is None else DirectedCycle(witness), exact, nodes)
 
 
 def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
     """Maximum order of a PC path (at least 2 for n >= 2), with a witness."""
-    n, k = g.n, g.k
+    n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = g.rows
-    meter = _Meter(budget)
-    # memo value: (best final order reachable from this state, next vertex or -1)
-    memo: dict[int, tuple[int, int]] = {}
-    best_overall = 0
-    best_state: tuple | None = None
-
-    def key(mask: int, last: int, in_c: int) -> int:
-        return (mask * n + last) * k + in_c
-
-    def search(mask: int, last: int, in_c: int, size: int) -> int:
-        ky = key(mask, last, in_c)
-        hit = memo.get(ky)
-        if hit is not None:
-            return hit[0]
-        meter.tick()
-        best = size
-        act = -1
-        row = rows[last]
-        for u in range(n):
-            if mask >> u & 1:
-                continue
-            c = row[u]
-            if c == in_c:
-                continue
-            got = search(mask | (1 << u), u, c, size + 1)
-            if got > best:
-                best = got
-                act = u
-        memo[ky] = (best, act)
-        return best
-
-    try:
-        for a in range(n):
-            for b in range(a + 1, n):
-                got = search((1 << a) | (1 << b), b, rows[a][b], 2)
-                if got > best_overall:
-                    best_overall = got
-                    best_state = (a, b)
-        exact = True
-    except _OutOfBudget:
-        exact = False
-
-    witness = None
-    if best_state is not None:
-        a, b = best_state
-        seq = [a, b]
-        mask = (1 << a) | (1 << b)
-        in_c = rows[a][b]
-        while True:
-            _, act = memo[key(mask, seq[-1], in_c)]
-            if act < 0:
-                break
-            seq.append(act)
-            in_c = rows[seq[-2]][act]
-            mask |= 1 << act
-        witness = DirectedPath(tuple(seq))
-    return ExtremalResult(best_overall, witness, exact, meter.nodes)
+    order, witness, exact, nodes = _search(g, budget, False, 2, itertools.permutations(range(n), 2))
+    return ExtremalResult(order, None if witness is None else DirectedPath(witness), exact, nodes)

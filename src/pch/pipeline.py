@@ -146,7 +146,8 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     except (AbsorptionError, ValueError) as exc:
         return fail("absorb", str(exc))
     cert = verify_certificate(g, ham_cycle_certificate(cycle))
-    assert cert.valid, cert.reason
+    if not cert.valid:
+        raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")
     report["stages"]["absorb"] = {"cycle_order": cycle.order}
     return PipelineResult(cert, None, None, report)
 

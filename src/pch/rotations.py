@@ -782,7 +782,8 @@ def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOut
                 covered.update(cyc.vertices)
             if len(covered) == g.n:
                 cert = verify_certificate(g, two_factor_certificate(closed))
-                assert cert.valid, cert.reason
+                if not cert.valid:
+                    raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
                 return TwoFactorOutcome(cert, None, stats)
             reopened = _reopen(g, closed, set(range(g.n)) - covered, rng)
             if reopened is None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,13 @@ from pch.constructions import (
     random_bounded_colouring,
     random_colouring,
 )
-from pch.ec_graph import is_properly_coloured_cycle, is_properly_coloured_path, verify_certificate
+import pch.exact
+from pch.ec_graph import (
+    VERDICT_INVALID,
+    is_properly_coloured_cycle,
+    is_properly_coloured_path,
+    verify_certificate,
+)
 from pch.exact import (
     SearchBudget,
     SearchStatus,
@@ -139,11 +146,19 @@ def test_certificates_verify_and_witnesses_check():
         assert p.witness.order == p.value
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_against_brute_force(seed):
+def _random_size(seed):
     rng = random.Random(seed)
-    n = rng.randint(5, 7)
-    k = rng.randint(2, 5)
+    return rng.randint(5, 7), rng.randint(2, 5), seed
+
+
+@pytest.mark.parametrize(
+    "n, k, seed",
+    [pytest.param(*_random_size(seed), id=str(seed)) for seed in range(12)]
+    # every longest PC path (2-0-1-3, 3-0-1-4, ...) starts with a descending
+    # pair from both ends, so a search seeded only from pairs a < b misses it
+    + [pytest.param(4, 2, 24, id="n4-k2-s24"), pytest.param(5, 2, 37, id="n5-k2-s37")],
+)
+def test_against_brute_force(n, k, seed):
     g = random_colouring(n, k, seed)
     assert exact_pc_ham_cycle(g).exists == brute_ham_cycle_exists(g)
     assert longest_pc_cycle(g).value == brute_longest_cycle(g)
@@ -157,15 +172,40 @@ def test_cross_oracle_consistency(seed):
     if exact_pc_ham_cycle(g).exists:
         assert exact_pc_two_factor(g).exists
         assert exact_pc_ham_path(g).exists
+    assert (longest_pc_path(g).value == g.n) == exact_pc_ham_path(g).exists
 
 
 def test_budget_exhaustion_reported_distinctly():
-    g = bollobas_erdos(2)
-    r = exact_pc_ham_cycle(g, SearchBudget(node_limit=10))
-    assert r.status == SearchStatus.EXHAUSTED
+    tight = SearchBudget(node_limit=10)
+    assert exact_pc_ham_cycle(bollobas_erdos(2), tight).status == SearchStatus.EXHAUSTED
+    assert exact_pc_ham_path(layered_colouring(8, 2), tight).status == SearchStatus.EXHAUSTED
     res = longest_pc_path(rainbow(9), SearchBudget(node_limit=5))
     assert not res.exact
     assert res.value <= 9
+    # half the nodes of a full search: the first edges that finished leave a witness
+    g = layered_colouring(10, 3)
+    for oracle, is_pc in ((longest_pc_cycle, is_properly_coloured_cycle), (longest_pc_path, is_properly_coloured_path)):
+        full = oracle(g)
+        res = oracle(g, SearchBudget(node_limit=full.nodes // 2))
+        assert not res.exact
+        assert res.value <= full.value
+        assert is_pc(g, res.witness)
+        assert res.witness.order == res.value
+
+
+def test_zero_time_limit_stops_at_first_deadline_check():
+    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0, node_limit=50_000))
+    assert res.status == SearchStatus.EXHAUSTED
+    assert res.nodes <= 4096
+
+
+def test_invalid_certificate_raises(monkeypatch):
+    # a plain assert would vanish under python -O and let the certificate out
+    monkeypatch.setattr(
+        pch.exact, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+    )
+    with pytest.raises(RuntimeError, match="forced"):
+        exact_pc_ham_cycle(rainbow(5))
 
 
 def test_monotonicity():

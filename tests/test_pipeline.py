@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+import pch.pipeline
 from pch.constructions import monochromatic, rainbow, random_bounded_colouring
-from pch.ec_graph import max_mono_degree, induced_subgraph, verify_certificate
+from pch.ec_graph import VERDICT_INVALID, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
 
@@ -11,6 +14,14 @@ def test_rainbow_succeeds_and_verifies():
     assert res.success
     assert res.certificate.valid
     assert res.certificate.covered_vertices() == set(range(30))
+
+
+def test_invalid_certificate_raises(monkeypatch):
+    monkeypatch.setattr(
+        pch.pipeline, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+    )
+    with pytest.raises(RuntimeError, match="forced"):
+        run_pipeline(rainbow(30))
 
 
 def test_monochromatic_fails_with_exact_fallback():

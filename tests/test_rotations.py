@@ -1,15 +1,17 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
+import pch.rotations
 from pch.constructions import (
     layered_colouring,
     monochromatic,
     rainbow,
     random_bounded_colouring,
 )
-from pch.ec_graph import ColouredComplete, DirectedCycle, DirectedPath, verify_certificate
+from pch.ec_graph import VERDICT_INVALID, ColouredComplete, DirectedCycle, DirectedPath, verify_certificate
 from pch.exact import exact_pc_two_factor
 from pch.rotations import (
     LEFT,
@@ -403,6 +405,14 @@ def test_two_factor_rainbow_and_mono():
     out = find_pc_two_factor(monochromatic(7))
     assert not out.success
     assert out.best_system is not None and out.best_system.order >= 2
+
+
+def test_two_factor_invalid_certificate_raises(monkeypatch):
+    monkeypatch.setattr(
+        pch.rotations, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+    )
+    with pytest.raises(RuntimeError, match="forced"):
+        find_pc_two_factor(rainbow(7))
 
 
 def test_two_factor_small_n():
