@@ -171,32 +171,197 @@ class _MemberTables:
 
 
 MASK_MEMBERS = 64
-MISS_SEARCH_BUDGET = 200_000
 
 
-def _pair_member_masks(g, members):
-    """Bitmask arrays X, Y: bit m of X[a, b] says member m can attach the
-    ordered pair (a, b) on its left side and avoids both vertices; Y likewise
-    on the right.  A quadruple is absorbed by member m iff bit m is set in
-    both its pair entries, so coverage questions reduce to mask intersections.
-    The masks are uint64, so at most 64 members fit.
+def _drop_members(masks, forbid, bits, colours):
+    """Clear bit j of masks[a, c] wherever member j's forbidden colour
+    forbid[a, j] equals colours[a, c] (`colours` broadcasts); in place."""
+    for j, bit in enumerate(bits):
+        np.bitwise_and(masks, ~bit, out=masks, where=forbid[:, j, None] == colours)
+
+
+def _missing(values, avoid):
+    """Which entries of `values` are none of the few values in `avoid`."""
+    keep = np.ones(len(values), dtype=bool)
+    for z in avoid:
+        keep &= values != z
+    return keep
+
+
+def _first(cells):
+    """(row, column) of the first true cell of a boolean grid, or None."""
+    if cells.size:
+        at = cells.argmax()
+        if cells.flat[at]:
+            return np.unravel_index(at, cells.shape)
+    return None
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """What both sides share over the outside vertices `out`.
+
+    rows[a] holds the colours from out[a] to every vertex.  An outside
+    vertex avoided by every member is free, any other is listed.
+    weights[a, c] counts the free partners of a in colour c, and pair_ok[a, e]
+    says that a is not listed[e].
+    """
+
+    rows: np.ndarray
+    out: np.ndarray
+    free: np.ndarray
+    listed: np.ndarray
+    weights: np.ndarray
+    pair_ok: np.ndarray
+
+
+class _Side:
+    """The member masks of one side over the ordered pairs of outside indices.
+
+    Bit j of the left mask of (a, b) says member z1 z2 z3 z4 avoids a and b
+    and z1 z2 a b is PC.  That needs c(a, z2) != c(z1, z2) and c(a, b) !=
+    c(a, z2), so the mask depends only on a, c(a, b) and which members avoid
+    b.  The right mask of (a, b), for a b z3 z4, depends likewise only on b,
+    c(a, b) and a.  So each pair has an anchor (a on the left, b on the
+    right) and a partner.  class_masks[a, c] is the mask of every pair whose
+    anchor a meets a free partner in colour c; pair_masks[a, e] is the mask
+    of the pair with the listed partner e.  `masks` are the distinct masks
+    and `counts` how many pairs carry each.
+    """
+
+    def __init__(self, left, grid, class_masks, pair_masks):
+        self.left, self.grid = left, grid
+        self.class_masks, self.pair_masks = class_masks, pair_masks
+        listed_masks, listed_counts = np.unique(pair_masks[grid.pair_ok], return_counts=True)
+        grouped = grid.weights > 0
+        self.masks, inv = np.unique(
+            np.concatenate([class_masks[grouped], listed_masks]), return_inverse=True
+        )
+        self.counts = np.bincount(
+            inv, np.concatenate([grid.weights[grouped], listed_counts])
+        ).astype(np.int64)
+
+    def _oriented(self, anchors, partners):
+        return (anchors, partners) if self.left else (partners, anchors)
+
+    def pairs(self, i):
+        """Every ordered pair (firsts, seconds) of outside indices with mask i."""
+        grid, mask = self.grid, self.masks[i]
+        anchors, at = np.nonzero((self.pair_masks == mask) & grid.pair_ok)
+        grouped, colours = np.nonzero((self.class_masks == mask) & (grid.weights > 0))
+        cell, partners = np.nonzero(
+            grid.rows[grouped][:, grid.out[grid.free]] == colours[:, None]
+        )
+        return self._oriented(
+            np.concatenate([anchors, grouped[cell]]),
+            np.concatenate([grid.listed[at], grid.free[partners]]),
+        )
+
+    def one(self, i, avoid=()):
+        """One ordered pair with mask i that avoids the outside indices `avoid`."""
+        grid, mask = self.grid, self.masks[i]
+        open_rows = np.ones(len(grid.out), dtype=bool)
+        open_rows[list(avoid)] = False
+        hit = _first(
+            (self.pair_masks == mask) & grid.pair_ok
+            & open_rows[:, None] & _missing(grid.listed, avoid)[None, :]
+        )
+        if hit is not None:
+            return self._oriented(hit[0], grid.listed[hit[1]])
+        spare = grid.weights.copy()                # free partners outside `avoid`
+        for z in avoid:
+            if z in grid.free:
+                spare[open_rows, grid.rows[open_rows, grid.out[z]]] -= 1
+        anchor, colour = _first((self.class_masks == mask) & (spare > 0) & open_rows[:, None])
+        partners = grid.free[grid.rows[anchor, grid.out[grid.free]] == colour]
+        return self._oriented(anchor, partners[_missing(partners, avoid)][0])
+
+
+def _sides(g, members, out):
+    """The left and right `_Side` of a family over the outside vertices `out`.
+
+    Free partners are grouped into (anchor, colour) classes when those are
+    fewer than the pairs (k < m - 1 for m outside vertices); otherwise every
+    partner is listed.
     """
     if len(members) > MASK_MEMBERS:
         raise ValueError(
             f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}; use mode='sample'"
         )
-    n = g.n
     C = g.matrix
-    X = np.zeros((n, n), dtype=np.uint64)
-    Y = np.zeros((n, n), dtype=np.uint64)
-    for bit, mb in enumerate(members):
-        xok, yok = _attach_tables(C, mb)
-        free = np.ones(n, dtype=bool)
-        free[list(mb)] = False
-        pair_free = free[:, None] & free[None, :]
-        X |= (xok & pair_free).astype(np.uint64) << np.uint64(bit)
-        Y |= (yok & pair_free).astype(np.uint64) << np.uint64(bit)
-    return X, Y
+    m = len(out)
+    zs = np.array(members, dtype=np.intp)
+    bits = np.left_shift(np.uint64(1), np.arange(len(zs), dtype=np.uint64))
+    avoid = (out[:, None, None] != zs[None]).all(axis=2)   # member j avoids out[a]
+    F = np.bitwise_or.reduce(np.where(avoid, bits, np.uint64(0)), axis=1)
+    k = g.k if g.k < m - 1 else 0                 # class colours; 0 lists every partner
+    is_free = F == np.bitwise_or.reduce(bits) if k else np.zeros(m, dtype=bool)
+    free, listed = np.flatnonzero(is_free), np.flatnonzero(~is_free)
+    rows = C[out]
+    if k:
+        taken = np.ones(g.n, dtype=bool)          # partners that are not free
+        taken[out[free]] = False
+        weights = colour_counts(rows, k) - colour_counts(rows[:, taken], k)
+    else:
+        weights = np.zeros((m, 0), dtype=np.int64)
+    listed_colours = rows[:, out[listed]]
+    grid = _Grid(rows, out, free, listed, weights, listed_colours >= 0)
+    sides = []
+    for left, near, far in ((True, zs[:, 1], zs[:, 0]), (False, zs[:, 2], zs[:, 3])):
+        forbid = C[near][:, out].T                # c(anchor, z2) or c(anchor, z3)
+        base = np.bitwise_or.reduce(
+            np.where(avoid & (forbid != C[far, near]), bits, np.uint64(0)), axis=1
+        )
+        class_masks = np.repeat(base[:, None], k, axis=1)
+        pair_masks = base[:, None] & F[listed]
+        _drop_members(class_masks, forbid, bits, np.arange(k)[None, :])
+        _drop_members(pair_masks, forbid, bits, listed_colours)
+        sides.append(_Side(left, grid, class_masks, pair_masks))
+    return sides
+
+
+def _disjoint(left, right, m):
+    """Pairs (a, b) from `left` and (c, d) from `right` on four distinct
+    vertices, or None; both sides list at most 4m - 6 pairs.  For each left
+    pair, count the right pairs that share a vertex with it."""
+    (a, b), (c, d) = left, right
+    deg = np.bincount(c, minlength=m) + np.bincount(d, minlength=m)
+    key = c * m + d
+    touch = deg[a] + deg[b] - np.isin(a * m + b, key) - np.isin(b * m + a, key)
+    found = np.flatnonzero(touch < len(c))
+    if not len(found):
+        return None
+    x, y = a[found[0]], b[found[0]]
+    j = np.flatnonzero((c != x) & (c != y) & (d != x) & (d != y))[0]
+    return x, y, c[j], d[j]
+
+
+def _find_miss(left, right, meets, m):
+    """Four distinct outside indices that no member absorbs, or None.
+
+    A fixed ordered pair shares a vertex with at most 4m - 6 ordered pairs.
+    So when one side of a mask combination that does not meet has more
+    pairs than that, any pair of the other side has a disjoint partner
+    there; those combinations are tried first.  Otherwise both sides are
+    small and are listed in full.
+    """
+    most = 4 * m - 6
+    li, rj = np.nonzero(~meets)
+    large_right = right.counts[rj] > most
+    large_left = left.counts[li] > most
+    if large_right.any():
+        t = large_right.argmax()
+        a, b = left.one(li[t])
+        return (a, b, *right.one(rj[t], (a, b)))
+    if large_left.any():
+        t = large_left.argmax()
+        c, d = right.one(rj[t])
+        return (*left.one(li[t], (c, d)), c, d)
+    for i, j in zip(li, rj):
+        quad = _disjoint(left.pairs(i), right.pairs(j), m)
+        if quad is not None:
+            return quad
+    return None
 
 
 def verify_family_universality(
@@ -209,16 +374,28 @@ def verify_family_universality(
 ):
     """Check that some member absorbs every ordered quadruple of `outside` vertices.
 
-    `outside` defaults to the vertices not used by the family.  The default
-    check is exact over the whole quadruple space via pair-member bitmasks and
-    raises ValueError for more than 64 members; mode="sample" instead scans
-    `sample` random quadruples.  Returns (ok, coverage, an uncovered
-    quadruple or None).
+    `outside` defaults to the vertices not used by the family; a repeated
+    vertex or an id outside the graph raises ValueError.  The default check
+    is exact: member j absorbs (x1, x2; y1, y2) iff bit j is set in both the
+    left mask of (x1, x2) and the right mask of (y1, y2) (see `_Side`).  With
+    k < m - 1 colours for m outside vertices, the masks are tabulated per
+    (vertex, colour) class weighted by its pair count, otherwise per pair.
+    Coverage is the fraction of (left pair, right pair) combinations whose
+    masks meet, overlapping vertices included.  For every combination of
+    masks that do not meet, the search for a quadruple on four distinct
+    vertices is exact and has no budget.  More than 64 members raise
+    ValueError; mode="sample" instead scans `sample` random quadruples.
+    Returns (ok, coverage, an uncovered quadruple or None).
     """
     used = {v for mb in members for v in mb}
     if outside is None:
         outside = [v for v in range(g.n) if v not in used]
     outside = sorted(outside)
+    for v in outside:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    if len(set(outside)) != len(outside):
+        raise ValueError("outside repeats a vertex")
     if len(outside) < 4:
         return True, 1.0, None
     if not members:
@@ -236,38 +413,19 @@ def verify_family_universality(
                 first_miss = (x1, x2, y1, y2)
         return first_miss is None, covered / sample, first_miss
 
-    X, Y = _pair_member_masks(g, members)
-    out = np.array(outside)
-    Xo = X[np.ix_(out, out)]
-    Yo = Y[np.ix_(out, out)]
-    offdiag = ~np.eye(len(out), dtype=bool)
-    ux, cx = np.unique(Xo[offdiag], return_counts=True)
-    uy, cy = np.unique(Yo[offdiag], return_counts=True)
-    meets = (ux[:, None] & uy[None, :]) != 0      # some member absorbs this mask pair
+    out = np.array(outside, dtype=np.intp)
+    m = len(out)
+    left, right = _sides(g, members, out)
+    meets = (left.masks[:, None] & right.masks[None, :]) != 0   # some member absorbs this mask pair
     if meets.all():
         return True, 1.0, None
-    # pair-level covered fraction (overlapping-vertex combinations not excluded);
-    # exact enough for ranking failed attempts
-    coverage = int(cx @ meets @ cy) / (int(cx.sum()) * int(cy.sum()))
-
-    # some mask combination admits no member; look for a realisation with four
-    # distinct vertices (combinations sharing a vertex are not quadruples)
-    def realisations():
-        for i, j in np.argwhere(~meets):
-            ys = np.argwhere((Yo == uy[j]) & offdiag)
-            for i1, i2 in np.argwhere((Xo == ux[i]) & offdiag):
-                for j1, j2 in ys:
-                    yield i1, i2, j1, j2
-
-    tried = 0
-    for quad in itertools.islice(realisations(), MISS_SEARCH_BUDGET):
-        tried += 1
-        if len(set(quad)) == 4:
-            return False, coverage, tuple(int(out[i]) for i in quad)
-    if tried < MISS_SEARCH_BUDGET:
-        # every conflicting combination shares a vertex: no true quadruple misses
+    # pair-level covered fraction (combinations sharing a vertex included)
+    coverage = int(left.counts @ meets @ right.counts) / (m * (m - 1)) ** 2
+    quad = _find_miss(left, right, meets, m)
+    if quad is None:
+        # every combination that no member absorbs shares a vertex
         return True, 1.0, None
-    return False, coverage, None
+    return False, coverage, tuple(int(out[i]) for i in quad)
 
 
 def sample_absorbing_family(g, params: FamilyParams) -> FamilyResult:
@@ -281,6 +439,8 @@ def sample_absorbing_family(g, params: FamilyParams) -> FamilyResult:
     """
     if g.n < params.target_size * 4 + 4:
         raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
+    if params.retry_budget < 1:
+        raise ValueError(f"need retry_budget >= 1, got {params.retry_budget}")
     rng = random.Random(params.seed)
     best: FamilyResult | None = None
     for attempt in range(1, params.retry_budget + 1):
@@ -301,7 +461,6 @@ def sample_absorbing_family(g, params: FamilyParams) -> FamilyResult:
                 return result
         if best is None or result.coverage > best.coverage:
             best = result
-    assert best is not None
     return best
 
 
@@ -362,8 +521,8 @@ def join_ends(
             return False
 
         if dfs(v2, c_in, order):
-            full = (v1, v2, *path, v1p, v2p)
-            assert is_properly_coloured_path(g, full), "join produced an improper concatenation"
+            if not is_properly_coloured_path(g, (v1, v2, *path, v1p, v2p)):
+                raise RuntimeError("join produced an improper concatenation")
             return DirectedPath(tuple(path))
     return None
 
@@ -476,9 +635,12 @@ def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle:
     z2, z3 = member[1], member[2]
     cv = list(ac.cycle.vertices)
     i2 = cv.index(z2)
-    assert cv[(i2 + 1) % len(cv)] == z3, "family member not embedded forward in the cycle"
+    if cv[(i2 + 1) % len(cv)] != z3:
+        raise AbsorptionError("family member not embedded forward in the cycle")
     merged = cv[: i2 + 1] + list(vs) + cv[i2 + 1 :]
     out = DirectedCycle(tuple(merged))
-    assert is_properly_coloured_cycle(g, out), "absorption broke properness"
-    assert set(out.vertices) == cyc_set | set(vs)
+    if set(out.vertices) != cyc_set | set(vs):
+        raise AbsorptionError("absorption changed the vertex set")
+    if not is_properly_coloured_cycle(g, out):
+        raise AbsorptionError("absorption broke properness")
     return out

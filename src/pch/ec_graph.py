@@ -154,8 +154,10 @@ def colour_of(g, u: Vertex, v: Vertex) -> ColourId:
 def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
     """counts[i, c] = entries of colour c in row i of a colour matrix (-1 skipped)."""
     rows = matrix.shape[0]
-    cells = (matrix + k * np.arange(rows, dtype=np.int64)[:, None])[matrix >= 0]
-    return np.bincount(cells, minlength=rows * k).reshape(rows, k)
+    span = k + 1                                  # a leading column per row takes the -1s
+    wide = np.int32 if rows * span < 2 ** 31 else np.int64
+    cells = matrix + (np.arange(rows, dtype=wide) * span + 1)[:, None]
+    return np.bincount(cells.ravel(), minlength=rows * span).reshape(rows, span)[:, 1:]
 
 
 def colour_histograms(g: ColouredComplete) -> list[list[int]]:

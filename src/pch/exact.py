@@ -304,7 +304,11 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
 # ---------------------------------------------------------------------------
 
 def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
-    """Maximum length of a PC cycle (0 if none), with a witness."""
+    """Maximum length of a PC cycle (0 if none), with a witness.
+
+    Out of budget (`exact` False), 0 means that no cycle was found within the
+    budget, not that none exists.
+    """
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -318,4 +322,7 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     order, witness, exact, nodes = _search(g, budget, False, 2, itertools.permutations(range(n), 2))
-    return ExtremalResult(order, None if witness is None else DirectedPath(witness), exact, nodes)
+    if witness is None:
+        # out of budget before the first seed finished: any edge is a PC path
+        order, witness = 2, (0, 1)
+    return ExtremalResult(order, DirectedPath(witness), exact, nodes)

@@ -1,11 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import pch.absorbing
 from pch.absorbing import (
+    AbsorbingCycle,
+    AbsorptionError,
     BuildParams,
     FamilyParams,
+    _attach_tables,
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
@@ -16,7 +21,13 @@ from pch.absorbing import (
     verify_family_universality,
 )
 from pch.constructions import monochromatic, rainbow, random_bounded_colouring
-from pch.ec_graph import ColouredComplete, DirectedPath, is_properly_coloured_cycle, is_properly_coloured_path
+from pch.ec_graph import (
+    ColouredComplete,
+    DirectedCycle,
+    DirectedPath,
+    is_properly_coloured_cycle,
+    is_properly_coloured_path,
+)
 
 
 def test_is_absorbing_rainbow_and_mono():
@@ -108,16 +119,89 @@ def test_family_members_disjoint_pc_paths():
             seen.update(mb)
 
 
-def test_family_universality_cross_check():
-    # a verified family absorbs every outside quadruple; re-check exhaustively
-    g = random_bounded_colouring(30, 10, 2)
-    fam = sample_absorbing_family(g, FamilyParams(target_size=3, seed=2))
-    if fam.ok:
-        outside = [v for v in range(30) if v not in fam.vertex_set()]
-        import itertools
+def _universality_case(seed, members=None, outside=None):
+    """A small random colouring (n 10-14, k 2-4) with a family of disjoint PC
+    4-paths; a random family has 1-3 members, and outside="custom" draws an
+    outside set that contains a member vertex."""
+    rng = random.Random(seed)
+    n, k = rng.randint(10, 14), rng.randint(2, 4)
+    g = random_bounded_colouring(n, n - 1, seed, colours=k)
+    if members is None:
+        members = []
+        for _ in range(rng.randint(1, min(3, n // 4))):
+            free = [v for v in range(n) if all(v not in mb for mb in members)]
+            paths = (tuple(rng.sample(free, 4)) for _ in range(200))
+            members.append(next(t for t in paths if is_properly_coloured_path(g, t)))
+    if outside == "custom":
+        on_member = rng.choice([v for mb in members for v in mb])
+        rest = [v for v in range(n) if v != on_member]
+        outside = sorted(rng.sample(rest, rng.randint(3, 7)) + [on_member])
+    return g, list(members), outside
 
-        for quad in itertools.permutations(outside[:9], 4):
-            assert any(is_absorbing(g, quad, mb) for mb in fam.members)
+
+def _pair_mask_coverage(g, members, outside):
+    """Coverage by the pair-mask formula over n x n tables: the fraction of
+    (left pair, right pair) combinations of ordered outside pairs, shared
+    vertices included, whose member masks meet."""
+    n = g.n
+    X = np.zeros((n, n), dtype=np.uint64)
+    Y = np.zeros((n, n), dtype=np.uint64)
+    for bit, mb in enumerate(members):
+        xok, yok = _attach_tables(g.matrix, mb)
+        free = np.ones(n, dtype=bool)
+        free[list(mb)] = False
+        pair_free = free[:, None] & free[None, :]
+        X |= (xok & pair_free).astype(np.uint64) << np.uint64(bit)
+        Y |= (yok & pair_free).astype(np.uint64) << np.uint64(bit)
+    out = np.array(sorted(outside))
+    offdiag = ~np.eye(len(out), dtype=bool)
+    ux, cx = np.unique(X[np.ix_(out, out)][offdiag], return_counts=True)
+    uy, cy = np.unique(Y[np.ix_(out, out)][offdiag], return_counts=True)
+    meets = (ux[:, None] & uy[None, :]) != 0
+    return int(cx @ meets @ cy) / (int(cx.sum()) * int(cy.sum()))
+
+
+@pytest.mark.parametrize(
+    "seed, members, outside",
+    [pytest.param(s, None, None, id=f"s{s}-default") for s in range(6)]
+    + [pytest.param(s, None, "custom", id=f"s{s}-custom") for s in range(6, 12)]
+    # universal on a 4-vertex outside although some mask pairs do not meet
+    # (every such combination shares a vertex); in the last, the outside
+    # vertices form a member
+    + [
+        pytest.param(40, ((1, 12, 5, 6), (9, 2, 7, 10)), (0, 3, 4, 8), id="s40-universal"),
+        pytest.param(187, ((1, 6, 10, 3), (7, 8, 4, 5)), (0, 2, 9, 11), id="s187-universal"),
+        pytest.param(
+            40, ((1, 12, 5, 6), (9, 2, 7, 10), (0, 3, 4, 8)), (0, 3, 4, 8), id="s40-universal-on-member"
+        ),
+    ],
+)
+def test_family_universality_cross_check(seed, members, outside):
+    # the exact check against an exhaustive scan of every ordered quadruple
+    g, members, outside = _universality_case(seed, members, outside)
+    used = {v for mb in members for v in mb}
+    out = [v for v in range(g.n) if v not in used] if outside is None else list(outside)
+    ok, coverage, miss = verify_family_universality(g, members, outside=outside)
+    unabsorbed = [
+        q for q in itertools.permutations(out, 4) if not any(is_absorbing(g, q, mb) for mb in members)
+    ]
+    assert ok == (not unabsorbed)
+    if ok:
+        assert (coverage, miss) == (1.0, None)
+    else:
+        assert miss in unabsorbed
+        assert coverage == _pair_mask_coverage(g, members, out)
+
+
+def test_universality_rejects_bad_outside():
+    g = rainbow(12)
+    members = [(0, 1, 2, 3)]
+    for mode in ("auto", "sample"):
+        with pytest.raises(ValueError, match="repeats"):
+            verify_family_universality(g, members, outside=[8, 8, 9, 10], mode=mode)
+        with pytest.raises(ValueError, match="outside 0..11"):
+            verify_family_universality(g, members, outside=[8, 9, 10, 12], mode=mode)
+    assert verify_family_universality(g, members, outside=[8, 9, 10]) == (True, 1.0, None)
 
 
 def test_universality_modes():
@@ -233,6 +317,46 @@ def test_absorb_path_preconditions():
     inside = ac.cycle.vertices[0]
     with pytest.raises(ValueError):
         absorb_path(g, ac, DirectedPath((inside,) + tuple(outside[:3])))  # overlaps
+
+
+def _absorbing_setup():
+    g = rainbow(30)
+    ac = build_absorbing_cycle(g, BuildParams(target_size=2, seed=0)).cycle
+    outside = [v for v in range(30) if v not in set(ac.cycle.vertices)]
+    return g, ac, DirectedPath(tuple(outside[:4]))
+
+
+def test_absorb_path_member_not_forward_raises():
+    g, ac, p = _absorbing_setup()
+    backwards = AbsorbingCycle(DirectedCycle(ac.cycle.vertices[::-1]), ac.family, ac.connectors)
+    with pytest.raises(AbsorptionError, match="not embedded forward"):
+        absorb_path(g, backwards, p)
+
+
+def test_absorb_path_broken_properness_raises(monkeypatch):
+    # plain asserts would vanish under python -O and let a bad cycle out
+    g, ac, p = _absorbing_setup()
+    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_cycle", lambda g, c: False)
+    with pytest.raises(AbsorptionError, match="broke properness"):
+        absorb_path(g, ac, p)
+
+
+def test_absorb_path_lost_vertex_raises(monkeypatch):
+    g, ac, p = _absorbing_setup()
+    monkeypatch.setattr(pch.absorbing, "DirectedCycle", lambda vs: DirectedCycle(vs[:-1]))
+    with pytest.raises(AbsorptionError, match="vertex set"):
+        absorb_path(g, ac, p)
+
+
+def test_join_ends_improper_concatenation_raises(monkeypatch):
+    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_path", lambda g, p: False)
+    with pytest.raises(RuntimeError, match="improper concatenation"):
+        join_ends(rainbow(10), 0, 1, 2, 3)
+
+
+def test_family_needs_a_retry():
+    with pytest.raises(ValueError, match="retry_budget"):
+        sample_absorbing_family(rainbow(20), FamilyParams(target_size=2, retry_budget=0))
 
 
 def test_join_ends_hundred_seeds_short_orders():

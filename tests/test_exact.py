@@ -179,18 +179,21 @@ def test_budget_exhaustion_reported_distinctly():
     tight = SearchBudget(node_limit=10)
     assert exact_pc_ham_cycle(bollobas_erdos(2), tight).status == SearchStatus.EXHAUSTED
     assert exact_pc_ham_path(layered_colouring(8, 2), tight).status == SearchStatus.EXHAUSTED
-    res = longest_pc_path(rainbow(9), SearchBudget(node_limit=5))
-    assert not res.exact
-    assert res.value <= 9
-    # half the nodes of a full search: the first edges that finished leave a witness
-    g = layered_colouring(10, 3)
-    for oracle, is_pc in ((longest_pc_cycle, is_properly_coloured_cycle), (longest_pc_path, is_properly_coloured_path)):
-        full = oracle(g)
-        res = oracle(g, SearchBudget(node_limit=full.nodes // 2))
-        assert not res.exact
-        assert res.value <= full.value
-        assert is_pc(g, res.witness)
-        assert res.witness.order == res.value
+    # half the nodes of a full search: the first edges that finished leave a
+    # witness; 5 nodes on rainbow(9) stop before the first edge finishes
+    for g, limit in ((layered_colouring(10, 3), None), (rainbow(9), 5)):
+        for oracle, is_pc in ((longest_pc_cycle, is_properly_coloured_cycle), (longest_pc_path, is_properly_coloured_path)):
+            full = oracle(g)
+            res = oracle(g, SearchBudget(node_limit=limit or full.nodes // 2))
+            assert not res.exact
+            assert res.value <= full.value
+            if res.witness is None:
+                # no cycle found within the budget; a path always has an edge
+                assert oracle is longest_pc_cycle and res.value == 0
+                continue
+            assert is_pc(g, res.witness)
+            assert res.witness.order == res.value
+            assert oracle is longest_pc_cycle or res.value >= 2
 
 
 def test_zero_time_limit_stops_at_first_deadline_check():
