@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--query", required=True,
                    choices=["hamcycle", "hampath", "twofactor", "longest-cycle", "longest-path"])
     o.add_argument("--input", required=True)
-    o.add_argument("--budget-nodes", type=int, dest="budget_nodes")
+    o.add_argument("--budget-nodes", type=int, dest="budget_nodes",
+                   help="node budget; the reported nodes are DFS nodes plus Held-Karp table rows")
     o.add_argument("--report")
     o.set_defaults(fn=cmd_oracle)
 

@@ -203,21 +203,13 @@ def layered_colouring(n: int, l: int) -> ColouredComplete:
     if not (1 <= l and 2 * l <= n):
         raise ValueError(f"need 1 <= l <= n/2, got l={l}, n={n}")
     k = l + l * (l - 1) // 2 + 1
-    fresh = {}
-    nxt = l + 1
-    for i in range(l):
-        for j in range(i + 1, l):
-            fresh[(i, j)] = nxt
-            nxt += 1
-
-    def col(u: int, v: int) -> int:
-        if v < l:  # both in X (u < v)
-            return fresh[(u, v)]
-        if u < l:  # X-Y edge from hub u
-            return u + 1
-        return 1  # Y-Y
-
-    return ColouredComplete.from_function(n, k, col)
+    u, v = np.triu_indices(n, 1)
+    # hub rows carry the hub's colour, Y-Y pairs colour 1; the pairs inside X,
+    # in row-major order, take the fresh colours l + 1, l + 2, ...
+    table = np.where(u < l, u + 1, 1)
+    inside = v < l
+    table[inside] = l + 1 + np.arange(inside.sum())
+    return ColouredComplete(n, k, table)
 
 
 # ---------------------------------------------------------------------------

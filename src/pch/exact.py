@@ -1,13 +1,24 @@
 """Exhaustive oracles for properly coloured structures at small n.
 
-These are the ground truth for every heuristic.  Two searches serve them:
+These are the ground truth for every heuristic.  Three parts serve them:
 
-- One memoised search over (visited set, last vertex, incoming colour,
-  first colour) states answers the Hamiltonian cycle and path oracles and the
+- A memoised DFS over (visited set, last vertex, incoming colour, first
+  colour) states answers the Hamiltonian cycle and path oracles and the
   longest cycle and path oracles.  It returns the largest order that closes
   under the cycle or path rule and reads a witness back from its memo.  Each
-  oracle only chooses the rule, the shortest order that counts (n for the
-  Hamiltonian oracles) and the first edges to search from.
+  oracle only chooses the rule and the shortest order that counts (n for the
+  Hamiltonian oracles).  It answers the easy Exists queries in a few hundred
+  nodes.
+- A popcount-layered Held-Karp table (Held & Karp 1962) answers the same four
+  queries in numpy: for each (visited set, last vertex) a small bitset of the
+  feasible last steps, with a witness read back along them.  The DFS hands
+  off to it once it has spent as many nodes as the table has rows, which is
+  known before either starts, so a query costs at most about twice the
+  cheaper engine.  The table is skipped when its rows do not fit twice into
+  the node limit, or when a pass would take more than `TABLE_BYTES_MAX`
+  bytes (for example n > 22 for a path with at most 8 colours); the DFS then
+  runs to the budget alone.  `nodes` counts DFS nodes plus table rows, and
+  the table checks the time limit between layers.
 - `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
 
 A "not exists" answer is definitive; running out of budget is reported as a
@@ -20,6 +31,8 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from pch.ec_graph import (
     Certificate,
@@ -73,7 +86,10 @@ class _OutOfBudget(Exception):
 
 
 class _Meter:
-    """Node counter with optional deadline, checked cheaply."""
+    """Node counter with optional deadline, checked cheaply.
+
+    `nodes` never exceeds `limit`: a node that would pass it is not searched.
+    """
 
     __slots__ = ("nodes", "limit", "deadline")
 
@@ -84,12 +100,18 @@ class _Meter:
         self.deadline = None if b.time_limit is None else time.monotonic() + b.time_limit
 
     def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
+        if self.nodes >= self.limit:
             raise _OutOfBudget
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
+
+    def spend(self, rows: int):
+        """Charge `rows` table rows at once, after checking both limits."""
+        if self.nodes + rows > self.limit or (self.deadline is not None and time.monotonic() > self.deadline):
+            raise _OutOfBudget
+        self.nodes += rows
 
 
 def _verified(g, cert: Certificate) -> Certificate:
@@ -100,25 +122,40 @@ def _verified(g, cert: Certificate) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# one memoised search for PC cycles and paths
+# one search for PC cycles and paths: a memoised DFS, then a Held-Karp table
 # ---------------------------------------------------------------------------
 
-def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int, seeds):
-    """Largest order, at least `shortest`, of a PC cycle (or path) whose first edge is in `seeds`.
+def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int):
+    """Largest order, at least `shortest`, of a PC cycle (or path) of g.
 
-    A cycle is rooted at the lowest vertex of its set and grows only above it;
-    it closes when the edge back to the root differs from both the incoming
-    and the first colour.  A path may stop anywhere and holds the first colour
-    at 0.  The search stops as soon as it reaches order n.
+    A cycle is rooted at the lowest vertex of its set and grows only above it,
+    so only roots 0..n-shortest are searched; it closes when the edge back to
+    the root differs from both the incoming and the first colour.  A path may
+    stop anywhere, starts from every ordered pair and holds the first colour
+    at 0.  The DFS stops as soon as it reaches order n.
+
+    The DFS goes first.  When the table fits (`_table_rows`) and its rows
+    fit twice into the node limit, the DFS stops after as many nodes as the
+    table has rows and the table answers instead, so the search costs at most
+    about twice the cheaper of the two; nodes count DFS nodes plus table rows.
 
     Returns (order, witness vertices, exact, nodes); the order is 0 and the
     witness None when nothing closes.  Out of budget, exact is False and the
-    result keeps the best first edge whose search finished.
+    result keeps the best first edge whose DFS finished.
     """
     n, k = g.n, g.k
     rows = g.rows
     full = (1 << n) - 1
     meter = _Meter(budget)
+    limit = meter.limit
+    charge = _table_rows(g, cycle, shortest)
+    handoff = charge is not None and 2 * charge <= limit
+    if handoff:
+        meter.limit = charge
+    if cycle:
+        seeds = ((r, v) for r in range(n - shortest + 1) for v in range(r + 1, n))
+    else:
+        seeds = itertools.permutations(range(n), 2)
     # memo value: best * m + act + 1, where best is the largest closable order
     # from the state and act the next vertex on the way there (-1: close here).
     # One int, not a tuple: Hamiltonian proofs memoise ~10^6 states, and their
@@ -172,6 +209,14 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     except _OutOfBudget:
         exact = False
 
+    if not exact and handoff and meter.nodes == charge:
+        meter.limit = limit
+        try:
+            order, witness = _table(g, cycle, shortest, meter)
+            return order, witness, True, meter.nodes
+        except _OutOfBudget:
+            pass
+
     witness = None
     if start is not None:
         seq = list(start)
@@ -184,6 +229,161 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
             mask |= 1 << act
         witness = tuple(seq)
     return best, witness, exact, meter.nodes
+
+
+# A table pass over m vertices holds 2^m rows (2^(m-1) for a cycle) of m
+# labels each; no pass may take more bytes than this.  With at most 8 colours
+# (one byte per label) that admits paths up to n = 22 and cycles up to n = 23;
+# with 16-bit labels paths up to n = 21, with 32-bit labels up to n = 20.  The
+# popcounts of the rows take one more byte per row while a pass runs.
+TABLE_BYTES_MAX = 1 << 27
+
+
+def _label_bytes(bits: int) -> int:
+    """Bytes of the narrowest unsigned integer of at least `bits` bits: 1, 2, 4 or 8."""
+    return 1 << max(0, (bits - 1).bit_length() - 3)
+
+
+def _table_passes(g: ColouredComplete, cycle: bool, shortest: int):
+    """(root, first colour) of each table pass; one pass (0, None) for paths.
+
+    A PC cycle leaves its root on two different colours and is found from
+    either end, so the passes skip each root's largest colour.
+    """
+    if not cycle:
+        return [(0, None)]
+    return [(r, f) for r in range(g.n - shortest + 1) for f in sorted(set(g.rows[r][r + 1 :]))[:-1]]
+
+
+def _table_rows(g: ColouredComplete, cycle: bool, shortest: int) -> int | None:
+    """Rows the table fills at most, or None when its largest pass is over TABLE_BYTES_MAX.
+
+    A label takes at most min(k, n) bits: one per colour or one per vertex,
+    so at most 4 bytes when the cells fit a quarter of the ceiling (n < 32).
+    Cheap, because every DFS query pays for it.
+    """
+    n = g.n
+    cells = n << (n - cycle)
+    if cells > TABLE_BYTES_MAX // 4 and cells * _label_bytes(min(g.k, n)) > TABLE_BYTES_MAX:
+        return None
+    if not cycle:
+        return 1 << n
+    rows = g.rows
+    charge = 0
+    for r in range(n - shortest + 1):  # the passes of `_table_passes`, counted
+        charge += len(set(rows[r][r + 1 :])) - 1 << n - 1 - r
+    return charge
+
+
+def _table(g: ColouredComplete, cycle: bool, shortest: int, meter: _Meter):
+    """(order, witness) of `_search` from a popcount-layered Held-Karp table.
+
+    Cycles are searched one pass per root r and first colour, over the
+    vertices r..n-1; a pass that cannot beat the best order so far is skipped.
+    Raises _OutOfBudget when a layer's rows do not fit the meter.
+    """
+    n = g.n
+    best, witness = 0, None
+    for r, first in _table_passes(g, cycle, shortest):
+        if n - r <= best:
+            break
+        got = _table_pass(g.matrix[r:, r:], first, max(shortest, best + 1), meter)
+        if got is not None:
+            best, witness = len(got), tuple(r + v for v in got)
+            if best == n:
+                break
+    return best, witness
+
+
+def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
+    """Vertices of a PC path of largest order, at least `shortest`, in colour matrix C; None if none.
+
+    With `first` set, the same for PC cycles that start at vertex 0 on an
+    edge of colour `first`.  R[mask, v] is the set of labels of the last steps
+    of the PC walks over exactly `mask` that end at v.  A label is the colour
+    of the step when the pass has no more colours than its label width,
+    otherwise the vertex the step came from.  A step v -> u is allowed when
+    R[mask, v] holds a label whose colour at v differs from c(v, u), and it
+    leaves the label of v -> u at u.  Layers are filled in popcount order,
+    and each entry (mask + u, u) has the single source mask, so it is
+    written once.
+    """
+    m = len(C)
+    cycle = first is not None
+    off = int(cycle)  # a cycle's root, vertex 0, lies in every set and has no bit
+    bits = m - off
+    colours, lab = np.unique(C, return_inverse=True)
+    colours = len(colours) - 1  # -1 on the diagonal is no colour
+    dt = np.dtype(f"u{_label_bytes(min(colours, m))}")
+    full = np.iinfo(dt).max
+    one = np.ones((), dt)
+    if colours <= dt.itemsize * 8:
+        lab = np.maximum(lab.reshape(m, m) - 1, 0).astype(dt)
+        forbid = one << lab  # forbid[v, u]: labels at v whose colour is c(v, u)
+    else:
+        lab = np.broadcast_to(np.arange(m, dtype=dt)[:, None], (m, m))
+        same = C[:, :, None] == C[None, :, :]  # same[p, v, u]: c(p, v) == c(v, u)
+        forbid = (same * (one << np.arange(m, dtype=dt))[:, None, None]).sum(0, dtype=dt)
+    if cycle:
+        forbid[0] = np.where(C[0] == first, 0, full)  # the first step takes colour `first`
+    allow = ~forbid.T  # allow[u, v]: labels at v that may step on to u
+    leave = (one << lab).T  # leave[u, v]: the label that v -> u leaves at u
+
+    R = np.zeros((1 << bits, m), dt)
+    if cycle:
+        R[0, 0] = full
+    else:
+        R[1 << np.arange(m), np.arange(m)] = full
+    popcount = _popcounts(bits)
+    chunk = max(1, (1 << 20) // (m * m))
+    shifts = np.arange(bits)
+    end = None  # (mask, last vertex, labels allowed at it) of the best witness
+    for j in range(1 - off, bits + 1):
+        layer = np.flatnonzero(popcount == j)
+        meter.spend(len(layer))
+        live = layer[R[layer].any(axis=1)]
+        if not len(live):
+            break
+        size = j + off
+        if size >= shortest:
+            ends = R[live] & (allow[0] if cycle else full)
+            if cycle:
+                ends[:, C[:, 0] == first] = 0
+            s, v = np.nonzero(ends)
+            if len(s):
+                end = (int(live[s[0]]), int(v[0]), int(allow[0, v[0]]) if cycle else int(full))
+        if j == bits:
+            break
+        for c0 in range(0, len(live), chunk):
+            src = live[c0 : c0 + chunk]
+            step = ((R[src][:, None, :] & allow) != 0) * leave  # (src, u, v)
+            out = np.bitwise_or.reduce(step, axis=2)[:, off:]
+            out[(src[:, None] >> shifts) & 1 == 1] = 0  # u already in the set
+            s, u = np.nonzero(out)
+            R[src[s] | (1 << u), u + off] = out[s, u]
+    if end is None:
+        return None
+
+    mask, v, ok = end
+    seq = [v]
+    while (mask != 0) if cycle else (mask != 1 << v):
+        mask &= ~(1 << (v - off))
+        for p in ((0,) if cycle else ()) + tuple(u + off for u in range(bits) if mask >> u & 1):
+            if leave[v, p] & ok and R[mask, p] & allow[v, p]:
+                break
+        else:
+            raise RuntimeError("no table entry leads to the witness's next vertex")
+        ok, v = int(allow[v, p]), p
+        seq.append(v)
+    return seq[::-1]
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """popcounts[mask] for every mask of `bits` bits."""
+    pc = np.zeros(1 << bits, np.uint8)
+    for b in range(bits):
+        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
+    return pc
 
 
 def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
@@ -207,7 +407,7 @@ def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) 
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    found = _search(g, budget, True, n, ((0, v) for v in range(1, n)))
+    found = _search(g, budget, True, n)
     return _existence(g, found, ham_cycle_certificate)
 
 
@@ -216,7 +416,7 @@ def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    found = _search(g, budget, False, n, itertools.permutations(range(n), 2))
+    found = _search(g, budget, False, n)
     return _existence(g, found, ham_path_certificate)
 
 
@@ -312,7 +512,7 @@ def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) ->
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    order, witness, exact, nodes = _search(g, budget, True, 3, itertools.combinations(range(n), 2))
+    order, witness, exact, nodes = _search(g, budget, True, 3)
     return ExtremalResult(order, None if witness is None else DirectedCycle(witness), exact, nodes)
 
 
@@ -321,7 +521,7 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    order, witness, exact, nodes = _search(g, budget, False, 2, itertools.permutations(range(n), 2))
+    order, witness, exact, nodes = _search(g, budget, False, 2)
     if witness is None:
         # out of budget before the first seed finished: any edge is a PC path
         order, witness = 2, (0, 1)

@@ -147,6 +147,33 @@ def test_layered_parameters():
     assert len(set(hub)) == len(hub) and all(c > 3 for c in hub)
 
 
+def _reference_layered(n, l):
+    """The construction as first written: one colour function per pair."""
+    fresh = {}
+    nxt = l + 1
+    for i in range(l):
+        for j in range(i + 1, l):
+            fresh[(i, j)] = nxt
+            nxt += 1
+
+    def col(u, v):
+        if v < l:
+            return fresh[(u, v)]
+        if u < l:
+            return u + 1
+        return 1
+
+    return ColouredComplete.from_function(n, l + l * (l - 1) // 2 + 1, col)
+
+
+def test_layered_matches_reference():
+    for n in range(2, 18):
+        for l in range(1, n // 2 + 1):
+            g, want = layered_colouring(n, l), _reference_layered(n, l)
+            assert g.k == want.k
+            assert (g.matrix == want.matrix).all(), (n, l)
+
+
 def test_layered_domain():
     with pytest.raises(ValueError):
         layered_colouring(10, 6)

@@ -202,6 +202,115 @@ def test_zero_time_limit_stops_at_first_deadline_check():
     assert res.nodes <= 4096
 
 
+# -- the Held-Karp table against the DFS and the brute-force oracles ----------
+
+# (cycle, shortest order) of the four table modes: Hamiltonian cycle and path,
+# longest cycle and path
+TABLE_MODES = {"ham-cycle": (True, None), "ham-path": (False, None), "longest-cycle": (True, 3), "longest-path": (False, 2)}
+
+
+def _brute_order(g, mode):
+    if mode == "ham-cycle":
+        return g.n if brute_ham_cycle_exists(g) else 0
+    if mode == "ham-path":
+        return g.n if brute_longest_path(g) == g.n else 0
+    return brute_longest_cycle(g) if mode == "longest-cycle" else brute_longest_path(g)
+
+
+TABLE_CORPUS = (
+    [pytest.param(random_colouring(*_random_size(seed)), id=str(seed)) for seed in range(12)]
+    + [pytest.param(random_colouring(4, 2, 24), id="n4-k2-s24"), pytest.param(random_colouring(5, 2, 37), id="n5-k2-s37")]
+    + [pytest.param(bollobas_erdos(k), id=f"be{k}") for k in (1, 2, 3)]
+    + [pytest.param(rainbow(9), id="rainbow9")]
+    + [pytest.param(layered_colouring(n, l), id=f"layered{n}-{l}") for n in range(2, 13) for l in range(1, n // 2 + 1)]
+)
+
+
+@pytest.mark.parametrize("g", TABLE_CORPUS)
+def test_table_matches_search_and_brute_force(g, monkeypatch):
+    for mode, (cycle, shortest) in TABLE_MODES.items():
+        if cycle and g.n < 3:
+            continue
+        shortest = shortest or g.n
+        meter = pch.exact._Meter(None)
+        order, witness = pch.exact._table(g, cycle, shortest, meter)
+        # the charge counts the rows of every pass, and the table fills no more
+        passes = pch.exact._table_passes(g, cycle, shortest)
+        charge = pch.exact._table_rows(g, cycle, shortest)
+        assert charge == sum(1 << (g.n - cycle - r) for r, _ in passes)
+        assert meter.nodes <= charge
+        with monkeypatch.context() as m:
+            m.setattr(pch.exact, "_table_rows", lambda *args: None)  # the DFS alone
+            dfs_order, _, exact, _ = pch.exact._search(g, None, cycle, shortest)
+        assert exact
+        assert order == dfs_order, mode
+        if g.n <= 8:
+            assert order == _brute_order(g, mode), mode
+        if witness is None:
+            assert order == 0
+        else:
+            assert len(witness) == order
+            assert (is_properly_coloured_cycle if cycle else is_properly_coloured_path)(g, witness), mode
+
+
+def test_table_hands_off_after_its_charge():
+    # BE(3): one pass of 2^12 rows for the first colour at the root (the
+    # other colour finds each cycle from its other end); the DFS needs
+    # 36,758 nodes, so it stops at 4,096 and the table answers
+    res = exact_pc_ham_cycle(bollobas_erdos(3))
+    assert res.status == SearchStatus.NOT_EXISTS
+    assert res.nodes == 2 * 4096
+    # layered(17, 4): the DFS finishes in 89,332 nodes, below the 2^17 rows
+    res = longest_pc_path(layered_colouring(17, 4))
+    assert (res.value, res.exact, res.nodes) == (9, True, 89_332)
+
+
+def test_table_charge_over_remaining_budget_stays_exhausted():
+    # BE(4) charges 2^16 rows; 100,000 nodes cannot hold the DFS's 2^16 and
+    # the table's 2^16, so the DFS runs to the budget
+    limit = 100_000
+    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
+    assert res.status == SearchStatus.EXHAUSTED
+    assert res.nodes == limit
+    res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=limit))
+    assert not res.exact and res.nodes <= limit
+    assert 2 <= res.value <= 11 and res.witness.order == res.value
+    assert is_properly_coloured_path(layered_colouring(16, 5), res.witness)
+
+
+def test_table_checks_time_limit_between_layers():
+    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0))
+    assert res.status == SearchStatus.EXHAUSTED
+    # BE(2) hands off after 256 DFS nodes, before the DFS's first deadline
+    # check, so only the table sees the deadline
+    res = exact_pc_ham_cycle(bollobas_erdos(2), SearchBudget(time_limit=0.0))
+    assert res.status == SearchStatus.EXHAUSTED
+    assert res.nodes == 256
+    with pytest.raises(pch.exact._OutOfBudget):
+        pch.exact._table(bollobas_erdos(2), True, 9, pch.exact._Meter(SearchBudget(time_limit=0.0)))
+
+
+def test_no_table_above_memory_ceiling(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table allocated above the ceiling")
+
+    monkeypatch.setattr(pch.exact, "_table_pass", no_table)
+    g = random_bounded_colouring(40, 16, 0, colours=3)
+    budget = SearchBudget(node_limit=2_000)
+    for cycle in (True, False):
+        for shortest in (g.n, 2 + cycle):
+            assert pch.exact._table_rows(g, cycle, shortest) is None
+    # the DFS answers exactly as it did before the table existed
+    res = exact_pc_ham_cycle(g, budget)
+    assert (res.status, res.nodes) == (SearchStatus.EXISTS, 47)
+    res = exact_pc_ham_path(g, budget)
+    assert (res.status, res.nodes) == (SearchStatus.EXISTS, 39)
+    res = longest_pc_cycle(g, budget)
+    assert (res.value, res.exact, res.nodes) == (40, True, 47)
+    res = longest_pc_path(g, budget)
+    assert (res.value, res.exact, res.nodes) == (40, True, 39)
+
+
 def test_invalid_certificate_raises(monkeypatch):
     # a plain assert would vanish under python -O and let the certificate out
     monkeypatch.setattr(
