@@ -162,6 +162,7 @@ def cmd_oracle(args) -> int:
         result = {
             "status": res.status.value,
             "nodes": res.nodes,
+            "rows": res.rows,
             "certificate": certificate_to_json(res.certificate) if res.certificate else None,
         }
         code = EXIT_OK if res.exists else EXIT_FAIL
@@ -172,6 +173,7 @@ def cmd_oracle(args) -> int:
             "value": res.value,
             "exact": res.exact,
             "nodes": res.nodes,
+            "rows": res.rows,
             "witness": list(res.witness.vertices) if res.witness else None,
         }
         code = EXIT_OK if res.exact else EXIT_FAIL
@@ -518,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["hamcycle", "hampath", "twofactor", "longest-cycle", "longest-path"])
     o.add_argument("--input", required=True)
     o.add_argument("--budget-nodes", type=int, dest="budget_nodes",
-                   help="node budget; the reported nodes are DFS nodes plus Held-Karp table rows")
+                   help="node budget, spent by DFS nodes and Held-Karp table rows alike; "
+                        "the report gives the total as nodes and the table's share as rows")
     o.add_argument("--report")
     o.set_defaults(fn=cmd_oracle)
 

@@ -228,8 +228,11 @@ def random_bounded_colouring(
     Pairs are coloured in random order; each pair draws uniformly among the
     colours still under the per-vertex cap at both endpoints, restarting on a
     dead end.  Deterministic for a fixed seed.  The palette defaults to n
-    colours, which keeps outputs generic; pass a small ``colours`` to make the
-    cap bind hard.
+    colours, which keeps outputs generic.  A small ``colours`` does not make
+    the cap bind: the draws are uniform, so the realised max monochromatic
+    degree is about (n - 1) / colours plus noise unless dmax is below that
+    (at n = 320 and 3 colours, seed 0 gives 133 for every dmax from 0.45n
+    to 0.49n).
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")

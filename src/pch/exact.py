@@ -11,18 +11,21 @@ These are the ground truth for every heuristic.  Three parts serve them:
   nodes.
 - A popcount-layered Held-Karp table (Held & Karp 1962) answers the same four
   queries in numpy: for each (visited set, last vertex) a small bitset of the
-  feasible last steps, with a witness read back along them.  The DFS hands
-  off to it once it has spent as many nodes as the table has rows, which is
-  known before either starts, so a query costs at most about twice the
-  cheaper engine.  The table is skipped when its rows do not fit twice into
-  the node limit, or when a pass would take more than `TABLE_BYTES_MAX`
-  bytes (for example n > 22 for a path with at most 8 colours); the DFS then
-  runs to the budget alone.  `nodes` counts DFS nodes plus table rows, and
-  the table checks the time limit between layers.
+  feasible last steps, with a witness read back along them.  Its rows are
+  counted before either engine starts.  The DFS goes first and hands off to
+  the table after one node per `_ROWS_PER_NODE` rows, the measured ratio of a
+  DFS node's cost to a table row's, so the sub-millisecond Exists queries
+  never build a table and a hard query pays for at most a bounded stretch of
+  DFS before the table answers.  The table is skipped when its rows and that
+  stretch do not fit into the node limit, or when a pass would take more
+  than `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at most 8
+  colours); the DFS then runs to the budget alone.
 - `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
 
-A "not exists" answer is definitive; running out of budget is reported as a
-distinct outcome, never conflated with non-existence.
+Results report `nodes`, the DFS nodes plus the table rows charged against
+the node limit, and `rows`, the table rows alone.  The table checks the time
+limit between layers.  A "not exists" answer is definitive; running out of
+budget is reported as a distinct outcome, never conflated with non-existence.
 """
 
 from __future__ import annotations
@@ -62,9 +65,12 @@ class SearchBudget:
 
 @dataclass
 class OracleResult:
+    """`nodes` counts DFS nodes plus table rows against the budget; `rows` the table rows alone."""
+
     status: SearchStatus
     certificate: Certificate | None = None
     nodes: int = 0
+    rows: int = 0
 
     @property
     def exists(self) -> bool:
@@ -73,12 +79,16 @@ class OracleResult:
 
 @dataclass
 class ExtremalResult:
-    """Result of a longest-structure search; `exact` is False on budget exhaustion."""
+    """Result of a longest-structure search; `exact` is False on budget exhaustion.
+
+    `nodes` and `rows` count as in `OracleResult`.
+    """
 
     value: int
     witness: DirectedCycle | DirectedPath | None
     exact: bool
     nodes: int
+    rows: int = 0
 
 
 class _OutOfBudget(Exception):
@@ -88,14 +98,16 @@ class _OutOfBudget(Exception):
 class _Meter:
     """Node counter with optional deadline, checked cheaply.
 
+    `nodes` counts DFS nodes plus table rows, `rows` the table rows alone.
     `nodes` never exceeds `limit`: a node that would pass it is not searched.
     """
 
-    __slots__ = ("nodes", "limit", "deadline")
+    __slots__ = ("nodes", "rows", "limit", "deadline")
 
     def __init__(self, budget: SearchBudget | None):
         b = budget or SearchBudget()
         self.nodes = 0
+        self.rows = 0
         self.limit = b.node_limit
         self.deadline = None if b.time_limit is None else time.monotonic() + b.time_limit
 
@@ -112,6 +124,7 @@ class _Meter:
         if self.nodes + rows > self.limit or (self.deadline is not None and time.monotonic() > self.deadline):
             raise _OutOfBudget
         self.nodes += rows
+        self.rows += rows
 
 
 def _verified(g, cert: Certificate) -> Certificate:
@@ -125,6 +138,16 @@ def _verified(g, cert: Certificate) -> Certificate:
 # one search for PC cycles and paths: a memoised DFS, then a Held-Karp table
 # ---------------------------------------------------------------------------
 
+# Table rows charged per DFS node before the DFS hands off.  Timed alone on
+# the bench's exact instances (Python 3.11, 2-core x86-64 host), a DFS node
+# costs 2.9-6.0 us and a table row, over the rows `_table_rows` charges,
+# 0.09 us (`layered_colouring(17, 4)` longest cycle, most rows dead) to
+# 1.8 us (`bollobas_erdos(5)`, every row live).  A node is 1.9 to 36 rows,
+# about 9 in the geometric mean; 8 balances the worst cases at both ends
+# (see `_search`).
+_ROWS_PER_NODE = 8
+
+
 def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int):
     """Largest order, at least `shortest`, of a PC cycle (or path) of g.
 
@@ -134,14 +157,17 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     stop anywhere, starts from every ordered pair and holds the first colour
     at 0.  The DFS stops as soon as it reaches order n.
 
-    The DFS goes first.  When the table fits (`_table_rows`) and its rows
-    fit twice into the node limit, the DFS stops after as many nodes as the
-    table has rows and the table answers instead, so the search costs at most
-    about twice the cheaper of the two; nodes count DFS nodes plus table rows.
+    The DFS goes first.  When the table fits (`_table_rows`, its charge in
+    rows) and charge // _ROWS_PER_NODE + charge fits into the node limit, the
+    DFS stops after charge // _ROWS_PER_NODE nodes and the table answers
+    instead.  If a DFS node costs f * _ROWS_PER_NODE charged rows, the search
+    costs at most 1 + max(f, 1/f) times the cheaper engine alone: about 5.5
+    at the measured extremes, f = 36 / 8 and 8 / 1.9.
 
-    Returns (order, witness vertices, exact, nodes); the order is 0 and the
-    witness None when nothing closes.  Out of budget, exact is False and the
-    result keeps the best first edge whose DFS finished.
+    Returns (order, witness vertices, exact, meter); the order is 0 and the
+    witness None when nothing closes, and the meter holds the nodes and rows
+    spent.  Out of budget, exact is False and the result keeps the best first
+    edge whose DFS finished.
     """
     n, k = g.n, g.k
     rows = g.rows
@@ -149,9 +175,9 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     meter = _Meter(budget)
     limit = meter.limit
     charge = _table_rows(g, cycle, shortest)
-    handoff = charge is not None and 2 * charge <= limit
+    handoff = charge is not None and charge // _ROWS_PER_NODE + charge <= limit
     if handoff:
-        meter.limit = charge
+        meter.limit = charge // _ROWS_PER_NODE
     if cycle:
         seeds = ((r, v) for r in range(n - shortest + 1) for v in range(r + 1, n))
     else:
@@ -209,11 +235,11 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     except _OutOfBudget:
         exact = False
 
-    if not exact and handoff and meter.nodes == charge:
+    if not exact and handoff and meter.nodes == meter.limit:
         meter.limit = limit
         try:
             order, witness = _table(g, cycle, shortest, meter)
-            return order, witness, True, meter.nodes
+            return order, witness, True, meter
         except _OutOfBudget:
             pass
 
@@ -228,7 +254,7 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
             seq.append(act)
             mask |= 1 << act
         witness = tuple(seq)
-    return best, witness, exact, meter.nodes
+    return best, witness, exact, meter
 
 
 # A table pass over m vertices holds 2^m rows (2^(m-1) for a cycle) of m
@@ -388,10 +414,10 @@ def _popcounts(bits: int) -> np.ndarray:
 
 def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
     """An oracle answer from a `_search` result: spanning order, exhausted, or neither."""
-    order, witness, exact, nodes = found
+    order, witness, exact, meter = found
     if order == g.n:
-        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness)), nodes)
-    return OracleResult(SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED, None, nodes)
+        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness)), meter.nodes, meter.rows)
+    return OracleResult(SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED, None, meter.nodes, meter.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +538,8 @@ def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) ->
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    order, witness, exact, nodes = _search(g, budget, True, 3)
-    return ExtremalResult(order, None if witness is None else DirectedCycle(witness), exact, nodes)
+    order, witness, exact, meter = _search(g, budget, True, 3)
+    return ExtremalResult(order, None if witness is None else DirectedCycle(witness), exact, meter.nodes, meter.rows)
 
 
 def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
@@ -521,8 +547,8 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    order, witness, exact, nodes = _search(g, budget, False, 2)
+    order, witness, exact, meter = _search(g, budget, False, 2)
     if witness is None:
         # out of budget before the first seed finished: any edge is a PC path
         order, witness = 2, (0, 1)
-    return ExtremalResult(order, DirectedPath(witness), exact, nodes)
+    return ExtremalResult(order, DirectedPath(witness), exact, meter.nodes, meter.rows)

@@ -162,6 +162,12 @@ def find_chords(sys: PathCycleSystem, g, side: str) -> list[Chord]:
     return out
 
 
+def _guarantee(ok: bool, what: str) -> None:
+    """Raise RuntimeError(what) unless ok: an invariant check that, unlike assert, holds under python -O."""
+    if not ok:
+        raise RuntimeError(what)
+
+
 def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | None = None) -> PathCycleSystem:
     path = list(sys.path.vertices)
     x, y = path[0], path[-1]
@@ -223,7 +229,7 @@ def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | No
     out = PathCycleSystem(DirectedPath(tuple(new_path)), new_cycles)
     if check:
         validate_system(out, g)
-        assert out.vertex_set() == vset, "rotation changed the vertex set"
+        _guarantee(out.vertex_set() == vset, "rotation changed the vertex set")
     return out
 
 
@@ -318,10 +324,11 @@ def apply_chord_sequence(
     check_guarantees: bool = True,
     check: bool = True,
 ) -> PathCycleSystem:
-    """Iterated rotation.  With a spread-out sequence, also asserts the
-    non-interference guarantees: vertex set preserved, new endpoints adjacent
-    (in the original system) to {x, y} or some chord target, and all-right
-    sequences leaving the left parameters untouched.
+    """Iterated rotation.  With a spread-out sequence, also checks the
+    non-interference guarantees and raises RuntimeError if one fails: vertex
+    set preserved, new endpoints adjacent (in the original system) to {x, y}
+    or some chord target, and all-right sequences leaving the left parameters
+    untouched.
     """
     chords = _chords_of(seq)
     orig = sys
@@ -339,16 +346,16 @@ def apply_chord_sequence(
         for ch in chords:
             allowed.update(adj[ch.w])
         p = cur.params(g)
-        assert cur.vertex_set() == orig.vertex_set()
-        assert p.x in allowed and p.y in allowed, "endpoint escaped the guaranteed set"
-        assert p.c_x in {g.colour(p.x, u) for u in adj[p.x]}, "left colour not an original system colour"
-        assert p.c_y in {g.colour(p.y, u) for u in adj[p.y]}, "right colour not an original system colour"
+        _guarantee(cur.vertex_set() == orig.vertex_set(), "rotations changed the vertex set")
+        _guarantee(p.x in allowed and p.y in allowed, "endpoint escaped the guaranteed set")
+        _guarantee(p.c_x in {g.colour(p.x, u) for u in adj[p.x]}, "left colour not an original system colour")
+        _guarantee(p.c_y in {g.colour(p.y, u) for u in adj[p.y]}, "right colour not an original system colour")
         if all(ch.side == RIGHT for ch in chords):
-            assert p.x == p0.x and p.c_x == p0.c_x, "right rotations moved the left end"
-            assert p.y in adj[chords[-1].w]
+            _guarantee(p.x == p0.x and p.c_x == p0.c_x, "right rotations moved the left end")
+            _guarantee(p.y in adj[chords[-1].w], "right end not next to the last chord target")
         if all(ch.side == LEFT for ch in chords):
-            assert p.y == p0.y and p.c_y == p0.c_y, "left rotations moved the right end"
-            assert p.x in adj[chords[-1].w]
+            _guarantee(p.y == p0.y and p.c_y == p0.c_y, "left rotations moved the right end")
+            _guarantee(p.x in adj[chords[-1].w], "left end not next to the last chord target")
     return cur
 
 
@@ -393,11 +400,11 @@ def combine_rotation_sequences(
             raise ValueError(
                 f"left chord {i} invalidated after combination (spread-out precondition broken): {exc}"
             ) from None
-    assert cur.vertex_set() == sys.vertex_set()
+    _guarantee(cur.vertex_set() == sys.vertex_set(), "combined rotations changed the vertex set")
     final = cur.params(g)
-    assert (final.y, final.c_y) == (right_params.y, right_params.c_y)
+    _guarantee((final.y, final.c_y) == (right_params.y, right_params.c_y), "left chords moved the right end")
     if left_params is not None:
-        assert (final.x, final.c_x) == (left_params.x, left_params.c_x)
+        _guarantee((final.x, final.c_x) == (left_params.x, left_params.c_x), "right chords moved the left end")
     return cur
 
 
@@ -828,7 +835,7 @@ def find_pc_ham_path_heuristic(
         for _ in range(step_cap):
             if cur.path is not None and cur.path.order == g.n and not cur.cycles:
                 path = cur.path
-                assert is_properly_coloured_path(g, path)
+                _guarantee(is_properly_coloured_path(g, path), "spanning path is not properly coloured")
                 return path
             cur = _extend_free(cur, g, rng)
             if cur.path is not None and cur.path.order == g.n and not cur.cycles:

@@ -51,14 +51,14 @@ def report(num, name, detail):
 
 def test_acceptance_1_extremal_conformance():
     t0 = time.time()
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5):
         g = bollobas_erdos(k)
         assert max_mono_degree(g) == 2 * k
         res = exact_pc_ham_cycle(g)
         assert res.status == SearchStatus.NOT_EXISTS
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    report(1, "extremal conformance", f"k=1..4 all NotExists with delta_mon=2k in {elapsed:.1f}s")
+    report(1, "extremal conformance", f"k=1..5 all NotExists with delta_mon=2k in {elapsed:.1f}s")
 
 
 def test_acceptance_2_oriented_equivalence():

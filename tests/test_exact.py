@@ -256,24 +256,35 @@ def test_table_matches_search_and_brute_force(g, monkeypatch):
 def test_table_hands_off_after_its_charge():
     # BE(3): one pass of 2^12 rows for the first colour at the root (the
     # other colour finds each cycle from its other end); the DFS needs
-    # 36,758 nodes, so it stops at 4,096 and the table answers
+    # 36,758 nodes, so it stops at 2^12 // 8 = 512 and the table answers
     res = exact_pc_ham_cycle(bollobas_erdos(3))
     assert res.status == SearchStatus.NOT_EXISTS
-    assert res.nodes == 2 * 4096
-    # layered(17, 4): the DFS finishes in 89,332 nodes, below the 2^17 rows
+    assert (res.nodes, res.rows) == (512 + 4096, 4096)
+    # layered(17, 4): the DFS needs 89,332 nodes, over the 2^17 // 8 = 16,384
+    # of the path table's charge, so it hands off; the table stops at its
+    # first empty layer
     res = longest_pc_path(layered_colouring(17, 4))
-    assert (res.value, res.exact, res.nodes) == (9, True, 89_332)
+    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 16_384 + 109_293, 109_293)
+    # layered(17, 3): the DFS finishes in 3,308 nodes, below the 20,480 of its
+    # 163,840-row charge
+    res = longest_pc_cycle(layered_colouring(17, 3))
+    assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 3_308, 0)
 
 
 def test_table_charge_over_remaining_budget_stays_exhausted():
-    # BE(4) charges 2^16 rows; 100,000 nodes cannot hold the DFS's 2^16 and
-    # the table's 2^16, so the DFS runs to the budget
-    limit = 100_000
-    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
-    assert res.status == SearchStatus.EXHAUSTED
-    assert res.nodes == limit
+    # BE(4) charges 2^16 rows and hands off only when the budget holds the
+    # DFS's 2^16 // 8 = 8,192 nodes and the table's 2^16 rows: 73,728
+    handoff = 8_192 + 65_536
+    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=handoff))
+    assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, handoff, 65_536)
+    # one node fewer, and the DFS runs to the budget
+    for limit in (handoff - 1, 70_000):
+        res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
+        assert (res.status, res.nodes, res.rows) == (SearchStatus.EXHAUSTED, limit, 0)
+    # layered(16, 5) paths charge 2^16 rows as well
+    limit = 70_000
     res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=limit))
-    assert not res.exact and res.nodes <= limit
+    assert not res.exact and res.nodes <= limit and res.rows == 0
     assert 2 <= res.value <= 11 and res.witness.order == res.value
     assert is_properly_coloured_path(layered_colouring(16, 5), res.witness)
 
@@ -281,13 +292,49 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
 def test_table_checks_time_limit_between_layers():
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    # BE(2) hands off after 256 DFS nodes, before the DFS's first deadline
-    # check, so only the table sees the deadline
+    # BE(2) hands off after 2^8 // 8 = 32 DFS nodes, before the DFS's first
+    # deadline check, so only the table sees the deadline, before its first
+    # layer
     res = exact_pc_ham_cycle(bollobas_erdos(2), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    assert res.nodes == 256
+    assert (res.nodes, res.rows) == (32, 0)
     with pytest.raises(pch.exact._OutOfBudget):
         pch.exact._table(bollobas_erdos(2), True, 9, pch.exact._Meter(SearchBudget(time_limit=0.0)))
+
+
+@pytest.mark.parametrize(
+    "oracle, g",
+    [pytest.param(exact_pc_ham_cycle, bollobas_erdos(k), id=f"be{k}-cycle") for k in (2, 3, 4)]
+    + [pytest.param(exact_pc_ham_cycle, layered_colouring(13, 4), id="layered13-4-cycle")]
+    + [pytest.param(longest_pc_cycle, layered_colouring(n, l), id=f"layered{n}-{l}-longest-cycle") for n, l in ((16, 5), (17, 4))]
+    + [pytest.param(longest_pc_path, layered_colouring(n, l), id=f"layered{n}-{l}-longest-path") for n, l in ((16, 5), (17, 4))],
+)
+def test_rows_count_the_table_apart_from_the_dfs(oracle, g):
+    # each of these hands off: nodes - rows is the DFS's share, stopped at its
+    # charge // _ROWS_PER_NODE, and rows are the table's, at most its charge
+    cycle = oracle is not longest_pc_path
+    shortest = g.n if oracle is exact_pc_ham_cycle else 2 + cycle
+    charge = pch.exact._table_rows(g, cycle, shortest)
+    res = oracle(g)
+    if oracle is exact_pc_ham_cycle:
+        assert res.status == SearchStatus.NOT_EXISTS
+    else:
+        assert res.exact
+    assert res.nodes - res.rows == charge // pch.exact._ROWS_PER_NODE
+    assert 0 < res.rows <= charge
+
+
+def test_rows_zero_without_a_handoff():
+    # the DFS finishes first, the table is over its ceiling, the budget cannot
+    # hold the handoff, or the 2-factor search, which has no table
+    res = exact_pc_ham_path(bollobas_erdos(4))
+    assert (res.status, res.nodes, res.rows) == (SearchStatus.EXISTS, 386, 0)
+    g = random_bounded_colouring(40, 16, 0, colours=3)
+    assert exact_pc_ham_cycle(g, SearchBudget(node_limit=2_000)).rows == 0
+    res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=1_000))
+    assert (res.exact, res.nodes, res.rows) == (False, 1_000, 0)
+    res = exact_pc_two_factor(monochromatic(6))
+    assert res.status == SearchStatus.NOT_EXISTS and res.rows == 0
 
 
 def test_no_table_above_memory_ceiling(monkeypatch):

@@ -415,6 +415,39 @@ def test_two_factor_invalid_certificate_raises(monkeypatch):
         find_pc_two_factor(rainbow(7))
 
 
+# -- invariant checks raise, so they hold under python -O --------------------
+
+def test_rotation_vertex_set_check_raises(monkeypatch):
+    # a rotation whose path loses its last vertex is still a valid system
+    monkeypatch.setattr(pch.rotations, "DirectedPath", lambda vs: DirectedPath(vs[:-1]))
+    with pytest.raises(RuntimeError, match="vertex set"):
+        rotate(path_system(*range(8)), rainbow(8), Chord(RIGHT, 7, 3))
+
+
+def test_chord_sequence_guarantee_raises(monkeypatch):
+    # a rotation that does nothing leaves the right end away from the chord target
+    monkeypatch.setattr(pch.rotations, "rotate", lambda sys, g, chord, check=True: sys)
+    with pytest.raises(RuntimeError, match="last chord target"):
+        apply_chord_sequence(path_system(*range(30)), rainbow(30), [Chord(RIGHT, 29, 14)])
+
+
+def test_combine_guarantee_raises(monkeypatch):
+    # right rotations that lose a vertex
+    monkeypatch.setattr(
+        pch.rotations,
+        "apply_chord_sequence",
+        lambda sys, g, seq, check_guarantees=True: path_system(*sys.path.vertices[:-1]),
+    )
+    with pytest.raises(RuntimeError, match="vertex set"):
+        combine_rotation_sequences(path_system(*range(40)), rainbow(40), [Chord(RIGHT, 39, 20)], [Chord(LEFT, 0, 30)])
+
+
+def test_ham_path_heuristic_check_raises(monkeypatch):
+    monkeypatch.setattr(pch.rotations, "is_properly_coloured_path", lambda g, path: False)
+    with pytest.raises(RuntimeError, match="not properly coloured"):
+        find_pc_ham_path_heuristic(rainbow(8))
+
+
 def test_two_factor_small_n():
     out = find_pc_two_factor(rainbow(3))
     assert out.success
