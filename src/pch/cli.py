@@ -187,8 +187,7 @@ def cmd_solve(args) -> int:
     g = _load_graph(args.input)
     t0 = time.perf_counter()
     if args.method == "rotation":
-        cfg = rotations.TwoFactorConfig(seed=args.seed, spread_distance=args.spread)
-        out = rotations.find_pc_two_factor(g, cfg)
+        out = rotations.find_pc_two_factor(g, rotations.TwoFactorConfig(seed=args.seed))
         result = {
             "success": out.success,
             "certificate": certificate_to_json(out.certificate) if out.certificate else None,
@@ -529,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True, choices=["rotation", "pipeline"])
     s.add_argument("--input", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--spread", type=int, default=rotations.SPREAD_DISTANCE)
     s.add_argument("--eps", type=float, default=0.1)
     s.add_argument("--fallback", choices=["none", "exact"], default="none")
     s.add_argument("--report")

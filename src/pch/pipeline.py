@@ -108,23 +108,28 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     ac = build.cycle
     partial["absorbing_cycle"] = ac
 
-    keep = [v for v in range(n) if v not in set(ac.cycle.vertices)]
+    t0 = time.perf_counter()
+    on_cycle = set(ac.cycle.vertices)
+    keep = [v for v in range(n) if v not in on_cycle]
     if len(keep) < 4:
         return fail("restriction", f"only {len(keep)} vertices left outside the cycle")
     sub, old_ids = induced_subgraph(g, keep)
-    report["stages"]["restriction"] = {"n_rest": sub.n}
+    report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": sub.n}
 
     t0 = time.perf_counter()
-    tf_cfg = cfg.two_factor or TwoFactorConfig(seed=cfg.seed)
-    tf = find_pc_two_factor(sub, tf_cfg)
+    tf = find_pc_two_factor(sub, cfg.two_factor or TwoFactorConfig(seed=cfg.seed))
     partial["two_factor"] = tf
     report["stages"]["two_factor"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         "success": tf.success,
+        "attempts": tf.stats["attempts"],
+        "rotations": tf.stats["rotations"],
+        # "fallback" once some closure needed rotations, else "immediate"
+        "closed_via": tf.stats.get("closed_via", "immediate"),
     }
 
     t0 = time.perf_counter()
-    path = find_pc_ham_path_heuristic(sub, seed=cfg.seed, cfg=tf_cfg)
+    path = find_pc_ham_path_heuristic(sub, seed=cfg.seed, two_factor=tf)
     how = "rotation"
     if path is None and sub.n <= cfg.exact_path_cap:
         res = exact_pc_ham_path(sub, cfg.budget)
@@ -141,6 +146,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
 
     lifted = DirectedPath(tuple(old_ids[v] for v in path.vertices))
     partial["ham_path"] = lifted
+    t0 = time.perf_counter()
     try:
         cycle = absorb_path(g, ac, lifted)
     except (AbsorptionError, ValueError) as exc:
@@ -148,7 +154,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     cert = verify_certificate(g, ham_cycle_certificate(cycle))
     if not cert.valid:
         raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")
-    report["stages"]["absorb"] = {"cycle_order": cycle.order}
+    report["stages"]["absorb"] = {"seconds": round(time.perf_counter() - t0, 4), "cycle_order": cycle.order}
     return PipelineResult(cert, None, None, report)
 
 

@@ -8,12 +8,13 @@ mirror this at x); rotating along a chord rewires the system while preserving
 its vertex set and properness, moving one endpoint to a neighbour of w.
 
 A chord sequence is "spread out" when the original endpoints and all chord
-targets are pairwise at distance greater than 5 inside the original system;
-this guarantees the rotations never interfere, so independently derived left
-and right sequences can be combined.  At small n that spacing is
-unsatisfiable, so the searches here also run in a fallback mode that instead
-validates every rotation directly against the current system, which is
-strictly stronger at runtime.
+targets are pairwise at distance greater than 5 inside the original system.
+This is the paper's lemma: the rotations never interfere, so independently
+derived left and right sequences can be combined (`is_spread_out`,
+`apply_chord_sequence`, `combine_rotation_sequences`).  The 2-factor search
+does not rely on the spacing: it validates every rotation directly against
+the current system, which also works at small n where the spacing cannot be
+met.
 """
 
 from __future__ import annotations
@@ -134,16 +135,6 @@ def validate_system(sys: PathCycleSystem, g) -> None:
             raise ValueError("a system cycle is not properly coloured")
 
 
-def system_certificate(sys: PathCycleSystem) -> Certificate:
-    from pch.ec_graph import KIND_PATH_CYCLE_SYSTEM
-
-    return Certificate(
-        KIND_PATH_CYCLE_SYSTEM,
-        cycles=tuple(c.vertices for c in sys.cycles),
-        path=sys.path.vertices if sys.path is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # chords and single rotations
 # ---------------------------------------------------------------------------
@@ -170,60 +161,44 @@ def _guarantee(ok: bool, what: str) -> None:
 
 def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | None = None) -> PathCycleSystem:
     path = list(sys.path.vertices)
-    x, y = path[0], path[-1]
+    y = path[-1]
     c_y = g.colour(y, path[-2])
     vset = sys.vertex_set()
 
     if w == y or w not in vset:
         raise ValueError(f"chord target {w} must lie in the system and differ from the endpoint")
-    cyw = g.colour(y, w)
-    if cyw == c_y:
+    if g.colour(y, w) == c_y:
         raise ValueError(f"edge ({y}, {w}) has the endpoint colour {c_y}: not a chord")
-    if w == x or w == path[1]:
+    if w == path[0] or w == path[1]:
         raise ValueError(f"chord target {w} hits the opposite endpoint or its neighbour")
 
-    pos = {v: i for i, v in enumerate(path)}
-    if w in pos:
-        j = pos[w]
-        # chord into the path; j >= 2 and j <= len-3 hold by the guards above.
-        # The new endpoint is a neighbour of w: the far one keeps everything on
-        # one path, the near one splits off the tail as a cycle.  Each is
-        # achievable iff c(yw) differs from the colour of w's OTHER path edge.
-        before, after = path[j - 1], path[j + 1]
-        can_after = cyw != g.colour(w, before)
-        can_before = cyw != g.colour(w, after)
-        want = target if target is not None else (after if can_after else before)
-        if want == after and can_after:
+    targets = rotation_targets(sys, g, RIGHT, w)
+    want = targets[0] if target is None else target
+    if want not in targets:
+        if want in system_adjacency(sys)[w]:
+            raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
+        raise ValueError(f"rotation target {want} is not a neighbour of {w}")
+
+    if w in path:
+        # chord into the path (2 <= j <= len-3 by the guards above): the far
+        # neighbour of w keeps everything on one path, the near one splits off
+        # the tail as a cycle
+        j = path.index(w)
+        if want == path[j + 1]:
             new_path = path[: j + 1] + path[j + 1 :][::-1]
             new_cycles = sys.cycles
-        elif want == before and can_before:
-            new_cycles = sys.cycles + (DirectedCycle(tuple(path[j:])),)
-            new_path = path[:j]
-        elif want in (before, after):
-            raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
         else:
-            raise ValueError(f"rotation target {want} is not a neighbour of {w}")
+            new_path = path[:j]
+            new_cycles = sys.cycles + (DirectedCycle(tuple(path[j:])),)
     else:
-        # chord into a cycle: absorb the whole cycle into the path, walking off
-        # w in a direction whose first edge colour differs from c(yw)
+        # chord into a cycle: absorb the whole cycle into the path, walking
+        # off w away from the new endpoint
         idx = next(i for i, c in enumerate(sys.cycles) if w in c.vertices)
-        cyc = sys.cycles[idx]
-        verts = cyc.vertices
+        verts = sys.cycles[idx].vertices
         L = len(verts)
         i = verts.index(w)
-        pred, succ = verts[(i - 1) % L], verts[(i + 1) % L]
-        can_succ = cyw != g.colour(w, pred)   # walk w, pred, ... ends at succ
-        can_pred = cyw != g.colour(w, succ)   # walk w, succ, ... ends at pred
-        want = target if target is not None else (succ if can_succ else pred)
-        if want == succ and can_succ:
-            tail = [verts[(i - t) % L] for t in range(L)]
-        elif want == pred and can_pred:
-            tail = [verts[(i + t) % L] for t in range(L)]
-        elif want in (pred, succ):
-            raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
-        else:
-            raise ValueError(f"rotation target {want} is not a neighbour of {w}")
-        new_path = path + tail
+        step = -1 if want == verts[(i + 1) % L] else 1
+        new_path = path + [verts[(i + step * t) % L] for t in range(L)]
         new_cycles = sys.cycles[:idx] + sys.cycles[idx + 1 :]
 
     out = PathCycleSystem(DirectedPath(tuple(new_path)), new_cycles)
@@ -237,7 +212,7 @@ def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
     """Achievable new endpoints (neighbours of w) for a chord on this side.
 
     One or two of w's system neighbours qualify; the one keeping the whole
-    path intact comes first, matching the default when no target is given.
+    path intact comes first, and ``rotate`` takes it when no target is given.
     """
     work = sys if side == RIGHT else _mirror(sys)
     path = work.path.vertices
@@ -603,11 +578,8 @@ class TwoFactorConfig:
     seed: int = 0
     attempts: int = 30              # outer restarts
     greedy_restarts: int = 20       # per attempt, for the initial path
-    spread_distance: int = SPREAD_DISTANCE
-    use_spread: bool = True
-    allow_fallback: bool = True
     max_depth: int = 3
-    close_right_cap: int = 16       # fallback: right states to try closing from
+    close_right_cap: int = 16       # right states to try closing from
     close_left_depth: int = 2
     max_rotations: int = 100_000
 
@@ -638,88 +610,43 @@ def _flatten_states(res: ExpansionResult) -> list[EndpointState]:
     return out
 
 
+def _closable(sys: PathCycleSystem, g) -> bool:
+    """The path closes into a PC cycle: order >= 3 and its closing edge avoids both end colours."""
+    p = sys.params(g)
+    return sys.path.order >= 3 and g.colour(p.x, p.y) not in (p.c_x, p.c_y)
+
+
 def _try_close(sys: PathCycleSystem, g, cfg: TwoFactorConfig, stats: dict):
-    """Turn the current system into vertex-disjoint PC cycles on the same vertices."""
+    """Turn the current system into vertex-disjoint PC cycles on the same vertices.
+
+    Closes the path at once when it can; otherwise rotates the right end, and
+    from each of the first ``close_right_cap`` right states the left end,
+    until a system closes ("fallback" in ``stats["closed_via"]``).
+    """
     if sys.path is None:
         return sys.cycles
-    p = sys.params(g)
-    order = sys.path.order
-
-    # immediate closure
-    if order >= 3 and g.colour(p.x, p.y) not in (p.c_x, p.c_y):
+    if _closable(sys, g):
         return _close_path_into_cycles(sys)
 
-    # spread-out mode: independent right and left expansions, then combine.
-    # Needs room: any two of {x, y, w} must sit more than spread_distance apart.
-    if cfg.use_spread and order >= 2 * cfg.spread_distance + 3:
-        res_r = expand_endpoint_colours(
-            sys, g, RIGHT, max_depth=cfg.max_depth,
-            spread_distance=cfg.spread_distance, require_spread=True,
+    res_r = expand_endpoint_colours(
+        sys, g, RIGHT, max_depth=cfg.max_depth, require_spread=False,
+        max_rotations=cfg.max_rotations,
+    )
+    stats["rotations"] += res_r.rotations
+    stats["fallback_layers"] = res_r.layer_sizes()
+    for st in _flatten_states(res_r)[: cfg.close_right_cap]:
+        if _closable(st.system, g):
+            stats["closed_via"] = "fallback"
+            return _close_path_into_cycles(st.system)
+        res_l = expand_endpoint_colours(
+            st.system, g, LEFT, max_depth=cfg.close_left_depth, require_spread=False,
             max_rotations=cfg.max_rotations,
         )
-        stats["rotations"] += res_r.rotations
-        stats["spread_layers"] = res_r.layer_sizes()
-        if res_r.found is not None:
-            f = res_r.found
-            dist = system_distances(sys)
-            used = {p.x, p.y}
-            for st in (f.first, f.second):
-                for ch in st.chords:
-                    used.add(ch.endpoint)
-                    used.add(ch.w)
-            avoid = {
-                u for u in sys.vertices()
-                if any(dist[u].get(v, 10 ** 9) <= cfg.spread_distance for v in used)
-            } - {p.x, p.y}
-            res_l = expand_endpoint_colours(
-                sys, g, LEFT, forbidden=avoid, max_depth=cfg.max_depth,
-                spread_distance=cfg.spread_distance, require_spread=True,
-                max_rotations=cfg.max_rotations,
-            )
-            stats["rotations"] += res_l.rotations
-            if res_l.found is not None:
-                fl = res_l.found
-                z = f.vertex
-                w = fl.vertex
-                czw = g.colour(z, w)
-                right_pick = f.first if f.first.colour != czw else f.second
-                left_pick = fl.first if fl.first.colour != czw else fl.second
-                try:
-                    combined = combine_rotation_sequences(
-                        sys, g, right_pick.chords, left_pick.chords, cfg.spread_distance
-                    )
-                    pc = combined.params(g)
-                    if pc.x == w and pc.y == z and czw not in (pc.c_x, pc.c_y):
-                        stats["closed_via"] = "spread"
-                        return _close_path_into_cycles(combined)
-                except ValueError:
-                    pass
-
-    # fallback mode: everything validated directly against the current system
-    if cfg.allow_fallback:
-        res_r = expand_endpoint_colours(
-            sys, g, RIGHT, max_depth=cfg.max_depth, require_spread=False,
-            max_rotations=cfg.max_rotations,
-        )
-        stats["rotations"] += res_r.rotations
-        stats["fallback_layers"] = res_r.layer_sizes()
-        for st in _flatten_states(res_r)[: cfg.close_right_cap]:
-            sysr = st.system
-            pr = sysr.params(g)
-            if sysr.path.order >= 3 and g.colour(pr.x, pr.y) not in (pr.c_x, pr.c_y):
+        stats["rotations"] += res_l.rotations
+        for stl in _flatten_states(res_l):
+            if _closable(stl.system, g):
                 stats["closed_via"] = "fallback"
-                return _close_path_into_cycles(sysr)
-            res_l = expand_endpoint_colours(
-                sysr, g, LEFT, max_depth=cfg.close_left_depth, require_spread=False,
-                max_rotations=cfg.max_rotations,
-            )
-            stats["rotations"] += res_l.rotations
-            for stl in _flatten_states(res_l):
-                sysl = stl.system
-                pl = sysl.params(g)
-                if sysl.path.order >= 3 and g.colour(pl.x, pl.y) not in (pl.c_x, pl.c_y):
-                    stats["closed_via"] = "fallback"
-                    return _close_path_into_cycles(sysl)
+                return _close_path_into_cycles(stl.system)
     return None
 
 
@@ -806,18 +733,20 @@ def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOut
 # ---------------------------------------------------------------------------
 
 def find_pc_ham_path_heuristic(
-    g, seed: int = 0, step_cap: int = 400, cfg: TwoFactorConfig | None = None
+    g, seed: int = 0, step_cap: int = 400, two_factor: TwoFactorOutcome | None = None
 ) -> DirectedPath | None:
     """Try to build a spanning PC path: find a 2-factor, open one cycle into a
     path, then absorb the remaining cycles by chord rotations.  Returns None
     on failure; any returned path is verified spanning and properly coloured.
+
+    ``two_factor`` is a 2-factor search already run on g; without one the
+    search runs here with ``TwoFactorConfig(seed=seed)``.
     """
     if g.n < 2:
         return None
     if g.n == 2:
         return DirectedPath((0, 1))
-    tf_cfg = cfg or TwoFactorConfig(seed=seed)
-    out = find_pc_two_factor(g, tf_cfg)
+    out = two_factor if two_factor is not None else find_pc_two_factor(g, TwoFactorConfig(seed=seed))
     rng = random.Random(seed + 1)
     candidates: list[PathCycleSystem] = []
     if out.success:

@@ -3,10 +3,12 @@ from dataclasses import replace
 import pytest
 
 import pch.pipeline
+import pch.rotations
 from pch.constructions import monochromatic, rainbow, random_bounded_colouring
 from pch.ec_graph import VERDICT_INVALID, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
+from pch.rotations import find_pc_two_factor
 
 
 def test_rainbow_succeeds_and_verifies():
@@ -90,9 +92,35 @@ def test_check_constants_domain():
             check_constants(bad)
 
 
-def test_report_contains_stage_records():
+def _record_two_factor_calls(monkeypatch) -> list:
+    """Route every 2-factor search through a wrapper that keeps its outcomes."""
+    outcomes = []
+
+    def counting(g, config=None):
+        outcomes.append(find_pc_two_factor(g, config))
+        return outcomes[-1]
+
+    monkeypatch.setattr(pch.pipeline, "find_pc_two_factor", counting)
+    monkeypatch.setattr(pch.rotations, "find_pc_two_factor", counting)
+    return outcomes
+
+
+def test_report_contains_stage_records(monkeypatch):
+    outcomes = _record_two_factor_calls(monkeypatch)
     res = run_pipeline(rainbow(30), PipelineConfig(seed=3))
     assert res.success
     stages = res.report["stages"]
     for name in ("absorbing_cycle", "restriction", "two_factor", "ham_path", "absorb"):
         assert name in stages
+        assert stages[name]["seconds"] >= 0
+    [tf] = outcomes
+    assert stages["two_factor"]["attempts"] == tf.stats["attempts"] >= 1
+    assert stages["two_factor"]["rotations"] == tf.stats["rotations"]
+    assert stages["two_factor"]["closed_via"] == tf.stats.get("closed_via", "immediate")
+    assert stages["two_factor"]["closed_via"] in ("immediate", "fallback")
+
+
+def test_pipeline_runs_one_two_factor_search(monkeypatch):
+    outcomes = _record_two_factor_calls(monkeypatch)
+    assert run_pipeline(rainbow(30), PipelineConfig(seed=3)).success
+    assert len(outcomes) == 1

@@ -487,6 +487,44 @@ def test_ham_path_heuristic_spanning_and_proper():
             assert is_properly_coloured_path(g, p)
 
 
+def test_ham_path_heuristic_reuses_a_given_two_factor():
+    found = 0
+    for seed in range(6):
+        g = random_bounded_colouring(14, 5, seed)
+        p = find_pc_ham_path_heuristic(g, seed=seed)
+        tf = find_pc_two_factor(g, TwoFactorConfig(seed=seed))
+        assert find_pc_ham_path_heuristic(g, seed=seed, two_factor=tf) == p
+        found += p is not None
+    assert found > 0
+
+
+def test_rotate_takes_its_target_from_rotation_targets():
+    rng = random.Random(7)
+    rotations = blocked = 0
+    for _ in range(300):
+        g, sys = random_system_instance(rng)
+        adj = system_adjacency(sys)
+        p = sys.params(g)
+        path = sys.path.vertices
+        for side, off_limits in ((RIGHT, (p.x, path[1])), (LEFT, (p.y, path[-2]))):
+            for ch in find_chords(sys, g, side):
+                if ch.w in off_limits:
+                    with pytest.raises(ValueError, match="opposite endpoint"):
+                        rotate(sys, g, ch)
+                    continue
+                targets = rotation_targets(sys, g, side, ch.w)
+                for tgt, chord in [(targets[0], ch)] + [(t, replace(ch, target=t)) for t in targets]:
+                    q = rotate(sys, g, chord).params(g)
+                    assert (q.y if side == RIGHT else q.x) == tgt
+                    rotations += 1
+                for u in adj[ch.w]:
+                    if u not in targets:
+                        with pytest.raises(ValueError, match="blocked"):
+                            rotate(sys, g, replace(ch, target=u))
+                        blocked += 1
+    assert rotations > 1000 and blocked > 100
+
+
 def test_chord_sequence_wrapper():
     from pch.rotations import ChordSequence
 
@@ -512,7 +550,7 @@ def test_layered_has_no_two_factor_and_both_sides_agree():
 
 def test_spread_mode_closure_on_blocked_path():
     # rainbow except the closing edge repeats the colour at x: the immediate
-    # closure is blocked, so the two-sided expansion and combination must fire
+    # closure is blocked, so the directly validated expansion must close it
     from pch.rotations import _try_close
     from pch.ec_graph import is_properly_coloured_cycle
 
@@ -526,9 +564,9 @@ def test_spread_mode_closure_on_blocked_path():
     g = ColouredComplete.from_function(n, n * n, lambda u, v: tab[(u, v)])
     sys = path_system(*range(n))
     stats = {"rotations": 0}
-    closed = _try_close(sys, g, TwoFactorConfig(seed=0, use_spread=True, allow_fallback=False), stats)
+    closed = _try_close(sys, g, TwoFactorConfig(seed=0), stats)
     assert closed is not None
-    assert stats.get("closed_via") == "spread"
+    assert stats.get("closed_via") == "fallback"
     covered = set()
     for cyc in closed:
         assert is_properly_coloured_cycle(g, cyc)
