@@ -30,6 +30,7 @@ from pch.constructions import (
     colouring_from_oriented,
     layered_colouring,
     monochromatic,
+    near_bollobas_erdos,
     rainbow,
     random_bounded_colouring,
     tournament_with_source,
@@ -63,14 +64,12 @@ from pch.absorbing import (
     AbsorbingCycle,
     AbsorptionError,
     BuildParams,
-    FamilyParams,
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
     enumerate_absorbing,
     is_absorbing,
     join_ends,
-    sample_absorbing_family,
     verify_family_universality,
 )
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline

@@ -1,4 +1,4 @@
-"""Absorbing paths, absorbing families, end-joining and the absorbing cycle.
+"""Absorbing paths, end-joining, the absorbing cycle and its universality audit.
 
 An order-4 PC path z1 z2 z3 z4 is absorbing for an ordered quadruple
 (x1, x2; y1, y2) of distinct vertices when it avoids the quadruple and both
@@ -6,10 +6,12 @@ z1 z2 x1 x2 and y1 y2 z3 z4 are PC paths.  Such a path can swallow any PC path
 running from the edge x1 x2 to the edge y1 y2: splice the path between z2 and
 z3 and every junction stays proper.
 
-The absorbing cycle stitches a family of absorbing paths together with short
-connector paths into one PC cycle; if the family covers every ordered
-quadruple of vertices outside the cycle, the cycle can absorb any disjoint PC
-path of order >= 4 into a longer PC cycle.
+The absorbing cycle stitches a few random disjoint PC 4-paths (its family)
+together with short connector paths into one PC cycle.  It has to absorb only
+the one spanning path the pipeline produces, whose end quadruple the pipeline
+steers by reversing the path and rotating its ends.  A family that absorbs
+every ordered quadruple of the vertices outside it is universal;
+`verify_family_universality` checks that exactly, as an audit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from pch.ec_graph import (
 
 
 class AbsorptionError(RuntimeError):
-    """An absorption step that verified universality promised cannot fail."""
+    """A splice broke its own guarantee: the member was not embedded forward,
+    or the result lost a vertex or properness.  A bug, never an outcome."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,52 +126,8 @@ def count_absorbing(g, quad) -> int:
 
 
 # ---------------------------------------------------------------------------
-# absorbing families
+# the universality audit
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyParams:
-    target_size: int
-    retry_budget: int = 25
-    seed: int = 0
-
-
-@dataclass
-class FamilyResult:
-    members: tuple[tuple[int, int, int, int], ...]
-    ok: bool
-    coverage: float
-    attempts: int
-    uncovered: tuple | None = None
-
-    def vertex_set(self) -> set[int]:
-        return {v for member in self.members for v in member}
-
-
-def _attach_tables(C: np.ndarray, member):
-    """Boolean n x n tables of a member z1 z2 z3 z4: xok[a, b] says z1 z2 a b
-    is a PC path, yok[a, b] says a b z3 z4 is one (vertex overlaps ignored)."""
-    z1, z2, z3, z4 = member
-    col2 = C[:, z2]
-    row3 = C[z3]
-    xok = (col2[:, None] != C[z1, z2]) & (col2[:, None] != C)
-    yok = (row3[None, :] != C[z3, z4]) & (C != row3[None, :])
-    return xok, yok
-
-
-class _MemberTables:
-    """Per-member lookup tables so an absorption test costs a few indexings."""
-
-    def __init__(self, g, member):
-        self.member = member
-        self.inside = set(member)
-        self.xok, self.yok = (t.tolist() for t in _attach_tables(g.matrix, member))
-
-    def absorbs(self, x1, x2, y1, y2) -> bool:
-        if x1 in self.inside or x2 in self.inside or y1 in self.inside or y2 in self.inside:
-            return False
-        return self.xok[x1][x2] and self.yok[y1][y2]
-
 
 MASK_MEMBERS = 64
 
@@ -286,7 +245,7 @@ def _sides(g, members, out):
     """
     if len(members) > MASK_MEMBERS:
         raise ValueError(
-            f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}; use mode='sample'"
+            f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}"
         )
     C = g.matrix
     m = len(out)
@@ -364,19 +323,12 @@ def _find_miss(left, right, meets, m):
     return None
 
 
-def verify_family_universality(
-    g,
-    members,
-    outside=None,
-    mode: str = "auto",
-    sample: int = 100_000,
-    seed: int = 0,
-):
+def verify_family_universality(g, members, outside=None):
     """Check that some member absorbs every ordered quadruple of `outside` vertices.
 
     `outside` defaults to the vertices not used by the family; a repeated
-    vertex or an id outside the graph raises ValueError.  The default check
-    is exact: member j absorbs (x1, x2; y1, y2) iff bit j is set in both the
+    vertex or an id outside the graph raises ValueError.  The check is
+    exact: member j absorbs (x1, x2; y1, y2) iff bit j is set in both the
     left mask of (x1, x2) and the right mask of (y1, y2) (see `_Side`).  With
     k < m - 1 colours for m outside vertices, the masks are tabulated per
     (vertex, colour) class weighted by its pair count, otherwise per pair.
@@ -384,8 +336,7 @@ def verify_family_universality(
     masks meet, overlapping vertices included.  For every combination of
     masks that do not meet, the search for a quadruple on four distinct
     vertices is exact and has no budget.  More than 64 members raise
-    ValueError; mode="sample" instead scans `sample` random quadruples.
-    Returns (ok, coverage, an uncovered quadruple or None).
+    ValueError.  Returns (ok, coverage, an uncovered quadruple or None).
     """
     used = {v for mb in members for v in mb}
     if outside is None:
@@ -400,19 +351,6 @@ def verify_family_universality(
         return True, 1.0, None
     if not members:
         return False, 0.0, tuple(outside[:4])
-    if mode == "sample":
-        tables = [_MemberTables(g, mb) for mb in members]
-        rng = random.Random(seed)
-        covered = 0
-        first_miss = None
-        for _ in range(sample):
-            x1, x2, y1, y2 = rng.sample(outside, 4)
-            if any(t.absorbs(x1, x2, y1, y2) for t in tables):
-                covered += 1
-            elif first_miss is None:
-                first_miss = (x1, x2, y1, y2)
-        return first_miss is None, covered / sample, first_miss
-
     out = np.array(outside, dtype=np.intp)
     m = len(out)
     left, right = _sides(g, members, out)
@@ -426,42 +364,6 @@ def verify_family_universality(
         # every combination that no member absorbs shares a vertex
         return True, 1.0, None
     return False, coverage, tuple(int(out[i]) for i in quad)
-
-
-def sample_absorbing_family(g, params: FamilyParams) -> FamilyResult:
-    """Randomized absorbing family with verified universality.
-
-    Each attempt samples `target_size` ordered 4-tuples uniformly, deletes the
-    later tuple of every intersecting pair (keeping a disjoint prefix), drops
-    tuples that are not PC paths, and verifies that the survivors absorb every
-    ordered quadruple of the remaining vertices.  Failing attempts retry with
-    fresh randomness; exhaustion returns the best family with its coverage.
-    """
-    if g.n < params.target_size * 4 + 4:
-        raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
-    if params.retry_budget < 1:
-        raise ValueError(f"need retry_budget >= 1, got {params.retry_budget}")
-    rng = random.Random(params.seed)
-    best: FamilyResult | None = None
-    for attempt in range(1, params.retry_budget + 1):
-        raw = [tuple(rng.sample(range(g.n), 4)) for _ in range(params.target_size)]
-        kept: list[tuple[int, ...]] = []
-        used: set[int] = set()
-        for t in raw:
-            if used.isdisjoint(t):
-                kept.append(t)
-                used.update(t)
-        members = tuple(t for t in kept if is_properly_coloured_path(g, t))
-        if not members:
-            result = FamilyResult((), False, 0.0, attempt)
-        else:
-            ok, coverage, miss = verify_family_universality(g, members)
-            result = FamilyResult(members, ok, coverage, attempt, miss)
-            if ok:
-                return result
-        if best is None or result.coverage > best.coverage:
-            best = result
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +433,7 @@ def join_ends(
 # the absorbing cycle
 # ---------------------------------------------------------------------------
 
+
 @dataclass(frozen=True)
 class AbsorbingCycle:
     cycle: DirectedCycle
@@ -550,7 +453,6 @@ class BuildParams:
 class BuildResult:
     cycle: AbsorbingCycle | None
     failed_stage: str | None
-    family: FamilyResult | None
     attempts: int = 0
 
     @property
@@ -558,30 +460,47 @@ class BuildResult:
         return self.cycle is not None
 
 
-def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
-    """Sample a universal family and stitch it into one PC cycle.
+def _draw_family(g, rng: random.Random, size: int) -> tuple[tuple[int, ...], ...] | None:
+    """`size` random disjoint PC 4-paths, each grown one vertex at a time, or None."""
+    members = []
+    free = list(range(g.n))
+    for _ in range(size):
+        path = [rng.choice(free)]
+        while len(path) < 4:
+            end = g.rows[path[-1]]
+            opts = [u for u in free if u not in path and (len(path) == 1 or end[u] != end[path[-2]])]
+            if not opts:
+                return None
+            path.append(rng.choice(opts))
+        members.append(tuple(path))
+        free = [v for v in free if v not in path]
+    return tuple(members)
 
-    Consecutive members P_j, P_{j+1} (cyclically) are connected by a path
-    joining the last two vertices of P_j to the first two of P_{j+1}, avoiding
-    everything already placed.  Any stage failure abandons the attempt; fresh
-    randomness is used until the retry budget runs out.
+
+def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
+    """Draw disjoint PC 4-paths and stitch them into one PC cycle.
+
+    Each attempt draws `target_size` members, then connects consecutive
+    members P_j, P_{j+1} (cyclically) by a path joining the last two vertices
+    of P_j to the first two of P_{j+1}, avoiding everything already placed.
+    A failed draw ("family") or join ("join:j") abandons the attempt; fresh
+    randomness is used until the retry budget runs out.  No member has to
+    absorb any given quadruple: the pipeline steers its path until one does.
     """
     params = params or BuildParams()
+    if g.n < params.target_size * 4 + 4:
+        raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
+    if params.retry_budget < 1:
+        raise ValueError(f"need retry_budget >= 1, got {params.retry_budget}")
     rng = random.Random(params.seed)
-    last_family: FamilyResult | None = None
     last_stage = "family"
     for attempt in range(1, params.retry_budget + 1):
-        fam = sample_absorbing_family(
-            g, FamilyParams(params.target_size, retry_budget=4, seed=rng.randrange(2 ** 30))
-        )
-        last_family = fam
-        if not fam.ok:
+        members = _draw_family(g, rng, params.target_size)
+        if members is None:
             last_stage = "family"
             continue
-        members = fam.members
-        used = set(fam.vertex_set())
+        used = {v for mb in members for v in mb}
         connectors: list[DirectedPath] = []
-        stage_failed = None
         for j, mb in enumerate(members):
             nxt = members[(j + 1) % len(members)]
             q = join_ends(
@@ -590,31 +509,26 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
                 max_len=params.join_max_len,
             )
             if q is None:
-                stage_failed = f"join:{j}"
+                last_stage = f"join:{j}"
                 break
             connectors.append(q)
             used.update(q.vertices)
-        if stage_failed:
-            last_stage = stage_failed
-            continue
-        seq: list[int] = []
-        for mb, q in zip(members, connectors):
-            seq.extend(mb)
-            seq.extend(q.vertices)
-        cycle = DirectedCycle(tuple(seq))
-        if not is_properly_coloured_cycle(g, cycle):
+        else:
+            cycle = DirectedCycle(tuple(v for mb, q in zip(members, connectors) for v in mb + q.vertices))
+            if is_properly_coloured_cycle(g, cycle):
+                return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, attempt)
             last_stage = "verify"
-            continue
-        return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, fam, attempt)
-    return BuildResult(None, last_stage, last_family, params.retry_budget)
+    return BuildResult(None, last_stage, params.retry_budget)
 
 
-def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle:
+def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
     """Splice a disjoint PC path of order >= 4 into the absorbing cycle.
 
-    The family member absorbing (p1, p2; p_last-1, p_last) is located and the
-    path inserted between its second and third vertices; the result is a PC
-    cycle on exactly the union of the vertex sets.
+    The first family member absorbing (p1, p2; p_last-1, p_last) takes the
+    path between its second and third vertices; the result is a PC cycle on
+    exactly the union of the vertex sets.  Returns None when no member
+    absorbs the path, a legitimate outcome: the caller may reverse or
+    rotate the path and try again.
     """
     vs = p.vertices
     if len(vs) < 4:
@@ -625,13 +539,9 @@ def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle:
     if cyc_set & set(vs):
         raise ValueError("path intersects the absorbing cycle")
     quad = (vs[0], vs[1], vs[-2], vs[-1])
-    member = None
-    for mb in ac.family:
-        if is_absorbing(g, quad, mb):
-            member = mb
-            break
+    member = next((mb for mb in ac.family if is_absorbing(g, quad, mb)), None)
     if member is None:
-        raise AbsorptionError(f"no family member absorbs {quad}; family is not universal")
+        return None
     z2, z3 = member[1], member[2]
     cv = list(ac.cycle.vertices)
     i2 = cv.index(z2)

@@ -196,7 +196,7 @@ def cmd_solve(args) -> int:
         }
         code = EXIT_OK if out.success else EXIT_FAIL
     else:
-        cfg = pipeline.PipelineConfig(eps=args.eps, seed=args.seed, fallback=args.fallback)
+        cfg = pipeline.PipelineConfig(seed=args.seed, fallback=args.fallback)
         res = pipeline.run_pipeline(g, cfg)
         result = {
             "success": res.success,
@@ -241,12 +241,12 @@ def cmd_absorb_check(args) -> int:
         {"quad": list(q), "count": c} for q, c in zip(quads, counts) if c < bound
     ]
 
-    fam = absorbing.sample_absorbing_family(
-        g, absorbing.FamilyParams(target_size=args.family_size, seed=args.seed)
-    )
     build = absorbing.build_absorbing_cycle(
         g, absorbing.BuildParams(target_size=args.family_size, seed=args.seed)
     )
+    family_ok = family_coverage = None
+    if build.success:
+        family_ok, family_coverage, _ = absorbing.verify_family_universality(g, build.cycle.family)
     report = RunReport(
         "absorb-check",
         seed=args.seed,
@@ -258,8 +258,8 @@ def cmd_absorb_check(args) -> int:
             "counts": [{"quad": list(q), "count": c} for q, c in zip(quads, counts)],
             "min_count": min(counts) if counts else None,
             "violations": violations,
-            "family_ok": fam.ok,
-            "family_coverage": fam.coverage,
+            "family_ok": family_ok,
+            "family_coverage": family_coverage,
             "cycle_order": build.cycle.cycle.order if build.success else None,
         },
     )
@@ -528,12 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True, choices=["rotation", "pipeline"])
     s.add_argument("--input", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--eps", type=float, default=0.1)
     s.add_argument("--fallback", choices=["none", "exact"], default="none")
     s.add_argument("--report")
     s.set_defaults(fn=cmd_solve)
 
-    a = sub.add_parser("absorb-check", help="absorbing-count bound and family checks")
+    a = sub.add_parser("absorb-check", help="absorbing-count bound and absorbing-cycle family audit")
     a.add_argument("--input", required=True)
     a.add_argument("--eps", type=float, required=True)
     a.add_argument("--quads", default="sample:50", help="'all' or 'sample:N'")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pch.ec_graph import ColouredComplete, ColouredGraph, is_properly_coloured_cycle
+from pch.ec_graph import ColouredComplete, ColouredGraph, is_properly_coloured_cycle, max_mono_degree
 
 
 class GenerationError(RuntimeError):
@@ -138,6 +138,39 @@ def bollobas_erdos(k: int) -> ColouredComplete:
     n = 4 * k + 1
     u, v = np.triu_indices(n, 1)
     return ColouredComplete(n, 2, (np.minimum(v - u, n - (v - u)) > k).astype(int))
+
+
+def near_bollobas_erdos(k: int, seed: int) -> ColouredComplete:
+    """``bollobas_erdos(k)`` pushed to max monochromatic degree 2k - 1 =
+    floor(n/2) - 1, the conjectured threshold, with a third colour 2.
+
+    Greedy near-matchings of the red and then the blue edges, in a seeded
+    random order, are recoloured 2; then each vertex with 2k edges of one
+    colour recolours the one towards the neighbour with fewest colour-2 edges.
+    """
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    n = 4 * k + 1
+    C = bollobas_erdos(k).matrix.tolist()
+    rng = random.Random(seed)
+    for colour in (0, 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if C[u][v] == colour]
+        rng.shuffle(pairs)
+        matched: set[int] = set()
+        for u, v in pairs:
+            if u not in matched and v not in matched:
+                C[u][v] = C[v][u] = 2
+                matched.update((u, v))
+    for u in range(n):
+        for colour in (0, 1):
+            partners = [v for v in range(n) if C[u][v] == colour]
+            if len(partners) == 2 * k:
+                v = min(partners, key=lambda w: (C[w].count(2), w))
+                C[u][v] = C[v][u] = 2
+    g = ColouredComplete(n, 3, [C[u][v] for u in range(n) for v in range(u + 1, n)])
+    if max_mono_degree(g) != 2 * k - 1:
+        raise RuntimeError(f"max monochromatic degree {max_mono_degree(g)}, expected {2 * k - 1}")
+    return g
 
 
 def colouring_from_oriented(og: OrientedGraph, complete_with: str | None = None):

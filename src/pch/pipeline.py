@@ -3,8 +3,9 @@
 Stages: build a small absorbing cycle; delete its vertices; find a properly
 coloured 2-factor in the rest; turn that into a spanning PC path of the rest
 (rotation heuristic first, exhaustive search as the desk-scale stand-in for
-the 2-factor-to-path theorem); absorb the path into the cycle.  The
-asymptotic constants behind the guarantee are reported by
+the 2-factor-to-path theorem); absorb the path into the cycle, reversed,
+end-rotated or from another seed until some member absorbs its end quadruple.
+The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
 practical parameters and verifies its output instead.
@@ -12,6 +13,7 @@ practical parameters and verifies its output instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,26 +28,37 @@ from pch.ec_graph import (
     verify_certificate,
 )
 from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle, exact_pc_ham_path
-from pch.rotations import TwoFactorConfig, find_pc_ham_path_heuristic, find_pc_two_factor
+from pch.rotations import (
+    LEFT,
+    RIGHT,
+    PathCycleSystem,
+    TwoFactorConfig,
+    expand_endpoint_colours,
+    find_pc_ham_path_heuristic,
+    find_pc_two_factor,
+)
 
 FALLBACK_NONE = "none"
 FALLBACK_EXACT = "exact"
 
+# spanning paths offered for absorption per run, and the depth and rotation
+# cap of each one-sided end expansion of one of them
+_PATH_SEEDS = 3
+_ROTATION_DEPTH = 2
+_ROTATION_CAP = 5_000
+
 
 @dataclass
 class PipelineConfig:
-    """Practical knobs plus the epsilon the asymptotic analysis would use.
+    """Practical knobs.
 
     At scale the analysis pins the absorbing-cycle size to the gamma fraction
-    reported by ``check_constants``; here family size and join length are
-    small explicit numbers.
+    reported by ``check_constants``; here the family size is derived from n
+    and the join length is a small explicit number.
     """
 
-    eps: float = 0.1
     seed: int = 0
-    family_target: int | None = None     # None: derived from n
     join_max_len: int = 6
-    build_retries: int = 25
     fallback: str = FALLBACK_NONE
     exact_path_cap: int = 15             # restriction size up to which exact path search runs
     budget: SearchBudget = field(default_factory=SearchBudget)
@@ -76,6 +89,40 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
+def _rotated(sub, path: DirectedPath, tried: dict):
+    """The spanning paths that rotating one end of `path` reaches."""
+    for side in (RIGHT, LEFT):
+        res = expand_endpoint_colours(
+            PathCycleSystem(path), sub, side, max_depth=_ROTATION_DEPTH,
+            require_spread=False, max_rotations=_ROTATION_CAP,
+        )
+        tried["rotations"] += res.rotations
+        yield from (st.system.path for st in res.states()[1:] if not st.system.cycles)
+
+
+def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
+    """Absorb a spanning path of `sub` into `ac`: the cycle, or None.
+
+    Each seed's path (`first` for `seed`; later seeds search their own
+    2-factor) is tried forward and reversed, and then so is each spanning
+    path its end rotations reach.  `tried` records the path seeds, end
+    quadruples and rotations.
+    """
+    for i in range(_PATH_SEEDS):
+        tried["path_seeds"].append(seed + i)
+        path = first if i == 0 else find_pc_ham_path_heuristic(sub, seed=seed + i)
+        if path is None:
+            continue
+        for variant in itertools.chain([path], _rotated(sub, path, tried)):
+            lifted = DirectedPath(tuple(old_ids[v] for v in variant.vertices))
+            for p in (lifted, lifted.reverse()):
+                tried["quads"] += 1
+                cycle = absorb_path(g, ac, p)
+                if cycle is not None:
+                    return cycle
+    return None
+
+
 def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> PipelineResult:
     cfg = cfg or PipelineConfig()
     n = g.n
@@ -92,10 +139,8 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
         return PipelineResult(None, StageFailure(stage, detail, dict(partial)), fb, report)
 
     t0 = time.perf_counter()
-    target = cfg.family_target if cfg.family_target is not None else _default_family_target(n)
-    build = build_absorbing_cycle(
-        g, BuildParams(target, cfg.build_retries, cfg.seed, cfg.join_max_len)
-    )
+    target = _default_family_target(n)
+    build = build_absorbing_cycle(g, BuildParams(target, seed=cfg.seed, join_max_len=cfg.join_max_len))
     report["stages"]["absorbing_cycle"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         "family_target": target,
@@ -103,7 +148,6 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
         "cycle_order": build.cycle.cycle.order if build.success else None,
     }
     if not build.success:
-        partial["family"] = build.family
         return fail("absorbing_cycle", f"stage {build.failed_stage} exhausted retries")
     ac = build.cycle
     partial["absorbing_cycle"] = ac
@@ -143,18 +187,28 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     }
     if path is None:
         return fail("ham_path", "no spanning PC path found on the restriction")
+    partial["ham_path"] = DirectedPath(tuple(old_ids[v] for v in path.vertices))
 
-    lifted = DirectedPath(tuple(old_ids[v] for v in path.vertices))
-    partial["ham_path"] = lifted
     t0 = time.perf_counter()
+    tried: dict = {"path_seeds": [], "quads": 0, "rotations": 0}
     try:
-        cycle = absorb_path(g, ac, lifted)
+        cycle = _steer(g, ac, sub, old_ids, path, cfg.seed, tried)
     except (AbsorptionError, ValueError) as exc:
         return fail("absorb", str(exc))
+    report["stages"]["absorb"] = {
+        "seconds": round(time.perf_counter() - t0, 4),
+        **tried,
+        "cycle_order": cycle.order if cycle is not None else None,
+    }
+    if cycle is None:
+        return fail(
+            "absorb",
+            f"no family member absorbs any of {tried['quads']} end quadruples over path seeds "
+            f"{tried['path_seeds']} and {tried['rotations']} end rotations",
+        )
     cert = verify_certificate(g, ham_cycle_certificate(cycle))
     if not cert.valid:
         raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")
-    report["stages"]["absorb"] = {"seconds": round(time.perf_counter() - t0, 4), "cycle_order": cycle.order}
     return PipelineResult(cert, None, None, report)
 
 

@@ -412,6 +412,18 @@ class ExpansionResult:
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
+    def states(self) -> list[EndpointState]:
+        """Each reached (z, c_z) state once, at its shallowest layer, in layer
+        order and sorted within a layer; the starting state comes first."""
+        seen = set()
+        out = []
+        for layer in self.layers:
+            for key in sorted(layer):
+                if key not in seen:
+                    seen.add(key)
+                    out.append(layer[key])
+        return out
+
 
 def expand_endpoint_colours(
     sys: PathCycleSystem,
@@ -599,17 +611,6 @@ def _close_path_into_cycles(sys: PathCycleSystem) -> tuple[DirectedCycle, ...]:
     return sys.cycles + (DirectedCycle(sys.path.vertices),)
 
 
-def _flatten_states(res: ExpansionResult) -> list[EndpointState]:
-    seen = set()
-    out = []
-    for layer in res.layers:
-        for key in sorted(layer):
-            if key not in seen:
-                seen.add(key)
-                out.append(layer[key])
-    return out
-
-
 def _closable(sys: PathCycleSystem, g) -> bool:
     """The path closes into a PC cycle: order >= 3 and its closing edge avoids both end colours."""
     p = sys.params(g)
@@ -634,7 +635,7 @@ def _try_close(sys: PathCycleSystem, g, cfg: TwoFactorConfig, stats: dict):
     )
     stats["rotations"] += res_r.rotations
     stats["fallback_layers"] = res_r.layer_sizes()
-    for st in _flatten_states(res_r)[: cfg.close_right_cap]:
+    for st in res_r.states()[: cfg.close_right_cap]:
         if _closable(st.system, g):
             stats["closed_via"] = "fallback"
             return _close_path_into_cycles(st.system)
@@ -643,7 +644,7 @@ def _try_close(sys: PathCycleSystem, g, cfg: TwoFactorConfig, stats: dict):
             max_rotations=cfg.max_rotations,
         )
         stats["rotations"] += res_l.rotations
-        for stl in _flatten_states(res_l):
+        for stl in res_l.states():
             if _closable(stl.system, g):
                 stats["closed_via"] = "fallback"
                 return _close_path_into_cycles(stl.system)

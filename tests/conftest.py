@@ -2,13 +2,15 @@
 
 Structure-first randomization: pick the path/cycle decomposition first, colour
 its edges properly, then fill the remaining pairs at random.  This yields
-valid 1-path-cycles inside otherwise arbitrary colourings.
+valid 1-path-cycles inside otherwise arbitrary colourings.  Absorbing cycles
+with a universal family come from retrying build seeds under the exact audit.
 """
 
 from __future__ import annotations
 
 import random
 
+from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
 from pch.ec_graph import ColouredComplete, DirectedCycle, DirectedPath
 from pch.rotations import PathCycleSystem, validate_system
 
@@ -61,3 +63,18 @@ def random_system_instance(rng: random.Random, n_range=(8, 18), k_range=(3, 7)):
     )
     validate_system(sys, g)
     return g, sys
+
+
+def universal_absorbing_cycle(g, target_size: int, seed: int, builds: int = 25):
+    """An absorbing cycle whose family absorbs every ordered quadruple of the
+    vertices outside the family, or None after `builds` build seeds.
+
+    The builder demands no universality; this retries build seeds until the
+    exact audit passes, for tests that absorb arbitrary outside paths.
+    """
+    rng = random.Random(seed)
+    for _ in range(builds):
+        res = build_absorbing_cycle(g, BuildParams(target_size, seed=rng.randrange(2 ** 30)))
+        if res.success and verify_family_universality(g, res.cycle.family)[0]:
+            return res.cycle
+    return None

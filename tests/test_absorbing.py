@@ -9,15 +9,12 @@ from pch.absorbing import (
     AbsorbingCycle,
     AbsorptionError,
     BuildParams,
-    FamilyParams,
-    _attach_tables,
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
     enumerate_absorbing,
     is_absorbing,
     join_ends,
-    sample_absorbing_family,
     verify_family_universality,
 )
 from pch.constructions import monochromatic, rainbow, random_bounded_colouring
@@ -28,6 +25,7 @@ from pch.ec_graph import (
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
+from tests.conftest import universal_absorbing_cycle
 
 
 def test_is_absorbing_rainbow_and_mono():
@@ -101,19 +99,22 @@ def test_count_bound_single_instance():
 
 
 def test_family_rainbow_and_mono():
-    fam = sample_absorbing_family(rainbow(20), FamilyParams(target_size=2, seed=0))
-    assert fam.ok and 1 <= len(fam.members) <= 2
-    fam = sample_absorbing_family(monochromatic(20), FamilyParams(target_size=2, seed=0, retry_budget=3))
-    assert not fam.ok
-    assert fam.coverage == 0.0
+    g = rainbow(20)
+    res = build_absorbing_cycle(g, BuildParams(target_size=2, seed=0))
+    assert res.success and len(res.cycle.family) == 2
+    assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
+    ok, coverage, _ = verify_family_universality(monochromatic(20), [(0, 1, 2, 3), (4, 5, 6, 7)])
+    assert not ok
+    assert coverage == 0.0
 
 
 def test_family_members_disjoint_pc_paths():
     for seed in range(5):
         g = random_bounded_colouring(40, 14, seed)
-        fam = sample_absorbing_family(g, FamilyParams(target_size=4, seed=seed))
+        res = build_absorbing_cycle(g, BuildParams(target_size=4, seed=seed))
+        assert res.success and len(res.cycle.family) == 4
         seen = set()
-        for mb in fam.members:
+        for mb in res.cycle.family:
             assert is_properly_coloured_path(g, mb)
             assert not (seen & set(mb))
             seen.update(mb)
@@ -137,6 +138,17 @@ def _universality_case(seed, members=None, outside=None):
         rest = [v for v in range(n) if v != on_member]
         outside = sorted(rng.sample(rest, rng.randint(3, 7)) + [on_member])
     return g, list(members), outside
+
+
+def _attach_tables(C: np.ndarray, member):
+    """Boolean n x n tables of a member z1 z2 z3 z4: xok[a, b] says z1 z2 a b
+    is a PC path, yok[a, b] says a b z3 z4 is one (vertex overlaps ignored)."""
+    z1, z2, z3, z4 = member
+    col2 = C[:, z2]
+    row3 = C[z3]
+    xok = (col2[:, None] != C[z1, z2]) & (col2[:, None] != C)
+    yok = (row3[None, :] != C[z3, z4]) & (C != row3[None, :])
+    return xok, yok
 
 
 def _pair_mask_coverage(g, members, outside):
@@ -196,22 +208,11 @@ def test_family_universality_cross_check(seed, members, outside):
 def test_universality_rejects_bad_outside():
     g = rainbow(12)
     members = [(0, 1, 2, 3)]
-    for mode in ("auto", "sample"):
-        with pytest.raises(ValueError, match="repeats"):
-            verify_family_universality(g, members, outside=[8, 8, 9, 10], mode=mode)
-        with pytest.raises(ValueError, match="outside 0..11"):
-            verify_family_universality(g, members, outside=[8, 9, 10, 12], mode=mode)
+    with pytest.raises(ValueError, match="repeats"):
+        verify_family_universality(g, members, outside=[8, 8, 9, 10])
+    with pytest.raises(ValueError, match="outside 0..11"):
+        verify_family_universality(g, members, outside=[8, 9, 10, 12])
     assert verify_family_universality(g, members, outside=[8, 9, 10]) == (True, 1.0, None)
-
-
-def test_universality_modes():
-    g = rainbow(16)
-    fam = sample_absorbing_family(g, FamilyParams(target_size=1, seed=0))
-    assert fam.ok
-    ok, cov, miss = verify_family_universality(g, fam.members, mode="all")
-    assert ok and cov == 1.0 and miss is None
-    ok, cov, _ = verify_family_universality(g, fam.members, mode="sample", sample=500)
-    assert ok
 
 
 def test_universality_beyond_mask_width_fails_loudly():
@@ -282,13 +283,13 @@ def test_build_monochromatic_fails_at_family():
     res = build_absorbing_cycle(monochromatic(30), BuildParams(target_size=2, seed=0, retry_budget=2))
     assert not res.success
     assert res.failed_stage == "family"
+    assert res.attempts == 2
 
 
 def test_build_and_absorb_random_instance():
     g = random_bounded_colouring(40, 14, 5)
-    res = build_absorbing_cycle(g, BuildParams(target_size=4, seed=5))
-    assert res.success
-    ac = res.cycle
+    ac = universal_absorbing_cycle(g, target_size=4, seed=5)
+    assert ac is not None
     outside = [v for v in range(40) if v not in set(ac.cycle.vertices)]
     rng = random.Random(9)
     absorbed = 0
@@ -300,6 +301,7 @@ def test_build_and_absorb_random_instance():
         if not is_properly_coloured_path(g, verts):
             continue
         merged = absorb_path(g, ac, DirectedPath(tuple(verts)))
+        assert merged is not None
         assert set(merged.vertices) == set(ac.cycle.vertices) | set(verts)
         assert is_properly_coloured_cycle(g, merged)
         absorbed += 1
@@ -356,7 +358,13 @@ def test_join_ends_improper_concatenation_raises(monkeypatch):
 
 def test_family_needs_a_retry():
     with pytest.raises(ValueError, match="retry_budget"):
-        sample_absorbing_family(rainbow(20), FamilyParams(target_size=2, retry_budget=0))
+        build_absorbing_cycle(rainbow(20), BuildParams(target_size=2, retry_budget=0))
+
+
+def test_absorb_path_without_absorbing_member_returns_none(monkeypatch):
+    g, ac, p = _absorbing_setup()
+    monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
+    assert absorb_path(g, ac, p) is None
 
 
 def test_join_ends_hundred_seeds_short_orders():

@@ -9,12 +9,7 @@ import time
 
 import pytest
 
-from pch.absorbing import (
-    BuildParams,
-    absorb_path,
-    build_absorbing_cycle,
-    count_absorbing,
-)
+from pch.absorbing import absorb_path, count_absorbing
 from pch.constructions import (
     bollobas_erdos,
     colouring_from_oriented,
@@ -41,7 +36,7 @@ from pch.exact import (
 )
 from pch.pipeline import PipelineConfig, run_pipeline
 from pch.rotations import TwoFactorConfig, find_pc_two_factor
-from tests.conftest import random_system_instance
+from tests.conftest import random_system_instance, universal_absorbing_cycle
 from tests.test_rotations import check_rotation_contract, eligible_chords
 
 
@@ -164,11 +159,10 @@ def test_acceptance_7_absorption_correctness():
         seed += 1
         assert seed <= 80, "could not assemble 20 verified absorbing cycles"
         g = random_bounded_colouring(n, dmax, seed)
-        res = build_absorbing_cycle(g, BuildParams(target_size=4, seed=seed))
-        if not res.success:
+        # universality verified exhaustively over the quadruples outside the family
+        ac = universal_absorbing_cycle(g, target_size=4, seed=seed)
+        if ac is None:
             continue
-        ac = res.cycle
-        assert res.family.ok  # universality was verified exhaustively over outside quads
         outside = [v for v in range(n) if v not in set(ac.cycle.vertices)]
         if len(outside) < 8:
             continue
@@ -181,6 +175,7 @@ def test_acceptance_7_absorption_correctness():
             if not is_properly_coloured_path(g, verts):
                 continue
             merged = absorb_path(g, ac, DirectedPath(tuple(verts)))
+            assert merged is not None
             assert set(merged.vertices) == set(ac.cycle.vertices) | set(verts)
             assert is_properly_coloured_cycle(g, merged)
             done += 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
 from pch.cli import main
 from pch.constructions import rainbow
 from pch.ec_graph import certificate_to_json, ham_cycle_certificate, read_graph, write_graph
@@ -127,6 +128,13 @@ def test_absorb_check(tmp_path):
     assert rep["result"]["bound"] == pytest.approx(0.01 * 30 ** 4 / 4)
     assert code in (0, 1)
     assert rep["result"]["min_count"] is not None
+    # the family audit is of the cycle the command built, not of another sample
+    g = read_graph(gpath)
+    build = build_absorbing_cycle(g, BuildParams(target_size=3, seed=2))
+    assert build.success
+    ok, coverage, _ = verify_family_universality(g, build.cycle.family)
+    assert rep["result"]["cycle_order"] == build.cycle.cycle.order
+    assert (rep["result"]["family_ok"], rep["result"]["family_coverage"]) == (ok, coverage)
 
 
 def test_lemma_check_2factor_small(tmp_path):

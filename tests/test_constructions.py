@@ -10,6 +10,7 @@ from pch.constructions import (
     colouring_from_oriented,
     layered_colouring,
     monochromatic,
+    near_bollobas_erdos,
     properly_coloured_cycle_set,
     rainbow,
     random_bounded_colouring,
@@ -17,7 +18,8 @@ from pch.constructions import (
     tournament_with_source,
 )
 from pch.ec_graph import ColouredComplete, max_mono_degree, min_colour_degree
-from pch.exact import exact_pc_ham_cycle
+from pch.exact import SearchStatus, exact_pc_ham_cycle
+from pch.pipeline import PipelineConfig, run_pipeline
 
 
 def test_bollobas_erdos_k1_shape():
@@ -47,6 +49,30 @@ def test_bollobas_erdos_regularity(k):
 
 def test_bollobas_erdos_no_pc_ham_cycle_small():
     assert not exact_pc_ham_cycle(bollobas_erdos(1)).exists
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_bollobas_erdos_never_solved_by_the_pipeline(k):
+    # acceptance criterion 1 proves NOT_EXISTS for these k
+    g = bollobas_erdos(k)
+    for seed in range(3):
+        assert run_pipeline(g, PipelineConfig(seed=seed)).certificate is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_near_bollobas_erdos_at_threshold_has_pc_ham_cycle(k):
+    for seed in range(5):
+        g = near_bollobas_erdos(k, seed)
+        assert (g.n, g.k) == (4 * k + 1, 3)
+        assert max_mono_degree(g) == 2 * k - 1 == g.n // 2 - 1
+        assert near_bollobas_erdos(k, seed) == g
+        res = exact_pc_ham_cycle(g)
+        assert res.status == SearchStatus.EXISTS
+
+
+def test_near_bollobas_erdos_domain():
+    with pytest.raises(ValueError):
+        near_bollobas_erdos(1, 0)
 
 
 def test_tournament_with_source_shape():

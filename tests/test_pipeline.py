@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import pytest
 
+import pch.absorbing
 import pch.pipeline
 import pch.rotations
-from pch.constructions import monochromatic, rainbow, random_bounded_colouring
+from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, random_bounded_colouring
 from pch.ec_graph import VERDICT_INVALID, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
@@ -124,3 +125,55 @@ def test_pipeline_runs_one_two_factor_search(monkeypatch):
     outcomes = _record_two_factor_calls(monkeypatch)
     assert run_pipeline(rainbow(30), PipelineConfig(seed=3)).success
     assert len(outcomes) == 1
+
+
+def _assert_solved(g, res):
+    assert res.success, res.failure
+    cert = verify_certificate(g, res.certificate)
+    assert cert.valid
+    assert cert.covered_vertices() == set(range(g.n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_few_colours_solved(seed):
+    # three colours at n = 160: the universal-family demand failed every seed
+    g = random_bounded_colouring(160, 72, seed, colours=3)
+    _assert_solved(g, run_pipeline(g, PipelineConfig(seed=seed)))
+
+
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_near_threshold_solved(k):
+    # max monochromatic degree floor(n/2) - 1, the conjecture's threshold
+    for seed in range(4):
+        g = near_bollobas_erdos(k, seed)
+        _assert_solved(g, run_pipeline(g, PipelineConfig(seed=seed)))
+
+
+def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
+    monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
+    g = random_bounded_colouring(40, 14, 1)
+    res = run_pipeline(g, PipelineConfig(seed=1))
+    assert not res.success
+    assert res.failure.stage == res.report["failed_stage"] == "absorb"
+    tried = res.report["stages"]["absorb"]
+    assert tried["path_seeds"] == [1, 2, 3]
+    assert tried["rotations"] > 0
+    # every path and every rotated path, each forward and reversed
+    assert tried["quads"] > 2 * len(tried["path_seeds"])
+    assert tried["cycle_order"] is None
+    assert f"{tried['quads']} end quadruples" in res.failure.detail
+
+
+def _timeless(report):
+    stages = {
+        name: {k: v for k, v in record.items() if k != "seconds"}
+        for name, record in report["stages"].items()
+    }
+    return {**report, "stages": stages}
+
+
+def test_report_repeats_for_the_same_seed():
+    g = near_bollobas_erdos(20, 1)
+    first, second = (run_pipeline(g, PipelineConfig(seed=1)).report for _ in range(2))
+    assert first["stages"]["absorb"]["rotations"] > 0
+    assert _timeless(first) == _timeless(second)
