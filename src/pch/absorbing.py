@@ -132,157 +132,46 @@ def count_absorbing(g, quad) -> int:
 MASK_MEMBERS = 64
 
 
-def _drop_members(masks, forbid, bits, colours):
-    """Clear bit j of masks[a, c] wherever member j's forbidden colour
-    forbid[a, j] equals colours[a, c] (`colours` broadcasts); in place."""
-    for j, bit in enumerate(bits):
-        np.bitwise_and(masks, ~bit, out=masks, where=forbid[:, j, None] == colours)
-
-
-def _missing(values, avoid):
-    """Which entries of `values` are none of the few values in `avoid`."""
-    keep = np.ones(len(values), dtype=bool)
-    for z in avoid:
-        keep &= values != z
-    return keep
-
-
-def _first(cells):
-    """(row, column) of the first true cell of a boolean grid, or None."""
-    if cells.size:
-        at = cells.argmax()
-        if cells.flat[at]:
-            return np.unravel_index(at, cells.shape)
-    return None
-
-
-@dataclass(frozen=True)
-class _Grid:
-    """What both sides share over the outside vertices `out`.
-
-    rows[a] holds the colours from out[a] to every vertex.  An outside
-    vertex avoided by every member is free, any other is listed.
-    weights[a, c] counts the free partners of a in colour c, and pair_ok[a, e]
-    says that a is not listed[e].
-    """
-
-    rows: np.ndarray
-    out: np.ndarray
-    free: np.ndarray
-    listed: np.ndarray
-    weights: np.ndarray
-    pair_ok: np.ndarray
-
-
-class _Side:
-    """The member masks of one side over the ordered pairs of outside indices.
+def _pair_table(g, members, out):
+    """The left and right member masks of the ordered pairs of outside vertices.
 
     Bit j of the left mask of (a, b) says member z1 z2 z3 z4 avoids a and b
-    and z1 z2 a b is PC.  That needs c(a, z2) != c(z1, z2) and c(a, b) !=
-    c(a, z2), so the mask depends only on a, c(a, b) and which members avoid
-    b.  The right mask of (a, b), for a b z3 z4, depends likewise only on b,
-    c(a, b) and a.  So each pair has an anchor (a on the left, b on the
-    right) and a partner.  class_masks[a, c] is the mask of every pair whose
-    anchor a meets a free partner in colour c; pair_masks[a, e] is the mask
-    of the pair with the listed partner e.  `masks` are the distinct masks
-    and `counts` how many pairs carry each.
-    """
-
-    def __init__(self, left, grid, class_masks, pair_masks):
-        self.left, self.grid = left, grid
-        self.class_masks, self.pair_masks = class_masks, pair_masks
-        listed_masks, listed_counts = np.unique(pair_masks[grid.pair_ok], return_counts=True)
-        grouped = grid.weights > 0
-        self.masks, inv = np.unique(
-            np.concatenate([class_masks[grouped], listed_masks]), return_inverse=True
-        )
-        self.counts = np.bincount(
-            inv, np.concatenate([grid.weights[grouped], listed_counts])
-        ).astype(np.int64)
-
-    def _oriented(self, anchors, partners):
-        return (anchors, partners) if self.left else (partners, anchors)
-
-    def pairs(self, i):
-        """Every ordered pair (firsts, seconds) of outside indices with mask i."""
-        grid, mask = self.grid, self.masks[i]
-        anchors, at = np.nonzero((self.pair_masks == mask) & grid.pair_ok)
-        grouped, colours = np.nonzero((self.class_masks == mask) & (grid.weights > 0))
-        cell, partners = np.nonzero(
-            grid.rows[grouped][:, grid.out[grid.free]] == colours[:, None]
-        )
-        return self._oriented(
-            np.concatenate([anchors, grouped[cell]]),
-            np.concatenate([grid.listed[at], grid.free[partners]]),
-        )
-
-    def one(self, i, avoid=()):
-        """One ordered pair with mask i that avoids the outside indices `avoid`."""
-        grid, mask = self.grid, self.masks[i]
-        open_rows = np.ones(len(grid.out), dtype=bool)
-        open_rows[list(avoid)] = False
-        hit = _first(
-            (self.pair_masks == mask) & grid.pair_ok
-            & open_rows[:, None] & _missing(grid.listed, avoid)[None, :]
-        )
-        if hit is not None:
-            return self._oriented(hit[0], grid.listed[hit[1]])
-        spare = grid.weights.copy()                # free partners outside `avoid`
-        for z in avoid:
-            if z in grid.free:
-                spare[open_rows, grid.rows[open_rows, grid.out[z]]] -= 1
-        anchor, colour = _first((self.class_masks == mask) & (spare > 0) & open_rows[:, None])
-        partners = grid.free[grid.rows[anchor, grid.out[grid.free]] == colour]
-        return self._oriented(anchor, partners[_missing(partners, avoid)][0])
-
-
-def _sides(g, members, out):
-    """The left and right `_Side` of a family over the outside vertices `out`.
-
-    Free partners are grouped into (anchor, colour) classes when those are
-    fewer than the pairs (k < m - 1 for m outside vertices); otherwise every
-    partner is listed.
+    and z1 z2 a b is PC: c(a, z2) != c(z1, z2) and c(a, b) != c(a, z2).  Bit
+    j of the right mask says it avoids them and a b z3 z4 is PC: c(b, z3) !=
+    c(z3, z4) and c(a, b) != c(b, z3).  Both tables are m x m, diagonal unused.
     """
     if len(members) > MASK_MEMBERS:
-        raise ValueError(
-            f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}"
-        )
+        raise ValueError(f"exact check takes at most {MASK_MEMBERS} members, got {len(members)}")
     C = g.matrix
-    m = len(out)
     zs = np.array(members, dtype=np.intp)
     bits = np.left_shift(np.uint64(1), np.arange(len(zs), dtype=np.uint64))
-    avoid = (out[:, None, None] != zs[None]).all(axis=2)   # member j avoids out[a]
-    F = np.bitwise_or.reduce(np.where(avoid, bits, np.uint64(0)), axis=1)
-    k = g.k if g.k < m - 1 else 0                 # class colours; 0 lists every partner
-    is_free = F == np.bitwise_or.reduce(bits) if k else np.zeros(m, dtype=bool)
-    free, listed = np.flatnonzero(is_free), np.flatnonzero(~is_free)
-    rows = C[out]
-    if k:
-        taken = np.ones(g.n, dtype=bool)          # partners that are not free
-        taken[out[free]] = False
-        weights = colour_counts(rows, k) - colour_counts(rows[:, taken], k)
-    else:
-        weights = np.zeros((m, 0), dtype=np.int64)
-    listed_colours = rows[:, out[listed]]
-    grid = _Grid(rows, out, free, listed, weights, listed_colours >= 0)
-    sides = []
-    for left, near, far in ((True, zs[:, 1], zs[:, 0]), (False, zs[:, 2], zs[:, 3])):
-        forbid = C[near][:, out].T                # c(anchor, z2) or c(anchor, z3)
-        base = np.bitwise_or.reduce(
-            np.where(avoid & (forbid != C[far, near]), bits, np.uint64(0)), axis=1
-        )
-        class_masks = np.repeat(base[:, None], k, axis=1)
-        pair_masks = base[:, None] & F[listed]
-        _drop_members(class_masks, forbid, bits, np.arange(k)[None, :])
-        _drop_members(pair_masks, forbid, bits, listed_colours)
-        sides.append(_Side(left, grid, class_masks, pair_masks))
-    return sides
+    free = (out[:, None, None] != zs[None]).all(axis=2)        # member j avoids out[a]
+    c2, c3 = C[np.ix_(out, zs[:, 1])], C[np.ix_(out, zs[:, 2])]
+
+    def bitset(cells):
+        return np.bitwise_or.reduce(np.where(cells, bits, np.uint64(0)), axis=1)
+
+    F = bitset(free)
+    left = bitset(free & (c2 != C[zs[:, 0], zs[:, 1]]))[:, None] & F[None, :]
+    right = F[:, None] & bitset(free & (c3 != C[zs[:, 2], zs[:, 3]]))[None, :]
+    block = C[np.ix_(out, out)]
+    for j, bit in enumerate(bits):
+        np.bitwise_and(left, ~bit, out=left, where=block == c2[:, j, None])
+        np.bitwise_and(right, ~bit, out=right, where=block == c3[None, :, j])
+    return left, right
+
+
+def _pairs(chosen, m):
+    """The ordered pairs (a, b) of outside indices at the true entries of
+    `chosen`, which runs over the m(m - 1) pairs with a != b row by row."""
+    a, r = np.divmod(np.flatnonzero(chosen), m - 1)
+    return a, r + (r >= a)
 
 
 def _disjoint(left, right, m):
     """Pairs (a, b) from `left` and (c, d) from `right` on four distinct
-    vertices, or None; both sides list at most 4m - 6 pairs.  For each left
-    pair, count the right pairs that share a vertex with it."""
+    vertices, or None.  For each left pair, count the right pairs that share
+    a vertex with it."""
     (a, b), (c, d) = left, right
     deg = np.bincount(c, minlength=m) + np.bincount(d, minlength=m)
     key = c * m + d
@@ -295,48 +184,19 @@ def _disjoint(left, right, m):
     return x, y, c[j], d[j]
 
 
-def _find_miss(left, right, meets, m):
-    """Four distinct outside indices that no member absorbs, or None.
-
-    A fixed ordered pair shares a vertex with at most 4m - 6 ordered pairs.
-    So when one side of a mask combination that does not meet has more
-    pairs than that, any pair of the other side has a disjoint partner
-    there; those combinations are tried first.  Otherwise both sides are
-    small and are listed in full.
-    """
-    most = 4 * m - 6
-    li, rj = np.nonzero(~meets)
-    large_right = right.counts[rj] > most
-    large_left = left.counts[li] > most
-    if large_right.any():
-        t = large_right.argmax()
-        a, b = left.one(li[t])
-        return (a, b, *right.one(rj[t], (a, b)))
-    if large_left.any():
-        t = large_left.argmax()
-        c, d = right.one(rj[t])
-        return (*left.one(li[t], (c, d)), c, d)
-    for i, j in zip(li, rj):
-        quad = _disjoint(left.pairs(i), right.pairs(j), m)
-        if quad is not None:
-            return quad
-    return None
-
-
 def verify_family_universality(g, members, outside=None):
     """Check that some member absorbs every ordered quadruple of `outside` vertices.
 
     `outside` defaults to the vertices not used by the family; a repeated
-    vertex or an id outside the graph raises ValueError.  The check is
-    exact: member j absorbs (x1, x2; y1, y2) iff bit j is set in both the
-    left mask of (x1, x2) and the right mask of (y1, y2) (see `_Side`).  With
-    k < m - 1 colours for m outside vertices, the masks are tabulated per
-    (vertex, colour) class weighted by its pair count, otherwise per pair.
-    Coverage is the fraction of (left pair, right pair) combinations whose
-    masks meet, overlapping vertices included.  For every combination of
-    masks that do not meet, the search for a quadruple on four distinct
-    vertices is exact and has no budget.  More than 64 members raise
-    ValueError.  Returns (ok, coverage, an uncovered quadruple or None).
+    vertex or an id outside the graph raises ValueError, and so do more than
+    64 members.  The check is exact: member j absorbs (x1, x2; y1, y2) iff
+    bit j is set in both the left mask of (x1, x2) and the right mask of
+    (y1, y2) (see `_pair_table`).  Each side groups the m(m - 1) ordered
+    outside pairs by mask.  Coverage is the fraction of (left pair, right
+    pair) combinations whose masks meet, overlapping vertices included.  For
+    every combination of masks that do not meet, the pairs of both groups
+    are searched for four distinct vertices, exactly and with no budget.
+    Returns (ok, coverage, an uncovered quadruple or None).
     """
     used = {v for mb in members for v in mb}
     if outside is None:
@@ -353,17 +213,21 @@ def verify_family_universality(g, members, outside=None):
         return False, 0.0, tuple(outside[:4])
     out = np.array(outside, dtype=np.intp)
     m = len(out)
-    left, right = _sides(g, members, out)
-    meets = (left.masks[:, None] & right.masks[None, :]) != 0   # some member absorbs this mask pair
+    left, right = _pair_table(g, members, out)
+    offdiag = ~np.eye(m, dtype=bool)
+    lmasks, linv, lcounts = np.unique(left[offdiag], return_inverse=True, return_counts=True)
+    rmasks, rinv, rcounts = np.unique(right[offdiag], return_inverse=True, return_counts=True)
+    meets = (lmasks[:, None] & rmasks[None, :]) != 0   # some member absorbs this mask pair
     if meets.all():
         return True, 1.0, None
     # pair-level covered fraction (combinations sharing a vertex included)
-    coverage = int(left.counts @ meets @ right.counts) / (m * (m - 1)) ** 2
-    quad = _find_miss(left, right, meets, m)
-    if quad is None:
-        # every combination that no member absorbs shares a vertex
-        return True, 1.0, None
-    return False, coverage, tuple(int(out[i]) for i in quad)
+    coverage = int(lcounts @ meets @ rcounts) / (m * (m - 1)) ** 2
+    for i, j in zip(*np.nonzero(~meets)):
+        quad = _disjoint(_pairs(linv == i, m), _pairs(rinv == j, m), m)
+        if quad is not None:
+            return False, coverage, tuple(int(out[v]) for v in quad)
+    # every combination that no member absorbs shares a vertex
+    return True, 1.0, None
 
 
 # ---------------------------------------------------------------------------

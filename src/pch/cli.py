@@ -378,8 +378,8 @@ def _lemma_abscycle(params: dict) -> dict:
     dmax = params["dmax"]
     target = params.get("family_size", 3)
     join_cap = params.get("max_len", 6)
-    built = 0
-    orders = []
+    built = universal = 0
+    orders, coverages = [], []
     bound_ok = True
     for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
@@ -392,9 +392,13 @@ def _lemma_abscycle(params: dict) -> dict:
             orders.append(order)
             if order > (4 + join_cap) * len(res.cycle.family):
                 bound_ok = False
+            ok, coverage, _ = absorbing.verify_family_universality(g, res.cycle.family)
+            universal += ok
+            coverages.append(coverage)
     return _derived({
         "lemma": "abscycle", "n": n, "dmax": dmax, "instances": len(seeds),
-        "built": built, "orders": orders, "size_bound_ok": bound_ok,
+        "built": built, "universal": universal, "orders": orders, "coverages": coverages,
+        "size_bound_ok": bound_ok,
     })
 
 
@@ -414,7 +418,7 @@ _DERIVED = {
         "pass": r["invalid_certificates"] == 0
         and (not r["oracle_exists"] or r["agreement"] / r["oracle_exists"] >= 0.9),
     },
-    "abscycle": lambda r: {"pass": r["built"] > 0 and r["size_bound_ok"]},
+    "abscycle": lambda r: {"pass": r["universal"] > 0 and r["size_bound_ok"]},
 }
 
 
@@ -431,7 +435,8 @@ _MERGE = {
     "size_bound_ok": operator.and_,
     **dict.fromkeys((
         "instances", "violations", "trials", "successes", "oracle_exists", "heuristic_success",
-        "agreement", "invalid_certificates", "built", "orders", "growth_ratios",
+        "agreement", "invalid_certificates", "built", "universal", "orders", "coverages",
+        "growth_ratios",
     ), operator.add),
 }
 

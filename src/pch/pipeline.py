@@ -46,23 +46,25 @@ FALLBACK_EXACT = "exact"
 _PATH_SEEDS = 3
 _ROTATION_DEPTH = 2
 _ROTATION_CAP = 5_000
+# restriction size up to which the exact path search backs up the heuristic
+_EXACT_PATH_CAP = 15
 
 
 @dataclass
 class PipelineConfig:
-    """Practical knobs.
+    """How one run is seeded and what happens when a stage fails.
 
-    At scale the analysis pins the absorbing-cycle size to the gamma fraction
-    reported by ``check_constants``; here the family size is derived from n
-    and the join length is a small explicit number.
+    ``seed`` drives the absorbing cycle, the 2-factor search and the path
+    seeds.  ``budget`` bounds the exact searches: the path search on a
+    restriction of at most 15 vertices and, with ``fallback="exact"``, the
+    Hamiltonian cycle oracle that a failed run asks.  The sizes are practical
+    constants (family size from n, joins of order at most 6), not the ones
+    ``check_constants`` reports for the asymptotic argument.
     """
 
     seed: int = 0
-    join_max_len: int = 6
     fallback: str = FALLBACK_NONE
-    exact_path_cap: int = 15             # restriction size up to which exact path search runs
     budget: SearchBudget = field(default_factory=SearchBudget)
-    two_factor: TwoFactorConfig | None = None
 
 
 @dataclass
@@ -140,7 +142,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
 
     t0 = time.perf_counter()
     target = _default_family_target(n)
-    build = build_absorbing_cycle(g, BuildParams(target, seed=cfg.seed, join_max_len=cfg.join_max_len))
+    build = build_absorbing_cycle(g, BuildParams(target, seed=cfg.seed))
     report["stages"]["absorbing_cycle"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         "family_target": target,
@@ -161,7 +163,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": sub.n}
 
     t0 = time.perf_counter()
-    tf = find_pc_two_factor(sub, cfg.two_factor or TwoFactorConfig(seed=cfg.seed))
+    tf = find_pc_two_factor(sub, TwoFactorConfig(seed=cfg.seed))
     partial["two_factor"] = tf
     report["stages"]["two_factor"] = {
         "seconds": round(time.perf_counter() - t0, 4),
@@ -175,7 +177,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     t0 = time.perf_counter()
     path = find_pc_ham_path_heuristic(sub, seed=cfg.seed, two_factor=tf)
     how = "rotation"
-    if path is None and sub.n <= cfg.exact_path_cap:
+    if path is None and sub.n <= _EXACT_PATH_CAP:
         res = exact_pc_ham_path(sub, cfg.budget)
         how = f"exact:{res.status.value}"
         if res.exists:

@@ -733,12 +733,17 @@ def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOut
 # Hamiltonian path heuristic (2-factor cycles opened and merged by rotations)
 # ---------------------------------------------------------------------------
 
+# extensions and rotations tried per opening of the 2-factor's first cycle
+_PATH_STEPS = 400
+
+
 def find_pc_ham_path_heuristic(
-    g, seed: int = 0, step_cap: int = 400, two_factor: TwoFactorOutcome | None = None
+    g, seed: int = 0, two_factor: TwoFactorOutcome | None = None
 ) -> DirectedPath | None:
-    """Try to build a spanning PC path: find a 2-factor, open one cycle into a
-    path, then absorb the remaining cycles by chord rotations.  Returns None
-    on failure; any returned path is verified spanning and properly coloured.
+    """Try to build a spanning PC path: find a 2-factor, open its first cycle
+    into a path at each vertex in turn, then absorb the remaining cycles by
+    chord rotations.  Returns None on failure, also when no 2-factor is
+    found; any returned path is verified spanning and properly coloured.
 
     ``two_factor`` is a 2-factor search already run on g; without one the
     search runs here with ``TwoFactorConfig(seed=seed)``.
@@ -748,21 +753,15 @@ def find_pc_ham_path_heuristic(
     if g.n == 2:
         return DirectedPath((0, 1))
     out = two_factor if two_factor is not None else find_pc_two_factor(g, TwoFactorConfig(seed=seed))
+    if not out.success:
+        return None
     rng = random.Random(seed + 1)
-    candidates: list[PathCycleSystem] = []
-    if out.success:
-        cycles = [DirectedCycle(tuple(c)) for c in out.certificate.cycles]
-        lead = cycles[0]
-        rest = tuple(cycles[1:])
-        verts = lead.vertices
-        for i in range(len(verts)):
-            opened = DirectedPath(verts[i:] + verts[:i])
-            candidates.append(PathCycleSystem(opened, rest))
-    candidates.append(maximal_path_cycle(g, seed=seed, restarts=20))
-
-    for sys in candidates:
-        cur = sys
-        for _ in range(step_cap):
+    cycles = [DirectedCycle(tuple(c)) for c in out.certificate.cycles]
+    rest = tuple(cycles[1:])
+    verts = cycles[0].vertices
+    for i in range(len(verts)):
+        cur = PathCycleSystem(DirectedPath(verts[i:] + verts[:i]), rest)
+        for _ in range(_PATH_STEPS):
             if cur.path is not None and cur.path.order == g.n and not cur.cycles:
                 path = cur.path
                 _guarantee(is_properly_coloured_path(g, path), "spanning path is not properly coloured")

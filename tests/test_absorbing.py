@@ -235,6 +235,29 @@ def test_universality_beyond_mask_width_fails_loudly():
     assert not verify_family_universality(g, members[:64])[0]
 
 
+def test_universality_at_bench_scale_rainbow():
+    g = rainbow(80)
+    res = build_absorbing_cycle(g, BuildParams(3, seed=0))
+    assert res.success
+    assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
+
+
+@pytest.mark.parametrize("dmax, colours, coverage", [(36, 3, 0.69116), (24, 6, 0.94272)])
+def test_universality_at_bench_scale_few_colours(dmax, colours, coverage):
+    # 5-member builder families at n = 80, the bench's few-colour scale
+    g = random_bounded_colouring(80, dmax, 0, colours=colours)
+    res = build_absorbing_cycle(g, BuildParams(5, seed=0))
+    assert res.success
+    members = res.cycle.family
+    used = {v for mb in members for v in mb}
+    out = [v for v in range(g.n) if v not in used]
+    ok, cov, miss = verify_family_universality(g, members)
+    assert not ok
+    assert cov == _pair_mask_coverage(g, members, out) == pytest.approx(coverage, abs=5e-6)
+    assert len(set(miss)) == 4 and set(miss) <= set(out)
+    assert not any(is_absorbing(g, miss, mb) for mb in members)
+
+
 def test_join_ends_rainbow_immediate():
     g = rainbow(10)
     p = join_ends(g, 0, 1, 2, 3)

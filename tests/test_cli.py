@@ -4,7 +4,7 @@ import pytest
 
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
 from pch.cli import main
-from pch.constructions import rainbow
+from pch.constructions import rainbow, random_bounded_colouring
 from pch.ec_graph import certificate_to_json, ham_cycle_certificate, read_graph, write_graph
 
 
@@ -185,6 +185,7 @@ def test_lemma_check_parallel_jobs(tmp_path):
 @pytest.mark.parametrize("lemma,extra", [
     ("abspath", ["--n", "20", "--dmax", "7", "--quads", "5"]),
     ("ifar", ["--n", "16", "--dmax", "6"]),
+    ("abscycle", ["--n", "30", "--dmax", "12"]),
 ])
 def test_lemma_check_jobs_match_serial(tmp_path, lemma, extra):
     results = []
@@ -194,6 +195,24 @@ def test_lemma_check_jobs_match_serial(tmp_path, lemma, extra):
             "--report", str(rpath))
         results.append(json.loads(rpath.read_text())["result"])
     assert results[1] == results[0]
+
+
+def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):
+    rpath = tmp_path / "abscycle.json"
+    code = run("lemma-check", "--lemma", "abscycle", "--n", "30", "--dmax", "12",
+               "--seeds", "3", "--report", str(rpath))
+    rep = json.loads(rpath.read_text())["result"]
+    audits = []
+    for seed in range(3):
+        g = random_bounded_colouring(30, 12, seed)
+        build = build_absorbing_cycle(g, BuildParams(3, seed=seed))
+        if build.success:
+            audits.append(verify_family_universality(g, build.cycle.family))
+    assert rep["built"] == len(audits) > 0
+    assert rep["universal"] == sum(ok for ok, _, _ in audits)
+    assert rep["coverages"] == [coverage for _, coverage, _ in audits]
+    assert rep["pass"] == (rep["universal"] > 0 and rep["size_bound_ok"])
+    assert code == (0 if rep["pass"] else 1)
 
 
 def test_lemma_check_abspath_at_contract_scale(tmp_path):

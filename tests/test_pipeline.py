@@ -9,7 +9,7 @@ from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, rando
 from pch.ec_graph import VERDICT_INVALID, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
-from pch.rotations import find_pc_two_factor
+from pch.rotations import find_pc_two_factor, maximal_path_cycle
 
 
 def test_rainbow_succeeds_and_verifies():
@@ -125,6 +125,24 @@ def test_pipeline_runs_one_two_factor_search(monkeypatch):
     outcomes = _record_two_factor_calls(monkeypatch)
     assert run_pipeline(rainbow(30), PipelineConfig(seed=3)).success
     assert len(outcomes) == 1
+
+
+@pytest.mark.parametrize("make, seed", [
+    pytest.param(lambda: rainbow(30), 3, id="rainbow30"),
+    pytest.param(lambda: random_bounded_colouring(160, 72, 0, colours=3), 0, id="three-colour160"),
+])
+def test_pipeline_builds_one_maximal_path_cycle(monkeypatch, make, seed):
+    # the 2-factor search starts from one; opening its first cycle needs no other
+    g = make()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return maximal_path_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", counting)
+    assert run_pipeline(g, PipelineConfig(seed=seed)).success
+    assert len(calls) == 1
 
 
 def _assert_solved(g, res):
