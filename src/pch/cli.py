@@ -307,7 +307,7 @@ def _lemma_abspath(params: dict) -> dict:
 def _lemma_ifar(params: dict) -> dict:
     n, eps, seeds = params["n"], params["eps"], params["seeds"]
     dmax = params.get("dmax") or int((0.5 - eps) * n)
-    max_len = min(int(2 * eps ** -2), params.get("max_len") or 8)
+    max_len = min(int(2 * eps ** -2), 8)
     trials = params.get("trials", 20)
     succ = 0
     total = 0
@@ -348,8 +348,8 @@ def _lemma_rotation3(params: dict) -> dict:
 
 
 def _lemma_2factor(params: dict) -> dict:
-    n, seeds = params["n"], params["seeds"]
-    dmax = params["dmax"]
+    n, eps, seeds = params["n"], params["eps"], params["seeds"]
+    dmax = params.get("dmax") or int((0.5 - eps) * n)
     agree = 0
     oracle_yes = 0
     heur_yes = 0
@@ -374,18 +374,16 @@ def _lemma_2factor(params: dict) -> dict:
 
 
 def _lemma_abscycle(params: dict) -> dict:
-    n, seeds = params["n"], params["seeds"]
-    dmax = params["dmax"]
+    n, eps, seeds = params["n"], params["eps"], params["seeds"]
+    dmax = params.get("dmax") or int((0.5 - eps) * n)
     target = params.get("family_size", 3)
-    join_cap = params.get("max_len", 6)
+    join_cap = absorbing.BuildParams.join_max_len
     built = universal = 0
     orders, coverages = [], []
     bound_ok = True
     for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
-        res = absorbing.build_absorbing_cycle(
-            g, absorbing.BuildParams(target, seed=seed, join_max_len=join_cap)
-        )
+        res = absorbing.build_absorbing_cycle(g, absorbing.BuildParams(target, seed=seed))
         if res.success:
             built += 1
             order = res.cycle.cycle.order

@@ -1,10 +1,12 @@
 """End-to-end Hamiltonian cycle construction.
 
-Stages: build a small absorbing cycle; delete its vertices; find a properly
-coloured 2-factor in the rest; turn that into a spanning PC path of the rest
-(rotation heuristic first, exhaustive search as the desk-scale stand-in for
-the 2-factor-to-path theorem); absorb the path into the cycle, reversed,
+Stages: build a small absorbing cycle; delete its vertices; find a spanning
+properly coloured path of the rest; absorb the path into the cycle, reversed,
 end-rotated or from another seed until some member absorbs its end quadruple.
+The spanning path is grown greedily first.  Only when greedy growth stops
+short does the paper's route run: a properly coloured 2-factor of the rest,
+opened into a spanning path by rotations, with exhaustive search as the
+desk-scale stand-in for the 2-factor-to-path theorem on small restrictions.
 The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
@@ -18,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from pch import rotations
 from pch.absorbing import AbsorptionError, BuildParams, absorb_path, build_absorbing_cycle
 from pch.ec_graph import (
     Certificate,
@@ -33,6 +36,7 @@ from pch.rotations import (
     RIGHT,
     PathCycleSystem,
     TwoFactorConfig,
+    TwoFactorOutcome,
     expand_endpoint_colours,
     find_pc_ham_path_heuristic,
     find_pc_two_factor,
@@ -54,8 +58,9 @@ _EXACT_PATH_CAP = 15
 class PipelineConfig:
     """How one run is seeded and what happens when a stage fails.
 
-    ``seed`` drives the absorbing cycle, the 2-factor search and the path
-    seeds.  ``budget`` bounds the exact searches: the path search on a
+    ``seed`` drives the absorbing cycle and the path seeds: each seed's
+    greedy growth and, when that stops short of spanning, its 2-factor
+    search.  ``budget`` bounds the exact searches: the path search on a
     restriction of at most 15 vertices and, with ``fallback="exact"``, the
     Hamiltonian cycle oracle that a failed run asks.  The sizes are practical
     constants (family size from n, joins of order at most 6), not the ones
@@ -91,6 +96,17 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
+def _spanning_path(sub, seed: int) -> tuple[DirectedPath | None, TwoFactorOutcome | None]:
+    """A spanning PC path of `sub` for `seed` (None if none was found), and
+    the 2-factor search it took (None when the greedy path spans)."""
+    cfg = TwoFactorConfig(seed=seed)
+    greedy = rotations.maximal_path_cycle(sub, seed, restarts=cfg.greedy_restarts)
+    if greedy.path.order == sub.n:
+        return greedy.path, None
+    tf = find_pc_two_factor(sub, cfg)
+    return find_pc_ham_path_heuristic(sub, seed=seed, two_factor=tf), tf
+
+
 def _rotated(sub, path: DirectedPath, tried: dict):
     """The spanning paths that rotating one end of `path` reaches."""
     for side in (RIGHT, LEFT):
@@ -105,14 +121,14 @@ def _rotated(sub, path: DirectedPath, tried: dict):
 def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
     """Absorb a spanning path of `sub` into `ac`: the cycle, or None.
 
-    Each seed's path (`first` for `seed`; later seeds search their own
-    2-factor) is tried forward and reversed, and then so is each spanning
-    path its end rotations reach.  `tried` records the path seeds, end
-    quadruples and rotations.
+    Each seed's path (`first` for `seed`; later seeds build their own) is
+    tried forward and reversed, and then so is each spanning path its end
+    rotations reach.  `tried` records the path seeds, end quadruples and
+    rotations.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
-        path = first if i == 0 else find_pc_ham_path_heuristic(sub, seed=seed + i)
+        path = first if i == 0 else _spanning_path(sub, seed + i)[0]
         if path is None:
             continue
         for variant in itertools.chain([path], _rotated(sub, path, tried)):
@@ -163,28 +179,25 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": sub.n}
 
     t0 = time.perf_counter()
-    tf = find_pc_two_factor(sub, TwoFactorConfig(seed=cfg.seed))
-    partial["two_factor"] = tf
-    report["stages"]["two_factor"] = {
-        "seconds": round(time.perf_counter() - t0, 4),
-        "success": tf.success,
-        "attempts": tf.stats["attempts"],
-        "rotations": tf.stats["rotations"],
-        # "fallback" once some closure needed rotations, else "immediate"
-        "closed_via": tf.stats.get("closed_via", "immediate"),
-    }
-
-    t0 = time.perf_counter()
-    path = find_pc_ham_path_heuristic(sub, seed=cfg.seed, two_factor=tf)
-    how = "rotation"
+    path, tf = _spanning_path(sub, cfg.seed)
+    record: dict = {"how": "greedy"}
+    if tf is not None:
+        partial["two_factor"] = tf
+        record = {
+            "how": "two_factor",
+            "attempts": tf.stats["attempts"],
+            "rotations": tf.stats["rotations"],
+            # "fallback" once some closure needed rotations, else "immediate"
+            "closed_via": tf.stats.get("closed_via", "immediate"),
+        }
     if path is None and sub.n <= _EXACT_PATH_CAP:
         res = exact_pc_ham_path(sub, cfg.budget)
-        how = f"exact:{res.status.value}"
+        record["how"] = f"exact:{res.status.value}"
         if res.exists:
             path = DirectedPath(res.certificate.path)
     report["stages"]["ham_path"] = {
         "seconds": round(time.perf_counter() - t0, 4),
-        "how": how,
+        **record,
         "success": path is not None,
     }
     if path is None:

@@ -264,7 +264,6 @@ def rotate(sys: PathCycleSystem, g, chord: Chord, check: bool = True) -> PathCyc
 @dataclass(frozen=True)
 class ChordSequence:
     chords: tuple[Chord, ...]
-    spread_distance: int = SPREAD_DISTANCE
 
 
 def _chords_of(seq) -> tuple[Chord, ...]:
@@ -273,12 +272,9 @@ def _chords_of(seq) -> tuple[Chord, ...]:
     return tuple(seq)
 
 
-def is_spread_out(sys: PathCycleSystem, seq, spread_distance: int | None = None) -> bool:
-    """Pairwise distances in sys among {x, y, chord targets} all exceed the bound."""
+def is_spread_out(sys: PathCycleSystem, seq) -> bool:
+    """Pairwise distances in sys among {x, y, chord targets} all exceed SPREAD_DISTANCE."""
     chords = _chords_of(seq)
-    d = spread_distance
-    if d is None:
-        d = seq.spread_distance if isinstance(seq, ChordSequence) else SPREAD_DISTANCE
     if sys.path is None:
         return False
     pts = [sys.path.first, sys.path.last] + [c.w for c in chords]
@@ -287,7 +283,7 @@ def is_spread_out(sys: PathCycleSystem, seq, spread_distance: int | None = None)
     dist = system_distances(sys)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if dist[pts[i]].get(pts[j], None) is not None and dist[pts[i]][pts[j]] <= d:
+            if dist[pts[i]].get(pts[j], None) is not None and dist[pts[i]][pts[j]] <= SPREAD_DISTANCE:
                 return False
     return True
 
@@ -339,7 +335,6 @@ def combine_rotation_sequences(
     g,
     right_seq,
     left_seq,
-    spread_distance: int = SPREAD_DISTANCE,
 ) -> PathCycleSystem:
     """Apply a right-only then a left-only sequence derived independently from sys.
 
@@ -354,7 +349,7 @@ def combine_rotation_sequences(
         raise ValueError("right_seq must contain only right chords")
     if not all(ch.side == LEFT for ch in left):
         raise ValueError("left_seq must contain only left chords")
-    if not is_spread_out(sys, right + left, spread_distance):
+    if not is_spread_out(sys, right + left):
         raise ValueError("combined chord sequence is not spread out in the original system")
 
     # the left-alone endpoint trace; the replay below is steered to follow it,
@@ -395,17 +390,8 @@ class EndpointState:
     system: PathCycleSystem
 
 
-@dataclass(frozen=True)
-class TwoColourFind:
-    vertex: int
-    first: EndpointState
-    second: EndpointState
-    depth: int
-
-
 @dataclass
 class ExpansionResult:
-    found: TwoColourFind | None
     layers: list[dict]          # depth -> {(z, c_z): EndpointState}
     rotations: int
 
@@ -431,7 +417,6 @@ def expand_endpoint_colours(
     side: str,
     forbidden=frozenset(),
     max_depth: int = 3,
-    spread_distance: int = SPREAD_DISTANCE,
     require_spread: bool = True,
     max_rotations: int = 200_000,
 ) -> ExpansionResult:
@@ -447,7 +432,7 @@ def expand_endpoint_colours(
     if side == LEFT:
         rev = _mirror(sys)
         res = expand_endpoint_colours(
-            rev, g, RIGHT, forbidden, max_depth, spread_distance, require_spread, max_rotations
+            rev, g, RIGHT, forbidden, max_depth, require_spread, max_rotations
         )
         return _mirror_expansion(res)
 
@@ -459,7 +444,7 @@ def expand_endpoint_colours(
     ]
     rotations = 0
 
-    for depth in range(1, max_depth + 1):
+    for _ in range(max_depth):
         new: dict[tuple[int, int], EndpointState] = {}
         for key in sorted(layers[-1]):
             st = layers[-1][key]
@@ -481,13 +466,13 @@ def expand_endpoint_colours(
                     continue
                 if require_spread:
                     dw = dist[w]
-                    if any(dw.get(p, 10 ** 9) <= spread_distance for p in spread_pts):
+                    if any(dw.get(p, 10 ** 9) <= SPREAD_DISTANCE for p in spread_pts):
                         continue
                 # both neighbours of w can be reachable endpoints; take each
                 for tgt in rotation_targets(cur, g, RIGHT, w):
                     ch = Chord(RIGHT, z, w, tgt)
                     if rotations >= max_rotations:
-                        return ExpansionResult(None, layers, rotations)
+                        return ExpansionResult(layers, rotations)
                     nxt = rotate(cur, g, ch, check=False)
                     rotations += 1
                     np = nxt.path.vertices
@@ -498,18 +483,10 @@ def expand_endpoint_colours(
                     if (nz, ncz) not in new:
                         new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (ch,), nxt)
         layers.append(new)
-        by_vertex: dict[int, list[int]] = {}
-        for (z, c) in new:
-            by_vertex.setdefault(z, []).append(c)
-        for z in sorted(by_vertex):
-            cols = sorted(by_vertex[z])
-            if len(cols) >= 2:
-                first = new[(z, cols[0])]
-                second = new[(z, cols[1])]
-                return ExpansionResult(TwoColourFind(z, first, second, depth), layers, rotations)
-        if not new:
+        # no new state, or one vertex reached in two colours
+        if not new or len({z for z, _ in new}) < len(new):
             break
-    return ExpansionResult(None, layers, rotations)
+    return ExpansionResult(layers, rotations)
 
 
 def _mirror_expansion(res: ExpansionResult) -> ExpansionResult:
@@ -521,15 +498,7 @@ def _mirror_expansion(res: ExpansionResult) -> ExpansionResult:
         {key: flip_state(st) for key, st in layer.items()}
         for layer in res.layers
     ]
-    found = None
-    if res.found is not None:
-        found = TwoColourFind(
-            res.found.vertex,
-            flip_state(res.found.first),
-            flip_state(res.found.second),
-            res.found.depth,
-        )
-    return ExpansionResult(found, layers, res.rotations)
+    return ExpansionResult(layers, res.rotations)
 
 
 # ---------------------------------------------------------------------------

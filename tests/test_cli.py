@@ -147,6 +147,16 @@ def test_lemma_check_2factor_small(tmp_path):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("lemma, n", [("2factor", 9), ("abscycle", 30)])
+def test_lemma_check_defaults_dmax_from_eps(tmp_path, capsys, lemma, n):
+    rpath = tmp_path / f"{lemma}.json"
+    code = run("lemma-check", "--lemma", lemma, "--n", str(n), "--eps", "0.1", "--seeds", "2",
+               "--report", str(rpath))
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(rpath.read_text())["result"]["dmax"] == int((0.5 - 0.1) * n)
+
+
 def test_lemma_check_unknown_is_usage_error():
     assert run("lemma-check", "--lemma", "nope") == 2
 

@@ -6,7 +6,7 @@ import pch.absorbing
 import pch.pipeline
 import pch.rotations
 from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, random_bounded_colouring
-from pch.ec_graph import VERDICT_INVALID, max_mono_degree, induced_subgraph, verify_certificate
+from pch.ec_graph import VERDICT_INVALID, DirectedPath, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
 from pch.rotations import find_pc_two_factor, maximal_path_cycle
@@ -106,25 +106,54 @@ def _record_two_factor_calls(monkeypatch) -> list:
     return outcomes
 
 
-def test_report_contains_stage_records(monkeypatch):
-    outcomes = _record_two_factor_calls(monkeypatch)
+def test_report_contains_stage_records():
     res = run_pipeline(rainbow(30), PipelineConfig(seed=3))
     assert res.success
     stages = res.report["stages"]
-    for name in ("absorbing_cycle", "restriction", "two_factor", "ham_path", "absorb"):
-        assert name in stages
-        assert stages[name]["seconds"] >= 0
-    [tf] = outcomes
-    assert stages["two_factor"]["attempts"] == tf.stats["attempts"] >= 1
-    assert stages["two_factor"]["rotations"] == tf.stats["rotations"]
-    assert stages["two_factor"]["closed_via"] == tf.stats.get("closed_via", "immediate")
-    assert stages["two_factor"]["closed_via"] in ("immediate", "fallback")
+    assert list(stages) == ["absorbing_cycle", "restriction", "ham_path", "absorb"]
+    for record in stages.values():
+        assert record["seconds"] >= 0
+    assert stages["ham_path"]["how"] == "greedy"
+    assert stages["ham_path"]["success"]
 
 
 def test_pipeline_runs_one_two_factor_search(monkeypatch):
+    # at most one, and none at all when the greedy path spans
     outcomes = _record_two_factor_calls(monkeypatch)
-    assert run_pipeline(rainbow(30), PipelineConfig(seed=3)).success
-    assert len(outcomes) == 1
+    for g, seed in (
+        (rainbow(30), 3),
+        (random_bounded_colouring(160, 72, 0, colours=3), 0),
+        (near_bollobas_erdos(80, 6), 6),
+    ):
+        res = run_pipeline(g, PipelineConfig(seed=seed))
+        assert res.success
+        assert res.report["stages"]["ham_path"]["how"] == "greedy"
+    assert outcomes == []
+
+
+def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
+    # greedy growth that stops one vertex short of the restriction, once
+    outcomes = _record_two_factor_calls(monkeypatch)
+    calls = []
+
+    def one_short(*args, **kwargs):
+        sys = maximal_path_cycle(*args, **kwargs)
+        calls.append(args)
+        if len(calls) == 1:
+            sys = replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
+        return sys
+
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", one_short)
+    g = rainbow(30)
+    res = run_pipeline(g, PipelineConfig(seed=3))
+    _assert_solved(g, res)
+    record = res.report["stages"]["ham_path"]
+    [tf] = outcomes
+    assert tf.success
+    assert record["how"] == "two_factor"
+    assert record["attempts"] == tf.stats["attempts"] >= 1
+    assert record["rotations"] == tf.stats["rotations"]
+    assert record["closed_via"] == tf.stats.get("closed_via", "immediate")
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -173,6 +202,9 @@ def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
     res = run_pipeline(g, PipelineConfig(seed=1))
     assert not res.success
     assert res.failure.stage == res.report["failed_stage"] == "absorb"
+    # the greedy path spanned, so no 2-factor outcome is kept
+    assert res.report["stages"]["ham_path"]["how"] == "greedy"
+    assert "two_factor" not in res.failure.partial
     tried = res.report["stages"]["absorb"]
     assert tried["path_seeds"] == [1, 2, 3]
     assert tried["rotations"] > 0
@@ -191,7 +223,7 @@ def _timeless(report):
 
 
 def test_report_repeats_for_the_same_seed():
-    g = near_bollobas_erdos(20, 1)
-    first, second = (run_pipeline(g, PipelineConfig(seed=1)).report for _ in range(2))
+    g = near_bollobas_erdos(20, 0)
+    first, second = (run_pipeline(g, PipelineConfig(seed=0)).report for _ in range(2))
     assert first["stages"]["absorb"]["rotations"] > 0
     assert _timeless(first) == _timeless(second)
