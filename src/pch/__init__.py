@@ -46,9 +46,7 @@ from pch.exact import (
 )
 from pch.rotations import (
     Chord,
-    ChordSequence,
     PathCycleSystem,
-    TwoFactorConfig,
     apply_chord_sequence,
     combine_rotation_sequences,
     expand_endpoint_colours,

@@ -106,7 +106,7 @@ def count_absorbing(g, quad) -> int:
         mcol = row2                               # colour(z2, z3) as z3 varies
         safe = np.where(mcol >= 0, mcol, 0)
         # z1 must avoid colours {a2, c(z2,z3)} towards z2; z3 and z2 fall out
-        # automatically because their colours towards z2 sit in the forbidden set
+        # automatically because their colours towards z2 sit in the avoided set
         n1 = (m - 1) - cnts[i2, a2] - np.where(mcol != a2, cnts[i2, safe], 0)
         # z4 must avoid colours {c(z2,z3), c(z3,y2)} towards z3
         n4 = (m - 1) - np.take_along_axis(cnts, safe[:, None], axis=1)[:, 0]

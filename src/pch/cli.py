@@ -187,7 +187,7 @@ def cmd_solve(args) -> int:
     g = _load_graph(args.input)
     t0 = time.perf_counter()
     if args.method == "rotation":
-        out = rotations.find_pc_two_factor(g, rotations.TwoFactorConfig(seed=args.seed))
+        out = rotations.find_pc_two_factor(g, args.seed)
         result = {
             "success": out.success,
             "certificate": certificate_to_json(out.certificate) if out.certificate else None,
@@ -357,7 +357,7 @@ def _lemma_2factor(params: dict) -> dict:
     for seed in seeds:
         g = constructions.random_bounded_colouring(n, dmax, seed)
         oracle = exact.exact_pc_two_factor(g)
-        heur = rotations.find_pc_two_factor(g, rotations.TwoFactorConfig(seed=seed))
+        heur = rotations.find_pc_two_factor(g, seed)
         if heur.success:
             heur_yes += 1
             if not verify_certificate(g, heur.certificate).valid:

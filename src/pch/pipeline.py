@@ -5,8 +5,11 @@ properly coloured path of the rest; absorb the path into the cycle, reversed,
 end-rotated or from another seed until some member absorbs its end quadruple.
 The spanning path is grown greedily first.  Only when greedy growth stops
 short does the paper's route run: a properly coloured 2-factor of the rest,
-opened into a spanning path by rotations, with exhaustive search as the
-desk-scale stand-in for the 2-factor-to-path theorem on small restrictions.
+searched with the path seed as its one setting, whose cycles are opened into
+a spanning path by rotations, with exhaustive search as the desk-scale
+stand-in for the 2-factor-to-path theorem on small restrictions.  The
+report's ``ham_path`` record names the first path seed's route, and the
+``absorb`` record's ``routes`` the route of each later seed's path.
 The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
@@ -32,10 +35,10 @@ from pch.ec_graph import (
 )
 from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle, exact_pc_ham_path
 from pch.rotations import (
+    GREEDY_RESTARTS,
     LEFT,
     RIGHT,
     PathCycleSystem,
-    TwoFactorConfig,
     TwoFactorOutcome,
     expand_endpoint_colours,
     find_pc_ham_path_heuristic,
@@ -96,15 +99,22 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
-def _spanning_path(sub, seed: int) -> tuple[DirectedPath | None, TwoFactorOutcome | None]:
-    """A spanning PC path of `sub` for `seed` (None if none was found), and
-    the 2-factor search it took (None when the greedy path spans)."""
-    cfg = TwoFactorConfig(seed=seed)
-    greedy = rotations.maximal_path_cycle(sub, seed, restarts=cfg.greedy_restarts)
+def _spanning_path(sub, seed: int) -> tuple[DirectedPath | None, dict, TwoFactorOutcome | None]:
+    """A spanning PC path of `sub` for `seed` (None if none was found), the
+    record of its route, and the 2-factor search it took (None when the
+    greedy path spans)."""
+    greedy = rotations.maximal_path_cycle(sub, seed, restarts=GREEDY_RESTARTS)
     if greedy.path.order == sub.n:
-        return greedy.path, None
-    tf = find_pc_two_factor(sub, cfg)
-    return find_pc_ham_path_heuristic(sub, seed=seed, two_factor=tf), tf
+        return greedy.path, {"how": "greedy"}, None
+    tf = find_pc_two_factor(sub, seed)
+    route = {
+        "how": "two_factor",
+        "attempts": tf.stats["attempts"],
+        "rotations": tf.stats["rotations"],
+        # "fallback" once some closure needed rotations, else "immediate"
+        "closed_via": tf.stats.get("closed_via", "immediate"),
+    }
+    return find_pc_ham_path_heuristic(sub, tf), route, tf
 
 
 def _rotated(sub, path: DirectedPath, tried: dict):
@@ -123,12 +133,15 @@ def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
 
     Each seed's path (`first` for `seed`; later seeds build their own) is
     tried forward and reversed, and then so is each spanning path its end
-    rotations reach.  `tried` records the path seeds, end quadruples and
-    rotations.
+    rotations reach.  `tried` records the path seeds, the routes of the
+    paths later seeds built, end quadruples and rotations.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
-        path = first if i == 0 else _spanning_path(sub, seed + i)[0]
+        path = first
+        if i > 0:
+            path, route, _ = _spanning_path(sub, seed + i)
+            tried["routes"].append(route)
         if path is None:
             continue
         for variant in itertools.chain([path], _rotated(sub, path, tried)):
@@ -179,17 +192,9 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": sub.n}
 
     t0 = time.perf_counter()
-    path, tf = _spanning_path(sub, cfg.seed)
-    record: dict = {"how": "greedy"}
+    path, record, tf = _spanning_path(sub, cfg.seed)
     if tf is not None:
         partial["two_factor"] = tf
-        record = {
-            "how": "two_factor",
-            "attempts": tf.stats["attempts"],
-            "rotations": tf.stats["rotations"],
-            # "fallback" once some closure needed rotations, else "immediate"
-            "closed_via": tf.stats.get("closed_via", "immediate"),
-        }
     if path is None and sub.n <= _EXACT_PATH_CAP:
         res = exact_pc_ham_path(sub, cfg.budget)
         record["how"] = f"exact:{res.status.value}"
@@ -205,7 +210,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     partial["ham_path"] = DirectedPath(tuple(old_ids[v] for v in path.vertices))
 
     t0 = time.perf_counter()
-    tried: dict = {"path_seeds": [], "quads": 0, "rotations": 0}
+    tried: dict = {"path_seeds": [], "routes": [], "quads": 0, "rotations": 0}
     try:
         cycle = _steer(g, ac, sub, old_ids, path, cfg.seed, tried)
     except (AbsorptionError, ValueError) as exc:

@@ -261,20 +261,9 @@ def rotate(sys: PathCycleSystem, g, chord: Chord, check: bool = True) -> PathCyc
 # chord sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChordSequence:
-    chords: tuple[Chord, ...]
-
-
-def _chords_of(seq) -> tuple[Chord, ...]:
-    if isinstance(seq, ChordSequence):
-        return seq.chords
-    return tuple(seq)
-
-
 def is_spread_out(sys: PathCycleSystem, seq) -> bool:
     """Pairwise distances in sys among {x, y, chord targets} all exceed SPREAD_DISTANCE."""
-    chords = _chords_of(seq)
+    chords = tuple(seq)
     if sys.path is None:
         return False
     pts = [sys.path.first, sys.path.last] + [c.w for c in chords]
@@ -293,7 +282,6 @@ def apply_chord_sequence(
     g,
     seq,
     check_guarantees: bool = True,
-    check: bool = True,
 ) -> PathCycleSystem:
     """Iterated rotation.  With a spread-out sequence, also checks the
     non-interference guarantees and raises RuntimeError if one fails: vertex
@@ -301,13 +289,13 @@ def apply_chord_sequence(
     or some chord target, and all-right sequences leaving the left parameters
     untouched.
     """
-    chords = _chords_of(seq)
+    chords = tuple(seq)
     orig = sys
     p0 = sys.params(g) if sys.path is not None else None
     cur = sys
     for i, ch in enumerate(chords):
         try:
-            cur = rotate(cur, g, ch, check=check)
+            cur = rotate(cur, g, ch)
         except ValueError as exc:
             raise ValueError(f"chord {i} ({ch.side}, {ch.endpoint}->{ch.w}): {exc}") from None
 
@@ -343,8 +331,8 @@ def combine_rotation_sequences(
     system whose right parameters come from the right sequence and left
     parameters from the left sequence, on the same vertex set.
     """
-    right = _chords_of(right_seq)
-    left = _chords_of(left_seq)
+    right = tuple(right_seq)
+    left = tuple(left_seq)
     if not all(ch.side == RIGHT for ch in right):
         raise ValueError("right_seq must contain only right chords")
     if not all(ch.side == LEFT for ch in left):
@@ -415,7 +403,6 @@ def expand_endpoint_colours(
     sys: PathCycleSystem,
     g,
     side: str,
-    forbidden=frozenset(),
     max_depth: int = 3,
     require_spread: bool = True,
     max_rotations: int = 200_000,
@@ -424,20 +411,16 @@ def expand_endpoint_colours(
 
     Layer L holds, for each endpoint state (z, c_z) reachable in exactly L
     rotations on the given side, one witness chord sequence (first found wins;
-    targets scanned in ascending vertex order for reproducibility).  Chord
-    targets and resulting endpoints avoid ``forbidden``.  Stops early when one
-    layer holds two states on the same vertex with different colours, the raw
-    material for closing a path into a cycle.
+    targets scanned in ascending vertex order for reproducibility).  Stops
+    early when one layer holds two states on the same vertex with different
+    colours, the raw material for closing a path into a cycle.
     """
     if side == LEFT:
         rev = _mirror(sys)
-        res = expand_endpoint_colours(
-            rev, g, RIGHT, forbidden, max_depth, require_spread, max_rotations
-        )
+        res = expand_endpoint_colours(rev, g, RIGHT, max_depth, require_spread, max_rotations)
         return _mirror_expansion(res)
 
     p0 = sys.params(g)
-    forbidden = frozenset(forbidden)
     dist = system_distances(sys) if require_spread else None
     layers: list[dict] = [
         {(p0.y, p0.c_y): EndpointState(p0.y, p0.c_y, (), sys)}
@@ -458,7 +441,7 @@ def expand_endpoint_colours(
             if require_spread:
                 spread_pts = [p0.x, p0.y] + [c.w for c in st.chords]
             for w in sorted(cur.vertices()):
-                if w == z or w in forbidden:
+                if w == z:
                     continue
                 if g.colour(z, w) == cz:
                     continue
@@ -478,8 +461,6 @@ def expand_endpoint_colours(
                     np = nxt.path.vertices
                     nz = np[-1]
                     ncz = g.colour(nz, np[-2])
-                    if nz in forbidden:
-                        continue
                     if (nz, ncz) not in new:
                         new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (ch,), nxt)
         layers.append(new)
@@ -554,15 +535,16 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50) -> PathCycleSystem:
 # the 2-factor search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwoFactorConfig:
-    seed: int = 0
-    attempts: int = 30              # outer restarts
-    greedy_restarts: int = 20       # per attempt, for the initial path
-    max_depth: int = 3
-    close_right_cap: int = 16       # right states to try closing from
-    close_left_depth: int = 2
-    max_rotations: int = 100_000
+# outer restarts of the 2-factor search, and greedy restarts for each one's
+# initial path
+_ATTEMPTS = 30
+GREEDY_RESTARTS = 20
+# the closure's right expansion depth and the right states it tries closing
+# from, its left expansion depth, and each expansion's rotation cap
+_CLOSE_RIGHT_DEPTH = 3
+_CLOSE_RIGHT_CAP = 16
+_CLOSE_LEFT_DEPTH = 2
+_CLOSE_ROTATIONS = 100_000
 
 
 @dataclass
@@ -586,31 +568,29 @@ def _closable(sys: PathCycleSystem, g) -> bool:
     return sys.path.order >= 3 and g.colour(p.x, p.y) not in (p.c_x, p.c_y)
 
 
-def _try_close(sys: PathCycleSystem, g, cfg: TwoFactorConfig, stats: dict):
+def _close_system(sys: PathCycleSystem, g, stats: dict):
     """Turn the current system into vertex-disjoint PC cycles on the same vertices.
 
     Closes the path at once when it can; otherwise rotates the right end, and
-    from each of the first ``close_right_cap`` right states the left end,
+    from each of the first ``_CLOSE_RIGHT_CAP`` right states the left end,
     until a system closes ("fallback" in ``stats["closed_via"]``).
     """
-    if sys.path is None:
-        return sys.cycles
     if _closable(sys, g):
         return _close_path_into_cycles(sys)
 
     res_r = expand_endpoint_colours(
-        sys, g, RIGHT, max_depth=cfg.max_depth, require_spread=False,
-        max_rotations=cfg.max_rotations,
+        sys, g, RIGHT, max_depth=_CLOSE_RIGHT_DEPTH, require_spread=False,
+        max_rotations=_CLOSE_ROTATIONS,
     )
     stats["rotations"] += res_r.rotations
     stats["fallback_layers"] = res_r.layer_sizes()
-    for st in res_r.states()[: cfg.close_right_cap]:
+    for st in res_r.states()[:_CLOSE_RIGHT_CAP]:
         if _closable(st.system, g):
             stats["closed_via"] = "fallback"
             return _close_path_into_cycles(st.system)
         res_l = expand_endpoint_colours(
-            st.system, g, LEFT, max_depth=cfg.close_left_depth, require_spread=False,
-            max_rotations=cfg.max_rotations,
+            st.system, g, LEFT, max_depth=_CLOSE_LEFT_DEPTH, require_spread=False,
+            max_rotations=_CLOSE_ROTATIONS,
         )
         stats["rotations"] += res_l.rotations
         for stl in res_l.states():
@@ -644,18 +624,7 @@ def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Ra
     return None
 
 
-def _extend_free(sys: PathCycleSystem, g, rng: random.Random) -> PathCycleSystem:
-    """Greedily append uncovered vertices to the system's path at both ends."""
-    if sys.path is None:
-        return sys
-    free = set(range(g.n)) - sys.vertex_set()
-    if not free:
-        return sys
-    grown = _grow_path(g, rng, list(sys.path.vertices), free | set(sys.path.vertices))
-    return PathCycleSystem(DirectedPath(tuple(grown)), sys.cycles)
-
-
-def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOutcome:
+def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     """Search for a properly coloured 2-factor by growth, rotation and closure.
 
     Grow a maximal PC path, rotate its endpoints until the end colours allow
@@ -665,36 +634,28 @@ def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOut
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
-    cfg = config or TwoFactorConfig()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     stats: dict = {"attempts": 0, "rotations": 0}
     best: PathCycleSystem | None = None
 
-    for attempt in range(cfg.attempts):
+    for attempt in range(_ATTEMPTS):
         stats["attempts"] = attempt + 1
-        start_sys = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=cfg.greedy_restarts)
-        sys = start_sys
-        for _ in range(g.n + 2):
-            sys = _extend_free(sys, g, rng)
+        sys = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=GREEDY_RESTARTS)
+        # each pass closes the system and reopens it on at least one more
+        # vertex, so the cycles span or the attempt stops within n passes
+        while sys is not None:
             if best is None or sys.order > best.order:
                 best = sys
-            closed = _try_close(sys, g, cfg, stats)
+            closed = _close_system(sys, g, stats)
             if closed is None:
                 break
-            covered = set()
-            for cyc in closed:
-                covered.update(cyc.vertices)
+            covered = {v for cyc in closed for v in cyc.vertices}
             if len(covered) == g.n:
                 cert = verify_certificate(g, two_factor_certificate(closed))
                 if not cert.valid:
                     raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
                 return TwoFactorOutcome(cert, None, stats)
-            reopened = _reopen(g, closed, set(range(g.n)) - covered, rng)
-            if reopened is None:
-                break
-            sys = reopened
-            if best is None or sys.order > best.order:
-                best = sys
+            sys = _reopen(g, closed, set(range(g.n)) - covered, rng)
     return TwoFactorOutcome(None, best, stats)
 
 
@@ -702,70 +663,34 @@ def find_pc_two_factor(g, config: TwoFactorConfig | None = None) -> TwoFactorOut
 # Hamiltonian path heuristic (2-factor cycles opened and merged by rotations)
 # ---------------------------------------------------------------------------
 
-# extensions and rotations tried per opening of the 2-factor's first cycle
-_PATH_STEPS = 400
-
-
-def find_pc_ham_path_heuristic(
-    g, seed: int = 0, two_factor: TwoFactorOutcome | None = None
-) -> DirectedPath | None:
-    """Try to build a spanning PC path: find a 2-factor, open its first cycle
-    into a path at each vertex in turn, then absorb the remaining cycles by
-    chord rotations.  Returns None on failure, also when no 2-factor is
-    found; any returned path is verified spanning and properly coloured.
-
-    ``two_factor`` is a 2-factor search already run on g; without one the
-    search runs here with ``TwoFactorConfig(seed=seed)``.
+def find_pc_ham_path_heuristic(g, two_factor: TwoFactorOutcome) -> DirectedPath | None:
+    """Open the 2-factor a search found into a spanning PC path: open its
+    first cycle into a path at each vertex in turn, then absorb the remaining
+    cycles by chord rotations.  Returns None when the search found no
+    2-factor or no opening absorbs every cycle; any returned path is verified
+    spanning and properly coloured.
     """
-    if g.n < 2:
+    if not two_factor.success:
         return None
-    if g.n == 2:
-        return DirectedPath((0, 1))
-    out = two_factor if two_factor is not None else find_pc_two_factor(g, TwoFactorConfig(seed=seed))
-    if not out.success:
-        return None
-    rng = random.Random(seed + 1)
-    cycles = [DirectedCycle(tuple(c)) for c in out.certificate.cycles]
+    cycles = [DirectedCycle(tuple(c)) for c in two_factor.certificate.cycles]
     rest = tuple(cycles[1:])
     verts = cycles[0].vertices
     for i in range(len(verts)):
         cur = PathCycleSystem(DirectedPath(verts[i:] + verts[:i]), rest)
-        for _ in range(_PATH_STEPS):
-            if cur.path is not None and cur.path.order == g.n and not cur.cycles:
-                path = cur.path
-                _guarantee(is_properly_coloured_path(g, path), "spanning path is not properly coloured")
-                return path
-            cur = _extend_free(cur, g, rng)
-            if cur.path is not None and cur.path.order == g.n and not cur.cycles:
-                continue
-            moved = _absorb_or_shuffle(cur, g, rng)
-            if moved is None:
-                break
-            cur = moved
+        while cur is not None and cur.cycles:
+            cur = _absorb_cycle(cur, g)
+        if cur is not None:
+            _guarantee(is_properly_coloured_path(g, cur.path), "spanning path is not properly coloured")
+            return cur.path
     return None
 
 
-def _absorb_or_shuffle(sys: PathCycleSystem, g, rng: random.Random):
-    """Prefer a rotation that absorbs a cycle into the path; otherwise shuffle."""
-    if sys.path is None:
-        return None
-    p = sys.params(g)
-    on_cycles = set()
-    for cyc in sys.cycles:
-        on_cycles.update(cyc.vertices)
-    shuffles = []
-    for side, endpoint, pcol in ((RIGHT, p.y, p.c_y), (LEFT, p.x, p.c_x)):
-        other = p.x if side == RIGHT else p.y
-        other_nb = sys.path.vertices[1] if side == RIGHT else sys.path.vertices[-2]
-        for w in sorted(sys.vertices()):
-            if w in (endpoint, other, other_nb):
-                continue
-            if g.colour(endpoint, w) == pcol:
-                continue
-            ch = Chord(side, endpoint, w)
-            if w in on_cycles:
+def _absorb_cycle(sys: PathCycleSystem, g) -> PathCycleSystem | None:
+    """The first chord rotation, right end first, whose target lies on a
+    cycle: it absorbs that cycle into the path.  None when there is none."""
+    on_cycles = {v for cyc in sys.cycles for v in cyc.vertices}
+    for side in (RIGHT, LEFT):
+        for ch in find_chords(sys, g, side):
+            if ch.w in on_cycles:
                 return rotate(sys, g, ch, check=False)
-            shuffles.append(ch)
-    if not shuffles:
-        return None
-    return rotate(sys, g, rng.choice(shuffles), check=False)
+    return None

@@ -35,7 +35,7 @@ from pch.exact import (
     longest_pc_path,
 )
 from pch.pipeline import PipelineConfig, run_pipeline
-from pch.rotations import TwoFactorConfig, find_pc_two_factor
+from pch.rotations import find_pc_two_factor
 from tests.conftest import random_system_instance, universal_absorbing_cycle
 from tests.test_rotations import check_rotation_contract, eligible_chords
 
@@ -132,7 +132,7 @@ def test_acceptance_6_two_factor_agreement():
     oracle_yes = agree = 0
     for seed in range(seeds):
         g = random_bounded_colouring(n, dmax, seed)
-        heur = find_pc_two_factor(g, TwoFactorConfig(seed=seed))
+        heur = find_pc_two_factor(g, seed)
         if heur.success:
             cert = verify_certificate(g, heur.certificate)
             assert cert.valid, f"seed {seed}: invalid certificate {cert.reason}"

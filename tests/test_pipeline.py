@@ -97,8 +97,8 @@ def _record_two_factor_calls(monkeypatch) -> list:
     """Route every 2-factor search through a wrapper that keeps its outcomes."""
     outcomes = []
 
-    def counting(g, config=None):
-        outcomes.append(find_pc_two_factor(g, config))
+    def counting(g, seed=0):
+        outcomes.append(find_pc_two_factor(g, seed))
         return outcomes[-1]
 
     monkeypatch.setattr(pch.pipeline, "find_pc_two_factor", counting)
@@ -212,6 +212,37 @@ def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
     assert tried["quads"] > 2 * len(tried["path_seeds"])
     assert tried["cycle_order"] is None
     assert f"{tried['quads']} end quadruples" in res.failure.detail
+
+
+def test_later_path_seeds_report_their_routes(monkeypatch):
+    # path seed 2's greedy path stops one vertex short, so it takes the
+    # 2-factor route; seed 3's spans.  The pipeline passes the seed by
+    # position, the 2-factor search's own growth by keyword.
+    monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
+    outcomes = _record_two_factor_calls(monkeypatch)
+
+    def second_seed_short(*args, **kwargs):
+        sys = maximal_path_cycle(*args, **kwargs)
+        if args[1:2] == (2,):
+            sys = replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
+        return sys
+
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", second_seed_short)
+    res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
+    assert res.failure.stage == "absorb"
+    assert res.report["stages"]["ham_path"]["how"] == "greedy"
+    tried = res.report["stages"]["absorb"]
+    assert tried["path_seeds"] == [1, 2, 3]
+    [tf] = outcomes
+    assert tried["routes"] == [
+        {
+            "how": "two_factor",
+            "attempts": tf.stats["attempts"],
+            "rotations": tf.stats["rotations"],
+            "closed_via": tf.stats.get("closed_via", "immediate"),
+        },
+        {"how": "greedy"},
+    ]
 
 
 def _timeless(report):

@@ -11,14 +11,22 @@ from pch.constructions import (
     rainbow,
     random_bounded_colouring,
 )
-from pch.ec_graph import VERDICT_INVALID, ColouredComplete, DirectedCycle, DirectedPath, verify_certificate
+from pch.ec_graph import (
+    VERDICT_INVALID,
+    ColouredComplete,
+    DirectedCycle,
+    DirectedPath,
+    is_properly_coloured_path,
+    two_factor_certificate,
+    verify_certificate,
+)
 from pch.exact import exact_pc_two_factor
 from pch.rotations import (
     LEFT,
     RIGHT,
     Chord,
     PathCycleSystem,
-    TwoFactorConfig,
+    TwoFactorOutcome,
     apply_chord_sequence,
     combine_rotation_sequences,
     expand_endpoint_colours,
@@ -360,18 +368,6 @@ def test_expand_no_chords_gives_empty_layer():
     assert res.layers[1] == {}
 
 
-def test_expand_forbidden_vertices_avoided():
-    g = rainbow(20)
-    sys = path_system(*range(20))
-    forb = frozenset({4, 5, 6, 7})
-    res = expand_endpoint_colours(sys, g, RIGHT, forbidden=forb, max_depth=2, require_spread=False)
-    for layer in res.layers[1:]:
-        for (z, c), st in layer.items():
-            assert z not in forb
-            for ch in st.chords:
-                assert ch.w not in forb and ch.endpoint not in forb
-
-
 def test_expand_left_side_mirrors():
     g = rainbow(20)
     sys = path_system(*range(20))
@@ -442,9 +438,11 @@ def test_combine_guarantee_raises(monkeypatch):
 
 
 def test_ham_path_heuristic_check_raises(monkeypatch):
+    g = rainbow(8)
+    tf = find_pc_two_factor(g)
     monkeypatch.setattr(pch.rotations, "is_properly_coloured_path", lambda g, path: False)
     with pytest.raises(RuntimeError, match="not properly coloured"):
-        find_pc_ham_path_heuristic(rainbow(8))
+        find_pc_ham_path_heuristic(g, tf)
 
 
 def test_two_factor_small_n():
@@ -457,7 +455,7 @@ def test_two_factor_oracle_agreement_sample():
     for seed in range(15):
         g = random_bounded_colouring(12, 4, seed)
         oracle = exact_pc_two_factor(g)
-        heur = find_pc_two_factor(g, TwoFactorConfig(seed=seed))
+        heur = find_pc_two_factor(g, seed)
         if heur.success:
             assert verify_certificate(g, heur.certificate).valid
         if oracle.exists:
@@ -470,7 +468,7 @@ def test_two_factor_oracle_agreement_sample():
 def test_two_factor_never_claims_nonexistent():
     for seed in range(10):
         g = random_bounded_colouring(9, 3, seed, colours=3)
-        heur = find_pc_two_factor(g, TwoFactorConfig(seed=seed, attempts=8))
+        heur = find_pc_two_factor(g, seed)
         if heur.success:
             assert exact_pc_two_factor(g).exists
 
@@ -478,23 +476,55 @@ def test_two_factor_never_claims_nonexistent():
 def test_ham_path_heuristic_spanning_and_proper():
     for seed in range(6):
         g = random_bounded_colouring(14, 5, seed)
-        p = find_pc_ham_path_heuristic(g, seed=seed)
+        p = find_pc_ham_path_heuristic(g, find_pc_two_factor(g, seed))
         if p is not None:
             assert p.order == g.n
-            from pch.ec_graph import is_properly_coloured_path
-
             assert is_properly_coloured_path(g, p)
 
 
-def test_ham_path_heuristic_reuses_a_given_two_factor():
-    found = 0
-    for seed in range(6):
-        g = random_bounded_colouring(14, 5, seed)
-        p = find_pc_ham_path_heuristic(g, seed=seed)
-        tf = find_pc_two_factor(g, TwoFactorConfig(seed=seed))
-        assert find_pc_ham_path_heuristic(g, seed=seed, two_factor=tf) == p
-        found += p is not None
-    assert found > 0
+@pytest.mark.parametrize("seed", [13, 14])
+def test_ham_path_heuristic_absorbs_a_second_cycle(seed):
+    g = random_bounded_colouring(14, 5, seed)
+    tf = find_pc_two_factor(g, seed)
+    assert len(tf.certificate.cycles) == 2
+    p = find_pc_ham_path_heuristic(g, tf)
+    assert sorted(p.vertices) == list(range(g.n))
+    assert is_properly_coloured_path(g, p)
+
+
+def test_ham_path_heuristic_tries_the_next_opening():
+    # triangles 012 and 345; every edge from 0 to the other triangle has the
+    # colour of 01 and every one from 2 the colour of 21, so the opening at 0,
+    # path 0 1 2, has no chord into 345 and the opening at 1 absorbs it
+    edges = {(0, 1): 0, (1, 2): 1, (0, 2): 2, (3, 4): 0, (4, 5): 1, (3, 5): 2}
+    for b in (3, 4, 5):
+        edges.update({(0, b): 0, (1, b): 3, (2, b): 1})
+    g = graph_from_edges(6, 4, edges)
+    tf = TwoFactorOutcome(two_factor_certificate([(0, 1, 2), (3, 4, 5)]), None, {})
+    p = find_pc_ham_path_heuristic(g, tf)
+    assert p.vertices[:3] == (1, 2, 0)
+    assert sorted(p.vertices) == list(range(6))
+    assert is_properly_coloured_path(g, p)
+
+
+def test_ham_path_heuristic_without_a_two_factor():
+    g = monochromatic(7)
+    assert find_pc_ham_path_heuristic(g, find_pc_two_factor(g)) is None
+
+
+@pytest.mark.parametrize("cut, sizes", [(1, [12]), (3, [9, 3])])
+def test_two_factor_reopens_on_leftover_vertices(monkeypatch, cut, sizes):
+    # an initial path `cut` vertices short: one leftover vertex is spliced
+    # onto the closed cycle, three grow a path of their own
+    def short(*args, **kwargs):
+        sys = maximal_path_cycle(*args, **kwargs)
+        return replace(sys, path=DirectedPath(sys.path.vertices[:-cut]))
+
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
+    g = rainbow(12)
+    out = find_pc_two_factor(g)
+    assert out.success and verify_certificate(g, out.certificate).valid
+    assert [len(c) for c in out.certificate.cycles] == sizes
 
 
 def test_rotate_takes_its_target_from_rotation_targets():
@@ -525,11 +555,9 @@ def test_rotate_takes_its_target_from_rotation_targets():
 
 
 def test_chord_sequence_wrapper():
-    from pch.rotations import ChordSequence
-
     g = rainbow(30)
     sys = path_system(*range(30))
-    seq = ChordSequence((Chord(RIGHT, 29, 14),))
+    seq = (Chord(RIGHT, 29, 14),)
     assert is_spread_out(sys, seq)
     out = apply_chord_sequence(sys, g, seq)
     assert out.params(g).x == 0
@@ -540,7 +568,7 @@ def test_layered_has_no_two_factor_and_both_sides_agree():
     # as others, so no cycle family can cover the big side: no PC 2-factor
     g = layered_colouring(10, 3)
     assert not exact_pc_two_factor(g).exists
-    out = find_pc_two_factor(g, TwoFactorConfig(seed=0, attempts=8))
+    out = find_pc_two_factor(g)
     assert not out.success
     assert out.best_system is not None
 
@@ -548,7 +576,7 @@ def test_layered_has_no_two_factor_and_both_sides_agree():
 def test_spread_mode_closure_on_blocked_path():
     # rainbow except the closing edge repeats the colour at x: the immediate
     # closure is blocked, so the directly validated expansion must close it
-    from pch.rotations import _try_close
+    from pch.rotations import _close_system
     from pch.ec_graph import is_properly_coloured_cycle
 
     n = 40
@@ -561,7 +589,7 @@ def test_spread_mode_closure_on_blocked_path():
     g = ColouredComplete.from_function(n, n * n, lambda u, v: tab[(u, v)])
     sys = path_system(*range(n))
     stats = {"rotations": 0}
-    closed = _try_close(sys, g, TwoFactorConfig(seed=0), stats)
+    closed = _close_system(sys, g, stats)
     assert closed is not None
     assert stats.get("closed_via") == "fallback"
     covered = set()
