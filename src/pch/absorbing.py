@@ -305,12 +305,16 @@ class AbsorbingCycle:
     connectors: tuple[DirectedPath, ...]
 
 
+# attempts at drawing and stitching a family, and the longest join between
+# consecutive members
+RETRY_BUDGET = 25
+JOIN_MAX_LEN = 6
+
+
 @dataclass(frozen=True)
 class BuildParams:
     target_size: int = 3
-    retry_budget: int = 25
     seed: int = 0
-    join_max_len: int = 6
 
 
 @dataclass
@@ -354,11 +358,9 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
     params = params or BuildParams()
     if g.n < params.target_size * 4 + 4:
         raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
-    if params.retry_budget < 1:
-        raise ValueError(f"need retry_budget >= 1, got {params.retry_budget}")
     rng = random.Random(params.seed)
     last_stage = "family"
-    for attempt in range(1, params.retry_budget + 1):
+    for attempt in range(1, RETRY_BUDGET + 1):
         members = _draw_family(g, rng, params.target_size)
         if members is None:
             last_stage = "family"
@@ -370,7 +372,7 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
             q = join_ends(
                 g, mb[2], mb[3], nxt[0], nxt[1],
                 avoid=used - {mb[2], mb[3], nxt[0], nxt[1]},
-                max_len=params.join_max_len,
+                max_len=JOIN_MAX_LEN,
             )
             if q is None:
                 last_stage = f"join:{j}"
@@ -382,7 +384,7 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
             if is_properly_coloured_cycle(g, cycle):
                 return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, attempt)
             last_stage = "verify"
-    return BuildResult(None, last_stage, params.retry_budget)
+    return BuildResult(None, last_stage, RETRY_BUDGET)
 
 
 def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:

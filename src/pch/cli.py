@@ -196,7 +196,7 @@ def cmd_solve(args) -> int:
         }
         code = EXIT_OK if out.success else EXIT_FAIL
     else:
-        cfg = pipeline.PipelineConfig(seed=args.seed, fallback=args.fallback)
+        cfg = pipeline.PipelineConfig(seed=args.seed, fallback=args.fallback, budget=_budget(args))
         res = pipeline.run_pipeline(g, cfg)
         result = {
             "success": res.success,
@@ -377,7 +377,7 @@ def _lemma_abscycle(params: dict) -> dict:
     n, eps, seeds = params["n"], params["eps"], params["seeds"]
     dmax = params.get("dmax") or int((0.5 - eps) * n)
     target = params.get("family_size", 3)
-    join_cap = absorbing.BuildParams.join_max_len
+    join_cap = absorbing.JOIN_MAX_LEN
     built = universal = 0
     orders, coverages = [], []
     bound_ok = True

@@ -15,7 +15,7 @@ by the oriented-graph construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -229,7 +229,6 @@ class DirectedCycle:
     """A cycle with a chosen orientation and start; length at least 3."""
 
     vertices: tuple[int, ...]
-    _pos: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(self.vertices)
@@ -238,19 +237,10 @@ class DirectedCycle:
             raise ValueError("cycle needs at least three vertices")
         if len(set(vs)) != len(vs):
             raise ValueError("cycle repeats a vertex")
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(vs)})
 
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    def successor(self, v: int) -> int:
-        i = self._pos[v]
-        return self.vertices[(i + 1) % len(self.vertices)]
-
-    def ancestor(self, v: int) -> int:
-        i = self._pos[v]
-        return self.vertices[(i - 1) % len(self.vertices)]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         vs = self.vertices

@@ -12,9 +12,8 @@ targets are pairwise at distance greater than 5 inside the original system.
 This is the paper's lemma: the rotations never interfere, so independently
 derived left and right sequences can be combined (`is_spread_out`,
 `apply_chord_sequence`, `combine_rotation_sequences`).  The 2-factor search
-does not rely on the spacing: it validates every rotation directly against
-the current system, which also works at small n where the spacing cannot be
-met.
+does not rely on the spacing: it derives every rotation directly from the
+current system, which also works at small n where the spacing cannot be met.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from pch.ec_graph import (
     Certificate,
@@ -77,6 +77,16 @@ class PathCycleSystem:
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices())
+
+    @cached_property
+    def index(self) -> dict[int, tuple[int, int]]:
+        """v -> (piece, position): piece -1 is the path, i >= 0 is ``cycles[i]``."""
+        out: dict[int, tuple[int, int]] = {}
+        if self.path is not None:
+            out.update((v, (-1, i)) for i, v in enumerate(self.path.vertices))
+        for c, cyc in enumerate(self.cycles):
+            out.update((v, (c, i)) for i, v in enumerate(cyc.vertices))
+        return out
 
     def params(self, g) -> Params:
         if self.path is None:
@@ -160,12 +170,11 @@ def _guarantee(ok: bool, what: str) -> None:
 
 
 def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | None = None) -> PathCycleSystem:
-    path = list(sys.path.vertices)
+    path = sys.path.vertices
     y = path[-1]
     c_y = g.colour(y, path[-2])
-    vset = sys.vertex_set()
 
-    if w == y or w not in vset:
+    if w == y or w not in sys.index:
         raise ValueError(f"chord target {w} must lie in the system and differ from the endpoint")
     if g.colour(y, w) == c_y:
         raise ValueError(f"edge ({y}, {w}) has the endpoint colour {c_y}: not a chord")
@@ -179,33 +188,32 @@ def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | No
             raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
         raise ValueError(f"rotation target {want} is not a neighbour of {w}")
 
-    if w in path:
-        # chord into the path (2 <= j <= len-3 by the guards above): the far
-        # neighbour of w keeps everything on one path, the near one splits off
-        # the tail as a cycle
-        j = path.index(w)
-        if want == path[j + 1]:
-            new_path = path[: j + 1] + path[j + 1 :][::-1]
-            new_cycles = sys.cycles
-        else:
-            new_path = path[:j]
-            new_cycles = sys.cycles + (DirectedCycle(tuple(path[j:])),)
-    else:
-        # chord into a cycle: absorb the whole cycle into the path, walking
-        # off w away from the new endpoint
-        idx = next(i for i, c in enumerate(sys.cycles) if w in c.vertices)
-        verts = sys.cycles[idx].vertices
-        L = len(verts)
-        i = verts.index(w)
-        step = -1 if want == verts[(i + 1) % L] else 1
-        new_path = path + [verts[(i + step * t) % L] for t in range(L)]
-        new_cycles = sys.cycles[:idx] + sys.cycles[idx + 1 :]
-
-    out = PathCycleSystem(DirectedPath(tuple(new_path)), new_cycles)
+    out = _rewire_right(sys, w, want)
     if check:
         validate_system(out, g)
-        _guarantee(out.vertex_set() == vset, "rotation changed the vertex set")
+        _guarantee(out.vertex_set() == sys.vertex_set(), "rotation changed the vertex set")
     return out
+
+
+def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
+    """The right rotation along chord y-w that makes `want` the new endpoint;
+    `want` must be one of ``rotation_targets(sys, g, RIGHT, w)``."""
+    path = sys.path.vertices
+    piece, i = sys.index[w]
+    if piece < 0:
+        # chord into the path (2 <= i <= len-3 for a valid chord): the far
+        # neighbour of w keeps everything on one path, the near one splits off
+        # the tail as a cycle
+        if want == path[i + 1]:
+            return PathCycleSystem(DirectedPath(path[: i + 1] + path[i + 1 :][::-1]), sys.cycles)
+        return PathCycleSystem(DirectedPath(path[:i]), sys.cycles + (DirectedCycle(path[i:]),))
+    # chord into a cycle: absorb the whole cycle into the path, walking off w
+    # away from the new endpoint
+    verts = sys.cycles[piece].vertices
+    L = len(verts)
+    step = -1 if want == verts[(i + 1) % L] else 1
+    new_path = path + tuple(verts[(i + step * t) % L] for t in range(L))
+    return PathCycleSystem(DirectedPath(new_path), sys.cycles[:piece] + sys.cycles[piece + 1 :])
 
 
 def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
@@ -214,26 +222,21 @@ def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
     One or two of w's system neighbours qualify; the one keeping the whole
     path intact comes first, and ``rotate`` takes it when no target is given.
     """
-    work = sys if side == RIGHT else _mirror(sys)
-    path = work.path.vertices
-    y = path[-1]
-    cyw = g.colour(y, w)
-    pos = {v: i for i, v in enumerate(path)}
+    path = sys.path.vertices
+    end = path[-1] if side == RIGHT else path[0]
+    cew = g.colour(end, w)
+    piece, i = sys.index[w]
+    verts = path if piece < 0 else sys.cycles[piece].vertices
+    # w's neighbours before and after it: along its cycle, or along the path
+    # walked from the other end
+    before, after = verts[i - 1], verts[(i + 1) % len(verts)]
+    if piece < 0 and side == LEFT:
+        before, after = after, before
     out = []
-    if w in pos:
-        j = pos[w]
-        before, after = path[j - 1], path[j + 1]
-        if cyw != g.colour(w, before):
-            out.append(after)
-        if cyw != g.colour(w, after):
-            out.append(before)
-    else:
-        cyc = next(c for c in work.cycles if w in c.vertices)
-        pred, succ = cyc.ancestor(w), cyc.successor(w)
-        if cyw != g.colour(w, pred):
-            out.append(succ)
-        if cyw != g.colour(w, succ):
-            out.append(pred)
+    if cew != g.colour(w, before):
+        out.append(after)
+    if cew != g.colour(w, after):
+        out.append(before)
     return out
 
 
@@ -416,10 +419,11 @@ def expand_endpoint_colours(
     colours, the raw material for closing a path into a cycle.
     """
     if side == LEFT:
-        rev = _mirror(sys)
-        res = expand_endpoint_colours(rev, g, RIGHT, max_depth, require_spread, max_rotations)
-        return _mirror_expansion(res)
+        return _mirror_expansion(_expand_right(_mirror(sys), g, max_depth, require_spread, max_rotations))
+    return _expand_right(sys, g, max_depth, require_spread, max_rotations)
 
+
+def _expand_right(sys: PathCycleSystem, g, max_depth: int, require_spread: bool, max_rotations: int) -> ExpansionResult:
     p0 = sys.params(g)
     dist = system_distances(sys) if require_spread else None
     layers: list[dict] = [
@@ -453,16 +457,15 @@ def expand_endpoint_colours(
                         continue
                 # both neighbours of w can be reachable endpoints; take each
                 for tgt in rotation_targets(cur, g, RIGHT, w):
-                    ch = Chord(RIGHT, z, w, tgt)
                     if rotations >= max_rotations:
                         return ExpansionResult(layers, rotations)
-                    nxt = rotate(cur, g, ch, check=False)
+                    nxt = _rewire_right(cur, w, tgt)
                     rotations += 1
                     np = nxt.path.vertices
                     nz = np[-1]
                     ncz = g.colour(nz, np[-2])
                     if (nz, ncz) not in new:
-                        new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (ch,), nxt)
+                        new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (Chord(RIGHT, z, w, tgt),), nxt)
         layers.append(new)
         # no new state, or one vertex reached in two colours
         if not new or len({z for z, _ in new}) < len(new):
@@ -539,11 +542,8 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50) -> PathCycleSystem:
 # initial path
 _ATTEMPTS = 30
 GREEDY_RESTARTS = 20
-# the closure's right expansion depth and the right states it tries closing
-# from, its left expansion depth, and each expansion's rotation cap
-_CLOSE_RIGHT_DEPTH = 3
-_CLOSE_RIGHT_CAP = 16
-_CLOSE_LEFT_DEPTH = 2
+# the closure's left expansion depth and its rotation cap
+_CLOSE_DEPTH = 2
 _CLOSE_ROTATIONS = 100_000
 
 
@@ -571,32 +571,22 @@ def _closable(sys: PathCycleSystem, g) -> bool:
 def _close_system(sys: PathCycleSystem, g, stats: dict):
     """Turn the current system into vertex-disjoint PC cycles on the same vertices.
 
-    Closes the path at once when it can; otherwise rotates the right end, and
-    from each of the first ``_CLOSE_RIGHT_CAP`` right states the left end,
-    until a system closes ("fallback" in ``stats["closed_via"]``).
+    Closes the path at once when it can; otherwise rotates its left end and
+    closes the first reached state that can ("fallback" in
+    ``stats["closed_via"]``).
     """
     if _closable(sys, g):
         return _close_path_into_cycles(sys)
 
-    res_r = expand_endpoint_colours(
-        sys, g, RIGHT, max_depth=_CLOSE_RIGHT_DEPTH, require_spread=False,
+    res = expand_endpoint_colours(
+        sys, g, LEFT, max_depth=_CLOSE_DEPTH, require_spread=False,
         max_rotations=_CLOSE_ROTATIONS,
     )
-    stats["rotations"] += res_r.rotations
-    stats["fallback_layers"] = res_r.layer_sizes()
-    for st in res_r.states()[:_CLOSE_RIGHT_CAP]:
+    stats["rotations"] += res.rotations
+    for st in res.states():
         if _closable(st.system, g):
             stats["closed_via"] = "fallback"
             return _close_path_into_cycles(st.system)
-        res_l = expand_endpoint_colours(
-            st.system, g, LEFT, max_depth=_CLOSE_LEFT_DEPTH, require_spread=False,
-            max_rotations=_CLOSE_ROTATIONS,
-        )
-        stats["rotations"] += res_l.rotations
-        for stl in res_l.states():
-            if _closable(stl.system, g):
-                stats["closed_via"] = "fallback"
-                return _close_path_into_cycles(stl.system)
     return None
 
 

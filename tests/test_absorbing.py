@@ -6,6 +6,7 @@ import pytest
 
 import pch.absorbing
 from pch.absorbing import (
+    RETRY_BUDGET,
     AbsorbingCycle,
     AbsorptionError,
     BuildParams,
@@ -296,17 +297,17 @@ def test_join_ends_domain():
 
 
 def test_build_rainbow_cycle_size():
-    res = build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0, join_max_len=6))
+    res = build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0))
     assert res.success
     assert res.cycle.cycle.order <= 2 * 4 + 2 * 6
     assert is_properly_coloured_cycle(rainbow(30), res.cycle.cycle)
 
 
 def test_build_monochromatic_fails_at_family():
-    res = build_absorbing_cycle(monochromatic(30), BuildParams(target_size=2, seed=0, retry_budget=2))
+    res = build_absorbing_cycle(monochromatic(30), BuildParams(target_size=2, seed=0))
     assert not res.success
     assert res.failed_stage == "family"
-    assert res.attempts == 2
+    assert res.attempts == RETRY_BUDGET
 
 
 def test_build_and_absorb_random_instance():
@@ -379,11 +380,6 @@ def test_join_ends_improper_concatenation_raises(monkeypatch):
         join_ends(rainbow(10), 0, 1, 2, 3)
 
 
-def test_family_needs_a_retry():
-    with pytest.raises(ValueError, match="retry_budget"):
-        build_absorbing_cycle(rainbow(20), BuildParams(target_size=2, retry_budget=0))
-
-
 def test_absorb_path_without_absorbing_member_returns_none(monkeypatch):
     g, ac, p = _absorbing_setup()
     monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
@@ -405,7 +401,7 @@ def test_build_size_bound_n60():
     built = 0
     for seed in range(6):
         g = random_bounded_colouring(60, 21, seed)
-        res = build_absorbing_cycle(g, BuildParams(target_size=5, seed=seed, join_max_len=6))
+        res = build_absorbing_cycle(g, BuildParams(target_size=5, seed=seed))
         if res.success:
             built += 1
             ac = res.cycle

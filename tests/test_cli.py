@@ -114,8 +114,11 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PCH_BUDGET_NODES", "5")
     rpath = tmp_path / "r.json"
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
-    rep = json.loads(rpath.read_text())
-    assert rep["result"]["status"] == "exhausted"
+    assert json.loads(rpath.read_text())["result"]["status"] == "exhausted"
+    # the pipeline's exact fallback spends the same budget
+    assert run("solve", "--method", "pipeline", "--fallback", "exact",
+               "--input", str(gpath), "--report", str(rpath)) == 1
+    assert json.loads(rpath.read_text())["result"]["fallback"]["status"] == "exhausted"
 
 
 def test_absorb_check(tmp_path):

@@ -8,6 +8,7 @@ import pch.rotations
 from pch.constructions import (
     layered_colouring,
     monochromatic,
+    near_bollobas_erdos,
     rainbow,
     random_bounded_colouring,
 )
@@ -573,11 +574,20 @@ def test_layered_has_no_two_factor_and_both_sides_agree():
     assert out.best_system is not None
 
 
-def test_spread_mode_closure_on_blocked_path():
+def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     # rainbow except the closing edge repeats the colour at x: the immediate
-    # closure is blocked, so the directly validated expansion must close it
+    # closure is blocked, so rotating the left end must close it
     from pch.rotations import _close_system
     from pch.ec_graph import is_properly_coloured_cycle
+
+    sides = []
+    expand = pch.rotations.expand_endpoint_colours
+
+    def spy(sys, g, side, *args, **kwargs):
+        sides.append(side)
+        return expand(sys, g, side, *args, **kwargs)
+
+    monkeypatch.setattr(pch.rotations, "expand_endpoint_colours", spy)
 
     n = 40
     counter = iter(range(n * n))
@@ -592,8 +602,18 @@ def test_spread_mode_closure_on_blocked_path():
     closed = _close_system(sys, g, stats)
     assert closed is not None
     assert stats.get("closed_via") == "fallback"
+    assert sides == [LEFT]
     covered = set()
     for cyc in closed:
         assert is_properly_coloured_cycle(g, cyc)
         covered |= set(cyc.vertices)
     assert covered == set(range(n))
+
+
+def test_two_factor_near_threshold_closes_in_few_rotations():
+    # max monochromatic degree floor(n/2) - 1 on n = 321: the closures need
+    # rotations, and the left end alone reaches a closable state quickly
+    g = near_bollobas_erdos(80, 5)
+    out = find_pc_two_factor(g, 5)
+    assert out.success
+    assert 0 < out.stats["rotations"] <= 1_000
