@@ -81,8 +81,6 @@ def count_absorbing(g, quad) -> int:
     histograms instead of enumerating all (n-4)^4 tuples; the enumeration
     variant above is the slow cross-check.
     """
-    if g.n < 8:
-        return sum(1 for _ in enumerate_absorbing(g, quad))
     x1, x2, y1, y2 = quad
     C = g.matrix
     k = g.k

@@ -8,8 +8,9 @@ Exit codes: 0 success / structure exists, 1 failure / does not exist,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import operator
+import math
 import os
 import random
 import sys
@@ -280,209 +281,168 @@ def cmd_constants(args) -> int:
 # lemma-style harnesses
 # ---------------------------------------------------------------------------
 
-def _lemma_abspath(params: dict) -> dict:
-    n, eps = params["n"], params["eps"]
-    seeds, quads = params["seeds"], params["quads"]
-    dmax = params.get("dmax") or int((0.5 - eps) * n)
-    bound = eps * eps * n ** 4 / 4
-    worst = None
-    violations = 0
-    for seed in seeds:
-        g = constructions.random_bounded_colouring(n, dmax, seed)
-        rng = random.Random(seed)
-        for _ in range(quads):
-            quad = tuple(rng.sample(range(n), 4))
-            c = absorbing.count_absorbing(g, quad)
-            if worst is None or c < worst:
-                worst = c
-            if c < bound:
-                violations += 1
-    return _derived({
-        "lemma": "abspath", "n": n, "eps": eps, "dmax": dmax, "bound": bound,
-        "instances": len(seeds), "quads_per_instance": quads,
-        "min_count": worst, "violations": violations,
-    })
-
-
-def _lemma_ifar(params: dict) -> dict:
-    n, eps, seeds = params["n"], params["eps"], params["seeds"]
-    dmax = params.get("dmax") or int((0.5 - eps) * n)
-    max_len = min(int(2 * eps ** -2), 8)
-    trials = params.get("trials", 20)
-    succ = 0
-    total = 0
-    for seed in seeds:
-        g = constructions.random_bounded_colouring(n, dmax, seed)
-        rng = random.Random(seed)
-        for _ in range(trials):
-            v1, v2, v1p, v2p = rng.sample(range(n), 4)
-            total += 1
-            p = absorbing.join_ends(g, v1, v2, v1p, v2p, max_len=max_len)
-            if p is not None:
-                succ += 1
-    return _derived({
-        "lemma": "ifar", "n": n, "eps": eps, "dmax": dmax, "max_len": max_len,
-        "trials": total, "successes": succ,
-    })
-
-
-def _lemma_rotation3(params: dict) -> dict:
-    n, eps, seeds = params["n"], params["eps"], params["seeds"]
-    dmax = params.get("dmax") or int((0.5 - eps) * n)
-    ratios = []
-    for seed in seeds:
-        g = constructions.random_bounded_colouring(n, dmax, seed)
-        sys = rotations.maximal_path_cycle(g, seed=seed)
-        res = rotations.expand_endpoint_colours(
-            sys, g, rotations.RIGHT, max_depth=params.get("depth", 2), require_spread=n >= 20
-        )
-        sizes = res.layer_sizes()
-        for a, b in zip(sizes, sizes[1:]):
-            if a:
-                ratios.append(b / a)
-    return _derived({
-        "lemma": "rotation3", "n": n, "eps": eps, "dmax": dmax,
-        "growth_ratios": ratios, "reference": 1 + eps,
-        "note": "probe only: the growth bound assumes maximality and spacing",
-    })
-
-
-def _lemma_2factor(params: dict) -> dict:
-    n, eps, seeds = params["n"], params["eps"], params["seeds"]
-    dmax = params.get("dmax") or int((0.5 - eps) * n)
-    agree = 0
-    oracle_yes = 0
-    heur_yes = 0
-    invalid = 0
-    for seed in seeds:
-        g = constructions.random_bounded_colouring(n, dmax, seed)
-        oracle = exact.exact_pc_two_factor(g)
-        heur = rotations.find_pc_two_factor(g, seed)
-        if heur.success:
-            heur_yes += 1
-            if not verify_certificate(g, heur.certificate).valid:
-                invalid += 1
-        if oracle.exists:
-            oracle_yes += 1
-            if heur.success:
-                agree += 1
-    return _derived({
-        "lemma": "2factor", "n": n, "dmax": dmax, "instances": len(seeds),
-        "oracle_exists": oracle_yes, "heuristic_success": heur_yes,
-        "agreement": agree, "invalid_certificates": invalid,
-    })
-
-
-def _lemma_abscycle(params: dict) -> dict:
-    n, eps, seeds = params["n"], params["eps"], params["seeds"]
-    dmax = params.get("dmax") or int((0.5 - eps) * n)
-    target = params.get("family_size", 3)
-    join_cap = absorbing.JOIN_MAX_LEN
-    built = universal = 0
-    orders, coverages = [], []
-    bound_ok = True
-    for seed in seeds:
-        g = constructions.random_bounded_colouring(n, dmax, seed)
-        res = absorbing.build_absorbing_cycle(g, absorbing.BuildParams(target, seed=seed))
-        if res.success:
-            built += 1
-            order = res.cycle.cycle.order
-            orders.append(order)
-            if order > (4 + join_cap) * len(res.cycle.family):
-                bound_ok = False
-            ok, coverage, _ = absorbing.verify_family_universality(g, res.cycle.family)
-            universal += ok
-            coverages.append(coverage)
-    return _derived({
-        "lemma": "abscycle", "n": n, "dmax": dmax, "instances": len(seeds),
-        "built": built, "universal": universal, "orders": orders, "coverages": coverages,
-        "size_bound_ok": bound_ok,
-    })
+# trials per instance of lemma ifar, and the expansion depth of lemma rotation3
+IFAR_TRIALS = 20
+ROTATION3_DEPTH = 2
 
 
 def _ratio(num, den):
     return num / den if den else None
 
 
-# the fields of a lemma report computed from its counts
-_DERIVED = {
-    "abspath": lambda r: {"pass": r["violations"] == 0},
-    "ifar": lambda r: {
-        "rate": _ratio(r["successes"], r["trials"]), "pass": r["successes"] == r["trials"],
-    },
-    "rotation3": lambda r: {"mean_ratio": _ratio(sum(r["growth_ratios"]), len(r["growth_ratios"]))},
-    "2factor": lambda r: {
-        "rate": _ratio(r["agreement"], r["oracle_exists"]),
-        "pass": r["invalid_certificates"] == 0
-        and (not r["oracle_exists"] or r["agreement"] / r["oracle_exists"] >= 0.9),
-    },
-    "abscycle": lambda r: {"pass": r["universal"] > 0 and r["size_bound_ok"]},
-}
+def _ifar_max_len(eps: float) -> int:
+    return min(int(2 * eps ** -2), 8)
 
 
-def _derived(report: dict) -> dict:
-    return {**report, **_DERIVED[report["lemma"]](report)}
+# each lemma is a per-seed function, (instance, seed, params) -> record, and a
+# report function, (params, records in seed order) -> report
+
+def _abspath_seed(g, seed: int, params: dict) -> list[int]:
+    rng = random.Random(seed)
+    return [absorbing.count_absorbing(g, tuple(rng.sample(range(g.n), 4))) for _ in range(params["quads"])]
 
 
-# how lemma-check --jobs combines the reports of its seed chunks: counts add,
-# lists concatenate, min_count is the least (None only when no quads ran);
-# every other field is copied from the first chunk (n, eps, dmax, bound,
-# quads_per_instance, ...) or derived again from the merged counts
-_MERGE = {
-    "min_count": lambda a, b: a if a is None else min(a, b),
-    "size_bound_ok": operator.and_,
-    **dict.fromkeys((
-        "instances", "violations", "trials", "successes", "oracle_exists", "heuristic_success",
-        "agreement", "invalid_certificates", "built", "universal", "orders", "coverages",
-        "growth_ratios",
-    ), operator.add),
-}
+def _abspath_report(params: dict, records: list) -> dict:
+    n, eps = params["n"], params["eps"]
+    bound = eps * eps * n ** 4 / 4
+    counts = [c for rec in records for c in rec]
+    violations = sum(c < bound for c in counts)
+    return {
+        "n": n, "eps": eps, "dmax": params["dmax"], "bound": bound,
+        "instances": len(records), "quads_per_instance": params["quads"],
+        "min_count": min(counts, default=None), "violations": violations, "pass": violations == 0,
+    }
 
 
-def _merge_reports(parts: list[dict]) -> dict:
-    out = dict(parts[0])
-    for part in parts[1:]:
-        for key, rule in _MERGE.items():
-            if key in out:
-                out[key] = rule(out[key], part[key])
-    return _derived(out)
+def _ifar_seed(g, seed: int, params: dict) -> int:
+    max_len = _ifar_max_len(params["eps"])
+    rng = random.Random(seed)
+    succ = 0
+    for _ in range(IFAR_TRIALS):
+        v1, v2, v1p, v2p = rng.sample(range(g.n), 4)
+        succ += absorbing.join_ends(g, v1, v2, v1p, v2p, max_len=max_len) is not None
+    return succ
+
+
+def _ifar_report(params: dict, records: list) -> dict:
+    trials, succ = IFAR_TRIALS * len(records), sum(records)
+    return {
+        "n": params["n"], "eps": params["eps"], "dmax": params["dmax"],
+        "max_len": _ifar_max_len(params["eps"]), "trials": trials, "successes": succ,
+        "rate": _ratio(succ, trials), "pass": succ == trials,
+    }
+
+
+def _rotation3_seed(g, seed: int, params: dict) -> list[float]:
+    sys = rotations.maximal_path_cycle(g, seed=seed)
+    res = rotations.expand_endpoint_colours(
+        sys, g, rotations.RIGHT, max_depth=ROTATION3_DEPTH, require_spread=g.n >= 20
+    )
+    sizes = res.layer_sizes()
+    return [b / a for a, b in zip(sizes, sizes[1:]) if a]
+
+
+def _rotation3_report(params: dict, records: list) -> dict:
+    ratios = [r for rec in records for r in rec]
+    return {
+        "n": params["n"], "eps": params["eps"], "dmax": params["dmax"],
+        "growth_ratios": ratios, "reference": 1 + params["eps"],
+        "note": "probe only: the growth bound assumes maximality and spacing",
+        "mean_ratio": _ratio(sum(ratios), len(ratios)),
+    }
+
+
+def _2factor_seed(g, seed: int, params: dict) -> tuple[bool, bool, bool]:
+    """(oracle finds a 2-factor, heuristic finds one, heuristic's certificate is invalid)"""
+    oracle = exact.exact_pc_two_factor(g)
+    heur = rotations.find_pc_two_factor(g, seed)
+    invalid = heur.success and not verify_certificate(g, heur.certificate).valid
+    return oracle.exists, heur.success, invalid
+
+
+def _2factor_report(params: dict, records: list) -> dict:
+    oracle_yes = sum(o for o, _, _ in records)
+    agree = sum(o and h for o, h, _ in records)
+    invalid = sum(bad for _, _, bad in records)
+    return {
+        "n": params["n"], "dmax": params["dmax"], "instances": len(records),
+        "oracle_exists": oracle_yes, "heuristic_success": sum(h for _, h, _ in records),
+        "agreement": agree, "invalid_certificates": invalid,
+        "rate": _ratio(agree, oracle_yes),
+        "pass": invalid == 0 and (not oracle_yes or agree / oracle_yes >= 0.9),
+    }
+
+
+def _abscycle_seed(g, seed: int, params: dict) -> tuple | None:
+    """(cycle order, order within the size bound, family universal, coverage), or None unbuilt"""
+    res = absorbing.build_absorbing_cycle(g, absorbing.BuildParams(params["family_size"], seed=seed))
+    if not res.success:
+        return None
+    order = res.cycle.cycle.order
+    ok, coverage, _ = absorbing.verify_family_universality(g, res.cycle.family)
+    return order, order <= (4 + absorbing.JOIN_MAX_LEN) * len(res.cycle.family), ok, coverage
+
+
+def _abscycle_report(params: dict, records: list) -> dict:
+    built = [rec for rec in records if rec is not None]
+    universal = sum(ok for _, _, ok, _ in built)
+    bound_ok = all(within for _, within, _, _ in built)
+    return {
+        "n": params["n"], "dmax": params["dmax"], "instances": len(records),
+        "built": len(built), "universal": universal,
+        "orders": [order for order, _, _, _ in built], "coverages": [cov for _, _, _, cov in built],
+        "size_bound_ok": bound_ok, "pass": universal > 0 and bound_ok,
+    }
 
 
 _LEMMAS = {
-    "abspath": _lemma_abspath,
-    "ifar": _lemma_ifar,
-    "rotation3": _lemma_rotation3,
-    "2factor": _lemma_2factor,
-    "abscycle": _lemma_abscycle,
+    "abspath": (_abspath_seed, _abspath_report),
+    "ifar": (_ifar_seed, _ifar_report),
+    "rotation3": (_rotation3_seed, _rotation3_report),
+    "2factor": (_2factor_seed, _2factor_report),
+    "abscycle": (_abscycle_seed, _abscycle_report),
 }
+
+
+def _lemma_seed(name: str, params: dict, seed: int):
+    g = constructions.random_bounded_colouring(params["n"], params["dmax"], seed)
+    return _LEMMAS[name][0](g, seed, params)
 
 
 def lemma_check(name: str, params: dict) -> dict:
     """Run one lemma-style property suite and aggregate its statistics.
 
-    ``params["seeds"]`` is a number of seeds from 0 or a range of seeds.
+    ``params["seeds"]`` is a number of seeds from 0 or a range of seeds;
+    ``params["dmax"]`` None means ⌊(1/2 - eps)n⌋.  With ``params["jobs"]``
+    above 1 the seeds run in consecutive chunks on a process pool of at most
+    one worker per CPU; the report is the serial run's either way.
     """
     if name not in _LEMMAS:
         raise UsageError(f"unknown lemma {name!r}; choose from {sorted(_LEMMAS)}")
-    seeds = params["seeds"]
-    return _LEMMAS[name]({**params, "seeds": range(seeds) if isinstance(seeds, int) else seeds})
+    eps, dmax, seeds, jobs = params["eps"], params["dmax"], params["seeds"], params["jobs"]
+    if not (eps > 0 and math.isfinite(eps)):
+        raise UsageError(f"--eps must be a finite number > 0, got {eps}")
+    if dmax is None:
+        dmax = int((0.5 - eps) * params["n"])
+    elif dmax < 1:
+        raise UsageError(f"--dmax must be >= 1, got {dmax}")
+    seeds = range(seeds) if isinstance(seeds, int) else seeds
+    params = {**params, "dmax": dmax, "seeds": seeds}
+    per_seed = functools.partial(_lemma_seed, name, params)
+    if jobs > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds), os.cpu_count() or 1)) as pool:
+            records = list(pool.map(per_seed, seeds, chunksize=-(-len(seeds) // jobs)))
+    else:
+        records = list(map(per_seed, seeds))
+    return {"lemma": name, **_LEMMAS[name][1](params, records)}
 
 
 def cmd_lemma_check(args) -> int:
     params = {
         "n": args.n, "eps": args.eps, "seeds": args.seeds, "quads": args.quads,
-        "dmax": args.dmax, "family_size": args.family_size,
+        "dmax": args.dmax, "family_size": args.family_size, "jobs": args.jobs,
     }
-    if args.jobs > 1 and args.seeds > 1:
-        # consecutive seed ranges, one per worker
-        per = -(-args.seeds // args.jobs)
-        chunks = [
-            {**params, "seeds": range(s, min(s + per, args.seeds))} for s in range(0, args.seeds, per)
-        ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            out = _merge_reports(list(pool.map(lemma_check, [args.lemma] * len(chunks), chunks)))
-    else:
-        out = lemma_check(args.lemma, params)
+    out = lemma_check(args.lemma, params)
     report = RunReport("lemma-check", seed=0, result=out)
     _emit(report, args)
     return EXIT_OK if out.get("pass", True) else EXIT_FAIL

@@ -573,20 +573,24 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
 
     Closes the path at once when it can; otherwise rotates its left end and
     closes the first reached state that can ("fallback" in
-    ``stats["closed_via"]``).
+    ``stats["closed_via"]``).  The expansion goes to depth 1 first and to
+    ``_CLOSE_DEPTH`` only when no depth-1 state closes; both list the depth-1
+    states first and in the same order, so the closed state is the one the
+    deeper expansion alone would pick.
     """
     if _closable(sys, g):
         return _close_path_into_cycles(sys)
 
-    res = expand_endpoint_colours(
-        sys, g, LEFT, max_depth=_CLOSE_DEPTH, require_spread=False,
-        max_rotations=_CLOSE_ROTATIONS,
-    )
-    stats["rotations"] += res.rotations
-    for st in res.states():
-        if _closable(st.system, g):
-            stats["closed_via"] = "fallback"
-            return _close_path_into_cycles(st.system)
+    for depth in (1, _CLOSE_DEPTH):
+        res = expand_endpoint_colours(
+            sys, g, LEFT, max_depth=depth, require_spread=False,
+            max_rotations=_CLOSE_ROTATIONS,
+        )
+        stats["rotations"] += res.rotations
+        for st in res.states():
+            if _closable(st.system, g):
+                stats["closed_via"] = "fallback"
+                return _close_path_into_cycles(st.system)
     return None
 
 

@@ -71,10 +71,15 @@ def test_count_monochromatic_zero():
     assert count_absorbing(monochromatic(9), (0, 1, 2, 3)) == 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_count_matches_enumeration(seed):
+# seeds 0-7 draw n from 9-11; n 4-7 leave fewer than four vertices outside the quadruple
+@pytest.mark.parametrize(
+    "seed, n",
+    [(s, None) for s in range(8)] + [(n, n) for n in range(4, 8)],
+    ids=[str(s) for s in range(8)] + [f"n{n}" for n in range(4, 8)],
+)
+def test_count_matches_enumeration(seed, n):
     rng = random.Random(seed)
-    n = rng.randint(9, 11)
+    n = rng.randint(9, 11) if n is None else n
     g = random_bounded_colouring(n, 4, seed, colours=rng.randint(3, 6))
     quad = tuple(rng.sample(range(n), 4))
     fast = count_absorbing(g, quad)

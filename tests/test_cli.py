@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
+from pch import cli
 from pch.cli import main
 from pch.constructions import rainbow, random_bounded_colouring
 from pch.ec_graph import certificate_to_json, ham_cycle_certificate, read_graph, write_graph
@@ -199,6 +200,8 @@ def test_lemma_check_parallel_jobs(tmp_path):
     ("abspath", ["--n", "20", "--dmax", "7", "--quads", "5"]),
     ("ifar", ["--n", "16", "--dmax", "6"]),
     ("abscycle", ["--n", "30", "--dmax", "12"]),
+    ("rotation3", ["--n", "16", "--dmax", "6"]),
+    ("2factor", ["--n", "9", "--dmax", "3"]),
 ])
 def test_lemma_check_jobs_match_serial(tmp_path, lemma, extra):
     results = []
@@ -208,6 +211,47 @@ def test_lemma_check_jobs_match_serial(tmp_path, lemma, extra):
             "--report", str(rpath))
         results.append(json.loads(rpath.read_text())["result"])
     assert results[1] == results[0]
+
+
+def test_lemma_check_jobs_pool_is_capped_at_cpu_count(monkeypatch):
+    seen = {}
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seeds, chunksize):
+            seen["chunksize"] = chunksize
+            return map(fn, seeds)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    params = {"n": 16, "eps": 0.1, "dmax": 6, "seeds": 8, "quads": 5, "family_size": 3}
+    serial = cli.lemma_check("ifar", {**params, "jobs": 1})
+    assert seen == {}
+    assert cli.lemma_check("ifar", {**params, "jobs": 5000}) == serial
+    assert seen == {"max_workers": 2, "chunksize": 1}
+    assert cli.lemma_check("ifar", {**params, "jobs": 3}) == serial
+    assert seen == {"max_workers": 2, "chunksize": 3}
+
+
+@pytest.mark.parametrize("lemma, bad", [
+    ("2factor", ["--dmax", "0"]),
+    ("abspath", ["--dmax", "-3"]),
+    ("ifar", ["--eps", "0"]),
+    ("abscycle", ["--eps", "-0.1"]),
+])
+def test_lemma_check_rejects_bad_dmax_and_eps(capsys, lemma, bad):
+    assert run("lemma-check", "--lemma", lemma, "--n", "9", "--seeds", "2", *bad) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err
 
 
 def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):

@@ -617,3 +617,10 @@ def test_two_factor_near_threshold_closes_in_few_rotations():
     out = find_pc_two_factor(g, 5)
     assert out.success
     assert 0 < out.stats["rotations"] <= 1_000
+
+
+def test_two_factor_closure_tries_depth_one_first():
+    # a depth-1 state closes here, so the closure never builds its depth-2 layer
+    out = find_pc_two_factor(near_bollobas_erdos(40, 2), 2)
+    assert out.success
+    assert out.stats["rotations"] <= 200
