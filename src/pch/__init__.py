@@ -11,7 +11,6 @@ from pch.ec_graph import (
     ColouredGraph,
     DirectedCycle,
     DirectedPath,
-    colour_of,
     graph_from_text,
     graph_to_text,
     induced_subgraph,

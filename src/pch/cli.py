@@ -233,6 +233,8 @@ def cmd_absorb_check(args) -> int:
         quads = list(itertools.permutations(range(g.n), 4))
     elif args.quads.startswith("sample:"):
         count = int(args.quads.split(":", 1)[1])
+        if count < 0:
+            raise UsageError(f"--quads sample size must be >= 0, got {count}")
         quads = [tuple(rng.sample(range(g.n), 4)) for _ in range(count)]
     else:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
@@ -291,7 +293,8 @@ def _ratio(num, den):
 
 
 def _ifar_max_len(eps: float) -> int:
-    return min(int(2 * eps ** -2), 8)
+    # 2 / eps^2 is at least 8 for eps <= 1/2, where it may also overflow
+    return 8 if eps <= 0.5 else int(2 * eps ** -2)
 
 
 # each lemma is a per-seed function, (instance, seed, params) -> record, and a
@@ -426,6 +429,10 @@ def lemma_check(name: str, params: dict) -> dict:
         dmax = int((0.5 - eps) * params["n"])
     elif dmax < 1:
         raise UsageError(f"--dmax must be >= 1, got {dmax}")
+    if isinstance(seeds, int) and seeds < 0:
+        raise UsageError(f"--seeds must be >= 0, got {seeds}")
+    if params["quads"] < 0:
+        raise UsageError(f"--quads must be >= 0, got {params['quads']}")
     seeds = range(seeds) if isinstance(seeds, int) else seeds
     params = {**params, "dmax": dmax, "seeds": seeds}
     per_seed = functools.partial(_lemma_seed, name, params)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pch.ec_graph import ColouredComplete, ColouredGraph, is_properly_coloured_cycle, max_mono_degree
+from pch.ec_graph import ColouredComplete, ColouredGraph, DirectedCycle, is_properly_coloured_cycle, max_mono_degree
 
 
 class GenerationError(RuntimeError):
@@ -56,9 +56,6 @@ class OrientedGraph:
     def max_in_degree(self) -> int:
         return max((self.in_degree(v) for v in range(self.n)), default=0)
 
-    def is_tournament(self) -> bool:
-        return len(self.arcs) == self.n * (self.n - 1) // 2
-
     def out_neighbours(self, v: int) -> list[int]:
         return sorted(w for (u, w) in self.arcs if u == v)
 
@@ -74,7 +71,7 @@ class OrientedGraph:
         def walk(start: int, path: list[int], on_path: set[int]):
             for w in succ[path[-1]]:
                 if w == start and len(path) >= 3:
-                    found.add(_undirected_canonical(tuple(path)))
+                    found.add(DirectedCycle(tuple(path)).canonical())
                 elif w > start and w not in on_path:
                     on_path.add(w)
                     path.append(w)
@@ -85,14 +82,6 @@ class OrientedGraph:
         for s in range(self.n):
             walk(s, [s], {s})
         return found
-
-
-def _undirected_canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    i = cycle.index(min(cycle))
-    rot = cycle[i:] + cycle[:i]
-    if rot[1] > rot[-1]:
-        rot = (rot[0],) + rot[1:][::-1]
-    return rot
 
 
 def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:
@@ -330,7 +319,7 @@ def properly_coloured_cycle_set(cg) -> set[tuple[int, ...]]:
         for w in adj[last]:
             if w == start and len(path) >= 3:
                 if path[1] < path[-1] and is_properly_coloured_cycle(cg, path):
-                    found.add(_undirected_canonical(tuple(path)))
+                    found.add(DirectedCycle(tuple(path)).canonical())
             elif w > start and w not in on_path:
                 on_path.add(w)
                 path.append(w)

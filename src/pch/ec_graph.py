@@ -139,16 +139,8 @@ class ColouredGraph:
     def edge_count(self) -> int:
         return len(self._colours)
 
-    def is_complete(self) -> bool:
-        return len(self._colours) == self.n * (self.n - 1) // 2
-
     def __repr__(self) -> str:
         return f"ColouredGraph(n={self.n}, k={self.k}, m={len(self._colours)})"
-
-
-def colour_of(g, u: Vertex, v: Vertex) -> ColourId:
-    """Colour of the edge uv (symmetric)."""
-    return g.colour(u, v)
 
 
 def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from pch.ec_graph import (
+    KIND_PATH_CYCLE_SYSTEM,
     Certificate,
     DirectedCycle,
     DirectedPath,
-    is_properly_coloured_cycle,
     is_properly_coloured_path,
     two_factor_certificate,
     verify_certificate,
@@ -129,20 +129,15 @@ def system_distances(sys: PathCycleSystem) -> dict[int, dict[int, int]]:
 
 def validate_system(sys: PathCycleSystem, g) -> None:
     """Raise ValueError unless sys is a properly coloured 1-path-cycle in g."""
-    vs = sys.vertices()
-    if len(set(vs)) != len(vs):
-        raise ValueError("system pieces share a vertex")
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    if sys.path is not None:
-        if sys.path.order < 2:
-            raise ValueError("system path must have order >= 2")
-        if not is_properly_coloured_path(g, sys.path):
-            raise ValueError("system path is not properly coloured")
-    for cyc in sys.cycles:
-        if not is_properly_coloured_cycle(g, cyc):
-            raise ValueError("a system cycle is not properly coloured")
+    if sys.path is not None and sys.path.order < 2:
+        raise ValueError("system path must have order >= 2")
+    cert = verify_certificate(g, Certificate(
+        KIND_PATH_CYCLE_SYSTEM,
+        cycles=tuple(cyc.vertices for cyc in sys.cycles),
+        path=sys.path.vertices if sys.path is not None else None,
+    ))
+    if not cert.valid:
+        raise ValueError(cert.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +158,23 @@ def find_chords(sys: PathCycleSystem, g, side: str) -> list[Chord]:
     return out
 
 
+def _right_chords(sys: PathCycleSystem, g):
+    """The right chord targets ``rotate`` accepts, in ascending order: every
+    system vertex w outside {y, x, x's path neighbour} with c(y, w) != c_y."""
+    path = sys.path.vertices
+    row = g.rows[path[-1]]
+    c_y = row[path[-2]]
+    skip = (path[-1], path[0], path[1])
+    return (w for w in sorted(sys.index) if w not in skip and row[w] != c_y)
+
+
 def _guarantee(ok: bool, what: str) -> None:
     """Raise RuntimeError(what) unless ok: an invariant check that, unlike assert, holds under python -O."""
     if not ok:
         raise RuntimeError(what)
 
 
-def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | None = None) -> PathCycleSystem:
+def _rotate_right(sys: PathCycleSystem, g, w: int, target: int | None = None) -> PathCycleSystem:
     path = sys.path.vertices
     y = path[-1]
     c_y = g.colour(y, path[-2])
@@ -189,9 +194,8 @@ def _rotate_right(sys: PathCycleSystem, g, w: int, check: bool, target: int | No
         raise ValueError(f"rotation target {want} is not a neighbour of {w}")
 
     out = _rewire_right(sys, w, want)
-    if check:
-        validate_system(out, g)
-        _guarantee(out.vertex_set() == sys.vertex_set(), "rotation changed the vertex set")
+    validate_system(out, g)
+    _guarantee(out.vertex_set() == sys.vertex_set(), "rotation changed the vertex set")
     return out
 
 
@@ -244,7 +248,7 @@ def _mirror(sys: PathCycleSystem) -> PathCycleSystem:
     return PathCycleSystem(sys.path.reverse() if sys.path else None, sys.cycles)
 
 
-def rotate(sys: PathCycleSystem, g, chord: Chord, check: bool = True) -> PathCycleSystem:
+def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
     """One chord rotation; returns a new properly coloured system on the same vertices."""
     if sys.path is None:
         raise ValueError("cannot rotate a pathless system")
@@ -252,11 +256,11 @@ def rotate(sys: PathCycleSystem, g, chord: Chord, check: bool = True) -> PathCyc
     if chord.side == RIGHT:
         if chord.endpoint != p.y:
             raise ValueError(f"right chord endpoint {chord.endpoint} is not the right end {p.y}")
-        return _rotate_right(sys, g, chord.w, check, chord.target)
+        return _rotate_right(sys, g, chord.w, chord.target)
     if chord.side == LEFT:
         if chord.endpoint != p.x:
             raise ValueError(f"left chord endpoint {chord.endpoint} is not the left end {p.x}")
-        return _mirror(_rotate_right(_mirror(sys), g, chord.w, check, chord.target))
+        return _mirror(_rotate_right(_mirror(sys), g, chord.w, chord.target))
     raise ValueError(f"unknown chord side {chord.side!r}")
 
 
@@ -348,7 +352,7 @@ def combine_rotation_sequences(
     probe = sys
     trace: list[int] = []
     for ch in left:
-        probe = rotate(probe, g, ch, check=False)
+        probe = rotate(probe, g, ch)
         trace.append(probe.params(g).x)
     left_params = probe.params(g) if left else None
 
@@ -436,21 +440,10 @@ def _expand_right(sys: PathCycleSystem, g, max_depth: int, require_spread: bool,
         for key in sorted(layers[-1]):
             st = layers[-1][key]
             cur = st.system
-            path = cur.path.vertices
-            z = path[-1]
-            cz = g.colour(z, path[-2])
-            xcur = path[0]
-            x_nb = path[1]
-            spread_pts = None
+            z = cur.path.last
             if require_spread:
                 spread_pts = [p0.x, p0.y] + [c.w for c in st.chords]
-            for w in sorted(cur.vertices()):
-                if w == z:
-                    continue
-                if g.colour(z, w) == cz:
-                    continue
-                if w == xcur or w == x_nb:
-                    continue
+            for w in _right_chords(cur, g):
                 if require_spread:
                     dw = dist[w]
                     if any(dw.get(p, 10 ** 9) <= SPREAD_DISTANCE for p in spread_pts):
@@ -594,28 +587,16 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
     return None
 
 
-def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Random):
-    """Start a new path among uncovered vertices, keeping the closed cycles."""
+def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Random) -> PathCycleSystem:
+    """Start a new path among uncovered vertices, keeping the closed cycles.
+    A single stranded vertex is a one-vertex path, rotated into the first
+    vertex of the first cycle, which absorbs that cycle."""
     start = min(free) if len(free) == 1 else rng.choice(sorted(free))
-    path = _grow_path(g, rng, [start], free)
-    if len(path) >= 2:
-        return PathCycleSystem(DirectedPath(tuple(path)), cycles)
-    # a single stranded vertex: splice it onto some cycle as a path head
-    v = path[0]
-    for idx, cyc in enumerate(cycles):
-        verts = cyc.vertices
-        L = len(verts)
-        for i, u in enumerate(verts):
-            cvu = g.colour(v, u)
-            if cvu != g.colour(u, verts[(i + 1) % L]):
-                tail = [verts[(i - t) % L] for t in range(L)]
-            elif cvu != g.colour(u, verts[(i - 1) % L]):
-                tail = [verts[(i + t) % L] for t in range(L)]
-            else:
-                continue
-            rest = cycles[:idx] + cycles[idx + 1 :]
-            return PathCycleSystem(DirectedPath(tuple([v] + tail)), rest)
-    return None
+    sys = PathCycleSystem(DirectedPath(tuple(_grow_path(g, rng, [start], free))), cycles)
+    if sys.path.order >= 2:
+        return sys
+    w = cycles[0].vertices[0]
+    return _rewire_right(sys, w, rotation_targets(sys, g, RIGHT, w)[0])
 
 
 def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
@@ -637,7 +618,7 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
         sys = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=GREEDY_RESTARTS)
         # each pass closes the system and reopens it on at least one more
         # vertex, so the cycles span or the attempt stops within n passes
-        while sys is not None:
+        while True:
             if best is None or sys.order > best.order:
                 best = sys
             closed = _close_system(sys, g, stats)
@@ -683,8 +664,8 @@ def _absorb_cycle(sys: PathCycleSystem, g) -> PathCycleSystem | None:
     """The first chord rotation, right end first, whose target lies on a
     cycle: it absorbs that cycle into the path.  None when there is none."""
     on_cycles = {v for cyc in sys.cycles for v in cyc.vertices}
-    for side in (RIGHT, LEFT):
-        for ch in find_chords(sys, g, side):
-            if ch.w in on_cycles:
-                return rotate(sys, g, ch, check=False)
+    for cur, back in ((sys, lambda s: s), (_mirror(sys), _mirror)):
+        for w in _right_chords(cur, g):
+            if w in on_cycles:
+                return back(_rewire_right(cur, w, rotation_targets(cur, g, RIGHT, w)[0]))
     return None

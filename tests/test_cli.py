@@ -254,6 +254,31 @@ def test_lemma_check_rejects_bad_dmax_and_eps(capsys, lemma, bad):
     assert "error:" in err
 
 
+def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
+    rpath = tmp_path / "ifar.json"
+    code = run("lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1",
+               "--eps", "1e-200", "--report", str(rpath))
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(rpath.read_text())["result"]["max_len"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"],
+    ["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"],
+    ["absorb-check", "--eps", "0.1", "--quads", "sample:-3"],
+], ids=["seeds", "quads", "absorb-sample"])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "absorb-check":
+        gpath = tmp_path / "g.txt"
+        write_graph(rainbow(9), gpath)
+        argv = argv + ["--input", str(gpath)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be >= 0" in err
+
+
 def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):
     rpath = tmp_path / "abscycle.json"
     code = run("lemma-check", "--lemma", "abscycle", "--n", "30", "--dmax", "12",

@@ -20,7 +20,6 @@ from pch.ec_graph import (
     GraphFormatError,
     certificate_from_json,
     certificate_to_json,
-    colour_of,
     graph_from_text,
     graph_to_text,
     ham_cycle_certificate,
@@ -44,17 +43,17 @@ colourings = st.builds(
 
 def test_colour_of_symmetric_and_stored():
     g = monochromatic(4)
-    assert colour_of(g, 1, 3) == 0
+    assert g.colour(1, 3) == 0
     r = rainbow(4)
-    assert colour_of(r, 0, 1) == colour_of(r, 1, 0)
+    assert r.colour(0, 1) == r.colour(1, 0)
 
 
 def test_colour_of_domain_errors():
     g = rainbow(4)
     with pytest.raises(ValueError):
-        colour_of(g, 2, 2)
+        g.colour(2, 2)
     with pytest.raises(ValueError):
-        colour_of(g, 0, 4)
+        g.colour(0, 4)
 
 
 def test_colour_of_oriented_arc_gets_head_colour():
@@ -62,7 +61,7 @@ def test_colour_of_oriented_arc_gets_head_colour():
     cg = colouring_from_oriented(og)
     # arc u -> v is coloured with v's colour id (the head vertex id)
     for (u, v) in og.arcs:
-        assert colour_of(cg, u, v) == v
+        assert cg.colour(u, v) == v
 
 
 def test_mono_degree_examples():

@@ -39,6 +39,7 @@ from pch.rotations import (
     rotate,
     rotation_targets,
     system_adjacency,
+    validate_system,
 )
 from tests.conftest import random_system_instance
 
@@ -53,6 +54,20 @@ def graph_from_edges(n, k, edges, default=0):
 
 def path_system(*verts) -> PathCycleSystem:
     return PathCycleSystem(DirectedPath(tuple(verts)))
+
+
+def test_validate_system_rejects_broken_systems():
+    g, mono = rainbow(8), monochromatic(8)
+    validate_system(PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((3, 4, 5)),)), g)
+    for graph, sys, reason in [
+        (g, PathCycleSystem(DirectedPath((0,)), (DirectedCycle((3, 4, 5)),)), "order >= 2"),
+        (g, PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((2, 4, 5)),)), "shares vertex 2"),
+        (g, PathCycleSystem(DirectedPath((0, 1, 8))), "outside 0..7"),
+        (mono, PathCycleSystem(DirectedPath((0, 1, 2))), "path: adjacent edges"),
+        (mono, PathCycleSystem(None, (DirectedCycle((0, 1, 2)),)), "cycle 0: adjacent edges"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            validate_system(sys, graph)
 
 
 # -- chords -------------------------------------------------------------------
@@ -170,7 +185,7 @@ def check_rotation_contract(g, sys, ch):
     """Soundness plus the endpoint contract and locality, checked exactly."""
     old_adj = system_adjacency(sys)
     p = sys.params(g)
-    out = rotate(sys, g, ch, check=True)  # validates properness + vertex set
+    out = rotate(sys, g, ch)  # validates properness + vertex set
     q = out.params(g)
     if ch.side == RIGHT:
         assert (q.x, q.c_x) == (p.x, p.c_x)
@@ -422,7 +437,7 @@ def test_rotation_vertex_set_check_raises(monkeypatch):
 
 def test_chord_sequence_guarantee_raises(monkeypatch):
     # a rotation that does nothing leaves the right end away from the chord target
-    monkeypatch.setattr(pch.rotations, "rotate", lambda sys, g, chord, check=True: sys)
+    monkeypatch.setattr(pch.rotations, "rotate", lambda sys, g, chord: sys)
     with pytest.raises(RuntimeError, match="last chord target"):
         apply_chord_sequence(path_system(*range(30)), rainbow(30), [Chord(RIGHT, 29, 14)])
 
@@ -513,16 +528,24 @@ def test_ham_path_heuristic_without_a_two_factor():
     assert find_pc_ham_path_heuristic(g, find_pc_two_factor(g)) is None
 
 
-@pytest.mark.parametrize("cut, sizes", [(1, [12]), (3, [9, 3])])
-def test_two_factor_reopens_on_leftover_vertices(monkeypatch, cut, sizes):
-    # an initial path `cut` vertices short: one leftover vertex is spliced
-    # onto the closed cycle, three grow a path of their own
+@pytest.mark.parametrize(
+    "g, cut, sizes",
+    [
+        pytest.param(rainbow(12), 1, [12], id="1-sizes0"),
+        pytest.param(rainbow(12), 3, [9, 3], id="3-sizes1"),
+        # unlike in a rainbow colouring, the stranded vertex's edge into the
+        # cycle can repeat a cycle colour there, so the walk direction matters
+        pytest.param(random_bounded_colouring(9, 4, 1, colours=3), 1, [9], id="1-sizes2"),
+    ],
+)
+def test_two_factor_reopens_on_leftover_vertices(monkeypatch, g, cut, sizes):
+    # an initial path `cut` vertices short: one leftover vertex is rotated
+    # into the closed cycle, three grow a path of their own
     def short(*args, **kwargs):
         sys = maximal_path_cycle(*args, **kwargs)
         return replace(sys, path=DirectedPath(sys.path.vertices[:-cut]))
 
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
-    g = rainbow(12)
     out = find_pc_two_factor(g)
     assert out.success and verify_certificate(g, out.certificate).valid
     assert [len(c) for c in out.certificate.cycles] == sizes
