@@ -29,6 +29,7 @@ from pch.ec_graph import (
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
+from pch.rotations import pick_extension
 
 
 class AbsorptionError(RuntimeError):
@@ -331,15 +332,14 @@ def _draw_family(g, rng: random.Random, size: int) -> tuple[tuple[int, ...], ...
     members = []
     free = list(range(g.n))
     for _ in range(size):
-        path = [rng.choice(free)]
+        path = [free.pop(rng.randrange(len(free)))]
         while len(path) < 4:
             end = g.rows[path[-1]]
-            opts = [u for u in free if u not in path and (len(path) == 1 or end[u] != end[path[-2]])]
-            if not opts:
+            nxt = pick_extension(rng, free, end, end[path[-2]] if len(path) > 1 else -1)
+            if nxt is None:
                 return None
-            path.append(rng.choice(opts))
+            path.append(nxt)
         members.append(tuple(path))
-        free = [v for v in free if v not in path]
     return tuple(members)
 
 
@@ -385,6 +385,11 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
     return BuildResult(None, last_stage, RETRY_BUDGET)
 
 
+def absorbing_member(g, ac: AbsorbingCycle, quad):
+    """The first family member of `ac` that absorbs `quad`, or None."""
+    return next((mb for mb in ac.family if is_absorbing(g, quad, mb)), None)
+
+
 def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
     """Splice a disjoint PC path of order >= 4 into the absorbing cycle.
 
@@ -402,8 +407,7 @@ def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
     cyc_set = set(ac.cycle.vertices)
     if cyc_set & set(vs):
         raise ValueError("path intersects the absorbing cycle")
-    quad = (vs[0], vs[1], vs[-2], vs[-1])
-    member = next((mb for mb in ac.family if is_absorbing(g, quad, mb)), None)
+    member = absorbing_member(g, ac, (vs[0], vs[1], vs[-2], vs[-1]))
     if member is None:
         return None
     z2, z3 = member[1], member[2]

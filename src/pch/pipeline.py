@@ -24,7 +24,13 @@ import time
 from dataclasses import dataclass, field
 
 from pch import rotations
-from pch.absorbing import AbsorptionError, BuildParams, absorb_path, build_absorbing_cycle
+from pch.absorbing import (
+    AbsorptionError,
+    BuildParams,
+    absorb_path,
+    absorbing_member,
+    build_absorbing_cycle,
+)
 from pch.ec_graph import (
     Certificate,
     ColouredComplete,
@@ -133,8 +139,9 @@ def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
 
     Each seed's path (`first` for `seed`; later seeds build their own) is
     tried forward and reversed, and then so is each spanning path its end
-    rotations reach.  `tried` records the path seeds, the routes of the
-    paths later seeds built, end quadruples and rotations.
+    rotations reach.  A candidate is lifted to `g` and absorbed only once
+    some member absorbs its end quadruple.  `tried` records the path seeds,
+    the routes of the paths later seeds built, end quadruples and rotations.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
@@ -145,10 +152,16 @@ def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
         if path is None:
             continue
         for variant in itertools.chain([path], _rotated(sub, path, tried)):
-            lifted = DirectedPath(tuple(old_ids[v] for v in variant.vertices))
-            for p in (lifted, lifted.reverse()):
+            vs = variant.vertices
+            ends = (old_ids[vs[0]], old_ids[vs[1]], old_ids[vs[-2]], old_ids[vs[-1]])
+            # forward, then reversed: the reversed path's end quadruple is
+            # the forward one read backwards
+            for quad, backwards in ((ends, False), (ends[::-1], True)):
                 tried["quads"] += 1
-                cycle = absorb_path(g, ac, p)
+                if absorbing_member(g, ac, quad) is None:
+                    continue
+                lifted = DirectedPath(tuple(old_ids[v] for v in vs))
+                cycle = absorb_path(g, ac, lifted.reverse() if backwards else lifted)
                 if cycle is not None:
                     return cycle
     return None

@@ -482,36 +482,74 @@ def _mirror_expansion(res: ExpansionResult) -> ExpansionResult:
 # greedy growth
 # ---------------------------------------------------------------------------
 
+# blind draws before a pick scans its candidates
+_BLIND_DRAWS = 4
+
+
+def pick_extension(rng: random.Random, cand: list[int], row, avoid: int) -> int | None:
+    """Remove and return a uniform random u in `cand` with row[u] != avoid,
+    or None when there is none.
+
+    `row` is the colour row of a path end and `avoid` the colour of the path
+    edge there (-1 at a one-vertex path, which allows every candidate).  A
+    few blind uniform draws come first, so a step costs O(1) expected when
+    most candidates are allowed; after as many misses, one scan draws among
+    the allowed ones.  Either way the pick is uniform over them.  It leaves
+    `cand` by swap-and-pop, so the order of `cand` changes.
+    """
+    if not cand:
+        return None
+    for _ in range(_BLIND_DRAWS):
+        i = rng.randrange(len(cand))
+        if row[cand[i]] != avoid:
+            break
+    else:
+        opts = [i for i, u in enumerate(cand) if row[u] != avoid]
+        if not opts:
+            return None
+        i = rng.choice(opts)
+    u = cand[i]
+    cand[i] = cand[-1]
+    cand.pop()
+    return u
+
+
 def _grow_path(g, rng: random.Random, path: list[int], allowed: set[int]) -> list[int]:
-    """Greedily extend a PC path at both ends through `allowed` until stuck."""
+    """Greedily extend a PC path at both ends through `allowed` until stuck.
+
+    The ends take turns.  An end that finds no extension stays stuck, since
+    its last edge is fixed and the candidates only shrink, so it is not
+    tried again.
+    """
     cand = sorted(allowed - set(path))
-    while True:
-        grew = False
-        inner = path[-2] if len(path) >= 2 else None
-        end = g.rows[path[-1]]
-        opts = [u for u in cand if inner is None or end[u] != end[inner]]
-        if opts:
-            nxt = rng.choice(opts)
-            path.append(nxt)
-            cand.remove(nxt)
-            grew = True
-        inner = path[1] if len(path) >= 2 else None
-        end = g.rows[path[0]]
-        opts = [u for u in cand if inner is None or end[u] != end[inner]]
-        if opts:
-            nxt = rng.choice(opts)
-            path.insert(0, nxt)
-            cand.remove(nxt)
-            grew = True
-        if not grew:
-            return path
+    rows = g.rows
+    path = deque(path)
+    right = left = True
+    while right or left:
+        if right:
+            end = rows[path[-1]]
+            nxt = pick_extension(rng, cand, end, end[path[-2]] if len(path) > 1 else -1)
+            if nxt is None:
+                right = False
+            else:
+                path.append(nxt)
+        if left:
+            end = rows[path[0]]
+            nxt = pick_extension(rng, cand, end, end[path[1]] if len(path) > 1 else -1)
+            if nxt is None:
+                left = False
+            else:
+                path.appendleft(nxt)
+    return list(path)
 
 
 def maximal_path_cycle(g, seed: int = 0, restarts: int = 50) -> PathCycleSystem:
     """Longest greedily grown PC path over randomized restarts.
 
-    The result cannot be extended by appending a single vertex at either end
-    (local maximality); global maximality is approximated by the restarts.
+    Each step appends a uniform random allowed vertex at one end
+    (`pick_extension`).  The result cannot be extended by appending a single
+    vertex at either end (local maximality); global maximality is
+    approximated by the restarts.
     """
     if g.n < 2:
         raise ValueError(f"need n >= 2, got {g.n}")

@@ -10,6 +10,7 @@ from pch.absorbing import (
     AbsorbingCycle,
     AbsorptionError,
     BuildParams,
+    _draw_family,
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
@@ -18,7 +19,7 @@ from pch.absorbing import (
     join_ends,
     verify_family_universality,
 )
-from pch.constructions import monochromatic, rainbow, random_bounded_colouring
+from pch.constructions import layered_colouring, monochromatic, rainbow, random_bounded_colouring
 from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
@@ -124,6 +125,24 @@ def test_family_members_disjoint_pc_paths():
             assert is_properly_coloured_path(g, mb)
             assert not (seen & set(mb))
             seen.update(mb)
+
+
+@pytest.mark.parametrize("g, size", [
+    (rainbow(24), 5),
+    (monochromatic(24), 5),
+    # every PC 4-path here uses two of the 4 hubs
+    (layered_colouring(24, 4), 2),
+    (random_bounded_colouring(40, 16, 0, colours=3), 5),
+    (random_bounded_colouring(40, 12, 1, colours=4), 5),
+], ids=repr)
+def test_draw_family_gives_disjoint_pc_four_paths(g, size):
+    families = [_draw_family(g, random.Random(seed), size) for seed in range(8)]
+    # a monochromatic colouring has no PC path of order 3
+    assert (families == [None] * 8) == (g.k == 1)
+    for family in filter(None, families):
+        assert len(family) == size
+        assert all(len(mb) == 4 and is_properly_coloured_path(g, mb) for mb in family)
+        assert len({v for mb in family for v in mb}) == 4 * size
 
 
 def _universality_case(seed, members=None, outside=None):
@@ -248,7 +267,7 @@ def test_universality_at_bench_scale_rainbow():
     assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
 
 
-@pytest.mark.parametrize("dmax, colours, coverage", [(36, 3, 0.69116), (24, 6, 0.94272)])
+@pytest.mark.parametrize("dmax, colours, coverage", [(36, 3, 0.66161), (24, 6, 0.97195)])
 def test_universality_at_bench_scale_few_colours(dmax, colours, coverage):
     # 5-member builder families at n = 80, the bench's few-colour scale
     g = random_bounded_colouring(80, dmax, 0, colours=colours)

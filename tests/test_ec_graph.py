@@ -328,6 +328,14 @@ def test_induced_subgraph_matches_per_pair_reference(g):
     ref = ColouredComplete.from_function(len(old), g.k, lambda a, b: g.colour(old[a], old[b]))
     assert old == tuple(keep)
     assert sub == ref
+    # what the constructor guarantees for a flat table holds for the restriction
+    m = sub.matrix
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, -1] = 0
+    assert m.dtype == np.int32
+    assert (np.diag(m) == -1).all()
+    assert sub.rows == tuple(map(tuple, m.tolist()))
 
 
 @pytest.mark.parametrize("g", _representation_cases(), ids=repr)
@@ -355,3 +363,27 @@ def test_constructor_rejects_colours_beyond_int32():
         ColouredComplete(3, 2, [0, 2, 1])
     with pytest.raises(ValueError, match="outside"):
         ColouredComplete(3, 2, [0, -1, 1])
+
+
+def test_constructor_checks_a_colour_matrix():
+    from pch.ec_graph import ColouredComplete
+
+    g = random_colouring(6, 3, 2)
+    mine = g.matrix.copy()
+    h = ColouredComplete(g.n, g.k, mine)
+    assert h == g and h.rows == g.rows
+    mine[0, 1] = mine[1, 0] = (mine[0, 1] + 1) % 3   # the caller's array stays its own
+    assert h == g and mine.flags.writeable
+    bad_diagonal = g.matrix.copy()
+    bad_diagonal[2, 2] = 0
+    asymmetric = g.matrix.copy()
+    asymmetric[0, 1] = (asymmetric[1, 0] + 1) % 3
+    for bad in (bad_diagonal, asymmetric):
+        with pytest.raises(ValueError, match="symmetric"):
+            ColouredComplete(g.n, g.k, bad)
+    assert g.matrix.max() == 2
+    with pytest.raises(ValueError, match="outside"):
+        ColouredComplete(g.n, 2, g.matrix)
+    with pytest.raises(ValueError, match="entries"):
+        ColouredComplete(g.n + 1, g.k, g.matrix)
+    assert ColouredComplete(1, 1, [[-1]]).rows == ((-1,),)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import pch.absorbing
 import pch.pipeline
 import pch.rotations
+from pch.absorbing import absorb_path
 from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, random_bounded_colouring
 from pch.ec_graph import VERDICT_INVALID, DirectedPath, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
@@ -258,3 +260,60 @@ def test_report_repeats_for_the_same_seed():
     first, second = (run_pipeline(g, PipelineConfig(seed=0)).report for _ in range(2))
     assert first["stages"]["absorb"]["rotations"] > 0
     assert _timeless(first) == _timeless(second)
+
+
+@pytest.mark.parametrize("g, seed", [
+    pytest.param(random_bounded_colouring(160, 64, 1), 1, id="near-rainbow160"),
+    pytest.param(random_bounded_colouring(80, 36, 2, colours=3), 2, id="three-colour80"),
+])
+def test_pipeline_repeats_for_the_same_seed(g, seed):
+    # the random picks draw from sorted candidate lists, never from set order
+    first, second = (run_pipeline(g, PipelineConfig(seed=seed)) for _ in range(2))
+    _assert_solved(g, first)
+    assert first.certificate == second.certificate
+    assert _timeless(first.report) == _timeless(second.report)
+
+
+def _unfiltered_steer(g, ac, sub, old_ids, first, seed, tried):
+    """The steering loop that lifts and absorbs every candidate path."""
+    for i in range(pch.pipeline._PATH_SEEDS):
+        tried["path_seeds"].append(seed + i)
+        path = first
+        if i > 0:
+            path, route, _ = pch.pipeline._spanning_path(sub, seed + i)
+            tried["routes"].append(route)
+        if path is None:
+            continue
+        for variant in itertools.chain([path], pch.pipeline._rotated(sub, path, tried)):
+            lifted = DirectedPath(tuple(old_ids[v] for v in variant.vertices))
+            for p in (lifted, lifted.reverse()):
+                tried["quads"] += 1
+                cycle = pch.pipeline.absorb_path(g, ac, p)
+                if cycle is not None:
+                    return cycle
+    return None
+
+
+@pytest.mark.parametrize("k, seed", [(20, 2), (20, 5), (40, 3), (80, 5)])
+def test_steering_absorbs_only_an_absorbable_path(monkeypatch, k, seed):
+    # the end quadruple is tested first, so one absorb_path call makes the
+    # cycle; the loop that absorbs every candidate reaches the same one
+    g = near_bollobas_erdos(k, seed)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return absorb_path(*args)
+
+    monkeypatch.setattr(pch.pipeline, "absorb_path", counting)
+    res = run_pipeline(g, PipelineConfig(seed=seed))
+    _assert_solved(g, res)
+    assert len(calls) == 1
+    quads = res.report["stages"]["absorb"]["quads"]
+    assert quads > 1
+
+    monkeypatch.setattr(pch.pipeline, "_steer", _unfiltered_steer)
+    ref = run_pipeline(g, PipelineConfig(seed=seed))
+    assert ref.certificate == res.certificate
+    assert ref.report["stages"]["absorb"]["quads"] == quads
+    assert len(calls) == 1 + quads

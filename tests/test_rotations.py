@@ -36,6 +36,7 @@ from pch.rotations import (
     find_pc_two_factor,
     is_spread_out,
     maximal_path_cycle,
+    pick_extension,
     rotate,
     rotation_targets,
     system_adjacency,
@@ -409,6 +410,54 @@ def test_maximal_path_cycle_layered_bound():
         assert sys.path.order <= 2 * 3 + 1  # paths have length < 2l+1
 
 
+_GROWTH_GRAPHS = [
+    pytest.param(lambda: rainbow(12), id="rainbow12"),
+    pytest.param(lambda: monochromatic(9), id="mono9"),
+    pytest.param(lambda: layered_colouring(14, 3), id="layered14-3"),
+    pytest.param(lambda: random_bounded_colouring(40, 16, 1, colours=3), id="three-colour40"),
+    pytest.param(lambda: random_bounded_colouring(30, 12, 2, colours=4), id="four-colour30"),
+]
+
+
+@pytest.mark.parametrize("make", _GROWTH_GRAPHS)
+def test_greedy_paths_are_pc_allowed_and_locally_maximal(make):
+    # maximal_path_cycle over the whole graph, and one growth through a
+    # third of the vertices: PC, inside the allowed set, and no unused
+    # allowed vertex extends either end (the scan after the blind draws)
+    g = make()
+    for seed in range(6):
+        rng = random.Random(seed)
+        allowed = set(rng.sample(range(g.n), g.n // 3))
+        start = min(allowed)
+        for path, allowed_here in (
+            (maximal_path_cycle(g, seed=seed, restarts=3).path.vertices, set(range(g.n))),
+            (tuple(pch.rotations._grow_path(g, rng, [start], allowed)), allowed),
+        ):
+            assert is_properly_coloured_path(g, path)
+            assert len(set(path)) == len(path) and set(path) <= allowed_here
+            unused = allowed_here - set(path)
+            ends = ((path[-1], path[-2]), (path[0], path[1])) if len(path) > 1 else ((path[0], None),)
+            for end, inner in ends:
+                row = g.rows[end]
+                assert not [u for u in unused if inner is None or row[u] != row[inner]]
+
+
+def test_pick_extension_draws_uniformly_among_allowed():
+    row = [0, 1, 0, 0, 1, 0, 2, 0, 0, 0]      # colour at the path end towards each vertex
+    rng = random.Random(0)
+    counts = {1: 0, 4: 0, 6: 0}
+    for _ in range(3000):
+        cand = list(range(10))
+        u = pick_extension(rng, cand, row, 0)
+        counts[u] += 1
+        assert sorted(cand + [u]) == list(range(10))
+    assert all(900 < c < 1100 for c in counts.values())
+    # nothing allowed: None, and the candidates stay
+    cand = [0, 2, 3]
+    assert pick_extension(rng, cand, row, 0) is None and sorted(cand) == [0, 2, 3]
+    assert pick_extension(rng, [], row, -1) is None
+
+
 def test_two_factor_rainbow_and_mono():
     out = find_pc_two_factor(rainbow(7))
     assert out.success
@@ -498,7 +547,7 @@ def test_ham_path_heuristic_spanning_and_proper():
             assert is_properly_coloured_path(g, p)
 
 
-@pytest.mark.parametrize("seed", [13, 14])
+@pytest.mark.parametrize("seed", [14, 32])
 def test_ham_path_heuristic_absorbs_a_second_cycle(seed):
     g = random_bounded_colouring(14, 5, seed)
     tf = find_pc_two_factor(g, seed)
