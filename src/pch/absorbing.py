@@ -33,8 +33,8 @@ from pch.rotations import pick_extension
 
 
 class AbsorptionError(RuntimeError):
-    """A splice broke its own guarantee: the member was not embedded forward,
-    or the result lost a vertex or properness.  A bug, never an outcome."""
+    """A splice or stitch broke its own guarantee: a member not embedded
+    forward, a lost vertex or lost properness.  A bug, never an outcome."""
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,14 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
     members P_j, P_{j+1} (cyclically) by a path joining the last two vertices
     of P_j to the first two of P_{j+1}, avoiding everything already placed.
     A failed draw ("family") or join ("join:j") abandons the attempt; fresh
-    randomness is used until the retry budget runs out.  No member has to
-    absorb any given quadruple: the pipeline steers its path until one does.
+    randomness is used until the retry budget runs out.  A stitched cycle
+    that fails its final check is a bug (`AbsorptionError`): members are PC
+    4-paths and `join_ends` checks each junction.  No member has to absorb
+    any given quadruple: the pipeline steers its path until one does.
     """
     params = params or BuildParams()
+    if params.target_size < 1:
+        raise ValueError(f"family size must be >= 1, got {params.target_size}")
     if g.n < params.target_size * 4 + 4:
         raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
     rng = random.Random(params.seed)
@@ -379,9 +383,9 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
             used.update(q.vertices)
         else:
             cycle = DirectedCycle(tuple(v for mb, q in zip(members, connectors) for v in mb + q.vertices))
-            if is_properly_coloured_cycle(g, cycle):
-                return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, attempt)
-            last_stage = "verify"
+            if not is_properly_coloured_cycle(g, cycle):
+                raise AbsorptionError("stitched absorbing cycle is not properly coloured")
+            return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, attempt)
     return BuildResult(None, last_stage, RETRY_BUDGET)
 
 

@@ -44,12 +44,8 @@ class GraphFormatError(ValueError):
 
 
 class ColouredComplete:
-    """Complete graph on n vertices.
-
-    ``table`` colours the pairs u < v in row-major order, or is the colour
-    matrix itself: symmetric n x n with -1 on the diagonal, the form a
-    restriction passes so that its colours never go through a flat table.
-    """
+    """Complete graph on n vertices; ``table`` colours the pairs u < v in
+    row-major order."""
 
     __slots__ = ("n", "k", "matrix", "rows")
 
@@ -60,27 +56,18 @@ class ColouredComplete:
             raise ValueError(f"need k >= 1, got {k}")
         expected = n * (n - 1) // 2
         tab = np.asarray(table)
-        if tab.shape == (n, n):
-            if not (np.array_equal(tab, tab.T) and (tab.diagonal() == -1).all()):
-                raise ValueError("colour matrix is not symmetric with -1 on the diagonal")
-            flat = tab[~np.eye(n, dtype=bool)]
-        elif tab.ndim == 1 and len(tab) == expected:
-            flat = tab
-        else:
+        if tab.shape != (expected,):
             raise ValueError(f"colour table has {tab.size} entries, expected {expected}")
         if expected:
-            lo, hi = flat.min(), flat.max()
+            lo, hi = tab.min(), tab.max()
             if lo < 0 or hi >= k:
                 raise ValueError(f"colour {lo if lo < 0 else hi} outside 0..{k - 1}")
             if hi > np.iinfo(np.int32).max:
                 raise ValueError(f"colour {hi} does not fit the int32 colour matrix")
-        if tab.ndim == 2:
-            m = tab.astype(np.int32)
-        else:
-            m = np.full((n, n), -1, dtype=np.int32)
-            upper = np.triu_indices(n, 1)
-            m[upper] = flat
-            m[upper[::-1]] = flat
+        m = np.full((n, n), -1, dtype=np.int32)
+        upper = np.triu_indices(n, 1)
+        m[upper] = tab
+        m[upper[::-1]] = tab
         m.setflags(write=False)
         self.n = n
         self.k = k
@@ -99,9 +86,6 @@ class ColouredComplete:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) outside 0..{self.n - 1}")
         return self.rows[u][v]
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u != v and 0 <= u < self.n and 0 <= v < self.n
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,37 +250,27 @@ class DirectedCycle:
 
 
 def is_properly_coloured_path(g, p) -> bool:
-    """True iff consecutive edge colours along p all differ (order <= 2 is proper)."""
+    """True iff each step along p is an edge of g and consecutive edge colours
+    differ (order <= 1 is proper).  A self-pair, an id outside g or a missing
+    edge makes it False."""
     vs = _as_vertex_seq(p)
-    for i in range(len(vs) - 1):
-        if not g.has_edge(vs[i], vs[i + 1]):
-            return False
-    if len(vs) <= 2:
-        return True
-    prev = g.colour(vs[0], vs[1])
-    for i in range(1, len(vs) - 1):
-        cur = g.colour(vs[i], vs[i + 1])
-        if cur == prev:
-            return False
-        prev = cur
+    prev = None
+    try:
+        for u, v in zip(vs, vs[1:]):
+            cur = g.colour(u, v)
+            if cur == prev:
+                return False
+            prev = cur
+    except ValueError:
+        return False
     return True
 
 
 def is_properly_coloured_cycle(g, cyc) -> bool:
-    """True iff around the cycle (wrap included) no vertex sees two equal edge colours."""
+    """True iff around the cycle (wrap included) no vertex sees two equal edge
+    colours: the path walk over the cycle and its first two vertices again."""
     vs = _as_vertex_seq(cyc)
-    if len(vs) < 3:
-        return False
-    for i in range(len(vs)):
-        if not g.has_edge(vs[i], vs[(i + 1) % len(vs)]):
-            return False
-    prev = g.colour(vs[-1], vs[0])
-    for i in range(len(vs)):
-        cur = g.colour(vs[i], vs[(i + 1) % len(vs)])
-        if cur == prev:
-            return False
-        prev = cur
-    return True
+    return len(vs) >= 3 and is_properly_coloured_path(g, vs + vs[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +427,8 @@ def induced_subgraph(g: ColouredComplete, keep: Iterable[int]) -> tuple[Coloured
     # the kept rows, then their kept columns: a quarter of the time np.ix_
     # takes for the same block at pipeline sizes
     idx = np.array(old)
-    return ColouredComplete(len(old), g.k, g.matrix[idx][:, idx]), old
+    block = g.matrix[idx][:, idx]
+    return ColouredComplete(len(old), g.k, block[np.triu_indices(len(old), 1)]), old
 
 
 def graph_to_text(g: ColouredComplete) -> str:

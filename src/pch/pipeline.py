@@ -3,13 +3,15 @@
 Stages: build a small absorbing cycle; delete its vertices; find a spanning
 properly coloured path of the rest; absorb the path into the cycle, reversed,
 end-rotated or from another seed until some member absorbs its end quadruple.
-The spanning path is grown greedily first.  Only when greedy growth stops
-short does the paper's route run: a properly coloured 2-factor of the rest,
-searched with the path seed as its one setting, whose cycles are opened into
-a spanning path by rotations, with exhaustive search as the desk-scale
-stand-in for the 2-factor-to-path theorem on small restrictions.  The
-report's ``ham_path`` record names the first path seed's route, and the
-``absorb`` record's ``routes`` the route of each later seed's path.
+The spanning path is grown greedily first, inside the rest, in the input's
+own vertex ids; steering and absorption use the same ids.  Only when greedy
+growth stops short does the paper's route run, on the restriction of the
+input to the rest: a properly coloured 2-factor, searched with the path seed
+as its one setting, whose cycles are opened into a spanning path by
+rotations, with exhaustive search as the desk-scale stand-in for the
+2-factor-to-path theorem on small restrictions.  The report's ``ham_path``
+record names the first path seed's route, and the ``absorb`` record's
+``routes`` the route of each later seed's path.
 The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
@@ -105,13 +107,19 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
-def _spanning_path(sub, seed: int) -> tuple[DirectedPath | None, dict, TwoFactorOutcome | None]:
-    """A spanning PC path of `sub` for `seed` (None if none was found), the
-    record of its route, and the 2-factor search it took (None when the
-    greedy path spans)."""
-    greedy = rotations.maximal_path_cycle(sub, seed, restarts=GREEDY_RESTARTS)
-    if greedy.path.order == sub.n:
+def _lift(vertices, old_ids) -> DirectedPath:
+    """A path of a restriction in the ids of the graph it restricts."""
+    return DirectedPath(tuple(old_ids[v] for v in vertices))
+
+
+def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, dict, TwoFactorOutcome | None]:
+    """A spanning PC path of the sorted vertices `keep`, in g's ids (None if
+    none was found), the record of its route, and the 2-factor search it
+    took (None when the greedy path spans).  Only that search restricts g."""
+    greedy = rotations.maximal_path_cycle(g, seed, GREEDY_RESTARTS, keep)
+    if greedy.path.order == len(keep):
         return greedy.path, {"how": "greedy"}, None
+    sub, old_ids = induced_subgraph(g, keep)
     tf = find_pc_two_factor(sub, seed)
     route = {
         "how": "two_factor",
@@ -120,48 +128,48 @@ def _spanning_path(sub, seed: int) -> tuple[DirectedPath | None, dict, TwoFactor
         # "fallback" once some closure needed rotations, else "immediate"
         "closed_via": tf.stats.get("closed_via", "immediate"),
     }
-    return find_pc_ham_path_heuristic(sub, tf), route, tf
+    path = find_pc_ham_path_heuristic(sub, tf)
+    return (None if path is None else _lift(path.vertices, old_ids)), route, tf
 
 
-def _rotated(sub, path: DirectedPath, tried: dict):
+def _rotated(g, path: DirectedPath, tried: dict):
     """The spanning paths that rotating one end of `path` reaches."""
     for side in (RIGHT, LEFT):
         res = expand_endpoint_colours(
-            PathCycleSystem(path), sub, side, max_depth=_ROTATION_DEPTH,
+            PathCycleSystem(path), g, side, max_depth=_ROTATION_DEPTH,
             require_spread=False, max_rotations=_ROTATION_CAP,
         )
         tried["rotations"] += res.rotations
         yield from (st.system.path for st in res.states()[1:] if not st.system.cycles)
 
 
-def _steer(g, ac, sub, old_ids, first: DirectedPath, seed: int, tried: dict):
-    """Absorb a spanning path of `sub` into `ac`: the cycle, or None.
+def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
+    """Absorb a spanning path of the vertices `keep` into `ac`: the cycle, or None.
 
     Each seed's path (`first` for `seed`; later seeds build their own) is
     tried forward and reversed, and then so is each spanning path its end
-    rotations reach.  A candidate is lifted to `g` and absorbed only once
-    some member absorbs its end quadruple.  `tried` records the path seeds,
-    the routes of the paths later seeds built, end quadruples and rotations.
+    rotations reach.  A candidate is absorbed only once some member absorbs
+    its end quadruple.  `tried` records the path seeds, the routes of the
+    paths later seeds built, end quadruples and rotations.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
         path = first
         if i > 0:
-            path, route, _ = _spanning_path(sub, seed + i)
+            path, route, _ = _spanning_path(g, keep, seed + i)
             tried["routes"].append(route)
         if path is None:
             continue
-        for variant in itertools.chain([path], _rotated(sub, path, tried)):
+        for variant in itertools.chain([path], _rotated(g, path, tried)):
             vs = variant.vertices
-            ends = (old_ids[vs[0]], old_ids[vs[1]], old_ids[vs[-2]], old_ids[vs[-1]])
+            ends = (vs[0], vs[1], vs[-2], vs[-1])
             # forward, then reversed: the reversed path's end quadruple is
             # the forward one read backwards
             for quad, backwards in ((ends, False), (ends[::-1], True)):
                 tried["quads"] += 1
                 if absorbing_member(g, ac, quad) is None:
                     continue
-                lifted = DirectedPath(tuple(old_ids[v] for v in vs))
-                cycle = absorb_path(g, ac, lifted.reverse() if backwards else lifted)
+                cycle = absorb_path(g, ac, variant.reverse() if backwards else variant)
                 if cycle is not None:
                     return cycle
     return None
@@ -201,18 +209,18 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     keep = [v for v in range(n) if v not in on_cycle]
     if len(keep) < 4:
         return fail("restriction", f"only {len(keep)} vertices left outside the cycle")
-    sub, old_ids = induced_subgraph(g, keep)
-    report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": sub.n}
+    report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": len(keep)}
 
     t0 = time.perf_counter()
-    path, record, tf = _spanning_path(sub, cfg.seed)
+    path, record, tf = _spanning_path(g, keep, cfg.seed)
     if tf is not None:
         partial["two_factor"] = tf
-    if path is None and sub.n <= _EXACT_PATH_CAP:
+    if path is None and len(keep) <= _EXACT_PATH_CAP:
+        sub, old_ids = induced_subgraph(g, keep)
         res = exact_pc_ham_path(sub, cfg.budget)
         record["how"] = f"exact:{res.status.value}"
         if res.exists:
-            path = DirectedPath(res.certificate.path)
+            path = _lift(res.certificate.path, old_ids)
     report["stages"]["ham_path"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         **record,
@@ -220,12 +228,12 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     }
     if path is None:
         return fail("ham_path", "no spanning PC path found on the restriction")
-    partial["ham_path"] = DirectedPath(tuple(old_ids[v] for v in path.vertices))
+    partial["ham_path"] = path
 
     t0 = time.perf_counter()
     tried: dict = {"path_seeds": [], "routes": [], "quads": 0, "rotations": 0}
     try:
-        cycle = _steer(g, ac, sub, old_ids, path, cfg.seed, tried)
+        cycle = _steer(g, ac, keep, path, cfg.seed, tried)
     except (AbsorptionError, ValueError) as exc:
         return fail("absorb", str(exc))
     report["stages"]["absorb"] = {

@@ -543,24 +543,28 @@ def _grow_path(g, rng: random.Random, path: list[int], allowed: set[int]) -> lis
     return list(path)
 
 
-def maximal_path_cycle(g, seed: int = 0, restarts: int = 50) -> PathCycleSystem:
-    """Longest greedily grown PC path over randomized restarts.
+def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> PathCycleSystem:
+    """Longest greedily grown PC path inside `vertices` (default: all of g)
+    over randomized restarts.
 
-    Each step appends a uniform random allowed vertex at one end
-    (`pick_extension`).  The result cannot be extended by appending a single
-    vertex at either end (local maximality); global maximality is
-    approximated by the restarts.
+    Each start is a uniform draw from the sorted set and each step appends a
+    uniform random allowed vertex at one end (`pick_extension`), so growth
+    inside S makes the draws that growth on ``induced_subgraph(g, S)``
+    makes, relabelled.  The result cannot be extended by one vertex of the
+    set at either end (local maximality); the restarts approximate global
+    maximality.
     """
-    if g.n < 2:
-        raise ValueError(f"need n >= 2, got {g.n}")
+    vs = range(g.n) if vertices is None else sorted(vertices)
+    if len(vs) < 2:
+        raise ValueError(f"need at least 2 vertices, got {len(vs)}")
     rng = random.Random(seed)
-    everything = set(range(g.n))
+    allowed = set(vs)
     best: list[int] | None = None
     for _ in range(max(1, restarts)):
-        path = _grow_path(g, rng, [rng.randrange(g.n)], everything)
+        path = _grow_path(g, rng, [vs[rng.randrange(len(vs))]], allowed)
         if best is None or len(path) > len(best):
             best = path
-        if len(best) == g.n:
+        if len(best) == len(vs):
             break
     return PathCycleSystem(DirectedPath(tuple(best)), ())
 

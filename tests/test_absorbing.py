@@ -334,6 +334,23 @@ def test_build_monochromatic_fails_at_family():
     assert res.attempts == RETRY_BUDGET
 
 
+def test_build_raises_on_a_stitched_cycle_that_fails_its_check(monkeypatch):
+    # members are PC 4-paths and join_ends checks every junction, so a
+    # failed check of the stitched cycle is a bug, not a retry
+    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_cycle", lambda g, cyc: False)
+    with pytest.raises(AbsorptionError, match="stitched"):
+        build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0))
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_build_rejects_a_family_size_below_one(monkeypatch, size):
+    draws = []
+    monkeypatch.setattr(pch.absorbing, "_draw_family", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"family size must be >= 1, got {size}"):
+        build_absorbing_cycle(rainbow(30), BuildParams(size))
+    assert draws == []
+
+
 def test_build_and_absorb_random_instance():
     g = random_bounded_colouring(40, 14, 5)
     ac = universal_absorbing_cycle(g, target_size=4, seed=5)

@@ -279,6 +279,21 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma-check", "--lemma", "abscycle", "--n", "30", "--seeds", "1"],
+    ["absorb-check", "--eps", "0.1", "--quads", "sample:1"],
+], ids=["lemma-check", "absorb-check"])
+def test_family_size_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "absorb-check":
+        gpath = tmp_path / "g.txt"
+        write_graph(rainbow(30), gpath)
+        argv = argv + ["--input", str(gpath)]
+    assert run(*argv, "--family-size", "0") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "family size must be >= 1, got 0" in err
+
+
 def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):
     rpath = tmp_path / "abscycle.json"
     code = run("lemma-check", "--lemma", "abscycle", "--n", "30", "--dmax", "12",

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     Certificate,
+    ColouredGraph,
     DirectedCycle,
     DirectedPath,
     GraphFormatError,
@@ -121,6 +123,49 @@ def test_pc_cycle_rotation_and_reversal_invariant(g, seed):
     rotated = tuple(order[shift:] + order[:shift])
     assert is_properly_coloured_cycle(g, rotated) == base
     assert is_properly_coloured_cycle(g, cyc.reverse()) == base
+
+
+def _edge_colour(g, u, v):
+    """The colour of edge uv read without `colour`, or None when g has no such edge."""
+    if isinstance(g, ColouredGraph):
+        return {(a, b): c for a, b, c in g.edges()}.get((min(u, v), max(u, v)))
+    return int(g.matrix[u, v]) if u != v and 0 <= u < g.n and 0 <= v < g.n else None
+
+
+def _reference_proper(g, vs, closed):
+    pairs = list(zip(vs, vs[1:] + vs[:1] if closed else vs[1:]))
+    cols = [_edge_colour(g, u, v) for u, v in pairs]
+    turns = zip(cols[-1:] + cols[:-1], cols) if closed else zip(cols, cols[1:])
+    return None not in cols and all(a != b for a, b in turns)
+
+
+@pytest.mark.parametrize("g", [
+    random_colouring(7, 3, 0),
+    random_colouring(6, 2, 1),
+    monochromatic(5),
+    rainbow(6),
+    colouring_from_oriented(tournament_with_source(2)),
+    colouring_from_oriented(tournament_with_source(3), complete_with="extra"),
+], ids=repr)
+def test_properness_predicates_match_a_per_edge_reference(g):
+    # ids from -1 to n with repeats, and walks over distinct valid ids, on
+    # complete and partial graphs: a self-pair, an id outside the graph or a
+    # missing edge makes either predicate False, never an error
+    rng = random.Random(g.n)
+    seen = set()
+    for i in range(1200):
+        size = rng.randint(0, min(g.n, 7))
+        if i % 2:
+            vs = [rng.randint(-1, g.n) for _ in range(size)]
+        else:
+            vs = rng.sample(range(g.n), size)
+        path, cycle = is_properly_coloured_path(g, vs), is_properly_coloured_cycle(g, vs)
+        assert path == _reference_proper(g, vs, closed=False)
+        assert cycle == (len(vs) >= 3 and _reference_proper(g, vs, closed=True))
+        assert is_properly_coloured_path(g, tuple(vs)) == path
+        seen.update({("path", path), ("cycle", cycle)})
+    assert ("path", False) in seen and ("cycle", False) in seen
+    assert ("path", True) in seen
 
 
 def test_directed_types_reject_bad_input():
@@ -365,25 +410,24 @@ def test_constructor_rejects_colours_beyond_int32():
         ColouredComplete(3, 2, [0, -1, 1])
 
 
-def test_constructor_checks_a_colour_matrix():
+def test_constructor_takes_only_a_flat_table():
     from pch.ec_graph import ColouredComplete
 
     g = random_colouring(6, 3, 2)
-    mine = g.matrix.copy()
+    flat = g.matrix[np.triu_indices(g.n, 1)]
+    mine = flat.copy()
     h = ColouredComplete(g.n, g.k, mine)
     assert h == g and h.rows == g.rows
-    mine[0, 1] = mine[1, 0] = (mine[0, 1] + 1) % 3   # the caller's array stays its own
+    mine[0] = (mine[0] + 1) % 3                      # the caller's array stays its own
     assert h == g and mine.flags.writeable
-    bad_diagonal = g.matrix.copy()
-    bad_diagonal[2, 2] = 0
-    asymmetric = g.matrix.copy()
-    asymmetric[0, 1] = (asymmetric[1, 0] + 1) % 3
-    for bad in (bad_diagonal, asymmetric):
-        with pytest.raises(ValueError, match="symmetric"):
-            ColouredComplete(g.n, g.k, bad)
-    assert g.matrix.max() == 2
+    assert flat.max() == 2
     with pytest.raises(ValueError, match="outside"):
-        ColouredComplete(g.n, 2, g.matrix)
+        ColouredComplete(g.n, 2, flat)
+    for bad in (flat[:-1], np.append(flat, 0), g.matrix, flat[None, :]):
+        with pytest.raises(ValueError, match="entries"):
+            ColouredComplete(g.n, g.k, bad)
     with pytest.raises(ValueError, match="entries"):
-        ColouredComplete(g.n + 1, g.k, g.matrix)
-    assert ColouredComplete(1, 1, [[-1]]).rows == ((-1,),)
+        ColouredComplete(g.n + 1, g.k, flat)
+    assert ColouredComplete(1, 1, []).rows == ((-1,),)
+    with pytest.raises(ValueError, match="entries"):
+        ColouredComplete(1, 1, [[-1]])

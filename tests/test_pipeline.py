@@ -108,6 +108,18 @@ def _record_two_factor_calls(monkeypatch) -> list:
     return outcomes
 
 
+def _record_restrictions(monkeypatch) -> list:
+    """Route the pipeline's restrictions through a wrapper that keeps their vertex sets."""
+    kept = []
+
+    def counting(g, keep):
+        kept.append(tuple(keep))
+        return induced_subgraph(g, keep)
+
+    monkeypatch.setattr(pch.pipeline, "induced_subgraph", counting)
+    return kept
+
+
 def test_report_contains_stage_records():
     res = run_pipeline(rainbow(30), PipelineConfig(seed=3))
     assert res.success
@@ -120,8 +132,11 @@ def test_report_contains_stage_records():
 
 
 def test_pipeline_runs_one_two_factor_search(monkeypatch):
-    # at most one, and none at all when the greedy path spans
+    # at most one, and none at all when the greedy path spans; growth,
+    # steering and absorption then run in the graph's own ids, so nothing
+    # restricts it
     outcomes = _record_two_factor_calls(monkeypatch)
+    restrictions = _record_restrictions(monkeypatch)
     for g, seed in (
         (rainbow(30), 3),
         (random_bounded_colouring(160, 72, 0, colours=3), 0),
@@ -131,11 +146,14 @@ def test_pipeline_runs_one_two_factor_search(monkeypatch):
         assert res.success
         assert res.report["stages"]["ham_path"]["how"] == "greedy"
     assert outcomes == []
+    assert restrictions == []
 
 
 def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
-    # greedy growth that stops one vertex short of the restriction, once
+    # greedy growth that stops one vertex short of the vertices outside the
+    # cycle, once; the 2-factor search runs on their restriction
     outcomes = _record_two_factor_calls(monkeypatch)
+    restrictions = _record_restrictions(monkeypatch)
     calls = []
 
     def one_short(*args, **kwargs):
@@ -156,6 +174,8 @@ def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
     assert record["attempts"] == tf.stats["attempts"] >= 1
     assert record["rotations"] == tf.stats["rotations"]
     assert record["closed_via"] == tf.stats.get("closed_via", "immediate")
+    assert len(restrictions) >= 1
+    assert len(restrictions[0]) == res.report["stages"]["restriction"]["n_rest"]
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -274,19 +294,18 @@ def test_pipeline_repeats_for_the_same_seed(g, seed):
     assert _timeless(first.report) == _timeless(second.report)
 
 
-def _unfiltered_steer(g, ac, sub, old_ids, first, seed, tried):
-    """The steering loop that lifts and absorbs every candidate path."""
+def _unfiltered_steer(g, ac, keep, first, seed, tried):
+    """The steering loop that absorbs every candidate path."""
     for i in range(pch.pipeline._PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
         path = first
         if i > 0:
-            path, route, _ = pch.pipeline._spanning_path(sub, seed + i)
+            path, route, _ = pch.pipeline._spanning_path(g, keep, seed + i)
             tried["routes"].append(route)
         if path is None:
             continue
-        for variant in itertools.chain([path], pch.pipeline._rotated(sub, path, tried)):
-            lifted = DirectedPath(tuple(old_ids[v] for v in variant.vertices))
-            for p in (lifted, lifted.reverse()):
+        for variant in itertools.chain([path], pch.pipeline._rotated(g, path, tried)):
+            for p in (variant, variant.reverse()):
                 tried["quads"] += 1
                 cycle = pch.pipeline.absorb_path(g, ac, p)
                 if cycle is not None:

@@ -17,6 +17,7 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
+    induced_subgraph,
     is_properly_coloured_path,
     two_factor_certificate,
     verify_certificate,
@@ -440,6 +441,23 @@ def test_greedy_paths_are_pc_allowed_and_locally_maximal(make):
             for end, inner in ends:
                 row = g.rows[end]
                 assert not [u for u in unused if inner is None or row[u] != row[inner]]
+
+
+@pytest.mark.parametrize("make", _GROWTH_GRAPHS)
+def test_growth_inside_a_vertex_set_is_growth_on_its_restriction(make):
+    # every draw indexes a sorted list, so the path grown inside S is the one
+    # grown on induced_subgraph(g, S), relabelled through its old ids
+    g = make()
+    assert maximal_path_cycle(g, 5, 20, range(g.n)) == maximal_path_cycle(g, 5, 20)
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        for size in (2, 3, g.n // 2, g.n - 1, g.n):
+            S = rng.sample(range(g.n), size)
+            sub, old = induced_subgraph(g, sorted(S))
+            want = tuple(old[v] for v in maximal_path_cycle(sub, seed, 20).path.vertices)
+            assert maximal_path_cycle(g, seed, 20, S).path.vertices == want
+    with pytest.raises(ValueError, match="at least 2"):
+        maximal_path_cycle(g, 0, 20, [g.n - 1])
 
 
 def test_pick_extension_draws_uniformly_among_allowed():
