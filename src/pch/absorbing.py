@@ -78,50 +78,63 @@ def enumerate_absorbing(g, quad):
 def count_absorbing(g, quad) -> int:
     """Exact number of absorbing 4-tuples for the quadruple.
 
-    Counts pairs (z1, z4) around each middle edge (z2, z3) by colour
-    histograms instead of enumerating all (n-4)^4 tuples; the enumeration
-    variant above is the slow cross-check.
+    One numpy pass over every middle edge (z2, z3) of the m = n - 4 outside
+    vertices at once: the two gates pick the z2 rows and z3 columns of one
+    middle-colour matrix, whose diagonal is masked off; the choices of z1
+    and of z4 come from the per-row colour histograms of the outside block,
+    and the pairs with z1 = z4 from a boolean (z2, z3, z) cube summed over z.
+    The cube is built a block of z2 rows at a time, so that no temporary has
+    more than about 2^20 cells at any n.  A quadruple of other than 4
+    vertices, or with an id outside 0..n-1, is a ValueError; one with a
+    repeated vertex has no absorbing tuple, as in `enumerate_absorbing`.
+    The enumeration is the slow cross-check.
     """
+    quad = tuple(quad)
+    if len(quad) != 4:
+        raise ValueError(f"need an ordered quadruple, got {len(quad)} vertices")
+    for v in quad:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    m = g.n - 4
+    if len(set(quad)) != 4 or m < 4:
+        return 0
     x1, x2, y1, y2 = quad
     C = g.matrix
-    k = g.k
-    ext = np.array([v for v in range(g.n) if v not in set(quad)], dtype=np.intp)
-    m = len(ext)
-    Cx = C[np.ix_(ext, ext)]                      # colours among outside vertices
+    ext = np.delete(np.arange(g.n), quad)
+    Cx = C[np.ix_(ext, ext)]                      # colours among outside vertices, -1 on the diagonal
     a = C[ext, x1]                                # colour(z, x1)
     b = C[ext, y2]                                # colour(z, y2)
-    gate2 = a != C[x1, x2]                        # z1 z2 x1 x2 needs c(z2,x1) != c(x1,x2)
-    gate3 = b != C[y1, y2]                        # y1 y2 z3 z4 needs c(y2,z3) != c(y1,y2)
-
-    cnts = colour_counts(Cx, k)                   # per-row colour counts over outside vertices
-
-    idx = np.arange(m)
-    total = 0
-    for i2 in range(m):
-        if not gate2[i2]:
-            continue
-        a2 = int(a[i2])
-        row2 = Cx[i2]                             # colour(z2, z) over outside z
-        mcol = row2                               # colour(z2, z3) as z3 varies
-        safe = np.where(mcol >= 0, mcol, 0)
-        # z1 must avoid colours {a2, c(z2,z3)} towards z2; z3 and z2 fall out
-        # automatically because their colours towards z2 sit in the avoided set
-        n1 = (m - 1) - cnts[i2, a2] - np.where(mcol != a2, cnts[i2, safe], 0)
-        # z4 must avoid colours {c(z2,z3), c(z3,y2)} towards z3
-        n4 = (m - 1) - np.take_along_axis(cnts, safe[:, None], axis=1)[:, 0]
-        n4 = n4 - np.where(b != mcol, np.take_along_axis(cnts, np.where(b >= 0, b, 0)[:, None], axis=1)[:, 0], 0)
-        # overlap: z eligible as both z1 and z4 was double counted in n1*n4
-        zok1 = row2 != a2
-        both = (
-            zok1[None, :]
-            & (row2[None, :] != mcol[:, None])
-            & (Cx != mcol[:, None])
-            & (Cx != b[:, None])
-        )
-        n14 = both.sum(axis=1)
-        valid3 = gate3 & (idx != i2)
-        total += int(np.sum(np.where(valid3, n1 * n4 - n14, 0)))
-    return total
+    cnts = colour_counts(Cx, g.k)
+    # z1 z2 x1 x2 needs c(z2, x1) != c(x1, x2); y1 y2 z3 z4 needs c(y2, z3) != c(y1, y2)
+    i2 = np.flatnonzero(a != C[x1, x2])
+    i3 = np.flatnonzero(b != C[y1, y2])
+    if not len(i2) or not len(i3):
+        return 0
+    mid = Cx[np.ix_(i2, i3)]                      # colour(z2, z3) on the middle edges
+    valid = i2[:, None] != i3[None, :]
+    safe = np.where(valid, mid, 0)                # the diagonal's -1 made an index
+    a2, b3 = a[i2], b[i3]
+    # z1 avoids colours {c(z2, x1), c(z2, z3)} towards z2; z3 falls out by its colour
+    n1 = (m - 1) - cnts[i2, a2][:, None] - np.where(
+        mid != a2[:, None], np.take_along_axis(cnts[i2], safe, axis=1), 0)
+    # z4 avoids colours {c(z2, z3), c(z3, y2)} towards z3; z2 falls out by its colour
+    n4 = (m - 1) - np.take_along_axis(cnts[i3], safe.T, axis=1).T - np.where(
+        mid != b3[None, :], cnts[i3, b3][None, :], 0)
+    # z eligible as both z1 and z4 was counted twice in n1 * n4
+    row2, row3 = Cx[i2], Cx[i3]
+    ok1 = row2 != a2[:, None]
+    ok4 = row3 != b3[:, None]
+    step = max(1, 2 ** 20 // (len(i3) * m))
+    n14 = np.empty_like(n1)
+    for lo in range(0, len(i2), step):
+        hi = lo + step
+        c = safe[lo:hi, :, None]
+        both = row2[lo:hi, None, :] != c
+        both &= row3[None, :, :] != c
+        both &= ok1[lo:hi, None, :]
+        both &= ok4[None, :, :]
+        n14[lo:hi] = np.count_nonzero(both, axis=2)
+    return int(np.sum(n1 * n4 - n14, where=valid))
 
 
 # ---------------------------------------------------------------------------

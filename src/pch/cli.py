@@ -235,6 +235,8 @@ def cmd_absorb_check(args) -> int:
         count = int(args.quads.split(":", 1)[1])
         if count < 0:
             raise UsageError(f"--quads sample size must be >= 0, got {count}")
+        if g.n < 4:
+            raise UsageError(f"absorb-check samples quadruples, which needs n >= 4, got n = {g.n}")
         quads = [tuple(rng.sample(range(g.n), 4)) for _ in range(count)]
     else:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
@@ -433,6 +435,8 @@ def lemma_check(name: str, params: dict) -> dict:
         raise UsageError(f"--seeds must be >= 0, got {seeds}")
     if params["quads"] < 0:
         raise UsageError(f"--quads must be >= 0, got {params['quads']}")
+    if name == "abspath" and params["n"] < 4:
+        raise UsageError(f"lemma abspath samples quadruples, which needs n >= 4, got n = {params['n']}")
     seeds = range(seeds) if isinstance(seeds, int) else seeds
     params = {**params, "dmax": dmax, "seeds": seeds}
     per_seed = functools.partial(_lemma_seed, name, params)

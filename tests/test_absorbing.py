@@ -19,7 +19,13 @@ from pch.absorbing import (
     join_ends,
     verify_family_universality,
 )
-from pch.constructions import layered_colouring, monochromatic, rainbow, random_bounded_colouring
+from pch.constructions import (
+    layered_colouring,
+    monochromatic,
+    rainbow,
+    random_bounded_colouring,
+    random_colouring,
+)
 from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
@@ -86,6 +92,62 @@ def test_count_matches_enumeration(seed, n):
     fast = count_absorbing(g, quad)
     slow = sum(1 for _ in enumerate_absorbing(g, quad))
     assert fast == slow
+
+
+def _palette_graph(palette, n, seed):
+    if palette == "mono":
+        return monochromatic(n)
+    if palette == "rainbow":
+        return rainbow(n)
+    return random_colouring(n, palette, seed)
+
+
+def _close_star(g, v):
+    """g with every edge at v recoloured to the colour of the edge v, v + 1."""
+    c = int(g.matrix[v, (v + 1) % g.n])
+    return ColouredComplete.from_function(g.n, g.k, lambda a, b: c if v in (a, b) else int(g.matrix[a, b]))
+
+
+# gate2 is closed when every outside z has c(z, x1) = c(x1, x2), gate3 when
+# every outside z has c(z, y2) = c(y1, y2); a random quadruple closes them in part
+@pytest.mark.parametrize("gate", ["open", "gate2", "gate3"])
+@pytest.mark.parametrize("palette", ["mono", 2, 3, 4, 5, 6, "rainbow"])
+def test_count_matches_enumeration_grid(palette, gate):
+    rng = random.Random(f"{palette}-{gate}")
+    for n in range(4, 13):
+        for _ in range(2):
+            g = _palette_graph(palette, n, rng.randrange(10 ** 6))
+            quad = tuple(rng.sample(range(n), 4))
+            if gate == "gate2":
+                g = _close_star(g, quad[0])
+            elif gate == "gate3":
+                g = _close_star(g, quad[3])
+            slow = sum(1 for _ in enumerate_absorbing(g, quad))
+            assert count_absorbing(g, quad) == slow
+            if gate != "open":
+                assert slow == 0
+
+
+# the exhaustive bench batches: 25 quadruples on random_bounded_colouring(50, 20, s)
+@pytest.mark.parametrize("seed, total, low", [(1, 86_995_710, 3_297_650), (2, 86_464_522, 3_060_442)])
+def test_count_bench_instances(seed, total, low):
+    g = random_bounded_colouring(50, 20, seed)
+    rng = random.Random(seed)
+    counts = [count_absorbing(g, tuple(rng.sample(range(50), 4))) for _ in range(25)]
+    assert (sum(counts), min(counts)) == (total, low)
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, -1), (0, 1, 2, 10), (0, 1, 2), (0, 1, 2, 3, 4)],
+                         ids=["negative", "past-n", "three", "five"])
+def test_count_rejects_bad_quadruples(quad):
+    with pytest.raises(ValueError):
+        count_absorbing(random_bounded_colouring(10, 5, 1), quad)
+
+
+@pytest.mark.parametrize("quad", [(0, 0, 1, 2), (0, 1, 1, 2)], ids=["x1-x2", "x2-y1"])
+def test_count_repeated_vertex_is_zero(quad):
+    g = random_bounded_colouring(10, 5, 1)
+    assert count_absorbing(g, quad) == 0 == sum(1 for _ in enumerate_absorbing(g, quad))
 
 
 def test_enumerate_yields_absorbing_tuples():

@@ -280,6 +280,21 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lemma-check", "--lemma", "abspath", "--n", "3", "--dmax", "1", "--seeds", "1"],
+    ["absorb-check", "--eps", "0.1", "--quads", "sample:2"],
+], ids=["lemma-check", "absorb-check"])
+def test_quadruples_on_fewer_than_four_vertices_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "absorb-check":
+        gpath = tmp_path / "g.txt"
+        write_graph(rainbow(3), gpath)
+        argv = argv + ["--input", str(gpath)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "needs n >= 4, got n = 3" in err
+    assert "Sample larger" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["lemma-check", "--lemma", "abscycle", "--n", "30", "--seeds", "1"],
     ["absorb-check", "--eps", "0.1", "--quads", "sample:1"],
 ], ids=["lemma-check", "absorb-check"])
