@@ -1,8 +1,13 @@
 import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pch import constructions
 from pch.constructions import (
     GenerationError,
     OrientedGraph,
@@ -14,6 +19,7 @@ from pch.constructions import (
     properly_coloured_cycle_set,
     rainbow,
     random_bounded_colouring,
+    random_colouring,
     random_oriented,
     tournament_with_source,
 )
@@ -234,6 +240,12 @@ def test_random_bounded_domain_errors():
         random_bounded_colouring(2, 1, seed=0)
     with pytest.raises(ValueError):
         random_bounded_colouring(10, 0, seed=0)
+    for colours in (0, 2**31 + 1):
+        with pytest.raises(ValueError, match="colours <= 2"):
+            random_bounded_colouring(50, 20, seed=0, colours=colours)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            random_bounded_colouring(10, 4, seed=0, restarts=restarts)
 
 
 def test_oriented_graph_rejects_antiparallel_arcs():
@@ -286,14 +298,14 @@ def _reference_bounded_colouring(n, dmax, seed, colours=None, restarts=100):
     raise GenerationError("no colouring")
 
 
-def _same_outcome(n, dmax, seed, colours=None):
+def _same_outcome(n, dmax, seed, colours=None, restarts=100):
     try:
-        want = _reference_bounded_colouring(n, dmax, seed, colours)
+        want = _reference_bounded_colouring(n, dmax, seed, colours, restarts)
     except GenerationError:
         with pytest.raises(GenerationError):
-            random_bounded_colouring(n, dmax, seed, colours=colours)
+            random_bounded_colouring(n, dmax, seed, colours=colours, restarts=restarts)
         return False
-    assert random_bounded_colouring(n, dmax, seed, colours=colours) == want
+    assert random_bounded_colouring(n, dmax, seed, colours=colours, restarts=restarts) == want
     return True
 
 
@@ -321,3 +333,90 @@ def test_random_bounded_matches_reference_when_generation_fails():
     # every restart, others find a colouring
     outcomes = {_same_outcome(10, 3, seed, 3) for seed in range(4)}
     assert outcomes == {True, False}
+
+
+@contextmanager
+def _bulk_from(pairs):
+    """Run the generator with its bulk pass from ``pairs`` pairs on."""
+    with mock.patch.object(constructions, "_BULK_MIN_PAIRS", pairs):
+        yield
+
+
+# inputs whose first capped colour falls inside the bulk prefix; ranking the
+# (vertex, colour) keys all u-keys first, not in pair order, got them wrong
+PREFIX_CUTS = ((80, 24, 1, 6), (14, 6, 7, 3), (20, 9, 11, 3))
+
+
+@pytest.mark.parametrize("bulk_from", [constructions._BULK_MIN_PAIRS, 0], ids=["break-even", "bulk-only"])
+def test_random_bounded_matches_reference_on_both_paths(bulk_from):
+    with _bulk_from(bulk_from):
+        for n, dmax, seed, colours in PREFIX_CUTS:
+            assert _same_outcome(n, dmax, seed, colours)
+        # K_9 with three colours at cap 3 dead-ends often: seed 3 needs 26 shuffles
+        assert all(_same_outcome(9, 3, seed, 3) for seed in range(30))
+        assert not _same_outcome(9, 3, 3, 3, restarts=25)
+        assert _same_outcome(9, 3, 3, 3, restarts=26)
+        assert _same_outcome(10, 9, 0, 1)
+
+
+def test_random_bounded_bulk_pass_matches_reference_on_exhaustive_families():
+    # the bench's n = 14 and n = 20 graphs fall below the break-even
+    with _bulk_from(0):
+        for seed in range(40):
+            _same_outcome(20, 9, seed, 3)
+            _same_outcome(14, 6, seed, 3)
+
+
+def test_random_bounded_bulk_pass_restarts_like_the_reference():
+    # 1,035 pairs, above the break-even: the bulk prefix caps a colour, the
+    # per-pair tail dead-ends and the next shuffle starts a new bulk pass
+    assert _same_outcome(46, 17, 2, 3, restarts=2)
+    assert not _same_outcome(46, 17, 2, 3, restarts=1)
+    assert _same_outcome(46, 13, 0, 4, restarts=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    colours=st.integers(1, 8),
+    slack=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 4),
+    bulk=st.booleans(),
+)
+def test_random_bounded_matches_reference_property(n, colours, slack, seed, restarts, bulk):
+    dmax = max(1, -(-(n - 1) // colours)) + slack
+    with _bulk_from(0 if bulk else 10**9):
+        _same_outcome(n, dmax, seed, colours, restarts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 3])
+def test_word_source_replays_getrandbits(seed):
+    rng, words = random.Random(seed), constructions._Words(seed)
+    for count, bits in ((5, 32), (3000, 32), (9000, 32), (700, 7), (40, 1)):
+        draw = words.take(count, 32 - bits)
+        got = [draw() for _ in range(min(count, constructions._CHUNK))]
+        assert got == [rng.getrandbits(bits) for _ in got]
+        words.settle()
+    for bound, count in ((1, 10), (3, 500), (5, 2000), (320, 4000)):
+        drawn, used = words.below(bound, count)
+        assert drawn.tolist() == [rng.randrange(bound) for _ in range(count)]
+        words.consume(int(used[-1]))
+    assert words.take(1)() == rng.getrandbits(32)
+
+
+def _reference_random_colouring(n, k, seed):
+    rng = random.Random(seed)
+    return ColouredComplete.from_function(n, k, lambda u, v: rng.randrange(k))
+
+
+def test_random_colouring_matches_per_pair_randrange():
+    # the callers' sizes: n 2-16 on 1-6 colours, and larger palettes
+    for n in range(2, 17):
+        for k in (1, 2, 3, 4, 5, 6, n, 2 * n):
+            for seed in range(3):
+                assert random_colouring(n, k, seed) == _reference_random_colouring(n, k, seed)
+    assert random_colouring(60, 7, 4) == _reference_random_colouring(60, 7, 4)
+    for k in (0, 2**31 + 1):
+        with pytest.raises(ValueError):
+            random_colouring(5, k, 0)
