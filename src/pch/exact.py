@@ -12,14 +12,18 @@ These are the ground truth for every heuristic.  Three parts serve them:
 - A popcount-layered Held-Karp table (Held & Karp 1962) answers the same four
   queries in numpy: for each (visited set, last vertex) a small bitset of the
   feasible last steps, with a witness read back along them.  Its rows are
-  counted before either engine starts.  The DFS goes first and hands off to
-  the table after one node per `_ROWS_PER_NODE` rows, the measured ratio of a
-  DFS node's cost to a table row's, so the sub-millisecond Exists queries
-  never build a table and a hard query pays for at most a bounded stretch of
-  DFS before the table answers.  The table is skipped when its rows and that
-  stretch do not fit into the node limit, or when a pass would take more
-  than `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at most 8
-  colours); the DFS then runs to the budget alone.
+  counted before either engine starts.  The DFS goes first, as a short probe
+  for a spanning answer: it hands off to the table after one node per
+  `_ROWS_PER_NODE` rows.  A spanning answer takes the DFS a few hundred to
+  about a thousand nodes, far below that share from n = 12 on, so the
+  sub-millisecond Exists queries build no table there (at smaller n some
+  do; see `_ROWS_PER_NODE`).  An answer below n needs the DFS to exhaust its
+  states, and on every proof the bench runs the table is the cheaper engine,
+  so a proof pays only the probe before the table answers.  The table is
+  skipped when its rows and the probe do not fit into the node limit, or
+  when a pass would take more than `TABLE_BYTES_MAX` bytes (for example
+  n > 22 for a path with at most 8 colours); the DFS then runs to the budget
+  alone.
 - `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
@@ -138,14 +142,24 @@ def _verified(g, cert: Certificate) -> Certificate:
 # one search for PC cycles and paths: a memoised DFS, then a Held-Karp table
 # ---------------------------------------------------------------------------
 
-# Table rows charged per DFS node before the DFS hands off.  Timed alone on
-# the bench's exact instances (Python 3.11, 2-core x86-64 host), a DFS node
-# costs 2.9-6.0 us and a table row, over the rows `_table_rows` charges,
-# 0.09 us (`layered_colouring(17, 4)` longest cycle, most rows dead) to
-# 1.8 us (`bollobas_erdos(5)`, every row live).  A node is 1.9 to 36 rows,
-# about 9 in the geometric mean; 8 balances the worst cases at both ends
-# (see `_search`).
-_ROWS_PER_NODE = 8
+# Table rows charged per DFS node before the DFS hands off: the DFS's share
+# is a probe for a spanning answer, not a race against the table.  Each
+# engine timed alone (Python 3.11, 2-core x86-64 host):
+# - An answer below n is a proof, and the DFS must exhaust its states.  On
+#   the bench's seven proofs the table alone was 4x (`layered_colouring(13,
+#   4)`) to 45x (`bollobas_erdos(4)`: 3.1 s against 69 ms) cheaper.
+# - A spanning answer took the DFS at most 1,317 nodes on
+#   `random_bounded_colouring(20, 9, s, colours=3)`, s 1-1000, and 993 on
+#   `near_bollobas_erdos(5, s)`, s 0-9: under 1/790 of their charges.
+# A larger ratio makes a proof's probe shorter, but the cost falls on small
+# n, where a spanning answer can need more than the share and then pays the
+# table too.  With three colours and max monochromatic degree (n - 1) // 2,
+# 32 hands off 40 of 200 graphs at n 8-11 (n = 8: 23 of 50, up to 21 nodes
+# against a share of 8), none of 100 at n 12-13, and 1 of 300
+# `near_bollobas_erdos(3, s)` (273 nodes against 256); 64 hands off 100,
+# 1 and 4.  Such a query takes 0.36 ms (n = 8) to 4.5 ms (the near-BE one,
+# n = 13) instead of 0.03-0.42 ms.
+_ROWS_PER_NODE = 32
 
 
 def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int):
@@ -157,12 +171,20 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     stop anywhere, starts from every ordered pair and holds the first colour
     at 0.  The DFS stops as soon as it reaches order n.
 
-    The DFS goes first.  When the table fits (`_table_rows`, its charge in
-    rows) and charge // _ROWS_PER_NODE + charge fits into the node limit, the
-    DFS stops after charge // _ROWS_PER_NODE nodes and the table answers
-    instead.  If a DFS node costs f * _ROWS_PER_NODE charged rows, the search
-    costs at most 1 + max(f, 1/f) times the cheaper engine alone: about 5.5
-    at the measured extremes, f = 36 / 8 and 8 / 1.9.
+    The DFS goes first, as a probe for a spanning answer.  When the table
+    fits (`_table_rows`, its charge in rows) and charge // _ROWS_PER_NODE +
+    charge fits into the node limit, the DFS stops after charge //
+    _ROWS_PER_NODE nodes and the table answers instead.  A query the probe
+    answers costs what the DFS alone costs.  A handed-off query costs about
+    1 + f times the table alone, where f * _ROWS_PER_NODE charged rows cost
+    as much as a DFS node: on the bench's proofs f is 0.08
+    (`bollobas_erdos(3)`, 1.4 us per charged row) to 1.5
+    (`layered_colouring(17, 4)` longest cycle, 0.07 us, as the table stops
+    at its first empty layer).  The
+    probe's best order is not passed to the table as a floor: of the bench's
+    four longest queries the probe closes a cycle only on that one, of
+    order 7, and the table from order 8 up is no faster (21.1 against
+    21.6 ms).
 
     Returns (order, witness vertices, exact, meter); the order is 0 and the
     witness None when nothing closes, and the meter holds the nodes and rows

@@ -96,13 +96,13 @@ def test_oracle_longest_report(tmp_path):
 
 
 def test_oracle_report_counts_table_rows(tmp_path):
-    # BE(3) hands off after 512 DFS nodes to a table of 4,096 rows
+    # BE(3) hands off after 4,096 // 32 = 128 DFS nodes to a table of 4,096 rows
     gpath = tmp_path / "g.txt"
     run("gen", "--family", "be", "--k", "3", "--out", str(gpath))
     rpath = tmp_path / "r.json"
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
     res = json.loads(rpath.read_text())["result"]
-    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 4_608, 4_096)
+    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 4_224, 4_096)
     # its spanning path is found by the DFS alone
     assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]

@@ -8,6 +8,7 @@ from pch.constructions import (
     bollobas_erdos,
     layered_colouring,
     monochromatic,
+    near_bollobas_erdos,
     rainbow,
     random_bounded_colouring,
     random_colouring,
@@ -256,16 +257,16 @@ def test_table_matches_search_and_brute_force(g, monkeypatch):
 def test_table_hands_off_after_its_charge():
     # BE(3): one pass of 2^12 rows for the first colour at the root (the
     # other colour finds each cycle from its other end); the DFS needs
-    # 36,758 nodes, so it stops at 2^12 // 8 = 512 and the table answers
+    # 36,758 nodes, so it stops at 2^12 // 32 = 128 and the table answers
     res = exact_pc_ham_cycle(bollobas_erdos(3))
     assert res.status == SearchStatus.NOT_EXISTS
-    assert (res.nodes, res.rows) == (512 + 4096, 4096)
-    # layered(17, 4): the DFS needs 89,332 nodes, over the 2^17 // 8 = 16,384
+    assert (res.nodes, res.rows) == (128 + 4096, 4096)
+    # layered(17, 4): the DFS needs 89,332 nodes, over the 2^17 // 32 = 4,096
     # of the path table's charge, so it hands off; the table stops at its
     # first empty layer
     res = longest_pc_path(layered_colouring(17, 4))
-    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 16_384 + 109_293, 109_293)
-    # layered(17, 3): the DFS finishes in 3,308 nodes, below the 20,480 of its
+    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 4_096 + 109_293, 109_293)
+    # layered(17, 3): the DFS finishes in 3,308 nodes, below the 5,120 of its
     # 163,840-row charge
     res = longest_pc_cycle(layered_colouring(17, 3))
     assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 3_308, 0)
@@ -273,16 +274,17 @@ def test_table_hands_off_after_its_charge():
 
 def test_table_charge_over_remaining_budget_stays_exhausted():
     # BE(4) charges 2^16 rows and hands off only when the budget holds the
-    # DFS's 2^16 // 8 = 8,192 nodes and the table's 2^16 rows: 73,728
-    handoff = 8_192 + 65_536
+    # DFS's 2^16 // 32 = 2,048 nodes and the table's 2^16 rows: 67,584
+    handoff = 2_048 + 65_536
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=handoff))
     assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, handoff, 65_536)
-    # one node fewer, and the DFS runs to the budget
-    for limit in (handoff - 1, 70_000):
+    # one node fewer, or room for the table's rows alone, and the DFS runs to
+    # the budget
+    for limit in (handoff - 1, 66_000):
         res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
         assert (res.status, res.nodes, res.rows) == (SearchStatus.EXHAUSTED, limit, 0)
     # layered(16, 5) paths charge 2^16 rows as well
-    limit = 70_000
+    limit = 66_000
     res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=limit))
     assert not res.exact and res.nodes <= limit and res.rows == 0
     assert 2 <= res.value <= 11 and res.witness.order == res.value
@@ -292,12 +294,12 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
 def test_table_checks_time_limit_between_layers():
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    # BE(2) hands off after 2^8 // 8 = 32 DFS nodes, before the DFS's first
+    # BE(2) hands off after 2^8 // 32 = 8 DFS nodes, before the DFS's first
     # deadline check, so only the table sees the deadline, before its first
     # layer
     res = exact_pc_ham_cycle(bollobas_erdos(2), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    assert (res.nodes, res.rows) == (32, 0)
+    assert (res.nodes, res.rows) == (8, 0)
     with pytest.raises(pch.exact._OutOfBudget):
         pch.exact._table(bollobas_erdos(2), True, 9, pch.exact._Meter(SearchBudget(time_limit=0.0)))
 
@@ -335,6 +337,26 @@ def test_rows_zero_without_a_handoff():
     assert (res.exact, res.nodes, res.rows) == (False, 1_000, 0)
     res = exact_pc_two_factor(monochromatic(6))
     assert res.status == SearchStatus.NOT_EXISTS and res.rows == 0
+
+
+@pytest.mark.parametrize(
+    "oracle, graphs",
+    [
+        pytest.param(exact_pc_ham_cycle, [near_bollobas_erdos(k, s) for k in (4, 5) for s in range(10)], id="near-be"),
+        pytest.param(
+            exact_pc_ham_cycle, [random_bounded_colouring(20, 9, s, colours=3) for s in range(1, 41)], id="bench-r20"
+        ),
+        pytest.param(exact_pc_ham_path, [bollobas_erdos(k) for k in (3, 4)], id="be-path"),
+    ],
+)
+def test_spanning_answers_stay_on_the_dfs(oracle, graphs):
+    # the DFS's share is a probe for a spanning answer: these need at most
+    # 993 nodes (near-BE(5), against a share of 2^21 // 32) and never reach
+    # the table, while every bench proof still hands off (see
+    # test_rows_count_the_table_apart_from_the_dfs)
+    for g in graphs:
+        res = oracle(g)
+        assert (res.status, res.rows) == (SearchStatus.EXISTS, 0)
 
 
 def test_no_table_above_memory_ceiling(monkeypatch):
