@@ -46,13 +46,9 @@ from pch.exact import (
 from pch.rotations import (
     Chord,
     PathCycleSystem,
-    apply_chord_sequence,
-    combine_rotation_sequences,
     expand_endpoint_colours,
-    find_chords,
     find_pc_ham_path_heuristic,
     find_pc_two_factor,
-    is_spread_out,
     maximal_path_cycle,
     rotate,
     rotation_targets,

@@ -7,20 +7,19 @@ those endpoints.  A right chord is an edge yw with c(yw) != c_y (left chords
 mirror this at x); rotating along a chord rewires the system while preserving
 its vertex set and properness, moving one endpoint to a neighbour of w.
 
-A chord sequence is "spread out" when the original endpoints and all chord
-targets are pairwise at distance greater than 5 inside the original system.
-This is the paper's lemma: the rotations never interfere, so independently
-derived left and right sequences can be combined (`is_spread_out`,
-`apply_chord_sequence`, `combine_rotation_sequences`).  The 2-factor search
-does not rely on the spacing: it derives every rotation directly from the
-current system, which also works at small n where the spacing cannot be met.
+The paper spaces its chord sequences: the original endpoints and all chord
+targets pairwise at distance greater than 5 inside the original system.  That
+spacing survives only as the ``require_spread`` filter of
+`expand_endpoint_colours`, which ``lemma-check rotation3`` turns on from
+n = 20; the 2-factor search derives every rotation directly from the current
+system, which also works at small n where the spacing cannot be met.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from pch.ec_graph import (
@@ -144,20 +143,6 @@ def validate_system(sys: PathCycleSystem, g) -> None:
 # chords and single rotations
 # ---------------------------------------------------------------------------
 
-def find_chords(sys: PathCycleSystem, g, side: str) -> list[Chord]:
-    """All chords on the given side: edges from that endpoint whose colour
-    differs from the endpoint's parameter colour.  The non-interference
-    precondition (w not in {other end} u N(other end)) belongs to rotate.
-    """
-    p = sys.params(g)
-    endpoint, pcol = (p.y, p.c_y) if side == RIGHT else (p.x, p.c_x)
-    out = []
-    for w in sorted(sys.vertices()):
-        if w != endpoint and g.colour(endpoint, w) != pcol:
-            out.append(Chord(side, endpoint, w))
-    return out
-
-
 def _right_chords(sys: PathCycleSystem, g):
     """The right chord targets ``rotate`` accepts, in ascending order: every
     system vertex w outside {y, x, x's path neighbour} with c(y, w) != c_y."""
@@ -227,7 +212,12 @@ def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
     path intact comes first, and ``rotate`` takes it when no target is given.
     """
     path = sys.path.vertices
-    end = path[-1] if side == RIGHT else path[0]
+    if side == RIGHT:
+        end = path[-1]
+    elif side == LEFT:
+        end = path[0]
+    else:
+        raise ValueError(f"unknown side {side!r}")
     cew = g.colour(end, w)
     piece, i = sys.index[w]
     verts = path if piece < 0 else sys.cycles[piece].vertices
@@ -262,115 +252,6 @@ def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
             raise ValueError(f"left chord endpoint {chord.endpoint} is not the left end {p.x}")
         return _mirror(_rotate_right(_mirror(sys), g, chord.w, chord.target))
     raise ValueError(f"unknown chord side {chord.side!r}")
-
-
-# ---------------------------------------------------------------------------
-# chord sequences
-# ---------------------------------------------------------------------------
-
-def is_spread_out(sys: PathCycleSystem, seq) -> bool:
-    """Pairwise distances in sys among {x, y, chord targets} all exceed SPREAD_DISTANCE."""
-    chords = tuple(seq)
-    if sys.path is None:
-        return False
-    pts = [sys.path.first, sys.path.last] + [c.w for c in chords]
-    if len(set(pts)) != len(pts):
-        return False
-    dist = system_distances(sys)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if dist[pts[i]].get(pts[j], None) is not None and dist[pts[i]][pts[j]] <= SPREAD_DISTANCE:
-                return False
-    return True
-
-
-def apply_chord_sequence(
-    sys: PathCycleSystem,
-    g,
-    seq,
-    check_guarantees: bool = True,
-) -> PathCycleSystem:
-    """Iterated rotation.  With a spread-out sequence, also checks the
-    non-interference guarantees and raises RuntimeError if one fails: vertex
-    set preserved, new endpoints adjacent (in the original system) to {x, y}
-    or some chord target, and all-right sequences leaving the left parameters
-    untouched.
-    """
-    chords = tuple(seq)
-    orig = sys
-    p0 = sys.params(g) if sys.path is not None else None
-    cur = sys
-    for i, ch in enumerate(chords):
-        try:
-            cur = rotate(cur, g, ch)
-        except ValueError as exc:
-            raise ValueError(f"chord {i} ({ch.side}, {ch.endpoint}->{ch.w}): {exc}") from None
-
-    if check_guarantees and chords and p0 is not None and is_spread_out(orig, chords):
-        adj = system_adjacency(orig)
-        allowed = {p0.x, p0.y}
-        for ch in chords:
-            allowed.update(adj[ch.w])
-        p = cur.params(g)
-        _guarantee(cur.vertex_set() == orig.vertex_set(), "rotations changed the vertex set")
-        _guarantee(p.x in allowed and p.y in allowed, "endpoint escaped the guaranteed set")
-        _guarantee(p.c_x in {g.colour(p.x, u) for u in adj[p.x]}, "left colour not an original system colour")
-        _guarantee(p.c_y in {g.colour(p.y, u) for u in adj[p.y]}, "right colour not an original system colour")
-        if all(ch.side == RIGHT for ch in chords):
-            _guarantee(p.x == p0.x and p.c_x == p0.c_x, "right rotations moved the left end")
-            _guarantee(p.y in adj[chords[-1].w], "right end not next to the last chord target")
-        if all(ch.side == LEFT for ch in chords):
-            _guarantee(p.y == p0.y and p.c_y == p0.c_y, "left rotations moved the right end")
-            _guarantee(p.x in adj[chords[-1].w], "left end not next to the last chord target")
-    return cur
-
-
-def combine_rotation_sequences(
-    sys: PathCycleSystem,
-    g,
-    right_seq,
-    left_seq,
-) -> PathCycleSystem:
-    """Apply a right-only then a left-only sequence derived independently from sys.
-
-    Requires the concatenation to be spread out in sys; the spacing guarantees
-    that the left chords stay valid after the right rotations, yielding a
-    system whose right parameters come from the right sequence and left
-    parameters from the left sequence, on the same vertex set.
-    """
-    right = tuple(right_seq)
-    left = tuple(left_seq)
-    if not all(ch.side == RIGHT for ch in right):
-        raise ValueError("right_seq must contain only right chords")
-    if not all(ch.side == LEFT for ch in left):
-        raise ValueError("left_seq must contain only left chords")
-    if not is_spread_out(sys, right + left):
-        raise ValueError("combined chord sequence is not spread out in the original system")
-
-    # the left-alone endpoint trace; the replay below is steered to follow it,
-    # since a chord into the path can legitimately move either way
-    probe = sys
-    trace: list[int] = []
-    for ch in left:
-        probe = rotate(probe, g, ch)
-        trace.append(probe.params(g).x)
-    left_params = probe.params(g) if left else None
-
-    cur = apply_chord_sequence(sys, g, right, check_guarantees=False)
-    right_params = cur.params(g)
-    for i, (ch, tgt) in enumerate(zip(left, trace)):
-        try:
-            cur = rotate(cur, g, replace(ch, target=tgt))
-        except ValueError as exc:
-            raise ValueError(
-                f"left chord {i} invalidated after combination (spread-out precondition broken): {exc}"
-            ) from None
-    _guarantee(cur.vertex_set() == sys.vertex_set(), "combined rotations changed the vertex set")
-    final = cur.params(g)
-    _guarantee((final.y, final.c_y) == (right_params.y, right_params.c_y), "left chords moved the right end")
-    if left_params is not None:
-        _guarantee((final.x, final.c_x) == (left_params.x, left_params.c_x), "right chords moved the left end")
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +305,9 @@ def expand_endpoint_colours(
     """
     if side == LEFT:
         return _mirror_expansion(_expand_right(_mirror(sys), g, max_depth, require_spread, max_rotations))
-    return _expand_right(sys, g, max_depth, require_spread, max_rotations)
+    if side == RIGHT:
+        return _expand_right(sys, g, max_depth, require_spread, max_rotations)
+    raise ValueError(f"unknown side {side!r}")
 
 
 def _expand_right(sys: PathCycleSystem, g, max_depth: int, require_spread: bool, max_rotations: int) -> ExpansionResult:

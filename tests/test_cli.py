@@ -151,6 +151,17 @@ def test_lemma_check_2factor_small(tmp_path):
     assert code in (0, 1)
 
 
+def test_lemma_check_rotation3_with_spacing(tmp_path):
+    # from n = 20 the expansion keeps chord targets more than 5 apart; without
+    # the spacing these seeds reach 36, 34, 38, 38 and 35 states at layer 1
+    rpath = tmp_path / "r.json"
+    run("lemma-check", "--lemma", "rotation3", "--n", "24", "--dmax", "7",
+        "--seeds", "5", "--report", str(rpath))
+    rep = json.loads(rpath.read_text())["result"]
+    assert rep["growth_ratios"] == [23.0, 20.0, 24.0, 24.0, 23.0]
+    assert rep["mean_ratio"] == 22.8
+
+
 @pytest.mark.parametrize("lemma, n", [("2factor", 9), ("abscycle", 30)])
 def test_lemma_check_defaults_dmax_from_eps(tmp_path, capsys, lemma, n):
     rpath = tmp_path / f"{lemma}.json"

@@ -29,13 +29,9 @@ from pch.rotations import (
     Chord,
     PathCycleSystem,
     TwoFactorOutcome,
-    apply_chord_sequence,
-    combine_rotation_sequences,
     expand_endpoint_colours,
-    find_chords,
     find_pc_ham_path_heuristic,
     find_pc_two_factor,
-    is_spread_out,
     maximal_path_cycle,
     pick_extension,
     rotate,
@@ -70,42 +66,6 @@ def test_validate_system_rejects_broken_systems():
     ]:
         with pytest.raises(ValueError, match=reason):
             validate_system(sys, graph)
-
-
-# -- chords -------------------------------------------------------------------
-
-def test_find_chords_rainbow_path():
-    g = rainbow(6)
-    sys = path_system(0, 1, 2, 3, 4, 5)
-    chords = find_chords(sys, g, RIGHT)
-    # every system vertex qualifies except the endpoint itself and its path
-    # neighbour, whose edge IS the endpoint colour
-    assert [c.w for c in chords] == [0, 1, 2, 3]
-    assert all(c.side == RIGHT and c.endpoint == 5 for c in chords)
-    left = find_chords(sys, g, LEFT)
-    assert [c.w for c in left] == [2, 3, 4, 5]
-
-
-def test_find_chords_monochromatic_empty():
-    g = monochromatic(5)
-    sys = path_system(0, 1)
-    assert find_chords(sys, g, RIGHT) == []
-    assert find_chords(sys, g, LEFT) == []
-
-
-def test_find_chords_three_colour_membership():
-    edges = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (3, 4): 1, (4, 2): 2}
-    g = graph_from_edges(5, 3, edges)
-    sys = path_system(0, 1, 2, 3, 4)
-    chords = find_chords(sys, g, RIGHT)
-    assert Chord(RIGHT, 4, 2) in chords
-
-
-def test_find_chords_requires_path():
-    g = rainbow(6)
-    sys = PathCycleSystem(None, (DirectedCycle((0, 1, 2)),))
-    with pytest.raises(ValueError):
-        find_chords(sys, g, RIGHT)
 
 
 # -- single rotations: the three cases ----------------------------------------
@@ -174,12 +134,11 @@ def eligible_chords(sys, g):
     adj = system_adjacency(sys)
     p = sys.params(g)
     out = []
-    for side in (LEFT, RIGHT):
-        other = p.y if side == LEFT else p.x
-        for ch in find_chords(sys, g, side):
-            if ch.w != other and ch.w not in adj[other]:
-                for tgt in rotation_targets(sys, g, side, ch.w):
-                    out.append(Chord(side, ch.endpoint, ch.w, tgt))
+    for side, end, col, other in ((LEFT, p.x, p.c_x, p.y), (RIGHT, p.y, p.c_y, p.x)):
+        for w in sorted(sys.vertices()):
+            if w != end and g.colour(end, w) != col and w != other and w not in adj[other]:
+                for tgt in rotation_targets(sys, g, side, w):
+                    out.append(Chord(side, end, w, tgt))
     return out
 
 
@@ -234,107 +193,6 @@ def test_rotate_random_soundness_sample():
         done += 1
 
 
-# -- sequences ----------------------------------------------------------------
-
-def test_apply_sequence_empty_and_single():
-    g = rainbow(8)
-    sys = path_system(*range(8))
-    assert apply_chord_sequence(sys, g, []) == sys
-    ch = Chord(RIGHT, 7, 3)
-    assert apply_chord_sequence(sys, g, [ch]) == rotate(sys, g, ch)
-
-
-def test_apply_sequence_two_spread_right_chords():
-    g = rainbow(30)
-    sys = path_system(*range(30))
-    first = Chord(RIGHT, 29, 14)
-    mid = rotate(sys, g, first)
-    second = Chord(RIGHT, mid.params(g).y, 7)
-    out = apply_chord_sequence(sys, g, [first, second])
-    p = out.params(g)
-    assert p.x == 0 and p.c_x == g.colour(0, 1)
-    assert p.y in (6, 8)  # a neighbour of the last chord target in the original
-
-
-def test_apply_sequence_reports_failing_index():
-    g = rainbow(10)
-    sys = path_system(*range(10))
-    with pytest.raises(ValueError, match="chord 1"):
-        apply_chord_sequence(sys, g, [Chord(RIGHT, 9, 4), Chord(RIGHT, 9, 4)])
-
-
-def test_is_spread_out_examples():
-    g = rainbow(30)
-    sys7 = path_system(*range(7))
-    assert is_spread_out(sys7, [])  # ends at distance 6 > 5
-    assert not is_spread_out(path_system(*range(6)), [])
-    sys30 = path_system(*range(30))
-    assert is_spread_out(sys30, [Chord(RIGHT, 29, 14)])
-    assert not is_spread_out(sys30, [Chord(RIGHT, 29, 1)])  # target adjacent to x
-    # unreachable pieces count as infinitely far apart
-    sys_c = PathCycleSystem(DirectedPath(tuple(range(7))), (DirectedCycle((10, 11, 12)),))
-    assert is_spread_out(sys_c, [Chord(RIGHT, 6, 11)])
-
-
-def test_combine_empty_sides():
-    g = rainbow(20)
-    sys = path_system(*range(20))
-    r = [Chord(RIGHT, 19, 9)]
-    assert combine_rotation_sequences(sys, g, r, []) == apply_chord_sequence(sys, g, r)
-    l = [Chord(LEFT, 0, 9)]
-    assert combine_rotation_sequences(sys, g, [], l) == apply_chord_sequence(sys, g, l)
-
-
-def test_combine_parameter_identity():
-    g = rainbow(40)
-    sys = path_system(*range(40))
-    right = [Chord(RIGHT, 39, 20)]
-    left = [Chord(LEFT, 0, 30)]
-    alone_r = apply_chord_sequence(sys, g, right).params(g)
-    alone_l = apply_chord_sequence(sys, g, left).params(g)
-    combined = combine_rotation_sequences(sys, g, right, left)
-    p = combined.params(g)
-    assert (p.y, p.c_y) == (alone_r.y, alone_r.c_y)
-    assert (p.x, p.c_x) == (alone_l.x, alone_l.c_x)
-    assert combined.vertex_set() == sys.vertex_set()
-
-
-def test_combine_rejects_crowded_sequences():
-    g = rainbow(12)
-    sys = path_system(*range(12))
-    with pytest.raises(ValueError, match="spread"):
-        combine_rotation_sequences(sys, g, [Chord(RIGHT, 11, 5)], [Chord(LEFT, 0, 6)])
-
-
-def test_combine_randomized_parameter_identity():
-    done = 0
-    for seed in range(40):
-        g = random_bounded_colouring(45, 18, seed)
-        sys = maximal_path_cycle(g, seed=seed, restarts=10)
-        if sys.path.order < 28:
-            continue
-        res_r = expand_endpoint_colours(sys, g, RIGHT, max_depth=1)
-        res_l = expand_endpoint_colours(sys, g, LEFT, max_depth=1)
-        pick = None
-        for kr in sorted(res_r.layers[1]):
-            for kl in sorted(res_l.layers[1]):
-                sr, sl = res_r.layers[1][kr], res_l.layers[1][kl]
-                if is_spread_out(sys, sr.chords + sl.chords):
-                    pick = (sr, sl)
-                    break
-            if pick:
-                break
-        if pick is None:
-            continue
-        sr, sl = pick
-        combined = combine_rotation_sequences(sys, g, sr.chords, sl.chords)
-        p = combined.params(g)
-        assert (p.y, p.c_y) == (sr.vertex, sr.colour)
-        assert (p.x, p.c_x) == (sl.vertex, sl.colour)
-        done += 1
-    assert done >= 3
-
-
 # -- endpoint expansion --------------------------------------------------------
 
 def test_expand_depth_zero_is_right_endpoint():
@@ -344,32 +202,74 @@ def test_expand_depth_zero_is_right_endpoint():
     assert list(res.layers[0]) == [(19, g.colour(19, 18))]
 
 
-def test_expand_rainbow_depth_one_matches_case_analysis():
-    # identity path in a rainbow colouring: every interior target w in positions
-    # 2..n-3 admits both outcomes; with spacing off, nothing else interferes
-    n = 16
-    g = rainbow(n)
-    sys = path_system(*range(n))
-    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=1, require_spread=False)
+def rainbow_layer_one(g, targets):
+    """Layer 1 of the right expansion of the identity path in a rainbow
+    colouring, by case analysis: each chord target w admits both outcomes."""
+    n = g.n
     expected = set()
-    for w in range(2, n - 2):
+    for w in targets:
         # rewiring towards the far neighbour: the new end keeps its other edge
         nxt = w + 1
         expected.add((nxt, g.colour(nxt, nxt + 1 if nxt + 1 < n else nxt - 1)))
         # splitting towards the near neighbour
         expected.add((w - 1, g.colour(w - 1, w - 2)))
-    assert set(res.layers[1]) == expected
+    return expected
+
+
+def test_expand_rainbow_depth_one_matches_case_analysis():
+    # identity path in a rainbow colouring: every interior target w in positions
+    # 2..n-3 admits both outcomes; with spacing off, nothing else interferes
+    n = 16
+    g = rainbow(n)
+    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1, require_spread=False)
+    assert set(res.layers[1]) == rainbow_layer_one(g, range(2, n - 2))
 
 
 def test_expand_spread_depth_one_respects_distances():
+    # with spacing on, the chord targets are exactly the positions more than
+    # 5 from both ends
     n = 30
     g = rainbow(n)
-    sys = path_system(*range(n))
-    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=1, require_spread=True)
-    targets_used = {w for (z, c) in res.layers[1] for w in (z - 1, z + 1) if 0 <= w < n}
-    # chord targets must sit more than 5 positions from both ends
-    for (z, c) in res.layers[1]:
-        assert any(5 < w < n - 6 for w in (z - 1, z + 1))
+    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1, require_spread=True)
+    assert set(res.layers[1]) == rainbow_layer_one(g, range(6, n - 6))
+    assert len(res.layers[1]) == 36
+    assert {st.chords[0].w for st in res.layers[1].values()} == set(range(6, n - 6))
+
+
+@pytest.mark.parametrize("require_spread", [False, True])
+def test_expansion_witness_chords_replay_with_rotate(require_spread):
+    # each state's witness chords, replayed one checked rotation at a time
+    # from the start system, land on the state's system and endpoint
+    graphs = [random_bounded_colouring(45, 18, s) for s in range(10)]
+    graphs += [near_bollobas_erdos(10, s) for s in range(10)]
+    replayed = deepest = 0
+    for seed, g in enumerate(graphs):
+        sys = maximal_path_cycle(g, seed=seed, restarts=10)
+        for side in (LEFT, RIGHT):
+            res = expand_endpoint_colours(sys, g, side, max_depth=2, require_spread=require_spread)
+            for layer in res.layers:
+                for st in layer.values():
+                    cur = sys
+                    for ch in st.chords:
+                        cur = rotate(cur, g, ch)
+                    assert cur == st.system
+                    p = cur.params(g)
+                    assert ((p.x, p.c_x) if side == LEFT else (p.y, p.c_y)) == (st.vertex, st.colour)
+                    replayed += 1
+                    deepest = max(deepest, len(st.chords))
+    assert replayed > 1000 and deepest == 2
+
+
+def test_unknown_side_is_rejected():
+    g = rainbow(8)
+    sys = path_system(*range(8))
+    for call in (
+        lambda: rotation_targets(sys, g, "rihgt", 3),
+        lambda: expand_endpoint_colours(sys, g, "rihgt"),
+        lambda: rotate(sys, g, Chord("rihgt", 7, 3)),
+    ):
+        with pytest.raises(ValueError, match="side 'rihgt'"):
+            call()
 
 
 def test_expand_no_chords_gives_empty_layer():
@@ -502,24 +402,6 @@ def test_rotation_vertex_set_check_raises(monkeypatch):
         rotate(path_system(*range(8)), rainbow(8), Chord(RIGHT, 7, 3))
 
 
-def test_chord_sequence_guarantee_raises(monkeypatch):
-    # a rotation that does nothing leaves the right end away from the chord target
-    monkeypatch.setattr(pch.rotations, "rotate", lambda sys, g, chord: sys)
-    with pytest.raises(RuntimeError, match="last chord target"):
-        apply_chord_sequence(path_system(*range(30)), rainbow(30), [Chord(RIGHT, 29, 14)])
-
-
-def test_combine_guarantee_raises(monkeypatch):
-    # right rotations that lose a vertex
-    monkeypatch.setattr(
-        pch.rotations,
-        "apply_chord_sequence",
-        lambda sys, g, seq, check_guarantees=True: path_system(*sys.path.vertices[:-1]),
-    )
-    with pytest.raises(RuntimeError, match="vertex set"):
-        combine_rotation_sequences(path_system(*range(40)), rainbow(40), [Chord(RIGHT, 39, 20)], [Chord(LEFT, 0, 30)])
-
-
 def test_ham_path_heuristic_check_raises(monkeypatch):
     g = rainbow(8)
     tf = find_pc_two_factor(g)
@@ -626,32 +508,26 @@ def test_rotate_takes_its_target_from_rotation_targets():
         adj = system_adjacency(sys)
         p = sys.params(g)
         path = sys.path.vertices
-        for side, off_limits in ((RIGHT, (p.x, path[1])), (LEFT, (p.y, path[-2]))):
-            for ch in find_chords(sys, g, side):
-                if ch.w in off_limits:
+        for side, end, col, off_limits in ((RIGHT, p.y, p.c_y, (p.x, path[1])), (LEFT, p.x, p.c_x, (p.y, path[-2]))):
+            for w in sorted(sys.vertices()):
+                if w == end or g.colour(end, w) == col:
+                    continue
+                ch = Chord(side, end, w)
+                if w in off_limits:
                     with pytest.raises(ValueError, match="opposite endpoint"):
                         rotate(sys, g, ch)
                     continue
-                targets = rotation_targets(sys, g, side, ch.w)
+                targets = rotation_targets(sys, g, side, w)
                 for tgt, chord in [(targets[0], ch)] + [(t, replace(ch, target=t)) for t in targets]:
                     q = rotate(sys, g, chord).params(g)
                     assert (q.y if side == RIGHT else q.x) == tgt
                     rotations += 1
-                for u in adj[ch.w]:
+                for u in adj[w]:
                     if u not in targets:
                         with pytest.raises(ValueError, match="blocked"):
                             rotate(sys, g, replace(ch, target=u))
                         blocked += 1
     assert rotations > 1000 and blocked > 100
-
-
-def test_chord_sequence_wrapper():
-    g = rainbow(30)
-    sys = path_system(*range(30))
-    seq = (Chord(RIGHT, 29, 14),)
-    assert is_spread_out(sys, seq)
-    out = apply_chord_sequence(sys, g, seq)
-    assert out.params(g).x == 0
 
 
 def test_layered_has_no_two_factor_and_both_sides_agree():
