@@ -50,9 +50,13 @@ class RunReport:
 
 def _budget(args) -> exact.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
+    source = "--budget-nodes"
     if nodes is None:
         env = os.environ.get("PCH_BUDGET_NODES")
         nodes = int(env) if env else exact.DEFAULT_NODE_LIMIT
+        source = "PCH_BUDGET_NODES"
+    if nodes < 1:
+        raise UsageError(f"{source} must be >= 1, got {nodes}")
     return exact.SearchBudget(node_limit=nodes)
 
 
@@ -285,9 +289,8 @@ def cmd_constants(args) -> int:
 # lemma-style harnesses
 # ---------------------------------------------------------------------------
 
-# trials per instance of lemma ifar, and the expansion depth of lemma rotation3
+# trials per instance of lemma ifar
 IFAR_TRIALS = 20
-ROTATION3_DEPTH = 2
 
 
 def _ratio(num, den):
@@ -338,25 +341,6 @@ def _ifar_report(params: dict, records: list) -> dict:
     }
 
 
-def _rotation3_seed(g, seed: int, params: dict) -> list[float]:
-    sys = rotations.maximal_path_cycle(g, seed=seed)
-    res = rotations.expand_endpoint_colours(
-        sys, g, rotations.RIGHT, max_depth=ROTATION3_DEPTH, require_spread=g.n >= 20
-    )
-    sizes = res.layer_sizes()
-    return [b / a for a, b in zip(sizes, sizes[1:]) if a]
-
-
-def _rotation3_report(params: dict, records: list) -> dict:
-    ratios = [r for rec in records for r in rec]
-    return {
-        "n": params["n"], "eps": params["eps"], "dmax": params["dmax"],
-        "growth_ratios": ratios, "reference": 1 + params["eps"],
-        "note": "probe only: the growth bound assumes maximality and spacing",
-        "mean_ratio": _ratio(sum(ratios), len(ratios)),
-    }
-
-
 def _2factor_seed(g, seed: int, params: dict) -> tuple[bool, bool, bool]:
     """(oracle finds a 2-factor, heuristic finds one, heuristic's certificate is invalid)"""
     oracle = exact.exact_pc_two_factor(g)
@@ -403,7 +387,6 @@ def _abscycle_report(params: dict, records: list) -> dict:
 _LEMMAS = {
     "abspath": (_abspath_seed, _abspath_report),
     "ifar": (_ifar_seed, _ifar_report),
-    "rotation3": (_rotation3_seed, _rotation3_report),
     "2factor": (_2factor_seed, _2factor_report),
     "abscycle": (_abscycle_seed, _abscycle_report),
 }

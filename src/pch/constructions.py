@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pch.ec_graph import ColouredComplete, ColouredGraph, DirectedCycle, is_properly_coloured_cycle, max_mono_degree
+from pch.ec_graph import (
+    ColouredComplete,
+    ColouredGraph,
+    DirectedCycle,
+    is_properly_coloured_cycle,
+    is_properly_coloured_path,
+    max_mono_degree,
+)
 
 
 class GenerationError(RuntimeError):
@@ -170,26 +177,16 @@ def colouring_from_oriented(og: OrientedGraph, complete_with: str | None = None)
     monochromatic degree is the max in-degree, and each vertex sees
     ``d_out(v) + min(1, d_in(v))`` colours.
 
-    ``complete_with`` fills the remaining pairs so that a ``ColouredComplete``
-    results: ``"rainbow"`` uses a fresh colour per missing pair,
-    ``"extra"`` a single fresh colour for all of them.
+    ``complete_with="extra"`` fills the remaining pairs with a single fresh
+    colour, so that a ``ColouredComplete`` results.
     """
     n = og.n
     colours = {(min(u, v), max(u, v)): v for (u, v) in og.arcs}
     if complete_with is None:
         return ColouredGraph(n, max(n, 1), colours)
-    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in colours]
-    if complete_with == "extra":
-        k = n + 1
-        for pair in missing:
-            colours[pair] = n
-    elif complete_with == "rainbow":
-        k = n + max(1, len(missing))
-        for i, pair in enumerate(missing):
-            colours[pair] = n + i
-    else:
+    if complete_with != "extra":
         raise ValueError(f"unknown completion policy {complete_with!r}")
-    return ColouredComplete.from_function(n, max(k, n, 1), lambda u, v: colours[(u, v)])
+    return ColouredComplete.from_function(n, n + 1, lambda u, v: colours.get((u, v), n))
 
 
 def tournament_with_source(m: int) -> OrientedGraph:
@@ -474,7 +471,8 @@ def properly_coloured_cycle_set(cg) -> set[tuple[int, ...]]:
     Exhaustive; intended for small n cross-checks against directed cycle sets.
     """
     n = cg.n
-    adj = [[v for v in range(n) if v != u and cg.has_edge(u, v)] for u in range(n)]
+    # one step is a PC path exactly when the pair is an edge of cg
+    adj = [[v for v in range(n) if v != u and is_properly_coloured_path(cg, (u, v))] for u in range(n)]
     found: set[tuple[int, ...]] = set()
 
     def walk(start: int, path: list[int], on_path: set[int]):

@@ -117,11 +117,6 @@ class ColouredGraph:
                 raise ValueError(f"colour {c} outside 0..{k - 1}")
             self._colours[(u, v) if u < v else (v, u)] = c
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._colours
-
     def colour(self, u: Vertex, v: Vertex) -> ColourId:
         if u > v:
             u, v = v, u
@@ -148,11 +143,6 @@ def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
     wide = np.int32 if rows * span < 2 ** 31 else np.int64
     cells = matrix + (np.arange(rows, dtype=wide) * span + 1)[:, None]
     return np.bincount(cells.ravel(), minlength=rows * span).reshape(rows, span)[:, 1:]
-
-
-def colour_histograms(g: ColouredComplete) -> list[list[int]]:
-    """Per-vertex colour counts: hist[v][c] = number of edges at v coloured c."""
-    return colour_counts(g.matrix, g.k).tolist()
 
 
 def max_mono_degree(g: ColouredComplete) -> int:

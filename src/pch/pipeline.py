@@ -136,8 +136,7 @@ def _rotated(g, path: DirectedPath, tried: dict):
     """The spanning paths that rotating one end of `path` reaches."""
     for side in (RIGHT, LEFT):
         res = expand_endpoint_colours(
-            PathCycleSystem(path), g, side, max_depth=_ROTATION_DEPTH,
-            require_spread=False, max_rotations=_ROTATION_CAP,
+            PathCycleSystem(path), g, side, max_depth=_ROTATION_DEPTH, max_rotations=_ROTATION_CAP
         )
         tried["rotations"] += res.rotations
         yield from (st.system.path for st in res.states()[1:] if not st.system.cycles)

@@ -6,13 +6,6 @@ c_y) are the path's endpoints together with the colours of the path edges at
 those endpoints.  A right chord is an edge yw with c(yw) != c_y (left chords
 mirror this at x); rotating along a chord rewires the system while preserving
 its vertex set and properness, moving one endpoint to a neighbour of w.
-
-The paper spaces its chord sequences: the original endpoints and all chord
-targets pairwise at distance greater than 5 inside the original system.  That
-spacing survives only as the ``require_spread`` filter of
-`expand_endpoint_colours`, which ``lemma-check rotation3`` turns on from
-n = 20; the 2-factor search derives every rotation directly from the current
-system, which also works at small n where the spacing cannot be met.
 """
 
 from __future__ import annotations
@@ -34,8 +27,6 @@ from pch.ec_graph import (
 
 LEFT = "left"
 RIGHT = "right"
-
-SPREAD_DISTANCE = 5
 
 
 @dataclass(frozen=True)
@@ -107,23 +98,6 @@ def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
             adj[a].append(b)
             adj[b].append(a)
     return adj
-
-
-def system_distances(sys: PathCycleSystem) -> dict[int, dict[int, int]]:
-    """All-pairs hop distances within the system (missing entry = unreachable)."""
-    adj = system_adjacency(sys)
-    out: dict[int, dict[int, int]] = {}
-    for s in adj:
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-        out[s] = dist
-    return out
 
 
 def validate_system(sys: PathCycleSystem, g) -> None:
@@ -271,9 +245,6 @@ class ExpansionResult:
     layers: list[dict]          # depth -> {(z, c_z): EndpointState}
     rotations: int
 
-    def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self.layers]
-
     def states(self) -> list[EndpointState]:
         """Each reached (z, c_z) state once, at its shallowest layer, in layer
         order and sorted within a layer; the starting state comes first."""
@@ -292,27 +263,27 @@ def expand_endpoint_colours(
     g,
     side: str,
     max_depth: int = 3,
-    require_spread: bool = True,
     max_rotations: int = 200_000,
 ) -> ExpansionResult:
     """Breadth-first search over endpoint states reachable by one-sided rotations.
 
-    Layer L holds, for each endpoint state (z, c_z) reachable in exactly L
-    rotations on the given side, one witness chord sequence (first found wins;
-    targets scanned in ascending vertex order for reproducibility).  Stops
+    It has one mode: every layer rotates along every chord of each state's
+    current system, with no spacing between chord targets.  Layer L holds,
+    for each endpoint state (z, c_z) reachable in exactly L rotations on the
+    given side, one witness chord sequence (first found wins; targets scanned
+    in ascending vertex order for reproducibility).  Stops
     early when one layer holds two states on the same vertex with different
     colours, the raw material for closing a path into a cycle.
     """
     if side == LEFT:
-        return _mirror_expansion(_expand_right(_mirror(sys), g, max_depth, require_spread, max_rotations))
+        return _mirror_expansion(_expand_right(_mirror(sys), g, max_depth, max_rotations))
     if side == RIGHT:
-        return _expand_right(sys, g, max_depth, require_spread, max_rotations)
+        return _expand_right(sys, g, max_depth, max_rotations)
     raise ValueError(f"unknown side {side!r}")
 
 
-def _expand_right(sys: PathCycleSystem, g, max_depth: int, require_spread: bool, max_rotations: int) -> ExpansionResult:
+def _expand_right(sys: PathCycleSystem, g, max_depth: int, max_rotations: int) -> ExpansionResult:
     p0 = sys.params(g)
-    dist = system_distances(sys) if require_spread else None
     layers: list[dict] = [
         {(p0.y, p0.c_y): EndpointState(p0.y, p0.c_y, (), sys)}
     ]
@@ -324,13 +295,7 @@ def _expand_right(sys: PathCycleSystem, g, max_depth: int, require_spread: bool,
             st = layers[-1][key]
             cur = st.system
             z = cur.path.last
-            if require_spread:
-                spread_pts = [p0.x, p0.y] + [c.w for c in st.chords]
             for w in _right_chords(cur, g):
-                if require_spread:
-                    dw = dist[w]
-                    if any(dw.get(p, 10 ** 9) <= SPREAD_DISTANCE for p in spread_pts):
-                        continue
                 # both neighbours of w can be reachable endpoints; take each
                 for tgt in rotation_targets(cur, g, RIGHT, w):
                     if rotations >= max_rotations:
@@ -500,10 +465,7 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
         return _close_path_into_cycles(sys)
 
     for depth in (1, _CLOSE_DEPTH):
-        res = expand_endpoint_colours(
-            sys, g, LEFT, max_depth=depth, require_spread=False,
-            max_rotations=_CLOSE_ROTATIONS,
-        )
+        res = expand_endpoint_colours(sys, g, LEFT, max_depth=depth, max_rotations=_CLOSE_ROTATIONS)
         stats["rotations"] += res.rotations
         for st in res.states():
             if _closable(st.system, g):

@@ -23,8 +23,8 @@ from pch.constructions import (
     random_oriented,
     tournament_with_source,
 )
-from pch.ec_graph import ColouredComplete, max_mono_degree, min_colour_degree
-from pch.exact import SearchStatus, exact_pc_ham_cycle
+from pch.ec_graph import ColouredComplete, is_properly_coloured_cycle, max_mono_degree, min_colour_degree
+from pch.exact import SearchStatus, exact_pc_ham_cycle, longest_pc_cycle
 from pch.pipeline import PipelineConfig, run_pipeline
 
 
@@ -113,6 +113,15 @@ def test_tournament_colouring_no_pc_ham_cycle():
     assert not exact_pc_ham_cycle(g).exists
 
 
+def test_cycle_set_on_a_complete_graph():
+    # the completed colouring has every pair as an edge; the set holds its PC
+    # cycles, the longest of which the exact oracle measures
+    g = colouring_from_oriented(tournament_with_source(3), complete_with="extra")
+    cycles = properly_coloured_cycle_set(g)
+    assert max(map(len, cycles)) == longest_pc_cycle(g).value
+    assert all(is_properly_coloured_cycle(g, c) for c in cycles)
+
+
 def test_from_oriented_triangle():
     og = OrientedGraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
     cg = colouring_from_oriented(og)
@@ -159,9 +168,6 @@ def test_completion_policies():
     assert extra.n == 4
     assert extra.colour(0, 1) == 1 and extra.colour(2, 3) == 3
     assert extra.colour(0, 2) == extra.colour(1, 3) == 4
-    rain = colouring_from_oriented(og, complete_with="rainbow")
-    fresh = [rain.colour(0, 2), rain.colour(0, 3), rain.colour(1, 2), rain.colour(1, 3)]
-    assert len(set(fresh)) == 4 and all(c >= 4 for c in fresh)
     with pytest.raises(ValueError):
         colouring_from_oriented(og, complete_with="bogus")
 

@@ -218,26 +218,14 @@ def rainbow_layer_one(g, targets):
 
 def test_expand_rainbow_depth_one_matches_case_analysis():
     # identity path in a rainbow colouring: every interior target w in positions
-    # 2..n-3 admits both outcomes; with spacing off, nothing else interferes
+    # 2..n-3 admits both outcomes
     n = 16
     g = rainbow(n)
-    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1, require_spread=False)
+    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1)
     assert set(res.layers[1]) == rainbow_layer_one(g, range(2, n - 2))
 
 
-def test_expand_spread_depth_one_respects_distances():
-    # with spacing on, the chord targets are exactly the positions more than
-    # 5 from both ends
-    n = 30
-    g = rainbow(n)
-    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1, require_spread=True)
-    assert set(res.layers[1]) == rainbow_layer_one(g, range(6, n - 6))
-    assert len(res.layers[1]) == 36
-    assert {st.chords[0].w for st in res.layers[1].values()} == set(range(6, n - 6))
-
-
-@pytest.mark.parametrize("require_spread", [False, True])
-def test_expansion_witness_chords_replay_with_rotate(require_spread):
+def test_expansion_witness_chords_replay_with_rotate():
     # each state's witness chords, replayed one checked rotation at a time
     # from the start system, land on the state's system and endpoint
     graphs = [random_bounded_colouring(45, 18, s) for s in range(10)]
@@ -246,7 +234,7 @@ def test_expansion_witness_chords_replay_with_rotate(require_spread):
     for seed, g in enumerate(graphs):
         sys = maximal_path_cycle(g, seed=seed, restarts=10)
         for side in (LEFT, RIGHT):
-            res = expand_endpoint_colours(sys, g, side, max_depth=2, require_spread=require_spread)
+            res = expand_endpoint_colours(sys, g, side, max_depth=2)
             for layer in res.layers:
                 for st in layer.values():
                     cur = sys
@@ -282,14 +270,14 @@ def test_expand_no_chords_gives_empty_layer():
         edges[(u, n - 1)] = (n - 2) % 2  # equal to the path edge colour at y
     g = graph_from_edges(n, 3, edges, default=2)
     sys = path_system(*range(n))
-    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=2, require_spread=False)
+    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=2)
     assert res.layers[1] == {}
 
 
 def test_expand_left_side_mirrors():
     g = rainbow(20)
     sys = path_system(*range(20))
-    res = expand_endpoint_colours(sys, g, LEFT, max_depth=1, require_spread=False)
+    res = expand_endpoint_colours(sys, g, LEFT, max_depth=1)
     assert all(ch.side == LEFT for st in res.layers[1].values() for ch in st.chords)
     for (z, c), st in res.layers[1].items():
         p = st.system.params(g)

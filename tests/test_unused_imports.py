@@ -28,3 +28,42 @@ def test_unused_imports_finds_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Top-level private functions, classes and constants (``_``-prefixed,
+    not dunder) that none of the sources reads, by name or as an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Assign):
+                defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.append(node.target.id)
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_unread_private_names_finds_an_orphan():
+    lib = (
+        "_CAP = 3\n_LIMIT: int = 4\n__all__ = []\n"
+        "def _used():\n    return _CAP\n"
+        "class _Gone:\n    pass\n"
+        "def _gone():\n    pass\n"
+    )
+    user = "import lib\nlib._used()\n"
+    assert unread_private_names([lib, user]) == ["_LIMIT", "_Gone", "_gone"]
+
+
+def test_no_unread_private_names():
+    paths = sorted(Path(pch.__file__).parent.glob("*.py"))
+    assert unread_private_names([p.read_text() for p in paths]) == []
