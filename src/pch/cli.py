@@ -48,12 +48,20 @@ class RunReport:
         return asdict(self)
 
 
+def _int(text: str, source: str) -> int:
+    """`text` read as an integer; a UsageError names `source` when it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+
+
 def _budget(args) -> exact.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
     source = "--budget-nodes"
     if nodes is None:
         env = os.environ.get("PCH_BUDGET_NODES")
-        nodes = int(env) if env else exact.DEFAULT_NODE_LIMIT
+        nodes = _int(env, "PCH_BUDGET_NODES") if env else exact.DEFAULT_NODE_LIMIT
         source = "PCH_BUDGET_NODES"
     if nodes < 1:
         raise UsageError(f"{source} must be >= 1, got {nodes}")
@@ -151,6 +159,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if out.valid else EXIT_FAIL
 
 
+def _oracle_record(res: exact.OracleResult) -> dict:
+    return {
+        "status": res.status.value,
+        "nodes": res.nodes,
+        "rows": res.rows,
+        "certificate": certificate_to_json(res.certificate) if res.certificate else None,
+    }
+
+
 def cmd_oracle(args) -> int:
     g = _load_graph(args.input)
     budget = _budget(args)
@@ -164,12 +181,7 @@ def cmd_oracle(args) -> int:
             "twofactor": exact.exact_pc_two_factor,
         }[args.query]
         res = fn(g, budget)
-        result = {
-            "status": res.status.value,
-            "nodes": res.nodes,
-            "rows": res.rows,
-            "certificate": certificate_to_json(res.certificate) if res.certificate else None,
-        }
+        result = _oracle_record(res)
         code = EXIT_OK if res.exists else EXIT_FAIL
     else:
         fn = exact.longest_pc_cycle if args.query == "longest-cycle" else exact.longest_pc_path
@@ -207,11 +219,7 @@ def cmd_solve(args) -> int:
             "success": res.success,
             "certificate": certificate_to_json(res.certificate) if res.certificate else None,
             "failure": asdict(res.failure) if res.failure else None,
-            "fallback": (
-                {"status": res.fallback_result.status.value}
-                if res.fallback_result is not None
-                else None
-            ),
+            "fallback": _oracle_record(res.fallback_result) if res.fallback_result is not None else None,
             "report": res.report,
         }
         if res.success:
@@ -236,7 +244,7 @@ def cmd_absorb_check(args) -> int:
 
         quads = list(itertools.permutations(range(g.n), 4))
     elif args.quads.startswith("sample:"):
-        count = int(args.quads.split(":", 1)[1])
+        count = _int(args.quads.split(":", 1)[1], "--quads sample size")
         if count < 0:
             raise UsageError(f"--quads sample size must be >= 0, got {count}")
         if g.n < 4:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from pch import rotations
 from pch.absorbing import (
-    AbsorptionError,
     BuildParams,
     absorb_path,
     absorbing_member,
@@ -44,8 +43,6 @@ from pch.ec_graph import (
 from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle, exact_pc_ham_path
 from pch.rotations import (
     GREEDY_RESTARTS,
-    LEFT,
-    RIGHT,
     PathCycleSystem,
     TwoFactorOutcome,
     expand_endpoint_colours,
@@ -133,13 +130,16 @@ def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, 
 
 
 def _rotated(g, path: DirectedPath, tried: dict):
-    """The spanning paths that rotating one end of `path` reaches."""
-    for side in (RIGHT, LEFT):
-        res = expand_endpoint_colours(
-            PathCycleSystem(path), g, side, max_depth=_ROTATION_DEPTH, max_rotations=_ROTATION_CAP
+    """The spanning paths that rotating one end of `path` reaches: its right
+    end, then its left end, as the right end of the reversed path."""
+    for flip in (False, True):
+        start = PathCycleSystem(path.reverse() if flip else path)
+        states = expand_endpoint_colours(
+            start, g, tried, max_depth=_ROTATION_DEPTH, max_rotations=_ROTATION_CAP
         )
-        tried["rotations"] += res.rotations
-        yield from (st.system.path for st in res.states()[1:] if not st.system.cycles)
+        for st in itertools.islice(states, 1, None):
+            if not st.system.cycles:
+                yield st.system.path.reverse() if flip else st.system.path
 
 
 def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
@@ -176,6 +176,8 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
 
 def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> PipelineResult:
     cfg = cfg or PipelineConfig()
+    if cfg.fallback not in (FALLBACK_NONE, FALLBACK_EXACT):
+        raise ValueError(f"fallback must be {FALLBACK_NONE!r} or {FALLBACK_EXACT!r}, got {cfg.fallback!r}")
     n = g.n
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
@@ -231,10 +233,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
 
     t0 = time.perf_counter()
     tried: dict = {"path_seeds": [], "routes": [], "quads": 0, "rotations": 0}
-    try:
-        cycle = _steer(g, ac, keep, path, cfg.seed, tried)
-    except (AbsorptionError, ValueError) as exc:
-        return fail("absorb", str(exc))
+    cycle = _steer(g, ac, keep, path, cfg.seed, tried)
     report["stages"]["absorb"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         **tried,

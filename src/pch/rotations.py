@@ -3,15 +3,17 @@
 A 1-path-cycle is a vertex-disjoint union of at most one directed path and any
 number of cycles, properly coloured as a whole.  Its parameters (x, c_x; y,
 c_y) are the path's endpoints together with the colours of the path edges at
-those endpoints.  A right chord is an edge yw with c(yw) != c_y (left chords
-mirror this at x); rotating along a chord rewires the system while preserving
-its vertex set and properness, moving one endpoint to a neighbour of w.
+those endpoints.  A chord is an edge yw with c(yw) != c_y; rotating along it
+rewires the system while preserving its vertex set and properness, moving the
+right end y to a neighbour of w.  The left end x is rotated as the right end
+of the reversed system, ``sys.reverse()``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,9 +27,6 @@ from pch.ec_graph import (
     verify_certificate,
 )
 
-LEFT = "left"
-RIGHT = "right"
-
 
 @dataclass(frozen=True)
 class Params:
@@ -39,8 +38,7 @@ class Params:
 
 @dataclass(frozen=True)
 class Chord:
-    side: str                 # LEFT or RIGHT
-    endpoint: int             # the path endpoint the chord leaves from
+    endpoint: int             # the right end y the chord leaves from
     w: int                    # the chord target inside the system
     target: int | None = None # which neighbour of w becomes the new endpoint;
                               # None picks the path-keeping case when both work
@@ -77,6 +75,11 @@ class PathCycleSystem:
         for c, cyc in enumerate(self.cycles):
             out.update((v, (c, i)) for i, v in enumerate(cyc.vertices))
         return out
+
+    def reverse(self) -> PathCycleSystem:
+        """The same system with its path walked the other way: the left end
+        here is the right end there."""
+        return PathCycleSystem(self.path.reverse() if self.path else None, self.cycles)
 
     def params(self, g) -> Params:
         if self.path is None:
@@ -133,20 +136,25 @@ def _guarantee(ok: bool, what: str) -> None:
         raise RuntimeError(what)
 
 
-def _rotate_right(sys: PathCycleSystem, g, w: int, target: int | None = None) -> PathCycleSystem:
-    path = sys.path.vertices
-    y = path[-1]
-    c_y = g.colour(y, path[-2])
-
-    if w == y or w not in sys.index:
+def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
+    """One chord rotation at the right end; returns a new properly coloured
+    system on the same vertices.  Rotate the left end as
+    ``rotate(sys.reverse(), g, chord).reverse()``."""
+    if sys.path is None:
+        raise ValueError("cannot rotate a pathless system")
+    p = sys.params(g)
+    if chord.endpoint != p.y:
+        raise ValueError(f"chord endpoint {chord.endpoint} is not the right end {p.y}")
+    path, w = sys.path.vertices, chord.w
+    if w == p.y or w not in sys.index:
         raise ValueError(f"chord target {w} must lie in the system and differ from the endpoint")
-    if g.colour(y, w) == c_y:
-        raise ValueError(f"edge ({y}, {w}) has the endpoint colour {c_y}: not a chord")
+    if g.colour(p.y, w) == p.c_y:
+        raise ValueError(f"edge ({p.y}, {w}) has the endpoint colour {p.c_y}: not a chord")
     if w == path[0] or w == path[1]:
         raise ValueError(f"chord target {w} hits the opposite endpoint or its neighbour")
 
-    targets = rotation_targets(sys, g, RIGHT, w)
-    want = targets[0] if target is None else target
+    targets = rotation_targets(sys, g, w)
+    want = targets[0] if chord.target is None else chord.target
     if want not in targets:
         if want in system_adjacency(sys)[w]:
             raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
@@ -160,7 +168,7 @@ def _rotate_right(sys: PathCycleSystem, g, w: int, target: int | None = None) ->
 
 def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
     """The right rotation along chord y-w that makes `want` the new endpoint;
-    `want` must be one of ``rotation_targets(sys, g, RIGHT, w)``."""
+    `want` must be one of ``rotation_targets(sys, g, w)``."""
     path = sys.path.vertices
     piece, i = sys.index[w]
     if piece < 0:
@@ -179,27 +187,16 @@ def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
     return PathCycleSystem(DirectedPath(new_path), sys.cycles[:piece] + sys.cycles[piece + 1 :])
 
 
-def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
-    """Achievable new endpoints (neighbours of w) for a chord on this side.
+def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
+    """Achievable new right ends (neighbours of w) for the chord y-w.
 
     One or two of w's system neighbours qualify; the one keeping the whole
     path intact comes first, and ``rotate`` takes it when no target is given.
     """
-    path = sys.path.vertices
-    if side == RIGHT:
-        end = path[-1]
-    elif side == LEFT:
-        end = path[0]
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    cew = g.colour(end, w)
+    cew = g.colour(sys.path.last, w)
     piece, i = sys.index[w]
-    verts = path if piece < 0 else sys.cycles[piece].vertices
-    # w's neighbours before and after it: along its cycle, or along the path
-    # walked from the other end
+    verts = sys.path.vertices if piece < 0 else sys.cycles[piece].vertices
     before, after = verts[i - 1], verts[(i + 1) % len(verts)]
-    if piece < 0 and side == LEFT:
-        before, after = after, before
     out = []
     if cew != g.colour(w, before):
         out.append(after)
@@ -208,28 +205,8 @@ def rotation_targets(sys: PathCycleSystem, g, side: str, w: int) -> list[int]:
     return out
 
 
-def _mirror(sys: PathCycleSystem) -> PathCycleSystem:
-    return PathCycleSystem(sys.path.reverse() if sys.path else None, sys.cycles)
-
-
-def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
-    """One chord rotation; returns a new properly coloured system on the same vertices."""
-    if sys.path is None:
-        raise ValueError("cannot rotate a pathless system")
-    p = sys.params(g)
-    if chord.side == RIGHT:
-        if chord.endpoint != p.y:
-            raise ValueError(f"right chord endpoint {chord.endpoint} is not the right end {p.y}")
-        return _rotate_right(sys, g, chord.w, chord.target)
-    if chord.side == LEFT:
-        if chord.endpoint != p.x:
-            raise ValueError(f"left chord endpoint {chord.endpoint} is not the left end {p.x}")
-        return _mirror(_rotate_right(_mirror(sys), g, chord.w, chord.target))
-    raise ValueError(f"unknown chord side {chord.side!r}")
-
-
 # ---------------------------------------------------------------------------
-# endpoint-colour expansion (reachable (z, c_z) states by one-sided rotations)
+# endpoint-colour expansion (reachable (z, c_z) states by right-end rotations)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -240,90 +217,57 @@ class EndpointState:
     system: PathCycleSystem
 
 
-@dataclass
-class ExpansionResult:
-    layers: list[dict]          # depth -> {(z, c_z): EndpointState}
-    rotations: int
-
-    def states(self) -> list[EndpointState]:
-        """Each reached (z, c_z) state once, at its shallowest layer, in layer
-        order and sorted within a layer; the starting state comes first."""
-        seen = set()
-        out = []
-        for layer in self.layers:
-            for key in sorted(layer):
-                if key not in seen:
-                    seen.add(key)
-                    out.append(layer[key])
-        return out
-
-
 def expand_endpoint_colours(
     sys: PathCycleSystem,
     g,
-    side: str,
+    stats: dict,
     max_depth: int = 3,
     max_rotations: int = 200_000,
-) -> ExpansionResult:
-    """Breadth-first search over endpoint states reachable by one-sided rotations.
+) -> Iterator[EndpointState]:
+    """Breadth-first search over the right-end states reachable by rotations.
 
-    It has one mode: every layer rotates along every chord of each state's
-    current system, with no spacing between chord targets.  Layer L holds,
-    for each endpoint state (z, c_z) reachable in exactly L rotations on the
-    given side, one witness chord sequence (first found wins; targets scanned
-    in ascending vertex order for reproducibility).  Stops
-    early when one layer holds two states on the same vertex with different
-    colours, the raw material for closing a path into a cycle.
+    Yields the starting state, then each state (z, c_z) once, at the first
+    layer that reaches it: layer L holds, for each state reachable in exactly
+    L rotations, one witness chord sequence (first found wins; targets
+    scanned in ascending vertex order for reproducibility).  A layer is built
+    only when the caller reads past the one before it, and is yielded sorted
+    once it is complete; a layer cut short by `max_rotations` is dropped.
+    Every layer rotates along every chord of each state's current system.
+    The search stops after the first layer that holds two states on the same
+    vertex with different colours, the raw material for closing a path into
+    a cycle.  Each rotation adds 1 to ``stats["rotations"]``.
     """
-    if side == LEFT:
-        return _mirror_expansion(_expand_right(_mirror(sys), g, max_depth, max_rotations))
-    if side == RIGHT:
-        return _expand_right(sys, g, max_depth, max_rotations)
-    raise ValueError(f"unknown side {side!r}")
-
-
-def _expand_right(sys: PathCycleSystem, g, max_depth: int, max_rotations: int) -> ExpansionResult:
     p0 = sys.params(g)
-    layers: list[dict] = [
-        {(p0.y, p0.c_y): EndpointState(p0.y, p0.c_y, (), sys)}
-    ]
-    rotations = 0
+    start = EndpointState(p0.y, p0.c_y, (), sys)
+    layer = {(p0.y, p0.c_y): start}
+    seen = set(layer)
+    yield start
+    cap = stats["rotations"] + max_rotations
 
     for _ in range(max_depth):
         new: dict[tuple[int, int], EndpointState] = {}
-        for key in sorted(layers[-1]):
-            st = layers[-1][key]
+        for key in sorted(layer):
+            st = layer[key]
             cur = st.system
             z = cur.path.last
             for w in _right_chords(cur, g):
                 # both neighbours of w can be reachable endpoints; take each
-                for tgt in rotation_targets(cur, g, RIGHT, w):
-                    if rotations >= max_rotations:
-                        return ExpansionResult(layers, rotations)
+                for tgt in rotation_targets(cur, g, w):
+                    if stats["rotations"] >= cap:
+                        return
                     nxt = _rewire_right(cur, w, tgt)
-                    rotations += 1
+                    stats["rotations"] += 1
                     np = nxt.path.vertices
                     nz = np[-1]
                     ncz = g.colour(nz, np[-2])
                     if (nz, ncz) not in new:
-                        new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (Chord(RIGHT, z, w, tgt),), nxt)
-        layers.append(new)
+                        new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (Chord(z, w, tgt),), nxt)
+        yield from (new[key] for key in sorted(new) if key not in seen)
+        seen.update(new)
+        layer = new
         # no new state, or one vertex reached in two colours
         if not new or len({z for z, _ in new}) < len(new):
-            break
-    return ExpansionResult(layers, rotations)
-
-
-def _mirror_expansion(res: ExpansionResult) -> ExpansionResult:
-    def flip_state(st: EndpointState) -> EndpointState:
-        chords = tuple(Chord(LEFT, c.endpoint, c.w, c.target) for c in st.chords)
-        return EndpointState(st.vertex, st.colour, chords, _mirror(st.system))
-
-    layers = [
-        {key: flip_state(st) for key, st in layer.items()}
-        for layer in res.layers
-    ]
-    return ExpansionResult(layers, res.rotations)
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +369,7 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> P
 # initial path
 _ATTEMPTS = 30
 GREEDY_RESTARTS = 20
-# the closure's left expansion depth and its rotation cap
+# the depth and rotation cap of the closure's left-end expansion
 _CLOSE_DEPTH = 2
 _CLOSE_ROTATIONS = 100_000
 
@@ -454,23 +398,19 @@ def _closable(sys: PathCycleSystem, g) -> bool:
 def _close_system(sys: PathCycleSystem, g, stats: dict):
     """Turn the current system into vertex-disjoint PC cycles on the same vertices.
 
-    Closes the path at once when it can; otherwise rotates its left end and
-    closes the first reached state that can ("fallback" in
-    ``stats["closed_via"]``).  The expansion goes to depth 1 first and to
-    ``_CLOSE_DEPTH`` only when no depth-1 state closes; both list the depth-1
-    states first and in the same order, so the closed state is the one the
-    deeper expansion alone would pick.
+    Closes the path at once when it can; otherwise rotates its left end (the
+    right end of the reversed system) and closes the first reached state that
+    can ("fallback" in ``stats["closed_via"]``).  The expansion is read
+    lazily, so its depth-2 layer is built only when no depth-1 state closes.
     """
     if _closable(sys, g):
         return _close_path_into_cycles(sys)
-
-    for depth in (1, _CLOSE_DEPTH):
-        res = expand_endpoint_colours(sys, g, LEFT, max_depth=depth, max_rotations=_CLOSE_ROTATIONS)
-        stats["rotations"] += res.rotations
-        for st in res.states():
-            if _closable(st.system, g):
-                stats["closed_via"] = "fallback"
-                return _close_path_into_cycles(st.system)
+    for st in expand_endpoint_colours(
+        sys.reverse(), g, stats, max_depth=_CLOSE_DEPTH, max_rotations=_CLOSE_ROTATIONS
+    ):
+        if _closable(st.system, g):
+            stats["closed_via"] = "fallback"
+            return _close_path_into_cycles(st.system.reverse())
     return None
 
 
@@ -483,7 +423,7 @@ def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Ra
     if sys.path.order >= 2:
         return sys
     w = cycles[0].vertices[0]
-    return _rewire_right(sys, w, rotation_targets(sys, g, RIGHT, w)[0])
+    return _rewire_right(sys, w, rotation_targets(sys, g, w)[0])
 
 
 def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
@@ -551,8 +491,8 @@ def _absorb_cycle(sys: PathCycleSystem, g) -> PathCycleSystem | None:
     """The first chord rotation, right end first, whose target lies on a
     cycle: it absorbs that cycle into the path.  None when there is none."""
     on_cycles = {v for cyc in sys.cycles for v in cyc.vertices}
-    for cur, back in ((sys, lambda s: s), (_mirror(sys), _mirror)):
+    for cur, back in ((sys, lambda s: s), (sys.reverse(), PathCycleSystem.reverse)):
         for w in _right_chords(cur, g):
             if w in on_cycles:
-                return back(_rewire_right(cur, w, rotation_targets(cur, g, RIGHT, w)[0]))
+                return back(_rewire_right(cur, w, rotation_targets(cur, g, w)[0]))
     return None

@@ -120,7 +120,7 @@ def test_acceptance_5_rotation_soundness():
         chords = eligible_chords(sys, g)
         if not chords:
             continue
-        check_rotation_contract(g, sys, rng.choice(chords))
+        check_rotation_contract(g, *rng.choice(chords))
         done += 1
     elapsed = time.time() - t0
     report(5, "rotation soundness", f"10000 rotations, zero contract violations in {elapsed:.1f}s")

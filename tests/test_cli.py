@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,14 @@ from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_univ
 from pch import cli
 from pch.cli import main
 from pch.constructions import rainbow, random_bounded_colouring
-from pch.ec_graph import certificate_to_json, ham_cycle_certificate, read_graph, write_graph
+from pch.ec_graph import (
+    certificate_from_json,
+    certificate_to_json,
+    ham_cycle_certificate,
+    read_graph,
+    verify_certificate,
+    write_graph,
+)
 
 
 def run(*argv):
@@ -84,6 +93,37 @@ def test_solve_pipeline_with_fallback(tmp_path):
     assert code == 0
     rep = json.loads(rpath.read_text())
     assert rep["result"]["success"] or rep["result"]["fallback"]["status"] == "exists"
+
+
+def test_solve_pipeline_reports_the_fallback_cycle(tmp_path):
+    # n = 8 leaves too few vertices outside the absorbing cycle, so only the
+    # exact fallback answers, and its record carries the cycle it found
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    run("gen", "--family", "random", "--n", "8", "--dmax", "3", "--colours", "3", "--seed", "0",
+        "--out", str(gpath))
+    assert run("solve", "--method", "pipeline", "--input", str(gpath), "--seed", "0",
+               "--fallback", "exact", "--report", str(rpath)) == 0
+    res = json.loads(rpath.read_text())["result"]
+    assert res["certificate"] is None and res["failure"]["stage"] == "restriction"
+    fb = res["fallback"]
+    assert fb["status"] == "exists" and fb["nodes"] >= 1 and fb["rows"] == 0
+    cert = verify_certificate(read_graph(gpath), certificate_from_json(fb["certificate"]))
+    assert cert.valid and cert.kind == "HamCycle"
+
+
+def test_readme_cli_examples_parse():
+    # every `pch ...` line in the README's sh blocks names real commands and flags
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.split("#", 1)[0].split()
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("pch ")
+    ]
+    assert len(lines) >= 11
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_oracle_longest_report(tmp_path):
@@ -277,20 +317,29 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
     assert json.loads(rpath.read_text())["result"]["max_len"] == 8
 
 
-@pytest.mark.parametrize("argv", [
-    ["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"],
-    ["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"],
-    ["absorb-check", "--eps", "0.1", "--quads", "sample:-3"],
-], ids=["seeds", "quads", "absorb-sample"])
-def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
-    if argv[0] == "absorb-check":
+@pytest.mark.parametrize("argv, env, message", [
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"], None,
+     "--seeds must be >= 0, got -2"),
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"], None,
+     "--quads must be >= 0, got -4"),
+    (["absorb-check", "--eps", "0.1", "--quads", "sample:-3"], None,
+     "--quads sample size must be >= 0, got -3"),
+    # counts that are no integers at all name their source too
+    (["absorb-check", "--eps", "0.1", "--quads", "sample:x"], None,
+     "--quads sample size must be an integer, got 'x'"),
+    (["oracle", "--query", "hamcycle"], "abc", "PCH_BUDGET_NODES must be an integer, got 'abc'"),
+], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text"])
+def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, env, message):
+    if argv[0] != "lemma-check":
         gpath = tmp_path / "g.txt"
         write_graph(rainbow(9), gpath)
         argv = argv + ["--input", str(gpath)]
+    if env is not None:
+        monkeypatch.setenv("PCH_BUDGET_NODES", env)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "must be >= 0" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

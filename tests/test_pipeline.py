@@ -6,7 +6,7 @@ import pytest
 import pch.absorbing
 import pch.pipeline
 import pch.rotations
-from pch.absorbing import absorb_path
+from pch.absorbing import AbsorptionError, absorb_path
 from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, random_bounded_colouring
 from pch.ec_graph import VERDICT_INVALID, DirectedPath, max_mono_degree, induced_subgraph, verify_certificate
 from pch.exact import exact_pc_ham_cycle
@@ -27,6 +27,21 @@ def test_invalid_certificate_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="forced"):
         run_pipeline(rainbow(30))
+
+
+def test_absorption_errors_propagate(monkeypatch):
+    # a broken absorption is a bug, not an `absorb` stage failure
+    def broken(g, ac, path):
+        raise AbsorptionError("forced")
+
+    monkeypatch.setattr(pch.pipeline, "absorb_path", broken)
+    with pytest.raises(AbsorptionError, match="forced"):
+        run_pipeline(rainbow(30))
+
+
+def test_unknown_fallback_is_rejected():
+    with pytest.raises(ValueError, match="fallback must be 'none' or 'exact', got 'exakt'"):
+        run_pipeline(rainbow(30), PipelineConfig(fallback="exakt"))
 
 
 def test_monochromatic_fails_with_exact_fallback():

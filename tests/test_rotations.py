@@ -24,8 +24,6 @@ from pch.ec_graph import (
 )
 from pch.exact import exact_pc_two_factor
 from pch.rotations import (
-    LEFT,
-    RIGHT,
     Chord,
     PathCycleSystem,
     TwoFactorOutcome,
@@ -75,7 +73,7 @@ def test_rotate_path_rewire_case():
     edges = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (3, 4): 1, (4, 2): 2}
     g = graph_from_edges(5, 3, edges, default=2)
     sys = path_system(0, 1, 2, 3, 4)
-    out = rotate(sys, g, Chord(RIGHT, 4, 2))
+    out = rotate(sys, g, Chord(4, 2))
     assert out.path.vertices == (0, 1, 2, 4, 3)
     assert out.cycles == ()
     p = out.params(g)
@@ -88,7 +86,7 @@ def test_rotate_split_case():
     edges = {(0, 1): 0, (1, 2): 2, (2, 3): 0, (3, 4): 1, (4, 2): 2}
     g = graph_from_edges(5, 3, edges, default=1)
     sys = path_system(0, 1, 2, 3, 4)
-    out = rotate(sys, g, Chord(RIGHT, 4, 2))
+    out = rotate(sys, g, Chord(4, 2))
     assert out.path.vertices == (0, 1)
     assert len(out.cycles) == 1
     assert out.cycles[0].canonical() == DirectedCycle((2, 3, 4)).canonical()
@@ -97,7 +95,7 @@ def test_rotate_split_case():
 def test_rotate_absorbs_cycle():
     g = rainbow(8)
     sys = PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((3, 4, 5)),))
-    out = rotate(sys, g, Chord(RIGHT, 2, 4))
+    out = rotate(sys, g, Chord(2, 4))
     assert out.cycles == ()
     assert out.path.order == 6
     assert out.vertex_set() == sys.vertex_set()
@@ -108,10 +106,10 @@ def test_rotate_targeted_outcomes():
     g = rainbow(7)
     sys = path_system(0, 1, 2, 3, 4, 5, 6)
     # in a rainbow colouring both neighbours of an interior target are reachable
-    assert rotation_targets(sys, g, RIGHT, 3) == [4, 2]
-    fwd = rotate(sys, g, Chord(RIGHT, 6, 3, target=4))
+    assert rotation_targets(sys, g, 3) == [4, 2]
+    fwd = rotate(sys, g, Chord(6, 3, target=4))
     assert fwd.path.vertices == (0, 1, 2, 3, 6, 5, 4)
-    split = rotate(sys, g, Chord(RIGHT, 6, 3, target=2))
+    split = rotate(sys, g, Chord(6, 3, target=2))
     assert split.path.vertices == (0, 1, 2)
     assert split.cycles[0].canonical() == DirectedCycle((3, 4, 5, 6)).canonical()
 
@@ -120,25 +118,27 @@ def test_rotate_preconditions():
     g = rainbow(6)
     sys = path_system(0, 1, 2, 3, 4, 5)
     with pytest.raises(ValueError):
-        rotate(sys, g, Chord(RIGHT, 4, 2))  # wrong endpoint
+        rotate(sys, g, Chord(4, 2))  # wrong endpoint
     with pytest.raises(ValueError):
-        rotate(sys, g, Chord(RIGHT, 5, 0))  # hits opposite endpoint
+        rotate(sys, g, Chord(5, 0))  # hits opposite endpoint
     with pytest.raises(ValueError):
-        rotate(sys, g, Chord(RIGHT, 5, 1))  # hits its neighbour
+        rotate(sys, g, Chord(5, 1))  # hits its neighbour
     mono = monochromatic(6)
     with pytest.raises(ValueError):
-        rotate(path_system(0, 1, 2, 3, 4, 5), mono, Chord(RIGHT, 5, 2))  # not a chord
+        rotate(path_system(0, 1, 2, 3, 4, 5), mono, Chord(5, 2))  # not a chord
 
 
 def eligible_chords(sys, g):
-    adj = system_adjacency(sys)
-    p = sys.params(g)
+    """Every rotation at either end, left end first, as (system, chord)
+    pairs: a left-end rotation is a right-end rotation of the reversed system."""
     out = []
-    for side, end, col, other in ((LEFT, p.x, p.c_x, p.y), (RIGHT, p.y, p.c_y, p.x)):
-        for w in sorted(sys.vertices()):
-            if w != end and g.colour(end, w) != col and w != other and w not in adj[other]:
-                for tgt in rotation_targets(sys, g, side, w):
-                    out.append(Chord(side, end, w, tgt))
+    for start in (sys.reverse(), sys):
+        adj = system_adjacency(start)
+        p = start.params(g)
+        for w in sorted(start.vertices()):
+            if w != p.y and g.colour(p.y, w) != p.c_y and w != p.x and w not in adj[p.x]:
+                for tgt in rotation_targets(start, g, w):
+                    out.append((start, Chord(p.y, w, tgt)))
     return out
 
 
@@ -148,17 +148,12 @@ def check_rotation_contract(g, sys, ch):
     p = sys.params(g)
     out = rotate(sys, g, ch)  # validates properness + vertex set
     q = out.params(g)
-    if ch.side == RIGHT:
-        assert (q.x, q.c_x) == (p.x, p.c_x)
-        newend, newcol = q.y, q.c_y
-    else:
-        assert (q.y, q.c_y) == (p.y, p.c_y)
-        newend, newcol = q.x, q.c_x
-    nb = old_adj[newend]
-    assert newend in old_adj[ch.w]
+    assert (q.x, q.c_x) == (p.x, p.c_x)
+    nb = old_adj[q.y]
+    assert q.y in old_adj[ch.w]
     assert ch.w in nb and len(nb) == 2
     wprime = nb[0] if nb[1] == ch.w else nb[1]
-    assert newcol == g.colour(newend, wprime)
+    assert q.c_y == g.colour(q.y, wprime)
 
     def dist_from(s):
         d = {s: 0}
@@ -171,9 +166,7 @@ def check_rotation_contract(g, sys, ch):
                     q2.append(u)
         return d
 
-    endpoint = p.y if ch.side == RIGHT else p.x
-    other = p.x if ch.side == RIGHT else p.y
-    dx, dy, dw = dist_from(other), dist_from(endpoint), dist_from(ch.w)
+    dx, dy, dw = dist_from(p.x), dist_from(p.y), dist_from(ch.w)
     new_adj = system_adjacency(out)
     for v in old_adj:
         if min(dx.get(v, 99), dy.get(v, 99), dw.get(v, 99)) >= 2:
@@ -189,7 +182,7 @@ def test_rotate_random_soundness_sample():
         chords = eligible_chords(sys, g)
         if not chords:
             continue
-        check_rotation_contract(g, sys, rng.choice(chords))
+        check_rotation_contract(g, *rng.choice(chords))
         done += 1
 
 
@@ -198,8 +191,8 @@ def test_rotate_random_soundness_sample():
 def test_expand_depth_zero_is_right_endpoint():
     g = rainbow(20)
     sys = path_system(*range(20))
-    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=0)
-    assert list(res.layers[0]) == [(19, g.colour(19, 18))]
+    states = list(expand_endpoint_colours(sys, g, {"rotations": 0}, max_depth=0))
+    assert [(st.vertex, st.colour, st.chords) for st in states] == [(19, g.colour(19, 18), ())]
 
 
 def rainbow_layer_one(g, targets):
@@ -221,43 +214,58 @@ def test_expand_rainbow_depth_one_matches_case_analysis():
     # 2..n-3 admits both outcomes
     n = 16
     g = rainbow(n)
-    res = expand_endpoint_colours(path_system(*range(n)), g, RIGHT, max_depth=1)
-    assert set(res.layers[1]) == rainbow_layer_one(g, range(2, n - 2))
+    states = list(expand_endpoint_colours(path_system(*range(n)), g, {"rotations": 0}, max_depth=1))
+    assert {(st.vertex, st.colour) for st in states[1:]} == rainbow_layer_one(g, range(2, n - 2))
 
 
 def test_expansion_witness_chords_replay_with_rotate():
     # each state's witness chords, replayed one checked rotation at a time
-    # from the start system, land on the state's system and endpoint
-    graphs = [random_bounded_colouring(45, 18, s) for s in range(10)]
-    graphs += [near_bollobas_erdos(10, s) for s in range(10)]
-    replayed = deepest = 0
-    for seed, g in enumerate(graphs):
+    # from the start system, land on the state's system and endpoint; the
+    # left end is replayed as the right end of the reversed system
+    cases = [(random_bounded_colouring(45, 18, s), s) for s in range(10)]
+    cases += [(near_bollobas_erdos(10, s), 10 + s) for s in range(10)]
+    # the right end of this path reaches depth 2; the other paths' right
+    # ends stop after depth 1
+    cases.append((near_bollobas_erdos(10, 0), 0))
+    replayed = {False: 0, True: 0}
+    deepest = {False: 0, True: 0}
+    for g, seed in cases:
         sys = maximal_path_cycle(g, seed=seed, restarts=10)
-        for side in (LEFT, RIGHT):
-            res = expand_endpoint_colours(sys, g, side, max_depth=2)
-            for layer in res.layers:
-                for st in layer.values():
-                    cur = sys
-                    for ch in st.chords:
-                        cur = rotate(cur, g, ch)
-                    assert cur == st.system
-                    p = cur.params(g)
-                    assert ((p.x, p.c_x) if side == LEFT else (p.y, p.c_y)) == (st.vertex, st.colour)
-                    replayed += 1
-                    deepest = max(deepest, len(st.chords))
-    assert replayed > 1000 and deepest == 2
+        for flip in (False, True):
+            start = sys.reverse() if flip else sys
+            for st in expand_endpoint_colours(start, g, {"rotations": 0}, max_depth=2):
+                cur = start
+                for ch in st.chords:
+                    cur = rotate(cur, g, ch)
+                assert cur == st.system
+                p = cur.params(g)
+                assert (p.y, p.c_y) == (st.vertex, st.colour)
+                replayed[flip] += 1
+                deepest[flip] = max(deepest[flip], len(st.chords))
+    assert min(replayed.values()) > 1000 and deepest == {False: 2, True: 2}
 
 
-def test_unknown_side_is_rejected():
-    g = rainbow(8)
-    sys = path_system(*range(8))
-    for call in (
-        lambda: rotation_targets(sys, g, "rihgt", 3),
-        lambda: expand_endpoint_colours(sys, g, "rihgt"),
-        lambda: rotate(sys, g, Chord("rihgt", 7, 3)),
-    ):
-        with pytest.raises(ValueError, match="side 'rihgt'"):
-            call()
+def test_expansion_is_read_lazily_and_counts_its_rotations():
+    # states come layer by layer, each (z, c_z) once and sorted within its
+    # layer; a layer's rotations are made, and added to the caller's count,
+    # only when the caller reads past the layer before it
+    g = near_bollobas_erdos(10, 0)
+    sys = maximal_path_cycle(g, seed=0, restarts=10)
+    stats = {"rotations": 7}
+    read = [
+        (len(st.chords), (st.vertex, st.colour), stats["rotations"])
+        for st in expand_endpoint_colours(sys, g, stats, max_depth=2)
+    ]
+    assert read == sorted(read) and read[-1][0] == 2
+    assert len({key for _, key, _ in read}) == len(read)
+    made = {depth: {count for d, _, count in read if d == depth} for depth in (0, 1, 2)}
+    layer_one = sum(len(rotation_targets(sys, g, w)) for w in pch.rotations._right_chords(sys, g))
+    assert made == {0: {7}, 1: {7 + layer_one}, 2: {stats["rotations"]}}
+    assert 7 + layer_one < stats["rotations"]
+    # a cap cuts the layer it is reached in, which is then dropped
+    capped = {"rotations": 0}
+    assert [st.chords for st in expand_endpoint_colours(sys, g, capped, max_depth=2, max_rotations=3)] == [()]
+    assert capped["rotations"] == 3
 
 
 def test_expand_no_chords_gives_empty_layer():
@@ -270,18 +278,20 @@ def test_expand_no_chords_gives_empty_layer():
         edges[(u, n - 1)] = (n - 2) % 2  # equal to the path edge colour at y
     g = graph_from_edges(n, 3, edges, default=2)
     sys = path_system(*range(n))
-    res = expand_endpoint_colours(sys, g, RIGHT, max_depth=2)
-    assert res.layers[1] == {}
+    stats = {"rotations": 0}
+    assert [st.chords for st in expand_endpoint_colours(sys, g, stats, max_depth=2)] == [()]
+    assert stats["rotations"] == 0
 
 
 def test_expand_left_side_mirrors():
+    # the left end expands as the right end of the reversed system
     g = rainbow(20)
     sys = path_system(*range(20))
-    res = expand_endpoint_colours(sys, g, LEFT, max_depth=1)
-    assert all(ch.side == LEFT for st in res.layers[1].values() for ch in st.chords)
-    for (z, c), st in res.layers[1].items():
-        p = st.system.params(g)
-        assert (p.x, p.c_x) == (z, c)
+    states = list(expand_endpoint_colours(sys.reverse(), g, {"rotations": 0}, max_depth=1))
+    assert len(states) > 1
+    for st in states:
+        p = st.system.reverse().params(g)
+        assert (p.x, p.c_x) == (st.vertex, st.colour)
         assert (p.y, p.c_y) == (19, g.colour(19, 18))
 
 
@@ -387,7 +397,7 @@ def test_rotation_vertex_set_check_raises(monkeypatch):
     # a rotation whose path loses its last vertex is still a valid system
     monkeypatch.setattr(pch.rotations, "DirectedPath", lambda vs: DirectedPath(vs[:-1]))
     with pytest.raises(RuntimeError, match="vertex set"):
-        rotate(path_system(*range(8)), rainbow(8), Chord(RIGHT, 7, 3))
+        rotate(path_system(*range(8)), rainbow(8), Chord(7, 3))
 
 
 def test_ham_path_heuristic_check_raises(monkeypatch):
@@ -494,26 +504,26 @@ def test_rotate_takes_its_target_from_rotation_targets():
     for _ in range(300):
         g, sys = random_system_instance(rng)
         adj = system_adjacency(sys)
-        p = sys.params(g)
-        path = sys.path.vertices
-        for side, end, col, off_limits in ((RIGHT, p.y, p.c_y, (p.x, path[1])), (LEFT, p.x, p.c_x, (p.y, path[-2]))):
-            for w in sorted(sys.vertices()):
-                if w == end or g.colour(end, w) == col:
+        # the right end, then the left end as the right end of the reverse
+        for start in (sys, sys.reverse()):
+            p = start.params(g)
+            path = start.path.vertices
+            for w in sorted(start.vertices()):
+                if w == p.y or g.colour(p.y, w) == p.c_y:
                     continue
-                ch = Chord(side, end, w)
-                if w in off_limits:
+                ch = Chord(p.y, w)
+                if w in (p.x, path[1]):
                     with pytest.raises(ValueError, match="opposite endpoint"):
-                        rotate(sys, g, ch)
+                        rotate(start, g, ch)
                     continue
-                targets = rotation_targets(sys, g, side, w)
+                targets = rotation_targets(start, g, w)
                 for tgt, chord in [(targets[0], ch)] + [(t, replace(ch, target=t)) for t in targets]:
-                    q = rotate(sys, g, chord).params(g)
-                    assert (q.y if side == RIGHT else q.x) == tgt
+                    assert rotate(start, g, chord).params(g).y == tgt
                     rotations += 1
                 for u in adj[w]:
                     if u not in targets:
                         with pytest.raises(ValueError, match="blocked"):
-                            rotate(sys, g, replace(ch, target=u))
+                            rotate(start, g, replace(ch, target=u))
                         blocked += 1
     assert rotations > 1000 and blocked > 100
 
@@ -534,12 +544,12 @@ def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     from pch.rotations import _close_system
     from pch.ec_graph import is_properly_coloured_cycle
 
-    sides = []
+    starts = []
     expand = pch.rotations.expand_endpoint_colours
 
-    def spy(sys, g, side, *args, **kwargs):
-        sides.append(side)
-        return expand(sys, g, side, *args, **kwargs)
+    def spy(sys, *args, **kwargs):
+        starts.append(sys)
+        return expand(sys, *args, **kwargs)
 
     monkeypatch.setattr(pch.rotations, "expand_endpoint_colours", spy)
 
@@ -556,7 +566,7 @@ def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     closed = _close_system(sys, g, stats)
     assert closed is not None
     assert stats.get("closed_via") == "fallback"
-    assert sides == [LEFT]
+    assert starts == [sys.reverse()]
     covered = set()
     for cyc in closed:
         assert is_properly_coloured_cycle(g, cyc)
