@@ -8,7 +8,6 @@ assembling a properly coloured Hamiltonian cycle.
 from pch.ec_graph import (
     Certificate,
     ColouredComplete,
-    ColouredGraph,
     DirectedCycle,
     DirectedPath,
     graph_from_text,

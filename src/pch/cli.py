@@ -56,6 +56,12 @@ def _int(text: str, source: str) -> int:
         raise UsageError(f"{source} must be an integer, got {text!r}") from None
 
 
+def _check_eps(eps: float) -> None:
+    """A UsageError unless `eps` is a finite number > 0."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise UsageError(f"--eps must be a finite number > 0, got {eps}")
+
+
 def _budget(args) -> exact.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
     source = "--budget-nodes"
@@ -115,12 +121,12 @@ def cmd_gen(args) -> int:
         if args.m is None:
             raise UsageError("--family t2m needs --m")
         og = constructions.tournament_with_source(args.m)
-        g = constructions.colouring_from_oriented(og, complete_with="extra")
+        g = constructions.colouring_from_oriented(og)
     elif fam == "oriented":
         if args.n is None:
             raise UsageError("--family oriented needs --n")
         og = constructions.random_tournament(args.n, seed)
-        g = constructions.colouring_from_oriented(og, complete_with="extra")
+        g = constructions.colouring_from_oriented(og)
     elif fam == "layered":
         if args.n is None or args.l is None:
             raise UsageError("--family layered needs --n and --l")
@@ -237,6 +243,7 @@ def cmd_solve(args) -> int:
 def cmd_absorb_check(args) -> int:
     g = _load_graph(args.input)
     eps = args.eps
+    _check_eps(eps)
     bound = eps * eps * g.n ** 4 / 4
     rng = random.Random(args.seed)
     if args.quads == "all":
@@ -416,8 +423,7 @@ def lemma_check(name: str, params: dict) -> dict:
     if name not in _LEMMAS:
         raise UsageError(f"unknown lemma {name!r}; choose from {sorted(_LEMMAS)}")
     eps, dmax, seeds, jobs = params["eps"], params["dmax"], params["seeds"], params["jobs"]
-    if not (eps > 0 and math.isfinite(eps)):
-        raise UsageError(f"--eps must be a finite number > 0, got {eps}")
+    _check_eps(eps)
     if dmax is None:
         dmax = int((0.5 - eps) * params["n"])
     elif dmax < 1:

@@ -17,10 +17,8 @@ import numpy as np
 
 from pch.ec_graph import (
     ColouredComplete,
-    ColouredGraph,
     DirectedCycle,
     is_properly_coloured_cycle,
-    is_properly_coloured_path,
     max_mono_degree,
 )
 
@@ -169,23 +167,17 @@ def near_bollobas_erdos(k: int, seed: int) -> ColouredComplete:
     return g
 
 
-def colouring_from_oriented(og: OrientedGraph, complete_with: str | None = None):
-    """Colour each arc u->v with a per-vertex colour of the head v.
+def colouring_from_oriented(og: OrientedGraph) -> ColouredComplete:
+    """Colour each arc u->v with a per-vertex colour of the head v, and every
+    other pair with the fresh colour n, so k = n + 1.
 
-    Without completion the result is a ``ColouredGraph`` on exactly the arc
-    pairs: its PC cycles are precisely the directed cycles of ``og``, its max
-    monochromatic degree is the max in-degree, and each vertex sees
-    ``d_out(v) + min(1, d_in(v))`` colours.
-
-    ``complete_with="extra"`` fills the remaining pairs with a single fresh
-    colour, so that a ``ColouredComplete`` results.
+    The PC cycles that avoid colour n are precisely the directed cycles of
+    ``og``: two arcs into one vertex share its colour.  On the arc pairs the
+    max monochromatic degree is the max in-degree, and each vertex sees
+    ``d_out(v) + min(1, d_in(v))`` arc colours.
     """
     n = og.n
     colours = {(min(u, v), max(u, v)): v for (u, v) in og.arcs}
-    if complete_with is None:
-        return ColouredGraph(n, max(n, 1), colours)
-    if complete_with != "extra":
-        raise ValueError(f"unknown completion policy {complete_with!r}")
     return ColouredComplete.from_function(n, n + 1, lambda u, v: colours.get((u, v), n))
 
 
@@ -465,21 +457,18 @@ def random_colouring(n: int, k: int, seed: int) -> ColouredComplete:
 # cycle-set cross checks
 # ---------------------------------------------------------------------------
 
-def properly_coloured_cycle_set(cg) -> set[tuple[int, ...]]:
-    """All PC cycles of a (possibly partial) coloured graph, canonical form.
+def properly_coloured_cycle_set(g: ColouredComplete) -> set[tuple[int, ...]]:
+    """All PC cycles of g, canonical form.
 
     Exhaustive; intended for small n cross-checks against directed cycle sets.
     """
-    n = cg.n
-    # one step is a PC path exactly when the pair is an edge of cg
-    adj = [[v for v in range(n) if v != u and is_properly_coloured_path(cg, (u, v))] for u in range(n)]
+    n = g.n
     found: set[tuple[int, ...]] = set()
 
     def walk(start: int, path: list[int], on_path: set[int]):
-        last = path[-1]
-        for w in adj[last]:
+        for w in range(start, n):
             if w == start and len(path) >= 3:
-                if path[1] < path[-1] and is_properly_coloured_cycle(cg, path):
+                if path[1] < path[-1] and is_properly_coloured_cycle(g, path):
                     found.add(DirectedCycle(tuple(path)).canonical())
             elif w > start and w not in on_path:
                 on_path.add(w)

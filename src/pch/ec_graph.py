@@ -9,8 +9,7 @@ adjacent edges of the structure under discussion share a colour.
 representation: a read-only ``np.int32`` n x n ``matrix`` with -1 on the
 diagonal for vectorised code, and the same values as row tuples ``rows`` for
 scalar hot loops.  Instances are immutable, so they can be shared freely
-between workers.  ``ColouredGraph`` is the partial (non-complete) variant used
-by the oriented-graph construction.
+between workers.
 """
 
 from __future__ import annotations
@@ -99,41 +98,6 @@ class ColouredComplete:
 
     def __repr__(self) -> str:
         return f"ColouredComplete(n={self.n}, k={self.k})"
-
-
-class ColouredGraph:
-    """Partially coloured graph: only some pairs carry an edge (and a colour)."""
-
-    __slots__ = ("n", "k", "_colours")
-
-    def __init__(self, n: int, k: int, colours: dict):
-        self.n = n
-        self.k = k
-        self._colours = {}
-        for (u, v), c in colours.items():
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u}, {v})")
-            if not (0 <= c < k):
-                raise ValueError(f"colour {c} outside 0..{k - 1}")
-            self._colours[(u, v) if u < v else (v, u)] = c
-
-    def colour(self, u: Vertex, v: Vertex) -> ColourId:
-        if u > v:
-            u, v = v, u
-        try:
-            return self._colours[(u, v)]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
-
-    def edges(self) -> Iterator[tuple[int, int, ColourId]]:
-        for (u, v), c in sorted(self._colours.items()):
-            yield u, v, c
-
-    def edge_count(self) -> int:
-        return len(self._colours)
-
-    def __repr__(self) -> str:
-        return f"ColouredGraph(n={self.n}, k={self.k}, m={len(self._colours)})"
 
 
 def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -241,8 +205,8 @@ class DirectedCycle:
 
 def is_properly_coloured_path(g, p) -> bool:
     """True iff each step along p is an edge of g and consecutive edge colours
-    differ (order <= 1 is proper).  A self-pair, an id outside g or a missing
-    edge makes it False."""
+    differ (order <= 1 is proper).  A self-pair or an id outside g makes it
+    False."""
     vs = _as_vertex_seq(p)
     prev = None
     try:
@@ -378,6 +342,13 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def _json_vertex(v) -> int:
+    """A JSON integer as is; a bool, float or string is no vertex id."""
+    if type(v) is not int:
+        raise TypeError(repr(v))
+    return v
+
+
 def certificate_from_json(obj: dict) -> Certificate:
     if not isinstance(obj, dict):
         raise ValueError("certificate JSON must be an object")
@@ -387,8 +358,8 @@ def certificate_from_json(obj: dict) -> Certificate:
     cycles = obj.get("cycles") or []
     path = obj.get("path")
     try:
-        cyc_tuples = tuple(tuple(int(v) for v in c) for c in cycles)
-        path_tuple = tuple(int(v) for v in path) if path is not None else None
+        cyc_tuples = tuple(tuple(map(_json_vertex, c)) for c in cycles)
+        path_tuple = tuple(map(_json_vertex, path)) if path is not None else None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"certificate JSON has a non-integer vertex: {exc}") from None
     return Certificate(

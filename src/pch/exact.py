@@ -314,13 +314,7 @@ def _table_rows(g: ColouredComplete, cycle: bool, shortest: int) -> int | None:
     cells = n << (n - cycle)
     if cells > TABLE_BYTES_MAX // 4 and cells * _label_bytes(min(g.k, n)) > TABLE_BYTES_MAX:
         return None
-    if not cycle:
-        return 1 << n
-    rows = g.rows
-    charge = 0
-    for r in range(n - shortest + 1):  # the passes of `_table_passes`, counted
-        charge += len(set(rows[r][r + 1 :])) - 1 << n - 1 - r
-    return charge
+    return sum(1 << (n - cycle - r) for r, _ in _table_passes(g, cycle, shortest))
 
 
 def _table(g: ColouredComplete, cycle: bool, shortest: int, meter: _Meter):

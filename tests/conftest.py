@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
+from pch.constructions import properly_coloured_cycle_set
 from pch.ec_graph import ColouredComplete, DirectedCycle, DirectedPath
 from pch.rotations import PathCycleSystem, validate_system
 
@@ -78,3 +79,12 @@ def universal_absorbing_cycle(g, target_size: int, seed: int, builds: int = 25):
         if res.success and verify_family_universality(g, res.cycle.family)[0]:
             return res.cycle
     return None
+
+
+def arc_cycles(g) -> set[tuple[int, ...]]:
+    """The PC cycles of ``colouring_from_oriented(og)`` that use no edge of
+    the fresh colour n, canonical form: those whose edges are all arcs of og."""
+    return {
+        c for c in properly_coloured_cycle_set(g)
+        if all(g.colour(u, v) != g.n for u, v in zip(c, c[1:] + c[:1]))
+    }

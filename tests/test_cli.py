@@ -7,10 +7,18 @@ import pytest
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
 from pch import cli
 from pch.cli import main
-from pch.constructions import rainbow, random_bounded_colouring
+from pch.constructions import (
+    colouring_from_oriented,
+    rainbow,
+    random_bounded_colouring,
+    random_tournament,
+    tournament_with_source,
+)
 from pch.ec_graph import (
     certificate_from_json,
     certificate_to_json,
+    graph_from_text,
+    graph_to_text,
     ham_cycle_certificate,
     read_graph,
     verify_certificate,
@@ -52,6 +60,39 @@ def test_verify_valid_and_invalid(tmp_path):
     assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 0
     cpath.write_text(json.dumps({"kind": "HamCycle", "cycles": [[0, 1, 2]], "path": None}))
     assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 1
+
+
+@pytest.mark.parametrize("cycle", [
+    [0, 1.5, 4.9, 3, 2],
+    [False, True, 4, 3, 2],
+    ["0", "1", "4", "3", "2"],
+], ids=["floats", "bools", "strings"])
+def test_verify_rejects_non_integer_vertices(tmp_path, capsys, cycle):
+    # each body would read as the valid cycle (0, 1, 4, 3, 2) if coerced to int
+    gpath = tmp_path / "g.txt"
+    assert run("gen", "--family", "random", "--n", "5", "--dmax", "4", "--seed", "0",
+               "--out", str(gpath)) == 0
+    assert verify_certificate(read_graph(gpath), ham_cycle_certificate((0, 1, 4, 3, 2))).valid
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"kind": "HamCycle", "cycles": [cycle]}))
+    assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 2
+    assert "non-integer vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, og", [
+    (["--family", "t2m", "--m", "3"], tournament_with_source(3)),
+    (["--family", "oriented", "--n", "7", "--seed", "4"], random_tournament(7, 4)),
+], ids=["t2m", "oriented"])
+def test_gen_oriented_families_write_the_completed_colouring(tmp_path, argv, og):
+    gpath = tmp_path / "g.txt"
+    assert run("gen", *argv, "--out", str(gpath)) == 0
+    text = gpath.read_text()
+    assert text == graph_to_text(colouring_from_oriented(og))
+    # arc u -> v is coloured v and every other pair the fresh colour n
+    g, n = graph_from_text(text), og.n
+    heads = {(min(u, v), max(u, v)): v for u, v in og.arcs}
+    assert g.k == n + 1
+    assert all(g.colour(u, v) == heads.get((u, v), n) for u in range(n) for v in range(u + 1, n))
 
 
 def test_malformed_input_is_usage_error(tmp_path, capsys):
@@ -328,7 +369,15 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
     (["absorb-check", "--eps", "0.1", "--quads", "sample:x"], None,
      "--quads sample size must be an integer, got 'x'"),
     (["oracle", "--query", "hamcycle"], "abc", "PCH_BUDGET_NODES must be an integer, got 'abc'"),
-], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text"])
+    # absorb-check takes an eps as lemma-check does
+    (["absorb-check", "--eps", "nan", "--quads", "sample:1"], None,
+     "--eps must be a finite number > 0, got nan"),
+    (["absorb-check", "--eps", "0", "--quads", "sample:1"], None,
+     "--eps must be a finite number > 0, got 0.0"),
+    (["absorb-check", "--eps", "-0.1", "--quads", "sample:1"], None,
+     "--eps must be a finite number > 0, got -0.1"),
+], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text",
+        "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative"])
 def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, env, message):
     if argv[0] != "lemma-check":
         gpath = tmp_path / "g.txt"

@@ -23,9 +23,16 @@ from pch.constructions import (
     random_oriented,
     tournament_with_source,
 )
-from pch.ec_graph import ColouredComplete, is_properly_coloured_cycle, max_mono_degree, min_colour_degree
+from pch.ec_graph import (
+    ColouredComplete,
+    colour_counts,
+    is_properly_coloured_cycle,
+    max_mono_degree,
+    min_colour_degree,
+)
 from pch.exact import SearchStatus, exact_pc_ham_cycle, longest_pc_cycle
 from pch.pipeline import PipelineConfig, run_pipeline
+from tests.conftest import arc_cycles
 
 
 def test_bollobas_erdos_k1_shape():
@@ -101,22 +108,21 @@ def test_tournament_with_source_rejects_small_m():
 
 def test_tournament_colouring_degrees():
     og = tournament_with_source(3)
-    g = colouring_from_oriented(og, complete_with="extra")
+    g = colouring_from_oriented(og)
     assert g.n == 6
     assert min_colour_degree(g) == 3
     assert max_mono_degree(g) == 3
 
 
 def test_tournament_colouring_no_pc_ham_cycle():
-    g = colouring_from_oriented(tournament_with_source(2), complete_with="extra")
+    g = colouring_from_oriented(tournament_with_source(2))
     assert max_mono_degree(g) == 2
     assert not exact_pc_ham_cycle(g).exists
 
 
 def test_cycle_set_on_a_complete_graph():
-    # the completed colouring has every pair as an edge; the set holds its PC
-    # cycles, the longest of which the exact oracle measures
-    g = colouring_from_oriented(tournament_with_source(3), complete_with="extra")
+    # the set holds every PC cycle, the longest of which the exact oracle measures
+    g = colouring_from_oriented(tournament_with_source(3))
     cycles = properly_coloured_cycle_set(g)
     assert max(map(len, cycles)) == longest_pc_cycle(g).value
     assert all(is_properly_coloured_cycle(g, c) for c in cycles)
@@ -124,17 +130,18 @@ def test_cycle_set_on_a_complete_graph():
 
 def test_from_oriented_triangle():
     og = OrientedGraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-    cg = colouring_from_oriented(og)
-    assert properly_coloured_cycle_set(cg) == {(0, 1, 2)}
+    g = colouring_from_oriented(og)
+    assert properly_coloured_cycle_set(g) == {(0, 1, 2)}
     # colours along the directed triangle are the head colours
-    assert cg.colour(0, 1) == 1 and cg.colour(1, 2) == 2 and cg.colour(0, 2) == 0
+    assert g.colour(0, 1) == 1 and g.colour(1, 2) == 2 and g.colour(0, 2) == 0
 
 
 def test_from_oriented_single_arc_degrees():
     og = OrientedGraph(2, frozenset({(0, 1)}))
-    cg = colouring_from_oriented(og)
-    assert cg.edge_count() == 1 and cg.colour(0, 1) == 1
-    g = colouring_from_oriented(og, complete_with="extra")
+    g = colouring_from_oriented(og)
+    # exactly one pair is not coloured n = 2: the arc, in its head's colour
+    assert sum(g.colour(u, v) != 2 for u, v in itertools.combinations(range(2), 2)) == 1
+    assert g.colour(0, 1) == 1
     assert max_mono_degree(g) == 1
     # both endpoints of the single arc see exactly one colour from it
     assert min_colour_degree(g) == 1
@@ -145,31 +152,18 @@ def test_from_oriented_guarantees_on_random_digraphs():
         rng = random.Random(seed)
         n = rng.randint(3, 7)
         og = random_oriented(n, 0.7, seed)
-        cg = colouring_from_oriented(og)
-        assert properly_coloured_cycle_set(cg) == og.directed_cycles()
-        if og.arcs:
-            assert max(
-                max(hist.values()) if (hist := _in_colour_hist(cg, v)) else 0
-                for v in range(n)
-            ) == og.max_in_degree()
-
-
-def _in_colour_hist(cg, v):
-    hist = {}
-    for u, w, c in cg.edges():
-        if v in (u, w):
-            hist[c] = hist.get(c, 0) + 1
-    return hist
+        g = colouring_from_oriented(og)
+        assert arc_cycles(g) == og.directed_cycles()
+        # on the arc colours 0..n-1 the max monochromatic degree is the max in-degree
+        assert colour_counts(g.matrix, g.k)[:, :n].max() == og.max_in_degree()
 
 
 def test_completion_policies():
     og = OrientedGraph(4, frozenset({(0, 1), (2, 3)}))
-    extra = colouring_from_oriented(og, complete_with="extra")
+    extra = colouring_from_oriented(og)
     assert extra.n == 4
     assert extra.colour(0, 1) == 1 and extra.colour(2, 3) == 3
     assert extra.colour(0, 2) == extra.colour(1, 3) == 4
-    with pytest.raises(ValueError):
-        colouring_from_oriented(og, complete_with="bogus")
 
 
 def test_layered_parameters():

@@ -16,7 +16,6 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     Certificate,
-    ColouredGraph,
     DirectedCycle,
     DirectedPath,
     GraphFormatError,
@@ -61,10 +60,10 @@ def test_colour_of_domain_errors():
 
 def test_colour_of_oriented_arc_gets_head_colour():
     og = tournament_with_source(2)
-    cg = colouring_from_oriented(og)
+    g = colouring_from_oriented(og)
     # arc u -> v is coloured with v's colour id (the head vertex id)
     for (u, v) in og.arcs:
-        assert cg.colour(u, v) == v
+        assert g.colour(u, v) == v
 
 
 def test_mono_degree_examples():
@@ -128,8 +127,6 @@ def test_pc_cycle_rotation_and_reversal_invariant(g, seed):
 
 def _edge_colour(g, u, v):
     """The colour of edge uv read without `colour`, or None when g has no such edge."""
-    if isinstance(g, ColouredGraph):
-        return {(a, b): c for a, b, c in g.edges()}.get((min(u, v), max(u, v)))
     return int(g.matrix[u, v]) if u != v and 0 <= u < g.n and 0 <= v < g.n else None
 
 
@@ -145,13 +142,12 @@ def _reference_proper(g, vs, closed):
     random_colouring(6, 2, 1),
     monochromatic(5),
     rainbow(6),
-    colouring_from_oriented(tournament_with_source(2)),
-    colouring_from_oriented(tournament_with_source(3), complete_with="extra"),
+    colouring_from_oriented(tournament_with_source(3)),
 ], ids=repr)
 def test_properness_predicates_match_a_per_edge_reference(g):
-    # ids from -1 to n with repeats, and walks over distinct valid ids, on
-    # complete and partial graphs: a self-pair, an id outside the graph or a
-    # missing edge makes either predicate False, never an error
+    # ids from -1 to n with repeats, and walks over distinct valid ids: a
+    # self-pair or an id outside the graph makes either predicate False,
+    # never an error
     rng = random.Random(g.n)
     seen = set()
     for i in range(1200):
@@ -339,7 +335,7 @@ def _representation_cases():
         layered_colouring(10, 3),
         rainbow(7),
         monochromatic(5),
-        colouring_from_oriented(tournament_with_source(3), complete_with="extra"),
+        colouring_from_oriented(tournament_with_source(3)),
     ]
 
 
