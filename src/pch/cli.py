@@ -260,14 +260,14 @@ def cmd_absorb_check(args) -> int:
     else:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
 
+    # the build rejects a family too large for n at once, so it goes before the counts
+    build = absorbing.build_absorbing_cycle(
+        g, absorbing.BuildParams(target_size=args.family_size, seed=args.seed)
+    )
     counts = [absorbing.count_absorbing(g, q) for q in quads]
     violations = [
         {"quad": list(q), "count": c} for q, c in zip(quads, counts) if c < bound
     ]
-
-    build = absorbing.build_absorbing_cycle(
-        g, absorbing.BuildParams(target_size=args.family_size, seed=args.seed)
-    )
     family_ok = family_coverage = None
     if build.success:
         family_ok, family_coverage, _ = absorbing.verify_family_universality(g, build.cycle.family)

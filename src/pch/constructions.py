@@ -169,7 +169,8 @@ def near_bollobas_erdos(k: int, seed: int) -> ColouredComplete:
 
 def colouring_from_oriented(og: OrientedGraph) -> ColouredComplete:
     """Colour each arc u->v with a per-vertex colour of the head v, and every
-    other pair with the fresh colour n, so k = n + 1.
+    other pair with the fresh colour n, so k = n + 1; a tournament leaves no
+    other pair, so k = n.
 
     The PC cycles that avoid colour n are precisely the directed cycles of
     ``og``: two arcs into one vertex share its colour.  On the arc pairs the
@@ -178,7 +179,8 @@ def colouring_from_oriented(og: OrientedGraph) -> ColouredComplete:
     """
     n = og.n
     colours = {(min(u, v), max(u, v)): v for (u, v) in og.arcs}
-    return ColouredComplete.from_function(n, n + 1, lambda u, v: colours.get((u, v), n))
+    k = n if len(colours) == n * (n - 1) // 2 else n + 1
+    return ColouredComplete.from_function(n, k, lambda u, v: colours.get((u, v), n))
 
 
 def tournament_with_source(m: int) -> OrientedGraph:

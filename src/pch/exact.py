@@ -11,19 +11,18 @@ These are the ground truth for every heuristic.  Three parts serve them:
   nodes.
 - A popcount-layered Held-Karp table (Held & Karp 1962) answers the same four
   queries in numpy: for each (visited set, last vertex) a small bitset of the
-  feasible last steps, with a witness read back along them.  Its rows are
-  counted before either engine starts.  The DFS goes first, as a short probe
-  for a spanning answer: it hands off to the table after one node per
-  `_ROWS_PER_NODE` rows.  A spanning answer takes the DFS a few hundred to
-  about a thousand nodes, far below that share from n = 12 on, so the
-  sub-millisecond Exists queries build no table there (at smaller n some
-  do; see `_ROWS_PER_NODE`).  An answer below n needs the DFS to exhaust its
-  states, and on every proof the bench runs the table is the cheaper engine,
-  so a proof pays only the probe before the table answers.  The table is
-  skipped when its rows and the probe do not fit into the node limit, or
-  when a pass would take more than `TABLE_BYTES_MAX` bytes (for example
-  n > 22 for a path with at most 8 colours); the DFS then runs to the budget
-  alone.
+  feasible last steps, with a witness read back along them.  A layer step
+  with one label per colour is one float32 matrix product per colour; with
+  one label per vertex (more colours than label bits) it stays a rows x m x m
+  array.  Its rows are counted before either engine starts.  The DFS goes
+  first, as a probe of `_PROBE_PER_N2` * n^2 nodes for a spanning answer,
+  which needs about n^2 of them, and then hands off to the table.  So the
+  sub-millisecond Exists queries build no table, and a proof below n, which
+  would need the DFS to exhaust its states, pays only the probe before the
+  table answers.  The table is skipped when the probe and its rows do not
+  fit into the node limit, or when a pass would take more than
+  `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at most 8
+  colours); the DFS then runs to the budget alone.
 - `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
@@ -142,24 +141,15 @@ def _verified(g, cert: Certificate) -> Certificate:
 # one search for PC cycles and paths: a memoised DFS, then a Held-Karp table
 # ---------------------------------------------------------------------------
 
-# Table rows charged per DFS node before the DFS hands off: the DFS's share
-# is a probe for a spanning answer, not a race against the table.  Each
-# engine timed alone (Python 3.11, 2-core x86-64 host):
-# - An answer below n is a proof, and the DFS must exhaust its states.  On
-#   the bench's seven proofs the table alone was 4x (`layered_colouring(13,
-#   4)`) to 45x (`bollobas_erdos(4)`: 3.1 s against 69 ms) cheaper.
-# - A spanning answer took the DFS at most 1,317 nodes on
-#   `random_bounded_colouring(20, 9, s, colours=3)`, s 1-1000, and 993 on
-#   `near_bollobas_erdos(5, s)`, s 0-9: under 1/790 of their charges.
-# A larger ratio makes a proof's probe shorter, but the cost falls on small
-# n, where a spanning answer can need more than the share and then pays the
-# table too.  With three colours and max monochromatic degree (n - 1) // 2,
-# 32 hands off 40 of 200 graphs at n 8-11 (n = 8: 23 of 50, up to 21 nodes
-# against a share of 8), none of 100 at n 12-13, and 1 of 300
-# `near_bollobas_erdos(3, s)` (273 nodes against 256); 64 hands off 100,
-# 1 and 4.  Such a query takes 0.36 ms (n = 8) to 4.5 ms (the near-BE one,
-# n = 13) instead of 0.03-0.42 ms.
-_ROWS_PER_NODE = 32
+# The DFS probe's length is _PROBE_PER_N2 * n * n nodes: a spanning answer
+# needs about n^2 of them, while the table's charge grows as 2^n.  The worst
+# spanning answer measured took 1,317 nodes (3.3 n^2) on
+# `random_bounded_colouring(20, 9, 605, colours=3)`, and none of seeds
+# 0-2999 of that family needs more than 4 * 20^2; `near_bollobas_erdos(5, s)`
+# needs at most 2.25 n^2, and three-colour graphs at max monochromatic degree
+# (n - 1) // 2, n 8-13, at most 0.51 n^2.  The search hands off to the table
+# when probe + charge <= node limit.
+_PROBE_PER_N2 = 4
 
 
 def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int):
@@ -172,19 +162,13 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     at 0.  The DFS stops as soon as it reaches order n.
 
     The DFS goes first, as a probe for a spanning answer.  When the table
-    fits (`_table_rows`, its charge in rows) and charge // _ROWS_PER_NODE +
-    charge fits into the node limit, the DFS stops after charge //
-    _ROWS_PER_NODE nodes and the table answers instead.  A query the probe
-    answers costs what the DFS alone costs.  A handed-off query costs about
-    1 + f times the table alone, where f * _ROWS_PER_NODE charged rows cost
-    as much as a DFS node: on the bench's proofs f is 0.08
-    (`bollobas_erdos(3)`, 1.4 us per charged row) to 1.5
-    (`layered_colouring(17, 4)` longest cycle, 0.07 us, as the table stops
-    at its first empty layer).  The
-    probe's best order is not passed to the table as a floor: of the bench's
-    four longest queries the probe closes a cycle only on that one, of
-    order 7, and the table from order 8 up is no faster (21.1 against
-    21.6 ms).
+    fits (`_table_rows`, its charge in rows) and probe + charge fits into the
+    node limit, where probe is _PROBE_PER_N2 * n * n, the DFS stops after
+    probe nodes and the table answers instead.  A query the probe answers
+    costs what the DFS alone costs.  A handed-off query costs the table plus
+    the probe, at about 3 us a node (3.5 ms at n = 17).  The probe's best order
+    is not passed to the table as a floor: on the bench's four longest
+    queries the probe closes nothing.
 
     Returns (order, witness vertices, exact, meter); the order is 0 and the
     witness None when nothing closes, and the meter holds the nodes and rows
@@ -197,9 +181,10 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     meter = _Meter(budget)
     limit = meter.limit
     charge = _table_rows(g, cycle, shortest)
-    handoff = charge is not None and charge // _ROWS_PER_NODE + charge <= limit
+    probe = _PROBE_PER_N2 * n * n
+    handoff = charge is not None and probe + charge <= limit
     if handoff:
-        meter.limit = charge // _ROWS_PER_NODE
+        meter.limit = probe
     if cycle:
         seeds = ((r, v) for r in range(n - shortest + 1) for v in range(r + 1, n))
     else:
@@ -346,9 +331,12 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
     of the step when the pass has no more colours than its label width,
     otherwise the vertex the step came from.  A step v -> u is allowed when
     R[mask, v] holds a label whose colour at v differs from c(v, u), and it
-    leaves the label of v -> u at u.  Layers are filled in popcount order,
-    and each entry (mask + u, u) has the single source mask, so it is
-    written once.
+    leaves the label of v -> u at u.  With colour labels that is one matrix
+    product per colour c: bit c at u is set when some v with c(v, u) = c
+    holds a label other than c.  With vertex labels it is a rows x m x m
+    array of the allowed steps.  Layers are filled in popcount order, and
+    each entry (mask + u, u) has the single source mask, so it is written
+    once.
     """
     m = len(C)
     cycle = first is not None
@@ -359,8 +347,17 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
     dt = np.dtype(f"u{_label_bytes(min(colours, m))}")
     full = np.iinfo(dt).max
     one = np.ones((), dt)
-    if colours <= dt.itemsize * 8:
-        lab = np.maximum(lab.reshape(m, m) - 1, 0).astype(dt)
+    by_colour = colours <= dt.itemsize * 8
+    if by_colour:
+        lab = lab.reshape(m, m) - 1  # -1 on the diagonal
+        # B[c, v, u]: the step v -> u has colour c (a cycle's first step `first`)
+        B = lab[None, :, off:] == np.arange(colours)[:, None, None]
+        if cycle:
+            B[:, 0] &= C[0, off:] == first
+        B = B.astype(np.float32)
+        bit = (one << np.arange(colours, dtype=dt))[:, None, None]  # bit[c]: the label of colour c
+        keep = full ^ bit  # keep[c]: the labels other than c
+        lab = np.maximum(lab, 0).astype(dt)
         forbid = one << lab  # forbid[v, u]: labels at v whose colour is c(v, u)
     else:
         lab = np.broadcast_to(np.arange(m, dtype=dt)[:, None], (m, m))
@@ -377,7 +374,7 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
     else:
         R[1 << np.arange(m), np.arange(m)] = full
     popcount = _popcounts(bits)
-    chunk = max(1, (1 << 20) // (m * m))
+    chunk = max(1, (1 << 17) // (m * min(colours, m)))  # temporaries of about 2^17 cells
     shifts = np.arange(bits)
     end = None  # (mask, last vertex, labels allowed at it) of the best witness
     for j in range(1 - off, bits + 1):
@@ -398,8 +395,14 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
             break
         for c0 in range(0, len(live), chunk):
             src = live[c0 : c0 + chunk]
-            step = ((R[src][:, None, :] & allow) != 0) * leave  # (src, u, v)
-            out = np.bitwise_or.reduce(step, axis=2)[:, off:]
+            if by_colour:
+                # bit c at u: some v holds a label other than c and c(v, u) = c;
+                # a count is at most m, so float32 sums it exactly
+                hit = (R[src] & keep) != 0  # (colour, src, v)
+                out = ((hit.astype(np.float32) @ B > 0) * bit).sum(0, dtype=dt)
+            else:
+                step = ((R[src][:, None, :] & allow) != 0) * leave  # (src, u, v)
+                out = np.bitwise_or.reduce(step, axis=2)[:, off:]
             out[(src[:, None] >> shifts) & 1 == 1] = 0  # u already in the set
             s, u = np.nonzero(out)
             R[src[s] | (1 << u), u + off] = out[s, u]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
-from pch import cli
+from pch import absorbing, cli
 from pch.cli import main
 from pch.constructions import (
     colouring_from_oriented,
@@ -88,10 +88,12 @@ def test_gen_oriented_families_write_the_completed_colouring(tmp_path, argv, og)
     assert run("gen", *argv, "--out", str(gpath)) == 0
     text = gpath.read_text()
     assert text == graph_to_text(colouring_from_oriented(og))
-    # arc u -> v is coloured v and every other pair the fresh colour n
+    # arc u -> v is coloured v; both families are tournaments, so no pair is
+    # left for the fresh colour n and the palette is the n head colours
     g, n = graph_from_text(text), og.n
     heads = {(min(u, v), max(u, v)): v for u, v in og.arcs}
-    assert g.k == n + 1
+    assert len(heads) == n * (n - 1) // 2
+    assert g.k == n
     assert all(g.colour(u, v) == heads.get((u, v), n) for u in range(n) for v in range(u + 1, n))
 
 
@@ -177,13 +179,14 @@ def test_oracle_longest_report(tmp_path):
 
 
 def test_oracle_report_counts_table_rows(tmp_path):
-    # BE(3) hands off after 4,096 // 32 = 128 DFS nodes to a table of 4,096 rows
+    # BE(3) hands off after a probe of 4 * 13^2 = 676 DFS nodes to a table of
+    # 4,096 rows
     gpath = tmp_path / "g.txt"
     run("gen", "--family", "be", "--k", "3", "--out", str(gpath))
     rpath = tmp_path / "r.json"
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
     res = json.loads(rpath.read_text())["result"]
-    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 4_224, 4_096)
+    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 676 + 4_096, 4_096)
     # its spanning path is found by the DFS alone
     assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]
@@ -235,6 +238,21 @@ def test_absorb_check(tmp_path):
     ok, coverage, _ = verify_family_universality(g, build.cycle.family)
     assert rep["result"]["cycle_order"] == build.cycle.cycle.order
     assert (rep["result"]["family_ok"], rep["result"]["family_coverage"]) == (ok, coverage)
+
+
+def test_absorb_check_rejects_a_family_too_large_before_counting(tmp_path, monkeypatch, capsys):
+    # rainbow(11) holds no family of 3 disjoint 4-paths and an absorbing
+    # cycle, which the command says before it counts any of its 7,920
+    # quadruples
+    gpath = tmp_path / "g.txt"
+    write_graph(rainbow(11), gpath)
+
+    def no_count(*args):
+        raise AssertionError("counted a quadruple")
+
+    monkeypatch.setattr(absorbing, "count_absorbing", no_count)
+    assert run("absorb-check", "--input", str(gpath), "--eps", "0.1", "--quads", "all") == 2
+    assert "n=11 too small for a family of 3 disjoint 4-paths" in capsys.readouterr().err
 
 
 def test_lemma_check_2factor_small(tmp_path):

@@ -176,16 +176,20 @@ def test_cross_oracle_consistency(seed):
     assert (longest_pc_path(g).value == g.n) == exact_pc_ham_path(g).exists
 
 
-def test_budget_exhaustion_reported_distinctly():
+def test_budget_exhaustion_reported_distinctly(monkeypatch):
     tight = SearchBudget(node_limit=10)
     assert exact_pc_ham_cycle(bollobas_erdos(2), tight).status == SearchStatus.EXHAUSTED
     assert exact_pc_ham_path(layered_colouring(8, 2), tight).status == SearchStatus.EXHAUSTED
-    # half the nodes of a full search: the first edges that finished leave a
+    # half the nodes of a full DFS (which a handoff's nodes would not count:
+    # they hold the table's rows): the first edges that finished leave a
     # witness; 5 nodes on rainbow(9) stop before the first edge finishes
     for g, limit in ((layered_colouring(10, 3), None), (rainbow(9), 5)):
         for oracle, is_pc in ((longest_pc_cycle, is_properly_coloured_cycle), (longest_pc_path, is_properly_coloured_path)):
             full = oracle(g)
-            res = oracle(g, SearchBudget(node_limit=limit or full.nodes // 2))
+            with monkeypatch.context() as m:
+                m.setattr(pch.exact, "_table_rows", lambda *args: None)  # the DFS alone
+                dfs_nodes = oracle(g).nodes
+            res = oracle(g, SearchBudget(node_limit=limit or dfs_nodes // 2))
             assert not res.exact
             assert res.value <= full.value
             if res.witness is None:
@@ -224,6 +228,9 @@ TABLE_CORPUS = (
     + [pytest.param(bollobas_erdos(k), id=f"be{k}") for k in (1, 2, 3)]
     + [pytest.param(rainbow(9), id="rainbow9")]
     + [pytest.param(layered_colouring(n, l), id=f"layered{n}-{l}") for n in range(2, 13) for l in range(1, n // 2 + 1)]
+    # the layer step's colour-label passes at n >= 13: two colours (no PC
+    # Hamiltonian cycle, longest cycle 12), and 13 colours over 14 vertices
+    + [pytest.param(random_colouring(13, 2, 1), id="n13-k2-s1"), pytest.param(random_colouring(14, 13, 1), id="n14-k13-s1")]
 )
 
 
@@ -257,25 +264,27 @@ def test_table_matches_search_and_brute_force(g, monkeypatch):
 def test_table_hands_off_after_its_charge():
     # BE(3): one pass of 2^12 rows for the first colour at the root (the
     # other colour finds each cycle from its other end); the DFS needs
-    # 36,758 nodes, so it stops at 2^12 // 32 = 128 and the table answers
+    # 36,758 nodes, so it stops at its probe of 4 * 13^2 = 676 and the table
+    # answers
     res = exact_pc_ham_cycle(bollobas_erdos(3))
     assert res.status == SearchStatus.NOT_EXISTS
-    assert (res.nodes, res.rows) == (128 + 4096, 4096)
-    # layered(17, 4): the DFS needs 89,332 nodes, over the 2^17 // 32 = 4,096
-    # of the path table's charge, so it hands off; the table stops at its
-    # first empty layer
+    assert (res.nodes, res.rows) == (676 + 4096, 4096)
+    # layered(17, 4): the DFS needs 89,332 nodes, over the 4 * 17^2 = 1,156
+    # of the probe, so it hands off; the table stops at its first empty layer
     res = longest_pc_path(layered_colouring(17, 4))
-    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 4_096 + 109_293, 109_293)
-    # layered(17, 3): the DFS finishes in 3,308 nodes, below the 5,120 of its
-    # 163,840-row charge
+    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 1_156 + 109_293, 109_293)
+    # layered(17, 3): the DFS needs 3,308 nodes, so it hands off as well
     res = longest_pc_cycle(layered_colouring(17, 3))
-    assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 3_308, 0)
+    assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 1_156 + 23_719, 23_719)
+    # layered(17, 2): the DFS finishes in 585 nodes, within the probe
+    res = longest_pc_cycle(layered_colouring(17, 2))
+    assert (res.value, res.exact, res.nodes, res.rows) == (3, True, 585, 0)
 
 
 def test_table_charge_over_remaining_budget_stays_exhausted():
     # BE(4) charges 2^16 rows and hands off only when the budget holds the
-    # DFS's 2^16 // 32 = 2,048 nodes and the table's 2^16 rows: 67,584
-    handoff = 2_048 + 65_536
+    # DFS's probe of 4 * 17^2 = 1,156 nodes and the table's 2^16 rows: 66,692
+    handoff = 1_156 + 65_536
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=handoff))
     assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, handoff, 65_536)
     # one node fewer, or room for the table's rows alone, and the DFS runs to
@@ -283,7 +292,7 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
     for limit in (handoff - 1, 66_000):
         res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
         assert (res.status, res.nodes, res.rows) == (SearchStatus.EXHAUSTED, limit, 0)
-    # layered(16, 5) paths charge 2^16 rows as well
+    # layered(16, 5) paths charge 2^16 rows as well, after a probe of 1,024
     limit = 66_000
     res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=limit))
     assert not res.exact and res.nodes <= limit and res.rows == 0
@@ -294,26 +303,33 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
 def test_table_checks_time_limit_between_layers():
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    # BE(2) hands off after 2^8 // 32 = 8 DFS nodes, before the DFS's first
-    # deadline check, so only the table sees the deadline, before its first
-    # layer
+    # BE(2) hands off after its probe of 4 * 9^2 = 324 DFS nodes, before the
+    # DFS's first deadline check (at 4,096 nodes), so only the table sees the
+    # deadline, before its first layer
     res = exact_pc_ham_cycle(bollobas_erdos(2), SearchBudget(time_limit=0.0))
     assert res.status == SearchStatus.EXHAUSTED
-    assert (res.nodes, res.rows) == (8, 0)
+    assert (res.nodes, res.rows) == (324, 0)
     with pytest.raises(pch.exact._OutOfBudget):
         pch.exact._table(bollobas_erdos(2), True, 9, pch.exact._Meter(SearchBudget(time_limit=0.0)))
 
 
 @pytest.mark.parametrize(
-    "oracle, g",
-    [pytest.param(exact_pc_ham_cycle, bollobas_erdos(k), id=f"be{k}-cycle") for k in (2, 3, 4)]
-    + [pytest.param(exact_pc_ham_cycle, layered_colouring(13, 4), id="layered13-4-cycle")]
-    + [pytest.param(longest_pc_cycle, layered_colouring(n, l), id=f"layered{n}-{l}-longest-cycle") for n, l in ((16, 5), (17, 4))]
-    + [pytest.param(longest_pc_path, layered_colouring(n, l), id=f"layered{n}-{l}-longest-path") for n, l in ((16, 5), (17, 4))],
+    "oracle, g, rows",
+    [pytest.param(exact_pc_ham_cycle, bollobas_erdos(k), rows, id=f"be{k}-cycle") for k, rows in ((2, 256), (3, 4_096), (4, 65_536))]
+    + [pytest.param(exact_pc_ham_cycle, layered_colouring(13, 4), 10_896, id="layered13-4-cycle")]
+    + [
+        pytest.param(longest_pc_cycle, layered_colouring(n, l), rows, id=f"layered{n}-{l}-longest-cycle")
+        for n, l, rows in ((16, 5, 162_018), (17, 4, 127_538))
+    ]
+    + [
+        pytest.param(longest_pc_path, layered_colouring(n, l), rows, id=f"layered{n}-{l}-longest-path")
+        for n, l, rows in ((16, 5, 64_838), (17, 4, 109_293))
+    ],
 )
-def test_rows_count_the_table_apart_from_the_dfs(oracle, g):
-    # each of these hands off: nodes - rows is the DFS's share, stopped at its
-    # charge // _ROWS_PER_NODE, and rows are the table's, at most its charge
+def test_rows_count_the_table_apart_from_the_dfs(oracle, g, rows):
+    # each of these hands off: nodes - rows is the DFS's probe of 4 n^2
+    # nodes, and rows are the table's, at most its charge; they are pinned,
+    # so a change to the layer step must fill the same table
     cycle = oracle is not longest_pc_path
     shortest = g.n if oracle is exact_pc_ham_cycle else 2 + cycle
     charge = pch.exact._table_rows(g, cycle, shortest)
@@ -322,8 +338,8 @@ def test_rows_count_the_table_apart_from_the_dfs(oracle, g):
         assert res.status == SearchStatus.NOT_EXISTS
     else:
         assert res.exact
-    assert res.nodes - res.rows == charge // pch.exact._ROWS_PER_NODE
-    assert 0 < res.rows <= charge
+    assert res.nodes - res.rows == 4 * g.n * g.n
+    assert res.rows == rows <= charge
 
 
 def test_rows_zero_without_a_handoff():
@@ -347,12 +363,21 @@ def test_rows_zero_without_a_handoff():
             exact_pc_ham_cycle, [random_bounded_colouring(20, 9, s, colours=3) for s in range(1, 41)], id="bench-r20"
         ),
         pytest.param(exact_pc_ham_path, [bollobas_erdos(k) for k in (3, 4)], id="be-path"),
+    ]
+    + [
+        pytest.param(
+            oracle,
+            [random_bounded_colouring(n, (n - 1) // 2, s, colours=3) for n in range(8, 14) for s in range(10)],
+            id=f"three-colour-{kind}",
+        )
+        for oracle, kind in ((exact_pc_ham_cycle, "cycle"), (exact_pc_ham_path, "path"))
     ],
 )
 def test_spanning_answers_stay_on_the_dfs(oracle, graphs):
-    # the DFS's share is a probe for a spanning answer: these need at most
-    # 993 nodes (near-BE(5), against a share of 2^21 // 32) and never reach
-    # the table, while every bench proof still hands off (see
+    # the DFS is a probe of 4 n^2 nodes for a spanning answer: these need at
+    # most 2.25 n^2 (near-BE(5), 993 of 1,764 nodes; bench-r20's family needs
+    # at most 1,317 of 1,600 over seeds 0-2999) and never reach the table,
+    # while every bench proof still hands off (see
     # test_rows_count_the_table_apart_from_the_dfs)
     for g in graphs:
         res = oracle(g)
