@@ -36,11 +36,14 @@ from pch.constructions import (
 from pch.exact import (
     SearchBudget,
     SearchStatus,
+    TutteBarrier,
+    check_barrier,
     exact_pc_ham_cycle,
     exact_pc_ham_path,
     exact_pc_two_factor,
     longest_pc_cycle,
     longest_pc_path,
+    pc_two_factor_matching,
 )
 from pch.rotations import (
     Chord,

@@ -165,12 +165,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if out.valid else EXIT_FAIL
 
 
+def _barrier_record(barrier: exact.TutteBarrier | None) -> dict | None:
+    """Size of a checked barrier: |S|, the odd components it leaves, and the auxiliary graph's order."""
+    if barrier is None:
+        return None
+    return {"size": barrier.size, "odd_components": barrier.odd_components, "aux_order": barrier.aux_order}
+
+
 def _oracle_record(res: exact.OracleResult) -> dict:
     return {
         "status": res.status.value,
         "nodes": res.nodes,
         "rows": res.rows,
         "certificate": certificate_to_json(res.certificate) if res.certificate else None,
+        "barrier": _barrier_record(res.barrier),
     }
 
 
@@ -216,6 +224,7 @@ def cmd_solve(args) -> int:
             "certificate": certificate_to_json(out.certificate) if out.certificate else None,
             "stats": out.stats,
             "best_system_order": out.best_system.order if out.best_system else None,
+            "barrier": _barrier_record(out.barrier),
         }
         code = EXIT_OK if out.success else EXIT_FAIL
     else:

@@ -147,6 +147,15 @@ class DirectedPath:
         if len(set(vs)) != len(vs):
             raise ValueError("path repeats a vertex")
 
+    @classmethod
+    def unchecked(cls, vertices: tuple[int, ...]) -> "DirectedPath":
+        """The path on `vertices`, a non-empty tuple of distinct vertices,
+        without the constructor's check; for callers that rearrange the
+        vertices of a valid path."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "vertices", vertices)
+        return path
+
     @property
     def order(self) -> int:
         return len(self.vertices)
@@ -165,7 +174,7 @@ class DirectedPath:
             yield vs[i], vs[i + 1]
 
     def reverse(self) -> "DirectedPath":
-        return DirectedPath(self.vertices[::-1])
+        return DirectedPath.unchecked(self.vertices[::-1])
 
 
 @dataclass(frozen=True)

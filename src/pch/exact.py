@@ -15,26 +15,40 @@ These are the ground truth for every heuristic.  Three parts serve them:
   with one label per colour is one float32 matrix product per colour; with
   one label per vertex (more colours than label bits) it stays a rows x m x m
   array.  Its rows are counted before either engine starts.  The DFS goes
-  first, as a probe of `_PROBE_PER_N2` * n^2 nodes for a spanning answer,
-  which needs about n^2 of them, and then hands off to the table.  So the
-  sub-millisecond Exists queries build no table, and a proof below n, which
-  would need the DFS to exhaust its states, pays only the probe before the
-  table answers.  The table is skipped when the probe and its rows do not
-  fit into the node limit, or when a pass would take more than
-  `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at most 8
-  colours); the DFS then runs to the budget alone.
-- `exact_pc_two_factor` searches cycle covers of the uncovered vertex set.
+  first, as a probe of `_PROBE_PER_N2` * n^2 nodes (at most `_PROBE_MAX`)
+  for a spanning answer, which needs about n^2 of them, and then hands off to
+  the table.  So the sub-millisecond Exists queries build no table, and a
+  proof below n, which would need the DFS to exhaust its states, pays only
+  the probe before the table answers.  The table is skipped when the probe
+  and its rows do not fit into the node limit, or when a pass would take
+  more than `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at
+  most 8 colours); the DFS then resumes from its memo up to the node limit.
+- A PC 2-factor test decides in polynomial time whether g has a spanning set
+  of vertex-disjoint PC cycles: Edmonds' blossom algorithm (Edmonds 1965),
+  seeded greedily, on an auxiliary graph whose perfect matchings are the PC
+  2-factors of g (`pc_two_factor_matching`).  A perfect matching gives a
+  verified 2-factor; otherwise the final search forest gives a Tutte
+  barrier (Tutte 1954; Gallai-Edmonds), which `check_barrier` confirms in
+  linear time before any answer leaves.  `exact_pc_two_factor` runs it after
+  a cycle-cover DFS probe, and `exact_pc_ham_cycle` after its DFS probe and
+  before the table: with no PC 2-factor there is no PC Hamiltonian cycle.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
-the node limit, and `rows`, the table rows alone.  The table checks the time
-limit between layers.  A "not exists" answer is definitive; running out of
-budget is reported as a distinct outcome, never conflated with non-existence.
+the node limit, and `rows`, the table rows alone; the 2-factor test charges
+nothing.  The table checks the time limit between layers, and the 2-factor
+test runs only before the deadline.  The node budget bounds the work of the
+DFS and the table, not their time: when the table cannot start and a PC
+2-factor exists, the DFS runs to the node limit (5,000,000 nodes took 20.8 s
+on a two-tournament colouring at n = 20).  A "not exists" answer is
+definitive; running out of budget is reported as a distinct outcome, never
+conflated with non-existence.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,14 +80,37 @@ class SearchBudget:
     time_limit: float | None = None  # seconds
 
 
+@dataclass(frozen=True)
+class TutteBarrier:
+    """Proof that g has no PC 2-factor: a node set S of its auxiliary graph
+    whose removal leaves more than |S| components of odd order.
+
+    `nodes` names S by auxiliary-graph labels (`_aux_graph`); `odd_components`
+    is the count the checker found, and `aux_order` the auxiliary graph's
+    number of nodes.
+    """
+
+    nodes: tuple[tuple[str, int, int], ...]
+    odd_components: int
+    aux_order: int
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+
 @dataclass
 class OracleResult:
-    """`nodes` counts DFS nodes plus table rows against the budget; `rows` the table rows alone."""
+    """`nodes` counts DFS nodes plus table rows against the budget; `rows` the table rows alone.
+
+    A NOT_EXISTS answer from the PC 2-factor test carries its checked `barrier`.
+    """
 
     status: SearchStatus
     certificate: Certificate | None = None
     nodes: int = 0
     rows: int = 0
+    barrier: TutteBarrier | None = None
 
     @property
     def exists(self) -> bool:
@@ -122,9 +159,12 @@ class _Meter:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
 
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
     def spend(self, rows: int):
         """Charge `rows` table rows at once, after checking both limits."""
-        if self.nodes + rows > self.limit or (self.deadline is not None and time.monotonic() > self.deadline):
+        if self.nodes + rows > self.limit or self.expired():
             raise _OutOfBudget
         self.nodes += rows
         self.rows += rows
@@ -150,9 +190,21 @@ def _verified(g, cert: Certificate) -> Certificate:
 # (n - 1) // 2, n 8-13, at most 0.51 n^2.  The search hands off to the table
 # when probe + charge <= node limit.
 _PROBE_PER_N2 = 4
+# Above n = 32 the probe stops at _PROBE_MAX nodes.  No table fits there, so
+# the probe only goes before the PC 2-factor test, and a node scans n
+# vertices: 4 n^2 nodes took 1.5 s on `bollobas_erdos(40)` (n = 161), whose
+# test takes 21 ms.  Spanning answers at that size need about n nodes
+# (three-colour and palette-n graphs at n 41-161: at most 12 n), or far
+# more than 4 n^2 (near-BE at n >= 81).
+_PROBE_MAX = _PROBE_PER_N2 * 32 * 32
 
 
-def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int):
+def _probe_nodes(n: int, limit: int) -> int:
+    """Nodes of the DFS probe at order n under a node limit."""
+    return min(_PROBE_PER_N2 * n * n, _PROBE_MAX, limit)
+
+
+def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int, gate=None):
     """Largest order, at least `shortest`, of a PC cycle (or path) of g.
 
     A cycle is rooted at the lowest vertex of its set and grows only above it,
@@ -161,14 +213,16 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     stop anywhere, starts from every ordered pair and holds the first colour
     at 0.  The DFS stops as soon as it reaches order n.
 
-    The DFS goes first, as a probe for a spanning answer.  When the table
-    fits (`_table_rows`, its charge in rows) and probe + charge fits into the
-    node limit, where probe is _PROBE_PER_N2 * n * n, the DFS stops after
-    probe nodes and the table answers instead.  A query the probe answers
-    costs what the DFS alone costs.  A handed-off query costs the table plus
-    the probe, at about 3 us a node (3.5 ms at n = 17).  The probe's best order
-    is not passed to the table as a floor: on the bench's four longest
-    queries the probe closes nothing.
+    The DFS goes first, as a probe of `_probe_nodes` nodes for a spanning
+    answer.  A query the probe answers costs what the DFS alone costs.  When
+    the probe runs out below the node limit and before the deadline, `gate`
+    runs if given: True settles the query with order 0, and no table.
+    Otherwise the table answers when it fits (`_table_rows`, its charge in
+    rows) and probe + charge fits into the node limit; a handed-off query
+    costs the table plus the probe, at about 3 us a node (3.5 ms at n = 17).
+    When the table does not fit, the DFS resumes from its memo up to the
+    node limit.  The probe's best order is not passed to the table as a
+    floor: on the bench's four longest queries the probe closes nothing.
 
     Returns (order, witness vertices, exact, meter); the order is 0 and the
     witness None when nothing closes, and the meter holds the nodes and rows
@@ -181,14 +235,8 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     meter = _Meter(budget)
     limit = meter.limit
     charge = _table_rows(g, cycle, shortest)
-    probe = _PROBE_PER_N2 * n * n
+    meter.limit = probe = _probe_nodes(n, limit)
     handoff = charge is not None and probe + charge <= limit
-    if handoff:
-        meter.limit = probe
-    if cycle:
-        seeds = ((r, v) for r in range(n - shortest + 1) for v in range(r + 1, n))
-    else:
-        seeds = itertools.permutations(range(n), 2)
     # memo value: best * m + act + 1, where best is the largest closable order
     # from the state and act the next vertex on the way there (-1: close here).
     # One int, not a tuple: Hamiltonian proofs memoise ~10^6 states, and their
@@ -230,25 +278,41 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
         return best
 
     best, start = 0, None
-    try:
-        for a, b in seeds:
-            c = rows[a][b]
-            got = search((1 << a) | (1 << b), b, c, c if cycle else 0, 2)
-            if got > best:
-                best, start = got, (a, b)
-                if got == n:
-                    break
-        exact = True
-    except _OutOfBudget:
-        exact = False
 
-    if not exact and handoff and meter.nodes == meter.limit:
-        meter.limit = limit
+    def sweep() -> bool:
+        """Search every first edge; False when the meter stops it.  A second
+        sweep resumes the first: finished states are memo hits."""
+        nonlocal best, start
+        if cycle:
+            seeds = ((r, v) for r in range(n - shortest + 1) for v in range(r + 1, n))
+        else:
+            seeds = itertools.permutations(range(n), 2)
         try:
-            order, witness = _table(g, cycle, shortest, meter)
-            return order, witness, True, meter
+            for a, b in seeds:
+                c = rows[a][b]
+                got = search((1 << a) | (1 << b), b, c, c if cycle else 0, 2)
+                if got > best:
+                    best, start = got, (a, b)
+                    if got == n:
+                        break
         except _OutOfBudget:
-            pass
+            return False
+        return True
+
+    exact = sweep()
+    if not exact and probe < limit and not meter.expired():
+        # the probe ran out, not the budget or the clock
+        if gate is not None and gate():
+            return 0, None, True, meter
+        meter.limit = limit
+        if not handoff:
+            exact = sweep()
+        else:
+            try:
+                order, witness = _table(g, cycle, shortest, meter)
+                return order, witness, True, meter
+            except _OutOfBudget:
+                pass
 
     witness = None
     if start is not None:
@@ -440,6 +504,233 @@ def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
+# PC 2-factors by perfect matching (Tutte 1954; Edmonds 1965)
+# ---------------------------------------------------------------------------
+
+def _aux_graph(g: ColouredComplete):
+    """(adjacency, labels, a) of the auxiliary graph of g.
+
+    For each vertex v there are two ports ("p", v, 0) and ("p", v, 1), and for
+    each colour c at v two nodes ("a", v, c) and ("b", v, c); a(v, c) is
+    joined to b(v, c), each b to both ports of its vertex, and each edge uv of
+    colour c joins a(u, c) to a(v, c).  In a perfect matching the two ports of
+    v take two b's, whose a's are matched along two edges of distinct colours
+    at v, while every other a takes its own b: the matched a-a edges are a
+    PC 2-factor of g, and every PC 2-factor arises so.  a[v][c] is the node of
+    a(v, c); b(v, c) is the node after it, and a vertex's ports the two nodes
+    before its first a.
+    """
+    n, rows = g.n, g.rows
+    adj: list[list[int]] = []
+    labels: list[tuple[str, int, int]] = []
+    a: list[dict[int, int]] = []
+    for v in range(n):
+        p = len(adj)
+        colours = sorted(set(rows[v]) - {-1})
+        adj += [[p + 2 + 2 * i + 1 for i in range(len(colours))] for _ in range(2)]
+        labels += [("p", v, 0), ("p", v, 1)]
+        av = {}
+        for c in colours:
+            x = len(adj)
+            adj += [[x + 1], [x, p, p + 1]]
+            labels += [("a", v, c), ("b", v, c)]
+            av[c] = x
+        a.append(av)
+    for u in range(n):
+        au, row = a[u], rows[u]
+        for v in range(u + 1, n):
+            x, y = au[row[v]], a[v][row[v]]
+            adj[x].append(y)
+            adj[y].append(x)
+    return adj, labels, a
+
+
+def _greedy_matching(g: ColouredComplete, a: list[dict[int, int]], size: int) -> list[int]:
+    """A matching of the auxiliary graph from a greedy PC subgraph of degree at most 2.
+
+    Edges are taken in row order while both ends have fewer than two edges
+    and neither has one of its colour; their b's go to the ports, and every
+    other a to its b.  Only the ports of the vertices left below degree 2 are
+    unmatched.
+    """
+    n, rows = g.n, g.rows
+    match = [-1] * size
+    used: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        row, uu = rows[u], used[u]
+        for v in range(u + 1, n):
+            if len(uu) == 2:
+                break
+            c, vv = row[v], used[v]
+            if len(vv) < 2 and c not in uu and c not in vv:
+                x, y = a[u][c], a[v][c]
+                match[x], match[y] = y, x
+                uu.append(c)
+                vv.append(c)
+    for v in range(n):
+        p = next(iter(a[v].values())) - 2  # v's ports are the two nodes before its first a
+        for c, x in a[v].items():
+            if c in used[v]:
+                match[x + 1], match[p] = p, x + 1
+                p += 1
+            else:
+                match[x], match[x + 1] = x + 1, x
+    return match
+
+
+def _maximum_matching(adj: list[list[int]], match: list[int]) -> list[bool]:
+    """Grow `match` in place into a maximum matching by Edmonds' blossom algorithm.
+
+    Each round grows one alternating forest from every unmatched node.  An
+    edge between even nodes of two trees closes an augmenting path, which is
+    flipped, and the next round starts; an edge within one tree contracts a
+    blossom onto its base.  Returns `even` of the last round, which found no
+    augmenting path: its even nodes (blossoms included) are the nodes that
+    some maximum matching leaves unmatched (Gallai-Edmonds), and its odd nodes,
+    their other neighbours, form a Tutte barrier.
+    """
+    size = len(adj)
+    while True:
+        base = list(range(size))
+        parent = [-1] * size  # the tree edge into an odd node; set on even blossom nodes too
+        even = [match[v] < 0 for v in range(size)]
+        queue = deque(v for v in range(size) if even[v])
+        mark = [0] * size
+        stamp = 0
+
+        def lca(x: int, y: int) -> int:
+            """Base of the blossom that edge x-y closes, or -1 when x and y lie in different trees."""
+            nonlocal stamp
+            stamp += 1
+            while True:
+                x = base[x]
+                mark[x] = stamp
+                if match[x] < 0:
+                    break
+                x = parent[match[x]]
+            while True:
+                y = base[y]
+                if mark[y] == stamp:
+                    return y
+                if match[y] < 0:
+                    return -1
+                y = parent[match[y]]
+
+        def mark_path(x: int, top: int, child: int, inside: set[int]) -> None:
+            while base[x] != top:
+                inside.add(base[x])
+                inside.add(base[match[x]])
+                parent[x] = child
+                child = match[x]
+                x = parent[match[x]]
+
+        def flip(x: int) -> None:
+            """Match x to its tree parent and so on up to the root."""
+            while x >= 0:
+                up = parent[x]
+                nxt = match[up]
+                match[x], match[up] = up, x
+                x = nxt
+
+        augmented = False
+        while queue and not augmented:
+            v = queue.popleft()
+            for u in adj[v]:
+                if base[v] == base[u] or match[v] == u:
+                    continue
+                if even[u]:
+                    top = lca(v, u)
+                    if top < 0:
+                        mv, mu = match[v], match[u]
+                        flip(mv)
+                        flip(mu)
+                        match[v], match[u] = u, v
+                        augmented = True
+                        break
+                    inside: set[int] = set()
+                    mark_path(v, top, u, inside)
+                    mark_path(u, top, v, inside)
+                    for x in range(size):
+                        if base[x] in inside:
+                            base[x] = top
+                            if not even[x]:
+                                even[x] = True
+                                queue.append(x)
+                elif parent[u] < 0:
+                    parent[u] = v
+                    w = match[u]
+                    even[w] = True
+                    queue.append(w)
+        if not augmented:
+            return even
+
+
+def _odd_components(adj: list[list[int]], removed: set[int]) -> int:
+    """Number of components of odd order left when `removed` is deleted; linear time."""
+    seen = bytearray(len(adj))
+    for x in removed:
+        seen[x] = 1
+    odd = 0
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        stack, order = [s], 0
+        while stack:
+            x = stack.pop()
+            order += 1
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        odd += order & 1
+    return odd
+
+
+def check_barrier(g: ColouredComplete, barrier: TutteBarrier) -> bool:
+    """True iff removing `barrier.nodes` from the auxiliary graph of g leaves more odd components than nodes removed."""
+    adj, labels, _ = _aux_graph(g)
+    index = {lab: x for x, lab in enumerate(labels)}
+    removed = {index.get(lab, -1) for lab in barrier.nodes}
+    if -1 in removed or len(removed) != len(barrier.nodes):
+        return False
+    return _odd_components(adj, removed) > len(removed)
+
+
+def pc_two_factor_matching(g: ColouredComplete) -> tuple[Certificate | None, TutteBarrier | None]:
+    """A verified PC 2-factor of g, or a checked Tutte barrier proving that none exists.
+
+    Exactly one of the pair is None.  Polynomial: Edmonds' blossom algorithm
+    on the auxiliary graph (`_aux_graph`), seeded with `_greedy_matching`.
+    """
+    adj, labels, a = _aux_graph(g)
+    match = _greedy_matching(g, a, len(adj))
+    even = _maximum_matching(adj, match)
+    if all(m >= 0 for m in match):
+        nbrs: list[list[int]] = [[] for _ in range(g.n)]
+        for v, av in enumerate(a):
+            for x in av.values():
+                if labels[match[x]][0] == "a":
+                    nbrs[v].append(labels[match[x]][1])
+        cycles, seen = [], set()
+        for s in range(g.n):
+            if s in seen:
+                continue
+            cyc = [s, nbrs[s][0]]  # walk on from the last vertex, away from the one before
+            while cyc[-1] != s:
+                x, y = nbrs[cyc[-1]]
+                cyc.append(y if x == cyc[-2] else x)
+            cycles.append(tuple(cyc[:-1]))
+            seen.update(cyc)
+        return _verified(g, two_factor_certificate(cycles)), None
+    removed = {x for x in range(len(adj)) if not even[x] and any(even[y] for y in adj[x])}
+    odd = _odd_components(adj, removed)
+    if odd <= len(removed):
+        raise RuntimeError(f"matching produced an invalid barrier: {odd} odd components, {len(removed)} nodes removed")
+    return None, TutteBarrier(tuple(labels[x] for x in sorted(removed)), odd, len(adj))
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonian cycle and path
 # ---------------------------------------------------------------------------
 
@@ -448,12 +739,23 @@ def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) 
 
     Every cycle through vertex 0 is searched from its first edge (0, v);
     memoisation makes the search complete even on adversarial two-colourings.
+    When the DFS probe finds no cycle, the PC 2-factor test runs before the
+    table: with no PC 2-factor there is no PC Hamiltonian cycle, and the
+    answer is NOT_EXISTS with the test's barrier and no table rows.
     """
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    found = _search(g, budget, True, n)
-    return _existence(g, found, ham_cycle_certificate)
+    barrier = None
+
+    def gate() -> bool:
+        nonlocal barrier
+        barrier = pc_two_factor_matching(g)[1]
+        return barrier is not None
+
+    res = _existence(g, _search(g, budget, True, n, gate), ham_cycle_certificate)
+    res.barrier = barrier
+    return res
 
 
 def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
@@ -470,18 +772,21 @@ def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -
 # ---------------------------------------------------------------------------
 
 def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
-    """Definitive search for a spanning set of vertex-disjoint PC cycles.
+    """Definitive answer on a spanning set of vertex-disjoint PC cycles.
 
-    Recurses over the uncovered vertex set: the lowest uncovered vertex leads
-    its cycle, so each cycle cover is enumerated once.
+    A cycle-cover DFS goes first, as a probe of `_PROBE_PER_N2` * n^2 nodes:
+    the lowest uncovered vertex leads its cycle, so each cover is met once.
+    When the probe finds no cover, `pc_two_factor_matching` decides, with a
+    2-factor or a barrier.  A budget or deadline that stops the probe gives
+    EXHAUSTED.
     """
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     rows = g.rows
     meter = _Meter(budget)
-    # memo value: a cycle (tuple) through the lowest vertex completing the mask, or None
-    memo: dict[int, tuple[int, ...] | None] = {}
+    limit = meter.limit
+    meter.limit = probe = _probe_nodes(n, limit)
 
     def cycles_through(s: int, mask: int):
         """Yield PC cycles within mask containing s (orientation deduped)."""
@@ -510,38 +815,38 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
             yield from walk(v, (1 << s) | (1 << v), rows[s][v], rows[s][v])
             path.pop()
 
-    def cover(mask: int) -> bool:
+    failed: set[int] = set()  # vertex sets with no cycle cover
+
+    def cover(mask: int) -> list[tuple[int, ...]] | None:
+        """PC cycles covering exactly `mask`, or None."""
         if mask == 0:
-            return True
-        hit = memo.get(mask, "miss")
-        if hit != "miss":
-            return hit is not None
+            return []
+        if mask in failed:
+            return None
         meter.tick()
         s = (mask & -mask).bit_length() - 1
         for cyc in cycles_through(s, mask):
             sub = mask
             for v in cyc:
                 sub &= ~(1 << v)
-            if cover(sub):
-                memo[mask] = cyc
-                return True
-        memo[mask] = None
-        return False
+            rest = cover(sub)
+            if rest is not None:
+                return [cyc] + rest
+        failed.add(mask)
+        return None
 
     try:
-        if cover((1 << n) - 1):
-            cycles = []
-            mask = (1 << n) - 1
-            while mask:
-                cyc = memo[mask]
-                cycles.append(cyc)
-                for v in cyc:
-                    mask &= ~(1 << v)
-            cert = _verified(g, two_factor_certificate(cycles))
-            return OracleResult(SearchStatus.EXISTS, cert, meter.nodes)
+        cycles = cover((1 << n) - 1)
     except _OutOfBudget:
-        return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
-    return OracleResult(SearchStatus.NOT_EXISTS, None, meter.nodes)
+        if probe == limit or meter.expired():  # the budget or the clock, not the probe
+            return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
+        cycles = None
+    if cycles is not None:
+        return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate(cycles)), meter.nodes)
+    cert, barrier = pc_two_factor_matching(g)
+    if cert is not None:
+        return OracleResult(SearchStatus.EXISTS, cert, meter.nodes)
+    return OracleResult(SearchStatus.NOT_EXISTS, None, meter.nodes, 0, barrier)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from pch.ec_graph import (
     two_factor_certificate,
     verify_certificate,
 )
+from pch.exact import TutteBarrier, pc_two_factor_matching
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,8 @@ def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
 
 def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
     """The right rotation along chord y-w that makes `want` the new endpoint;
-    `want` must be one of ``rotation_targets(sys, g, w)``."""
+    `want` must be one of ``rotation_targets(sys, g, w)``.  It rearranges the
+    system's own vertices, so its paths skip the distinctness check."""
     path = sys.path.vertices
     piece, i = sys.index[w]
     if piece < 0:
@@ -176,15 +178,15 @@ def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
         # neighbour of w keeps everything on one path, the near one splits off
         # the tail as a cycle
         if want == path[i + 1]:
-            return PathCycleSystem(DirectedPath(path[: i + 1] + path[i + 1 :][::-1]), sys.cycles)
-        return PathCycleSystem(DirectedPath(path[:i]), sys.cycles + (DirectedCycle(path[i:]),))
+            return PathCycleSystem(DirectedPath.unchecked(path[: i + 1] + path[i + 1 :][::-1]), sys.cycles)
+        return PathCycleSystem(DirectedPath.unchecked(path[:i]), sys.cycles + (DirectedCycle(path[i:]),))
     # chord into a cycle: absorb the whole cycle into the path, walking off w
     # away from the new endpoint
     verts = sys.cycles[piece].vertices
     L = len(verts)
     step = -1 if want == verts[(i + 1) % L] else 1
     new_path = path + tuple(verts[(i + step * t) % L] for t in range(L))
-    return PathCycleSystem(DirectedPath(new_path), sys.cycles[:piece] + sys.cycles[piece + 1 :])
+    return PathCycleSystem(DirectedPath.unchecked(new_path), sys.cycles[:piece] + sys.cycles[piece + 1 :])
 
 
 def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
@@ -376,9 +378,12 @@ _CLOSE_ROTATIONS = 100_000
 
 @dataclass
 class TwoFactorOutcome:
+    """`barrier` is set when the search stopped because g has no PC 2-factor."""
+
     certificate: Certificate | None
     best_system: PathCycleSystem | None
     stats: dict
+    barrier: TutteBarrier | None = None
 
     @property
     def success(self) -> bool:
@@ -432,7 +437,9 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     Grow a maximal PC path, rotate its endpoints until the end colours allow
     closing it (absorbing any disjoint cycles hit along the way), and repeat
     with the leftover vertices until the cycles span.  Failure returns the
-    largest system found, never an exception.
+    largest system found, never an exception.  After the first failed
+    attempt, `pc_two_factor_matching` decides whether a PC 2-factor exists;
+    when none does, the search stops with the matching's barrier.
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
@@ -458,6 +465,10 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
                     raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
                 return TwoFactorOutcome(cert, None, stats)
             sys = _reopen(g, closed, set(range(g.n)) - covered, rng)
+        if attempt == 0:
+            barrier = pc_two_factor_matching(g)[1]
+            if barrier is not None:
+                return TwoFactorOutcome(None, best, stats, barrier)
     return TwoFactorOutcome(None, best, stats)
 
 

@@ -179,18 +179,34 @@ def test_oracle_longest_report(tmp_path):
 
 
 def test_oracle_report_counts_table_rows(tmp_path):
-    # BE(3) hands off after a probe of 4 * 13^2 = 676 DFS nodes to a table of
-    # 4,096 rows
+    # layered(13, 4)'s longest cycle hands off after a probe of 4 * 13^2 =
+    # 676 DFS nodes to a table of 14,122 rows
     gpath = tmp_path / "g.txt"
-    run("gen", "--family", "be", "--k", "3", "--out", str(gpath))
+    run("gen", "--family", "layered", "--n", "13", "--l", "4", "--out", str(gpath))
     rpath = tmp_path / "r.json"
+    assert run("oracle", "--query", "longest-cycle", "--input", str(gpath), "--report", str(rpath)) == 0
+    res = json.loads(rpath.read_text())["result"]
+    assert (res["value"], res["nodes"], res["rows"]) == (7, 676 + 14_122, 14_122)
+    # BE(3) has no PC 2-factor: the test after the probe answers, with no
+    # table, and the report gives the barrier's size: the 26 b-nodes, whose
+    # removal leaves 26 lone ports and the odd red and blue a-circulants
+    run("gen", "--family", "be", "--k", "3", "--out", str(gpath))
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
     res = json.loads(rpath.read_text())["result"]
-    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 676 + 4_096, 4_096)
-    # its spanning path is found by the DFS alone
+    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 676, 0)
+    assert res["barrier"] == {"size": 26, "odd_components": 28, "aux_order": 78}
+    assert run("oracle", "--query", "twofactor", "--input", str(gpath), "--report", str(rpath)) == 1
+    assert json.loads(rpath.read_text())["result"]["barrier"]["size"] == 26
+    assert run("solve", "--method", "rotation", "--input", str(gpath), "--report", str(rpath)) == 1
+    res = json.loads(rpath.read_text())["result"]
+    assert (res["success"], res["stats"]["attempts"], res["barrier"]["size"]) == (False, 1, 26)
+    # its spanning path is found by the DFS alone, and a found cycle has no barrier
     assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]
     assert (res["value"], res["nodes"], res["rows"]) == (13, 88, 0)
+    run("gen", "--family", "random", "--n", "12", "--dmax", "4", "--seed", "1", "--out", str(gpath))
+    assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 0
+    assert json.loads(rpath.read_text())["result"]["barrier"] is None
 
 
 def test_budget_env_override(tmp_path, monkeypatch):

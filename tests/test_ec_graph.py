@@ -172,6 +172,16 @@ def test_directed_types_reject_bad_input():
         DirectedCycle((0, 1))
 
 
+def test_unchecked_path_equals_the_checked_one():
+    p = DirectedPath((2, 0, 1))
+    assert DirectedPath.unchecked((2, 0, 1)) == p
+    assert hash(DirectedPath.unchecked((2, 0, 1))) == hash(p)
+    assert p.reverse() == DirectedPath((1, 0, 2)) and p.reverse().reverse() == p
+    # the public constructor keeps its check
+    with pytest.raises(ValueError, match="repeats"):
+        DirectedPath((2, 0, 2))
+
+
 def test_cycle_canonical():
     c = DirectedCycle((4, 7, 9))
     assert c.canonical() == DirectedCycle((9, 4, 7)).canonical() == DirectedCycle((7, 4, 9)).canonical()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from pch.constructions import (
 import pch.exact
 from pch.ec_graph import (
     VERDICT_INVALID,
+    ham_cycle_certificate,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
     verify_certificate,
@@ -23,11 +25,13 @@ from pch.ec_graph import (
 from pch.exact import (
     SearchBudget,
     SearchStatus,
+    check_barrier,
     exact_pc_ham_cycle,
     exact_pc_ham_path,
     exact_pc_two_factor,
     longest_pc_cycle,
     longest_pc_path,
+    pc_two_factor_matching,
 )
 
 
@@ -84,6 +88,52 @@ def brute_two_factor_exists(g):
         return False
 
     return cover(full)
+
+
+def ham_cycle_by_table(g, budget=None):
+    """`exact_pc_ham_cycle` without its 2-factor test: the DFS probe, then the
+    Held-Karp table or the DFS alone, as for every other query."""
+    return pch.exact._existence(g, pch.exact._search(g, budget, True, g.n), ham_cycle_certificate)
+
+
+def mask_two_factor_exists(g):
+    """Cycle covers by a memoised search over the uncovered vertex set: the
+    lowest uncovered vertex leads its cycle, so each cover is met once."""
+    rows, n = g.rows, g.n
+    memo = {}
+
+    def cycles_through(s, mask):
+        path = [s]
+
+        def walk(last, used, in_c, first_c):
+            for u in range(s + 1, n):
+                if not (mask >> u & 1) or (used >> u & 1) or rows[last][u] == in_c:
+                    continue
+                c = rows[last][u]
+                path.append(u)
+                close_c = rows[u][s]
+                if len(path) >= 3 and close_c not in (c, first_c) and path[1] < path[-1]:
+                    yield tuple(path)
+                yield from walk(u, used | (1 << u), c, first_c)
+                path.pop()
+
+        for v in range(s + 1, n):
+            if mask >> v & 1:
+                path.append(v)
+                yield from walk(v, (1 << s) | (1 << v), rows[s][v], rows[s][v])
+                path.pop()
+
+    def cover(mask):
+        if mask == 0:
+            return True
+        if mask not in memo:
+            s = (mask & -mask).bit_length() - 1
+            memo[mask] = any(
+                cover(mask & ~sum(1 << v for v in cyc)) for cyc in cycles_through(s, mask)
+            )
+        return memo[mask]
+
+    return cover((1 << n) - 1)
 
 
 # -- direct examples ---------------------------------------------------------
@@ -265,10 +315,13 @@ def test_table_hands_off_after_its_charge():
     # BE(3): one pass of 2^12 rows for the first colour at the root (the
     # other colour finds each cycle from its other end); the DFS needs
     # 36,758 nodes, so it stops at its probe of 4 * 13^2 = 676 and the table
-    # answers
-    res = exact_pc_ham_cycle(bollobas_erdos(3))
+    # answers when no 2-factor test goes before it
+    res = ham_cycle_by_table(bollobas_erdos(3))
     assert res.status == SearchStatus.NOT_EXISTS
     assert (res.nodes, res.rows) == (676 + 4096, 4096)
+    # the oracle's 2-factor test answers after the probe, with no table
+    res = exact_pc_ham_cycle(bollobas_erdos(3))
+    assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, 676, 0)
     # layered(17, 4): the DFS needs 89,332 nodes, over the 4 * 17^2 = 1,156
     # of the probe, so it hands off; the table stops at its first empty layer
     res = longest_pc_path(layered_colouring(17, 4))
@@ -285,12 +338,12 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
     # BE(4) charges 2^16 rows and hands off only when the budget holds the
     # DFS's probe of 4 * 17^2 = 1,156 nodes and the table's 2^16 rows: 66,692
     handoff = 1_156 + 65_536
-    res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=handoff))
+    res = ham_cycle_by_table(bollobas_erdos(4), SearchBudget(node_limit=handoff))
     assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, handoff, 65_536)
     # one node fewer, or room for the table's rows alone, and the DFS runs to
     # the budget
     for limit in (handoff - 1, 66_000):
-        res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(node_limit=limit))
+        res = ham_cycle_by_table(bollobas_erdos(4), SearchBudget(node_limit=limit))
         assert (res.status, res.nodes, res.rows) == (SearchStatus.EXHAUSTED, limit, 0)
     # layered(16, 5) paths charge 2^16 rows as well, after a probe of 1,024
     limit = 66_000
@@ -315,8 +368,8 @@ def test_table_checks_time_limit_between_layers():
 
 @pytest.mark.parametrize(
     "oracle, g, rows",
-    [pytest.param(exact_pc_ham_cycle, bollobas_erdos(k), rows, id=f"be{k}-cycle") for k, rows in ((2, 256), (3, 4_096), (4, 65_536))]
-    + [pytest.param(exact_pc_ham_cycle, layered_colouring(13, 4), 10_896, id="layered13-4-cycle")]
+    [pytest.param(ham_cycle_by_table, bollobas_erdos(k), rows, id=f"be{k}-cycle") for k, rows in ((2, 256), (3, 4_096), (4, 65_536))]
+    + [pytest.param(ham_cycle_by_table, layered_colouring(13, 4), 10_896, id="layered13-4-cycle")]
     + [
         pytest.param(longest_pc_cycle, layered_colouring(n, l), rows, id=f"layered{n}-{l}-longest-cycle")
         for n, l, rows in ((16, 5, 162_018), (17, 4, 127_538))
@@ -331,10 +384,10 @@ def test_rows_count_the_table_apart_from_the_dfs(oracle, g, rows):
     # nodes, and rows are the table's, at most its charge; they are pinned,
     # so a change to the layer step must fill the same table
     cycle = oracle is not longest_pc_path
-    shortest = g.n if oracle is exact_pc_ham_cycle else 2 + cycle
+    shortest = g.n if oracle is ham_cycle_by_table else 2 + cycle
     charge = pch.exact._table_rows(g, cycle, shortest)
     res = oracle(g)
-    if oracle is exact_pc_ham_cycle:
+    if oracle is ham_cycle_by_table:
         assert res.status == SearchStatus.NOT_EXISTS
     else:
         assert res.exact
@@ -443,3 +496,158 @@ def test_longest_values_invariant_under_relabelling():
         assert longest_pc_path(g).value == longest_pc_path(h).value
         assert exact_pc_ham_cycle(g).exists == exact_pc_ham_cycle(h).exists
         assert exact_pc_two_factor(g).exists == exact_pc_two_factor(h).exists
+
+
+# -- the PC 2-factor test: a perfect matching or a Tutte barrier ---------------
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(6, 11) for k in range(2, 5)])
+def test_matching_agrees_with_the_mask_search(n, k):
+    # the 225-graph corpus: random_colouring(n, k, s), n 6-10, k 2-4, s 0-14
+    for s in range(15):
+        g = random_colouring(n, k, s)
+        want = mask_two_factor_exists(g)
+        cert, barrier = pc_two_factor_matching(g)
+        assert (cert is not None, barrier is None) == (want, want)
+        if want:
+            assert verify_certificate(g, cert).valid
+        else:
+            assert check_barrier(g, barrier) and barrier.odd_components > barrier.size
+        res = exact_pc_two_factor(g)
+        assert res.exists == want
+        assert (res.barrier is None) == want
+
+
+@pytest.mark.parametrize("g", [bollobas_erdos(3), bollobas_erdos(4), layered_colouring(13, 4)], ids=["be3", "be4", "layered13-4"])
+def test_bench_proofs_answer_from_the_two_factor_test(g):
+    # the DFS probe of 4 n^2 nodes runs out, and the test answers: no table
+    for oracle in (exact_pc_ham_cycle, exact_pc_two_factor):
+        res = oracle(g)
+        assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, 4 * g.n * g.n, 0)
+        assert check_barrier(g, res.barrier)
+
+
+def brute_matching_size(adj):
+    """Largest matching of a small graph: the lowest node is left out or matched to a neighbour."""
+    memo = {}
+
+    def best(mask):
+        if mask == 0:
+            return 0
+        if mask not in memo:
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << v)
+            memo[mask] = max([best(rest)] + [1 + best(rest & ~(1 << u)) for u in adj[v] if rest >> u & 1])
+        return memo[mask]
+
+    return best((1 << len(adj)) - 1)
+
+
+def test_blossom_matching_is_maximum_with_a_tight_barrier():
+    # general graphs, seeded with random partial matchings: the matching is
+    # maximum, and the odd nodes of the last forest leave exactly as many odd
+    # components beyond |S| as nodes stay unmatched (Tutte-Berge)
+    rng = random.Random(5)
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        edges = [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < rng.random() * 0.5]
+        adj = [[] for _ in range(size)]
+        match = [-1] * size
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+            if match[u] < 0 and match[v] < 0 and rng.random() < 0.5:
+                match[u], match[v] = v, u
+        even = pch.exact._maximum_matching(adj, match)
+        assert all(m < 0 or (match[m] == v and m in adj[v]) for v, m in enumerate(match))
+        matched = sum(m >= 0 for m in match)
+        assert matched == 2 * brute_matching_size(adj)
+        barrier = {x for x in range(size) if not even[x] and any(even[y] for y in adj[x])}
+        assert pch.exact._odd_components(adj, barrier) - len(barrier) == size - matched
+
+
+def test_tampered_barriers_are_rejected():
+    g = bollobas_erdos(3)
+    _, barrier = pc_two_factor_matching(g)
+    # BE(k)'s barrier is every b-node: its removal leaves the 2n ports alone
+    # and the a-nodes as the red and the blue circulant, of odd order 4k + 1
+    assert barrier.nodes == tuple(("b", v, c) for v in range(g.n) for c in (0, 1))
+    assert barrier.odd_components == 2 * g.n + 2
+    for i in range(barrier.size):
+        assert not check_barrier(g, replace(barrier, nodes=barrier.nodes[:i] + barrier.nodes[i + 1 :]))
+    # a node twice, or a label the auxiliary graph does not have
+    assert not check_barrier(g, replace(barrier, nodes=barrier.nodes + barrier.nodes[:1]))
+    assert not check_barrier(g, replace(barrier, nodes=barrier.nodes[1:] + (("a", 0, 7),)))
+    # offered for graphs on 13 vertices that have a PC 2-factor
+    for h in (rainbow(13), random_colouring(13, 3, 0), near_bollobas_erdos(3, 0)):
+        assert pc_two_factor_matching(h)[0] is not None
+        assert not check_barrier(h, barrier)
+
+
+def test_a_barrier_that_does_not_check_raises(monkeypatch):
+    # like _verified for certificates: a barrier that leaves too few odd
+    # components is a bug, never a NOT_EXISTS answer
+    monkeypatch.setattr(pch.exact, "_odd_components", lambda adj, removed: len(removed))
+    with pytest.raises(RuntimeError, match="invalid barrier"):
+        pc_two_factor_matching(bollobas_erdos(2))
+
+
+@pytest.mark.parametrize("k", [3, 4, 10, 20, 40])
+def test_bollobas_erdos_has_no_pc_two_factor_within_a_second(k):
+    g = bollobas_erdos(k)
+    for oracle in (exact_pc_ham_cycle, exact_pc_two_factor):
+        t0 = time.perf_counter()
+        res = oracle(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert (res.status, res.rows) == (SearchStatus.NOT_EXISTS, 0)
+        assert check_barrier(g, res.barrier) and res.barrier.size == 2 * g.n
+
+
+def test_two_factor_probe_answers_the_bench_family(monkeypatch):
+    # the bench's r14 queries are answered by the cover DFS, within its probe
+    def no_matching(g):
+        raise AssertionError("the matching ran")
+
+    monkeypatch.setattr(pch.exact, "pc_two_factor_matching", no_matching)
+    for s in range(100):
+        res = exact_pc_two_factor(random_bounded_colouring(14, 6, s, colours=3))
+        assert res.exists and res.nodes < 4 * 14 * 14
+
+
+def test_two_factor_budget_below_the_probe_stays_exhausted():
+    g = bollobas_erdos(3)
+    res = exact_pc_two_factor(g, SearchBudget(node_limit=100))
+    assert (res.status, res.nodes, res.barrier) == (SearchStatus.EXHAUSTED, 100, None)
+    res = exact_pc_two_factor(g, SearchBudget(time_limit=0.0))
+    assert (res.status, res.nodes) == (SearchStatus.EXHAUSTED, 676)
+    # a probe that finishes without a cover leaves the answer to the matching
+    res = exact_pc_two_factor(monochromatic(6))
+    assert res.status == SearchStatus.NOT_EXISTS and res.nodes < 4 * 36
+    assert check_barrier(monochromatic(6), res.barrier)
+
+
+def test_two_factor_from_the_matching_when_the_probe_runs_out(monkeypatch):
+    # with no probe, every answer is the matching's, and it verifies
+    monkeypatch.setattr(pch.exact, "_PROBE_MAX", 0)
+    for s in range(5):
+        g = random_bounded_colouring(14, 6, s, colours=3)
+        res = exact_pc_two_factor(g)
+        assert (res.status, res.nodes) == (SearchStatus.EXISTS, 0)
+        assert verify_certificate(g, res.certificate).valid
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    import ast
+    import sys
+    from pathlib import Path
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pch"}
+    for path in Path(pch.exact.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

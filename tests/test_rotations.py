@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 from dataclasses import replace
 
@@ -6,11 +7,13 @@ import pytest
 
 import pch.rotations
 from pch.constructions import (
+    bollobas_erdos,
     layered_colouring,
     monochromatic,
     near_bollobas_erdos,
     rainbow,
     random_bounded_colouring,
+    random_colouring,
 )
 from pch.ec_graph import (
     VERDICT_INVALID,
@@ -22,7 +25,7 @@ from pch.ec_graph import (
     two_factor_certificate,
     verify_certificate,
 )
-from pch.exact import exact_pc_two_factor
+from pch.exact import check_barrier, exact_pc_two_factor
 from pch.rotations import (
     Chord,
     PathCycleSystem,
@@ -395,7 +398,7 @@ def test_two_factor_invalid_certificate_raises(monkeypatch):
 
 def test_rotation_vertex_set_check_raises(monkeypatch):
     # a rotation whose path loses its last vertex is still a valid system
-    monkeypatch.setattr(pch.rotations, "DirectedPath", lambda vs: DirectedPath(vs[:-1]))
+    monkeypatch.setattr(DirectedPath, "unchecked", classmethod(lambda cls, vs: DirectedPath(vs[:-1])))
     with pytest.raises(RuntimeError, match="vertex set"):
         rotate(path_system(*range(8)), rainbow(8), Chord(7, 3))
 
@@ -406,6 +409,31 @@ def test_ham_path_heuristic_check_raises(monkeypatch):
     monkeypatch.setattr(pch.rotations, "is_properly_coloured_path", lambda g, path: False)
     with pytest.raises(RuntimeError, match="not properly coloured"):
         find_pc_ham_path_heuristic(g, tf)
+
+
+@pytest.mark.parametrize("k", [3, 4, 10, 20, 40])
+def test_two_factor_stops_with_a_barrier_after_one_attempt(k):
+    # BE(k) has no PC 2-factor: after its first failed attempt the search
+    # asks the matching and stops with its barrier, instead of 30 attempts
+    g = bollobas_erdos(k)
+    t0 = time.perf_counter()
+    out = find_pc_two_factor(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert not out.success and out.stats["attempts"] == 1
+    assert check_barrier(g, out.barrier)
+    assert out.best_system is not None
+
+
+def test_two_factor_success_path_skips_the_matching(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pch.rotations, "pc_two_factor_matching", lambda g: calls.append(g) or (None, None))
+    # a first attempt that succeeds never asks
+    assert find_pc_two_factor(rainbow(7)).success and not calls
+    # a failed first attempt asks once; with a 2-factor the attempts go on
+    g = random_colouring(8, 2, 0)
+    out = find_pc_two_factor(g, 0)
+    assert out.success and out.stats["attempts"] == 2 and out.barrier is None
+    assert calls == [g]
 
 
 def test_two_factor_small_n():
