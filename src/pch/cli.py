@@ -366,11 +366,11 @@ def _ifar_report(params: dict, records: list) -> dict:
 
 
 def _2factor_seed(g, seed: int, params: dict) -> tuple[bool, bool, bool]:
-    """(oracle finds a 2-factor, heuristic finds one, heuristic's certificate is invalid)"""
+    """(oracle finds a 2-factor, the rotation route closes one itself, the search's certificate is invalid)"""
     oracle = exact.exact_pc_two_factor(g)
     heur = rotations.find_pc_two_factor(g, seed)
     invalid = heur.success and not verify_certificate(g, heur.certificate).valid
-    return oracle.exists, heur.success, invalid
+    return oracle.exists, heur.success and heur.stats.get("closed_via") != "matching", invalid
 
 
 def _2factor_report(params: dict, records: list) -> dict:

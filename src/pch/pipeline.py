@@ -6,12 +6,13 @@ end-rotated or from another seed until some member absorbs its end quadruple.
 The spanning path is grown greedily first, inside the rest, in the input's
 own vertex ids; steering and absorption use the same ids.  Only when greedy
 growth stops short does the paper's route run, on the restriction of the
-input to the rest: a properly coloured 2-factor, searched with the path seed
-as its one setting, whose cycles are opened into a spanning path by
-rotations, with exhaustive search as the desk-scale stand-in for the
-2-factor-to-path theorem on small restrictions.  The report's ``ham_path``
-record names the first path seed's route, and the ``absorb`` record's
-``routes`` the route of each later seed's path.
+input to the rest: a properly coloured 2-factor, found by one rotation
+search with the path seed as its one setting or, when that stops short, by
+the blossom matching, which also proves when none exists.  Its cycles are
+opened into a spanning path by rotations, with exhaustive search as the
+desk-scale stand-in for the 2-factor-to-path theorem on small restrictions.
+The report's ``ham_path`` record names the first path seed's route, and the
+``absorb`` record's ``routes`` the route of each later seed's path.
 The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
@@ -120,9 +121,8 @@ def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, 
     tf = find_pc_two_factor(sub, seed)
     route = {
         "how": "two_factor",
-        "attempts": tf.stats["attempts"],
         "rotations": tf.stats["rotations"],
-        # "fallback" once some closure needed rotations, else "immediate"
+        # "matching", "fallback" once some closure needed rotations, or "immediate"
         "closed_via": tf.stats.get("closed_via", "immediate"),
     }
     path = find_pc_ham_path_heuristic(sub, tf)

@@ -367,9 +367,7 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> P
 # the 2-factor search
 # ---------------------------------------------------------------------------
 
-# outer restarts of the 2-factor search, and greedy restarts for each one's
-# initial path
-_ATTEMPTS = 30
+# greedy restarts for the 2-factor search's initial path
 GREEDY_RESTARTS = 20
 # the depth and rotation cap of the closure's left-end expansion
 _CLOSE_DEPTH = 2
@@ -378,7 +376,7 @@ _CLOSE_ROTATIONS = 100_000
 
 @dataclass
 class TwoFactorOutcome:
-    """`barrier` is set when the search stopped because g has no PC 2-factor."""
+    """Exactly one of `certificate` and `barrier`, proof that g has no PC 2-factor, is set."""
 
     certificate: Certificate | None
     best_system: PathCycleSystem | None
@@ -436,40 +434,33 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
 
     Grow a maximal PC path, rotate its endpoints until the end colours allow
     closing it (absorbing any disjoint cycles hit along the way), and repeat
-    with the leftover vertices until the cycles span.  Failure returns the
-    largest system found, never an exception.  After the first failed
-    attempt, `pc_two_factor_matching` decides whether a PC 2-factor exists;
-    when none does, the search stops with the matching's barrier.
+    with the leftover vertices until the cycles span.  When that stops short,
+    `pc_two_factor_matching` answers: its verified 2-factor, marked
+    ``closed_via: "matching"``, or its barrier, with the largest system the
+    rotations built.  So the search fails only when g has no PC 2-factor.
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
     rng = random.Random(seed)
-    stats: dict = {"attempts": 0, "rotations": 0}
-    best: PathCycleSystem | None = None
-
-    for attempt in range(_ATTEMPTS):
-        stats["attempts"] = attempt + 1
-        sys = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=GREEDY_RESTARTS)
-        # each pass closes the system and reopens it on at least one more
-        # vertex, so the cycles span or the attempt stops within n passes
-        while True:
-            if best is None or sys.order > best.order:
-                best = sys
-            closed = _close_system(sys, g, stats)
-            if closed is None:
-                break
-            covered = {v for cyc in closed for v in cyc.vertices}
-            if len(covered) == g.n:
-                cert = verify_certificate(g, two_factor_certificate(closed))
-                if not cert.valid:
-                    raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
-                return TwoFactorOutcome(cert, None, stats)
-            sys = _reopen(g, closed, set(range(g.n)) - covered, rng)
-        if attempt == 0:
-            barrier = pc_two_factor_matching(g)[1]
-            if barrier is not None:
-                return TwoFactorOutcome(None, best, stats, barrier)
-    return TwoFactorOutcome(None, best, stats)
+    stats: dict = {"rotations": 0}
+    sys = best = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=GREEDY_RESTARTS)
+    # each pass closes the system and reopens it on at least one more vertex,
+    # so the cycles span or the rotations stop within n passes
+    while (closed := _close_system(sys, g, stats)) is not None:
+        covered = {v for cyc in closed for v in cyc.vertices}
+        if len(covered) == g.n:
+            cert = verify_certificate(g, two_factor_certificate(closed))
+            if not cert.valid:
+                raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
+            return TwoFactorOutcome(cert, None, stats)
+        sys = _reopen(g, closed, set(range(g.n)) - covered, rng)
+        if sys.order > best.order:
+            best = sys
+    cert, barrier = pc_two_factor_matching(g)
+    if cert is not None:
+        stats["closed_via"] = "matching"
+        return TwoFactorOutcome(cert, None, stats)
+    return TwoFactorOutcome(None, best, stats, barrier)
 
 
 # ---------------------------------------------------------------------------

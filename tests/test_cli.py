@@ -199,7 +199,8 @@ def test_oracle_report_counts_table_rows(tmp_path):
     assert json.loads(rpath.read_text())["result"]["barrier"]["size"] == 26
     assert run("solve", "--method", "rotation", "--input", str(gpath), "--report", str(rpath)) == 1
     res = json.loads(rpath.read_text())["result"]
-    assert (res["success"], res["stats"]["attempts"], res["barrier"]["size"]) == (False, 1, 26)
+    assert (res["success"], res["barrier"]["size"]) == (False, 26)
+    assert "attempts" not in res["stats"]
     # its spanning path is found by the DFS alone, and a found cycle has no barrier
     assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]

@@ -186,7 +186,7 @@ def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
     [tf] = outcomes
     assert tf.success
     assert record["how"] == "two_factor"
-    assert record["attempts"] == tf.stats["attempts"] >= 1
+    assert "attempts" not in record
     assert record["rotations"] == tf.stats["rotations"]
     assert record["closed_via"] == tf.stats.get("closed_via", "immediate")
     assert len(restrictions) >= 1
@@ -274,7 +274,6 @@ def test_later_path_seeds_report_their_routes(monkeypatch):
     assert tried["routes"] == [
         {
             "how": "two_factor",
-            "attempts": tf.stats["attempts"],
             "rotations": tf.stats["rotations"],
             "closed_via": tf.stats.get("closed_via", "immediate"),
         },

@@ -412,28 +412,38 @@ def test_ham_path_heuristic_check_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 4, 10, 20, 40])
-def test_two_factor_stops_with_a_barrier_after_one_attempt(k):
-    # BE(k) has no PC 2-factor: after its first failed attempt the search
-    # asks the matching and stops with its barrier, instead of 30 attempts
+def test_two_factor_stops_with_a_barrier_after_one_attempt(monkeypatch, k):
+    # BE(k) has no PC 2-factor: after its one rotation attempt the search
+    # asks the matching and stops with its barrier
+    starts = []
+    grow = pch.rotations.maximal_path_cycle
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", lambda *a, **kw: starts.append(a) or grow(*a, **kw))
     g = bollobas_erdos(k)
     t0 = time.perf_counter()
     out = find_pc_two_factor(g)
     assert time.perf_counter() - t0 < 1.0
-    assert not out.success and out.stats["attempts"] == 1
+    assert not out.success and len(starts) == 1 and "attempts" not in out.stats
     assert check_barrier(g, out.barrier)
     assert out.best_system is not None
 
 
 def test_two_factor_success_path_skips_the_matching(monkeypatch):
     calls = []
-    monkeypatch.setattr(pch.rotations, "pc_two_factor_matching", lambda g: calls.append(g) or (None, None))
-    # a first attempt that succeeds never asks
+    matching = pch.rotations.pc_two_factor_matching
+    monkeypatch.setattr(pch.rotations, "pc_two_factor_matching", lambda g: calls.append(g) or matching(g))
+    # a rotation attempt that succeeds never asks
     assert find_pc_two_factor(rainbow(7)).success and not calls
-    # a failed first attempt asks once; with a 2-factor the attempts go on
+    # one that stops short asks once and returns the matching's 2-factor
     g = random_colouring(8, 2, 0)
     out = find_pc_two_factor(g, 0)
-    assert out.success and out.stats["attempts"] == 2 and out.barrier is None
     assert calls == [g]
+    assert out.success and out.barrier is None and out.best_system is None
+    assert out.stats["closed_via"] == "matching"
+    assert out.certificate == matching(g)[0]
+    assert verify_certificate(g, out.certificate).valid
+    p = find_pc_ham_path_heuristic(g, out)
+    assert sorted(p.vertices) == list(range(g.n))
+    assert is_properly_coloured_path(g, p)
 
 
 def test_two_factor_small_n():
@@ -451,17 +461,36 @@ def test_two_factor_oracle_agreement_sample():
             assert verify_certificate(g, heur.certificate).valid
         if oracle.exists:
             total += 1
-            hits += heur.success
+            # a 2-factor from the matching is not the rotations' own
+            hits += heur.success and heur.stats.get("closed_via") != "matching"
     assert total > 0
     assert hits / total >= 0.9
 
 
-def test_two_factor_never_claims_nonexistent():
+def _two_factor_corpus():
     for seed in range(10):
-        g = random_bounded_colouring(9, 3, seed, colours=3)
+        yield random_bounded_colouring(9, 3, seed, colours=3), seed
+    # about 100 of these stop short of a 2-factor in their rotation attempt
+    # though one exists, such as random_colouring(6, 3, 82) at seed 82
+    for n in range(6, 17):
+        for k in (2, 3):
+            for seed in range(150):
+                yield random_colouring(n, k, seed), seed
+
+
+def test_two_factor_never_claims_nonexistent():
+    # the search succeeds exactly when a PC 2-factor exists, and each of its
+    # failures carries a barrier that proves it
+    rescued = 0
+    for g, seed in _two_factor_corpus():
         heur = find_pc_two_factor(g, seed)
+        assert heur.success == exact_pc_two_factor(g).exists
         if heur.success:
-            assert exact_pc_two_factor(g).exists
+            assert verify_certificate(g, heur.certificate).valid
+            rescued += heur.stats.get("closed_via") == "matching"
+        else:
+            assert check_barrier(g, heur.barrier)
+    assert rescued > 0
 
 
 def test_ham_path_heuristic_spanning_and_proper():
