@@ -108,10 +108,9 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
 # extremal families
 # ---------------------------------------------------------------------------
 
-def monochromatic(n: int, colour: int = 0, k: int | None = None) -> ColouredComplete:
-    """All edges the same colour."""
-    kk = k if k is not None else colour + 1
-    return ColouredComplete(n, kk, np.full(n * (n - 1) // 2, colour))
+def monochromatic(n: int) -> ColouredComplete:
+    """All edges colour 0."""
+    return ColouredComplete(n, 1, np.zeros(n * (n - 1) // 2, dtype=int))
 
 
 def rainbow(n: int) -> ColouredComplete:

@@ -161,10 +161,6 @@ class DirectedPath:
         return len(self.vertices)
 
     @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
     def last(self) -> int:
         return self.vertices[-1]
 

@@ -774,8 +774,10 @@ def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -
 def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
     """Definitive answer on a spanning set of vertex-disjoint PC cycles.
 
-    A cycle-cover DFS goes first, as a probe of `_PROBE_PER_N2` * n^2 nodes:
-    the lowest uncovered vertex leads its cycle, so each cover is met once.
+    A cycle-cover DFS goes first, as a probe of `_probe_nodes` nodes
+    (`_PROBE_PER_N2` * n^2, at most `_PROBE_MAX` = 4,096 and the budget's
+    node limit): the lowest uncovered vertex leads its cycle, so each cover
+    is met once.
     When the probe finds no cover, `pc_two_factor_matching` decides, with a
     2-factor or a barrier.  A budget or deadline that stops the probe gives
     EXHAUSTED.

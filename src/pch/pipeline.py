@@ -43,7 +43,6 @@ from pch.ec_graph import (
 )
 from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle, exact_pc_ham_path
 from pch.rotations import (
-    GREEDY_RESTARTS,
     PathCycleSystem,
     TwoFactorOutcome,
     expand_endpoint_colours,
@@ -54,11 +53,8 @@ from pch.rotations import (
 FALLBACK_NONE = "none"
 FALLBACK_EXACT = "exact"
 
-# spanning paths offered for absorption per run, and the depth and rotation
-# cap of each one-sided end expansion of one of them
+# spanning paths offered for absorption per run
 _PATH_SEEDS = 3
-_ROTATION_DEPTH = 2
-_ROTATION_CAP = 5_000
 # restriction size up to which the exact path search backs up the heuristic
 _EXACT_PATH_CAP = 15
 
@@ -114,7 +110,7 @@ def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, 
     """A spanning PC path of the sorted vertices `keep`, in g's ids (None if
     none was found), the record of its route, and the 2-factor search it
     took (None when the greedy path spans).  Only that search restricts g."""
-    greedy = rotations.maximal_path_cycle(g, seed, GREEDY_RESTARTS, keep)
+    greedy = rotations.maximal_path_cycle(g, seed, keep)
     if greedy.path.order == len(keep):
         return greedy.path, {"how": "greedy"}, None
     sub, old_ids = induced_subgraph(g, keep)
@@ -134,10 +130,7 @@ def _rotated(g, path: DirectedPath, tried: dict):
     end, then its left end, as the right end of the reversed path."""
     for flip in (False, True):
         start = PathCycleSystem(path.reverse() if flip else path)
-        states = expand_endpoint_colours(
-            start, g, tried, max_depth=_ROTATION_DEPTH, max_rotations=_ROTATION_CAP
-        )
-        for st in itertools.islice(states, 1, None):
+        for st in itertools.islice(expand_endpoint_colours(start, g, tried), 1, None):
             if not st.system.cycles:
                 yield st.system.path.reverse() if flip else st.system.path
 

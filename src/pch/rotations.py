@@ -219,21 +219,23 @@ class EndpointState:
     system: PathCycleSystem
 
 
-def expand_endpoint_colours(
-    sys: PathCycleSystem,
-    g,
-    stats: dict,
-    max_depth: int = 3,
-    max_rotations: int = 200_000,
-) -> Iterator[EndpointState]:
-    """Breadth-first search over the right-end states reachable by rotations.
+# the depth and rotation cap of every endpoint expansion: the 2-factor
+# closure's and the pipeline's steering
+EXPANSION_DEPTH = 2
+EXPANSION_ROTATIONS = 5_000
+
+
+def expand_endpoint_colours(sys: PathCycleSystem, g, stats: dict) -> Iterator[EndpointState]:
+    """Breadth-first search over the right-end states reachable by rotations,
+    to depth `EXPANSION_DEPTH`.
 
     Yields the starting state, then each state (z, c_z) once, at the first
     layer that reaches it: layer L holds, for each state reachable in exactly
     L rotations, one witness chord sequence (first found wins; targets
     scanned in ascending vertex order for reproducibility).  A layer is built
     only when the caller reads past the one before it, and is yielded sorted
-    once it is complete; a layer cut short by `max_rotations` is dropped.
+    once it is complete; a layer cut short by the cap of
+    `EXPANSION_ROTATIONS` rotations per call is dropped.
     Every layer rotates along every chord of each state's current system.
     The search stops after the first layer that holds two states on the same
     vertex with different colours, the raw material for closing a path into
@@ -244,9 +246,9 @@ def expand_endpoint_colours(
     layer = {(p0.y, p0.c_y): start}
     seen = set(layer)
     yield start
-    cap = stats["rotations"] + max_rotations
+    cap = stats["rotations"] + EXPANSION_ROTATIONS
 
-    for _ in range(max_depth):
+    for _ in range(EXPANSION_DEPTH):
         new: dict[tuple[int, int], EndpointState] = {}
         for key in sorted(layer):
             st = layer[key]
@@ -278,6 +280,9 @@ def expand_endpoint_colours(
 
 # blind draws before a pick scans its candidates
 _BLIND_DRAWS = 4
+# greedy restarts of every maximal path: the 2-factor search's initial path
+# and the pipeline's spanning paths
+GREEDY_RESTARTS = 20
 
 
 def pick_extension(rng: random.Random, cand: list[int], row, avoid: int) -> int | None:
@@ -337,9 +342,9 @@ def _grow_path(g, rng: random.Random, path: list[int], allowed: set[int]) -> lis
     return list(path)
 
 
-def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> PathCycleSystem:
+def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
     """Longest greedily grown PC path inside `vertices` (default: all of g)
-    over randomized restarts.
+    over `GREEDY_RESTARTS` randomized restarts.
 
     Each start is a uniform draw from the sorted set and each step appends a
     uniform random allowed vertex at one end (`pick_extension`), so growth
@@ -354,7 +359,7 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> P
     rng = random.Random(seed)
     allowed = set(vs)
     best: list[int] | None = None
-    for _ in range(max(1, restarts)):
+    for _ in range(GREEDY_RESTARTS):
         path = _grow_path(g, rng, [vs[rng.randrange(len(vs))]], allowed)
         if best is None or len(path) > len(best):
             best = path
@@ -366,13 +371,6 @@ def maximal_path_cycle(g, seed: int = 0, restarts: int = 50, vertices=None) -> P
 # ---------------------------------------------------------------------------
 # the 2-factor search
 # ---------------------------------------------------------------------------
-
-# greedy restarts for the 2-factor search's initial path
-GREEDY_RESTARTS = 20
-# the depth and rotation cap of the closure's left-end expansion
-_CLOSE_DEPTH = 2
-_CLOSE_ROTATIONS = 100_000
-
 
 @dataclass
 class TwoFactorOutcome:
@@ -403,14 +401,13 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
 
     Closes the path at once when it can; otherwise rotates its left end (the
     right end of the reversed system) and closes the first reached state that
-    can ("fallback" in ``stats["closed_via"]``).  The expansion is read
+    can ("fallback" in ``stats["closed_via"]``).  That is one expansion, to
+    depth `EXPANSION_DEPTH` and at most `EXPANSION_ROTATIONS` rotations, read
     lazily, so its depth-2 layer is built only when no depth-1 state closes.
     """
     if _closable(sys, g):
         return _close_path_into_cycles(sys)
-    for st in expand_endpoint_colours(
-        sys.reverse(), g, stats, max_depth=_CLOSE_DEPTH, max_rotations=_CLOSE_ROTATIONS
-    ):
+    for st in expand_endpoint_colours(sys.reverse(), g, stats):
         if _closable(st.system, g):
             stats["closed_via"] = "fallback"
             return _close_path_into_cycles(st.system.reverse())
@@ -432,9 +429,11 @@ def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Ra
 def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     """Search for a properly coloured 2-factor by growth, rotation and closure.
 
-    Grow a maximal PC path, rotate its endpoints until the end colours allow
-    closing it (absorbing any disjoint cycles hit along the way), and repeat
-    with the leftover vertices until the cycles span.  When that stops short,
+    Grow a maximal PC path (`GREEDY_RESTARTS` restarts), rotate its left end
+    until the end colours allow closing it (one expansion of at most
+    `EXPANSION_DEPTH` layers and `EXPANSION_ROTATIONS` rotations per closure,
+    absorbing any disjoint cycles hit along the way), and repeat with the
+    leftover vertices until the cycles span.  When that stops short,
     `pc_two_factor_matching` answers: its verified 2-factor, marked
     ``closed_via: "matching"``, or its barrier, with the largest system the
     rotations built.  So the search fails only when g has no PC 2-factor.
@@ -443,7 +442,7 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
         raise ValueError(f"need n >= 3, got {g.n}")
     rng = random.Random(seed)
     stats: dict = {"rotations": 0}
-    sys = best = maximal_path_cycle(g, seed=rng.randrange(2 ** 30), restarts=GREEDY_RESTARTS)
+    sys = best = maximal_path_cycle(g, seed=rng.randrange(2 ** 30))
     # each pass closes the system and reopens it on at least one more vertex,
     # so the cycles span or the rotations stop within n passes
     while (closed := _close_system(sys, g, stats)) is not None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import deque
@@ -192,10 +193,13 @@ def test_rotate_random_soundness_sample():
 # -- endpoint expansion --------------------------------------------------------
 
 def test_expand_depth_zero_is_right_endpoint():
+    # the first state, read before any rotation, is the right end itself
     g = rainbow(20)
     sys = path_system(*range(20))
-    states = list(expand_endpoint_colours(sys, g, {"rotations": 0}, max_depth=0))
-    assert [(st.vertex, st.colour, st.chords) for st in states] == [(19, g.colour(19, 18), ())]
+    stats = {"rotations": 0}
+    st = next(expand_endpoint_colours(sys, g, stats))
+    assert (st.vertex, st.colour, st.chords, st.system) == (19, g.colour(19, 18), (), sys)
+    assert stats["rotations"] == 0
 
 
 def rainbow_layer_one(g, targets):
@@ -212,12 +216,17 @@ def rainbow_layer_one(g, targets):
     return expected
 
 
+def depth_at_most_one(states):
+    """The states of an expansion that take at most one chord."""
+    return list(itertools.takewhile(lambda st: len(st.chords) <= 1, states))
+
+
 def test_expand_rainbow_depth_one_matches_case_analysis():
     # identity path in a rainbow colouring: every interior target w in positions
     # 2..n-3 admits both outcomes
     n = 16
     g = rainbow(n)
-    states = list(expand_endpoint_colours(path_system(*range(n)), g, {"rotations": 0}, max_depth=1))
+    states = depth_at_most_one(expand_endpoint_colours(path_system(*range(n)), g, {"rotations": 0}))
     assert {(st.vertex, st.colour) for st in states[1:]} == rainbow_layer_one(g, range(2, n - 2))
 
 
@@ -233,10 +242,10 @@ def test_expansion_witness_chords_replay_with_rotate():
     replayed = {False: 0, True: 0}
     deepest = {False: 0, True: 0}
     for g, seed in cases:
-        sys = maximal_path_cycle(g, seed=seed, restarts=10)
+        sys = maximal_path_cycle(g, seed=seed)
         for flip in (False, True):
             start = sys.reverse() if flip else sys
-            for st in expand_endpoint_colours(start, g, {"rotations": 0}, max_depth=2):
+            for st in expand_endpoint_colours(start, g, {"rotations": 0}):
                 cur = start
                 for ch in st.chords:
                     cur = rotate(cur, g, ch)
@@ -248,16 +257,16 @@ def test_expansion_witness_chords_replay_with_rotate():
     assert min(replayed.values()) > 1000 and deepest == {False: 2, True: 2}
 
 
-def test_expansion_is_read_lazily_and_counts_its_rotations():
+def test_expansion_is_read_lazily_and_counts_its_rotations(monkeypatch):
     # states come layer by layer, each (z, c_z) once and sorted within its
     # layer; a layer's rotations are made, and added to the caller's count,
     # only when the caller reads past the layer before it
     g = near_bollobas_erdos(10, 0)
-    sys = maximal_path_cycle(g, seed=0, restarts=10)
+    sys = maximal_path_cycle(g, seed=0)
     stats = {"rotations": 7}
     read = [
         (len(st.chords), (st.vertex, st.colour), stats["rotations"])
-        for st in expand_endpoint_colours(sys, g, stats, max_depth=2)
+        for st in expand_endpoint_colours(sys, g, stats)
     ]
     assert read == sorted(read) and read[-1][0] == 2
     assert len({key for _, key, _ in read}) == len(read)
@@ -266,8 +275,9 @@ def test_expansion_is_read_lazily_and_counts_its_rotations():
     assert made == {0: {7}, 1: {7 + layer_one}, 2: {stats["rotations"]}}
     assert 7 + layer_one < stats["rotations"]
     # a cap cuts the layer it is reached in, which is then dropped
+    monkeypatch.setattr(pch.rotations, "EXPANSION_ROTATIONS", 3)
     capped = {"rotations": 0}
-    assert [st.chords for st in expand_endpoint_colours(sys, g, capped, max_depth=2, max_rotations=3)] == [()]
+    assert [st.chords for st in expand_endpoint_colours(sys, g, capped)] == [()]
     assert capped["rotations"] == 3
 
 
@@ -282,7 +292,7 @@ def test_expand_no_chords_gives_empty_layer():
     g = graph_from_edges(n, 3, edges, default=2)
     sys = path_system(*range(n))
     stats = {"rotations": 0}
-    assert [st.chords for st in expand_endpoint_colours(sys, g, stats, max_depth=2)] == [()]
+    assert [st.chords for st in expand_endpoint_colours(sys, g, stats)] == [()]
     assert stats["rotations"] == 0
 
 
@@ -290,7 +300,7 @@ def test_expand_left_side_mirrors():
     # the left end expands as the right end of the reversed system
     g = rainbow(20)
     sys = path_system(*range(20))
-    states = list(expand_endpoint_colours(sys.reverse(), g, {"rotations": 0}, max_depth=1))
+    states = depth_at_most_one(expand_endpoint_colours(sys.reverse(), g, {"rotations": 0}))
     assert len(states) > 1
     for st in states:
         p = st.system.reverse().params(g)
@@ -332,7 +342,7 @@ def test_greedy_paths_are_pc_allowed_and_locally_maximal(make):
         allowed = set(rng.sample(range(g.n), g.n // 3))
         start = min(allowed)
         for path, allowed_here in (
-            (maximal_path_cycle(g, seed=seed, restarts=3).path.vertices, set(range(g.n))),
+            (maximal_path_cycle(g, seed=seed).path.vertices, set(range(g.n))),
             (tuple(pch.rotations._grow_path(g, rng, [start], allowed)), allowed),
         ):
             assert is_properly_coloured_path(g, path)
@@ -349,16 +359,16 @@ def test_growth_inside_a_vertex_set_is_growth_on_its_restriction(make):
     # every draw indexes a sorted list, so the path grown inside S is the one
     # grown on induced_subgraph(g, S), relabelled through its old ids
     g = make()
-    assert maximal_path_cycle(g, 5, 20, range(g.n)) == maximal_path_cycle(g, 5, 20)
+    assert maximal_path_cycle(g, 5, range(g.n)) == maximal_path_cycle(g, 5)
     for seed in range(6):
         rng = random.Random(100 + seed)
         for size in (2, 3, g.n // 2, g.n - 1, g.n):
             S = rng.sample(range(g.n), size)
             sub, old = induced_subgraph(g, sorted(S))
-            want = tuple(old[v] for v in maximal_path_cycle(sub, seed, 20).path.vertices)
-            assert maximal_path_cycle(g, seed, 20, S).path.vertices == want
+            want = tuple(old[v] for v in maximal_path_cycle(sub, seed).path.vertices)
+            assert maximal_path_cycle(g, seed, S).path.vertices == want
     with pytest.raises(ValueError, match="at least 2"):
-        maximal_path_cycle(g, 0, 20, [g.n - 1])
+        maximal_path_cycle(g, 0, [g.n - 1])
 
 
 def test_pick_extension_draws_uniformly_among_allowed():
@@ -425,6 +435,19 @@ def test_two_factor_stops_with_a_barrier_after_one_attempt(monkeypatch, k):
     assert not out.success and len(starts) == 1 and "attempts" not in out.stats
     assert check_barrier(g, out.barrier)
     assert out.best_system is not None
+
+
+def test_two_factor_closure_stops_at_the_expansion_cap(monkeypatch):
+    # BE(40)'s closure expansion reaches the shared rotation cap; the search
+    # stops there, on its one path, and the matching's barrier answers
+    starts = []
+    grow = pch.rotations.maximal_path_cycle
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", lambda *a, **kw: starts.append(a) or grow(*a, **kw))
+    g = bollobas_erdos(40)
+    out = find_pc_two_factor(g, 0)
+    assert not out.success and len(starts) == 1
+    assert out.stats["rotations"] == 5_000 == pch.rotations.EXPANSION_ROTATIONS
+    assert check_barrier(g, out.barrier)
 
 
 def test_two_factor_success_path_skips_the_matching(monkeypatch):
