@@ -258,9 +258,12 @@ def join_ends(
     """Find a path P of order 2..max_len with v1 v2 P v1' v2' properly coloured.
 
     Iterative deepening over the order; within one order a depth-limited DFS
-    with (vertex, arriving colour, depth) failure memoisation, scanning
-    candidates in ascending order for reproducibility.  Returns None when no
-    order within the cap admits a path (a legitimate outcome, not an error).
+    scanning candidates in ascending order, so the first path found is the
+    least of the shortest order.  A state (vertex, arriving colour, vertices
+    left) that fails is memoised with the vertices of the partial path that
+    kept a candidate out anywhere below it: the failure holds on every
+    partial path through them, in every order.  Returns None when no order
+    within the cap admits a path (a legitimate outcome, not an error).
     """
     ends = (v1, v2, v1p, v2p)
     if len(set(ends)) != 4:
@@ -269,36 +272,44 @@ def join_ends(
     pool = [v for v in range(g.n) if v not in blocked]
     c_in = g.colour(v1, v2)
     c_out = g.colour(v1p, v2p)
+    dead: dict[tuple[int, int, int], int] = {}  # failed state -> mask of the path vertices it needs
+    path: list[int] = []
+
+    def dfs(prev: int, prev_c: int, depth: int, mask: int) -> int | None:
+        """Place `depth` more vertices after `prev`, off the path's vertex
+        `mask`: None once the join is found, else the failure's mask."""
+        why = 0
+        for u in pool:
+            if u == prev:
+                continue
+            c = g.colour(prev, u)
+            if c == prev_c:
+                continue
+            if depth == 1:
+                closing = g.colour(u, v1p)
+                if closing == c or closing == c_out:
+                    continue
+            else:
+                known = dead.get((u, c, depth - 1))
+                if known is not None and known & ~mask == 0:
+                    why |= known
+                    continue
+            if mask >> u & 1:  # only the path keeps u out
+                why |= 1 << u
+                continue
+            path.append(u)
+            if depth == 1:
+                return None
+            below = dfs(u, c, depth - 1, mask | 1 << u)
+            if below is None:
+                return None
+            path.pop()
+            why |= below & ~(1 << u)
+        dead[prev, prev_c, depth] = why
+        return why
 
     for order in range(2, max_len + 1):
-        dead: set[tuple[int, int, int]] = set()
-        path: list[int] = []
-
-        def dfs(prev: int, prev_c: int, depth: int) -> bool:
-            # depth = vertices still to place
-            state = (prev, prev_c, depth)
-            if state in dead:
-                return False
-            for u in pool:
-                if u in path:
-                    continue
-                c = g.colour(prev, u)
-                if c == prev_c:
-                    continue
-                if depth == 1:
-                    closing = g.colour(u, v1p)
-                    if closing != c and closing != c_out:
-                        path.append(u)
-                        return True
-                    continue
-                path.append(u)
-                if dfs(u, c, depth - 1):
-                    return True
-                path.pop()
-            dead.add(state)
-            return False
-
-        if dfs(v2, c_in, order):
+        if dfs(v2, c_in, order, 0) is None:
             if not is_properly_coloured_path(g, (v1, v2, *path, v1p, v2p)):
                 raise RuntimeError("join produced an improper concatenation")
             return DirectedPath(tuple(path))

@@ -29,9 +29,11 @@ These are the ground truth for every heuristic.  Three parts serve them:
   2-factors of g (`pc_two_factor_matching`).  A perfect matching gives a
   verified 2-factor; otherwise the final search forest gives a Tutte
   barrier (Tutte 1954; Gallai-Edmonds), which `check_barrier` confirms in
-  linear time before any answer leaves.  `exact_pc_two_factor` runs it after
-  a cycle-cover DFS probe, and `exact_pc_ham_cycle` after its DFS probe and
-  before the table: with no PC 2-factor there is no PC Hamiltonian cycle.
+  linear time before any answer leaves.  Both cycle oracles run it after the
+  Hamiltonian DFS probe.  `exact_pc_two_factor` returns a spanning cycle the
+  probe finds as a 2-factor of one cycle, and otherwise the test's answer;
+  `exact_pc_ham_cycle` runs it before the table: with no PC 2-factor there
+  is no PC Hamiltonian cycle.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
 the node limit, and `rows`, the table rows alone; the 2-factor test charges
@@ -774,77 +776,22 @@ def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -
 def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
     """Definitive answer on a spanning set of vertex-disjoint PC cycles.
 
-    A cycle-cover DFS goes first, as a probe of `_probe_nodes` nodes
-    (`_PROBE_PER_N2` * n^2, at most `_PROBE_MAX` = 4,096 and the budget's
-    node limit): the lowest uncovered vertex leads its cycle, so each cover
-    is met once.
-    When the probe finds no cover, `pc_two_factor_matching` decides, with a
-    2-factor or a barrier.  A budget or deadline that stops the probe gives
-    EXHAUSTED.
+    A PC Hamiltonian cycle is a PC 2-factor of one cycle, so the Hamiltonian
+    DFS probe of `exact_pc_ham_cycle` goes first (`_probe_nodes`: 4 n^2
+    nodes, at most `_PROBE_MAX` = 4,096 and the budget's node limit), and a
+    spanning answer is the certificate.  When the probe finishes, or runs out
+    below the node limit and before the deadline, `pc_two_factor_matching`
+    settles the query with its 2-factor or its barrier; no table is built.
+    A budget or deadline that stops the probe gives EXHAUSTED.
     """
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    rows = g.rows
-    meter = _Meter(budget)
-    limit = meter.limit
-    meter.limit = probe = _probe_nodes(n, limit)
-
-    def cycles_through(s: int, mask: int):
-        """Yield PC cycles within mask containing s (orientation deduped)."""
-        path = [s]
-
-        def walk(last: int, used: int, in_c: int, first_c: int):
-            row = rows[last]
-            for u in range(s + 1, n):
-                if not (mask >> u & 1) or (used >> u & 1):
-                    continue
-                c = row[u]
-                if c == in_c:
-                    continue
-                meter.tick()
-                path.append(u)
-                close_c = rows[u][s]
-                if len(path) >= 3 and close_c != c and close_c != first_c and path[1] < path[-1]:
-                    yield tuple(path)
-                yield from walk(u, used | (1 << u), c, first_c)
-                path.pop()
-
-        for v in range(s + 1, n):
-            if not (mask >> v & 1):
-                continue
-            path.append(v)
-            yield from walk(v, (1 << s) | (1 << v), rows[s][v], rows[s][v])
-            path.pop()
-
-    failed: set[int] = set()  # vertex sets with no cycle cover
-
-    def cover(mask: int) -> list[tuple[int, ...]] | None:
-        """PC cycles covering exactly `mask`, or None."""
-        if mask == 0:
-            return []
-        if mask in failed:
-            return None
-        meter.tick()
-        s = (mask & -mask).bit_length() - 1
-        for cyc in cycles_through(s, mask):
-            sub = mask
-            for v in cyc:
-                sub &= ~(1 << v)
-            rest = cover(sub)
-            if rest is not None:
-                return [cyc] + rest
-        failed.add(mask)
-        return None
-
-    try:
-        cycles = cover((1 << n) - 1)
-    except _OutOfBudget:
-        if probe == limit or meter.expired():  # the budget or the clock, not the probe
-            return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
-        cycles = None
-    if cycles is not None:
-        return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate(cycles)), meter.nodes)
+    order, witness, exact, meter = _search(g, budget, True, n, lambda: True)
+    if order == n:
+        return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate([witness])), meter.nodes)
+    if not exact:
+        return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
     cert, barrier = pc_two_factor_matching(g)
     if cert is not None:
         return OracleResult(SearchStatus.EXISTS, cert, meter.nodes)

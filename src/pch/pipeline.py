@@ -9,8 +9,7 @@ growth stops short does the paper's route run, on the restriction of the
 input to the rest: a properly coloured 2-factor, found by one rotation
 search with the path seed as its one setting or, when that stops short, by
 the blossom matching, which also proves when none exists.  Its cycles are
-opened into a spanning path by rotations, with exhaustive search as the
-desk-scale stand-in for the 2-factor-to-path theorem on small restrictions.
+opened into a spanning path by rotations.
 The report's ``ham_path`` record names the first path seed's route, and the
 ``absorb`` record's ``routes`` the route of each later seed's path.
 The asymptotic constants behind the guarantee are reported by
@@ -41,7 +40,7 @@ from pch.ec_graph import (
     induced_subgraph,
     verify_certificate,
 )
-from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle, exact_pc_ham_path
+from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle
 from pch.rotations import (
     PathCycleSystem,
     TwoFactorOutcome,
@@ -55,8 +54,6 @@ FALLBACK_EXACT = "exact"
 
 # spanning paths offered for absorption per run
 _PATH_SEEDS = 3
-# restriction size up to which the exact path search backs up the heuristic
-_EXACT_PATH_CAP = 15
 
 
 @dataclass
@@ -65,11 +62,11 @@ class PipelineConfig:
 
     ``seed`` drives the absorbing cycle and the path seeds: each seed's
     greedy growth and, when that stops short of spanning, its 2-factor
-    search.  ``budget`` bounds the exact searches: the path search on a
-    restriction of at most 15 vertices and, with ``fallback="exact"``, the
-    Hamiltonian cycle oracle that a failed run asks.  The sizes are practical
-    constants (family size from n, joins of order at most 6), not the ones
-    ``check_constants`` reports for the asymptotic argument.
+    search.  ``budget`` bounds the Hamiltonian cycle oracle that a failed run
+    asks with ``fallback="exact"``; no other stage runs an exact search.  The
+    sizes are practical constants (family size from n, joins of order at
+    most 6), not the ones ``check_constants`` reports for the asymptotic
+    argument.
     """
 
     seed: int = 0
@@ -101,11 +98,6 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
-def _lift(vertices, old_ids) -> DirectedPath:
-    """A path of a restriction in the ids of the graph it restricts."""
-    return DirectedPath(tuple(old_ids[v] for v in vertices))
-
-
 def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, dict, TwoFactorOutcome | None]:
     """A spanning PC path of the sorted vertices `keep`, in g's ids (None if
     none was found), the record of its route, and the 2-factor search it
@@ -122,7 +114,9 @@ def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, 
         "closed_via": tf.stats.get("closed_via", "immediate"),
     }
     path = find_pc_ham_path_heuristic(sub, tf)
-    return (None if path is None else _lift(path.vertices, old_ids)), route, tf
+    if path is not None:
+        path = DirectedPath(tuple(old_ids[v] for v in path.vertices))  # in g's ids
+    return path, route, tf
 
 
 def _rotated(g, path: DirectedPath, tried: dict):
@@ -209,12 +203,6 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     path, record, tf = _spanning_path(g, keep, cfg.seed)
     if tf is not None:
         partial["two_factor"] = tf
-    if path is None and len(keep) <= _EXACT_PATH_CAP:
-        sub, old_ids = induced_subgraph(g, keep)
-        res = exact_pc_ham_path(sub, cfg.budget)
-        record["how"] = f"exact:{res.status.value}"
-        if res.exists:
-            path = _lift(res.certificate.path, old_ids)
     report["stages"]["ham_path"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         **record,

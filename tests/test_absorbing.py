@@ -382,6 +382,47 @@ def test_join_ends_domain():
         join_ends(rainbow(10), 0, 1, 1, 3)
 
 
+def _least_shortest_join(g, v1, v2, v1p, v2p, max_len, avoid=frozenset()):
+    """The first connector of the shortest order, in ascending vertex order, by brute force."""
+    pool = [v for v in range(g.n) if v not in {v1, v2, v1p, v2p} | set(avoid)]
+    for order in range(2, max_len + 1):
+        for p in itertools.permutations(pool, order):
+            if is_properly_coloured_path(g, (v1, v2, *p, v1p, v2p)):
+                return p
+    return None
+
+
+def test_join_ends_finds_a_connector_whenever_one_exists():
+    # a failure memoised without the partial path it met once hid this
+    # connector: 6 8 4 5 7 3 0 2 is properly coloured
+    g = random_colouring(9, 2, 0)
+    for max_len in (4, 8):
+        assert join_ends(g, 6, 8, 0, 2, max_len=max_len).vertices == (4, 5, 7, 3)
+    misses = 0
+    for n, k, s in itertools.product((9, 10, 11), (2, 3), range(400)):
+        g = random_colouring(n, k, s)
+        anchors = random.Random(s).sample(range(n), 4)
+        for max_len in (2, 3, 4):
+            want = _least_shortest_join(g, *anchors, max_len)
+            got = join_ends(g, *anchors, max_len=max_len)
+            assert (None if got is None else got.vertices) == want, (n, k, s, max_len)
+            misses += want is None
+    assert 0 < misses < 7200  # both outcomes occur
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_join_ends_with_avoid_and_long_orders_matches_brute_force(n):
+    for k, s in itertools.product((2, 3), range(60)):
+        g = random_colouring(n, k, s)
+        rng = random.Random(1000 + s)
+        anchors = rng.sample(range(n), 4)
+        avoid = frozenset(rng.sample([v for v in range(n) if v not in anchors], rng.randrange(3)))
+        for max_len in (5, 6):
+            got = join_ends(g, *anchors, avoid=avoid, max_len=max_len)
+            want = _least_shortest_join(g, *anchors, max_len, avoid)
+            assert (None if got is None else got.vertices) == want, (k, s, max_len)
+
+
 def test_build_rainbow_cycle_size():
     res = build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0))
     assert res.success

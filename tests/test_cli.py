@@ -169,6 +169,23 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv[1:])
 
 
+def test_readme_constant_quotes_match_the_code():
+    # every "`NAME` = value" in the README is the value of a module constant
+    import pkgutil
+    from importlib import import_module
+
+    import pch
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quotes = dict(re.findall(r"`([A-Z_][A-Z0-9_]*)` = (\d[\d,]*)", text))
+    assert {"_BULK_MIN_PAIRS", "EXPANSION_DEPTH", "EXPANSION_ROTATIONS", "GREEDY_RESTARTS"} <= set(quotes)
+    modules = [import_module(f"pch.{m.name}") for m in pkgutil.iter_modules(pch.__path__)]
+    for name, value in quotes.items():
+        owners = [getattr(m, name) for m in modules if name in vars(m)]
+        assert owners, f"README quotes {name}, which no module defines"
+        assert all(v == int(value.replace(",", "")) for v in owners), (name, value, owners)
+
+
 def test_oracle_longest_report(tmp_path):
     gpath = tmp_path / "g.txt"
     write_graph(rainbow(7), gpath)

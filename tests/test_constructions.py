@@ -88,6 +88,14 @@ def test_near_bollobas_erdos_domain():
         near_bollobas_erdos(1, 0)
 
 
+def test_near_bollobas_erdos_seed_it_cannot_generate():
+    # a vertex keeps four red or four blue edges: a generation failure,
+    # like a seed random_bounded_colouring cannot colour
+    with pytest.raises(GenerationError, match="seed 168: max monochromatic degree 4, expected 3"):
+        near_bollobas_erdos(2, 168)
+    assert max_mono_degree(near_bollobas_erdos(2, 167)) == 3
+
+
 def test_tournament_with_source_shape():
     og = tournament_with_source(2)
     assert og.n == 4

@@ -248,6 +248,17 @@ def test_induced_subgraph_keeps_colours():
     assert max_mono_degree(sub) <= max_mono_degree(g)
 
 
+@pytest.mark.parametrize("keep, message", [
+    ([2, 4, 2], "keep list repeats a vertex"),
+    ([2, 10], "vertex 10 outside 0..9"),
+    ([-1, 3], "vertex -1 outside 0..9"),
+    ([], "keep list is empty"),
+])
+def test_induced_subgraph_rejects_bad_keep_lists(keep, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        induced_subgraph(layered_colouring(10, 3), keep)
+
+
 def test_text_roundtrip_simple():
     g = layered_colouring(8, 2)
     assert graph_from_text(graph_to_text(g)) == g
@@ -272,6 +283,11 @@ def test_text_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as err:
         graph_from_text("3 2\n0 x\n1\n")
     assert err.value.line == 2
+    # blank lines may follow the rows; anything else names its line
+    assert graph_from_text("3 2\n0 1\n1\n\n  \n") == graph_from_text("3 2\n0 1\n1\n")
+    with pytest.raises(GraphFormatError) as err:
+        graph_from_text("3 2\n0 1\n1\n\n0\n")
+    assert (err.value.line, err.value.message) == (5, "trailing non-empty line after colour rows")
 
 
 def test_per_vertex_degree_identity():

@@ -603,7 +603,7 @@ def test_bollobas_erdos_has_no_pc_two_factor_within_a_second(k):
 
 
 def test_two_factor_probe_answers_the_bench_family(monkeypatch):
-    # the bench's r14 queries are answered by the cover DFS, within its probe
+    # the bench's r14 queries are answered by the Hamiltonian DFS probe
     def no_matching(g):
         raise AssertionError("the matching ran")
 
@@ -619,7 +619,7 @@ def test_two_factor_budget_below_the_probe_stays_exhausted():
     assert (res.status, res.nodes, res.barrier) == (SearchStatus.EXHAUSTED, 100, None)
     res = exact_pc_two_factor(g, SearchBudget(time_limit=0.0))
     assert (res.status, res.nodes) == (SearchStatus.EXHAUSTED, 676)
-    # a probe that finishes without a cover leaves the answer to the matching
+    # a probe that finishes without a spanning cycle leaves the answer to the matching
     res = exact_pc_two_factor(monochromatic(6))
     assert res.status == SearchStatus.NOT_EXISTS and res.nodes < 4 * 36
     assert check_barrier(monochromatic(6), res.barrier)

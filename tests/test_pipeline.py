@@ -8,8 +8,15 @@ import pch.pipeline
 import pch.rotations
 from pch.absorbing import AbsorptionError, absorb_path
 from pch.constructions import monochromatic, near_bollobas_erdos, rainbow, random_bounded_colouring
-from pch.ec_graph import VERDICT_INVALID, DirectedPath, max_mono_degree, induced_subgraph, verify_certificate
-from pch.exact import exact_pc_ham_cycle
+from pch.ec_graph import (
+    VERDICT_INVALID,
+    ColouredComplete,
+    DirectedPath,
+    induced_subgraph,
+    max_mono_degree,
+    verify_certificate,
+)
+from pch.exact import SearchStatus, check_barrier, exact_pc_ham_cycle, exact_pc_ham_path
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
 from pch.rotations import find_pc_two_factor, maximal_path_cycle
 
@@ -249,6 +256,27 @@ def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
     assert tried["quads"] > 2 * len(tried["path_seeds"])
     assert tried["cycle_order"] is None
     assert f"{tried['quads']} end quadruples" in res.failure.detail
+
+
+def test_rest_without_a_spanning_path_fails_at_ham_path():
+    # vertices 8..23 form a colour-0 clique, so at most two of them lie
+    # consecutively on a PC path: twelve vertices left outside the cycle
+    # hold too many of them for the greedy path and the 2-factor search
+    g = ColouredComplete.from_function(24, 24, lambda u, v: 0 if u >= 8 else 1 + (u + v) % 23)
+    res = run_pipeline(g, PipelineConfig(seed=0))
+    assert not res.success
+    assert res.failure.stage == res.report["failed_stage"] == "ham_path"
+    assert res.failure.detail == "no spanning PC path found on the restriction"
+    record = res.report["stages"]["ham_path"]
+    tf = res.failure.partial["two_factor"]
+    assert (record["how"], record["success"], record["rotations"]) == ("two_factor", False, tf.stats["rotations"])
+    assert "absorb" not in res.report["stages"] and "ham_path" not in res.failure.partial
+    # the rest has no PC 2-factor, and no spanning PC path either
+    keep = [v for v in range(g.n) if v not in res.failure.partial["absorbing_cycle"].cycle.vertices]
+    sub, _ = induced_subgraph(g, keep)
+    assert len(keep) == res.report["stages"]["restriction"]["n_rest"] == 12
+    assert not tf.success and check_barrier(sub, tf.barrier)
+    assert exact_pc_ham_path(sub).status == SearchStatus.NOT_EXISTS
 
 
 def test_later_path_seeds_report_their_routes(monkeypatch):
