@@ -110,38 +110,21 @@ def _load_graph(path: str) -> ColouredComplete:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# each family's required flags and its builder from the parsed arguments
+_FAMILIES = {
+    "be": (("k",), lambda a: constructions.bollobas_erdos(a.k)),
+    "oriented": (("n",), lambda a: constructions.colouring_from_oriented(constructions.random_tournament(a.n, a.seed))),
+    "t2m": (("m",), lambda a: constructions.colouring_from_oriented(constructions.tournament_with_source(a.m))),
+    "layered": (("n", "l"), lambda a: constructions.layered_colouring(a.n, a.l)),
+    "random": (("n", "dmax"), lambda a: constructions.random_bounded_colouring(a.n, a.dmax, a.seed, colours=a.colours)),
+}
+
+
 def cmd_gen(args) -> int:
-    fam = args.family
-    seed = args.seed
-    if fam == "be":
-        if args.k is None:
-            raise UsageError("--family be needs --k")
-        g = constructions.bollobas_erdos(args.k)
-    elif fam == "t2m":
-        if args.m is None:
-            raise UsageError("--family t2m needs --m")
-        og = constructions.tournament_with_source(args.m)
-        g = constructions.colouring_from_oriented(og)
-    elif fam == "oriented":
-        if args.n is None:
-            raise UsageError("--family oriented needs --n")
-        og = constructions.random_tournament(args.n, seed)
-        g = constructions.colouring_from_oriented(og)
-    elif fam == "layered":
-        if args.n is None or args.l is None:
-            raise UsageError("--family layered needs --n and --l")
-        g = constructions.layered_colouring(args.n, args.l)
-    elif fam == "random":
-        if args.n is None or args.dmax is None:
-            raise UsageError("--family random needs --n and --dmax")
-        try:
-            g = constructions.random_bounded_colouring(args.n, args.dmax, seed, colours=args.colours)
-        except constructions.GenerationError as exc:
-            print(f"generation failed: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {fam}")
-    text = graph_to_text(g)
+    needs, build = _FAMILIES[args.family]
+    if any(getattr(args, flag) is None for flag in needs):
+        raise UsageError(f"--family {args.family} needs " + " and ".join(f"--{flag}" for flag in needs))
+    text = graph_to_text(build(args))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -261,8 +244,8 @@ def cmd_absorb_check(args) -> int:
         quads = list(itertools.permutations(range(g.n), 4))
     elif args.quads.startswith("sample:"):
         count = _int(args.quads.split(":", 1)[1], "--quads sample size")
-        if count < 0:
-            raise UsageError(f"--quads sample size must be >= 0, got {count}")
+        if count < 1:
+            raise UsageError(f"--quads sample size must be >= 1, got {count}")
         if g.n < 4:
             raise UsageError(f"absorb-check samples quadruples, which needs n >= 4, got n = {g.n}")
         quads = [tuple(rng.sample(range(g.n), 4)) for _ in range(count)]
@@ -434,13 +417,17 @@ def lemma_check(name: str, params: dict) -> dict:
     eps, dmax, seeds, jobs = params["eps"], params["dmax"], params["seeds"], params["jobs"]
     _check_eps(eps)
     if dmax is None:
-        dmax = int((0.5 - eps) * params["n"])
+        dmax = math.floor((0.5 - eps) * params["n"])
+        if dmax < 1:
+            raise UsageError(f"the default --dmax ⌊(1/2 - eps)n⌋ is {dmax} for --eps {eps} and --n {params['n']}; "
+                             "pass --dmax >= 1 or a smaller --eps")
     elif dmax < 1:
         raise UsageError(f"--dmax must be >= 1, got {dmax}")
-    if isinstance(seeds, int) and seeds < 0:
-        raise UsageError(f"--seeds must be >= 0, got {seeds}")
-    if params["quads"] < 0:
-        raise UsageError(f"--quads must be >= 0, got {params['quads']}")
+    count = seeds if isinstance(seeds, int) else len(seeds)
+    if count < 1:
+        raise UsageError(f"--seeds must be >= 1, got {count}")
+    if params["quads"] < 1:
+        raise UsageError(f"--quads must be >= 1, got {params['quads']}")
     if name == "abspath" and params["n"] < 4:
         raise UsageError(f"lemma abspath samples quadruples, which needs n >= 4, got n = {params['n']}")
     seeds = range(seeds) if isinstance(seeds, int) else seeds
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a colouring family instance")
-    g.add_argument("--family", required=True, choices=["be", "oriented", "t2m", "layered", "random"])
+    g.add_argument("--family", required=True, choices=list(_FAMILIES))
     g.add_argument("--k", type=int, help="be: half the monochromatic degree (n = 4k+1)")
     g.add_argument("--m", type=int, help="t2m: half the vertex count (n = 2m)")
     g.add_argument("--n", type=int)

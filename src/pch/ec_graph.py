@@ -128,37 +128,50 @@ def min_colour_degree(g: ColouredComplete) -> int:
 # ---------------------------------------------------------------------------
 
 def _as_vertex_seq(p) -> tuple[int, ...]:
-    if isinstance(p, (DirectedPath, DirectedCycle)):
+    if isinstance(p, _VertexSeq):
         return p.vertices
     return tuple(p)
 
 
 @dataclass(frozen=True)
-class DirectedPath:
-    """A directed path given by its vertex sequence; reversal is a different path."""
+class _VertexSeq:
+    """Distinct vertices in order, at least `_MIN_ORDER` of them; a path and
+    a cycle on the same vertices are different objects."""
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
         vs = tuple(self.vertices)
         object.__setattr__(self, "vertices", vs)
-        if len(vs) < 1:
-            raise ValueError("path needs at least one vertex")
+        if len(vs) < self._MIN_ORDER:
+            raise ValueError(self._TOO_SHORT)
         if len(set(vs)) != len(vs):
-            raise ValueError("path repeats a vertex")
+            raise ValueError(f"{self._NOUN} repeats a vertex")
 
     @classmethod
-    def unchecked(cls, vertices: tuple[int, ...]) -> "DirectedPath":
-        """The path on `vertices`, a non-empty tuple of distinct vertices,
-        without the constructor's check; for callers that rearrange the
-        vertices of a valid path."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "vertices", vertices)
-        return path
+    def unchecked(cls, vertices: tuple[int, ...]):
+        """The sequence on `vertices`, a tuple of distinct vertices long
+        enough for the class, without the constructor's check; for callers
+        that rearrange the vertices of a valid path or cycle."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "vertices", vertices)
+        return seq
 
     @property
     def order(self) -> int:
         return len(self.vertices)
+
+    def reverse(self):
+        return type(self).unchecked(self.vertices[::-1])
+
+
+@dataclass(frozen=True)
+class DirectedPath(_VertexSeq):
+    """A directed path given by its vertex sequence; reversal is a different path."""
+
+    _MIN_ORDER = 1
+    _NOUN = "path"
+    _TOO_SHORT = "path needs at least one vertex"
 
     @property
     def last(self) -> int:
@@ -169,35 +182,19 @@ class DirectedPath:
         for i in range(len(vs) - 1):
             yield vs[i], vs[i + 1]
 
-    def reverse(self) -> "DirectedPath":
-        return DirectedPath.unchecked(self.vertices[::-1])
-
 
 @dataclass(frozen=True)
-class DirectedCycle:
+class DirectedCycle(_VertexSeq):
     """A cycle with a chosen orientation and start; length at least 3."""
 
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        vs = tuple(self.vertices)
-        object.__setattr__(self, "vertices", vs)
-        if len(vs) < 3:
-            raise ValueError("cycle needs at least three vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("cycle repeats a vertex")
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
+    _MIN_ORDER = 3
+    _NOUN = "cycle"
+    _TOO_SHORT = "cycle needs at least three vertices"
 
     def edges(self) -> Iterator[tuple[int, int]]:
         vs = self.vertices
         for i in range(len(vs)):
             yield vs[i], vs[(i + 1) % len(vs)]
-
-    def reverse(self) -> "DirectedCycle":
-        return DirectedCycle(self.vertices[::-1])
 
     def canonical(self) -> tuple[int, ...]:
         """Orientation- and rotation-independent form: min vertex first, smaller neighbour next."""

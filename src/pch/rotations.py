@@ -1,12 +1,12 @@
 """Chord rotations on properly coloured 1-path-cycles, and the 2-factor search.
 
-A 1-path-cycle is a vertex-disjoint union of at most one directed path and any
-number of cycles, properly coloured as a whole.  Its parameters (x, c_x; y,
-c_y) are the path's endpoints together with the colours of the path edges at
-those endpoints.  A chord is an edge yw with c(yw) != c_y; rotating along it
-rewires the system while preserving its vertex set and properness, moving the
-right end y to a neighbour of w.  The left end x is rotated as the right end
-of the reversed system, ``sys.reverse()``.
+A 1-path-cycle is a vertex-disjoint union of one directed path and any number
+of cycles, properly coloured as a whole.  Its parameters (x, c_x; y, c_y) are
+the path's endpoints together with the colours of the path edges at those
+endpoints.  A chord is an edge yw with c(yw) != c_y; rotating along it rewires
+the system while preserving its vertex set and properness, moving the right
+end y to a neighbour of w.  The left end x is rotated as the right end of the
+reversed system, ``sys.reverse()``.
 """
 
 from __future__ import annotations
@@ -47,15 +47,13 @@ class Chord:
 
 @dataclass(frozen=True)
 class PathCycleSystem:
-    """At most one directed path plus vertex-disjoint cycles."""
+    """One directed path plus vertex-disjoint cycles."""
 
-    path: DirectedPath | None
+    path: DirectedPath
     cycles: tuple[DirectedCycle, ...] = ()
 
     def vertices(self) -> tuple[int, ...]:
-        out: list[int] = []
-        if self.path is not None:
-            out.extend(self.path.vertices)
+        out = list(self.path.vertices)
         for cyc in self.cycles:
             out.extend(cyc.vertices)
         return tuple(out)
@@ -70,9 +68,7 @@ class PathCycleSystem:
     @cached_property
     def index(self) -> dict[int, tuple[int, int]]:
         """v -> (piece, position): piece -1 is the path, i >= 0 is ``cycles[i]``."""
-        out: dict[int, tuple[int, int]] = {}
-        if self.path is not None:
-            out.update((v, (-1, i)) for i, v in enumerate(self.path.vertices))
+        out = {v: (-1, i) for i, v in enumerate(self.path.vertices)}
         for c, cyc in enumerate(self.cycles):
             out.update((v, (c, i)) for i, v in enumerate(cyc.vertices))
         return out
@@ -80,11 +76,9 @@ class PathCycleSystem:
     def reverse(self) -> PathCycleSystem:
         """The same system with its path walked the other way: the left end
         here is the right end there."""
-        return PathCycleSystem(self.path.reverse() if self.path else None, self.cycles)
+        return PathCycleSystem(self.path.reverse(), self.cycles)
 
     def params(self, g) -> Params:
-        if self.path is None:
-            raise ValueError("pathless system has no parameters")
         vs = self.path.vertices
         if len(vs) < 2:
             raise ValueError("parameters need a path of order >= 2")
@@ -93,12 +87,8 @@ class PathCycleSystem:
 
 def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {v: [] for v in sys.vertices()}
-    if sys.path is not None:
-        for a, b in sys.path.edges():
-            adj[a].append(b)
-            adj[b].append(a)
-    for cyc in sys.cycles:
-        for a, b in cyc.edges():
+    for piece in (sys.path, *sys.cycles):
+        for a, b in piece.edges():
             adj[a].append(b)
             adj[b].append(a)
     return adj
@@ -106,12 +96,12 @@ def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
 
 def validate_system(sys: PathCycleSystem, g) -> None:
     """Raise ValueError unless sys is a properly coloured 1-path-cycle in g."""
-    if sys.path is not None and sys.path.order < 2:
+    if sys.path.order < 2:
         raise ValueError("system path must have order >= 2")
     cert = verify_certificate(g, Certificate(
         KIND_PATH_CYCLE_SYSTEM,
         cycles=tuple(cyc.vertices for cyc in sys.cycles),
-        path=sys.path.vertices if sys.path is not None else None,
+        path=sys.path.vertices,
     ))
     if not cert.valid:
         raise ValueError(cert.reason)
@@ -141,8 +131,6 @@ def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
     """One chord rotation at the right end; returns a new properly coloured
     system on the same vertices.  Rotate the left end as
     ``rotate(sys.reverse(), g, chord).reverse()``."""
-    if sys.path is None:
-        raise ValueError("cannot rotate a pathless system")
     p = sys.params(g)
     if chord.endpoint != p.y:
         raise ValueError(f"chord endpoint {chord.endpoint} is not the right end {p.y}")
@@ -170,7 +158,7 @@ def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
 def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
     """The right rotation along chord y-w that makes `want` the new endpoint;
     `want` must be one of ``rotation_targets(sys, g, w)``.  It rearranges the
-    system's own vertices, so its paths skip the distinctness check."""
+    system's own vertices, so its paths and cycles skip the distinctness check."""
     path = sys.path.vertices
     piece, i = sys.index[w]
     if piece < 0:
@@ -179,7 +167,7 @@ def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
         # the tail as a cycle
         if want == path[i + 1]:
             return PathCycleSystem(DirectedPath.unchecked(path[: i + 1] + path[i + 1 :][::-1]), sys.cycles)
-        return PathCycleSystem(DirectedPath.unchecked(path[:i]), sys.cycles + (DirectedCycle(path[i:]),))
+        return PathCycleSystem(DirectedPath.unchecked(path[:i]), sys.cycles + (DirectedCycle.unchecked(path[i:]),))
     # chord into a cycle: absorb the whole cycle into the path, walking off w
     # away from the new endpoint
     verts = sys.cycles[piece].vertices
@@ -386,10 +374,6 @@ class TwoFactorOutcome:
         return self.certificate is not None
 
 
-def _close_path_into_cycles(sys: PathCycleSystem) -> tuple[DirectedCycle, ...]:
-    return sys.cycles + (DirectedCycle(sys.path.vertices),)
-
-
 def _closable(sys: PathCycleSystem, g) -> bool:
     """The path closes into a PC cycle: order >= 3 and its closing edge avoids both end colours."""
     p = sys.params(g)
@@ -399,18 +383,18 @@ def _closable(sys: PathCycleSystem, g) -> bool:
 def _close_system(sys: PathCycleSystem, g, stats: dict):
     """Turn the current system into vertex-disjoint PC cycles on the same vertices.
 
-    Closes the path at once when it can; otherwise rotates its left end (the
-    right end of the reversed system) and closes the first reached state that
-    can ("fallback" in ``stats["closed_via"]``).  That is one expansion, to
-    depth `EXPANSION_DEPTH` and at most `EXPANSION_ROTATIONS` rotations, read
-    lazily, so its depth-2 layer is built only when no depth-1 state closes.
+    Rotates the path's left end (the right end of the reversed system) and
+    closes the first reached state whose path closes, the system itself
+    first; a state reached by rotations is marked "fallback" in
+    ``stats["closed_via"]``.  That is one expansion, to depth
+    `EXPANSION_DEPTH` and at most `EXPANSION_ROTATIONS` rotations, read
+    lazily, so a layer is built only when no earlier state closes.
     """
-    if _closable(sys, g):
-        return _close_path_into_cycles(sys)
     for st in expand_endpoint_colours(sys.reverse(), g, stats):
         if _closable(st.system, g):
-            stats["closed_via"] = "fallback"
-            return _close_path_into_cycles(st.system.reverse())
+            if st.chords:
+                stats["closed_via"] = "fallback"
+            return st.system.cycles + (DirectedCycle.unchecked(st.system.path.vertices[::-1]),)
     return None
 
 

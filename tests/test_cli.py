@@ -97,6 +97,27 @@ def test_gen_oriented_families_write_the_completed_colouring(tmp_path, argv, og)
     assert all(g.colour(u, v) == heads.get((u, v), n) for u in range(n) for v in range(u + 1, n))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "be"], "--family be needs --k"),
+    (["--family", "oriented"], "--family oriented needs --n"),
+    (["--family", "t2m", "--n", "6"], "--family t2m needs --m"),
+    (["--family", "layered", "--n", "10"], "--family layered needs --n and --l"),
+    (["--family", "random", "--dmax", "3"], "--family random needs --n and --dmax"),
+], ids=["be", "oriented", "t2m", "layered", "random"])
+def test_gen_missing_family_flags_are_usage_errors(capsys, argv, message):
+    assert run("gen", *argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_gen_infeasible_random_colouring_fails(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    assert run("gen", "--family", "random", "--n", "5", "--dmax", "1", "--colours", "2", "--out", str(gpath)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("generation failed: infeasible")
+    assert "Traceback" not in err
+    assert not gpath.exists()
+
+
 def test_malformed_input_is_usage_error(tmp_path, capsys):
     gpath = tmp_path / "bad.txt"
     gpath.write_text("4 2\n0 1 9\n0 1\n0\n")
@@ -412,11 +433,11 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, env, message", [
     (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"], None,
-     "--seeds must be >= 0, got -2"),
+     "--seeds must be >= 1, got -2"),
     (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"], None,
-     "--quads must be >= 0, got -4"),
+     "--quads must be >= 1, got -4"),
     (["absorb-check", "--eps", "0.1", "--quads", "sample:-3"], None,
-     "--quads sample size must be >= 0, got -3"),
+     "--quads sample size must be >= 1, got -3"),
     # counts that are no integers at all name their source too
     (["absorb-check", "--eps", "0.1", "--quads", "sample:x"], None,
      "--quads sample size must be an integer, got 'x'"),
@@ -441,6 +462,34 @@ def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, e
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["lemma-check", "--lemma", "2factor", "--n", "9", "--dmax", "3", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "0"],
+     "--quads must be >= 1, got 0"),
+    (["absorb-check", "--eps", "0.1", "--quads", "sample:0"], "--quads sample size must be >= 1, got 0"),
+], ids=["abspath-seeds", "ifar-seeds", "2factor-seeds", "abspath-quads", "absorb-sample"])
+def test_checks_over_nothing_are_usage_errors(tmp_path, capsys, argv, message):
+    # a check with no seeds or no quadruples would pass with no evidence
+    if argv[0] == "absorb-check":
+        gpath = tmp_path / "g.txt"
+        write_graph(rainbow(9), gpath)
+        argv = argv + ["--input", str(gpath)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_lemma_check_names_the_flags_behind_a_default_dmax_below_one(capsys):
+    # (1/2 - 0.6) * 10 is below 1, so the default dmax cannot colour anything
+    assert run("lemma-check", "--lemma", "ifar", "--n", "10", "--eps", "0.6") == 2
+    err = capsys.readouterr().err
+    assert "--eps" in err and "--dmax" in err
+    assert "need dmax" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 
 from pch.constructions import (
+    OrientedGraph,
     bollobas_erdos,
+    colouring_from_oriented,
     layered_colouring,
     monochromatic,
     near_bollobas_erdos,
@@ -255,6 +257,36 @@ def test_zero_time_limit_stops_at_first_deadline_check():
     res = exact_pc_ham_cycle(bollobas_erdos(4), SearchBudget(time_limit=0.0, node_limit=50_000))
     assert res.status == SearchStatus.EXHAUSTED
     assert res.nodes <= 4096
+
+
+def split_tournament():
+    """Rotational regular tournaments on 0..8 and 9..19, every arc from the
+    first to the second: a PC 2-factor but no PC Hamiltonian cycle, and a
+    table too large for the default budget, so the DFS runs after its probe."""
+    arcs = {(u, v) for u in range(9) for v in range(9, 20)}
+    for first, size in ((0, 9), (9, 11)):
+        arcs |= {(first + i, first + (i + d) % size) for i in range(size) for d in range(1, size // 2 + 1)}
+    return colouring_from_oriented(OrientedGraph(20, frozenset(arcs)))
+
+
+def test_time_limit_stops_the_dfs_after_its_probe():
+    # the DFS checks the clock every 4,096 nodes; without that it would run
+    # to the 5,000,000-node budget
+    res = exact_pc_ham_cycle(split_tournament(), SearchBudget(time_limit=0.5))
+    assert res.status == SearchStatus.EXHAUSTED
+    assert res.rows == 0
+    assert 0 < res.nodes < pch.exact.DEFAULT_NODE_LIMIT
+    assert res.nodes % 4096 == 0
+
+
+def test_deadline_passing_while_the_table_runs_is_exhausted(monkeypatch):
+    # the clock holds through the probe's check and the table's first layer,
+    # then runs out
+    answers = iter([False, False])
+    monkeypatch.setattr(pch.exact._Meter, "expired", lambda self: next(answers, True))
+    res = ham_cycle_by_table(bollobas_erdos(4))
+    assert res.status == SearchStatus.EXHAUSTED
+    assert res.rows > 0
 
 
 # -- the Held-Karp table against the DFS and the brute-force oracles ----------

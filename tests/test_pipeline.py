@@ -309,6 +309,23 @@ def test_later_path_seeds_report_their_routes(monkeypatch):
     ]
 
 
+def test_a_later_seed_without_a_spanning_path_moves_on(monkeypatch):
+    # path seed 2 finds no spanning path, so steering goes on to seed 3
+    monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
+    spanning_path, seeds = pch.pipeline._spanning_path, []
+
+    def second_seed_pathless(g, keep, seed):
+        seeds.append(seed)
+        path, route, tf = spanning_path(g, keep, seed)
+        return (None if seed == 2 else path), route, tf
+
+    monkeypatch.setattr(pch.pipeline, "_spanning_path", second_seed_pathless)
+    res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
+    assert res.failure.stage == "absorb"
+    assert seeds == [1, 2, 3]
+    assert res.report["stages"]["absorb"]["path_seeds"] == [1, 2, 3]
+
+
 def _timeless(report):
     stages = {
         name: {k: v for k, v in record.items() if k != "seconds"}

@@ -64,7 +64,7 @@ def test_validate_system_rejects_broken_systems():
         (g, PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((2, 4, 5)),)), "shares vertex 2"),
         (g, PathCycleSystem(DirectedPath((0, 1, 8))), "outside 0..7"),
         (mono, PathCycleSystem(DirectedPath((0, 1, 2))), "path: adjacent edges"),
-        (mono, PathCycleSystem(None, (DirectedCycle((0, 1, 2)),)), "cycle 0: adjacent edges"),
+        (mono, PathCycleSystem(DirectedPath((0, 1)), (DirectedCycle((2, 3, 4)),)), "cycle 0: adjacent edges"),
     ]:
         with pytest.raises(ValueError, match=reason):
             validate_system(sys, graph)
@@ -548,6 +548,14 @@ def test_ham_path_heuristic_tries_the_next_opening():
     assert p.vertices[:3] == (1, 2, 0)
     assert sorted(p.vertices) == list(range(6))
     assert is_properly_coloured_path(g, p)
+
+
+def test_ham_path_heuristic_gives_up_when_no_opening_absorbs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pch.rotations, "_absorb_cycle", lambda sys, g: calls.append(sys.path.vertices))
+    tf = TwoFactorOutcome(two_factor_certificate([(0, 1, 2), (3, 4, 5)]), None, {})
+    assert find_pc_ham_path_heuristic(rainbow(6), tf) is None
+    assert calls == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def test_ham_path_heuristic_without_a_two_factor():

@@ -67,3 +67,19 @@ def test_unread_private_names_finds_an_orphan():
 def test_no_unread_private_names():
     paths = sorted(Path(pch.__file__).parent.glob("*.py"))
     assert unread_private_names([p.read_text() for p in paths]) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the source's assert statements."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_assert_lines_finds_a_nested_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
+
+
+@pytest.mark.parametrize("path", sorted(Path(pch.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_has_no_asserts(path):
+    # python -O strips asserts, so an invariant check in the library raises
+    # instead (rotations._guarantee)
+    assert assert_lines(path.read_text()) == []
