@@ -46,13 +46,11 @@ from pch.exact import (
     pc_two_factor_matching,
 )
 from pch.rotations import (
-    Chord,
     PathCycleSystem,
     expand_endpoint_colours,
     find_pc_ham_path_heuristic,
     find_pc_two_factor,
     maximal_path_cycle,
-    rotate,
     rotation_targets,
 )
 from pch.absorbing import (

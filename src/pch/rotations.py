@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from pch.ec_graph import (
-    KIND_PATH_CYCLE_SYSTEM,
     Certificate,
     DirectedCycle,
     DirectedPath,
@@ -27,22 +26,6 @@ from pch.ec_graph import (
     verify_certificate,
 )
 from pch.exact import TutteBarrier, pc_two_factor_matching
-
-
-@dataclass(frozen=True)
-class Params:
-    x: int
-    c_x: int
-    y: int
-    c_y: int
-
-
-@dataclass(frozen=True)
-class Chord:
-    endpoint: int             # the right end y the chord leaves from
-    w: int                    # the chord target inside the system
-    target: int | None = None # which neighbour of w becomes the new endpoint;
-                              # None picks the path-keeping case when both work
 
 
 @dataclass(frozen=True)
@@ -62,9 +45,6 @@ class PathCycleSystem:
     def order(self) -> int:
         return len(self.vertices())
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices())
-
     @cached_property
     def index(self) -> dict[int, tuple[int, int]]:
         """v -> (piece, position): piece -1 is the path, i >= 0 is ``cycles[i]``."""
@@ -78,42 +58,16 @@ class PathCycleSystem:
         here is the right end there."""
         return PathCycleSystem(self.path.reverse(), self.cycles)
 
-    def params(self, g) -> Params:
-        vs = self.path.vertices
-        if len(vs) < 2:
-            raise ValueError("parameters need a path of order >= 2")
-        return Params(vs[0], g.colour(vs[0], vs[1]), vs[-1], g.colour(vs[-1], vs[-2]))
-
-
-def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in sys.vertices()}
-    for piece in (sys.path, *sys.cycles):
-        for a, b in piece.edges():
-            adj[a].append(b)
-            adj[b].append(a)
-    return adj
-
-
-def validate_system(sys: PathCycleSystem, g) -> None:
-    """Raise ValueError unless sys is a properly coloured 1-path-cycle in g."""
-    if sys.path.order < 2:
-        raise ValueError("system path must have order >= 2")
-    cert = verify_certificate(g, Certificate(
-        KIND_PATH_CYCLE_SYSTEM,
-        cycles=tuple(cyc.vertices for cyc in sys.cycles),
-        path=sys.path.vertices,
-    ))
-    if not cert.valid:
-        raise ValueError(cert.reason)
-
 
 # ---------------------------------------------------------------------------
 # chords and single rotations
 # ---------------------------------------------------------------------------
 
 def _right_chords(sys: PathCycleSystem, g):
-    """The right chord targets ``rotate`` accepts, in ascending order: every
-    system vertex w outside {y, x, x's path neighbour} with c(y, w) != c_y."""
+    """The right chord targets, in ascending order: every system vertex w
+    outside {y, x, x's path neighbour} with c(y, w) != c_y.  Leaving out x and
+    its neighbour keeps the left end, its colour and a path of order >= 2
+    through every rotation along them (`_rewire_right`)."""
     path = sys.path.vertices
     row = g.rows[path[-1]]
     c_y = row[path[-2]]
@@ -125,34 +79,6 @@ def _guarantee(ok: bool, what: str) -> None:
     """Raise RuntimeError(what) unless ok: an invariant check that, unlike assert, holds under python -O."""
     if not ok:
         raise RuntimeError(what)
-
-
-def rotate(sys: PathCycleSystem, g, chord: Chord) -> PathCycleSystem:
-    """One chord rotation at the right end; returns a new properly coloured
-    system on the same vertices.  Rotate the left end as
-    ``rotate(sys.reverse(), g, chord).reverse()``."""
-    p = sys.params(g)
-    if chord.endpoint != p.y:
-        raise ValueError(f"chord endpoint {chord.endpoint} is not the right end {p.y}")
-    path, w = sys.path.vertices, chord.w
-    if w == p.y or w not in sys.index:
-        raise ValueError(f"chord target {w} must lie in the system and differ from the endpoint")
-    if g.colour(p.y, w) == p.c_y:
-        raise ValueError(f"edge ({p.y}, {w}) has the endpoint colour {p.c_y}: not a chord")
-    if w == path[0] or w == path[1]:
-        raise ValueError(f"chord target {w} hits the opposite endpoint or its neighbour")
-
-    targets = rotation_targets(sys, g, w)
-    want = targets[0] if chord.target is None else chord.target
-    if want not in targets:
-        if want in system_adjacency(sys)[w]:
-            raise ValueError(f"rotation endpoint {want} is blocked by the colour at {w}")
-        raise ValueError(f"rotation target {want} is not a neighbour of {w}")
-
-    out = _rewire_right(sys, w, want)
-    validate_system(out, g)
-    _guarantee(out.vertex_set() == sys.vertex_set(), "rotation changed the vertex set")
-    return out
 
 
 def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
@@ -180,8 +106,10 @@ def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
 def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
     """Achievable new right ends (neighbours of w) for the chord y-w.
 
-    One or two of w's system neighbours qualify; the one keeping the whole
-    path intact comes first, and ``rotate`` takes it when no target is given.
+    For a chord w from `_right_chords`, one or two of w's system neighbours
+    qualify: exactly those u for which ``_rewire_right(sys, w, u)`` is a
+    properly coloured system ending at u.  The one keeping the whole path
+    intact comes first; a caller that needs one rotation takes it.
     """
     cew = g.colour(sys.path.last, w)
     piece, i = sys.index[w]
@@ -203,7 +131,7 @@ def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
 class EndpointState:
     vertex: int
     colour: int
-    chords: tuple[Chord, ...]
+    depth: int                # rotations from the start system
     system: PathCycleSystem
 
 
@@ -219,29 +147,29 @@ def expand_endpoint_colours(sys: PathCycleSystem, g, stats: dict) -> Iterator[En
 
     Yields the starting state, then each state (z, c_z) once, at the first
     layer that reaches it: layer L holds, for each state reachable in exactly
-    L rotations, one witness chord sequence (first found wins; targets
-    scanned in ascending vertex order for reproducibility).  A layer is built
-    only when the caller reads past the one before it, and is yielded sorted
-    once it is complete; a layer cut short by the cap of
+    L rotations, one system that reaches it, with ``depth`` L (first found
+    wins; targets scanned in ascending vertex order for reproducibility).  A
+    layer is built only when the caller reads past the one before it, and is
+    yielded sorted once it is complete; a layer cut short by the cap of
     `EXPANSION_ROTATIONS` rotations per call is dropped.
     Every layer rotates along every chord of each state's current system.
     The search stops after the first layer that holds two states on the same
     vertex with different colours, the raw material for closing a path into
     a cycle.  Each rotation adds 1 to ``stats["rotations"]``.
     """
-    p0 = sys.params(g)
-    start = EndpointState(p0.y, p0.c_y, (), sys)
-    layer = {(p0.y, p0.c_y): start}
+    path = sys.path.vertices
+    if len(path) < 2:
+        raise ValueError("endpoint colours need a path of order >= 2")
+    start = EndpointState(path[-1], g.rows[path[-1]][path[-2]], 0, sys)
+    layer = {(start.vertex, start.colour): start}
     seen = set(layer)
     yield start
     cap = stats["rotations"] + EXPANSION_ROTATIONS
 
-    for _ in range(EXPANSION_DEPTH):
+    for depth in range(1, EXPANSION_DEPTH + 1):
         new: dict[tuple[int, int], EndpointState] = {}
         for key in sorted(layer):
-            st = layer[key]
-            cur = st.system
-            z = cur.path.last
+            cur = layer[key].system
             for w in _right_chords(cur, g):
                 # both neighbours of w can be reachable endpoints; take each
                 for tgt in rotation_targets(cur, g, w):
@@ -249,11 +177,10 @@ def expand_endpoint_colours(sys: PathCycleSystem, g, stats: dict) -> Iterator[En
                         return
                     nxt = _rewire_right(cur, w, tgt)
                     stats["rotations"] += 1
-                    np = nxt.path.vertices
-                    nz = np[-1]
-                    ncz = g.colour(nz, np[-2])
+                    inner, nz = nxt.path.vertices[-2:]
+                    ncz = g.rows[nz][inner]
                     if (nz, ncz) not in new:
-                        new[(nz, ncz)] = EndpointState(nz, ncz, st.chords + (Chord(z, w, tgt),), nxt)
+                        new[(nz, ncz)] = EndpointState(nz, ncz, depth, nxt)
         yield from (new[key] for key in sorted(new) if key not in seen)
         seen.update(new)
         layer = new
@@ -376,8 +303,11 @@ class TwoFactorOutcome:
 
 def _closable(sys: PathCycleSystem, g) -> bool:
     """The path closes into a PC cycle: order >= 3 and its closing edge avoids both end colours."""
-    p = sys.params(g)
-    return sys.path.order >= 3 and g.colour(p.x, p.y) not in (p.c_x, p.c_y)
+    path = sys.path.vertices
+    if len(path) < 3:
+        return False
+    x, y = g.rows[path[0]], g.rows[path[-1]]
+    return x[path[-1]] not in (x[path[1]], y[path[-2]])
 
 
 def _close_system(sys: PathCycleSystem, g, stats: dict):
@@ -392,7 +322,7 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
     """
     for st in expand_endpoint_colours(sys.reverse(), g, stats):
         if _closable(st.system, g):
-            if st.chords:
+            if st.depth:
                 stats["closed_via"] = "fallback"
             return st.system.cycles + (DirectedCycle.unchecked(st.system.path.vertices[::-1]),)
     return None

@@ -2,7 +2,8 @@
 
 Structure-first randomization: pick the path/cycle decomposition first, colour
 its edges properly, then fill the remaining pairs at random.  This yields
-valid 1-path-cycles inside otherwise arbitrary colourings.  Absorbing cycles
+valid 1-path-cycles inside otherwise arbitrary colourings, which
+`validate_system` checks as `PathCycleSystem` certificates.  Absorbing cycles
 with a universal family come from retrying build seeds under the exact audit.
 """
 
@@ -12,8 +13,27 @@ import random
 
 from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
 from pch.constructions import properly_coloured_cycle_set
-from pch.ec_graph import ColouredComplete, DirectedCycle, DirectedPath
-from pch.rotations import PathCycleSystem, validate_system
+from pch.ec_graph import (
+    KIND_PATH_CYCLE_SYSTEM,
+    Certificate,
+    ColouredComplete,
+    DirectedCycle,
+    DirectedPath,
+    verify_certificate,
+)
+from pch.rotations import PathCycleSystem
+
+
+def validate_system(sys: PathCycleSystem, g) -> None:
+    """Raise ValueError unless sys is a properly coloured 1-path-cycle in g:
+    its `PathCycleSystem` certificate verifies."""
+    cert = verify_certificate(g, Certificate(
+        KIND_PATH_CYCLE_SYSTEM,
+        cycles=tuple(cyc.vertices for cyc in sys.cycles),
+        path=sys.path.vertices,
+    ))
+    if not cert.valid:
+        raise ValueError(cert.reason)
 
 
 def random_system_instance(rng: random.Random, n_range=(8, 18), k_range=(3, 7)):

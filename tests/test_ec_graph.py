@@ -232,6 +232,18 @@ def test_path_cycle_system_certificate_need_not_span():
     assert verify_certificate(g, cert).valid
 
 
+def test_path_cycle_system_certificate_rejects_broken_systems():
+    g, mono = rainbow(8), monochromatic(8)
+    for graph, cycles, path, reason in [
+        (g, ((2, 4, 5),), (0, 1, 2), "shares vertex 2"),
+        (g, (), (0, 1, 8), "outside 0..7"),
+        (mono, (), (0, 1, 2), "path: adjacent edges"),
+        (mono, ((2, 3, 4),), (0, 1), "cycle 0: adjacent edges"),
+    ]:
+        out = verify_certificate(graph, Certificate("PathCycleSystem", cycles=cycles, path=path))
+        assert not out.valid and reason in out.reason
+
+
 def test_certificate_json_roundtrip():
     cert = verify_certificate(rainbow(4), ham_cycle_certificate((0, 1, 2, 3)))
     data = json.loads(json.dumps(certificate_to_json(cert)))

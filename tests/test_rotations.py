@@ -22,26 +22,26 @@ from pch.ec_graph import (
     DirectedCycle,
     DirectedPath,
     induced_subgraph,
+    is_properly_coloured_cycle,
     is_properly_coloured_path,
     two_factor_certificate,
     verify_certificate,
 )
 from pch.exact import check_barrier, exact_pc_two_factor
 from pch.rotations import (
-    Chord,
     PathCycleSystem,
     TwoFactorOutcome,
+    _closable,
+    _rewire_right,
+    _right_chords,
     expand_endpoint_colours,
     find_pc_ham_path_heuristic,
     find_pc_two_factor,
     maximal_path_cycle,
     pick_extension,
-    rotate,
     rotation_targets,
-    system_adjacency,
-    validate_system,
 )
-from tests.conftest import random_system_instance
+from tests.conftest import random_system_instance, validate_system
 
 
 def graph_from_edges(n, k, edges, default=0):
@@ -56,18 +56,19 @@ def path_system(*verts) -> PathCycleSystem:
     return PathCycleSystem(DirectedPath(tuple(verts)))
 
 
-def test_validate_system_rejects_broken_systems():
-    g, mono = rainbow(8), monochromatic(8)
-    validate_system(PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((3, 4, 5)),)), g)
-    for graph, sys, reason in [
-        (g, PathCycleSystem(DirectedPath((0,)), (DirectedCycle((3, 4, 5)),)), "order >= 2"),
-        (g, PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((2, 4, 5)),)), "shares vertex 2"),
-        (g, PathCycleSystem(DirectedPath((0, 1, 8))), "outside 0..7"),
-        (mono, PathCycleSystem(DirectedPath((0, 1, 2))), "path: adjacent edges"),
-        (mono, PathCycleSystem(DirectedPath((0, 1)), (DirectedCycle((2, 3, 4)),)), "cycle 0: adjacent edges"),
-    ]:
-        with pytest.raises(ValueError, match=reason):
-            validate_system(sys, graph)
+def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in sys.vertices()}
+    for piece in (sys.path, *sys.cycles):
+        for a, b in piece.edges():
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
+
+
+def ends(sys, g):
+    """(x, c_x, y, c_y): the path's ends and the colours of its edges there."""
+    vs = sys.path.vertices
+    return vs[0], g.colour(vs[0], vs[1]), vs[-1], g.colour(vs[-1], vs[-2])
 
 
 # -- single rotations: the three cases ----------------------------------------
@@ -77,12 +78,12 @@ def test_rotate_path_rewire_case():
     edges = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (3, 4): 1, (4, 2): 2}
     g = graph_from_edges(5, 3, edges, default=2)
     sys = path_system(0, 1, 2, 3, 4)
-    out = rotate(sys, g, Chord(4, 2))
+    # the path-keeping target comes first
+    assert rotation_targets(sys, g, 2) == [3, 1]
+    out = check_rotation_contract(g, sys, 2, 3)
     assert out.path.vertices == (0, 1, 2, 4, 3)
     assert out.cycles == ()
-    p = out.params(g)
-    assert (p.x, p.c_x) == (0, 0)
-    assert p.y == 3 and p.c_y == g.colour(3, 4)
+    assert ends(out, g) == (0, 0, 3, g.colour(3, 4))
 
 
 def test_rotate_split_case():
@@ -90,7 +91,8 @@ def test_rotate_split_case():
     edges = {(0, 1): 0, (1, 2): 2, (2, 3): 0, (3, 4): 1, (4, 2): 2}
     g = graph_from_edges(5, 3, edges, default=1)
     sys = path_system(0, 1, 2, 3, 4)
-    out = rotate(sys, g, Chord(4, 2))
+    assert rotation_targets(sys, g, 2) == [1]
+    out = check_rotation_contract(g, sys, 2, 1)
     assert out.path.vertices == (0, 1)
     assert len(out.cycles) == 1
     assert out.cycles[0].canonical() == DirectedCycle((2, 3, 4)).canonical()
@@ -99,10 +101,9 @@ def test_rotate_split_case():
 def test_rotate_absorbs_cycle():
     g = rainbow(8)
     sys = PathCycleSystem(DirectedPath((0, 1, 2)), (DirectedCycle((3, 4, 5)),))
-    out = rotate(sys, g, Chord(2, 4))
+    out = check_rotation_contract(g, sys, 4, rotation_targets(sys, g, 4)[0])
     assert out.cycles == ()
     assert out.path.order == 6
-    assert out.vertex_set() == sys.vertex_set()
     assert out.path.vertices[:4] == (0, 1, 2, 4)
 
 
@@ -111,53 +112,46 @@ def test_rotate_targeted_outcomes():
     sys = path_system(0, 1, 2, 3, 4, 5, 6)
     # in a rainbow colouring both neighbours of an interior target are reachable
     assert rotation_targets(sys, g, 3) == [4, 2]
-    fwd = rotate(sys, g, Chord(6, 3, target=4))
+    fwd = check_rotation_contract(g, sys, 3, 4)
     assert fwd.path.vertices == (0, 1, 2, 3, 6, 5, 4)
-    split = rotate(sys, g, Chord(6, 3, target=2))
+    split = check_rotation_contract(g, sys, 3, 2)
     assert split.path.vertices == (0, 1, 2)
     assert split.cycles[0].canonical() == DirectedCycle((3, 4, 5, 6)).canonical()
 
 
-def test_rotate_preconditions():
-    g = rainbow(6)
-    sys = path_system(0, 1, 2, 3, 4, 5)
-    with pytest.raises(ValueError):
-        rotate(sys, g, Chord(4, 2))  # wrong endpoint
-    with pytest.raises(ValueError):
-        rotate(sys, g, Chord(5, 0))  # hits opposite endpoint
-    with pytest.raises(ValueError):
-        rotate(sys, g, Chord(5, 1))  # hits its neighbour
-    mono = monochromatic(6)
-    with pytest.raises(ValueError):
-        rotate(path_system(0, 1, 2, 3, 4, 5), mono, Chord(5, 2))  # not a chord
-
-
 def eligible_chords(sys, g):
-    """Every rotation at either end, left end first, as (system, chord)
-    pairs: a left-end rotation is a right-end rotation of the reversed system."""
+    """Every rotation at either end, left end first, as (system, w, target)
+    triples: a left-end rotation is a right-end rotation of the reversed
+    system."""
     out = []
     for start in (sys.reverse(), sys):
         adj = system_adjacency(start)
-        p = start.params(g)
+        x, _, y, c_y = ends(start, g)
         for w in sorted(start.vertices()):
-            if w != p.y and g.colour(p.y, w) != p.c_y and w != p.x and w not in adj[p.x]:
+            if w != y and g.colour(y, w) != c_y and w != x and w not in adj[x]:
                 for tgt in rotation_targets(start, g, w):
-                    out.append((start, Chord(p.y, w, tgt)))
+                    out.append((start, w, tgt))
     return out
 
 
-def check_rotation_contract(g, sys, ch):
-    """Soundness plus the endpoint contract and locality, checked exactly."""
+def check_rotation_contract(g, sys, w, target):
+    """Soundness plus the endpoint contract and locality, checked exactly:
+    the right rotation along chord y-w that ends at `target` is a valid
+    system on the same vertices that keeps the left end and its colour."""
     old_adj = system_adjacency(sys)
-    p = sys.params(g)
-    out = rotate(sys, g, ch)  # validates properness + vertex set
-    q = out.params(g)
-    assert (q.x, q.c_x) == (p.x, p.c_x)
-    nb = old_adj[q.y]
-    assert q.y in old_adj[ch.w]
-    assert ch.w in nb and len(nb) == 2
-    wprime = nb[0] if nb[1] == ch.w else nb[1]
-    assert q.c_y == g.colour(q.y, wprime)
+    x, c_x, y, _ = ends(sys, g)
+    out = _rewire_right(sys, w, target)
+    validate_system(out, g)
+    assert sorted(out.vertices()) == sorted(sys.vertices())
+    assert out.path.order >= 2
+    qx, qc_x, qy, qc_y = ends(out, g)
+    assert (qx, qc_x) == (x, c_x)
+    assert qy == target
+    nb = old_adj[qy]
+    assert qy in old_adj[w]
+    assert w in nb and len(nb) == 2
+    wprime = nb[0] if nb[1] == w else nb[1]
+    assert qc_y == g.colour(qy, wprime)
 
     def dist_from(s):
         d = {s: 0}
@@ -170,7 +164,7 @@ def check_rotation_contract(g, sys, ch):
                     q2.append(u)
         return d
 
-    dx, dy, dw = dist_from(p.x), dist_from(p.y), dist_from(ch.w)
+    dx, dy, dw = dist_from(x), dist_from(y), dist_from(w)
     new_adj = system_adjacency(out)
     for v in old_adj:
         if min(dx.get(v, 99), dy.get(v, 99), dw.get(v, 99)) >= 2:
@@ -198,7 +192,7 @@ def test_expand_depth_zero_is_right_endpoint():
     sys = path_system(*range(20))
     stats = {"rotations": 0}
     st = next(expand_endpoint_colours(sys, g, stats))
-    assert (st.vertex, st.colour, st.chords, st.system) == (19, g.colour(19, 18), (), sys)
+    assert (st.vertex, st.colour, st.depth, st.system) == (19, g.colour(19, 18), 0, sys)
     assert stats["rotations"] == 0
 
 
@@ -217,8 +211,8 @@ def rainbow_layer_one(g, targets):
 
 
 def depth_at_most_one(states):
-    """The states of an expansion that take at most one chord."""
-    return list(itertools.takewhile(lambda st: len(st.chords) <= 1, states))
+    """The states of an expansion that take at most one rotation."""
+    return list(itertools.takewhile(lambda st: st.depth <= 1, states))
 
 
 def test_expand_rainbow_depth_one_matches_case_analysis():
@@ -230,10 +224,17 @@ def test_expand_rainbow_depth_one_matches_case_analysis():
     assert {(st.vertex, st.colour) for st in states[1:]} == rainbow_layer_one(g, range(2, n - 2))
 
 
-def test_expansion_witness_chords_replay_with_rotate():
-    # each state's witness chords, replayed one checked rotation at a time
-    # from the start system, land on the state's system and endpoint; the
-    # left end is replayed as the right end of the reversed system
+def right_rotations(sys, g):
+    """Every system that one right-end rotation of sys makes."""
+    return {_rewire_right(s, w, t) for s, w, t in eligible_chords(sys, g) if s is sys}
+
+
+def test_expansion_states_are_valid_systems_at_their_depth():
+    # each state's system is a valid system on the start's vertices with the
+    # start's left end, ends at the state's (vertex, colour), and is made by
+    # exactly `depth` right-end rotations from the start, which no fewer
+    # rotations reach that endpoint state in; the left end is expanded as the
+    # right end of the reversed system
     cases = [(random_bounded_colouring(45, 18, s), s) for s in range(10)]
     cases += [(near_bollobas_erdos(10, s), 10 + s) for s in range(10)]
     # the right end of this path reaches depth 2; the other paths' right
@@ -245,15 +246,26 @@ def test_expansion_witness_chords_replay_with_rotate():
         sys = maximal_path_cycle(g, seed=seed)
         for flip in (False, True):
             start = sys.reverse() if flip else sys
-            for st in expand_endpoint_colours(start, g, {"rotations": 0}):
-                cur = start
-                for ch in st.chords:
-                    cur = rotate(cur, g, ch)
-                assert cur == st.system
-                p = cur.params(g)
-                assert (p.y, p.c_y) == (st.vertex, st.colour)
+            x, c_x, y, c_y = ends(start, g)
+            one = right_rotations(start, g)
+            shallower = {(y, c_y)} | {ends(s, g)[2:] for s in one}
+            two = None
+            for i, st in enumerate(expand_endpoint_colours(start, g, {"rotations": 0})):
+                cur = st.system
+                validate_system(cur, g)
+                assert sorted(cur.vertices()) == sorted(start.vertices())
+                assert ends(cur, g) == (x, c_x, st.vertex, st.colour)
+                if st.depth == 0:
+                    assert i == 0 and cur == start
+                elif st.depth == 1:
+                    assert cur in one and (st.vertex, st.colour) != (y, c_y)
+                else:
+                    if two is None:
+                        two = set().union(*(right_rotations(s, g) for s in one))
+                    assert st.depth == 2 and cur in two
+                    assert (st.vertex, st.colour) not in shallower
                 replayed[flip] += 1
-                deepest[flip] = max(deepest[flip], len(st.chords))
+                deepest[flip] = max(deepest[flip], st.depth)
     assert min(replayed.values()) > 1000 and deepest == {False: 2, True: 2}
 
 
@@ -265,19 +277,19 @@ def test_expansion_is_read_lazily_and_counts_its_rotations(monkeypatch):
     sys = maximal_path_cycle(g, seed=0)
     stats = {"rotations": 7}
     read = [
-        (len(st.chords), (st.vertex, st.colour), stats["rotations"])
+        (st.depth, (st.vertex, st.colour), stats["rotations"])
         for st in expand_endpoint_colours(sys, g, stats)
     ]
     assert read == sorted(read) and read[-1][0] == 2
     assert len({key for _, key, _ in read}) == len(read)
     made = {depth: {count for d, _, count in read if d == depth} for depth in (0, 1, 2)}
-    layer_one = sum(len(rotation_targets(sys, g, w)) for w in pch.rotations._right_chords(sys, g))
+    layer_one = sum(len(rotation_targets(sys, g, w)) for w in _right_chords(sys, g))
     assert made == {0: {7}, 1: {7 + layer_one}, 2: {stats["rotations"]}}
     assert 7 + layer_one < stats["rotations"]
     # a cap cuts the layer it is reached in, which is then dropped
     monkeypatch.setattr(pch.rotations, "EXPANSION_ROTATIONS", 3)
     capped = {"rotations": 0}
-    assert [st.chords for st in expand_endpoint_colours(sys, g, capped)] == [()]
+    assert [st.depth for st in expand_endpoint_colours(sys, g, capped)] == [0]
     assert capped["rotations"] == 3
 
 
@@ -292,7 +304,7 @@ def test_expand_no_chords_gives_empty_layer():
     g = graph_from_edges(n, 3, edges, default=2)
     sys = path_system(*range(n))
     stats = {"rotations": 0}
-    assert [st.chords for st in expand_endpoint_colours(sys, g, stats)] == [()]
+    assert [st.depth for st in expand_endpoint_colours(sys, g, stats)] == [0]
     assert stats["rotations"] == 0
 
 
@@ -303,9 +315,7 @@ def test_expand_left_side_mirrors():
     states = depth_at_most_one(expand_endpoint_colours(sys.reverse(), g, {"rotations": 0}))
     assert len(states) > 1
     for st in states:
-        p = st.system.reverse().params(g)
-        assert (p.x, p.c_x) == (st.vertex, st.colour)
-        assert (p.y, p.c_y) == (19, g.colour(19, 18))
+        assert ends(st.system.reverse(), g) == (st.vertex, st.colour, 19, g.colour(19, 18))
 
 
 # -- growth and the 2-factor search ---------------------------------------------
@@ -405,13 +415,6 @@ def test_two_factor_invalid_certificate_raises(monkeypatch):
 
 
 # -- invariant checks raise, so they hold under python -O --------------------
-
-def test_rotation_vertex_set_check_raises(monkeypatch):
-    # a rotation whose path loses its last vertex is still a valid system
-    monkeypatch.setattr(DirectedPath, "unchecked", classmethod(lambda cls, vs: DirectedPath(vs[:-1])))
-    with pytest.raises(RuntimeError, match="vertex set"):
-        rotate(path_system(*range(8)), rainbow(8), Chord(7, 3))
-
 
 def test_ham_path_heuristic_check_raises(monkeypatch):
     g = rainbow(8)
@@ -586,34 +589,57 @@ def test_two_factor_reopens_on_leftover_vertices(monkeypatch, g, cut, sizes):
     assert [len(c) for c in out.certificate.cycles] == sizes
 
 
-def test_rotate_takes_its_target_from_rotation_targets():
+def test_right_chords_and_rotation_targets_are_exact():
+    # at both ends of random systems: the chord targets are exactly the
+    # system vertices outside {y, x, x's path neighbour} whose edge to y
+    # avoids c_y, and a neighbour u of a chord target w is a rotation target
+    # exactly when the rotation to it is a valid system on the same vertices
+    # that ends at u
     rng = random.Random(7)
     rotations = blocked = 0
-    for _ in range(300):
+    for _ in range(1000):
         g, sys = random_system_instance(rng)
-        adj = system_adjacency(sys)
-        # the right end, then the left end as the right end of the reverse
         for start in (sys, sys.reverse()):
-            p = start.params(g)
-            path = start.path.vertices
-            for w in sorted(start.vertices()):
-                if w == p.y or g.colour(p.y, w) == p.c_y:
-                    continue
-                ch = Chord(p.y, w)
-                if w in (p.x, path[1]):
-                    with pytest.raises(ValueError, match="opposite endpoint"):
-                        rotate(start, g, ch)
-                    continue
+            x, _, y, c_y = ends(start, g)
+            skip = {y, x, start.path.vertices[1]}
+            chords = [w for w in sorted(start.vertices()) if w not in skip and g.colour(y, w) != c_y]
+            assert list(_right_chords(start, g)) == chords
+            adj = system_adjacency(start)
+            for w in chords:
                 targets = rotation_targets(start, g, w)
-                for tgt, chord in [(targets[0], ch)] + [(t, replace(ch, target=t)) for t in targets]:
-                    assert rotate(start, g, chord).params(g).y == tgt
-                    rotations += 1
+                assert len(set(targets)) == len(targets) and set(targets) <= set(adj[w])
                 for u in adj[w]:
-                    if u not in targets:
-                        with pytest.raises(ValueError, match="blocked"):
-                            rotate(start, g, replace(ch, target=u))
-                        blocked += 1
-    assert rotations > 1000 and blocked > 100
+                    out = _rewire_right(start, w, u)
+                    try:
+                        validate_system(out, g)
+                        ok = sorted(out.vertices()) == sorted(start.vertices()) and out.path.last == u
+                    except ValueError:
+                        ok = False
+                    assert (u in targets) == ok
+                    rotations += ok
+                    blocked += not ok
+    assert rotations > 12_000 and blocked > 3_000
+
+
+def test_closable_is_a_pc_cycle_check():
+    # a path closes exactly when, of order >= 3, it is a PC cycle once its
+    # ends are joined
+    rng = random.Random(11)
+    closable = 0
+    for _ in range(4000):
+        g, sys = random_system_instance(rng)
+        for start in (sys, sys.reverse()):
+            path = start.path.vertices
+            want = len(path) >= 3 and is_properly_coloured_cycle(g, path)
+            assert _closable(start, g) == want
+            closable += want
+    assert closable > 4_000
+
+
+def test_expansion_needs_a_path_of_order_two():
+    sys = PathCycleSystem(DirectedPath((0,)), (DirectedCycle((3, 4, 5)),))
+    with pytest.raises(ValueError, match="order >= 2"):
+        next(expand_endpoint_colours(sys, rainbow(8), {"rotations": 0}))
 
 
 def test_layered_has_no_two_factor_and_both_sides_agree():
@@ -630,7 +656,6 @@ def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     # rainbow except the closing edge repeats the colour at x: the immediate
     # closure is blocked, so rotating the left end must close it
     from pch.rotations import _close_system
-    from pch.ec_graph import is_properly_coloured_cycle
 
     starts = []
     expand = pch.rotations.expand_endpoint_colours
