@@ -589,14 +589,15 @@ def test_two_factor_reopens_on_leftover_vertices(monkeypatch, g, cut, sizes):
     assert [len(c) for c in out.certificate.cycles] == sizes
 
 
-def test_right_chords_and_rotation_targets_are_exact():
-    # at both ends of random systems: the chord targets are exactly the
-    # system vertices outside {y, x, x's path neighbour} whose edge to y
-    # avoids c_y, and a neighbour u of a chord target w is a rotation target
-    # exactly when the rotation to it is a valid system on the same vertices
-    # that ends at u
+def test_rotate_preconditions():
+    # a right-end chord leaves y, misses x and x's path neighbour, and avoids
+    # c_y: on the rainbow path 0..5 that leaves 2 and 3, on a monochromatic
+    # one nothing; at both ends of random systems the chord targets are
+    # exactly the vertices this derivation gives
+    assert list(_right_chords(path_system(0, 1, 2, 3, 4, 5), rainbow(6))) == [2, 3]
+    assert list(_right_chords(path_system(0, 1, 2, 3, 4, 5), monochromatic(6))) == []
     rng = random.Random(7)
-    rotations = blocked = 0
+    total = 0
     for _ in range(1000):
         g, sys = random_system_instance(rng)
         for start in (sys, sys.reverse()):
@@ -604,8 +605,21 @@ def test_right_chords_and_rotation_targets_are_exact():
             skip = {y, x, start.path.vertices[1]}
             chords = [w for w in sorted(start.vertices()) if w not in skip and g.colour(y, w) != c_y]
             assert list(_right_chords(start, g)) == chords
+            total += len(chords)
+    assert total > 7_000
+
+
+def test_rotate_takes_its_target_from_rotation_targets():
+    # at both ends of random systems, a neighbour u of a chord target w is a
+    # rotation target exactly when the rotation to it is a valid system on
+    # the same vertices that ends at u
+    rng = random.Random(7)
+    rotations = blocked = 0
+    for _ in range(1000):
+        g, sys = random_system_instance(rng)
+        for start in (sys, sys.reverse()):
             adj = system_adjacency(start)
-            for w in chords:
+            for w in _right_chords(start, g):
                 targets = rotation_targets(start, g, w)
                 assert len(set(targets)) == len(targets) and set(targets) <= set(adj[w])
                 for u in adj[w]:
