@@ -56,7 +56,6 @@ from pch.rotations import (
 from pch.absorbing import (
     AbsorbingCycle,
     AbsorptionError,
-    BuildParams,
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,

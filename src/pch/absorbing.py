@@ -334,12 +334,6 @@ RETRY_BUDGET = 25
 JOIN_MAX_LEN = 6
 
 
-@dataclass(frozen=True)
-class BuildParams:
-    target_size: int = 3
-    seed: int = 0
-
-
 @dataclass
 class BuildResult:
     cycle: AbsorbingCycle | None
@@ -367,10 +361,10 @@ def _draw_family(g, rng: random.Random, size: int) -> tuple[tuple[int, ...], ...
     return tuple(members)
 
 
-def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
+def build_absorbing_cycle(g, family_size: int = 3, seed: int = 0) -> BuildResult:
     """Draw disjoint PC 4-paths and stitch them into one PC cycle.
 
-    Each attempt draws `target_size` members, then connects consecutive
+    Each attempt draws `family_size` members, then connects consecutive
     members P_j, P_{j+1} (cyclically) by a path joining the last two vertices
     of P_j to the first two of P_{j+1}, avoiding everything already placed.
     A failed draw ("family") or join ("join:j") abandons the attempt; fresh
@@ -379,15 +373,14 @@ def build_absorbing_cycle(g, params: BuildParams | None = None) -> BuildResult:
     4-paths and `join_ends` checks each junction.  No member has to absorb
     any given quadruple: the pipeline steers its path until one does.
     """
-    params = params or BuildParams()
-    if params.target_size < 1:
-        raise ValueError(f"family size must be >= 1, got {params.target_size}")
-    if g.n < params.target_size * 4 + 4:
-        raise ValueError(f"n={g.n} too small for a family of {params.target_size} disjoint 4-paths")
-    rng = random.Random(params.seed)
+    if family_size < 1:
+        raise ValueError(f"family size must be >= 1, got {family_size}")
+    if g.n < family_size * 4 + 4:
+        raise ValueError(f"n={g.n} too small for a family of {family_size} disjoint 4-paths")
+    rng = random.Random(seed)
     last_stage = "family"
     for attempt in range(1, RETRY_BUDGET + 1):
-        members = _draw_family(g, rng, params.target_size)
+        members = _draw_family(g, rng, family_size)
         if members is None:
             last_stage = "family"
             continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -211,21 +212,19 @@ def cmd_solve(args) -> int:
         }
         code = EXIT_OK if out.success else EXIT_FAIL
     else:
-        cfg = pipeline.PipelineConfig(seed=args.seed, fallback=args.fallback, budget=_budget(args))
-        res = pipeline.run_pipeline(g, cfg)
+        budget = _budget(args)  # checked before the run, so a bad budget exits 2 at once
+        res = pipeline.run_pipeline(g, pipeline.PipelineConfig(seed=args.seed))
+        fallback = None
+        if not res.success and args.fallback == "exact":
+            fallback = exact.exact_pc_ham_cycle(g, budget)
         result = {
             "success": res.success,
             "certificate": certificate_to_json(res.certificate) if res.certificate else None,
             "failure": asdict(res.failure) if res.failure else None,
-            "fallback": _oracle_record(res.fallback_result) if res.fallback_result is not None else None,
+            "fallback": _oracle_record(fallback) if fallback is not None else None,
             "report": res.report,
         }
-        if res.success:
-            code = EXIT_OK
-        elif res.fallback_result is not None and res.fallback_result.exists:
-            code = EXIT_OK
-        else:
-            code = EXIT_FAIL
+        code = EXIT_OK if res.success or (fallback is not None and fallback.exists) else EXIT_FAIL
     report = RunReport("solve", seed=args.seed, instance=_instance_meta(g), result=result,
                        timings={"seconds": round(time.perf_counter() - t0, 4)})
     _emit(report, args)
@@ -239,8 +238,6 @@ def cmd_absorb_check(args) -> int:
     bound = eps * eps * g.n ** 4 / 4
     rng = random.Random(args.seed)
     if args.quads == "all":
-        import itertools
-
         quads = list(itertools.permutations(range(g.n), 4))
     elif args.quads.startswith("sample:"):
         count = _int(args.quads.split(":", 1)[1], "--quads sample size")
@@ -253,9 +250,7 @@ def cmd_absorb_check(args) -> int:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
 
     # the build rejects a family too large for n at once, so it goes before the counts
-    build = absorbing.build_absorbing_cycle(
-        g, absorbing.BuildParams(target_size=args.family_size, seed=args.seed)
-    )
+    build = absorbing.build_absorbing_cycle(g, args.family_size, seed=args.seed)
     counts = [absorbing.count_absorbing(g, q) for q in quads]
     violations = [
         {"quad": list(q), "count": c} for q, c in zip(quads, counts) if c < bound
@@ -371,7 +366,7 @@ def _2factor_report(params: dict, records: list) -> dict:
 
 def _abscycle_seed(g, seed: int, params: dict) -> tuple | None:
     """(cycle order, order within the size bound, family universal, coverage), or None unbuilt"""
-    res = absorbing.build_absorbing_cycle(g, absorbing.BuildParams(params["family_size"], seed=seed))
+    res = absorbing.build_absorbing_cycle(g, params["family_size"], seed=seed)
     if not res.success:
         return None
     order = res.cycle.cycle.order

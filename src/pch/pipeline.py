@@ -12,6 +12,9 @@ the blossom matching, which also proves when none exists.  Its cycles are
 opened into a spanning path by rotations.
 The report's ``ham_path`` record names the first path seed's route, and the
 ``absorb`` record's ``routes`` the route of each later seed's path.
+A run returns a verified Hamiltonian cycle or the stage that failed and
+why; it asks no exact oracle (``pch solve --fallback exact`` asks one after
+a failed run).
 The asymptotic constants behind the guarantee are reported by
 ``check_constants`` rather than enforced: the sizes they demand are far
 beyond any instance this code will ever see, so the pipeline runs with
@@ -26,12 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from pch import rotations
-from pch.absorbing import (
-    BuildParams,
-    absorb_path,
-    absorbing_member,
-    build_absorbing_cycle,
-)
+from pch.absorbing import absorb_path, absorbing_member, build_absorbing_cycle
 from pch.ec_graph import (
     Certificate,
     ColouredComplete,
@@ -40,7 +38,6 @@ from pch.ec_graph import (
     induced_subgraph,
     verify_certificate,
 )
-from pch.exact import OracleResult, SearchBudget, exact_pc_ham_cycle
 from pch.rotations import (
     PathCycleSystem,
     TwoFactorOutcome,
@@ -49,29 +46,22 @@ from pch.rotations import (
     find_pc_two_factor,
 )
 
-FALLBACK_NONE = "none"
-FALLBACK_EXACT = "exact"
-
 # spanning paths offered for absorption per run
 _PATH_SEEDS = 3
 
 
 @dataclass
 class PipelineConfig:
-    """How one run is seeded and what happens when a stage fails.
+    """How one run is seeded.
 
     ``seed`` drives the absorbing cycle and the path seeds: each seed's
     greedy growth and, when that stops short of spanning, its 2-factor
-    search.  ``budget`` bounds the Hamiltonian cycle oracle that a failed run
-    asks with ``fallback="exact"``; no other stage runs an exact search.  The
-    sizes are practical constants (family size from n, joins of order at
-    most 6), not the ones ``check_constants`` reports for the asymptotic
-    argument.
+    search.  The sizes are practical constants (family size from n, joins of
+    order at most 6), not the ones ``check_constants`` reports for the
+    asymptotic argument.
     """
 
     seed: int = 0
-    fallback: str = FALLBACK_NONE
-    budget: SearchBudget = field(default_factory=SearchBudget)
 
 
 @dataclass
@@ -85,7 +75,6 @@ class StageFailure:
 class PipelineResult:
     certificate: Certificate | None
     failure: StageFailure | None
-    fallback_result: OracleResult | None
     report: dict
 
     @property
@@ -163,8 +152,6 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
 
 def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> PipelineResult:
     cfg = cfg or PipelineConfig()
-    if cfg.fallback not in (FALLBACK_NONE, FALLBACK_EXACT):
-        raise ValueError(f"fallback must be {FALLBACK_NONE!r} or {FALLBACK_EXACT!r}, got {cfg.fallback!r}")
     n = g.n
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
@@ -172,15 +159,12 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     partial: dict = {}
 
     def fail(stage: str, detail: str) -> PipelineResult:
-        fb = None
-        if cfg.fallback == FALLBACK_EXACT:
-            fb = exact_pc_ham_cycle(g, cfg.budget)
         report["failed_stage"] = stage
-        return PipelineResult(None, StageFailure(stage, detail, dict(partial)), fb, report)
+        return PipelineResult(None, StageFailure(stage, detail, dict(partial)), report)
 
     t0 = time.perf_counter()
     target = _default_family_target(n)
-    build = build_absorbing_cycle(g, BuildParams(target, seed=cfg.seed))
+    build = build_absorbing_cycle(g, target, seed=cfg.seed)
     report["stages"]["absorbing_cycle"] = {
         "seconds": round(time.perf_counter() - t0, 4),
         "family_target": target,
@@ -229,7 +213,14 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     cert = verify_certificate(g, ham_cycle_certificate(cycle))
     if not cert.valid:
         raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")
-    return PipelineResult(cert, None, None, report)
+    return PipelineResult(cert, None, report)
+
+
+def _rotation_thresholds(eps: float) -> tuple[int, int]:
+    """The orders from which rotation expansion and the 2-factor step hold at
+    `eps`; the second is never below the first."""
+    rotation_n0 = math.ceil(11.0 / eps * (math.ceil(1.0 / math.log2(1.0 + eps)) + 3))
+    return rotation_n0, max(math.ceil(1000.0 / (eps * math.log2(1.0 + eps))), rotation_n0)
 
 
 def check_constants(eps: float) -> dict:
@@ -248,14 +239,8 @@ def check_constants(eps: float) -> dict:
     eps_prime = (2.0 * eps - gamma) / (2.0 - 2.0 * gamma)
     depth_cap = math.ceil(1.0 / math.log2(1.0 + eps)) + 1
     join_cap = 2.0 * eps ** -2
-    rotation_n0 = math.ceil(11.0 / eps * (math.ceil(1.0 / math.log2(1.0 + eps)) + 3))
-    two_factor_n1 = max(math.ceil(1000.0 / (eps * math.log2(1.0 + eps))), rotation_n0)
-
-    def n1_of(e: float) -> int:
-        r_n0 = math.ceil(11.0 / e * (math.ceil(1.0 / math.log2(1.0 + e)) + 3))
-        return max(math.ceil(1000.0 / (e * math.log2(1.0 + e))), r_n0)
-
-    n0_lower = math.ceil(n1_of(eps_prime) / (1.0 - gamma))
+    rotation_n0, two_factor_n1 = _rotation_thresholds(eps)
+    n0_lower = math.ceil(_rotation_thresholds(eps_prime)[1] / (1.0 - gamma))
     return {
         "eps": eps,
         "gamma": gamma,

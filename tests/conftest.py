@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
+from pch.absorbing import build_absorbing_cycle, verify_family_universality
 from pch.constructions import properly_coloured_cycle_set
 from pch.ec_graph import (
     KIND_PATH_CYCLE_SYSTEM,
@@ -86,7 +86,7 @@ def random_system_instance(rng: random.Random, n_range=(8, 18), k_range=(3, 7)):
     return g, sys
 
 
-def universal_absorbing_cycle(g, target_size: int, seed: int, builds: int = 25):
+def universal_absorbing_cycle(g, family_size: int, seed: int, builds: int = 25):
     """An absorbing cycle whose family absorbs every ordered quadruple of the
     vertices outside the family, or None after `builds` build seeds.
 
@@ -95,7 +95,7 @@ def universal_absorbing_cycle(g, target_size: int, seed: int, builds: int = 25):
     """
     rng = random.Random(seed)
     for _ in range(builds):
-        res = build_absorbing_cycle(g, BuildParams(target_size, seed=rng.randrange(2 ** 30)))
+        res = build_absorbing_cycle(g, family_size, seed=rng.randrange(2 ** 30))
         if res.success and verify_family_universality(g, res.cycle.family)[0]:
             return res.cycle
     return None

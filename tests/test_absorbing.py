@@ -9,7 +9,6 @@ from pch.absorbing import (
     RETRY_BUDGET,
     AbsorbingCycle,
     AbsorptionError,
-    BuildParams,
     _draw_family,
     absorb_path,
     build_absorbing_cycle,
@@ -169,7 +168,7 @@ def test_count_bound_single_instance():
 
 def test_family_rainbow_and_mono():
     g = rainbow(20)
-    res = build_absorbing_cycle(g, BuildParams(target_size=2, seed=0))
+    res = build_absorbing_cycle(g, 2, seed=0)
     assert res.success and len(res.cycle.family) == 2
     assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
     ok, coverage, _ = verify_family_universality(monochromatic(20), [(0, 1, 2, 3), (4, 5, 6, 7)])
@@ -180,7 +179,7 @@ def test_family_rainbow_and_mono():
 def test_family_members_disjoint_pc_paths():
     for seed in range(5):
         g = random_bounded_colouring(40, 14, seed)
-        res = build_absorbing_cycle(g, BuildParams(target_size=4, seed=seed))
+        res = build_absorbing_cycle(g, 4, seed=seed)
         assert res.success and len(res.cycle.family) == 4
         seen = set()
         for mb in res.cycle.family:
@@ -324,7 +323,7 @@ def test_universality_beyond_mask_width_fails_loudly():
 
 def test_universality_at_bench_scale_rainbow():
     g = rainbow(80)
-    res = build_absorbing_cycle(g, BuildParams(3, seed=0))
+    res = build_absorbing_cycle(g, 3, seed=0)
     assert res.success
     assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
 
@@ -333,7 +332,7 @@ def test_universality_at_bench_scale_rainbow():
 def test_universality_at_bench_scale_few_colours(dmax, colours, coverage):
     # 5-member builder families at n = 80, the bench's few-colour scale
     g = random_bounded_colouring(80, dmax, 0, colours=colours)
-    res = build_absorbing_cycle(g, BuildParams(5, seed=0))
+    res = build_absorbing_cycle(g, 5, seed=0)
     assert res.success
     members = res.cycle.family
     used = {v for mb in members for v in mb}
@@ -424,14 +423,14 @@ def test_join_ends_with_avoid_and_long_orders_matches_brute_force(n):
 
 
 def test_build_rainbow_cycle_size():
-    res = build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0))
+    res = build_absorbing_cycle(rainbow(30), 2, seed=0)
     assert res.success
     assert res.cycle.cycle.order <= 2 * 4 + 2 * 6
     assert is_properly_coloured_cycle(rainbow(30), res.cycle.cycle)
 
 
 def test_build_monochromatic_fails_at_family():
-    res = build_absorbing_cycle(monochromatic(30), BuildParams(target_size=2, seed=0))
+    res = build_absorbing_cycle(monochromatic(30), 2, seed=0)
     assert not res.success
     assert res.failed_stage == "family"
     assert res.attempts == RETRY_BUDGET
@@ -442,7 +441,7 @@ def test_build_raises_on_a_stitched_cycle_that_fails_its_check(monkeypatch):
     # failed check of the stitched cycle is a bug, not a retry
     monkeypatch.setattr(pch.absorbing, "is_properly_coloured_cycle", lambda g, cyc: False)
     with pytest.raises(AbsorptionError, match="stitched"):
-        build_absorbing_cycle(rainbow(30), BuildParams(target_size=2, seed=0))
+        build_absorbing_cycle(rainbow(30), 2, seed=0)
 
 
 @pytest.mark.parametrize("size", [0, -2])
@@ -450,13 +449,13 @@ def test_build_rejects_a_family_size_below_one(monkeypatch, size):
     draws = []
     monkeypatch.setattr(pch.absorbing, "_draw_family", lambda *args: draws.append(args))
     with pytest.raises(ValueError, match=f"family size must be >= 1, got {size}"):
-        build_absorbing_cycle(rainbow(30), BuildParams(size))
+        build_absorbing_cycle(rainbow(30), size)
     assert draws == []
 
 
 def test_build_and_absorb_random_instance():
     g = random_bounded_colouring(40, 14, 5)
-    ac = universal_absorbing_cycle(g, target_size=4, seed=5)
+    ac = universal_absorbing_cycle(g, family_size=4, seed=5)
     assert ac is not None
     outside = [v for v in range(40) if v not in set(ac.cycle.vertices)]
     rng = random.Random(9)
@@ -478,7 +477,7 @@ def test_build_and_absorb_random_instance():
 
 def test_absorb_path_preconditions():
     g = rainbow(30)
-    res = build_absorbing_cycle(g, BuildParams(target_size=2, seed=0))
+    res = build_absorbing_cycle(g, 2, seed=0)
     assert res.success
     ac = res.cycle
     outside = [v for v in range(30) if v not in set(ac.cycle.vertices)]
@@ -491,7 +490,7 @@ def test_absorb_path_preconditions():
 
 def _absorbing_setup():
     g = rainbow(30)
-    ac = build_absorbing_cycle(g, BuildParams(target_size=2, seed=0)).cycle
+    ac = build_absorbing_cycle(g, 2, seed=0).cycle
     outside = [v for v in range(30) if v not in set(ac.cycle.vertices)]
     return g, ac, DirectedPath(tuple(outside[:4]))
 
@@ -545,7 +544,7 @@ def test_build_size_bound_n60():
     built = 0
     for seed in range(6):
         g = random_bounded_colouring(60, 21, seed)
-        res = build_absorbing_cycle(g, BuildParams(target_size=5, seed=seed))
+        res = build_absorbing_cycle(g, 5, seed=seed)
         if res.success:
             built += 1
             ac = res.cycle

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pch.absorbing import BuildParams, build_absorbing_cycle, verify_family_universality
+from pch.absorbing import build_absorbing_cycle, verify_family_universality
 from pch import absorbing, cli
 from pch.cli import main
 from pch.constructions import (
@@ -128,6 +128,14 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
 
 def test_missing_input_is_usage_error(tmp_path):
     assert run("oracle", "--query", "hamcycle", "--input", str(tmp_path / "nope.txt")) == 2
+
+
+def test_missing_certificate_is_usage_error(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    write_graph(rainbow(5), gpath)
+    cpath = tmp_path / "nope.json"
+    assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 2
+    assert f"error: certificate file not found: {cpath}\n" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage():
@@ -255,7 +263,7 @@ def test_budget_env_override(tmp_path, monkeypatch):
     rpath = tmp_path / "r.json"
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
     assert json.loads(rpath.read_text())["result"]["status"] == "exhausted"
-    # the pipeline's exact fallback spends the same budget
+    # pch solve's exact fallback spends the same budget
     assert run("solve", "--method", "pipeline", "--fallback", "exact",
                "--input", str(gpath), "--report", str(rpath)) == 1
     assert json.loads(rpath.read_text())["result"]["fallback"]["status"] == "exhausted"
@@ -288,7 +296,7 @@ def test_absorb_check(tmp_path):
     assert rep["result"]["min_count"] is not None
     # the family audit is of the cycle the command built, not of another sample
     g = read_graph(gpath)
-    build = build_absorbing_cycle(g, BuildParams(target_size=3, seed=2))
+    build = build_absorbing_cycle(g, 3, seed=2)
     assert build.success
     ok, coverage, _ = verify_family_universality(g, build.cycle.family)
     assert rep["result"]["cycle_order"] == build.cycle.cycle.order
@@ -449,8 +457,10 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
      "--eps must be a finite number > 0, got 0.0"),
     (["absorb-check", "--eps", "-0.1", "--quads", "sample:1"], None,
      "--eps must be a finite number > 0, got -0.1"),
+    (["absorb-check", "--eps", "0.1", "--quads", "bogus"], None,
+     "--quads must be 'all' or 'sample:N', got 'bogus'"),
 ], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text",
-        "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative"])
+        "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative", "absorb-quads-text"])
 def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, env, message):
     if argv[0] != "lemma-check":
         gpath = tmp_path / "g.txt"
@@ -530,7 +540,7 @@ def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):
     audits = []
     for seed in range(3):
         g = random_bounded_colouring(30, 12, seed)
-        build = build_absorbing_cycle(g, BuildParams(3, seed=seed))
+        build = build_absorbing_cycle(g, 3, seed=seed)
         if build.success:
             audits.append(verify_family_universality(g, build.cycle.family))
     assert rep["built"] == len(audits) > 0

@@ -16,6 +16,7 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     Certificate,
+    ColouredComplete,
     DirectedCycle,
     DirectedPath,
     GraphFormatError,
@@ -218,6 +219,19 @@ def test_verify_certificate_malformed_never_raises():
         assert out.reason
 
 
+@pytest.mark.parametrize("cert, reason", [
+    (Certificate("HamPath", cycles=((0, 1, 2),), path=(3, 4)), "HamPath needs a path and no cycles"),
+    (Certificate("HamPath"), "HamPath needs a path and no cycles"),
+    (Certificate("TwoFactor", cycles=((0, 1, 2),), path=(3, 4)), "TwoFactor must not contain a path"),
+    (Certificate("TwoFactor"), "TwoFactor needs at least one cycle"),
+    (Certificate("HamCycle", cycles=(None,)), "malformed structure: "),
+], ids=["path-with-cycles", "path-missing", "two-factor-with-path", "two-factor-empty", "cycle-not-a-sequence"])
+def test_verify_certificate_names_the_shape_problem(cert, reason):
+    out = verify_certificate(rainbow(5), cert)
+    assert not out.valid
+    assert out.reason.startswith(reason)
+
+
 def test_two_factor_certificate_requires_spanning():
     g = rainbow(6)
     ok = verify_certificate(g, two_factor_certificate([(0, 1, 2), (3, 4, 5)]))
@@ -249,6 +263,16 @@ def test_certificate_json_roundtrip():
     data = json.loads(json.dumps(certificate_to_json(cert)))
     back = certificate_from_json(data)
     assert back == cert
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([{"kind": "HamCycle"}], "certificate JSON must be an object"),
+    ({"kind": 3, "cycles": [[0, 1, 2]]}, "certificate JSON needs a string 'kind'"),
+    ({"cycles": [[0, 1, 2]]}, "certificate JSON needs a string 'kind'"),
+], ids=["list", "int-kind", "no-kind"])
+def test_certificate_from_json_rejects_bad_shapes(obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certificate_from_json(obj)
 
 
 def test_induced_subgraph_keeps_colours():
@@ -286,6 +310,9 @@ def test_text_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as err:
         graph_from_text("3\n")
     assert err.value.line == 1
+    with pytest.raises(GraphFormatError) as err:
+        graph_from_text("0 3\n")
+    assert (err.value.line, err.value.message) == (1, "need n >= 1 and k >= 1, got n=0 k=3")
     with pytest.raises(GraphFormatError) as err:
         graph_from_text("3 2\n0 1\n")  # missing final row
     assert err.value.line == 3
@@ -400,8 +427,6 @@ def test_matrix_is_read_only():
 
 @pytest.mark.parametrize("g", _representation_cases(), ids=repr)
 def test_induced_subgraph_matches_per_pair_reference(g):
-    from pch.ec_graph import ColouredComplete
-
     keep = [v for v in range(g.n) if v % 3 != 1][::-1]
     sub, old = induced_subgraph(g, keep)
     ref = ColouredComplete.from_function(len(old), g.k, lambda a, b: g.colour(old[a], old[b]))
@@ -427,6 +452,16 @@ def test_colour_histograms_match_per_pair_loop(g):
     assert colour_counts(g.matrix, g.k).tolist() == hist
     assert max_mono_degree(g) == max(max(row) for row in hist)
     assert min_colour_degree(g) == min(sum(1 for c in row if c) for row in hist)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (0, 2, "need n >= 1, got 0"),
+    (-1, 2, "need n >= 1, got -1"),
+    (3, 0, "need k >= 1, got 0"),
+])
+def test_constructor_rejects_empty_vertex_sets_and_palettes(n, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ColouredComplete(n, k, [])
 
 
 def test_constructor_rejects_colours_beyond_int32():

@@ -83,3 +83,29 @@ def test_library_has_no_asserts(path):
     # python -O strips asserts, so an invariant check in the library raises
     # instead (rotations._guarantee)
     assert assert_lines(path.read_text()) == []
+
+
+def function_import_lines(source: str) -> list[int]:
+    """Lines of the import statements inside the source's functions."""
+    # a set: an import in a nested function is inside the outer one too
+    return sorted({
+        sub.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_function_import_lines_finds_a_nested_import():
+    source = (
+        "import os\ndef f():\n    if os:\n        import itertools\n"
+        "class C:\n    def g(self):\n        def h():\n            from a import b\n"
+    )
+    assert function_import_lines(source) == [4, 8]
+
+
+@pytest.mark.parametrize("path", sorted(Path(pch.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_at_module_top(path):
+    # every dependency of a module shows in its header
+    assert function_import_lines(path.read_text()) == []
