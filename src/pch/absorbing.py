@@ -201,7 +201,8 @@ def verify_family_universality(g, members, outside=None):
 
     `outside` defaults to the vertices not used by the family; a repeated
     vertex or an id outside the graph raises ValueError, and so do more than
-    64 members.  The check is exact: member j absorbs (x1, x2; y1, y2) iff
+    64 members and a member that is not a PC path of 4 distinct vertices of
+    g.  The check is exact: member j absorbs (x1, x2; y1, y2) iff
     bit j is set in both the left mask of (x1, x2) and the right mask of
     (y1, y2) (see `_pair_table`).  Each side groups the m(m - 1) ordered
     outside pairs by mask.  Coverage is the fraction of (left pair, right
@@ -210,6 +211,9 @@ def verify_family_universality(g, members, outside=None):
     are searched for four distinct vertices, exactly and with no budget.
     Returns (ok, coverage, an uncovered quadruple or None).
     """
+    for mb in members:
+        if len(mb) != 4 or len(set(mb)) != 4 or not is_properly_coloured_path(g, mb):
+            raise ValueError(f"member {tuple(mb)} is not a PC path of 4 distinct vertices of 0..{g.n - 1}")
     used = {v for mb in members for v in mb}
     if outside is None:
         outside = [v for v in range(g.n) if v not in used]

@@ -402,7 +402,7 @@ def _lemma_seed(name: str, params: dict, seed: int):
 def lemma_check(name: str, params: dict) -> dict:
     """Run one lemma-style property suite and aggregate its statistics.
 
-    ``params["seeds"]`` is a number of seeds from 0 or a range of seeds;
+    ``params["seeds"]`` is a number of seeds from 0;
     ``params["dmax"]`` None means ⌊(1/2 - eps)n⌋.  With ``params["jobs"]``
     above 1 the seeds run in consecutive chunks on a process pool of at most
     one worker per CPU; the report is the serial run's either way.
@@ -418,14 +418,15 @@ def lemma_check(name: str, params: dict) -> dict:
                              "pass --dmax >= 1 or a smaller --eps")
     elif dmax < 1:
         raise UsageError(f"--dmax must be >= 1, got {dmax}")
-    count = seeds if isinstance(seeds, int) else len(seeds)
-    if count < 1:
-        raise UsageError(f"--seeds must be >= 1, got {count}")
+    if seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {seeds}")
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     if params["quads"] < 1:
         raise UsageError(f"--quads must be >= 1, got {params['quads']}")
     if name == "abspath" and params["n"] < 4:
         raise UsageError(f"lemma abspath samples quadruples, which needs n >= 4, got n = {params['n']}")
-    seeds = range(seeds) if isinstance(seeds, int) else seeds
+    seeds = range(seeds)
     params = {**params, "dmax": dmax, "seeds": seeds}
     per_seed = functools.partial(_lemma_seed, name, params)
     if jobs > 1 and len(seeds) > 1:

@@ -1,17 +1,16 @@
 """End-to-end Hamiltonian cycle construction.
 
-Stages: build a small absorbing cycle; delete its vertices; find a spanning
+Stages: build a small absorbing cycle; delete its vertices; grow a spanning
 properly coloured path of the rest; absorb the path into the cycle, reversed,
 end-rotated or from another seed until some member absorbs its end quadruple.
-The spanning path is grown greedily first, inside the rest, in the input's
-own vertex ids; steering and absorption use the same ids.  Only when greedy
-growth stops short does the paper's route run, on the restriction of the
-input to the rest: a properly coloured 2-factor, found by one rotation
-search with the path seed as its one setting or, when that stops short, by
-the blossom matching, which also proves when none exists.  Its cycles are
-opened into a spanning path by rotations.
-The report's ``ham_path`` record names the first path seed's route, and the
-``absorb`` record's ``routes`` the route of each later seed's path.
+The spanning path is the greedy ``maximal_path_cycle`` path, grown inside the
+rest in the input's own vertex ids; steering and absorption use the same ids.
+A first path that does not span fails the run at ``ham_path``, and a later
+seed's path that does not span is skipped.  The paper's route through a PC
+2-factor of the rest is not taken: wherever greedy growth stopped short on
+the measured generators, the rest had no PC Hamiltonian path at all.
+The report's ``ham_path`` record holds the first greedy path's ``order``,
+and the ``absorb`` record's ``orders`` that of each later seed's path.
 A run returns a verified Hamiltonian cycle or the stage that failed and
 why; it asks no exact oracle (``pch solve --fallback exact`` asks one after
 a failed run).
@@ -35,16 +34,9 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedPath,
     ham_cycle_certificate,
-    induced_subgraph,
     verify_certificate,
 )
-from pch.rotations import (
-    PathCycleSystem,
-    TwoFactorOutcome,
-    expand_endpoint_colours,
-    find_pc_ham_path_heuristic,
-    find_pc_two_factor,
-)
+from pch.rotations import PathCycleSystem, expand_endpoint_colours
 
 # spanning paths offered for absorption per run
 _PATH_SEEDS = 3
@@ -54,9 +46,8 @@ _PATH_SEEDS = 3
 class PipelineConfig:
     """How one run is seeded.
 
-    ``seed`` drives the absorbing cycle and the path seeds: each seed's
-    greedy growth and, when that stops short of spanning, its 2-factor
-    search.  The sizes are practical constants (family size from n, joins of
+    ``seed`` drives the absorbing cycle and the path seeds' greedy growth.
+    The sizes are practical constants (family size from n, joins of
     order at most 6), not the ones ``check_constants`` reports for the
     asymptotic argument.
     """
@@ -87,27 +78,6 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
-def _spanning_path(g, keep: list[int], seed: int) -> tuple[DirectedPath | None, dict, TwoFactorOutcome | None]:
-    """A spanning PC path of the sorted vertices `keep`, in g's ids (None if
-    none was found), the record of its route, and the 2-factor search it
-    took (None when the greedy path spans).  Only that search restricts g."""
-    greedy = rotations.maximal_path_cycle(g, seed, keep)
-    if greedy.path.order == len(keep):
-        return greedy.path, {"how": "greedy"}, None
-    sub, old_ids = induced_subgraph(g, keep)
-    tf = find_pc_two_factor(sub, seed)
-    route = {
-        "how": "two_factor",
-        "rotations": tf.stats["rotations"],
-        # "matching", "fallback" once some closure needed rotations, or "immediate"
-        "closed_via": tf.stats.get("closed_via", "immediate"),
-    }
-    path = find_pc_ham_path_heuristic(sub, tf)
-    if path is not None:
-        path = DirectedPath(tuple(old_ids[v] for v in path.vertices))  # in g's ids
-    return path, route, tf
-
-
 def _rotated(g, path: DirectedPath, tried: dict):
     """The spanning paths that rotating one end of `path` reaches: its right
     end, then its left end, as the right end of the reversed path."""
@@ -121,20 +91,21 @@ def _rotated(g, path: DirectedPath, tried: dict):
 def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
     """Absorb a spanning path of the vertices `keep` into `ac`: the cycle, or None.
 
-    Each seed's path (`first` for `seed`; later seeds build their own) is
+    Each seed's path (`first` for `seed`; later seeds grow their own) is
     tried forward and reversed, and then so is each spanning path its end
     rotations reach.  A candidate is absorbed only once some member absorbs
-    its end quadruple.  `tried` records the path seeds, the routes of the
-    paths later seeds built, end quadruples and rotations.
+    its end quadruple; a later seed's path that does not span is skipped.
+    `tried` records the path seeds, the orders of the paths later seeds
+    grew, end quadruples and rotations.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
         path = first
         if i > 0:
-            path, route, _ = _spanning_path(g, keep, seed + i)
-            tried["routes"].append(route)
-        if path is None:
-            continue
+            path = rotations.maximal_path_cycle(g, seed + i, keep).path
+            tried["orders"].append(path.order)
+            if path.order < len(keep):
+                continue
         for variant in itertools.chain([path], _rotated(g, path, tried)):
             vs = variant.vertices
             ends = (vs[0], vs[1], vs[-2], vs[-1])
@@ -184,20 +155,18 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": len(keep)}
 
     t0 = time.perf_counter()
-    path, record, tf = _spanning_path(g, keep, cfg.seed)
-    if tf is not None:
-        partial["two_factor"] = tf
+    path = rotations.maximal_path_cycle(g, cfg.seed, keep).path
     report["stages"]["ham_path"] = {
         "seconds": round(time.perf_counter() - t0, 4),
-        **record,
-        "success": path is not None,
+        "order": path.order,
+        "success": path.order == len(keep),
     }
-    if path is None:
-        return fail("ham_path", "no spanning PC path found on the restriction")
+    if path.order < len(keep):
+        return fail("ham_path", f"the greedy path spans {path.order} of the {len(keep)} vertices outside the cycle")
     partial["ham_path"] = path
 
     t0 = time.perf_counter()
-    tried: dict = {"path_seeds": [], "routes": [], "quads": 0, "rotations": 0}
+    tried: dict = {"path_seeds": [], "orders": [], "quads": 0, "rotations": 0}
     cycle = _steer(g, ac, keep, path, cfg.seed, tried)
     report["stages"]["absorb"] = {
         "seconds": round(time.perf_counter() - t0, 4),

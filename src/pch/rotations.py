@@ -21,7 +21,6 @@ from pch.ec_graph import (
     Certificate,
     DirectedCycle,
     DirectedPath,
-    is_properly_coloured_path,
     two_factor_certificate,
     verify_certificate,
 )
@@ -73,12 +72,6 @@ def _right_chords(sys: PathCycleSystem, g):
     c_y = row[path[-2]]
     skip = (path[-1], path[0], path[1])
     return (w for w in sorted(sys.index) if w not in skip and row[w] != c_y)
-
-
-def _guarantee(ok: bool, what: str) -> None:
-    """Raise RuntimeError(what) unless ok: an invariant check that, unlike assert, holds under python -O."""
-    if not ok:
-        raise RuntimeError(what)
 
 
 def _rewire_right(sys: PathCycleSystem, w: int, want: int) -> PathCycleSystem:
@@ -374,40 +367,3 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
         stats["closed_via"] = "matching"
         return TwoFactorOutcome(cert, None, stats)
     return TwoFactorOutcome(None, best, stats, barrier)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian path heuristic (2-factor cycles opened and merged by rotations)
-# ---------------------------------------------------------------------------
-
-def find_pc_ham_path_heuristic(g, two_factor: TwoFactorOutcome) -> DirectedPath | None:
-    """Open the 2-factor a search found into a spanning PC path: open its
-    first cycle into a path at each vertex in turn, then absorb the remaining
-    cycles by chord rotations.  Returns None when the search found no
-    2-factor or no opening absorbs every cycle; any returned path is verified
-    spanning and properly coloured.
-    """
-    if not two_factor.success:
-        return None
-    cycles = [DirectedCycle(tuple(c)) for c in two_factor.certificate.cycles]
-    rest = tuple(cycles[1:])
-    verts = cycles[0].vertices
-    for i in range(len(verts)):
-        cur = PathCycleSystem(DirectedPath(verts[i:] + verts[:i]), rest)
-        while cur is not None and cur.cycles:
-            cur = _absorb_cycle(cur, g)
-        if cur is not None:
-            _guarantee(is_properly_coloured_path(g, cur.path), "spanning path is not properly coloured")
-            return cur.path
-    return None
-
-
-def _absorb_cycle(sys: PathCycleSystem, g) -> PathCycleSystem | None:
-    """The first chord rotation, right end first, whose target lies on a
-    cycle: it absorbs that cycle into the path.  None when there is none."""
-    on_cycles = {v for cyc in sys.cycles for v in cyc.vertices}
-    for cur, back in ((sys, lambda s: s), (sys.reverse(), PathCycleSystem.reverse)):
-        for w in _right_chords(cur, g):
-            if w in on_cycles:
-                return back(_rewire_right(cur, w, rotation_targets(cur, g, w)[0]))
-    return None

@@ -171,7 +171,14 @@ def test_family_rainbow_and_mono():
     res = build_absorbing_cycle(g, 2, seed=0)
     assert res.success and len(res.cycle.family) == 2
     assert verify_family_universality(g, res.cycle.family) == (True, 1.0, None)
-    ok, coverage, _ = verify_family_universality(monochromatic(20), [(0, 1, 2, 3), (4, 5, 6, 7)])
+    # a monochromatic colouring has no PC member to audit
+    members = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    with pytest.raises(ValueError, match="not a PC path"):
+        verify_family_universality(monochromatic(20), members)
+    # two PC members in colour 0 elsewhere: z2 x1 and x1 x2 share colour 0,
+    # so neither member absorbs anything
+    g = ColouredComplete.from_function(20, 8, lambda u, v: 1 + u if v == u + 1 and v % 4 and v < 8 else 0)
+    ok, coverage, _ = verify_family_universality(g, members)
     assert not ok
     assert coverage == 0.0
 
@@ -301,14 +308,30 @@ def test_universality_rejects_bad_outside():
     assert verify_family_universality(g, members, outside=[8, 9, 10]) == (True, 1.0, None)
 
 
+def test_universality_rejects_bad_members():
+    g = rainbow(12)
+    for member in ((-1, 1, 2, 3), (0, 1, 2, 12), (0, 1, 1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError, match="is not a PC path of 4 distinct vertices of 0..11"):
+            verify_family_universality(g, [(4, 5, 6, 7), member])
+    # c(1, 2) = c(0, 1): the member 0 1 2 3 is no PC path and absorbs no
+    # quadruple, so auditing it as a member would report coverage it lacks
+    base = random_colouring(12, 12, 3)
+    g = ColouredComplete.from_function(
+        12, 12, lambda u, v: base.colour(0, 1) if (u, v) == (1, 2) else base.colour(u, v)
+    )
+    assert not any(is_absorbing(g, q, (0, 1, 2, 3)) for q in itertools.permutations(range(4, 12), 4))
+    with pytest.raises(ValueError, match=r"member \(0, 1, 2, 3\) is not a PC path"):
+        verify_family_universality(g, [(0, 1, 2, 3)])
+
+
 def test_universality_beyond_mask_width_fails_loudly():
-    # 65 disjoint members of which only the last absorbs anything: every
+    # 65 disjoint PC members of which only the last absorbs anything: every
     # quadruple of the four outside vertices is covered, but only by member 64
     n = 264
     members = [tuple(range(4 * i, 4 * i + 4)) for i in range(65)]
     live = set(members[-1])
     g = ColouredComplete.from_function(
-        n, n * n, lambda u, v: 1 + u * n + v if u in live or v in live else 0
+        n, n * n, lambda u, v: 1 + u * n + v if u in live or v in live or u // 4 == v // 4 < 65 else 0
     )
     outside = range(260, 264)
     for quad in itertools.permutations(outside, 4):

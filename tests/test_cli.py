@@ -459,8 +459,13 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
      "--eps must be a finite number > 0, got -0.1"),
     (["absorb-check", "--eps", "0.1", "--quads", "bogus"], None,
      "--quads must be 'all' or 'sample:N', got 'bogus'"),
+    # a job count below 1 is no serial run
+    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "0"], None,
+     "--jobs must be >= 1, got 0"),
+    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "-3"], None,
+     "--jobs must be >= 1, got -3"),
 ], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text",
-        "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative", "absorb-quads-text"])
+        "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative", "absorb-quads-text", "jobs-zero", "jobs"])
 def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, env, message):
     if argv[0] != "lemma-check":
         gpath = tmp_path / "g.txt"

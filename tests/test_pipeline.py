@@ -16,9 +16,9 @@ from pch.ec_graph import (
     max_mono_degree,
     verify_certificate,
 )
-from pch.exact import SearchStatus, check_barrier, exact_pc_ham_cycle, exact_pc_ham_path
+from pch.exact import SearchStatus, check_barrier, exact_pc_ham_cycle, exact_pc_ham_path, pc_two_factor_matching
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
-from pch.rotations import find_pc_two_factor, maximal_path_cycle
+from pch.rotations import maximal_path_cycle
 
 
 def test_rainbow_succeeds_and_verifies():
@@ -112,31 +112,6 @@ def test_check_constants_domain():
             check_constants(bad)
 
 
-def _record_two_factor_calls(monkeypatch) -> list:
-    """Route every 2-factor search through a wrapper that keeps its outcomes."""
-    outcomes = []
-
-    def counting(g, seed=0):
-        outcomes.append(find_pc_two_factor(g, seed))
-        return outcomes[-1]
-
-    monkeypatch.setattr(pch.pipeline, "find_pc_two_factor", counting)
-    monkeypatch.setattr(pch.rotations, "find_pc_two_factor", counting)
-    return outcomes
-
-
-def _record_restrictions(monkeypatch) -> list:
-    """Route the pipeline's restrictions through a wrapper that keeps their vertex sets."""
-    kept = []
-
-    def counting(g, keep):
-        kept.append(tuple(keep))
-        return induced_subgraph(g, keep)
-
-    monkeypatch.setattr(pch.pipeline, "induced_subgraph", counting)
-    return kept
-
-
 def test_report_contains_stage_records():
     res = run_pipeline(rainbow(30), PipelineConfig(seed=3))
     assert res.success
@@ -144,55 +119,32 @@ def test_report_contains_stage_records():
     assert list(stages) == ["absorbing_cycle", "restriction", "ham_path", "absorb"]
     for record in stages.values():
         assert record["seconds"] >= 0
-    assert stages["ham_path"]["how"] == "greedy"
+    assert stages["ham_path"]["order"] == stages["restriction"]["n_rest"]
     assert stages["ham_path"]["success"]
 
 
-def test_pipeline_runs_one_two_factor_search(monkeypatch):
-    # at most one, and none at all when the greedy path spans; growth,
-    # steering and absorption then run in the graph's own ids, so nothing
-    # restricts it
-    outcomes = _record_two_factor_calls(monkeypatch)
-    restrictions = _record_restrictions(monkeypatch)
-    for g, seed in (
-        (rainbow(30), 3),
-        (random_bounded_colouring(160, 72, 0, colours=3), 0),
-        (near_bollobas_erdos(80, 6), 6),
-    ):
-        res = run_pipeline(g, PipelineConfig(seed=seed))
-        assert res.success
-        assert res.report["stages"]["ham_path"]["how"] == "greedy"
-    assert outcomes == []
-    assert restrictions == []
-
-
-def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
+def test_short_greedy_path_fails_at_ham_path(monkeypatch):
     # greedy growth that stops one vertex short of the vertices outside the
-    # cycle, once; the 2-factor search runs on their restriction
-    outcomes = _record_two_factor_calls(monkeypatch)
-    restrictions = _record_restrictions(monkeypatch)
+    # cycle fails the run there; no later seed and no other route is tried
     calls = []
 
     def one_short(*args, **kwargs):
         sys = maximal_path_cycle(*args, **kwargs)
         calls.append(args)
-        if len(calls) == 1:
-            sys = replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
-        return sys
+        return replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
 
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", one_short)
-    g = rainbow(30)
-    res = run_pipeline(g, PipelineConfig(seed=3))
-    _assert_solved(g, res)
-    record = res.report["stages"]["ham_path"]
-    [tf] = outcomes
-    assert tf.success
-    assert record["how"] == "two_factor"
-    assert "attempts" not in record
-    assert record["rotations"] == tf.stats["rotations"]
-    assert record["closed_via"] == tf.stats.get("closed_via", "immediate")
-    assert len(restrictions) >= 1
-    assert len(restrictions[0]) == res.report["stages"]["restriction"]["n_rest"]
+    res = run_pipeline(rainbow(30), PipelineConfig(seed=3))
+    assert not res.success
+    assert res.failure.stage == res.report["failed_stage"] == "ham_path"
+    n_rest = res.report["stages"]["restriction"]["n_rest"]
+    assert res.report["stages"]["ham_path"] == {
+        "seconds": res.report["stages"]["ham_path"]["seconds"], "order": n_rest - 1, "success": False,
+    }
+    assert res.failure.detail == f"the greedy path spans {n_rest - 1} of the {n_rest} vertices outside the cycle"
+    assert len(calls) == 1 and calls[0][1] == 3
+    assert set(res.failure.partial) == {"absorbing_cycle"}
+    assert "absorb" not in res.report["stages"]
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -200,7 +152,8 @@ def test_short_greedy_path_falls_back_to_the_two_factor_route(monkeypatch):
     pytest.param(lambda: random_bounded_colouring(160, 72, 0, colours=3), 0, id="three-colour160"),
 ])
 def test_pipeline_builds_one_maximal_path_cycle(monkeypatch, make, seed):
-    # the 2-factor search starts from one; opening its first cycle needs no other
+    # the first path seed's greedy path spans and is absorbed, so no later
+    # seed grows another
     g = make()
     calls = []
 
@@ -241,11 +194,12 @@ def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
     res = run_pipeline(g, PipelineConfig(seed=1))
     assert not res.success
     assert res.failure.stage == res.report["failed_stage"] == "absorb"
-    # the greedy path spanned, so no 2-factor outcome is kept
-    assert res.report["stages"]["ham_path"]["how"] == "greedy"
-    assert "two_factor" not in res.failure.partial
+    n_rest = res.report["stages"]["restriction"]["n_rest"]
+    assert res.report["stages"]["ham_path"]["order"] == n_rest
+    assert set(res.failure.partial) == {"absorbing_cycle", "ham_path"}
     tried = res.report["stages"]["absorb"]
     assert tried["path_seeds"] == [1, 2, 3]
+    assert tried["orders"] == [n_rest, n_rest]
     assert tried["rotations"] > 0
     # every path and every rotated path, each forward and reversed
     assert tried["quads"] > 2 * len(tried["path_seeds"])
@@ -256,69 +210,52 @@ def test_unabsorbed_path_fails_at_absorb_with_what_was_tried(monkeypatch):
 def test_rest_without_a_spanning_path_fails_at_ham_path():
     # vertices 8..23 form a colour-0 clique, so at most two of them lie
     # consecutively on a PC path: twelve vertices left outside the cycle
-    # hold too many of them for the greedy path and the 2-factor search
+    # hold too many of them for any spanning path
     g = ColouredComplete.from_function(24, 24, lambda u, v: 0 if u >= 8 else 1 + (u + v) % 23)
     res = run_pipeline(g, PipelineConfig(seed=0))
     assert not res.success
     assert res.failure.stage == res.report["failed_stage"] == "ham_path"
-    assert res.failure.detail == "no spanning PC path found on the restriction"
     record = res.report["stages"]["ham_path"]
-    tf = res.failure.partial["two_factor"]
-    assert (record["how"], record["success"], record["rotations"]) == ("two_factor", False, tf.stats["rotations"])
-    assert "absorb" not in res.report["stages"] and "ham_path" not in res.failure.partial
+    assert record["order"] < 12 and not record["success"]
+    assert res.failure.detail == f"the greedy path spans {record['order']} of the 12 vertices outside the cycle"
+    assert "absorb" not in res.report["stages"] and set(res.failure.partial) == {"absorbing_cycle"}
     # the rest has no PC 2-factor, and no spanning PC path either
     keep = [v for v in range(g.n) if v not in res.failure.partial["absorbing_cycle"].cycle.vertices]
     sub, _ = induced_subgraph(g, keep)
     assert len(keep) == res.report["stages"]["restriction"]["n_rest"] == 12
-    assert not tf.success and check_barrier(sub, tf.barrier)
+    assert check_barrier(sub, pc_two_factor_matching(sub)[1])
     assert exact_pc_ham_path(sub).status == SearchStatus.NOT_EXISTS
 
 
-def test_later_path_seeds_report_their_routes(monkeypatch):
-    # path seed 2's greedy path stops one vertex short, so it takes the
-    # 2-factor route; seed 3's spans.  The pipeline passes the seed by
-    # position, the 2-factor search's own growth by keyword.
+def test_later_path_seeds_report_their_orders(monkeypatch):
+    # path seed 2's greedy path stops one vertex short, so steering skips it
+    # and goes on to seed 3, whose path spans
     monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
-    outcomes = _record_two_factor_calls(monkeypatch)
 
     def second_seed_short(*args, **kwargs):
         sys = maximal_path_cycle(*args, **kwargs)
-        if args[1:2] == (2,):
+        if args[1] == 2:
             sys = replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
         return sys
 
+    steered = []
+    rotated = pch.pipeline._rotated
+
+    def recording(g, path, tried):
+        steered.append(path.order)
+        return rotated(g, path, tried)
+
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", second_seed_short)
+    monkeypatch.setattr(pch.pipeline, "_rotated", recording)
     res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
     assert res.failure.stage == "absorb"
-    assert res.report["stages"]["ham_path"]["how"] == "greedy"
+    n_rest = res.report["stages"]["restriction"]["n_rest"]
+    assert res.report["stages"]["ham_path"]["order"] == n_rest
     tried = res.report["stages"]["absorb"]
     assert tried["path_seeds"] == [1, 2, 3]
-    [tf] = outcomes
-    assert tried["routes"] == [
-        {
-            "how": "two_factor",
-            "rotations": tf.stats["rotations"],
-            "closed_via": tf.stats.get("closed_via", "immediate"),
-        },
-        {"how": "greedy"},
-    ]
-
-
-def test_a_later_seed_without_a_spanning_path_moves_on(monkeypatch):
-    # path seed 2 finds no spanning path, so steering goes on to seed 3
-    monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
-    spanning_path, seeds = pch.pipeline._spanning_path, []
-
-    def second_seed_pathless(g, keep, seed):
-        seeds.append(seed)
-        path, route, tf = spanning_path(g, keep, seed)
-        return (None if seed == 2 else path), route, tf
-
-    monkeypatch.setattr(pch.pipeline, "_spanning_path", second_seed_pathless)
-    res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
-    assert res.failure.stage == "absorb"
-    assert seeds == [1, 2, 3]
-    assert res.report["stages"]["absorb"]["path_seeds"] == [1, 2, 3]
+    assert tried["orders"] == [n_rest - 1, n_rest]
+    # the paths of seeds 1 and 3 are steered, seed 2's is not
+    assert steered == [n_rest, n_rest]
 
 
 def _timeless(report):
@@ -354,10 +291,10 @@ def _unfiltered_steer(g, ac, keep, first, seed, tried):
         tried["path_seeds"].append(seed + i)
         path = first
         if i > 0:
-            path, route, _ = pch.pipeline._spanning_path(g, keep, seed + i)
-            tried["routes"].append(route)
-        if path is None:
-            continue
+            path = pch.rotations.maximal_path_cycle(g, seed + i, keep).path
+            tried["orders"].append(path.order)
+            if path.order < len(keep):
+                continue
         for variant in itertools.chain([path], pch.pipeline._rotated(g, path, tried)):
             for p in (variant, variant.reverse()):
                 tried["quads"] += 1

@@ -24,18 +24,15 @@ from pch.ec_graph import (
     induced_subgraph,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
-    two_factor_certificate,
     verify_certificate,
 )
 from pch.exact import check_barrier, exact_pc_two_factor
 from pch.rotations import (
     PathCycleSystem,
-    TwoFactorOutcome,
     _closable,
     _rewire_right,
     _right_chords,
     expand_endpoint_colours,
-    find_pc_ham_path_heuristic,
     find_pc_two_factor,
     maximal_path_cycle,
     pick_extension,
@@ -414,16 +411,6 @@ def test_two_factor_invalid_certificate_raises(monkeypatch):
         find_pc_two_factor(rainbow(7))
 
 
-# -- invariant checks raise, so they hold under python -O --------------------
-
-def test_ham_path_heuristic_check_raises(monkeypatch):
-    g = rainbow(8)
-    tf = find_pc_two_factor(g)
-    monkeypatch.setattr(pch.rotations, "is_properly_coloured_path", lambda g, path: False)
-    with pytest.raises(RuntimeError, match="not properly coloured"):
-        find_pc_ham_path_heuristic(g, tf)
-
-
 @pytest.mark.parametrize("k", [3, 4, 10, 20, 40])
 def test_two_factor_stops_with_a_barrier_after_one_attempt(monkeypatch, k):
     # BE(k) has no PC 2-factor: after its one rotation attempt the search
@@ -467,9 +454,6 @@ def test_two_factor_success_path_skips_the_matching(monkeypatch):
     assert out.stats["closed_via"] == "matching"
     assert out.certificate == matching(g)[0]
     assert verify_certificate(g, out.certificate).valid
-    p = find_pc_ham_path_heuristic(g, out)
-    assert sorted(p.vertices) == list(range(g.n))
-    assert is_properly_coloured_path(g, p)
 
 
 def test_two_factor_small_n():
@@ -517,53 +501,6 @@ def test_two_factor_never_claims_nonexistent():
         else:
             assert check_barrier(g, heur.barrier)
     assert rescued > 0
-
-
-def test_ham_path_heuristic_spanning_and_proper():
-    for seed in range(6):
-        g = random_bounded_colouring(14, 5, seed)
-        p = find_pc_ham_path_heuristic(g, find_pc_two_factor(g, seed))
-        if p is not None:
-            assert p.order == g.n
-            assert is_properly_coloured_path(g, p)
-
-
-@pytest.mark.parametrize("seed", [14, 32])
-def test_ham_path_heuristic_absorbs_a_second_cycle(seed):
-    g = random_bounded_colouring(14, 5, seed)
-    tf = find_pc_two_factor(g, seed)
-    assert len(tf.certificate.cycles) == 2
-    p = find_pc_ham_path_heuristic(g, tf)
-    assert sorted(p.vertices) == list(range(g.n))
-    assert is_properly_coloured_path(g, p)
-
-
-def test_ham_path_heuristic_tries_the_next_opening():
-    # triangles 012 and 345; every edge from 0 to the other triangle has the
-    # colour of 01 and every one from 2 the colour of 21, so the opening at 0,
-    # path 0 1 2, has no chord into 345 and the opening at 1 absorbs it
-    edges = {(0, 1): 0, (1, 2): 1, (0, 2): 2, (3, 4): 0, (4, 5): 1, (3, 5): 2}
-    for b in (3, 4, 5):
-        edges.update({(0, b): 0, (1, b): 3, (2, b): 1})
-    g = graph_from_edges(6, 4, edges)
-    tf = TwoFactorOutcome(two_factor_certificate([(0, 1, 2), (3, 4, 5)]), None, {})
-    p = find_pc_ham_path_heuristic(g, tf)
-    assert p.vertices[:3] == (1, 2, 0)
-    assert sorted(p.vertices) == list(range(6))
-    assert is_properly_coloured_path(g, p)
-
-
-def test_ham_path_heuristic_gives_up_when_no_opening_absorbs(monkeypatch):
-    calls = []
-    monkeypatch.setattr(pch.rotations, "_absorb_cycle", lambda sys, g: calls.append(sys.path.vertices))
-    tf = TwoFactorOutcome(two_factor_certificate([(0, 1, 2), (3, 4, 5)]), None, {})
-    assert find_pc_ham_path_heuristic(rainbow(6), tf) is None
-    assert calls == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-
-
-def test_ham_path_heuristic_without_a_two_factor():
-    g = monochromatic(7)
-    assert find_pc_ham_path_heuristic(g, find_pc_two_factor(g)) is None
 
 
 @pytest.mark.parametrize(

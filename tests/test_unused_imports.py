@@ -30,26 +30,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """Top-level private functions, classes and constants (``_``-prefixed,
-    not dunder) that none of the sources reads, by name or as an attribute."""
-    trees = [ast.parse(s) for s in sources]
-    defined = []
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, ast.Assign):
-                defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined.append(node.target.id)
-    read = set()
-    for tree in trees:
-        for n in ast.walk(tree):
+    not dunder) that none of the sources reads, by name or as an attribute,
+    outside their own definition: a helper left behind by its last caller is
+    unread even when it calls itself."""
+    nodes = [node for s in sources for node in ast.parse(s).body]
+    defined, read = [], set()
+    for node in nodes:
+        own = _top_level_names(node)
+        defined += own
+        for n in ast.walk(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
+                name = n.id
             elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+                name = n.attr
+            else:
+                continue
+            if name not in own:
+                read.add(name)
     return [name for name in defined if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
@@ -59,9 +69,10 @@ def test_unread_private_names_finds_an_orphan():
         "def _used():\n    return _CAP\n"
         "class _Gone:\n    pass\n"
         "def _gone():\n    pass\n"
+        "def _recur(n):\n    return _recur(n - 1) if n else 0\n"
     )
     user = "import lib\nlib._used()\n"
-    assert unread_private_names([lib, user]) == ["_LIMIT", "_Gone", "_gone"]
+    assert unread_private_names([lib, user]) == ["_LIMIT", "_Gone", "_gone", "_recur"]
 
 
 def test_no_unread_private_names():
@@ -81,7 +92,7 @@ def test_assert_lines_finds_a_nested_assert():
 @pytest.mark.parametrize("path", sorted(Path(pch.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_library_has_no_asserts(path):
     # python -O strips asserts, so an invariant check in the library raises
-    # instead (rotations._guarantee)
+    # instead (the RuntimeError after each verify_certificate call)
     assert assert_lines(path.read_text()) == []
 
 
