@@ -227,9 +227,8 @@ def test_rest_without_a_spanning_path_fails_at_ham_path():
     assert exact_pc_ham_path(sub).status == SearchStatus.NOT_EXISTS
 
 
-def test_later_path_seeds_report_their_orders(monkeypatch):
-    # path seed 2's greedy path stops one vertex short, so steering skips it
-    # and goes on to seed 3, whose path spans
+def _second_seed_short(monkeypatch):
+    # path seed 2's greedy path stops one vertex short of the rest
     monkeypatch.setattr(pch.absorbing, "is_absorbing", lambda g, quad, mb: False)
 
     def second_seed_short(*args, **kwargs):
@@ -238,15 +237,12 @@ def test_later_path_seeds_report_their_orders(monkeypatch):
             sys = replace(sys, path=DirectedPath(sys.path.vertices[:-1]))
         return sys
 
-    steered = []
-    rotated = pch.pipeline._rotated
-
-    def recording(g, path, tried):
-        steered.append(path.order)
-        return rotated(g, path, tried)
-
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", second_seed_short)
-    monkeypatch.setattr(pch.pipeline, "_rotated", recording)
+
+
+def test_later_path_seeds_report_their_routes(monkeypatch):
+    # each later seed's route is its greedy path, reported by its order
+    _second_seed_short(monkeypatch)
     res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
     assert res.failure.stage == "absorb"
     n_rest = res.report["stages"]["restriction"]["n_rest"]
@@ -254,6 +250,23 @@ def test_later_path_seeds_report_their_orders(monkeypatch):
     tried = res.report["stages"]["absorb"]
     assert tried["path_seeds"] == [1, 2, 3]
     assert tried["orders"] == [n_rest - 1, n_rest]
+
+
+def test_a_later_seed_without_a_spanning_path_moves_on(monkeypatch):
+    # seed 2's path does not span, so steering skips it and goes on to seed 3
+    _second_seed_short(monkeypatch)
+    steered = []
+    rotated = pch.pipeline._rotated
+
+    def recording(g, path, tried):
+        steered.append(path.order)
+        return rotated(g, path, tried)
+
+    monkeypatch.setattr(pch.pipeline, "_rotated", recording)
+    res = run_pipeline(random_bounded_colouring(40, 14, 1), PipelineConfig(seed=1))
+    assert res.failure.stage == "absorb"
+    assert res.report["stages"]["absorb"]["path_seeds"] == [1, 2, 3]
+    n_rest = res.report["stages"]["restriction"]["n_rest"]
     # the paths of seeds 1 and 3 are steered, seed 2's is not
     assert steered == [n_rest, n_rest]
 
