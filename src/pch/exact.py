@@ -14,7 +14,10 @@ These are the ground truth for every heuristic.  Three parts serve them:
   feasible last steps, with a witness read back along them.  A layer step
   with one label per colour is one float32 matrix product per colour; with
   one label per vertex (more colours than label bits) it stays a rows x m x m
-  array.  Its rows are counted before either engine starts.  The DFS goes
+  array.  A layer's masks come from one popcount index, built once for the
+  widest pass, and a live flag per mask keeps each step to the rows that
+  hold a label; the witness's end is looked for once, from the top filled
+  layer down.  Its rows are counted before either engine starts.  The DFS goes
   first, as a probe of `_PROBE_PER_N2` * n^2 nodes (at most `_PROBE_MAX`)
   for a spanning answer, which needs about n^2 of them, and then hands off to
   the table.  So the sub-millisecond Exists queries build no table, and a
@@ -49,6 +52,7 @@ conflated with non-existence.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -333,8 +337,10 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
 # A table pass over m vertices holds 2^m rows (2^(m-1) for a cycle) of m
 # labels each; no pass may take more bytes than this.  With at most 8 colours
 # (one byte per label) that admits paths up to n = 22 and cycles up to n = 23;
-# with 16-bit labels paths up to n = 21, with 32-bit labels up to n = 20.  The
-# popcounts of the rows take one more byte per row while a pass runs.
+# with 16-bit labels paths up to n = 21, with 32-bit labels up to n = 20, so
+# a pass has at most 22 mask bits.  Each row also takes 4 bytes of the
+# popcount layer index (`_popcount_layers`), kept for the widest pass so far,
+# and a 1-byte live flag while a pass runs.
 TABLE_BYTES_MAX = 1 << 27
 
 
@@ -403,6 +409,14 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
     array of the allowed steps.  Layers are filled in popcount order, and
     each entry (mask + u, u) has the single source mask, so it is written
     once.
+
+    Each layer's masks come from the process-wide popcount index, and a
+    1-byte flag per mask marks the rows a step has written, so a layer step
+    costs its live rows, in ascending order, not a scan of all 2^bits masks.
+    The end test runs once, after the fill: from the top filled layer down,
+    the first layer with a row that closes (a cycle back to vertex 0 on a
+    colour other than `first` and the last step's; any path) gives the
+    witness's end, its first such row and then its first vertex.
     """
     m = len(C)
     cycle = first is not None
@@ -439,24 +453,17 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
         R[0, 0] = full
     else:
         R[1 << np.arange(m), np.arange(m)] = full
-    popcount = _popcounts(bits)
+    layers = _popcount_layers(bits)
+    alive = np.zeros(1 << bits, bool)  # alive[mask]: R[mask] holds a label
+    alive[layers[1 - off]] = True  # the first layer: the root alone, or each single vertex
     chunk = max(1, (1 << 17) // (m * min(colours, m)))  # temporaries of about 2^17 cells
-    shifts = np.arange(bits)
-    end = None  # (mask, last vertex, labels allowed at it) of the best witness
     for j in range(1 - off, bits + 1):
-        layer = np.flatnonzero(popcount == j)
+        layer = layers[j]
         meter.spend(len(layer))
-        live = layer[R[layer].any(axis=1)]
+        live = layer[alive[layer]]
         if not len(live):
             break
-        size = j + off
-        if size >= shortest:
-            ends = R[live] & (allow[0] if cycle else full)
-            if cycle:
-                ends[:, C[:, 0] == first] = 0
-            s, v = np.nonzero(ends)
-            if len(s):
-                end = (int(live[s[0]]), int(v[0]), int(allow[0, v[0]]) if cycle else int(full))
+        top = j
         if j == bits:
             break
         for c0 in range(0, len(live), chunk):
@@ -469,13 +476,26 @@ def _table_pass(C: np.ndarray, first: int | None, shortest: int, meter: _Meter):
             else:
                 step = ((R[src][:, None, :] & allow) != 0) * leave  # (src, u, v)
                 out = np.bitwise_or.reduce(step, axis=2)[:, off:]
-            out[(src[:, None] >> shifts) & 1 == 1] = 0  # u already in the set
+            # u already in the set: bit u of the little-endian mask bytes
+            out *= 1 - np.unpackbits(src.view(np.uint8).reshape(-1, 4), axis=1, count=bits, bitorder="little")
             s, u = np.nonzero(out)
-            R[src[s] | (1 << u), u + off] = out[s, u]
-    if end is None:
+            dest = src[s] | (1 << u)
+            R[dest, u + off] = out[s, u]
+            alive[dest] = True
+
+    # close[v]: the labels at v that end a witness (a cycle steps back to vertex
+    # 0 on a colour other than `first`)
+    close = np.where(C[:, 0] == first, 0, allow[0]).astype(dt) if cycle else np.full(m, full, dt)
+    for j in range(top, shortest - off - 1, -1):
+        live = layers[j][alive[layers[j]]]
+        s, v = np.nonzero(R[live] & close)
+        if len(s):
+            break
+    else:
         return None
 
-    mask, v, ok = end
+    mask, v = int(live[s[0]]), int(v[0])
+    ok = int(close[v])
     seq = [v]
     while (mask != 0) if cycle else (mask != 1 << v):
         mask &= ~(1 << (v - off))
@@ -495,6 +515,27 @@ def _popcounts(bits: int) -> np.ndarray:
     for b in range(bits):
         pc[1 << b : 2 << b] = pc[: 1 << b] + 1
     return pc
+
+
+# _LAYERS[j]: the masks of popcount j, ascending, for the widest pass so far
+_LAYERS: list[np.ndarray] = []
+
+
+def _popcount_layers(bits: int) -> list[np.ndarray]:
+    """[the masks of `bits` bits with popcount j, ascending] for j = 0..bits.
+
+    The masks are little-endian int32, so `bits` must be below 32;
+    `TABLE_BYTES_MAX` keeps it at most 22.  The index is built once for the
+    widest width asked for so far.  A narrower width takes the first
+    comb(bits, j) masks of each layer: the masks below 2^bits come first.
+    """
+    global _LAYERS
+    if bits >= 32:
+        raise ValueError(f"a table mask of {bits} bits does not fit 32 bits")
+    if len(_LAYERS) <= bits:
+        pc = _popcounts(bits)
+        _LAYERS = [np.flatnonzero(pc == j).astype("<i4") for j in range(bits + 1)]
+    return [_LAYERS[j][: math.comb(bits, j)] for j in range(bits + 1)]
 
 
 def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
@@ -586,14 +627,17 @@ def _maximum_matching(adj: list[list[int]], match: list[int]) -> list[bool]:
     Each round grows one alternating forest from every unmatched node.  An
     edge between even nodes of two trees closes an augmenting path, which is
     flipped, and the next round starts; an edge within one tree contracts a
-    blossom onto its base.  Returns `even` of the last round, which found no
-    augmenting path: its even nodes (blossoms included) are the nodes that
-    some maximum matching leaves unmatched (Gallai-Edmonds), and its odd nodes,
-    their other neighbours, form a Tutte barrier.
+    blossom onto its base, relabelling only the members of the bases it
+    takes in (a list per base), in ascending order.  Returns `even` of the
+    last round, which found no augmenting path: its even nodes (blossoms
+    included) are the nodes that some maximum matching leaves unmatched
+    (Gallai-Edmonds), and its odd nodes, their other neighbours, form a Tutte
+    barrier.
     """
     size = len(adj)
     while True:
         base = list(range(size))
+        members = [[x] for x in range(size)]  # members[b]: the nodes whose base is b
         parent = [-1] * size  # the tree edge into an odd node; set on even blossom nodes too
         even = [match[v] < 0 for v in range(size)]
         queue = deque(v for v in range(size) if even[v])
@@ -652,12 +696,14 @@ def _maximum_matching(adj: list[list[int]], match: list[int]) -> list[bool]:
                     inside: set[int] = set()
                     mark_path(v, top, u, inside)
                     mark_path(u, top, v, inside)
-                    for x in range(size):
-                        if base[x] in inside:
-                            base[x] = top
-                            if not even[x]:
-                                even[x] = True
-                                queue.append(x)
+                    blossom = sorted(x for b in inside for x in members[b])
+                    for x in blossom:
+                        base[x] = top
+                        if not even[x]:
+                            even[x] = True
+                            queue.append(x)
+                    for b in inside - {top}:
+                        members[top] += members[b]
                 elif parent[u] < 0:
                     parent[u] = v
                     w = match[u]

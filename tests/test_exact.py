@@ -3,6 +3,7 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pch.constructions import (
@@ -343,6 +344,24 @@ def test_table_matches_search_and_brute_force(g, monkeypatch):
             assert (is_properly_coloured_cycle if cycle else is_properly_coloured_path)(g, witness), mode
 
 
+@pytest.mark.parametrize("order", ["wide-then-narrow", "narrow-then-wide"])
+def test_popcount_layers_match_the_popcounts(order, monkeypatch):
+    # one index serves every width: a narrow pass reads a prefix of each
+    # layer of the widest index built so far
+    monkeypatch.setattr(pch.exact, "_LAYERS", [])
+    widths = range(16, -1, -1) if order == "wide-then-narrow" else range(17)
+    for b in widths:
+        layers = pch.exact._popcount_layers(b)
+        popcounts = pch.exact._popcounts(b)
+        assert len(layers) == b + 1
+        for j, layer in enumerate(layers):
+            assert layer.dtype == np.dtype("<i4")
+            assert np.array_equal(layer, np.flatnonzero(popcounts == j)), (b, j)
+    assert len(pch.exact._LAYERS) == 17
+    with pytest.raises(ValueError, match="32 bits"):
+        pch.exact._popcount_layers(32)
+
+
 def test_table_hands_off_after_its_charge():
     # BE(3): one pass of 2^12 rows for the first colour at the root (the
     # other colour finds each cycle from its other end); the DFS needs
@@ -425,6 +444,26 @@ def test_rows_count_the_table_apart_from_the_dfs(oracle, g, rows):
         assert res.exact
     assert res.nodes - res.rows == 4 * g.n * g.n
     assert res.rows == rows <= charge
+
+
+@pytest.mark.parametrize(
+    "oracle, g, witness",
+    [
+        pytest.param(longest_pc_cycle, layered_colouring(17, 4), (0, 6, 3, 2, 5, 4, 1), id="layered17-4-longest-cycle"),
+        pytest.param(longest_pc_path, layered_colouring(17, 4), (8, 7, 3, 2, 6, 5, 1, 0, 4), id="layered17-4-longest-path"),
+        pytest.param(longest_pc_cycle, layered_colouring(16, 5), (0, 1, 8, 7, 4, 3, 6, 5, 2), id="layered16-5-longest-cycle"),
+        pytest.param(
+            longest_pc_path, layered_colouring(16, 5), (10, 9, 4, 3, 8, 7, 2, 0, 1, 6, 5), id="layered16-5-longest-path"
+        ),
+    ],
+)
+def test_bench_longest_witnesses_are_pinned(oracle, g, witness):
+    # the table's witness is its first end in the top layer that has one, read
+    # back through the first matching source: a layer step that visits its
+    # live rows in another order, or an end test that picks another layer,
+    # changes these
+    res = oracle(g)
+    assert (res.exact, res.value, res.witness.vertices) == (True, len(witness), witness)
 
 
 def test_rows_zero_without_a_handoff():
@@ -595,6 +634,17 @@ def test_blossom_matching_is_maximum_with_a_tight_barrier():
         assert matched == 2 * brute_matching_size(adj)
         barrier = {x for x in range(size) if not even[x] and any(even[y] for y in adj[x])}
         assert pch.exact._odd_components(adj, barrier) - len(barrier) == size - matched
+
+
+def test_matching_barrier_where_contraction_dominates():
+    # layered_colouring(81, 20) contracts thousands of blossoms: each must
+    # relabel its own members in the order a scan of every node would, so the
+    # barrier is the same node set
+    g = layered_colouring(81, 20)
+    cert, barrier = pc_two_factor_matching(g)
+    assert cert is None
+    assert (barrier.size, barrier.odd_components, barrier.aux_order) == (1_239, 1_281, 3_402)
+    assert check_barrier(g, barrier)
 
 
 def test_tampered_barriers_are_rejected():
