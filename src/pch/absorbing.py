@@ -262,20 +262,23 @@ def join_ends(
     """Find a path P of order 2..max_len with v1 v2 P v1' v2' properly coloured.
 
     Iterative deepening over the order; within one order a depth-limited DFS
-    scanning candidates in ascending order, so the first path found is the
-    least of the shortest order.  A state (vertex, arriving colour, vertices
-    left) that fails is memoised with the vertices of the partial path that
-    kept a candidate out anywhere below it: the failure holds on every
-    partial path through them, in every order.  Returns None when no order
-    within the cap admits a path (a legitimate outcome, not an error).
+    scanning the vertex ids in ascending order, skipping the anchors and
+    `avoid`, so the first path found is the least of the shortest order.  A
+    state (vertex, arriving colour, vertices left) that fails is memoised
+    with the vertices of the partial path that kept a candidate out anywhere
+    below it: the failure holds on every partial path through them, in every
+    order.  Returns None when no order within the cap admits a path (a
+    legitimate outcome, not an error).  The anchors are checked through
+    ``g.colour``; the search reads ``g.rows``.
     """
     ends = (v1, v2, v1p, v2p)
     if len(set(ends)) != 4:
         raise ValueError("the four anchor vertices must be distinct")
     blocked = set(avoid) | set(ends)
-    pool = [v for v in range(g.n) if v not in blocked]
     c_in = g.colour(v1, v2)
     c_out = g.colour(v1p, v2p)
+    rows, n = g.rows, g.n
+    into_v1p = rows[v1p]
     dead: dict[tuple[int, int, int], int] = {}  # failed state -> mask of the path vertices it needs
     path: list[int] = []
 
@@ -283,14 +286,15 @@ def join_ends(
         """Place `depth` more vertices after `prev`, off the path's vertex
         `mask`: None once the join is found, else the failure's mask."""
         why = 0
-        for u in pool:
-            if u == prev:
+        row = rows[prev]
+        for u in range(n):
+            if u == prev or u in blocked:
                 continue
-            c = g.colour(prev, u)
+            c = row[u]
             if c == prev_c:
                 continue
             if depth == 1:
-                closing = g.colour(u, v1p)
+                closing = into_v1p[u]
                 if closing == c or closing == c_out:
                     continue
             else:

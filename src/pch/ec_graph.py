@@ -208,17 +208,18 @@ class DirectedCycle(_VertexSeq):
 def is_properly_coloured_path(g, p) -> bool:
     """True iff each step along p is an edge of g and consecutive edge colours
     differ (order <= 1 is proper).  A self-pair or an id outside g makes it
-    False."""
+    False.  Each step is checked as ``g.colour`` checks a pair, then read
+    from ``g.rows``."""
     vs = _as_vertex_seq(p)
+    n, rows = g.n, g.rows
     prev = None
-    try:
-        for u, v in zip(vs, vs[1:]):
-            cur = g.colour(u, v)
-            if cur == prev:
-                return False
-            prev = cur
-    except ValueError:
-        return False
+    for u, v in zip(vs, vs[1:]):
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return False
+        cur = rows[u][v]
+        if cur == prev:
+            return False
+        prev = cur
     return True
 
 

@@ -122,6 +122,15 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
 
 
 def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> PipelineResult:
+    """A verified PC Hamiltonian cycle of g, or the stage that failed and why.
+
+    An order below 8 is a ValueError.  At orders 8 and 9 the family target
+    is 1, so the smallest absorbing cycle, one 4-path closed by a connector
+    of order 2, has 6 vertices and leaves at most 3 outside it: a run there
+    fails at ``absorbing_cycle`` or at ``restriction``, which needs 4, and
+    ``pch solve --method pipeline --fallback exact`` is the route to an
+    answer.
+    """
     cfg = cfg or PipelineConfig()
     n = g.n
     if n < 8:

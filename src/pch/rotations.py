@@ -102,16 +102,19 @@ def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
     For a chord w from `_right_chords`, one or two of w's system neighbours
     qualify: exactly those u for which ``_rewire_right(sys, w, u)`` is a
     properly coloured system ending at u.  The one keeping the whole path
-    intact comes first; a caller that needs one rotation takes it.
+    intact comes first; a caller that needs one rotation takes it.  The
+    colours are read from ``g.rows``: the system's vertices must be vertices
+    of g, and a w outside the system is a KeyError.
     """
-    cew = g.colour(sys.path.last, w)
     piece, i = sys.index[w]
+    row = g.rows[w]
+    cew = row[sys.path.last]
     verts = sys.path.vertices if piece < 0 else sys.cycles[piece].vertices
     before, after = verts[i - 1], verts[(i + 1) % len(verts)]
     out = []
-    if cew != g.colour(w, before):
+    if cew != row[before]:
         out.append(after)
-    if cew != g.colour(w, after):
+    if cew != row[after]:
         out.append(before)
     return out
 
@@ -203,11 +206,21 @@ def pick_extension(rng: random.Random, cand: list[int], row, avoid: int) -> int 
     most candidates are allowed; after as many misses, one scan draws among
     the allowed ones.  Either way the pick is uniform over them.  It leaves
     `cand` by swap-and-pop, so the order of `cand` changes.
+
+    A blind draw rejects ``getrandbits(size.bit_length())`` while it is at
+    least ``size``: the draws, and so the picks and the generator's state,
+    are those of ``rng.randrange(size)`` on a `random.Random`, without its
+    argument checks and call frames.
     """
-    if not cand:
+    size = len(cand)
+    if not size:
         return None
+    bits = size.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(_BLIND_DRAWS):
-        i = rng.randrange(len(cand))
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
         if row[cand[i]] != avoid:
             break
     else:

@@ -394,6 +394,52 @@ def test_pick_extension_draws_uniformly_among_allowed():
     assert pick_extension(rng, [], row, -1) is None
 
 
+def _reference_pick(rng, cand, row, avoid, scans):
+    """`pick_extension` as written with ``randrange`` and ``choice``; appends
+    to `scans` whenever the blind draws all miss."""
+    if not cand:
+        return None
+    for _ in range(pch.rotations._BLIND_DRAWS):
+        i = rng.randrange(len(cand))
+        if row[cand[i]] != avoid:
+            break
+    else:
+        scans.append(len(cand))
+        opts = [i for i, u in enumerate(cand) if row[u] != avoid]
+        if not opts:
+            return None
+        i = rng.choice(opts)
+    u = cand[i]
+    cand[i] = cand[-1]
+    cand.pop()
+    return u
+
+
+def test_pick_extension_draws_as_randrange_and_choice():
+    # same picks, same candidates left and same generator state as the
+    # reference: each seed 0..199 drives one pick at every size 1..300
+    # (powers of two included), and the allowed share runs from none to all,
+    # so that both the blind draws and the scan pick
+    cases = []
+    for size in range(1, 301):
+        cand = random.Random(size).sample(range(size), size)
+        rank = {u: r for r, u in enumerate(cand)}
+        rows = [[int(rank[u] < a) for u in range(size)] for a in (0, 1, 2, size // 8, size // 2, size)]
+        cases.append((cand, rows))
+    scans, found = [], set()
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for size, (cand, rows) in enumerate(cases, 1):
+            row = rows[(seed + size) % len(rows)]
+            mine, theirs = list(cand), list(cand)
+            u = pick_extension(ours, mine, row, 0)
+            assert u == _reference_pick(ref, theirs, row, 0, scans)
+            assert mine == theirs
+            found.add(u is None)
+        assert ours.getstate() == ref.getstate()
+    assert len(scans) > 10_000 and found == {True, False}
+
+
 def test_two_factor_rainbow_and_mono():
     out = find_pc_two_factor(rainbow(7))
     assert out.success

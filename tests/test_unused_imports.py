@@ -120,3 +120,36 @@ def test_function_import_lines_finds_a_nested_import():
 def test_library_imports_at_module_top(path):
     # every dependency of a module shows in its header
     assert function_import_lines(path.read_text()) == []
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def looped_colour_call_lines(source: str) -> list[int]:
+    """Lines of the ``.colour(...)`` calls inside a loop or a comprehension."""
+    # a set: a call in a nested loop is inside the outer one too
+    return sorted({
+        sub.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, _LOOPS)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "colour"
+    })
+
+
+def test_looped_colour_call_lines_finds_loops_and_comprehensions():
+    source = (
+        "c = g.colour(0, 1)\n"
+        "for u in vs:\n    while u:\n        u = g.colour(u, 0)\n"
+        "xs = [g.colour(u, v) for u, v in pairs]\n"
+        "ys = {g.rows[u][v] for u, v in pairs}\n"
+        "def f(g):\n    return any(g.colour(u, 1) for u in range(2, g.n))\n"
+    )
+    assert looped_colour_call_lines(source) == [4, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(Path(pch.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_loops_read_rows(path):
+    # `colour` checks its pair on every call; a loop checks its ids once at
+    # its boundary and reads `g.rows`
+    assert looped_colour_call_lines(path.read_text()) == []
