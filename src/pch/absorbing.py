@@ -29,7 +29,7 @@ from pch.ec_graph import (
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
-from pch.rotations import pick_extension
+from pch.rotations import _grow_path
 
 
 class AbsorptionError(RuntimeError):
@@ -354,17 +354,16 @@ class BuildResult:
 
 
 def _draw_family(g, rng: random.Random, size: int) -> tuple[tuple[int, ...], ...] | None:
-    """`size` random disjoint PC 4-paths, each grown one vertex at a time, or None."""
+    """`size` random disjoint PC 4-paths, or None when a member gets stuck.
+    Each is a start popped from one shared list of free vertices, grown at
+    its right end to order 4 by `_grow_path` on that list."""
     members = []
     free = list(range(g.n))
     for _ in range(size):
-        path = [free.pop(rng.randrange(len(free)))]
-        while len(path) < 4:
-            end = g.rows[path[-1]]
-            nxt = pick_extension(rng, free, end, end[path[-2]] if len(path) > 1 else -1)
-            if nxt is None:
-                return None
-            path.append(nxt)
+        start = free.pop(rng.randrange(len(free)))
+        path = _grow_path(g, rng, start, free, left=False, order=4)
+        if len(path) < 4:
+            return None
         members.append(tuple(path))
     return tuple(members)
 

@@ -12,7 +12,6 @@ reversed system, ``sys.reverse()``.
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,92 +195,93 @@ _BLIND_DRAWS = 4
 GREEDY_RESTARTS = 20
 
 
-def pick_extension(rng: random.Random, cand: list[int], row, avoid: int) -> int | None:
-    """Remove and return a uniform random u in `cand` with row[u] != avoid,
-    or None when there is none.
+def _grow_path(g, rng: random.Random, start: int, cand: list[int], *, left=True, order=0) -> list[int]:
+    """Greedily grow a PC path from `start` through the vertices of `cand`
+    until both ends are stuck, or until it has `order` vertices if `order` > 0.
 
-    `row` is the colour row of a path end and `avoid` the colour of the path
-    edge there (-1 at a one-vertex path, which allows every candidate).  A
-    few blind uniform draws come first, so a step costs O(1) expected when
-    most candidates are allowed; after as many misses, one scan draws among
-    the allowed ones.  Either way the pick is uniform over them.  It leaves
-    `cand` by swap-and-pop, so the order of `cand` changes.
-
-    A blind draw rejects ``getrandbits(size.bit_length())`` while it is at
-    least ``size``: the draws, and so the picks and the generator's state,
-    are those of ``rng.randrange(size)`` on a `random.Random`, without its
-    argument checks and call frames.
+    The second vertex is a uniform draw from `cand`.  Then the right and
+    left ends take turns (the right end alone when `left` is false), each
+    removing a uniform random u with ``row[u] != avoid`` (the end's colour
+    row, and the colour of the path edge there) from `cand` by swap-and-pop:
+    up to `_BLIND_DRAWS` blind draws, each ``getrandbits(size.bit_length())``
+    rejected while it is at least ``size`` exactly as ``rng.randrange(size)``
+    draws, then one scan that picks among the allowed ones with
+    ``rng.choice``.  An end that finds nothing stays stuck, since its last
+    edge is fixed and the candidates only shrink.
     """
+    path = [start]
     size = len(cand)
     if not size:
-        return None
-    bits = size.bit_length()
-    getrandbits = rng.getrandbits
-    for _ in range(_BLIND_DRAWS):
-        i = getrandbits(bits)
-        while i >= size:
-            i = getrandbits(bits)
-        if row[cand[i]] != avoid:
-            break
-    else:
-        opts = [i for i, u in enumerate(cand) if row[u] != avoid]
-        if not opts:
-            return None
-        i = rng.choice(opts)
-    u = cand[i]
-    cand[i] = cand[-1]
-    cand.pop()
-    return u
-
-
-def _grow_path(g, rng: random.Random, path: list[int], allowed: set[int]) -> list[int]:
-    """Greedily extend a PC path at both ends through `allowed` until stuck.
-
-    The ends take turns.  An end that finds no extension stays stuck, since
-    its last edge is fixed and the candidates only shrink, so it is not
-    tried again.
-    """
-    cand = sorted(allowed - set(path))
+        return path
     rows = g.rows
-    path = deque(path)
-    right = left = True
-    while right or left:
+    i = rng.randrange(size)
+    size -= 1
+    u, cand[i] = cand[i], cand[size]
+    cand.pop()
+    path.append(u)
+    head: list[int] = []
+    # each end's vertex, its colour row and the colour of the path edge at it
+    r, rrow, ravoid = u, rows[u], rows[u][start]
+    l, lrow, lavoid = start, rows[start], rows[start][u]
+    stop = max(size + 2 - order, 0) if order else 0
+    getrandbits = rng.getrandbits
+    both = left               # both ends live, taking turns
+    right = not left          # the right end made the first pick
+    while size > stop:
         if right:
-            end = rows[path[-1]]
-            nxt = pick_extension(rng, cand, end, end[path[-2]] if len(path) > 1 else -1)
-            if nxt is None:
-                right = False
-            else:
-                path.append(nxt)
-        if left:
-            end = rows[path[0]]
-            nxt = pick_extension(rng, cand, end, end[path[1]] if len(path) > 1 else -1)
-            if nxt is None:
-                left = False
-            else:
-                path.appendleft(nxt)
-    return list(path)
+            row, avoid = rrow, ravoid
+        else:
+            row, avoid = lrow, lavoid
+        bits = size.bit_length()
+        for _ in range(_BLIND_DRAWS):
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            if row[cand[i]] != avoid:
+                break
+        else:
+            opts = [i for i, v in enumerate(cand) if row[v] != avoid]
+            if not opts:
+                if not both:
+                    break
+                both = False
+                right = not right
+                continue
+            i = rng.choice(opts)
+        size -= 1
+        u, cand[i] = cand[i], cand[size]
+        cand.pop()
+        row = rows[u]
+        if right:
+            path.append(u)
+            r, rrow, ravoid = u, row, row[r]
+        else:
+            head.append(u)
+            l, lrow, lavoid = u, row, row[l]
+        if both:
+            right = not right
+    return head[::-1] + path
 
 
 def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
     """Longest greedily grown PC path inside `vertices` (default: all of g)
     over `GREEDY_RESTARTS` randomized restarts.
 
-    Each start is a uniform draw from the sorted set and each step appends a
-    uniform random allowed vertex at one end (`pick_extension`), so growth
-    inside S makes the draws that growth on ``induced_subgraph(g, S)``
-    makes, relabelled.  The result cannot be extended by one vertex of the
-    set at either end (local maximality); the restarts approximate global
-    maximality.
+    Each start is a uniform draw from the sorted set, and `_grow_path` grows
+    it through the rest of the set, in sorted order, so growth inside S makes
+    the draws that growth on ``induced_subgraph(g, S)`` makes, relabelled.
+    The result cannot be extended by one vertex of the set at either end
+    (local maximality); the restarts approximate global maximality.  The
+    vertices must be at least 2 distinct ids of g, else it is a ValueError.
     """
-    vs = range(g.n) if vertices is None else sorted(vertices)
-    if len(vs) < 2:
-        raise ValueError(f"need at least 2 vertices, got {len(vs)}")
+    vs = list(range(g.n)) if vertices is None else sorted(vertices)
+    if len(vs) < 2 or len(set(vs)) < len(vs) or not 0 <= vs[0] <= vs[-1] < g.n:
+        raise ValueError(f"need at least 2 distinct vertices in 0..{g.n - 1}, got {vs}")
     rng = random.Random(seed)
-    allowed = set(vs)
     best: list[int] | None = None
     for _ in range(GREEDY_RESTARTS):
-        path = _grow_path(g, rng, [vs[rng.randrange(len(vs))]], allowed)
+        i = rng.randrange(len(vs))
+        path = _grow_path(g, rng, vs[i], vs[:i] + vs[i + 1 :])
         if best is None or len(path) > len(best):
             best = path
         if len(best) == len(vs):
@@ -339,7 +339,7 @@ def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Ra
     A single stranded vertex is a one-vertex path, rotated into the first
     vertex of the first cycle, which absorbs that cycle."""
     start = min(free) if len(free) == 1 else rng.choice(sorted(free))
-    sys = PathCycleSystem(DirectedPath(tuple(_grow_path(g, rng, [start], free))), cycles)
+    sys = PathCycleSystem(DirectedPath(tuple(_grow_path(g, rng, start, sorted(free - {start})))), cycles)
     if sys.path.order >= 2:
         return sys
     w = cycles[0].vertices[0]

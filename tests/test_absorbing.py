@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -21,6 +23,7 @@ from pch.absorbing import (
 from pch.constructions import (
     layered_colouring,
     monochromatic,
+    near_bollobas_erdos,
     rainbow,
     random_bounded_colouring,
     random_colouring,
@@ -457,6 +460,40 @@ def test_build_monochromatic_fails_at_family():
     assert not res.success
     assert res.failed_stage == "family"
     assert res.attempts == RETRY_BUDGET
+
+
+def _build_digest(g):
+    """First 16 hex digits of sha256 over ``json.dumps(records, sort_keys=True)``:
+    one record per family size 1, 3, 5 and seed 0-2 of `build_absorbing_cycle`
+    (family, connector vertices, attempts and failed stage)."""
+    records = []
+    for size in (1, 3, 5):
+        for seed in range(3):
+            res = build_absorbing_cycle(g, size, seed)
+            ac = res.cycle
+            records.append({
+                "family": ac.family if ac else None,
+                "connectors": [q.vertices for q in ac.connectors] if ac else None,
+                "attempts": res.attempts,
+                "failed_stage": res.failed_stage,
+            })
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, digest", [
+    # joins fail at size 5
+    pytest.param(lambda: random_colouring(24, 2, 0), "854f27e8dd11025b", id="two24"),
+    # joins fail at size 1, members get stuck at sizes 3 and 5
+    pytest.param(lambda: layered_colouring(24, 3), "8f22d79b5f58107a", id="layered24-3"),
+    pytest.param(lambda: monochromatic(24), "0761f47777b8a88a", id="mono24"),
+    pytest.param(lambda: random_bounded_colouring(80, 36, 1, colours=3), "f4e162468129a160", id="three80"),
+    pytest.param(lambda: random_bounded_colouring(80, 24, 3, colours=6), "ec45086828b9bcc7", id="six80"),
+    pytest.param(lambda: random_bounded_colouring(160, 64, 1), "c586e73b8308d2f2", id="rainbow160"),
+    pytest.param(lambda: near_bollobas_erdos(10, 0), "3352dc2b9b8233ee", id="near-be10"),
+])
+def test_absorbing_cycle_builds_are_pinned(make, digest):
+    # taken before member growth went through the path-growth loop
+    assert _build_digest(make()) == digest
 
 
 def test_build_raises_on_a_stitched_cycle_that_fails_its_check(monkeypatch):

@@ -343,6 +343,14 @@ def test_pipeline_outcomes_are_pinned(g, digests):
     assert tuple(_outcome_digest(run_pipeline(g, PipelineConfig(seed=s)))[:16] for s in range(2)) == digests
 
 
+def test_near_rainbow_320_outcomes_are_pinned():
+    # the bench's size: pipeline seeds 0-3 on one n = 320 graph with palette n
+    g = random_bounded_colouring(320, 128, 0)
+    assert tuple(_outcome_digest(run_pipeline(g, PipelineConfig(seed=s)))[:16] for s in range(4)) == (
+        "d02663e4e5b6cfe7", "86b0a70213480643", "a359d3be212e954b", "ebe621003a707ecb",
+    )
+
+
 def _unfiltered_steer(g, ac, keep, first, seed, tried):
     """The steering loop that absorbs every candidate path."""
     for i in range(pch.pipeline._PATH_SEEDS):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 from collections import deque
@@ -35,7 +37,6 @@ from pch.rotations import (
     expand_endpoint_colours,
     find_pc_two_factor,
     maximal_path_cycle,
-    pick_extension,
     rotation_targets,
 )
 from tests.conftest import random_system_instance, validate_system
@@ -350,7 +351,7 @@ def test_greedy_paths_are_pc_allowed_and_locally_maximal(make):
         start = min(allowed)
         for path, allowed_here in (
             (maximal_path_cycle(g, seed=seed).path.vertices, set(range(g.n))),
-            (tuple(pch.rotations._grow_path(g, rng, [start], allowed)), allowed),
+            (tuple(pch.rotations._grow_path(g, rng, start, sorted(allowed - {start}))), allowed),
         ):
             assert is_properly_coloured_path(g, path)
             assert len(set(path)) == len(path) and set(path) <= allowed_here
@@ -378,25 +379,38 @@ def test_growth_inside_a_vertex_set_is_growth_on_its_restriction(make):
         maximal_path_cycle(g, 0, [g.n - 1])
 
 
-def test_pick_extension_draws_uniformly_among_allowed():
-    row = [0, 1, 0, 0, 1, 0, 2, 0, 0, 0]      # colour at the path end towards each vertex
+def test_greedy_growth_rejects_bad_vertex_sets():
+    # a repeated id, an id outside g and a negative id, which would wrap
+    g = random_bounded_colouring(12, 5, 0, colours=3)
+    for vertices in ([3, 3], [20, 1], [-1, 2, 3], [0, 11, 12], [5]):
+        with pytest.raises(ValueError, match="at least 2 distinct vertices in 0..11"):
+            maximal_path_cycle(g, 0, vertices)
+
+
+def test_a_growth_pick_is_uniform_among_allowed():
+    # start 0 sees one colour everywhere; inside 1..10 the edges among the
+    # vertices outside A = {1, 4, 6} have colour 0 and all others colour 1,
+    # so after a first vertex outside A the next pick is allowed only in A,
+    # and both the blind draws and the scan pick it
+    A = {1, 4, 6}
+    g = ColouredComplete.from_function(11, 2, lambda u, v: int(u > 0 and (u in A or v in A)))
     rng = random.Random(0)
     counts = {1: 0, 4: 0, 6: 0}
-    for _ in range(3000):
-        cand = list(range(10))
-        u = pick_extension(rng, cand, row, 0)
-        counts[u] += 1
-        assert sorted(cand + [u]) == list(range(10))
-    assert all(900 < c < 1100 for c in counts.values())
-    # nothing allowed: None, and the candidates stay
-    cand = [0, 2, 3]
-    assert pick_extension(rng, cand, row, 0) is None and sorted(cand) == [0, 2, 3]
-    assert pick_extension(rng, [], row, -1) is None
+    for _ in range(4000):
+        cand = list(range(1, 11))
+        path = pch.rotations._grow_path(g, rng, 0, cand, left=False, order=3)
+        assert len(path) == 3 and sorted(cand + path) == list(range(11))
+        if path[1] not in A:
+            counts[path[2]] += 1
+    assert sum(counts.values()) > 2600
+    assert all(abs(3 * c / sum(counts.values()) - 1) < 0.1 for c in counts.values())
 
 
 def _reference_pick(rng, cand, row, avoid, scans):
-    """`pick_extension` as written with ``randrange`` and ``choice``; appends
-    to `scans` whenever the blind draws all miss."""
+    """The pick of the growth loop as it was written with ``randrange`` and
+    ``choice`` (`pick_extension` before it drew through ``getrandbits`` and
+    before it moved inline); appends to `scans` whenever the blind draws all
+    miss."""
     if not cand:
         return None
     for _ in range(pch.rotations._BLIND_DRAWS):
@@ -415,29 +429,81 @@ def _reference_pick(rng, cand, row, avoid, scans):
     return u
 
 
-def test_pick_extension_draws_as_randrange_and_choice():
-    # same picks, same candidates left and same generator state as the
-    # reference: each seed 0..199 drives one pick at every size 1..300
-    # (powers of two included), and the allowed share runs from none to all,
-    # so that both the blind draws and the scan pick
-    cases = []
-    for size in range(1, 301):
-        cand = random.Random(size).sample(range(size), size)
-        rank = {u: r for r, u in enumerate(cand)}
-        rows = [[int(rank[u] < a) for u in range(size)] for a in (0, 1, 2, size // 8, size // 2, size)]
-        cases.append((cand, rows))
-    scans, found = [], set()
-    for seed in range(200):
-        ours, ref = random.Random(seed), random.Random(seed)
-        for size, (cand, rows) in enumerate(cases, 1):
-            row = rows[(seed + size) % len(rows)]
+def _reference_grow(g, rng, path, cand, scans):
+    """The growth loop as it was written over `_reference_pick`, with the ends
+    taking turns on a deque; it takes the candidate list that it used to
+    build as ``sorted(allowed - set(path))``."""
+    rows = g.rows
+    path = deque(path)
+    right = left = True
+    while right or left:
+        if right:
+            end = rows[path[-1]]
+            nxt = _reference_pick(rng, cand, end, end[path[-2]] if len(path) > 1 else -1, scans)
+            if nxt is None:
+                right = False
+            else:
+                path.append(nxt)
+        if left:
+            end = rows[path[0]]
+            nxt = _reference_pick(rng, cand, end, end[path[1]] if len(path) > 1 else -1, scans)
+            if nxt is None:
+                left = False
+            else:
+                path.appendleft(nxt)
+    return list(path)
+
+
+def _reference_member(g, rng, free, scans):
+    """One family member as `_draw_family` grew it: a start popped from
+    `free`, then right-end picks up to order 4, or None when stuck."""
+    path = [free.pop(rng.randrange(len(free)))]
+    while len(path) < 4:
+        end = g.rows[path[-1]]
+        nxt = _reference_pick(rng, free, end, end[path[-2]] if len(path) > 1 else -1, scans)
+        if nxt is None:
+            return None
+        path.append(nxt)
+    return tuple(path)
+
+
+_DRAW_GRAPHS = [
+    rainbow(9), monochromatic(7), layered_colouring(14, 3), layered_colouring(24, 4),
+    *(random_colouring(n, k, n + k) for n in (5, 8, 16, 33, 64) for k in (2, 3)),
+    *(random_bounded_colouring(n, int(.45 * n), n, colours=3) for n in (12, 40, 80, 160)),
+    random_bounded_colouring(60, 24, 1, colours=4), random_bounded_colouring(130, 52, 2),
+]
+
+
+def test_growth_draws_as_randrange_and_choice():
+    # the loop against the reference on each graph and seed 0..39: one
+    # growth from a random start through a random share of the other
+    # vertices (none, one, some or all), and members grown right-only up to
+    # order 4 on one shared list; same paths, same candidates left and same
+    # generator state
+    scans, seen = [], set()
+    for gi, g in enumerate(_DRAW_GRAPHS):
+        for seed in range(40):
+            pick = random.Random(1000 * gi + seed)
+            start = pick.randrange(g.n)
+            others = [v for v in range(g.n) if v != start]
+            share = pick.choice((0, 1, pick.randrange(len(others) + 1), len(others)))
+            cand = sorted(pick.sample(others, share))
+            ours, ref = random.Random(seed), random.Random(seed)
             mine, theirs = list(cand), list(cand)
-            u = pick_extension(ours, mine, row, 0)
-            assert u == _reference_pick(ref, theirs, row, 0, scans)
-            assert mine == theirs
-            found.add(u is None)
-        assert ours.getstate() == ref.getstate()
-    assert len(scans) > 10_000 and found == {True, False}
+            path = pch.rotations._grow_path(g, ours, start, mine)
+            assert path == _reference_grow(g, ref, [start], theirs, scans)
+            assert mine == theirs and ours.getstate() == ref.getstate()
+            seen.add("one-vertex" if len(path) == 1 else "stuck with candidates" if mine else "spanning")
+            mine, theirs = list(range(g.n)), list(range(g.n))
+            for _ in range(g.n // 4):
+                member = pch.rotations._grow_path(g, ours, mine.pop(ours.randrange(len(mine))), mine, left=False, order=4)
+                want = _reference_member(g, ref, theirs, scans)
+                assert (tuple(member) if len(member) == 4 else None) == want
+                assert mine == theirs and ours.getstate() == ref.getstate()
+                seen.add("member" if want else "stuck member")
+    assert len(scans) > 1000
+    assert seen == {"one-vertex", "stuck with candidates", "spanning", "member", "stuck member"}
 
 
 def test_two_factor_rainbow_and_mono():
@@ -570,6 +636,52 @@ def test_two_factor_reopens_on_leftover_vertices(monkeypatch, g, cut, sizes):
     out = find_pc_two_factor(g)
     assert out.success and verify_certificate(g, out.certificate).valid
     assert [len(c) for c in out.certificate.cycles] == sizes
+
+
+def _two_factor_digest(g, cut, monkeypatch):
+    """First 16 hex digits of sha256 over ``json.dumps(records, sort_keys=True)``:
+    one record per seed 0-2 of `find_pc_two_factor` (its cycles or None, its
+    stats and its best system's vertices or None), each run with the initial
+    path cut `cut` vertices short so that `_reopen` grows the rest."""
+    def short(*args, **kwargs):
+        sys = maximal_path_cycle(*args, **kwargs)
+        return replace(sys, path=DirectedPath(sys.path.vertices[: sys.path.order - cut]))
+
+    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
+    records = []
+    for seed in range(3):
+        out = find_pc_two_factor(g, seed)
+        records.append({
+            "cycles": out.certificate.cycles if out.success else None,
+            "stats": out.stats,
+            "best": out.best_system.vertices() if out.best_system else None,
+        })
+    monkeypatch.undo()
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, digests", [
+    pytest.param(lambda: random_bounded_colouring(12, 5, 0, colours=3),
+                 ("a2395f985b98e727", "7bdcd2c1082ff552", "111ea2cebeb184ad", "7ea75a1d9ab9c5da"), id="three12"),
+    pytest.param(lambda: random_bounded_colouring(24, 10, 1, colours=3),
+                 ("1306cd07fdd5b662", "b9447ad587f9ab56", "0d6f523a88d972a9", "abbf554f77c9761d"), id="three24"),
+    pytest.param(lambda: random_bounded_colouring(40, 18, 2, colours=3),
+                 ("38d6966d01d2a53b", "ae08ca340fe0c3a5", "71bae0b0c5b445ce", "a56da0551a365e3c"), id="three40"),
+    pytest.param(lambda: random_bounded_colouring(30, 12, 3, colours=4),
+                 ("19a1bc9517d540da", "6ad7ebdca98ce48a", "328bb610aa7b9cac", "0bb2ba0a60470e67"), id="four30"),
+    pytest.param(lambda: random_bounded_colouring(40, 16, 0),
+                 ("16c845cb73c32329", "768b233848caf18a", "c116dda434aecbcf", "3c6eb51f81bd32a0"), id="rainbow40"),
+    pytest.param(lambda: near_bollobas_erdos(10, 0),
+                 ("376ab2a86b3b79eb", "8cba144a7e916155", "0ab73414728e245e", "758fc141b493d57b"), id="near-be10"),
+    pytest.param(lambda: layered_colouring(14, 3),
+                 ("11e5ec35da7cad98", "530b63514d2341a2", "ccc45c2dc8fbd41c", "07556d7290682413"), id="layered14-3"),
+])
+def test_two_factor_outcomes_are_pinned(monkeypatch, make, digests):
+    # taken before growth became one inline loop: initial paths cut by 0, 1,
+    # 3 and n // 3 vertices, so growth runs through maximal_path_cycle and
+    # through _reopen, from one stranded vertex and from several
+    g = make()
+    assert tuple(_two_factor_digest(g, cut, monkeypatch) for cut in (0, 1, 3, g.n // 3)) == digests
 
 
 def test_rotate_preconditions():
