@@ -199,6 +199,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.method == "rotation" and args.fallback != "none":
+        # the rotation search ends with the PC 2-factor test, whose answer is final
+        raise UsageError(f"--fallback {args.fallback} applies to --method pipeline only")
     g = _load_graph(args.input)
     t0 = time.perf_counter()
     if args.method == "rotation":
@@ -539,6 +542,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # library preconditions surface as usage errors, not tracebacks
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # a path the user named cannot be read or written
+        if exc.filename not in {getattr(args, flag, None) for flag in ("input", "cert", "out", "report")}:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -295,7 +295,8 @@ def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
 
 @dataclass
 class TwoFactorOutcome:
-    """Exactly one of `certificate` and `barrier`, proof that g has no PC 2-factor, is set."""
+    """Exactly one of `certificate` and `barrier`, proof that g has no PC 2-factor, is set;
+    with the barrier, `best_system` is the greedy path's system."""
 
     certificate: Certificate | None
     best_system: PathCycleSystem | None
@@ -334,49 +335,30 @@ def _close_system(sys: PathCycleSystem, g, stats: dict):
     return None
 
 
-def _reopen(g, cycles: tuple[DirectedCycle, ...], free: set[int], rng: random.Random) -> PathCycleSystem:
-    """Start a new path among uncovered vertices, keeping the closed cycles.
-    A single stranded vertex is a one-vertex path, rotated into the first
-    vertex of the first cycle, which absorbs that cycle."""
-    start = min(free) if len(free) == 1 else rng.choice(sorted(free))
-    sys = PathCycleSystem(DirectedPath(tuple(_grow_path(g, rng, start, sorted(free - {start})))), cycles)
-    if sys.path.order >= 2:
-        return sys
-    w = cycles[0].vertices[0]
-    return _rewire_right(sys, w, rotation_targets(sys, g, w)[0])
-
-
 def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     """Search for a properly coloured 2-factor by growth, rotation and closure.
 
-    Grow a maximal PC path (`GREEDY_RESTARTS` restarts), rotate its left end
-    until the end colours allow closing it (one expansion of at most
-    `EXPANSION_DEPTH` layers and `EXPANSION_ROTATIONS` rotations per closure,
-    absorbing any disjoint cycles hit along the way), and repeat with the
-    leftover vertices until the cycles span.  When that stops short,
-    `pc_two_factor_matching` answers: its verified 2-factor, marked
-    ``closed_via: "matching"``, or its barrier, with the largest system the
-    rotations built.  So the search fails only when g has no PC 2-factor.
+    Grow a maximal PC path (`GREEDY_RESTARTS` restarts) and rotate its left
+    end until the end colours allow closing it (one expansion of at most
+    `EXPANSION_DEPTH` layers and `EXPANSION_ROTATIONS` rotations, absorbing
+    any disjoint cycles hit along the way).  When the closed cycles do not
+    span g, or no state closes, `pc_two_factor_matching` answers: its
+    verified 2-factor, marked ``closed_via: "matching"``, or its barrier,
+    with the greedy path's system.  So the search fails only when g has no
+    PC 2-factor.
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
-    rng = random.Random(seed)
     stats: dict = {"rotations": 0}
-    sys = best = maximal_path_cycle(g, seed=rng.randrange(2 ** 30))
-    # each pass closes the system and reopens it on at least one more vertex,
-    # so the cycles span or the rotations stop within n passes
-    while (closed := _close_system(sys, g, stats)) is not None:
-        covered = {v for cyc in closed for v in cyc.vertices}
-        if len(covered) == g.n:
-            cert = verify_certificate(g, two_factor_certificate(closed))
-            if not cert.valid:
-                raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
-            return TwoFactorOutcome(cert, None, stats)
-        sys = _reopen(g, closed, set(range(g.n)) - covered, rng)
-        if sys.order > best.order:
-            best = sys
+    sys = maximal_path_cycle(g, seed=random.Random(seed).randrange(2 ** 30))
+    closed = _close_system(sys, g, stats)
+    if closed is not None and sum(cyc.order for cyc in closed) == g.n:
+        cert = verify_certificate(g, two_factor_certificate(closed))
+        if not cert.valid:
+            raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
+        return TwoFactorOutcome(cert, None, stats)
     cert, barrier = pc_two_factor_matching(g)
     if cert is not None:
         stats["closed_via"] = "matching"
         return TwoFactorOutcome(cert, None, stats)
-    return TwoFactorOutcome(None, best, stats, barrier)
+    return TwoFactorOutcome(None, sys, stats, barrier)

@@ -138,6 +138,29 @@ def test_missing_certificate_is_usage_error(tmp_path, capsys):
     assert f"error: certificate file not found: {cpath}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad, reason", [
+    (["gen", "--family", "be", "--k", "1", "--out", "{tmp}/nope/g.txt"], "{tmp}/nope/g.txt", "No such file or directory"),
+    (["solve", "--method", "rotation", "--input", "{g}", "--report", "{tmp}/nope/r.json"], "{tmp}/nope/r.json",
+     "No such file or directory"),
+    (["verify", "--input", "{g}", "--cert", "{tmp}"], "{tmp}", "Is a directory"),
+    (["oracle", "--query", "hamcycle", "--input", "{tmp}"], "{tmp}", "Is a directory"),
+], ids=["gen-out", "solve-report", "verify-cert", "oracle-input"])
+def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv, bad, reason):
+    gpath = tmp_path / "g.txt"
+    write_graph(rainbow(5), gpath)
+    fill = {"tmp": tmp_path, "g": gpath}
+    assert run(*(arg.format(**fill) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"error: {bad.format(**fill)}: {reason}\n"
+
+
+def test_solve_rotation_rejects_a_fallback(tmp_path, capsys):
+    # the rotation search ends with the PC 2-factor test, so nothing is left to fall back on
+    gpath = tmp_path / "g.txt"
+    write_graph(rainbow(5), gpath)
+    assert run("solve", "--method", "rotation", "--fallback", "exact", "--input", str(gpath)) == 2
+    assert capsys.readouterr().err == "error: --fallback exact applies to --method pipeline only\n"
+
+
 def test_unknown_subcommand_usage():
     assert run("frobnicate") == 2
 

@@ -28,7 +28,7 @@ from pch.ec_graph import (
     is_properly_coloured_path,
     verify_certificate,
 )
-from pch.exact import check_barrier, exact_pc_two_factor
+from pch.exact import check_barrier, exact_pc_two_factor, pc_two_factor_matching
 from pch.rotations import (
     PathCycleSystem,
     _closable,
@@ -616,38 +616,39 @@ def test_two_factor_never_claims_nonexistent():
 
 
 @pytest.mark.parametrize(
-    "g, cut, sizes",
+    "g, cut",
     [
-        pytest.param(rainbow(12), 1, [12], id="1-sizes0"),
-        pytest.param(rainbow(12), 3, [9, 3], id="3-sizes1"),
-        # unlike in a rainbow colouring, the stranded vertex's edge into the
-        # cycle can repeat a cycle colour there, so the walk direction matters
-        pytest.param(random_bounded_colouring(9, 4, 1, colours=3), 1, [9], id="1-sizes2"),
+        pytest.param(rainbow(12), 1, id="rainbow12-cut1"),
+        pytest.param(rainbow(12), 3, id="rainbow12-cut3"),
+        pytest.param(random_bounded_colouring(9, 4, 1, colours=3), 1, id="three9-cut1"),
     ],
 )
-def test_two_factor_reopens_on_leftover_vertices(monkeypatch, g, cut, sizes):
-    # an initial path `cut` vertices short: one leftover vertex is rotated
-    # into the closed cycle, three grow a path of their own
+def test_a_closed_path_short_of_spanning_goes_to_the_matching(monkeypatch, g, cut):
+    # an initial path `cut` vertices short still closes, but its cycle leaves
+    # vertices out: the one attempt ends there and the matching answers
+    starts, closures = [], []
+
     def short(*args, **kwargs):
+        starts.append(args)
         sys = maximal_path_cycle(*args, **kwargs)
         return replace(sys, path=DirectedPath(sys.path.vertices[:-cut]))
 
+    close = pch.rotations._close_system
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
+    monkeypatch.setattr(pch.rotations, "_close_system", lambda *a: closures.append(close(*a)) or closures[-1])
     out = find_pc_two_factor(g)
+    (closed,) = closures
+    assert len(starts) == 1
+    assert closed is not None and sum(c.order for c in closed) == g.n - cut
+    assert out.stats["closed_via"] == "matching"
+    assert out.certificate == pc_two_factor_matching(g)[0]
     assert out.success and verify_certificate(g, out.certificate).valid
-    assert [len(c) for c in out.certificate.cycles] == sizes
 
 
-def _two_factor_digest(g, cut, monkeypatch):
+def _two_factor_digest(g):
     """First 16 hex digits of sha256 over ``json.dumps(records, sort_keys=True)``:
     one record per seed 0-2 of `find_pc_two_factor` (its cycles or None, its
-    stats and its best system's vertices or None), each run with the initial
-    path cut `cut` vertices short so that `_reopen` grows the rest."""
-    def short(*args, **kwargs):
-        sys = maximal_path_cycle(*args, **kwargs)
-        return replace(sys, path=DirectedPath(sys.path.vertices[: sys.path.order - cut]))
-
-    monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
+    stats and its best system's vertices or None)."""
     records = []
     for seed in range(3):
         out = find_pc_two_factor(g, seed)
@@ -656,32 +657,28 @@ def _two_factor_digest(g, cut, monkeypatch):
             "stats": out.stats,
             "best": out.best_system.vertices() if out.best_system else None,
         })
-    monkeypatch.undo()
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("make, digests", [
+@pytest.mark.parametrize("make, digest", [
     pytest.param(lambda: random_bounded_colouring(12, 5, 0, colours=3),
-                 ("a2395f985b98e727", "7bdcd2c1082ff552", "111ea2cebeb184ad", "7ea75a1d9ab9c5da"), id="three12"),
+                 "a2395f985b98e727", id="three12"),
     pytest.param(lambda: random_bounded_colouring(24, 10, 1, colours=3),
-                 ("1306cd07fdd5b662", "b9447ad587f9ab56", "0d6f523a88d972a9", "abbf554f77c9761d"), id="three24"),
+                 "1306cd07fdd5b662", id="three24"),
     pytest.param(lambda: random_bounded_colouring(40, 18, 2, colours=3),
-                 ("38d6966d01d2a53b", "ae08ca340fe0c3a5", "71bae0b0c5b445ce", "a56da0551a365e3c"), id="three40"),
+                 "38d6966d01d2a53b", id="three40"),
     pytest.param(lambda: random_bounded_colouring(30, 12, 3, colours=4),
-                 ("19a1bc9517d540da", "6ad7ebdca98ce48a", "328bb610aa7b9cac", "0bb2ba0a60470e67"), id="four30"),
+                 "19a1bc9517d540da", id="four30"),
     pytest.param(lambda: random_bounded_colouring(40, 16, 0),
-                 ("16c845cb73c32329", "768b233848caf18a", "c116dda434aecbcf", "3c6eb51f81bd32a0"), id="rainbow40"),
+                 "16c845cb73c32329", id="rainbow40"),
     pytest.param(lambda: near_bollobas_erdos(10, 0),
-                 ("376ab2a86b3b79eb", "8cba144a7e916155", "0ab73414728e245e", "758fc141b493d57b"), id="near-be10"),
+                 "376ab2a86b3b79eb", id="near-be10"),
     pytest.param(lambda: layered_colouring(14, 3),
-                 ("11e5ec35da7cad98", "530b63514d2341a2", "ccc45c2dc8fbd41c", "07556d7290682413"), id="layered14-3"),
+                 "11e5ec35da7cad98", id="layered14-3"),
 ])
-def test_two_factor_outcomes_are_pinned(monkeypatch, make, digests):
-    # taken before growth became one inline loop: initial paths cut by 0, 1,
-    # 3 and n // 3 vertices, so growth runs through maximal_path_cycle and
-    # through _reopen, from one stranded vertex and from several
-    g = make()
-    assert tuple(_two_factor_digest(g, cut, monkeypatch) for cut in (0, 1, 3, g.n // 3)) == digests
+def test_two_factor_outcomes_are_pinned(make, digest):
+    # taken before growth became one inline loop
+    assert _two_factor_digest(make()) == digest
 
 
 def test_rotate_preconditions():
