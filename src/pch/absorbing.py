@@ -8,8 +8,8 @@ z3 and every junction stays proper.
 
 The absorbing cycle stitches a few random disjoint PC 4-paths (its family)
 together with short connector paths into one PC cycle.  It has to absorb only
-the one spanning path the pipeline produces, whose end quadruple the pipeline
-steers by reversing the path and rotating its ends.  A family that absorbs
+one spanning path of the rest, whose end quadruple the pipeline steers by
+reversing the path and by growing fresh greedy paths.  A family that absorbs
 every ordered quadruple of the vertices outside it is universal;
 `verify_family_universality` checks that exactly, as an audit.
 """

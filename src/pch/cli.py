@@ -8,6 +8,7 @@ Exit codes: 0 success / structure exists, 1 failure / does not exist,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -85,13 +86,29 @@ def _instance_meta(g: ColouredComplete) -> dict:
 
 
 def _emit(report: RunReport, args) -> None:
-    text = json.dumps(report.to_json(), indent=2, default=str)
-    path = getattr(args, "report", None)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    args.write(json.dumps(report.to_json(), indent=2, default=str) + "\n")
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The writer of a command's output: stdout's, or that of `path`, opened
+    before the work so that an unwritable path costs no run.  The write
+    replaces the file; a command that raises leaves it as it was, or absent."""
+    if not path:
+        yield sys.stdout.write
+        return
+    new = not os.path.exists(path)
+    with open(path, "a") as fh:
+        def write(text: str) -> None:
+            fh.truncate(0)
+            fh.write(text)
+
+        try:
+            yield write
+        except BaseException:
+            if new:
+                os.remove(path)
+            raise
 
 
 class UsageError(Exception):
@@ -125,12 +142,7 @@ def cmd_gen(args) -> int:
     needs, build = _FAMILIES[args.family]
     if any(getattr(args, flag) is None for flag in needs):
         raise UsageError(f"--family {args.family} needs " + " and ".join(f"--{flag}" for flag in needs))
-    text = graph_to_text(build(args))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.write(graph_to_text(build(args)))
     return EXIT_OK
 
 
@@ -532,7 +544,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with _output(getattr(args, "report", None) or getattr(args, "out", None)) as args.write:
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,9 @@
 """End-to-end Hamiltonian cycle construction.
 
 Stages: build a small absorbing cycle; delete its vertices; grow a spanning
-properly coloured path of the rest; absorb the path into the cycle, reversed,
-end-rotated or from another seed until some member absorbs its end quadruple.
+properly coloured path of the rest; absorb it into the cycle.  Steering tries
+the path forward, then reversed, and then a fresh greedy path of each later
+path seed the same way, until some member absorbs an end quadruple.
 The spanning path is the greedy ``maximal_path_cycle`` path, grown inside the
 rest in the input's own vertex ids; steering and absorption use the same ids.
 A first path that does not span fails the run at ``ham_path``, and a later
@@ -22,7 +23,6 @@ practical parameters and verifies its output instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,10 +36,10 @@ from pch.ec_graph import (
     ham_cycle_certificate,
     verify_certificate,
 )
-from pch.rotations import PathCycleSystem, expand_endpoint_colours
 
-# spanning paths offered for absorption per run
-_PATH_SEEDS = 3
+# spanning paths offered for absorption per run: on the measured threshold,
+# near-BE and few-colour corpus, 20 solve every run that end rotations did
+_PATH_SEEDS = 20
 
 
 @dataclass
@@ -78,25 +78,14 @@ def _default_family_target(n: int) -> int:
     return max(1, min(5, (n - max(6, n // 3)) // 6))
 
 
-def _rotated(g, path: DirectedPath, tried: dict):
-    """The spanning paths that rotating one end of `path` reaches: its right
-    end, then its left end, as the right end of the reversed path."""
-    for flip in (False, True):
-        start = PathCycleSystem(path.reverse() if flip else path)
-        for st in itertools.islice(expand_endpoint_colours(start, g, tried), 1, None):
-            if not st.system.cycles:
-                yield st.system.path.reverse() if flip else st.system.path
-
-
 def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
     """Absorb a spanning path of the vertices `keep` into `ac`: the cycle, or None.
 
     Each seed's path (`first` for `seed`; later seeds grow their own) is
-    tried forward and reversed, and then so is each spanning path its end
-    rotations reach.  A candidate is absorbed only once some member absorbs
-    its end quadruple; a later seed's path that does not span is skipped.
-    `tried` records the path seeds, the orders of the paths later seeds
-    grew, end quadruples and rotations.
+    tried forward, then reversed.  A candidate is absorbed only once some
+    member absorbs its end quadruple; a later seed's path that does not span
+    is skipped.  `tried` records the path seeds, the orders of the paths
+    later seeds grew and the end quadruples.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
@@ -106,18 +95,17 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
             tried["orders"].append(path.order)
             if path.order < len(keep):
                 continue
-        for variant in itertools.chain([path], _rotated(g, path, tried)):
-            vs = variant.vertices
-            ends = (vs[0], vs[1], vs[-2], vs[-1])
-            # forward, then reversed: the reversed path's end quadruple is
-            # the forward one read backwards
-            for quad, backwards in ((ends, False), (ends[::-1], True)):
-                tried["quads"] += 1
-                if absorbing_member(g, ac, quad) is None:
-                    continue
-                cycle = absorb_path(g, ac, variant.reverse() if backwards else variant)
-                if cycle is not None:
-                    return cycle
+        vs = path.vertices
+        ends = (vs[0], vs[1], vs[-2], vs[-1])
+        # forward, then reversed: the reversed path's end quadruple is the
+        # forward one read backwards
+        for quad, backwards in ((ends, False), (ends[::-1], True)):
+            tried["quads"] += 1
+            if absorbing_member(g, ac, quad) is None:
+                continue
+            cycle = absorb_path(g, ac, path.reverse() if backwards else path)
+            if cycle is not None:
+                return cycle
     return None
 
 
@@ -175,7 +163,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     partial["ham_path"] = path
 
     t0 = time.perf_counter()
-    tried: dict = {"path_seeds": [], "orders": [], "quads": 0, "rotations": 0}
+    tried: dict = {"path_seeds": [], "orders": [], "quads": 0}
     cycle = _steer(g, ac, keep, path, cfg.seed, tried)
     report["stages"]["absorb"] = {
         "seconds": round(time.perf_counter() - t0, 4),
@@ -183,11 +171,8 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
         "cycle_order": cycle.order if cycle is not None else None,
     }
     if cycle is None:
-        return fail(
-            "absorb",
-            f"no family member absorbs any of {tried['quads']} end quadruples over path seeds "
-            f"{tried['path_seeds']} and {tried['rotations']} end rotations",
-        )
+        quads, seeds = tried["quads"], tried["path_seeds"]
+        return fail("absorb", f"no family member absorbs any of {quads} end quadruples over path seeds {seeds}")
     cert = verify_certificate(g, ham_cycle_certificate(cycle))
     if not cert.valid:
         raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")

@@ -130,15 +130,15 @@ class EndpointState:
     system: PathCycleSystem
 
 
-# the depth and rotation cap of every endpoint expansion: the 2-factor
-# closure's and the pipeline's steering
+# the depth and rotation cap of the endpoint expansion, which only the
+# 2-factor closure reads
 EXPANSION_DEPTH = 2
 EXPANSION_ROTATIONS = 5_000
 
 
 def expand_endpoint_colours(sys: PathCycleSystem, g, stats: dict) -> Iterator[EndpointState]:
-    """Breadth-first search over the right-end states reachable by rotations,
-    to depth `EXPANSION_DEPTH`.
+    """The 2-factor closure's breadth-first search over the right-end states
+    reachable by rotations, to depth `EXPANSION_DEPTH`.
 
     Yields the starting state, then each state (z, c_z) once, at the first
     layer that reaches it: layer L holds, for each state reachable in exactly

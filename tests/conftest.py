@@ -9,6 +9,7 @@ with a universal family come from retrying build seeds under the exact audit.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from pch.absorbing import build_absorbing_cycle, verify_family_universality
@@ -108,3 +109,25 @@ def arc_cycles(g) -> set[tuple[int, ...]]:
         c for c in properly_coloured_cycle_set(g)
         if all(g.colour(u, v) != g.n for u, v in zip(c, c[1:] + c[:1]))
     }
+
+
+def near_two_colouring(n: int, s: int) -> ColouredComplete | None:
+    """A three-colouring at max monochromatic degree floor(n/2) - 1, mostly in
+    two colours, or None when colour 2 overshoots that cap.
+
+    The pairs are shuffled by ``random.Random(s)``; each takes colour 0, else
+    colour 1, while both ends stay under the cap, and otherwise colour 2.
+    """
+    cap = n // 2 - 1
+    pairs = list(itertools.combinations(range(n), 2))
+    random.Random(s).shuffle(pairs)
+    degree = [[0] * n for _ in range(3)]
+    colour = {}
+    for u, v in pairs:
+        c = next((c for c in (0, 1) if degree[c][u] < cap and degree[c][v] < cap), 2)
+        degree[c][u] += 1
+        degree[c][v] += 1
+        colour[u, v] = colour[v, u] = c
+    if max(degree[2]) > cap:
+        return None
+    return ColouredComplete.from_function(n, 3, lambda u, v: colour[u, v])

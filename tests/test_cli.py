@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from pch.absorbing import build_absorbing_cycle, verify_family_universality
-from pch import absorbing, cli
+from pch import absorbing, cli, pipeline
 from pch.cli import main
 from pch.constructions import (
+    bollobas_erdos,
     colouring_from_oriented,
     rainbow,
     random_bounded_colouring,
@@ -151,6 +152,56 @@ def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv, bad, reason):
     fill = {"tmp": tmp_path, "g": gpath}
     assert run(*(arg.format(**fill) for arg in argv)) == 2
     assert capsys.readouterr().err == f"error: {bad.format(**fill)}: {reason}\n"
+
+
+def _counting_pipeline(monkeypatch, report_path) -> list:
+    """Patch the CLI's `run_pipeline` to record, per call, whether
+    `report_path` already exists."""
+    calls = []
+    run_pipeline = pipeline.run_pipeline
+
+    def counting(*args, **kwargs):
+        calls.append(report_path.exists())
+        return run_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", counting)
+    return calls
+
+
+def test_an_unwritable_report_costs_no_run(tmp_path, capsys, monkeypatch):
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "nope" / "r.json"
+    write_graph(rainbow(24), gpath)
+    calls = _counting_pipeline(monkeypatch, rpath)
+    assert run("solve", "--method", "pipeline", "--input", str(gpath), "--report", str(rpath)) == 2
+    assert capsys.readouterr().err == f"error: {rpath}: No such file or directory\n"
+    assert calls == []
+
+
+def _without_seconds(record):
+    if isinstance(record, dict):
+        return {k: _without_seconds(v) for k, v in record.items() if k != "seconds"}
+    return [_without_seconds(v) for v in record] if isinstance(record, list) else record
+
+
+def test_a_report_is_opened_before_the_run_and_holds_the_printed_json(tmp_path, capsys, monkeypatch):
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    write_graph(rainbow(24), gpath)
+    calls = _counting_pipeline(monkeypatch, rpath)
+    assert run("solve", "--method", "pipeline", "--input", str(gpath)) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert run("solve", "--method", "pipeline", "--input", str(gpath), "--report", str(rpath)) == 0
+    assert capsys.readouterr().out == ""
+    assert calls == [False, True]
+    assert _without_seconds(json.loads(rpath.read_text())) == _without_seconds(printed)
+
+
+def test_a_failed_command_leaves_its_output_file_as_it_was(tmp_path):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("kept\n")
+    assert run("gen", "--family", "random", "--n", "5", "--dmax", "1", "--colours", "2", "--out", str(gpath)) == 1
+    assert gpath.read_text() == "kept\n"
+    assert run("gen", "--family", "be", "--k", "1", "--out", str(gpath)) == 0
+    assert read_graph(gpath) == bollobas_erdos(1)
 
 
 def test_solve_rotation_rejects_a_fallback(tmp_path, capsys):
