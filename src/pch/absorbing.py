@@ -418,14 +418,24 @@ def absorbing_member(g, ac: AbsorbingCycle, quad):
     return next((mb for mb in ac.family if is_absorbing(g, quad, mb)), None)
 
 
+def _splice(ac: AbsorbingCycle, member, vertices: tuple[int, ...]) -> DirectedCycle:
+    """The cycle of `ac` with `vertices` between the second and third
+    vertices of `member`, unchecked: the caller checks the result."""
+    cv = ac.cycle.vertices
+    i2 = cv.index(member[1])
+    if cv[(i2 + 1) % len(cv)] != member[2]:
+        raise AbsorptionError("family member not embedded forward in the cycle")
+    return type(ac.cycle).unchecked(cv[: i2 + 1] + vertices + cv[i2 + 1 :])
+
+
 def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
     """Splice a disjoint PC path of order >= 4 into the absorbing cycle.
 
     The first family member absorbing (p1, p2; p_last-1, p_last) takes the
     path between its second and third vertices; the result is a PC cycle on
     exactly the union of the vertex sets.  Returns None when no member
-    absorbs the path, a legitimate outcome: the caller may reverse or
-    rotate the path and try again.
+    absorbs the path, a legitimate outcome: the caller may reverse the path
+    or try another one.
     """
     vs = p.vertices
     if len(vs) < 4:
@@ -438,13 +448,7 @@ def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
     member = absorbing_member(g, ac, (vs[0], vs[1], vs[-2], vs[-1]))
     if member is None:
         return None
-    z2, z3 = member[1], member[2]
-    cv = list(ac.cycle.vertices)
-    i2 = cv.index(z2)
-    if cv[(i2 + 1) % len(cv)] != z3:
-        raise AbsorptionError("family member not embedded forward in the cycle")
-    merged = cv[: i2 + 1] + list(vs) + cv[i2 + 1 :]
-    out = DirectedCycle(tuple(merged))
+    out = DirectedCycle(_splice(ac, member, vs).vertices)
     if set(out.vertices) != cyc_set | set(vs):
         raise AbsorptionError("absorption changed the vertex set")
     if not is_properly_coloured_cycle(g, out):

@@ -207,19 +207,22 @@ class DirectedCycle(_VertexSeq):
 
 def is_properly_coloured_path(g, p) -> bool:
     """True iff each step along p is an edge of g and consecutive edge colours
-    differ (order <= 1 is proper).  A self-pair or an id outside g makes it
-    False.  Each step is checked as ``g.colour`` checks a pair, then read
-    from ``g.rows``."""
+    differ (order <= 1 is proper).  A step with a self-pair, an id outside g
+    or an id that is not an integer makes it False.  Each step is checked as
+    ``g.colour`` checks a pair, then read from ``g.rows``."""
     vs = _as_vertex_seq(p)
     n, rows = g.n, g.rows
     prev = None
-    for u, v in zip(vs, vs[1:]):
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            return False
-        cur = rows[u][v]
-        if cur == prev:
-            return False
-        prev = cur
+    try:
+        for u, v in zip(vs, vs[1:]):
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                return False
+            cur = rows[u][v]
+            if cur == prev:
+                return False
+            prev = cur
+    except TypeError:  # an id that is not an integer
+        return False
     return True
 
 
@@ -283,7 +286,9 @@ def _structure_problem(g, cert: Certificate) -> str | None:
     seen: set[int] = set()
     for name, vs in pieces:
         for v in vs:
-            if not isinstance(v, int) or not (0 <= v < n):
+            if not isinstance(v, int):
+                return f"{name}: vertex {v!r} is not an int"
+            if not 0 <= v < n:
                 return f"{name}: vertex {v!r} outside 0..{n - 1}"
         if len(set(vs)) != len(vs):
             return f"{name}: repeated vertex"

@@ -4,6 +4,9 @@ Stages: build a small absorbing cycle; delete its vertices; grow a spanning
 properly coloured path of the rest; absorb it into the cycle.  Steering tries
 the path forward, then reversed, and then a fresh greedy path of each later
 path seed the same way, until some member absorbs an end quadruple.
+That member takes the path between its second and third vertices unchecked:
+``verify_certificate`` is the one full check of the cycle, and an invalid
+cycle raises RuntimeError instead of being returned.
 The spanning path is the greedy ``maximal_path_cycle`` path, grown inside the
 rest in the input's own vertex ids; steering and absorption use the same ids.
 A first path that does not span fails the run at ``ham_path``, and a later
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from pch import rotations
-from pch.absorbing import absorb_path, absorbing_member, build_absorbing_cycle
+from pch.absorbing import _splice, absorbing_member, build_absorbing_cycle
 from pch.ec_graph import (
     Certificate,
     ColouredComplete,
@@ -82,10 +85,10 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
     """Absorb a spanning path of the vertices `keep` into `ac`: the cycle, or None.
 
     Each seed's path (`first` for `seed`; later seeds grow their own) is
-    tried forward, then reversed.  A candidate is absorbed only once some
-    member absorbs its end quadruple; a later seed's path that does not span
-    is skipped.  `tried` records the path seeds, the orders of the paths
-    later seeds grew and the end quadruples.
+    tried forward, then reversed.  The first candidate whose end quadruple
+    some member absorbs is spliced into the cycle, unchecked; a later seed's
+    path that does not span is skipped.  `tried` records the path seeds, the
+    orders of the paths later seeds grew and the end quadruples.
     """
     for i in range(_PATH_SEEDS):
         tried["path_seeds"].append(seed + i)
@@ -101,11 +104,9 @@ def _steer(g, ac, keep: list[int], first: DirectedPath, seed: int, tried: dict):
         # forward one read backwards
         for quad, backwards in ((ends, False), (ends[::-1], True)):
             tried["quads"] += 1
-            if absorbing_member(g, ac, quad) is None:
-                continue
-            cycle = absorb_path(g, ac, path.reverse() if backwards else path)
-            if cycle is not None:
-                return cycle
+            member = absorbing_member(g, ac, quad)
+            if member is not None:
+                return _splice(ac, member, vs[::-1] if backwards else vs)
     return None
 
 

@@ -286,7 +286,8 @@ def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
             best = path
         if len(best) == len(vs):
             break
-    return PathCycleSystem(DirectedPath(tuple(best)), ())
+    # _grow_path pops each vertex of the checked, distinct `vs` at most once
+    return PathCycleSystem(DirectedPath.unchecked(tuple(best)), ())
 
 
 # ---------------------------------------------------------------------------

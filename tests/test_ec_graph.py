@@ -15,6 +15,7 @@ from pch.constructions import (
     tournament_with_source,
 )
 from pch.ec_graph import (
+    VERDICT_INVALID,
     Certificate,
     ColouredComplete,
     DirectedCycle,
@@ -164,6 +165,25 @@ def test_properness_predicates_match_a_per_edge_reference(g):
         seen.update({("path", path), ("cycle", cycle)})
     assert ("path", False) in seen and ("cycle", False) in seen
     assert ("path", True) in seen
+
+
+@pytest.mark.parametrize("vs", [(0, 1, 2.5), (0.0, 1, 2), (0, "1", 2), (0, 1, None)], ids=repr)
+def test_pc_path_with_a_non_integer_id_is_false(vs):
+    # the docstring's promise for a bad id holds for a float or a string too
+    g = rainbow(5)
+    assert is_properly_coloured_path(g, vs) is False
+    assert is_properly_coloured_cycle(g, vs) is False
+
+
+@pytest.mark.parametrize("cycle, shown", [
+    (tuple(np.arange(5)), "np.int64(0)"),
+    ((0, 1, 2, 3, 4.0), "4.0"),
+], ids=["numpy", "float"])
+def test_certificate_with_a_non_int_vertex_says_so(cycle, shown):
+    # the id is in range but no int: the reason names its type, not its range
+    out = verify_certificate(rainbow(5), Certificate("HamCycle", cycles=(cycle,)))
+    assert out.verdict == VERDICT_INVALID
+    assert out.reason == f"cycle 0: vertex {shown} is not an int"
 
 
 def test_directed_types_reject_bad_input():

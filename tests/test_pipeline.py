@@ -18,8 +18,10 @@ from pch.constructions import (
 from pch.ec_graph import (
     VERDICT_INVALID,
     ColouredComplete,
+    DirectedCycle,
     DirectedPath,
     induced_subgraph,
+    is_properly_coloured_cycle,
     max_mono_degree,
     verify_certificate,
 )
@@ -46,10 +48,10 @@ def test_invalid_certificate_raises(monkeypatch):
 
 def test_absorption_errors_propagate(monkeypatch):
     # a broken absorption is a bug, not an `absorb` stage failure
-    def broken(g, ac, path):
+    def broken(ac, member, vertices):
         raise AbsorptionError("forced")
 
-    monkeypatch.setattr(pch.pipeline, "absorb_path", broken)
+    monkeypatch.setattr(pch.pipeline, "_splice", broken)
     with pytest.raises(AbsorptionError, match="forced"):
         run_pipeline(rainbow(30))
 
@@ -388,18 +390,69 @@ def _outcome_digest(res):
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("g, digests", [
+_PINNED_OUTCOMES = [
     # n colours: a blind draw almost never meets the avoided colour, so both
     # graphs give pipeline seed 1 the same draws, cycle and report
     pytest.param(random_bounded_colouring(40, 16, 0), ("7a3567d534f9097e", "284f8282d7b8fbf8"), id="near-rainbow40-0"),
     pytest.param(random_bounded_colouring(40, 16, 1), ("ec016a8d1489d946", "284f8282d7b8fbf8"), id="near-rainbow40-1"),
     pytest.param(random_bounded_colouring(40, 18, 0, colours=3), ("94991da7142f781e", "8ea75573fde205f2"), id="three-colour40-0"),
     pytest.param(random_bounded_colouring(40, 18, 1, colours=3), ("56e8f1398cb65dd3", "c4f423c78ba01327"), id="three-colour40-1"),
-])
+]
+
+
+@pytest.mark.parametrize("g, digests", _PINNED_OUTCOMES)
 def test_pipeline_outcomes_are_pinned(g, digests):
     # the first 16 hex digits of the outcome digests of pipeline seeds 0
     # and 1: a change to any random draw, scan order or colour read shows here
     assert tuple(_outcome_digest(run_pipeline(g, PipelineConfig(seed=s)))[:16] for s in range(2)) == digests
+
+
+@pytest.mark.parametrize("g", [pytest.param(p.values[0], id=p.id) for p in _PINNED_OUTCOMES])
+def test_the_spliced_cycle_is_the_checked_absorption(monkeypatch, g):
+    # the unchecked splice makes the cycle that absorb_path, with all its
+    # checks, makes from the same absorbing cycle and the same path
+    spliced = []
+
+    def recording(ac, member, vertices):
+        spliced.append((ac, vertices))
+        return pch.absorbing._splice(ac, member, vertices)
+
+    monkeypatch.setattr(pch.pipeline, "_splice", recording)
+    for seed in range(2):
+        spliced.clear()
+        res = run_pipeline(g, PipelineConfig(seed=seed))
+        _assert_solved(g, res)
+        ((ac, vertices),) = spliced
+        assert res.certificate.cycles[0] == absorb_path(g, ac, DirectedPath(vertices)).vertices
+
+
+def _swap_breaking_properness(g, vs):
+    """`vs` with the first adjacent pair swapped whose swap leaves a cycle
+    that is not properly coloured."""
+    for i in range(len(vs) - 1):
+        out = vs[:i] + (vs[i + 1], vs[i]) + vs[i + 2 :]
+        if not is_properly_coloured_cycle(g, out):
+            return out
+    raise AssertionError("every adjacent swap keeps the cycle proper")
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_swap_breaking_properness, "cycle 0: adjacent edges share a colour"),
+    (lambda g, vs: vs[1:], "cycle covers 39 of 40 vertices"),
+], ids=["swapped", "dropped"])
+def test_a_damaged_splice_fails_the_one_check(monkeypatch, damage, reason):
+    # the splice is not checked on its own: verify_certificate catches a
+    # broken junction or a lost vertex, and the run raises instead of
+    # returning the cycle
+    g = random_bounded_colouring(40, 18, 0, colours=3)
+
+    def damaged(ac, member, vertices):
+        vs = pch.absorbing._splice(ac, member, vertices).vertices
+        return DirectedCycle.unchecked(damage(g, vs))
+
+    monkeypatch.setattr(pch.pipeline, "_splice", damaged)
+    with pytest.raises(RuntimeError, match=f"^pipeline produced an invalid certificate: {reason}$"):
+        run_pipeline(g, PipelineConfig(seed=0))
 
 
 def test_near_rainbow_320_outcomes_are_pinned():
@@ -422,7 +475,7 @@ def _unfiltered_steer(g, ac, keep, first, seed, tried):
                 continue
         for p in (path, path.reverse()):
             tried["quads"] += 1
-            cycle = pch.pipeline.absorb_path(g, ac, p)
+            cycle = pch.absorbing.absorb_path(g, ac, p)
             if cycle is not None:
                 return cycle
     return None
@@ -430,19 +483,25 @@ def _unfiltered_steer(g, ac, keep, first, seed, tried):
 
 @pytest.mark.parametrize("k, seed", [(20, 2), (20, 5), (40, 3), (80, 5)])
 def test_steering_absorbs_only_an_absorbable_path(monkeypatch, k, seed):
-    # the end quadruple is tested first, so one absorb_path call makes the
-    # cycle; the loop that absorbs every candidate reaches the same one
+    # the end quadruple is tested first, so one splice makes the cycle; the
+    # loop that absorbs every candidate reaches the same one
     g = near_bollobas_erdos(k, seed)
-    calls = []
+    splices, absorbs = [], []
 
-    def counting(*args):
-        calls.append(args)
+    def counting_splice(*args):
+        splices.append(args)
+        return pch.absorbing._splice(*args)
+
+    def counting_absorb(*args):
+        absorbs.append(args)
         return absorb_path(*args)
 
-    monkeypatch.setattr(pch.pipeline, "absorb_path", counting)
+    monkeypatch.setattr(pch.pipeline, "_splice", counting_splice)
+    monkeypatch.setattr(pch.absorbing, "absorb_path", counting_absorb)
     res = run_pipeline(g, PipelineConfig(seed=seed))
     _assert_solved(g, res)
-    assert len(calls) == 1
+    assert len(splices) == 1
+    assert absorbs == []
     quads = res.report["stages"]["absorb"]["quads"]
     assert quads > 1
 
@@ -450,4 +509,5 @@ def test_steering_absorbs_only_an_absorbable_path(monkeypatch, k, seed):
     ref = run_pipeline(g, PipelineConfig(seed=seed))
     assert ref.certificate == res.certificate
     assert ref.report["stages"]["absorb"]["quads"] == quads
-    assert len(calls) == 1 + quads
+    assert len(absorbs) == quads
+    assert len(splices) == 1

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import pch
+import pch.pipeline
 
 MODULES = sorted(p for p in Path(pch.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -153,3 +154,25 @@ def test_library_loops_read_rows(path):
     # `colour` checks its pair on every call; a loop checks its ids once at
     # its boundary and reads `g.rows`
     assert looped_colour_call_lines(path.read_text()) == []
+
+
+def called_names(source: str) -> list[str]:
+    """The names of the source's calls, a bare name or the last attribute."""
+    return [
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_called_names_finds_bare_and_attribute_calls():
+    assert sorted(called_names("f(x)\nm.g(h(1))\nobj.a.b()\ndef k():\n    return f()\n")) == ["b", "f", "f", "g", "h"]
+
+
+def test_pipeline_checks_its_cycle_once():
+    # steering splices the path in unchecked, and verify_certificate checks
+    # the whole cycle: a second properness check or a checked absorption
+    # would repeat that work on every run
+    calls = called_names(Path(pch.pipeline.__file__).read_text())
+    assert [c for c in calls if c.startswith("is_properly_coloured_") or c == "absorb_path"] == []
+    assert calls.count("verify_certificate") == 1
