@@ -47,7 +47,6 @@ from pch.exact import (
 )
 from pch.rotations import (
     PathCycleSystem,
-    expand_endpoint_colours,
     find_pc_two_factor,
     maximal_path_cycle,
     rotation_targets,

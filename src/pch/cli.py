@@ -439,8 +439,8 @@ def lemma_check(name: str, params: dict) -> dict:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
     if params["quads"] < 1:
         raise UsageError(f"--quads must be >= 1, got {params['quads']}")
-    if name == "abspath" and params["n"] < 4:
-        raise UsageError(f"lemma abspath samples quadruples, which needs n >= 4, got n = {params['n']}")
+    if name in ("abspath", "ifar") and params["n"] < 4:
+        raise UsageError(f"lemma {name} samples quadruples, which needs n >= 4, got n = {params['n']}")
     seeds = range(seeds)
     params = {**params, "dmax": dmax, "seeds": seeds}
     per_seed = functools.partial(_lemma_seed, name, params)

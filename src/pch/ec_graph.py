@@ -286,7 +286,8 @@ def _structure_problem(g, cert: Certificate) -> str | None:
     seen: set[int] = set()
     for name, vs in pieces:
         for v in vs:
-            if not isinstance(v, int):
+            # exactly an int: a bool is an int subclass, and no vertex id
+            if type(v) is not int:
                 return f"{name}: vertex {v!r} is not an int"
             if not 0 <= v < n:
                 return f"{name}: vertex {v!r} outside 0..{n - 1}"

@@ -12,7 +12,6 @@ reversed system, ``sys.reverse()``.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,72 +115,6 @@ def rotation_targets(sys: PathCycleSystem, g, w: int) -> list[int]:
     if cew != row[after]:
         out.append(before)
     return out
-
-
-# ---------------------------------------------------------------------------
-# endpoint-colour expansion (reachable (z, c_z) states by right-end rotations)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EndpointState:
-    vertex: int
-    colour: int
-    depth: int                # rotations from the start system
-    system: PathCycleSystem
-
-
-# the depth and rotation cap of the endpoint expansion, which only the
-# 2-factor closure reads
-EXPANSION_DEPTH = 2
-EXPANSION_ROTATIONS = 5_000
-
-
-def expand_endpoint_colours(sys: PathCycleSystem, g, stats: dict) -> Iterator[EndpointState]:
-    """The 2-factor closure's breadth-first search over the right-end states
-    reachable by rotations, to depth `EXPANSION_DEPTH`.
-
-    Yields the starting state, then each state (z, c_z) once, at the first
-    layer that reaches it: layer L holds, for each state reachable in exactly
-    L rotations, one system that reaches it, with ``depth`` L (first found
-    wins; targets scanned in ascending vertex order for reproducibility).  A
-    layer is built only when the caller reads past the one before it, and is
-    yielded sorted once it is complete; a layer cut short by the cap of
-    `EXPANSION_ROTATIONS` rotations per call is dropped.
-    Every layer rotates along every chord of each state's current system.
-    The search stops after the first layer that holds two states on the same
-    vertex with different colours, the raw material for closing a path into
-    a cycle.  Each rotation adds 1 to ``stats["rotations"]``.
-    """
-    path = sys.path.vertices
-    if len(path) < 2:
-        raise ValueError("endpoint colours need a path of order >= 2")
-    start = EndpointState(path[-1], g.rows[path[-1]][path[-2]], 0, sys)
-    layer = {(start.vertex, start.colour): start}
-    seen = set(layer)
-    yield start
-    cap = stats["rotations"] + EXPANSION_ROTATIONS
-
-    for depth in range(1, EXPANSION_DEPTH + 1):
-        new: dict[tuple[int, int], EndpointState] = {}
-        for key in sorted(layer):
-            cur = layer[key].system
-            for w in _right_chords(cur, g):
-                # both neighbours of w can be reachable endpoints; take each
-                for tgt in rotation_targets(cur, g, w):
-                    if stats["rotations"] >= cap:
-                        return
-                    nxt = _rewire_right(cur, w, tgt)
-                    stats["rotations"] += 1
-                    inner, nz = nxt.path.vertices[-2:]
-                    ncz = g.rows[nz][inner]
-                    if (nz, ncz) not in new:
-                        new[(nz, ncz)] = EndpointState(nz, ncz, depth, nxt)
-        yield from (new[key] for key in sorted(new) if key not in seen)
-        seen.update(new)
-        layer = new
-        # no new state, or one vertex reached in two colours
-        if not new or len({z for z, _ in new}) < len(new):
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -318,42 +251,73 @@ def _closable(sys: PathCycleSystem, g) -> bool:
     return x[path[-1]] not in (x[path[1]], y[path[-2]])
 
 
-def _close_system(sys: PathCycleSystem, g, stats: dict):
-    """Turn the current system into vertex-disjoint PC cycles on the same vertices.
+# the depth and rotation cap of the 2-factor closure's search
+EXPANSION_DEPTH = 2
+EXPANSION_ROTATIONS = 5_000
 
-    Rotates the path's left end (the right end of the reversed system) and
-    closes the first reached state whose path closes, the system itself
-    first; a state reached by rotations is marked "fallback" in
-    ``stats["closed_via"]``.  That is one expansion, to depth
-    `EXPANSION_DEPTH` and at most `EXPANSION_ROTATIONS` rotations, read
-    lazily, so a layer is built only when no earlier state closes.
+
+def _close_system(sys: PathCycleSystem, g, stats: dict):
+    """Turn the current system into vertex-disjoint PC cycles on the same
+    vertices, or None.
+
+    One breadth-first search over the path's left end, rotated as the right
+    end of the reversed system.  Layer 0 is that system; layer L holds, for
+    each state (z, c_z) that L rotations reach, the first system found to
+    reach it (chords ascending, `rotation_targets` in its order), sorted by
+    state once the layer is complete.  The first system whose path closes
+    gives the cycles, marked "fallback" in ``stats["closed_via"]`` when
+    reached by rotations.  The search stops after layer `EXPANSION_DEPTH`,
+    after the first layer that reaches one vertex in two colours, or when
+    the call's `EXPANSION_ROTATIONS` rotations run out, dropping the layer
+    cut short; each rotation adds 1 to ``stats["rotations"]``.  Rotations
+    keep x, its neighbour and c_x, so whether a state closes depends on
+    (z, c_z) alone: a state met again deeper fails again.
     """
-    for st in expand_endpoint_colours(sys.reverse(), g, stats):
-        if _closable(st.system, g):
-            if st.depth:
-                stats["closed_via"] = "fallback"
-            return st.system.cycles + (DirectedCycle.unchecked(st.system.path.vertices[::-1]),)
+    layer = [sys.reverse()]
+    cap = stats["rotations"] + EXPANSION_ROTATIONS
+    for depth in range(EXPANSION_DEPTH + 1):
+        for cur in layer:
+            if _closable(cur, g):
+                if depth:
+                    stats["closed_via"] = "fallback"
+                return cur.cycles + (DirectedCycle.unchecked(cur.path.vertices[::-1]),)
+        # the last layer, or one vertex reached in two colours
+        if depth == EXPANSION_DEPTH or len({cur.path.last for cur in layer}) < len(layer):
+            break
+        new = {}
+        for cur in layer:
+            for w in _right_chords(cur, g):
+                # both neighbours of w can be reachable endpoints; take each
+                for tgt in rotation_targets(cur, g, w):
+                    if stats["rotations"] >= cap:
+                        return None
+                    nxt = _rewire_right(cur, w, tgt)
+                    stats["rotations"] += 1
+                    inner, z = nxt.path.vertices[-2:]
+                    new.setdefault((z, g.rows[z][inner]), nxt)
+        layer = [new[key] for key in sorted(new)]
     return None
 
 
 def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     """Search for a properly coloured 2-factor by growth, rotation and closure.
 
-    Grow a maximal PC path (`GREEDY_RESTARTS` restarts) and rotate its left
-    end until the end colours allow closing it (one expansion of at most
-    `EXPANSION_DEPTH` layers and `EXPANSION_ROTATIONS` rotations, absorbing
-    any disjoint cycles hit along the way).  When the closed cycles do not
-    span g, or no state closes, `pc_two_factor_matching` answers: its
-    verified 2-factor, marked ``closed_via: "matching"``, or its barrier,
-    with the greedy path's system.  So the search fails only when g has no
-    PC 2-factor.
+    Grow a maximal PC path (`GREEDY_RESTARTS` restarts).  When it spans g,
+    `_close_system` rotates its left end until the end colours allow closing
+    it (at most `EXPANSION_DEPTH` layers and `EXPANSION_ROTATIONS`
+    rotations, absorbing any disjoint cycles hit along the way).  When the
+    path does not span g, or no state closes, `pc_two_factor_matching`
+    answers: its verified 2-factor, marked ``closed_via: "matching"``, or
+    its barrier, with the greedy path's system.  So the search fails only
+    when g has no PC 2-factor.
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
     stats: dict = {"rotations": 0}
     sys = maximal_path_cycle(g, seed=random.Random(seed).randrange(2 ** 30))
-    closed = _close_system(sys, g, stats)
-    if closed is not None and sum(cyc.order for cyc in closed) == g.n:
+    # a closure keeps the system's vertices, so only a spanning path can close into the 2-factor
+    closed = _close_system(sys, g, stats) if sys.order == g.n else None
+    if closed is not None:
         cert = verify_certificate(g, two_factor_certificate(closed))
         if not cert.valid:
             raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")

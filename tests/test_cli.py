@@ -289,6 +289,28 @@ def test_readme_constant_quotes_match_the_code():
         assert all(v == int(value.replace(",", "")) for v in owners), (name, value, owners)
 
 
+def test_readme_function_names_resolve():
+    # every backticked "`name(" in the README names an attribute of a pch
+    # submodule, or of a class defined in one (bare or as `Class.name`), or
+    # the generator's `random.Random(` and `getrandbits(`
+    import inspect
+    import pkgutil
+    from importlib import import_module
+
+    import pch
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    calls = set(re.findall(r"`([A-Za-z_][\w.]*)\(", text))
+    assert {"find_pc_two_factor", "PathCycleSystem.reverse", "getrandbits"} <= calls
+    modules = [import_module(f"pch.{m.name}") for m in pkgutil.iter_modules(pch.__path__)]
+    known = {"random.Random", "getrandbits"} | {name for m in modules for name in vars(m)}
+    for m in modules:
+        for cls in vars(m).values():
+            if inspect.isclass(cls) and cls.__module__ == m.__name__:
+                known |= {name for attr in dir(cls) for name in (attr, f"{cls.__name__}.{attr}")}
+    assert not calls - known, f"README names {sorted(calls - known)}, which the code does not define"
+
+
 def test_oracle_longest_report(tmp_path):
     gpath = tmp_path / "g.txt"
     write_graph(rainbow(7), gpath)
@@ -584,7 +606,8 @@ def test_lemma_check_names_the_flags_behind_a_default_dmax_below_one(capsys):
 @pytest.mark.parametrize("argv", [
     ["lemma-check", "--lemma", "abspath", "--n", "3", "--dmax", "1", "--seeds", "1"],
     ["absorb-check", "--eps", "0.1", "--quads", "sample:2"],
-], ids=["lemma-check", "absorb-check"])
+    ["lemma-check", "--lemma", "ifar", "--n", "3"],
+], ids=["lemma-check", "absorb-check", "lemma-check-ifar"])
 def test_quadruples_on_fewer_than_four_vertices_are_usage_errors(tmp_path, capsys, argv):
     if argv[0] == "absorb-check":
         gpath = tmp_path / "g.txt"

@@ -178,9 +178,11 @@ def test_pc_path_with_a_non_integer_id_is_false(vs):
 @pytest.mark.parametrize("cycle, shown", [
     (tuple(np.arange(5)), "np.int64(0)"),
     ((0, 1, 2, 3, 4.0), "4.0"),
-], ids=["numpy", "float"])
+    ((True, 0, 2, 3, 4), "True"),
+], ids=["numpy", "float", "bool"])
 def test_certificate_with_a_non_int_vertex_says_so(cycle, shown):
-    # the id is in range but no int: the reason names its type, not its range
+    # the id is in range but no int (a bool is an int subclass, and no
+    # vertex id): the reason names its type, not its range
     out = verify_certificate(rainbow(5), Certificate("HamCycle", cycles=(cycle,)))
     assert out.verdict == VERDICT_INVALID
     assert out.reason == f"cycle 0: vertex {shown} is not an int"

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 import time
@@ -32,9 +31,9 @@ from pch.exact import check_barrier, exact_pc_two_factor, pc_two_factor_matching
 from pch.rotations import (
     PathCycleSystem,
     _closable,
+    _close_system,
     _rewire_right,
     _right_chords,
-    expand_endpoint_colours,
     find_pc_two_factor,
     maximal_path_cycle,
     rotation_targets,
@@ -182,16 +181,40 @@ def test_rotate_random_soundness_sample():
         done += 1
 
 
-# -- endpoint expansion --------------------------------------------------------
+# -- endpoint expansion: the closure's breadth-first search -----------------------
 
-def test_expand_depth_zero_is_right_endpoint():
-    # the first state, read before any rotation, is the right end itself
+def closure_checks(monkeypatch, sys, g, stats, closes=lambda s, g: False):
+    """`_close_system` on sys with `_closable` replaced by `closes` (default:
+    nothing closes): its result, and each system it tests for closing, in
+    order, with the rotation count at the test.  The rotation count tells
+    the layers apart: layer L is tested once all of it is built."""
+    checked = []
+
+    def spy(s, g):
+        checked.append((s, stats["rotations"]))
+        return closes(s, g)
+
+    monkeypatch.setattr(pch.rotations, "_closable", spy)
+    return _close_system(sys, g, stats), checked
+
+
+def layers(checked):
+    """The tested systems grouped by layer (by the rotation count at the test)."""
+    counts = sorted({count for _, count in checked})
+    return [[s for s, count in checked if count == c] for c in counts]
+
+
+def test_expand_depth_zero_is_right_endpoint(monkeypatch):
+    # a closable path closes at once, as itself, without rotating; the
+    # first system tested is the reversed start, whose right end is the
+    # path's left end
     g = rainbow(20)
     sys = path_system(*range(20))
     stats = {"rotations": 0}
-    st = next(expand_endpoint_colours(sys, g, stats))
-    assert (st.vertex, st.colour, st.depth, st.system) == (19, g.colour(19, 18), 0, sys)
-    assert stats["rotations"] == 0
+    assert _close_system(sys, g, stats) == (DirectedCycle(tuple(range(20))),)
+    assert stats == {"rotations": 0}
+    closed, checked = closure_checks(monkeypatch, sys, g, {"rotations": 0}, _closable)
+    assert closed == (DirectedCycle(tuple(range(20))),) and checked == [(sys.reverse(), 0)]
 
 
 def rainbow_layer_one(g, targets):
@@ -208,18 +231,17 @@ def rainbow_layer_one(g, targets):
     return expected
 
 
-def depth_at_most_one(states):
-    """The states of an expansion that take at most one rotation."""
-    return list(itertools.takewhile(lambda st: st.depth <= 1, states))
-
-
-def test_expand_rainbow_depth_one_matches_case_analysis():
-    # identity path in a rainbow colouring: every interior target w in positions
-    # 2..n-3 admits both outcomes
+def test_expand_rainbow_depth_one_matches_case_analysis(monkeypatch):
+    # identity path in a rainbow colouring, rotated at its right end (the
+    # left end of the reversed path): every interior target w in positions
+    # 2..n-3 admits both outcomes, and layer 1 reaches vertices in two
+    # colours, so it is the last layer
     n = 16
     g = rainbow(n)
-    states = depth_at_most_one(expand_endpoint_colours(path_system(*range(n)), g, {"rotations": 0}))
-    assert {(st.vertex, st.colour) for st in states[1:]} == rainbow_layer_one(g, range(2, n - 2))
+    _, checked = closure_checks(monkeypatch, path_system(*range(n)).reverse(), g, {"rotations": 0})
+    start, one = layers(checked)
+    assert start == [path_system(*range(n))]
+    assert {ends(s, g)[2:] for s in one} == rainbow_layer_one(g, range(2, n - 2))
 
 
 def right_rotations(sys, g):
@@ -227,12 +249,11 @@ def right_rotations(sys, g):
     return {_rewire_right(s, w, t) for s, w, t in eligible_chords(sys, g) if s is sys}
 
 
-def test_expansion_states_are_valid_systems_at_their_depth():
-    # each state's system is a valid system on the start's vertices with the
-    # start's left end, ends at the state's (vertex, colour), and is made by
-    # exactly `depth` right-end rotations from the start, which no fewer
-    # rotations reach that endpoint state in; the left end is expanded as the
-    # right end of the reversed system
+def test_expansion_states_are_valid_systems_at_their_depth(monkeypatch):
+    # each tested system is a valid system on the start's vertices with the
+    # start's left end, made by exactly as many right-end rotations of the
+    # start as its layer's depth; within a layer each state (z, c_z) comes
+    # once, in sorted order.  Both ends of each greedy path are rotated.
     cases = [(random_bounded_colouring(45, 18, s), s) for s in range(10)]
     cases += [(near_bollobas_erdos(10, s), 10 + s) for s in range(10)]
     # the right end of this path reaches depth 2; the other paths' right
@@ -244,76 +265,109 @@ def test_expansion_states_are_valid_systems_at_their_depth():
         sys = maximal_path_cycle(g, seed=seed)
         for flip in (False, True):
             start = sys.reverse() if flip else sys
-            x, c_x, y, c_y = ends(start, g)
-            one = right_rotations(start, g)
-            shallower = {(y, c_y)} | {ends(s, g)[2:] for s in one}
-            two = None
-            for i, st in enumerate(expand_endpoint_colours(start, g, {"rotations": 0})):
-                cur = st.system
-                validate_system(cur, g)
-                assert sorted(cur.vertices()) == sorted(start.vertices())
-                assert ends(cur, g) == (x, c_x, st.vertex, st.colour)
-                if st.depth == 0:
-                    assert i == 0 and cur == start
-                elif st.depth == 1:
-                    assert cur in one and (st.vertex, st.colour) != (y, c_y)
-                else:
-                    if two is None:
-                        two = set().union(*(right_rotations(s, g) for s in one))
-                    assert st.depth == 2 and cur in two
-                    assert (st.vertex, st.colour) not in shallower
-                replayed[flip] += 1
-                deepest[flip] = max(deepest[flip], st.depth)
+            x, c_x = ends(start, g)[:2]
+            _, checked = closure_checks(monkeypatch, start.reverse(), g, {"rotations": 0})
+            grouped = layers(checked)
+            assert grouped[0] == [start]
+            reach = [{start}, right_rotations(start, g)]
+            for depth, layer in enumerate(grouped):
+                if depth == 2:
+                    reach.append(set().union(*(right_rotations(s, g) for s in reach[1])))
+                keys = [ends(cur, g)[2:] for cur in layer]
+                assert keys == sorted(set(keys))
+                for cur in layer:
+                    validate_system(cur, g)
+                    assert sorted(cur.vertices()) == sorted(start.vertices())
+                    assert ends(cur, g)[:2] == (x, c_x)
+                    assert cur in reach[depth]
+                replayed[flip] += len(layer)
+            deepest[flip] = max(deepest[flip], len(grouped) - 1)
     assert min(replayed.values()) > 1000 and deepest == {False: 2, True: 2}
 
 
 def test_expansion_is_read_lazily_and_counts_its_rotations(monkeypatch):
-    # states come layer by layer, each (z, c_z) once and sorted within its
-    # layer; a layer's rotations are made, and added to the caller's count,
-    # only when the caller reads past the layer before it
+    # a layer is tested once it is complete, and its rotations are added to
+    # the caller's count; the next layer is built only when none closes
     g = near_bollobas_erdos(10, 0)
     sys = maximal_path_cycle(g, seed=0)
     stats = {"rotations": 7}
-    read = [
-        (st.depth, (st.vertex, st.colour), stats["rotations"])
-        for st in expand_endpoint_colours(sys, g, stats)
-    ]
-    assert read == sorted(read) and read[-1][0] == 2
-    assert len({key for _, key, _ in read}) == len(read)
-    made = {depth: {count for d, _, count in read if d == depth} for depth in (0, 1, 2)}
+    _, checked = closure_checks(monkeypatch, sys.reverse(), g, stats)
     layer_one = sum(len(rotation_targets(sys, g, w)) for w in _right_chords(sys, g))
-    assert made == {0: {7}, 1: {7 + layer_one}, 2: {stats["rotations"]}}
+    counts = [count for _, count in checked]
+    assert counts == sorted(counts) and sorted(set(counts)) == [7, 7 + layer_one, stats["rotations"]]
     assert 7 + layer_one < stats["rotations"]
-    # a cap cuts the layer it is reached in, which is then dropped
+    # a depth-1 state that closes ends the search: no depth-2 layer is built
+    first = next(s for s, count in checked if count == 7 + layer_one)
+    stats = {"rotations": 7}
+    closed, _ = closure_checks(monkeypatch, sys.reverse(), g, stats, lambda s, g: s == first)
+    assert closed == first.cycles + (DirectedCycle(first.path.vertices[::-1]),)
+    assert stats == {"rotations": 7 + layer_one, "closed_via": "fallback"}
+    # a cap cuts the layer it is reached in, which is then dropped untested
     monkeypatch.setattr(pch.rotations, "EXPANSION_ROTATIONS", 3)
     capped = {"rotations": 0}
-    assert [st.depth for st in expand_endpoint_colours(sys, g, capped)] == [0]
-    assert capped["rotations"] == 3
+    closed, checked = closure_checks(monkeypatch, sys.reverse(), g, capped)
+    assert closed is None and checked == [(sys, 0)] and capped == {"rotations": 3}
 
 
 def test_expand_no_chords_gives_empty_layer():
-    # all edges at the right endpoint share the path-edge colour
+    # all edges at the path's left end share the path-edge colour there,
+    # the closing edge among them: no chord, no close, no rotation
     n = 8
     edges = {}
     for i in range(n - 1):
         edges[(i, i + 1)] = i % 2
-    for u in range(n - 1):
-        edges[(u, n - 1)] = (n - 2) % 2  # equal to the path edge colour at y
+    for u in range(1, n):
+        edges[(0, u)] = 0  # equal to the path edge colour at x
     g = graph_from_edges(n, 3, edges, default=2)
-    sys = path_system(*range(n))
     stats = {"rotations": 0}
-    assert [st.depth for st in expand_endpoint_colours(sys, g, stats)] == [0]
-    assert stats["rotations"] == 0
+    assert _close_system(path_system(*range(n)), g, stats) is None
+    assert stats == {"rotations": 0}
 
 
-def test_expand_left_side_mirrors():
-    # the left end expands as the right end of the reversed system
+def test_expand_left_side_mirrors(monkeypatch):
+    # every system tested keeps the path's right end and its colour
     g = rainbow(20)
     sys = path_system(*range(20))
-    states = depth_at_most_one(expand_endpoint_colours(sys.reverse(), g, {"rotations": 0}))
-    assert len(states) > 1
-    for st in states:
-        assert ends(st.system.reverse(), g) == (st.vertex, st.colour, 19, g.colour(19, 18))
+    _, checked = closure_checks(monkeypatch, sys, g, {"rotations": 0})
+    assert len(layers(checked)) > 1
+    for s, _ in checked:
+        assert ends(s.reverse(), g)[2:] == (19, g.colour(19, 18))
+
+
+def _closure_corpus():
+    """3,000 random systems and the greedy paths of `random_colouring(n, k, s)`
+    for n 8-60 step 4, k 2-4 and s 0-3, each system at both ends."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        g, sys = random_system_instance(rng)
+        yield g, sys
+        yield g, sys.reverse()
+    for n in range(8, 61, 4):
+        for k in (2, 3, 4):
+            for s in range(4):
+                g = random_colouring(n, k, s)
+                sys = maximal_path_cycle(g, seed=s)
+                yield g, sys
+                yield g, sys.reverse()
+
+
+def test_closure_outcomes_are_pinned():
+    # taken while the search read a lazy generator of endpoint states: first
+    # 16 hex digits of sha256 over the json of each closure's cycles (or
+    # None) and stats, rotations counted from 3.  Every closure is valid PC
+    # cycles on the system's own vertices.
+    records, modes = [], {}
+    for g, sys in _closure_corpus():
+        stats = {"rotations": 3}
+        closed = _close_system(sys, g, stats)
+        mode = "open" if closed is None else stats.get("closed_via", "immediate")
+        modes[mode] = modes.get(mode, 0) + 1
+        if closed is not None:
+            assert all(is_properly_coloured_cycle(g, cyc.vertices) for cyc in closed)
+            assert sorted(v for cyc in closed for v in cyc.vertices) == sorted(sys.vertices())
+        records.append({"cycles": None if closed is None else [cyc.vertices for cyc in closed], "stats": stats})
+    assert modes == {"fallback": 2610, "immediate": 3322, "open": 404}
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16] == "cf202956910e00e5"
 
 
 # -- growth and the 2-factor search ---------------------------------------------
@@ -624,8 +678,9 @@ def test_two_factor_never_claims_nonexistent():
     ],
 )
 def test_a_closed_path_short_of_spanning_goes_to_the_matching(monkeypatch, g, cut):
-    # an initial path `cut` vertices short still closes, but its cycle leaves
-    # vertices out: the one attempt ends there and the matching answers
+    # an initial path `cut` vertices short could still close, but its cycle
+    # would leave vertices out: the one attempt does not try to close it,
+    # makes no rotation and the matching answers
     starts, closures = [], []
 
     def short(*args, **kwargs):
@@ -633,14 +688,11 @@ def test_a_closed_path_short_of_spanning_goes_to_the_matching(monkeypatch, g, cu
         sys = maximal_path_cycle(*args, **kwargs)
         return replace(sys, path=DirectedPath(sys.path.vertices[:-cut]))
 
-    close = pch.rotations._close_system
     monkeypatch.setattr(pch.rotations, "maximal_path_cycle", short)
-    monkeypatch.setattr(pch.rotations, "_close_system", lambda *a: closures.append(close(*a)) or closures[-1])
+    monkeypatch.setattr(pch.rotations, "_close_system", lambda *a: closures.append(a))
     out = find_pc_two_factor(g)
-    (closed,) = closures
-    assert len(starts) == 1
-    assert closed is not None and sum(c.order for c in closed) == g.n - cut
-    assert out.stats["closed_via"] == "matching"
+    assert len(starts) == 1 and closures == []
+    assert out.stats == {"rotations": 0, "closed_via": "matching"}
     assert out.certificate == pc_two_factor_matching(g)[0]
     assert out.success and verify_certificate(g, out.certificate).valid
 
@@ -674,10 +726,12 @@ def _two_factor_digest(g):
     pytest.param(lambda: near_bollobas_erdos(10, 0),
                  "376ab2a86b3b79eb", id="near-be10"),
     pytest.param(lambda: layered_colouring(14, 3),
-                 "11e5ec35da7cad98", id="layered14-3"),
+                 "22913d676fc6adfa", id="layered14-3"),
 ])
 def test_two_factor_outcomes_are_pinned(make, digest):
-    # taken before growth became one inline loop
+    # taken before growth became one inline loop; layered14-3 again once a
+    # path short of spanning no longer rotated (its greedy paths miss
+    # vertices, and each seed's 2 rotations went to 0)
     assert _two_factor_digest(make()) == digest
 
 
@@ -742,12 +796,6 @@ def test_closable_is_a_pc_cycle_check():
     assert closable > 4_000
 
 
-def test_expansion_needs_a_path_of_order_two():
-    sys = PathCycleSystem(DirectedPath((0,)), (DirectedCycle((3, 4, 5)),))
-    with pytest.raises(ValueError, match="order >= 2"):
-        next(expand_endpoint_colours(sys, rainbow(8), {"rotations": 0}))
-
-
 def test_layered_has_no_two_factor_and_both_sides_agree():
     # every PC cycle in the layered family uses at least as many hub vertices
     # as others, so no cycle family can cover the big side: no PC 2-factor
@@ -760,18 +808,7 @@ def test_layered_has_no_two_factor_and_both_sides_agree():
 
 def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     # rainbow except the closing edge repeats the colour at x: the immediate
-    # closure is blocked, so rotating the left end must close it
-    from pch.rotations import _close_system
-
-    starts = []
-    expand = pch.rotations.expand_endpoint_colours
-
-    def spy(sys, *args, **kwargs):
-        starts.append(sys)
-        return expand(sys, *args, **kwargs)
-
-    monkeypatch.setattr(pch.rotations, "expand_endpoint_colours", spy)
-
+    # closure is blocked, so rotating the left end must close it, in layer 1
     n = 40
     counter = iter(range(n * n))
     tab = {}
@@ -782,10 +819,11 @@ def test_closure_rotates_left_end_on_blocked_path(monkeypatch):
     g = ColouredComplete.from_function(n, n * n, lambda u, v: tab[(u, v)])
     sys = path_system(*range(n))
     stats = {"rotations": 0}
-    closed = _close_system(sys, g, stats)
+    closed, checked = closure_checks(monkeypatch, sys, g, stats, _closable)
     assert closed is not None
-    assert stats.get("closed_via") == "fallback"
-    assert starts == [sys.reverse()]
+    layer_one = sum(len(rotation_targets(sys.reverse(), g, w)) for w in _right_chords(sys.reverse(), g))
+    assert stats == {"rotations": layer_one, "closed_via": "fallback"}
+    assert checked[0] == (sys.reverse(), 0)
     covered = set()
     for cyc in closed:
         assert is_properly_coloured_cycle(g, cyc)
