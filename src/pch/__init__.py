@@ -57,7 +57,6 @@ from pch.absorbing import (
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
-    enumerate_absorbing,
     is_absorbing,
     join_ends,
     verify_family_universality,

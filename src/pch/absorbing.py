@@ -6,6 +6,13 @@ z1 z2 x1 x2 and y1 y2 z3 z4 are PC paths.  Such a path can swallow any PC path
 running from the edge x1 x2 to the edge y1 y2: splice the path between z2 and
 z3 and every junction stays proper.
 
+`count_absorbing` counts those paths exactly from one same-colour bitset
+table per graph, S[v, w] = {z != v : c(v, z) = c(v, w)}: with the two middle
+vertices fixed, the choices of z1 and of z4 and their overlap are popcounts
+of AND-NOTs of table rows.  The table is cached for the most recent graph
+while it fits TABLE_CAP_BYTES; above that each call builds the rows it needs
+a block at a time.
+
 The absorbing cycle stitches a few random disjoint PC 4-paths (its family)
 together with short connector paths into one PC cycle.  It has to absorb only
 one spanning path of the rest, whose end quadruple the pipeline steers by
@@ -16,7 +23,7 @@ every ordered quadruple of the vertices outside it is universal;
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 
@@ -25,7 +32,6 @@ import numpy as np
 from pch.ec_graph import (
     DirectedCycle,
     DirectedPath,
-    colour_counts,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
@@ -41,19 +47,26 @@ class AbsorptionError(RuntimeError):
 # the absorbing predicate and exact counting
 # ---------------------------------------------------------------------------
 
+def _check_vertices(g, vs) -> None:
+    """Every id an int (not a bool) or a numpy integer in 0..n-1, else a ValueError."""
+    for v in vs:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+
+
 def is_absorbing(g, quad, path4) -> bool:
     """Check the three absorbing conditions exactly.
 
-    Repeats inside the 8 vertices make the answer False, not an error; ids
-    outside the graph are a usage error.
+    Repeats inside the 8 vertices make the answer False, not an error; an id
+    that is not an integer or lies outside the graph is a usage error.
     """
     quad = tuple(quad)
     zs = tuple(path4)
     if len(quad) != 4 or len(zs) != 4:
         raise ValueError("need an ordered quadruple and an order-4 path")
-    for v in quad + zs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    _check_vertices(g, quad + zs)
     if len(set(quad)) != 4 or len(set(zs)) != 4:
         return False
     if set(quad) & set(zs):
@@ -67,74 +80,126 @@ def is_absorbing(g, quad, path4) -> bool:
     )
 
 
-def enumerate_absorbing(g, quad):
-    """Lazily yield every absorbing 4-tuple for the quadruple (brute force)."""
-    rest = [v for v in range(g.n) if v not in set(quad)]
-    for zs in itertools.permutations(rest, 4):
-        if is_absorbing(g, quad, zs):
-            yield zs
+TABLE_CAP_BYTES = 2 ** 27
+BLOCK_BYTES = 2 ** 20
+
+
+def _bitsets(cells):
+    """Pack a boolean array along its last axis, vertex z at bit z, into
+    uint64 words with the word axis first: (..., n) -> (ceil(n / 64), ...)."""
+    bits = np.packbits(cells, axis=-1, bitorder="little")
+    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 8) * 8,), dtype=np.uint8)
+    padded[..., :bits.shape[-1]] = bits
+    return np.moveaxis(padded.view("<u8"), -1, 0)
+
+
+def _same_colour(C, rows, cols):
+    """S[v, w] for v in `rows` and w in `cols`, shape (words, len(rows),
+    len(cols)): the bitset of the vertices z != v with c(v, z) = c(v, w).
+    S[v, v] is empty."""
+    key = C[np.ix_(rows, cols)]
+    key[key < 0] = -2                             # the diagonal's -1 matches no z
+    return _bitsets(C[rows][:, None, :] == key[:, :, None])
+
+
+@functools.lru_cache(maxsize=1)
+def _same_colour_table(g):
+    """S for every pair of vertices of g, built a block of rows at a time;
+    read-only, and kept for the most recent graph only."""
+    n = g.n
+    verts = np.arange(n)
+    table = np.empty((-(-n // 64), n, n), dtype=np.uint64)
+    step = max(1, BLOCK_BYTES // (n * n))
+    for lo in range(0, n, step):
+        table[:, lo:lo + step] = _same_colour(g.matrix, verts[lo:lo + step], verts)
+    table.setflags(write=False)
+    return table
+
+
+def _popcount(bits):
+    """Set bits of each cell of a word-first bitset array, as int64."""
+    counts = np.bitwise_count(bits[0]).astype(np.int64)
+    for word in bits[1:]:
+        counts += np.bitwise_count(word)
+    return counts
 
 
 def count_absorbing(g, quad) -> int:
     """Exact number of absorbing 4-tuples for the quadruple.
 
-    One numpy pass over every middle edge (z2, z3) of the m = n - 4 outside
-    vertices at once: the two gates pick the z2 rows and z3 columns of one
-    middle-colour matrix, whose diagonal is masked off; the choices of z1
-    and of z4 come from the per-row colour histograms of the outside block,
-    and the pairs with z1 = z4 from a boolean (z2, z3, z) cube summed over z.
-    The cube is built a block of z2 rows at a time, so that no temporary has
-    more than about 2^20 cells at any n.  A quadruple of other than 4
-    vertices, or with an id outside 0..n-1, is a ValueError; one with a
-    repeated vertex has no absorbing tuple, as in `enumerate_absorbing`.
-    The enumeration is the slow cross-check.
+    The two gates pick the z2 and z3 candidates among the outside vertices:
+    c(z2, x1) != c(x1, x2) and c(z3, y2) != c(y1, y2).  Every middle edge
+    (z2, z3) then needs only bitsets of the graph's same-colour table S,
+    where S[v, w] is the set of vertices z != v with c(v, z) = c(v, w).
+    The choices of z1 are the outside vertices off S[z2, x1] and S[z2, z3],
+    bar z2; those of z4 are off S[z3, y2] and S[z3, z2], bar z3; and the
+    vertices in both sets were counted twice.  Each is a popcount.
+
+    S takes n^2 * ceil(n / 64) uint64 words.  While that is at most
+    TABLE_CAP_BYTES (up to n = 1024), it is built once per graph and
+    cached, read-only, for the most recent graph only.  Above the cap each
+    call builds just the rows that a block of z2 rows needs and keeps
+    nothing.  Either way the middle edges are taken a block of z2 rows at a
+    time, with no temporary much above BLOCK_BYTES.
+
+    A quadruple of other than 4 vertices, or with an id that is not an
+    integer or lies outside 0..n-1, is a ValueError; one with a repeated
+    vertex has no absorbing tuple.
     """
     quad = tuple(quad)
     if len(quad) != 4:
         raise ValueError(f"need an ordered quadruple, got {len(quad)} vertices")
-    for v in quad:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    m = g.n - 4
-    if len(set(quad)) != 4 or m < 4:
+    _check_vertices(g, quad)
+    n = g.n
+    if len(set(quad)) != 4 or n < 8:
         return 0
     x1, x2, y1, y2 = quad
     C = g.matrix
-    ext = np.delete(np.arange(g.n), quad)
-    Cx = C[np.ix_(ext, ext)]                      # colours among outside vertices, -1 on the diagonal
-    a = C[ext, x1]                                # colour(z, x1)
-    b = C[ext, y2]                                # colour(z, y2)
-    cnts = colour_counts(Cx, g.k)
-    # z1 z2 x1 x2 needs c(z2, x1) != c(x1, x2); y1 y2 z3 z4 needs c(y2, z3) != c(y1, y2)
-    i2 = np.flatnonzero(a != C[x1, x2])
-    i3 = np.flatnonzero(b != C[y1, y2])
-    if not len(i2) or not len(i3):
+    outside = np.ones(n, dtype=bool)
+    outside[list(quad)] = False
+    v2 = np.flatnonzero(outside & (C[:, x1] != C[x1, x2]))
+    v3 = np.flatnonzero(outside & (C[:, y2] != C[y1, y2]))
+    if not len(v2) or not len(v3):
         return 0
-    mid = Cx[np.ix_(i2, i3)]                      # colour(z2, z3) on the middle edges
-    valid = i2[:, None] != i3[None, :]
-    safe = np.where(valid, mid, 0)                # the diagonal's -1 made an index
-    a2, b3 = a[i2], b[i3]
-    # z1 avoids colours {c(z2, x1), c(z2, z3)} towards z2; z3 falls out by its colour
-    n1 = (m - 1) - cnts[i2, a2][:, None] - np.where(
-        mid != a2[:, None], np.take_along_axis(cnts[i2], safe, axis=1), 0)
-    # z4 avoids colours {c(z2, z3), c(z3, y2)} towards z3; z2 falls out by its colour
-    n4 = (m - 1) - np.take_along_axis(cnts[i3], safe.T, axis=1).T - np.where(
-        mid != b3[None, :], cnts[i3, b3][None, :], 0)
-    # z eligible as both z1 and z4 was counted twice in n1 * n4
-    row2, row3 = Cx[i2], Cx[i3]
-    ok1 = row2 != a2[:, None]
-    ok4 = row3 != b3[:, None]
-    step = max(1, 2 ** 20 // (len(i3) * m))
-    n14 = np.empty_like(n1)
-    for lo in range(0, len(i2), step):
-        hi = lo + step
-        c = safe[lo:hi, :, None]
-        both = row2[lo:hi, None, :] != c
-        both &= row3[None, :, :] != c
-        both &= ok1[lo:hi, None, :]
-        both &= ok4[None, :, :]
-        n14[lo:hi] = np.count_nonzero(both, axis=2)
-    return int(np.sum(n1 * n4 - n14, where=valid))
+    words = -(-n // 64)
+    if n * n * words * 8 <= TABLE_CAP_BYTES:
+        # one flat take per block: far faster than 2-d fancy indexing
+        flat = _same_colour_table(g).reshape(words, n * n)
+
+        def same(rows, cols):
+            return flat.take(rows[:, None] * n + cols, axis=1)
+
+        def same_t(rows, cols):                   # S[cols, rows], laid out (rows, cols)
+            return flat.take(cols * n + rows[:, None], axis=1)
+
+        depth = 8 * words                         # bytes per middle edge
+    else:
+        def same(rows, cols):
+            return _same_colour(C, rows, cols)
+
+        def same_t(rows, cols):
+            return _same_colour(C, cols, rows).transpose(0, 2, 1)
+
+        depth = n                                 # the boolean cells behind each one
+    ext = _bitsets(outside)[:, None]
+    left = ext & ~same(v2, np.array([x1]))[:, :, 0]
+    right = ext & ~same(v3, np.array([y2]))[:, :, 0]
+    step = max(1, BLOCK_BYTES // (len(v3) * depth))
+    total = 0
+    for lo in range(0, len(v2), step):
+        rows = v2[lo:lo + step]
+        z1 = same(rows, v3)                       # the z1 choices: z2 is in, z3 is out
+        np.invert(z1, out=z1)
+        z1 &= left[:, lo:lo + step, None]
+        z4 = same_t(rows, v3)                     # the z4 choices: z3 is in, z2 is out
+        np.invert(z4, out=z4)
+        z4 &= right[:, None, :]
+        pairs = _popcount(z1) - 1
+        pairs *= _popcount(z4) - 1
+        z1 &= z4
+        pairs -= _popcount(z1)
+        total += int(np.sum(pairs, where=rows[:, None] != v3))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pch.absorbing import (
     absorb_path,
     build_absorbing_cycle,
     count_absorbing,
-    enumerate_absorbing,
     is_absorbing,
     join_ends,
     verify_family_universality,
@@ -30,12 +29,63 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     ColouredComplete,
+    colour_counts,
     DirectedCycle,
     DirectedPath,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
 from tests.conftest import universal_absorbing_cycle
+
+
+def enumerate_absorbing(g, quad):
+    """Lazily yield every absorbing 4-tuple for the quadruple (brute force)."""
+    rest = [v for v in range(g.n) if v not in set(quad)]
+    for zs in itertools.permutations(rest, 4):
+        if is_absorbing(g, quad, zs):
+            yield zs
+
+
+def cube_count(g, quad) -> int:
+    """The exact count by a (z2, z3, z) cube per quadruple: the reference for
+    the bitset table at sizes the enumeration cannot reach.
+
+    Every middle edge (z2, z3) of the m = n - 4 outside vertices at once: the
+    two gates pick the z2 rows and z3 columns of one middle-colour matrix,
+    the choices of z1 and of z4 come from the per-row colour histograms of
+    the outside block, and the pairs with z1 = z4 from the cube summed over z.
+    """
+    quad = tuple(quad)
+    m = g.n - 4
+    if len(set(quad)) != 4 or m < 4:
+        return 0
+    x1, x2, y1, y2 = quad
+    C = g.matrix
+    ext = np.delete(np.arange(g.n), quad)
+    Cx = C[np.ix_(ext, ext)]                      # colours among outside vertices, -1 on the diagonal
+    a = C[ext, x1]                                # colour(z, x1)
+    b = C[ext, y2]                                # colour(z, y2)
+    cnts = colour_counts(Cx, g.k)
+    i2 = np.flatnonzero(a != C[x1, x2])
+    i3 = np.flatnonzero(b != C[y1, y2])
+    if not len(i2) or not len(i3):
+        return 0
+    mid = Cx[np.ix_(i2, i3)]                      # colour(z2, z3) on the middle edges
+    valid = i2[:, None] != i3[None, :]
+    safe = np.where(valid, mid, 0)                # the diagonal's -1 made an index
+    a2, b3 = a[i2], b[i3]
+    # z1 avoids colours {c(z2, x1), c(z2, z3)} towards z2; z3 falls out by its colour
+    n1 = (m - 1) - cnts[i2, a2][:, None] - np.where(
+        mid != a2[:, None], np.take_along_axis(cnts[i2], safe, axis=1), 0)
+    # z4 avoids colours {c(z2, z3), c(z3, y2)} towards z3; z2 falls out by its colour
+    n4 = (m - 1) - np.take_along_axis(cnts[i3], safe.T, axis=1).T - np.where(
+        mid != b3[None, :], cnts[i3, b3][None, :], 0)
+    c = safe[:, :, None]
+    both = Cx[i2][:, None, :] != c
+    both &= Cx[i3][None, :, :] != c
+    both &= (Cx[i2] != a2[:, None])[:, None, :]
+    both &= (Cx[i3] != b3[:, None])[None, :, :]
+    return int(np.sum(n1 * n4 - np.count_nonzero(both, axis=2), where=valid))
 
 
 def test_is_absorbing_rainbow_and_mono():
@@ -50,6 +100,14 @@ def test_is_absorbing_rejects_overlap_and_repeats():
     assert not is_absorbing(g, (0, 1, 2, 2), (4, 5, 6, 7))
     with pytest.raises(ValueError):
         is_absorbing(g, (0, 1, 2, 99), (4, 5, 6, 7))
+
+
+@pytest.mark.parametrize("quad, path4", [((True, 2, 3, 4), (5, 6, 7, 8)), ((0, 1, 2, 3), (4, 5, 6, 7.0))],
+                         ids=["bool", "float"])
+def test_is_absorbing_rejects_a_non_integer_vertex(quad, path4):
+    # True would read as vertex 1, and 7.0 would index like 7
+    with pytest.raises(ValueError, match="is not an integer"):
+        is_absorbing(rainbow(9), quad, path4)
 
 
 def test_is_absorbing_end_condition_counterexample():
@@ -139,11 +197,86 @@ def test_count_bench_instances(seed, total, low):
     assert (sum(counts), min(counts)) == (total, low)
 
 
-@pytest.mark.parametrize("quad", [(0, 1, 2, -1), (0, 1, 2, 10), (0, 1, 2), (0, 1, 2, 3, 4)],
-                         ids=["negative", "past-n", "three", "five"])
+@pytest.mark.parametrize(
+    "quad",
+    [(0, 1, 2, -1), (0, 1, 2, 10), (0, 1, 2), (0, 1, 2, 3, 4), (True, 2, 3, 4), (1.0, 2, 3, 4)],
+    ids=["negative", "past-n", "three", "five", "bool", "float"],
+)
 def test_count_rejects_bad_quadruples(quad):
     with pytest.raises(ValueError):
         count_absorbing(random_bounded_colouring(10, 5, 1), quad)
+
+
+def _count_cases(n, colours, gate, seed):
+    """A colouring on n vertices with `colours` colours (palette n when None)
+    and three quadruples, with gate2 or gate3 closed as in the grid above."""
+    rng = random.Random(f"{n}-{colours}-{gate}-{seed}")
+    g = random_colouring(n, colours or n, rng.randrange(10 ** 6))
+    quads = [tuple(rng.sample(range(n), 4)) for _ in range(3)]
+    if gate == "gate2":
+        g = _close_star(g, quads[0][0])
+    elif gate == "gate3":
+        g = _close_star(g, quads[0][3])
+    return g, quads
+
+
+# 65 and 70 vertices take two 64-bit words per bitset, 130 take three
+@pytest.mark.parametrize("gate", ["open", "gate2", "gate3"])
+@pytest.mark.parametrize("colours", [None, 3], ids=["palette-n", "three"])
+@pytest.mark.parametrize("n", [65, 70, 130])
+def test_count_matches_cube(n, colours, gate):
+    g, quads = _count_cases(n, colours, gate, 0)
+    for quad in quads:
+        assert count_absorbing(g, quad) == cube_count(g, quad)
+    if gate != "open":
+        assert count_absorbing(g, quads[0]) == 0
+    # numpy integer ids count the same
+    assert count_absorbing(g, tuple(np.array(quads[1]))) == cube_count(g, quads[1])
+
+
+# the cached table in one block is test_count_matches_cube's
+@pytest.mark.parametrize("cap, block_bytes", [
+    (pch.absorbing.TABLE_CAP_BYTES, 2 ** 12), (0, pch.absorbing.BLOCK_BYTES), (0, 2 ** 12),
+], ids=["table-many-blocks", "above-cap-one-block", "above-cap-many-blocks"])
+@pytest.mark.parametrize("n", [9, 65, 130])
+def test_count_paths_match_cube(monkeypatch, n, cap, block_bytes):
+    # above the cap every call builds the rows a block needs and caches nothing
+    monkeypatch.setattr(pch.absorbing, "TABLE_CAP_BYTES", cap)
+    monkeypatch.setattr(pch.absorbing, "BLOCK_BYTES", block_bytes)
+    pch.absorbing._same_colour_table.cache_clear()
+    for colours in (None, 3):
+        g, quads = _count_cases(n, colours, "open", 1)
+        for quad in quads:
+            assert count_absorbing(g, quad) == cube_count(g, quad)
+    assert pch.absorbing._same_colour_table.cache_info().currsize == (cap > 0)
+
+
+def test_count_cache_serves_no_stale_table():
+    # two graphs and an equal copy of the first, in turn through the
+    # one-entry cache; the copy may share the first graph's table
+    a = random_colouring(70, 70, 1)
+    b = random_colouring(70, 70, 2)
+    a_copy = ColouredComplete(a.n, a.k, a.matrix[np.triu_indices(a.n, 1)])
+    assert a_copy == a and a_copy is not a
+    quads = [tuple(random.Random(s).sample(range(70), 4)) for s in range(3)]
+    want = {id(g): [cube_count(g, q) for q in quads] for g in (a, b)}
+    want[id(a_copy)] = want[id(a)]
+    assert want[id(a)] != want[id(b)]
+    for g in (a, b, a_copy, b, a, a_copy, a):
+        assert [count_absorbing(g, q) for q in quads] == want[id(g)]
+
+
+def test_same_colour_table_is_read_only_and_exact():
+    g = random_colouring(70, 5, 3)
+    table = pch.absorbing._same_colour_table(g)
+    assert table.shape == (2, 70, 70) and table.dtype == np.uint64
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1
+    C = g.matrix
+    for v, w in [(0, 1), (5, 69), (69, 3), (7, 7)]:
+        got = {64 * i + j for i in range(2) for j in range(64) if int(table[i, v, w]) >> j & 1}
+        assert got == {z for z in range(70) if z != v and v != w and C[v, z] == C[v, w]}
 
 
 @pytest.mark.parametrize("quad", [(0, 0, 1, 2), (0, 1, 1, 2)], ids=["x1-x2", "x2-y1"])
