@@ -205,7 +205,7 @@ def cmd_oracle(args) -> int:
         }
         code = EXIT_OK if res.exact else EXIT_FAIL
     report = RunReport("oracle", instance=_instance_meta(g), result=result,
-                       timings={"seconds": round(time.perf_counter() - t0, 4)})
+                       timings={"seconds": round(time.perf_counter() - t0, 6)})
     _emit(report, args)
     return code
 
@@ -241,7 +241,7 @@ def cmd_solve(args) -> int:
         }
         code = EXIT_OK if res.success or (fallback is not None and fallback.exists) else EXIT_FAIL
     report = RunReport("solve", seed=args.seed, instance=_instance_meta(g), result=result,
-                       timings={"seconds": round(time.perf_counter() - t0, 4)})
+                       timings={"seconds": round(time.perf_counter() - t0, 6)})
     _emit(report, args)
     return code
 

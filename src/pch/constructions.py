@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pch.ec_graph import (
-    ColouredComplete,
-    DirectedCycle,
-    is_properly_coloured_cycle,
-    max_mono_degree,
-)
+from pch.ec_graph import ColouredComplete, max_mono_degree
 
 
 class GenerationError(RuntimeError):
@@ -63,30 +58,6 @@ class OrientedGraph:
 
     def out_neighbours(self, v: int) -> list[int]:
         return sorted(w for (u, w) in self.arcs if u == v)
-
-    def directed_cycles(self) -> set[tuple[int, ...]]:
-        """All directed simple cycles, in undirected canonical form.
-
-        Antisymmetry means at most one traversal direction of a cycle subgraph
-        can be a directed cycle, so the canonical form loses nothing.
-        """
-        succ = {v: self.out_neighbours(v) for v in range(self.n)}
-        found: set[tuple[int, ...]] = set()
-
-        def walk(start: int, path: list[int], on_path: set[int]):
-            for w in succ[path[-1]]:
-                if w == start and len(path) >= 3:
-                    found.add(DirectedCycle(tuple(path)).canonical())
-                elif w > start and w not in on_path:
-                    on_path.add(w)
-                    path.append(w)
-                    walk(start, path, on_path)
-                    path.pop()
-                    on_path.remove(w)
-
-        for s in range(self.n):
-            walk(s, [s], {s})
-        return found
 
 
 def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:
@@ -456,32 +427,3 @@ def random_colouring(n: int, k: int, seed: int) -> ColouredComplete:
     if not 1 <= k <= 2**31:
         raise ValueError(f"need 1 <= k <= 2**31 (the int32 colour matrix), got {k}")
     return ColouredComplete(n, k, _Words(seed).below(k, n * (n - 1) // 2)[0])
-
-
-# ---------------------------------------------------------------------------
-# cycle-set cross checks
-# ---------------------------------------------------------------------------
-
-def properly_coloured_cycle_set(g: ColouredComplete) -> set[tuple[int, ...]]:
-    """All PC cycles of g, canonical form.
-
-    Exhaustive; intended for small n cross-checks against directed cycle sets.
-    """
-    n = g.n
-    found: set[tuple[int, ...]] = set()
-
-    def walk(start: int, path: list[int], on_path: set[int]):
-        for w in range(start, n):
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1] and is_properly_coloured_cycle(g, path):
-                    found.add(DirectedCycle(tuple(path)).canonical())
-            elif w > start and w not in on_path:
-                on_path.add(w)
-                path.append(w)
-                walk(start, path, on_path)
-                path.pop()
-                on_path.remove(w)
-
-    for s in range(n):
-        walk(s, [s], {s})
-    return found

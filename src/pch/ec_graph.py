@@ -275,6 +275,18 @@ def two_factor_certificate(cycles) -> Certificate:
     return Certificate(KIND_TWO_FACTOR, cycles=tuple(tuple(_as_vertex_seq(c)) for c in cycles))
 
 
+def _proper_walk(rows, vs: tuple[int, ...]) -> bool:
+    """The walk of `is_properly_coloured_path` for ids already checked to be
+    distinct ints of g, so no step checks them again."""
+    prev = None
+    for u, v in zip(vs, vs[1:]):
+        cur = rows[u][v]
+        if cur == prev:
+            return False
+        prev = cur
+    return True
+
+
 def _structure_problem(g, cert: Certificate) -> str | None:
     n = g.n
     if cert.kind not in CERT_KINDS:
@@ -291,22 +303,24 @@ def _structure_problem(g, cert: Certificate) -> str | None:
                 return f"{name}: vertex {v!r} is not an int"
             if not 0 <= v < n:
                 return f"{name}: vertex {v!r} outside 0..{n - 1}"
-        if len(set(vs)) != len(vs):
+        piece = set(vs)
+        if len(piece) != len(vs):
             return f"{name}: repeated vertex"
-        overlap = seen.intersection(vs)
-        if overlap:
-            return f"{name}: shares vertex {min(overlap)} with another piece"
-        seen.update(vs)
+        if not seen.isdisjoint(piece):
+            return f"{name}: shares vertex {min(seen & piece)} with another piece"
+        seen |= piece
 
+    rows = g.rows
     for i, cyc in enumerate(cert.cycles):
         if len(cyc) < 3:
             return f"cycle {i}: fewer than 3 vertices"
-        if not is_properly_coloured_cycle(g, cyc):
+        vs = pieces[i][1]
+        if not _proper_walk(rows, vs + vs[:2]):
             return f"cycle {i}: adjacent edges share a colour"
     if cert.path is not None:
         if len(cert.path) < 1:
             return "path: empty"
-        if not is_properly_coloured_path(g, cert.path):
+        if not _proper_walk(rows, pieces[-1][1]):
             return "path: adjacent edges share a colour"
 
     if cert.kind == KIND_HAM_CYCLE:

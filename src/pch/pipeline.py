@@ -135,7 +135,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     target = _default_family_target(n)
     build = build_absorbing_cycle(g, target, seed=cfg.seed)
     report["stages"]["absorbing_cycle"] = {
-        "seconds": round(time.perf_counter() - t0, 4),
+        "seconds": round(time.perf_counter() - t0, 6),
         "family_target": target,
         "success": build.success,
         "cycle_order": build.cycle.cycle.order if build.success else None,
@@ -150,12 +150,12 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     keep = [v for v in range(n) if v not in on_cycle]
     if len(keep) < 4:
         return fail("restriction", f"only {len(keep)} vertices left outside the cycle")
-    report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 4), "n_rest": len(keep)}
+    report["stages"]["restriction"] = {"seconds": round(time.perf_counter() - t0, 6), "n_rest": len(keep)}
 
     t0 = time.perf_counter()
     path = rotations.maximal_path_cycle(g, cfg.seed, keep).path
     report["stages"]["ham_path"] = {
-        "seconds": round(time.perf_counter() - t0, 4),
+        "seconds": round(time.perf_counter() - t0, 6),
         "order": path.order,
         "success": path.order == len(keep),
     }
@@ -167,7 +167,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     tried: dict = {"path_seeds": [], "orders": [], "quads": 0}
     cycle = _steer(g, ac, keep, path, cfg.seed, tried)
     report["stages"]["absorb"] = {
-        "seconds": round(time.perf_counter() - t0, 4),
+        "seconds": round(time.perf_counter() - t0, 6),
         **tried,
         "cycle_order": cycle.order if cycle is not None else None,
     }

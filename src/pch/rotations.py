@@ -135,12 +135,15 @@ def _grow_path(g, rng: random.Random, start: int, cand: list[int], *, left=True,
     The second vertex is a uniform draw from `cand`.  Then the right and
     left ends take turns (the right end alone when `left` is false), each
     removing a uniform random u with ``row[u] != avoid`` (the end's colour
-    row, and the colour of the path edge there) from `cand` by swap-and-pop:
-    up to `_BLIND_DRAWS` blind draws, each ``getrandbits(size.bit_length())``
-    rejected while it is at least ``size`` exactly as ``rng.randrange(size)``
-    draws, then one scan that picks among the allowed ones with
-    ``rng.choice``.  An end that finds nothing stays stuck, since its last
-    edge is fixed and the candidates only shrink.
+    row, and the colour of the path edge there) from `cand` by swap-and-pop.
+    A pick is a blind draw ``getrandbits(bits)``, rejected while it is at
+    least ``size``, exactly as ``rng.randrange(size)`` draws; `bits` is kept
+    equal to ``size.bit_length()`` as a running value that drops by one when
+    ``size`` falls below ``1 << (bits - 1)``.  The first draw is inline; only
+    when it misses do up to ``_BLIND_DRAWS - 1`` more draws follow, and then
+    one scan that picks among the allowed ones with ``rng.choice``.  An end
+    that finds nothing stays stuck, since its last edge is fixed and the
+    candidates only shrink.
     """
     path = [start]
     size = len(cand)
@@ -158,6 +161,8 @@ def _grow_path(g, rng: random.Random, start: int, cand: list[int], *, left=True,
     l, lrow, lavoid = start, rows[start], rows[start][u]
     stop = max(size + 2 - order, 0) if order else 0
     getrandbits = rng.getrandbits
+    bits = size.bit_length()
+    low = 1 << bits >> 1      # bits drops by one when size falls below low
     both = left               # both ends live, taking turns
     right = not left          # the right end made the first pick
     while size > stop:
@@ -165,23 +170,29 @@ def _grow_path(g, rng: random.Random, start: int, cand: list[int], *, left=True,
             row, avoid = rrow, ravoid
         else:
             row, avoid = lrow, lavoid
-        bits = size.bit_length()
-        for _ in range(_BLIND_DRAWS):
+        i = getrandbits(bits)
+        while i >= size:
             i = getrandbits(bits)
-            while i >= size:
+        if row[cand[i]] == avoid:
+            for _ in range(_BLIND_DRAWS - 1):
                 i = getrandbits(bits)
-            if row[cand[i]] != avoid:
-                break
-        else:
-            opts = [i for i, v in enumerate(cand) if row[v] != avoid]
-            if not opts:
-                if not both:
+                while i >= size:
+                    i = getrandbits(bits)
+                if row[cand[i]] != avoid:
                     break
-                both = False
-                right = not right
-                continue
-            i = rng.choice(opts)
+            else:
+                opts = [i for i, v in enumerate(cand) if row[v] != avoid]
+                if not opts:
+                    if not both:
+                        break
+                    both = False
+                    right = not right
+                    continue
+                i = rng.choice(opts)
         size -= 1
+        if size < low:
+            bits -= 1
+            low >>= 1
         u, cand[i] = cand[i], cand[size]
         cand.pop()
         row = rows[u]

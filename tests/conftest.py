@@ -13,13 +13,13 @@ import itertools
 import random
 
 from pch.absorbing import build_absorbing_cycle, verify_family_universality
-from pch.constructions import properly_coloured_cycle_set
 from pch.ec_graph import (
     KIND_PATH_CYCLE_SYSTEM,
     Certificate,
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
+    is_properly_coloured_cycle,
     verify_certificate,
 )
 from pch.rotations import PathCycleSystem
@@ -100,6 +100,45 @@ def universal_absorbing_cycle(g, family_size: int, seed: int, builds: int = 25):
         if res.success and verify_family_universality(g, res.cycle.family)[0]:
             return res.cycle
     return None
+
+
+def _cycles(n: int, succ, keep) -> set[tuple[int, ...]]:
+    """The simple cycles that walk `succ` (v -> its next vertices, ascending)
+    from their smallest vertex and that `keep` accepts, canonical form."""
+    found: set[tuple[int, ...]] = set()
+
+    def walk(start: int, path: list[int], on_path: set[int]):
+        for w in succ(path[-1]):
+            if w == start and len(path) >= 3:
+                if keep(path):
+                    found.add(DirectedCycle(tuple(path)).canonical())
+            elif w > start and w not in on_path:
+                on_path.add(w)
+                path.append(w)
+                walk(start, path, on_path)
+                path.pop()
+                on_path.remove(w)
+
+    for s in range(n):
+        walk(s, [s], {s})
+    return found
+
+
+def properly_coloured_cycle_set(g) -> set[tuple[int, ...]]:
+    """All PC cycles of g, canonical form, by exhaustive search: the
+    brute-force reference for small n."""
+    return _cycles(
+        g.n, lambda v: range(g.n), lambda path: path[1] < path[-1] and is_properly_coloured_cycle(g, path)
+    )
+
+
+def directed_cycles(og) -> set[tuple[int, ...]]:
+    """All directed simple cycles of the oriented graph og, in undirected
+    canonical form.  Antisymmetry means at most one traversal direction of
+    a cycle subgraph can be a directed cycle, so the canonical form loses
+    nothing."""
+    succ = {v: og.out_neighbours(v) for v in range(og.n)}
+    return _cycles(og.n, succ.__getitem__, lambda path: True)
 
 
 def arc_cycles(g) -> set[tuple[int, ...]]:

@@ -35,7 +35,7 @@ from pch.exact import (
 )
 from pch.pipeline import PipelineConfig, run_pipeline
 from pch.rotations import find_pc_two_factor
-from tests.conftest import arc_cycles, random_system_instance, universal_absorbing_cycle
+from tests.conftest import arc_cycles, directed_cycles, random_system_instance, universal_absorbing_cycle
 from tests.test_rotations import check_rotation_contract, eligible_chords
 
 
@@ -61,7 +61,7 @@ def test_acceptance_2_oriented_equivalence():
     for trial in range(200):
         n = rng.randint(3, 7)
         og = random_oriented(n, rng.uniform(0.3, 0.9), trial)
-        assert arc_cycles(colouring_from_oriented(og)) == og.directed_cycles()
+        assert arc_cycles(colouring_from_oriented(og)) == directed_cycles(og)
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(2, "oriented-graph equivalence", f"200 digraphs on n<=7 match in {elapsed:.1f}s")

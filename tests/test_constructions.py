@@ -16,7 +16,6 @@ from pch.constructions import (
     layered_colouring,
     monochromatic,
     near_bollobas_erdos,
-    properly_coloured_cycle_set,
     rainbow,
     random_bounded_colouring,
     random_colouring,
@@ -32,7 +31,7 @@ from pch.ec_graph import (
 )
 from pch.exact import SearchStatus, exact_pc_ham_cycle, longest_pc_cycle
 from pch.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import arc_cycles
+from tests.conftest import arc_cycles, directed_cycles, properly_coloured_cycle_set
 
 
 def test_bollobas_erdos_k1_shape():
@@ -106,7 +105,7 @@ def test_tournament_with_source_shape():
         cyc = (3,) + order
         arcs_ok = all(og.has_arc(cyc[i], cyc[(i + 1) % 4]) for i in range(4))
         assert not arcs_ok
-    assert all(len(c) < 4 for c in og.directed_cycles())
+    assert all(len(c) < 4 for c in directed_cycles(og))
 
 
 def test_tournament_with_source_rejects_small_m():
@@ -161,7 +160,7 @@ def test_from_oriented_guarantees_on_random_digraphs():
         n = rng.randint(3, 7)
         og = random_oriented(n, 0.7, seed)
         g = colouring_from_oriented(og)
-        assert arc_cycles(g) == og.directed_cycles()
+        assert arc_cycles(g) == directed_cycles(og)
         # on the arc colours 0..n-1 the max monochromatic degree is the max in-degree
         assert colour_counts(g.matrix, g.k)[:, :n].max() == og.max_in_degree()
 

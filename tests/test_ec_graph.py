@@ -15,6 +15,11 @@ from pch.constructions import (
     tournament_with_source,
 )
 from pch.ec_graph import (
+    CERT_KINDS,
+    KIND_HAM_CYCLE,
+    KIND_HAM_PATH,
+    KIND_PATH_CYCLE_SYSTEM,
+    KIND_TWO_FACTOR,
     VERDICT_INVALID,
     Certificate,
     ColouredComplete,
@@ -520,3 +525,157 @@ def test_constructor_takes_only_a_flat_table():
     assert ColouredComplete(1, 1, []).rows == ((-1,),)
     with pytest.raises(ValueError, match="entries"):
         ColouredComplete(1, 1, [[-1]])
+
+
+def reference_structure_problem(g, cert: Certificate) -> str | None:
+    """`_structure_problem` as it was written before the checked pieces
+    walked their colours unchecked: every piece through the public
+    predicates, overlap by ``set.intersection``."""
+    n = g.n
+    if cert.kind not in CERT_KINDS:
+        return f"unknown certificate kind {cert.kind!r}"
+    pieces = [(f"cycle {i}", tuple(c)) for i, c in enumerate(cert.cycles)]
+    if cert.path is not None:
+        pieces.append(("path", tuple(cert.path)))
+
+    seen: set[int] = set()
+    for name, vs in pieces:
+        for v in vs:
+            if type(v) is not int:
+                return f"{name}: vertex {v!r} is not an int"
+            if not 0 <= v < n:
+                return f"{name}: vertex {v!r} outside 0..{n - 1}"
+        if len(set(vs)) != len(vs):
+            return f"{name}: repeated vertex"
+        overlap = seen.intersection(vs)
+        if overlap:
+            return f"{name}: shares vertex {min(overlap)} with another piece"
+        seen.update(vs)
+
+    for i, cyc in enumerate(cert.cycles):
+        if len(cyc) < 3:
+            return f"cycle {i}: fewer than 3 vertices"
+        if not is_properly_coloured_cycle(g, cyc):
+            return f"cycle {i}: adjacent edges share a colour"
+    if cert.path is not None:
+        if len(cert.path) < 1:
+            return "path: empty"
+        if not is_properly_coloured_path(g, cert.path):
+            return "path: adjacent edges share a colour"
+
+    if cert.kind == KIND_HAM_CYCLE:
+        if len(cert.cycles) != 1 or cert.path is not None:
+            return "HamCycle needs exactly one cycle and no path"
+        if len(seen) != n:
+            return f"cycle covers {len(seen)} of {n} vertices"
+    elif cert.kind == KIND_HAM_PATH:
+        if cert.path is None or cert.cycles:
+            return "HamPath needs a path and no cycles"
+        if len(seen) != n:
+            return f"path covers {len(seen)} of {n} vertices"
+    elif cert.kind == KIND_TWO_FACTOR:
+        if cert.path is not None:
+            return "TwoFactor must not contain a path"
+        if not cert.cycles:
+            return "TwoFactor needs at least one cycle"
+        if len(seen) != n:
+            return f"cycles cover {len(seen)} of {n} vertices"
+    return None
+
+
+def _random_structure(rng, n, kind):
+    """(cycles, path) of the shape `kind` asks for, on shuffled vertices,
+    spanning g unless a random share is dropped."""
+    order = list(range(n))
+    rng.shuffle(order)
+    if rng.random() < 0.2:
+        del order[rng.randrange(1, n):]
+    if kind == KIND_HAM_PATH or (kind == KIND_PATH_CYCLE_SYSTEM and rng.random() < 0.7):
+        cut = rng.randint(1, len(order))
+        path, order = tuple(order[:cut]), order[cut:]
+    else:
+        path = None
+    if kind == KIND_HAM_CYCLE:
+        return [tuple(order)], path
+    cycles = []
+    while len(order) >= 3 and kind != KIND_HAM_PATH:
+        cut = rng.randint(3, len(order))
+        cycles.append(tuple(order[:cut]))
+        order = order[cut:]
+    return cycles, path
+
+
+def _fault(rng, n, cycles, path):
+    """One fault put into (cycles, path): a faulty id, a repeat, a shared
+    vertex, a short cycle or path, or the wrong pieces for the kind."""
+    pieces = cycles + ([path] if path is not None else [])
+    fault = rng.choice(("id", "range", "repeat", "share", "short cycle", "short path", "shape"))
+    if fault in ("id", "range", "repeat") and any(pieces):
+        j = rng.choice([j for j, p in enumerate(pieces) if p])
+        vs = list(pieces[j])
+        i = rng.randrange(len(vs))
+        if fault == "id":
+            w = int(float(vs[i]))            # the id under an earlier fault too
+            vs[i] = rng.choice((bool(w % 2), float(w), np.int64(w), str(w)))
+        elif fault == "range":
+            vs[i] = rng.choice((-1, n, n + 3))
+        else:
+            vs[i] = vs[rng.randrange(len(vs))]
+        pieces[j] = tuple(vs)
+    elif fault == "share" and len(pieces) >= 2:
+        a, b = rng.sample(range(len(pieces)), 2)
+        vs = list(pieces[b])
+        for i, v in zip(rng.sample(range(len(vs)), min(len(vs), 3)), rng.sample(pieces[a], min(len(pieces[a]), 3))):
+            vs[i] = v
+        pieces[b] = tuple(vs)
+    elif fault == "short cycle":
+        pieces.insert(rng.randrange(len(cycles) + 1), tuple(rng.sample(range(n), 2)))
+    elif fault == "short path":
+        return cycles, tuple(rng.sample(range(n), rng.randint(0, 1)))
+    elif fault == "shape":
+        return rng.choice(([], cycles + cycles[:1])), rng.choice((None, (), tuple(range(min(n, 2)))))
+    if path is not None:
+        return pieces[:-1], pieces[-1]
+    return pieces, None
+
+
+_CHECK_GRAPHS = [
+    rainbow(5), rainbow(8), monochromatic(6), random_colouring(7, 2, 3), random_colouring(9, 3, 4),
+    random_colouring(8, 8, 5), layered_colouring(10, 3),
+]
+# every check the certificates must trip, by a piece of its reason
+_CHECK_REASONS = (
+    "vertex True is not", "vertex False is not", ".0 is not", "np.int64(", "' is not", "outside 0..",
+    "repeated vertex", "shares vertex", "fewer than 3", "path: empty", "cycle 0: adjacent",
+    "path: adjacent", "HamCycle needs", "HamPath needs", "TwoFactor must not", "TwoFactor needs",
+    "cycle covers", "path covers", "cycles cover", "unknown certificate kind",
+)
+
+
+def test_verify_matches_the_reference_check():
+    # valid and faulty certificates of every kind (and of no known kind) on
+    # small graphs: the same verdict and the same reason as the reference,
+    # whichever check trips first
+    rng = random.Random(42)
+    reasons = []
+    for g in _CHECK_GRAPHS:
+        for _ in range(500):
+            kind = rng.choice(CERT_KINDS)
+            cycles, path = _random_structure(rng, g.n, kind)
+            for _ in range(rng.choice((0, 0, 1, 1, 2))):
+                cycles, path = _fault(rng, g.n, cycles, path)
+            if rng.random() < 0.05:
+                kind = rng.choice(("Junk", "hamcycle"))
+            if rng.random() < 0.2:
+                cycles, path = [list(c) for c in cycles], None if path is None else list(path)
+            cert = Certificate(kind, cycles=tuple(cycles), path=path)
+            try:
+                want = reference_structure_problem(g, cert)
+            except Exception as exc:
+                want = f"malformed structure: {exc}"
+            out = verify_certificate(g, cert)
+            assert (out.valid, out.reason) == (want is None, want)
+            reasons.append(want)
+    assert reasons.count(None) > 300
+    for piece in _CHECK_REASONS:
+        assert any(piece in r for r in reasons if r), piece

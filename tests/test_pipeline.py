@@ -150,6 +150,17 @@ def test_report_contains_stage_records():
     assert stages["ham_path"]["success"]
 
 
+@pytest.mark.parametrize("n,seed", [(160, 1), (320, 2)])
+def test_solved_near_rainbow_stages_time_above_zero(n, seed):
+    # the bench's near-rainbow graphs: absorption takes microseconds there,
+    # so a stage time rounded to 4 places would read 0
+    g = random_bounded_colouring(n, n * 40 // 100, seed)
+    for ps in range(3):
+        res = run_pipeline(g, PipelineConfig(seed=ps))
+        assert res.success
+        assert all(record["seconds"] > 0 for record in res.report["stages"].values())
+
+
 def test_short_greedy_path_fails_at_ham_path(monkeypatch):
     # greedy growth that stops one vertex short of the vertices outside the
     # cycle fails the run there; no later seed and no other route is tried
