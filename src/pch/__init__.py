@@ -12,7 +12,6 @@ from pch.ec_graph import (
     DirectedPath,
     graph_from_text,
     graph_to_text,
-    induced_subgraph,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
     max_mono_degree,
@@ -54,7 +53,6 @@ from pch.rotations import (
 from pch.absorbing import (
     AbsorbingCycle,
     AbsorptionError,
-    absorb_path,
     build_absorbing_cycle,
     count_absorbing,
     is_absorbing,

@@ -40,7 +40,8 @@ from pch.rotations import _grow_path
 
 class AbsorptionError(RuntimeError):
     """A splice or stitch broke its own guarantee: a member not embedded
-    forward, a lost vertex or lost properness.  A bug, never an outcome."""
+    forward, or a stitched cycle that is not properly coloured.  A bug,
+    never an outcome."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +225,9 @@ def _pair_table(g, members, out):
     bits = np.left_shift(np.uint64(1), np.arange(len(zs), dtype=np.uint64))
     free = (out[:, None, None] != zs[None]).all(axis=2)        # member j avoids out[a]
     c2, c3 = C[np.ix_(out, zs[:, 1])], C[np.ix_(out, zs[:, 2])]
-
-    def bitset(cells):
-        return np.bitwise_or.reduce(np.where(cells, bits, np.uint64(0)), axis=1)
-
-    F = bitset(free)
-    left = bitset(free & (c2 != C[zs[:, 0], zs[:, 1]]))[:, None] & F[None, :]
-    right = F[:, None] & bitset(free & (c3 != C[zs[:, 2], zs[:, 3]]))[None, :]
+    F = _bitsets(free)[0]
+    left = _bitsets(free & (c2 != C[zs[:, 0], zs[:, 1]]))[0][:, None] & F[None, :]
+    right = F[:, None] & _bitsets(free & (c3 != C[zs[:, 2], zs[:, 3]]))[0][None, :]
     block = C[np.ix_(out, out)]
     for j, bit in enumerate(bits):
         np.bitwise_and(left, ~bit, out=left, where=block == c2[:, j, None])
@@ -491,31 +488,3 @@ def _splice(ac: AbsorbingCycle, member, vertices: tuple[int, ...]) -> DirectedCy
     if cv[(i2 + 1) % len(cv)] != member[2]:
         raise AbsorptionError("family member not embedded forward in the cycle")
     return type(ac.cycle).unchecked(cv[: i2 + 1] + vertices + cv[i2 + 1 :])
-
-
-def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
-    """Splice a disjoint PC path of order >= 4 into the absorbing cycle.
-
-    The first family member absorbing (p1, p2; p_last-1, p_last) takes the
-    path between its second and third vertices; the result is a PC cycle on
-    exactly the union of the vertex sets.  Returns None when no member
-    absorbs the path, a legitimate outcome: the caller may reverse the path
-    or try another one.
-    """
-    vs = p.vertices
-    if len(vs) < 4:
-        raise ValueError(f"path order {len(vs)} below 4")
-    if not is_properly_coloured_path(g, p):
-        raise ValueError("path is not properly coloured")
-    cyc_set = set(ac.cycle.vertices)
-    if cyc_set & set(vs):
-        raise ValueError("path intersects the absorbing cycle")
-    member = absorbing_member(g, ac, (vs[0], vs[1], vs[-2], vs[-1]))
-    if member is None:
-        return None
-    out = DirectedCycle(_splice(ac, member, vs).vertices)
-    if set(out.vertices) != cyc_set | set(vs):
-        raise AbsorptionError("absorption changed the vertex set")
-    if not is_properly_coloured_cycle(g, out):
-        raise AbsorptionError("absorption broke properness")
-    return out

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from pch import absorbing, constructions, exact, pipeline, rotations
 from pch.ec_graph import (
@@ -36,18 +36,6 @@ from pch.ec_graph import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunReport:
-    command: str
-    seed: int | None = None
-    instance: dict | None = None
-    result: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _int(text: str, source: str) -> int:
@@ -85,8 +73,11 @@ def _instance_meta(g: ColouredComplete) -> dict:
     }
 
 
-def _emit(report: RunReport, args) -> None:
-    args.write(json.dumps(report.to_json(), indent=2, default=str) + "\n")
+def _emit(args, command: str, result: dict, seed: int | None = None,
+          instance: dict | None = None, timings: dict | None = None) -> None:
+    """Write the command's JSON report."""
+    report = {"command": command, "seed": seed, "instance": instance, "result": result, "timings": timings or {}}
+    args.write(json.dumps(report, indent=2, default=str) + "\n")
 
 
 @contextlib.contextmanager
@@ -156,8 +147,7 @@ def cmd_verify(args) -> int:
     except (json.JSONDecodeError, ValueError) as exc:
         raise UsageError(f"{args.cert}: {exc}")
     out = verify_certificate(g, cert)
-    report = RunReport("verify", instance=_instance_meta(g), result=certificate_to_json(out))
-    _emit(report, args)
+    _emit(args, "verify", certificate_to_json(out), instance=_instance_meta(g))
     return EXIT_OK if out.valid else EXIT_FAIL
 
 
@@ -204,9 +194,8 @@ def cmd_oracle(args) -> int:
             "witness": list(res.witness.vertices) if res.witness else None,
         }
         code = EXIT_OK if res.exact else EXIT_FAIL
-    report = RunReport("oracle", instance=_instance_meta(g), result=result,
-                       timings={"seconds": round(time.perf_counter() - t0, 6)})
-    _emit(report, args)
+    _emit(args, "oracle", result, instance=_instance_meta(g),
+          timings={"seconds": round(time.perf_counter() - t0, 6)})
     return code
 
 
@@ -240,9 +229,8 @@ def cmd_solve(args) -> int:
             "report": res.report,
         }
         code = EXIT_OK if res.success or (fallback is not None and fallback.exists) else EXIT_FAIL
-    report = RunReport("solve", seed=args.seed, instance=_instance_meta(g), result=result,
-                       timings={"seconds": round(time.perf_counter() - t0, 6)})
-    _emit(report, args)
+    _emit(args, "solve", result, seed=args.seed, instance=_instance_meta(g),
+          timings={"seconds": round(time.perf_counter() - t0, 6)})
     return code
 
 
@@ -273,23 +261,18 @@ def cmd_absorb_check(args) -> int:
     family_ok = family_coverage = None
     if build.success:
         family_ok, family_coverage, _ = absorbing.verify_family_universality(g, build.cycle.family)
-    report = RunReport(
-        "absorb-check",
-        seed=args.seed,
-        instance=_instance_meta(g),
-        result={
-            "eps": eps,
-            "bound": bound,
-            "quads": len(quads),
-            "counts": [{"quad": list(q), "count": c} for q, c in zip(quads, counts)],
-            "min_count": min(counts) if counts else None,
-            "violations": violations,
-            "family_ok": family_ok,
-            "family_coverage": family_coverage,
-            "cycle_order": build.cycle.cycle.order if build.success else None,
-        },
-    )
-    _emit(report, args)
+    result = {
+        "eps": eps,
+        "bound": bound,
+        "quads": len(quads),
+        "counts": [{"quad": list(q), "count": c} for q, c in zip(quads, counts)],
+        "min_count": min(counts) if counts else None,
+        "violations": violations,
+        "family_ok": family_ok,
+        "family_coverage": family_coverage,
+        "cycle_order": build.cycle.cycle.order if build.success else None,
+    }
+    _emit(args, "absorb-check", result, seed=args.seed, instance=_instance_meta(g))
     return EXIT_OK if not violations else EXIT_FAIL
 
 
@@ -458,8 +441,7 @@ def cmd_lemma_check(args) -> int:
         "dmax": args.dmax, "family_size": args.family_size, "jobs": args.jobs,
     }
     out = lemma_check(args.lemma, params)
-    report = RunReport("lemma-check", seed=0, result=out)
-    _emit(report, args)
+    _emit(args, "lemma-check", out, seed=0)
     return EXIT_OK if out.get("pass", True) else EXIT_FAIL
 
 

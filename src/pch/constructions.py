@@ -44,21 +44,6 @@ class OrientedGraph:
             if (v, u) in arcs:
                 raise ValueError(f"both orientations of {{{u}, {v}}} present")
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[1] == v)
-
-    def max_in_degree(self) -> int:
-        return max((self.in_degree(v) for v in range(self.n)), default=0)
-
-    def out_neighbours(self, v: int) -> list[int]:
-        return sorted(w for (u, w) in self.arcs if u == v)
-
 
 def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:
     """Each unordered pair independently carries an arc with the given probability."""

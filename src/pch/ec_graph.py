@@ -15,7 +15,7 @@ between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,15 +111,11 @@ def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
 
 def max_mono_degree(g: ColouredComplete) -> int:
     """Largest number of same-coloured edges incident with one vertex."""
-    if g.n < 2:
-        raise ValueError("need n >= 2")
     return int(colour_counts(g.matrix, g.k).max())
 
 
 def min_colour_degree(g: ColouredComplete) -> int:
     """Minimum over vertices of the number of distinct colours at that vertex."""
-    if g.n < 2:
-        raise ValueError("need n >= 2")
     return int((colour_counts(g.matrix, g.k) > 0).sum(axis=1).min())
 
 
@@ -177,11 +173,6 @@ class DirectedPath(_VertexSeq):
     def last(self) -> int:
         return self.vertices[-1]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs) - 1):
-            yield vs[i], vs[i + 1]
-
 
 @dataclass(frozen=True)
 class DirectedCycle(_VertexSeq):
@@ -190,19 +181,6 @@ class DirectedCycle(_VertexSeq):
     _MIN_ORDER = 3
     _NOUN = "cycle"
     _TOO_SHORT = "cycle needs at least three vertices"
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs)):
-            yield vs[i], vs[(i + 1) % len(vs)]
-
-    def canonical(self) -> tuple[int, ...]:
-        """Orientation- and rotation-independent form: min vertex first, smaller neighbour next."""
-        vs = self.vertices
-        i = vs.index(min(vs))
-        fwd = vs[i:] + vs[:i]
-        rev = (fwd[0],) + fwd[1:][::-1]
-        return min(fwd, rev)
 
 
 def is_properly_coloured_path(g, p) -> bool:
@@ -255,14 +233,6 @@ class Certificate:
     @property
     def valid(self) -> bool:
         return self.verdict == VERDICT_VALID
-
-    def covered_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for cyc in self.cycles:
-            out.update(cyc)
-        if self.path is not None:
-            out.update(self.path)
-        return out
 
 
 def ham_cycle_certificate(cycle) -> Certificate:
@@ -395,25 +365,8 @@ def certificate_from_json(obj: dict) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# restriction and text I/O
+# text I/O
 # ---------------------------------------------------------------------------
-
-def induced_subgraph(g: ColouredComplete, keep: Iterable[int]) -> tuple[ColouredComplete, tuple[int, ...]]:
-    """Restriction of g to `keep`; returns (subgraph, new-index -> old-index map)."""
-    old = tuple(keep)
-    if len(set(old)) != len(old):
-        raise ValueError("keep list repeats a vertex")
-    for v in old:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    if len(old) < 1:
-        raise ValueError("keep list is empty")
-    # the kept rows, then their kept columns: a quarter of the time np.ix_
-    # takes for the same block at pipeline sizes
-    idx = np.array(old)
-    block = g.matrix[idx][:, idx]
-    return ColouredComplete(len(old), g.k, block[np.triu_indices(len(old), 1)]), old
-
 
 def graph_to_text(g: ColouredComplete) -> str:
     lines = [f"{g.n} {g.k}"]

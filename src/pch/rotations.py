@@ -213,7 +213,7 @@ def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
 
     Each start is a uniform draw from the sorted set, and `_grow_path` grows
     it through the rest of the set, in sorted order, so growth inside S makes
-    the draws that growth on ``induced_subgraph(g, S)`` makes, relabelled.
+    the draws that growth on the restriction of g to S makes, relabelled.
     The result cannot be extended by one vertex of the set at either end
     (local maximality); the restarts approximate global maximality.  The
     vertices must be at least 2 distinct ids of g, else it is a ValueError.

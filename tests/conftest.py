@@ -1,18 +1,32 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and reference code for the test suite.
 
 Structure-first randomization: pick the path/cycle decomposition first, colour
 its edges properly, then fill the remaining pairs at random.  This yields
 valid 1-path-cycles inside otherwise arbitrary colourings, which
 `validate_system` checks as `PathCycleSystem` certificates.  Absorbing cycles
 with a universal family come from retrying build seeds under the exact audit.
+
+The references are plain, fully checked versions of what the library does
+inline: the restriction of a graph to a vertex set, a checked absorption,
+and brute-force cycle enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
-from pch.absorbing import build_absorbing_cycle, verify_family_universality
+import numpy as np
+
+from pch.absorbing import (
+    AbsorbingCycle,
+    AbsorptionError,
+    _splice,
+    absorbing_member,
+    build_absorbing_cycle,
+    verify_family_universality,
+)
 from pch.ec_graph import (
     KIND_PATH_CYCLE_SYSTEM,
     Certificate,
@@ -20,6 +34,7 @@ from pch.ec_graph import (
     DirectedCycle,
     DirectedPath,
     is_properly_coloured_cycle,
+    is_properly_coloured_path,
     verify_certificate,
 )
 from pch.rotations import PathCycleSystem
@@ -102,6 +117,61 @@ def universal_absorbing_cycle(g, family_size: int, seed: int, builds: int = 25):
     return None
 
 
+def induced_subgraph(g: ColouredComplete, keep: Iterable[int]) -> tuple[ColouredComplete, tuple[int, ...]]:
+    """Restriction of g to `keep`; returns (subgraph, new-index -> old-index map)."""
+    old = tuple(keep)
+    if len(set(old)) != len(old):
+        raise ValueError("keep list repeats a vertex")
+    for v in old:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    if len(old) < 1:
+        raise ValueError("keep list is empty")
+    # the kept rows, then their kept columns: a quarter of the time np.ix_
+    # takes for the same block at pipeline sizes
+    idx = np.array(old)
+    block = g.matrix[idx][:, idx]
+    return ColouredComplete(len(old), g.k, block[np.triu_indices(len(old), 1)]), old
+
+
+def absorb_path(g, ac: AbsorbingCycle, p: DirectedPath) -> DirectedCycle | None:
+    """Splice a disjoint PC path of order >= 4 into the absorbing cycle.
+
+    The first family member absorbing (p1, p2; p_last-1, p_last) takes the
+    path between its second and third vertices; the result is a PC cycle on
+    exactly the union of the vertex sets.  Returns None when no member
+    absorbs the path, a legitimate outcome: the caller may reverse the path
+    or try another one.
+    """
+    vs = p.vertices
+    if len(vs) < 4:
+        raise ValueError(f"path order {len(vs)} below 4")
+    if not is_properly_coloured_path(g, p):
+        raise ValueError("path is not properly coloured")
+    cyc_set = set(ac.cycle.vertices)
+    if cyc_set & set(vs):
+        raise ValueError("path intersects the absorbing cycle")
+    member = absorbing_member(g, ac, (vs[0], vs[1], vs[-2], vs[-1]))
+    if member is None:
+        return None
+    out = DirectedCycle(_splice(ac, member, vs).vertices)
+    if set(out.vertices) != cyc_set | set(vs):
+        raise AbsorptionError("absorption changed the vertex set")
+    if not is_properly_coloured_cycle(g, out):
+        raise AbsorptionError("absorption broke properness")
+    return out
+
+
+def canonical(vs) -> tuple[int, ...]:
+    """Orientation- and rotation-independent form of the cycle on the vertex
+    sequence `vs`: min vertex first, smaller neighbour next."""
+    vs = tuple(vs)
+    i = vs.index(min(vs))
+    fwd = vs[i:] + vs[:i]
+    rev = (fwd[0],) + fwd[1:][::-1]
+    return min(fwd, rev)
+
+
 def _cycles(n: int, succ, keep) -> set[tuple[int, ...]]:
     """The simple cycles that walk `succ` (v -> its next vertices, ascending)
     from their smallest vertex and that `keep` accepts, canonical form."""
@@ -111,7 +181,7 @@ def _cycles(n: int, succ, keep) -> set[tuple[int, ...]]:
         for w in succ(path[-1]):
             if w == start and len(path) >= 3:
                 if keep(path):
-                    found.add(DirectedCycle(tuple(path)).canonical())
+                    found.add(canonical(path))
             elif w > start and w not in on_path:
                 on_path.add(w)
                 path.append(w)
@@ -137,7 +207,7 @@ def directed_cycles(og) -> set[tuple[int, ...]]:
     canonical form.  Antisymmetry means at most one traversal direction of
     a cycle subgraph can be a directed cycle, so the canonical form loses
     nothing."""
-    succ = {v: og.out_neighbours(v) for v in range(og.n)}
+    succ = {v: sorted(w for u, w in og.arcs if u == v) for v in range(og.n)}
     return _cycles(og.n, succ.__getitem__, lambda path: True)
 
 

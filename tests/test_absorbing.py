@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import pch.absorbing
+import tests.conftest
 from pch.absorbing import (
     RETRY_BUDGET,
     AbsorbingCycle,
     AbsorptionError,
     _draw_family,
-    absorb_path,
     build_absorbing_cycle,
     count_absorbing,
     is_absorbing,
@@ -35,7 +35,7 @@ from pch.ec_graph import (
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
-from tests.conftest import universal_absorbing_cycle
+from tests.conftest import absorb_path, universal_absorbing_cycle
 
 
 def enumerate_absorbing(g, quad):
@@ -100,6 +100,9 @@ def test_is_absorbing_rejects_overlap_and_repeats():
     assert not is_absorbing(g, (0, 1, 2, 2), (4, 5, 6, 7))
     with pytest.raises(ValueError):
         is_absorbing(g, (0, 1, 2, 99), (4, 5, 6, 7))
+    for quad, path4 in (((0, 1, 2), (4, 5, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7, 8))):
+        with pytest.raises(ValueError, match="^need an ordered quadruple and an order-4 path$"):
+            is_absorbing(g, quad, path4)
 
 
 @pytest.mark.parametrize("quad, path4", [((True, 2, 3, 4), (5, 6, 7, 8)), ((0, 1, 2, 3), (4, 5, 6, 7.0))],
@@ -444,6 +447,11 @@ def test_universality_rejects_bad_outside():
     assert verify_family_universality(g, members, outside=[8, 9, 10]) == (True, 1.0, None)
 
 
+def test_universality_without_members_misses_the_first_four_outside_vertices():
+    assert verify_family_universality(rainbow(12), []) == (False, 0.0, (0, 1, 2, 3))
+    assert verify_family_universality(rainbow(12), [], outside=[9, 2, 7, 5, 11]) == (False, 0.0, (2, 5, 7, 9))
+
+
 def test_universality_rejects_bad_members():
     g = rainbow(12)
     for member in ((-1, 1, 2, 3), (0, 1, 2, 12), (0, 1, 1, 2), (0, 1, 2)):
@@ -698,14 +706,14 @@ def test_absorb_path_member_not_forward_raises():
 def test_absorb_path_broken_properness_raises(monkeypatch):
     # plain asserts would vanish under python -O and let a bad cycle out
     g, ac, p = _absorbing_setup()
-    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_cycle", lambda g, c: False)
+    monkeypatch.setattr(tests.conftest, "is_properly_coloured_cycle", lambda g, c: False)
     with pytest.raises(AbsorptionError, match="broke properness"):
         absorb_path(g, ac, p)
 
 
 def test_absorb_path_lost_vertex_raises(monkeypatch):
     g, ac, p = _absorbing_setup()
-    monkeypatch.setattr(pch.absorbing, "DirectedCycle", lambda vs: DirectedCycle(vs[:-1]))
+    monkeypatch.setattr(tests.conftest, "DirectedCycle", lambda vs: DirectedCycle(vs[:-1]))
     with pytest.raises(AbsorptionError, match="vertex set"):
         absorb_path(g, ac, p)
 

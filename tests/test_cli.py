@@ -63,6 +63,18 @@ def test_verify_valid_and_invalid(tmp_path):
     assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 1
 
 
+def test_verify_one_vertex_graph(tmp_path, capsys):
+    # a graph with no edges has max monochromatic degree and min colour degree 0
+    gpath, cpath = tmp_path / "g1.txt", tmp_path / "c1.json"
+    gpath.write_text("1 1\n")
+    cpath.write_text(json.dumps({"kind": "HamPath", "path": [0]}))
+    assert run("verify", "--input", str(gpath), "--cert", str(cpath)) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["command", "seed", "instance", "result", "timings"]
+    assert rep["instance"] == {"n": 1, "k": 1, "delta_mon": 0, "min_colour_degree": 0}
+    assert rep["result"]["verdict"] == "Valid"
+
+
 @pytest.mark.parametrize("cycle", [
     [0, 1.5, 4.9, 3, 2],
     [False, True, 4, 3, 2],
@@ -437,6 +449,14 @@ def test_lemma_check_defaults_dmax_from_eps(tmp_path, capsys, lemma, n):
 def test_lemma_check_unknown_is_usage_error():
     assert run("lemma-check", "--lemma", "nope") == 2
     assert run("lemma-check", "--lemma", "rotation3") == 2
+    # the library entry point checks the name itself, past argparse's choices
+    with pytest.raises(cli.UsageError, match="unknown lemma 'nope'"):
+        cli.lemma_check("nope", {"eps": 0.1, "dmax": None, "seeds": 1, "jobs": 1})
+
+
+def test_abscycle_seed_records_nothing_for_an_unbuilt_cycle(monkeypatch):
+    monkeypatch.setattr(absorbing, "build_absorbing_cycle", lambda g, size, seed: absorbing.BuildResult(None, "family"))
+    assert cli._abscycle_seed(rainbow(20), 0, {"family_size": 3}) is None
 
 
 def test_constants_command(capsys):

@@ -34,6 +34,14 @@ from pch.pipeline import PipelineConfig, run_pipeline
 from tests.conftest import arc_cycles, directed_cycles, properly_coloured_cycle_set
 
 
+def in_degrees(og: OrientedGraph) -> list[int]:
+    """The in-degree of each vertex of og."""
+    heads = [0] * og.n
+    for _, v in og.arcs:
+        heads[v] += 1
+    return heads
+
+
 def test_bollobas_erdos_k1_shape():
     g = bollobas_erdos(1)
     assert g.n == 5 and g.k == 2
@@ -57,6 +65,11 @@ def test_bollobas_erdos_regularity(k):
                 per_colour[g.colour(u, v)] += 1
         assert per_colour == [2 * k, 2 * k]
     assert max_mono_degree(g) == 2 * k == n // 2
+
+
+def test_bollobas_erdos_rejects_k_below_one():
+    with pytest.raises(ValueError, match="^need k >= 1, got 0$"):
+        bollobas_erdos(0)
 
 
 def test_bollobas_erdos_no_pc_ham_cycle_small():
@@ -98,12 +111,13 @@ def test_near_bollobas_erdos_seed_it_cannot_generate():
 def test_tournament_with_source_shape():
     og = tournament_with_source(2)
     assert og.n == 4
-    assert og.in_degree(3) == 0 and og.out_degree(3) == 3
-    assert og.max_in_degree() == 2
+    heads = in_degrees(og)
+    assert heads[3] == 0 and sum(u == 3 for u, _ in og.arcs) == 3
+    assert max(heads) == 2
     # no directed Hamiltonian cycle: every vertex order through the source dies
     for order in itertools.permutations([0, 1, 2]):
         cyc = (3,) + order
-        arcs_ok = all(og.has_arc(cyc[i], cyc[(i + 1) % 4]) for i in range(4))
+        arcs_ok = all((cyc[i], cyc[(i + 1) % 4]) in og.arcs for i in range(4))
         assert not arcs_ok
     assert all(len(c) < 4 for c in directed_cycles(og))
 
@@ -162,7 +176,7 @@ def test_from_oriented_guarantees_on_random_digraphs():
         g = colouring_from_oriented(og)
         assert arc_cycles(g) == directed_cycles(og)
         # on the arc colours 0..n-1 the max monochromatic degree is the max in-degree
-        assert colour_counts(g.matrix, g.k)[:, :n].max() == og.max_in_degree()
+        assert colour_counts(g.matrix, g.k)[:, :n].max() == max(in_degrees(og))
 
 
 def test_completion_policies():
@@ -258,6 +272,13 @@ def test_random_bounded_domain_errors():
 def test_oriented_graph_rejects_antiparallel_arcs():
     with pytest.raises(ValueError):
         OrientedGraph(3, frozenset({(0, 1), (1, 0)}))
+
+
+@pytest.mark.parametrize("arc, message", [((1, 1), "loop at 1"), ((0, 3), r"arc \(0, 3\) outside 0..2")],
+                         ids=["loop", "outside"])
+def test_oriented_graph_rejects_loops_and_foreign_arcs(arc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OrientedGraph(3, frozenset({(0, 1), arc}))
 
 
 def test_rainbow_and_monochromatic_extremes():

@@ -33,7 +33,6 @@ from pch.ec_graph import (
     graph_to_text,
     ham_cycle_certificate,
     ham_path_certificate,
-    induced_subgraph,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
     max_mono_degree,
@@ -41,6 +40,7 @@ from pch.ec_graph import (
     two_factor_certificate,
     verify_certificate,
 )
+from tests.conftest import canonical, induced_subgraph
 
 colourings = st.builds(
     random_colouring,
@@ -212,7 +212,7 @@ def test_unchecked_path_equals_the_checked_one():
 
 def test_cycle_canonical():
     c = DirectedCycle((4, 7, 9))
-    assert c.canonical() == DirectedCycle((9, 4, 7)).canonical() == DirectedCycle((7, 4, 9)).canonical()
+    assert canonical(c.vertices) == canonical((9, 4, 7)) == canonical((7, 4, 9)) == (4, 7, 9)
 
 
 def test_verify_certificate_examples():
@@ -346,6 +346,9 @@ def test_text_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as err:
         graph_from_text("3 2\n0 5\n1\n")  # colour out of range
     assert err.value.line == 2
+    with pytest.raises(GraphFormatError) as err:
+        graph_from_text("3 2\n0\n1\n")  # a row one entry short
+    assert (err.value.line, err.value.message) == (2, "row for vertex 0 has 1 entries, expected 2")
     with pytest.raises(GraphFormatError) as err:
         graph_from_text("3 2\n0 x\n1\n")
     assert err.value.line == 2

@@ -550,6 +550,9 @@ def test_domain_errors():
         exact_pc_ham_cycle(rainbow(2))
     with pytest.raises(ValueError):
         exact_pc_two_factor(rainbow(2))
+    for oracle, n in ((exact_pc_ham_path, 1), (longest_pc_path, 1), (longest_pc_cycle, 2)):
+        with pytest.raises(ValueError, match=f"^need n >= {n + 1}, got {n}$"):
+            oracle(rainbow(n))
 
 
 def test_longest_values_invariant_under_relabelling():

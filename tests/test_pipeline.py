@@ -7,7 +7,8 @@ import pytest
 import pch.absorbing
 import pch.pipeline
 import pch.rotations
-from pch.absorbing import AbsorptionError, absorb_path, absorbing_member
+import tests.conftest
+from pch.absorbing import AbsorptionError, absorbing_member
 from pch.constructions import (
     bollobas_erdos,
     monochromatic,
@@ -20,7 +21,6 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
-    induced_subgraph,
     is_properly_coloured_cycle,
     max_mono_degree,
     verify_certificate,
@@ -28,14 +28,14 @@ from pch.ec_graph import (
 from pch.exact import SearchStatus, check_barrier, exact_pc_ham_cycle, exact_pc_ham_path, pc_two_factor_matching
 from pch.pipeline import PipelineConfig, check_constants, run_pipeline
 from pch.rotations import maximal_path_cycle
-from tests.conftest import near_two_colouring
+from tests.conftest import absorb_path, induced_subgraph, near_two_colouring
 
 
 def test_rainbow_succeeds_and_verifies():
     res = run_pipeline(rainbow(30))
     assert res.success
     assert res.certificate.valid
-    assert res.certificate.covered_vertices() == set(range(30))
+    assert {v for cyc in res.certificate.cycles for v in cyc} == set(range(30))
 
 
 def test_invalid_certificate_raises(monkeypatch):
@@ -74,7 +74,7 @@ def test_random_instances_successes_verify():
             successes += 1
             cert = verify_certificate(g, res.certificate)
             assert cert.valid
-            assert cert.covered_vertices() == set(range(36))
+            assert {v for cyc in cert.cycles for v in cyc} == set(range(36))
     assert successes >= 3  # colour-rich instances should mostly go through
 
 
@@ -208,7 +208,7 @@ def _assert_solved(g, res):
     assert res.success, res.failure
     cert = verify_certificate(g, res.certificate)
     assert cert.valid
-    assert cert.covered_vertices() == set(range(g.n))
+    assert {v for cyc in cert.cycles for v in cyc} == set(range(g.n))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -486,7 +486,7 @@ def _unfiltered_steer(g, ac, keep, first, seed, tried):
                 continue
         for p in (path, path.reverse()):
             tried["quads"] += 1
-            cycle = pch.absorbing.absorb_path(g, ac, p)
+            cycle = tests.conftest.absorb_path(g, ac, p)
             if cycle is not None:
                 return cycle
     return None
@@ -508,7 +508,7 @@ def test_steering_absorbs_only_an_absorbable_path(monkeypatch, k, seed):
         return absorb_path(*args)
 
     monkeypatch.setattr(pch.pipeline, "_splice", counting_splice)
-    monkeypatch.setattr(pch.absorbing, "absorb_path", counting_absorb)
+    monkeypatch.setattr(tests.conftest, "absorb_path", counting_absorb)
     res = run_pipeline(g, PipelineConfig(seed=seed))
     _assert_solved(g, res)
     assert len(splices) == 1

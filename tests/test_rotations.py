@@ -22,7 +22,6 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
-    induced_subgraph,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
     verify_certificate,
@@ -38,7 +37,7 @@ from pch.rotations import (
     maximal_path_cycle,
     rotation_targets,
 )
-from tests.conftest import random_system_instance, validate_system
+from tests.conftest import canonical, induced_subgraph, random_system_instance, validate_system
 
 
 def graph_from_edges(n, k, edges, default=0):
@@ -55,8 +54,9 @@ def path_system(*verts) -> PathCycleSystem:
 
 def system_adjacency(sys: PathCycleSystem) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {v: [] for v in sys.vertices()}
-    for piece in (sys.path, *sys.cycles):
-        for a, b in piece.edges():
+    pieces = [sys.path.vertices] + [c.vertices + c.vertices[:1] for c in sys.cycles]
+    for vs in pieces:
+        for a, b in zip(vs, vs[1:]):
             adj[a].append(b)
             adj[b].append(a)
     return adj
@@ -92,7 +92,7 @@ def test_rotate_split_case():
     out = check_rotation_contract(g, sys, 2, 1)
     assert out.path.vertices == (0, 1)
     assert len(out.cycles) == 1
-    assert out.cycles[0].canonical() == DirectedCycle((2, 3, 4)).canonical()
+    assert canonical(out.cycles[0].vertices) == canonical((2, 3, 4))
 
 
 def test_rotate_absorbs_cycle():
@@ -113,7 +113,7 @@ def test_rotate_targeted_outcomes():
     assert fwd.path.vertices == (0, 1, 2, 3, 6, 5, 4)
     split = check_rotation_contract(g, sys, 3, 2)
     assert split.path.vertices == (0, 1, 2)
-    assert split.cycles[0].canonical() == DirectedCycle((3, 4, 5, 6)).canonical()
+    assert canonical(split.cycles[0].vertices) == canonical((3, 4, 5, 6))
 
 
 def eligible_chords(sys, g):
@@ -625,6 +625,8 @@ def test_two_factor_success_path_skips_the_matching(monkeypatch):
 def test_two_factor_small_n():
     out = find_pc_two_factor(rainbow(3))
     assert out.success
+    with pytest.raises(ValueError, match="^need n >= 3, got 2$"):
+        find_pc_two_factor(rainbow(2))
 
 
 def test_two_factor_oracle_agreement_sample():

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,68 @@ def test_pipeline_checks_its_cycle_once():
     calls = called_names(Path(pch.pipeline.__file__).read_text())
     assert [c for c in calls if c.startswith("is_properly_coloured_") or c == "absorb_path"] == []
     assert calls.count("verify_certificate") == 1
+
+
+# public functions that the library, the CLI and the bench do not call, kept
+# as documented entry points for users
+USER_ENTRY_POINTS = {
+    "write_graph": "the I/O pair of read_graph",
+    "monochromatic": "a generator of one of the paper's extremal families",
+    "rainbow": "a generator of one of the paper's extremal families",
+    "near_bollobas_erdos": "a generator of the paper's threshold family and of the test corpora",
+    "random_colouring": "a generator of the test corpora",
+    "check_barrier": "checks a barrier that a user holds",
+}
+
+
+def _functions(tree: ast.Module):
+    """The top-level functions of a module and the methods of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under the node, by name or as an
+    attribute; string literals are no references."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    )
+
+
+def unreferenced_public_functions(lib_sources: list[str], user_sources: list[str]) -> list[str]:
+    """Public functions and methods of the library sources that neither they,
+    outside the definition itself, nor the user sources reference."""
+    lib = [ast.parse(s) for s in lib_sources]
+    read = sum((_references(t) for t in lib + [ast.parse(s) for s in user_sources]), Counter())
+    return [
+        f.name for t in lib for f in _functions(t)
+        if not f.name.startswith("_") and read[f.name] == _references(f)[f.name]
+    ]
+
+
+def test_unreferenced_public_functions_finds_an_orphan():
+    lib = (
+        "def used():\n    pass\n"
+        "def benched():\n    pass\n"
+        "def _private():\n    used()\n"
+        "def recur(n):\n    return recur(n - 1)\n"
+        "def named():\n    return 'named'\n"
+        "class C:\n    def method(self):\n        pass\n    def gone(self):\n        return self.gone\n"
+    )
+    bench = "import lib\nlib.benched()\nC().method()\n"
+    assert unreferenced_public_functions([lib], [bench]) == ["recur", "named", "gone"]
+
+
+def test_library_functions_have_library_or_bench_callers():
+    # a function that only tests call is test code: it lives under tests/
+    root = Path(pch.__file__).parents[2]
+    lib = [p.read_text() for p in sorted(Path(pch.__file__).parent.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
+    unreferenced = unreferenced_public_functions(lib, bench)
+    assert [name for name in unreferenced if name not in USER_ENTRY_POINTS] == []
+    assert set(USER_ENTRY_POINTS) <= {f.name for s in lib for f in _functions(ast.parse(s))}
