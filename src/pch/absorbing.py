@@ -32,6 +32,8 @@ import numpy as np
 from pch.ec_graph import (
     DirectedCycle,
     DirectedPath,
+    _check_vertices,
+    _proper_walk,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
@@ -48,36 +50,26 @@ class AbsorptionError(RuntimeError):
 # the absorbing predicate and exact counting
 # ---------------------------------------------------------------------------
 
-def _check_vertices(g, vs) -> None:
-    """Every id an int (not a bool) or a numpy integer in 0..n-1, else a ValueError."""
-    for v in vs:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"vertex {v!r} is not an integer")
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-
-
 def is_absorbing(g, quad, path4) -> bool:
     """Check the three absorbing conditions exactly.
 
     Repeats inside the 8 vertices make the answer False, not an error; an id
-    that is not an integer or lies outside the graph is a usage error.
+    that `_check_vertices` rejects is a ValueError.  The 8 ids are checked
+    once, so each condition is one `_proper_walk`.
     """
     quad = tuple(quad)
     zs = tuple(path4)
     if len(quad) != 4 or len(zs) != 4:
         raise ValueError("need an ordered quadruple and an order-4 path")
     _check_vertices(g, quad + zs)
-    if len(set(quad)) != 4 or len(set(zs)) != 4:
-        return False
-    if set(quad) & set(zs):
+    if len(set(quad + zs)) != 8:
         return False
     x1, x2, y1, y2 = quad
     z1, z2, z3, z4 = zs
     return (
-        is_properly_coloured_path(g, (z1, z2, z3, z4))
-        and is_properly_coloured_path(g, (z1, z2, x1, x2))
-        and is_properly_coloured_path(g, (y1, y2, z3, z4))
+        _proper_walk(g.rows, zs)
+        and _proper_walk(g.rows, (z1, z2, x1, x2))
+        and _proper_walk(g.rows, (y1, y2, z3, z4))
     )
 
 
@@ -143,9 +135,9 @@ def count_absorbing(g, quad) -> int:
     nothing.  Either way the middle edges are taken a block of z2 rows at a
     time, with no temporary much above BLOCK_BYTES.
 
-    A quadruple of other than 4 vertices, or with an id that is not an
-    integer or lies outside 0..n-1, is a ValueError; one with a repeated
-    vertex has no absorbing tuple.
+    A quadruple of other than 4 vertices, or with an id that
+    `_check_vertices` rejects, is a ValueError; one with a repeated vertex
+    has no absorbing tuple.
     """
     quad = tuple(quad)
     if len(quad) != 4:
@@ -262,9 +254,9 @@ def verify_family_universality(g, members, outside=None):
     """Check that some member absorbs every ordered quadruple of `outside` vertices.
 
     `outside` defaults to the vertices not used by the family; a repeated
-    vertex or an id outside the graph raises ValueError, and so do more than
-    64 members and a member that is not a PC path of 4 distinct vertices of
-    g.  The check is exact: member j absorbs (x1, x2; y1, y2) iff
+    vertex or an id that `_check_vertices` rejects raises ValueError, and so
+    do more than 64 members and a member that is not a PC path of 4 distinct
+    vertices of g.  The check is exact: member j absorbs (x1, x2; y1, y2) iff
     bit j is set in both the left mask of (x1, x2) and the right mask of
     (y1, y2) (see `_pair_table`).  Each side groups the m(m - 1) ordered
     outside pairs by mask.  Coverage is the fraction of (left pair, right
@@ -277,12 +269,9 @@ def verify_family_universality(g, members, outside=None):
         if len(mb) != 4 or len(set(mb)) != 4 or not is_properly_coloured_path(g, mb):
             raise ValueError(f"member {tuple(mb)} is not a PC path of 4 distinct vertices of 0..{g.n - 1}")
     used = {v for mb in members for v in mb}
-    if outside is None:
-        outside = [v for v in range(g.n) if v not in used]
+    outside = [v for v in range(g.n) if v not in used] if outside is None else list(outside)
+    _check_vertices(g, outside)
     outside = sorted(outside)
-    for v in outside:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     if len(set(outside)) != len(outside):
         raise ValueError("outside repeats a vertex")
     if len(outside) < 4:
@@ -330,16 +319,17 @@ def join_ends(
     with the vertices of the partial path that kept a candidate out anywhere
     below it: the failure holds on every partial path through them, in every
     order.  Returns None when no order within the cap admits a path (a
-    legitimate outcome, not an error).  The anchors are checked through
-    ``g.colour``; the search reads ``g.rows``.
+    legitimate outcome, not an error).  The anchors go through
+    `_check_vertices`; their colours and the search read ``g.rows``.
     """
     ends = (v1, v2, v1p, v2p)
+    _check_vertices(g, ends)
     if len(set(ends)) != 4:
         raise ValueError("the four anchor vertices must be distinct")
     blocked = set(avoid) | set(ends)
-    c_in = g.colour(v1, v2)
-    c_out = g.colour(v1p, v2p)
     rows, n = g.rows, g.n
+    c_in = rows[v1][v2]
+    c_out = rows[v1p][v2p]
     into_v1p = rows[v1p]
     dead: dict[tuple[int, int, int], int] = {}  # failed state -> mask of the path vertices it needs
     path: list[int] = []

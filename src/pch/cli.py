@@ -238,29 +238,25 @@ def cmd_absorb_check(args) -> int:
     g = _load_graph(args.input)
     eps = args.eps
     _check_eps(eps)
-    bound = eps * eps * g.n ** 4 / 4
-    rng = random.Random(args.seed)
+    bound = _count_bound(eps, g.n)
     if args.quads == "all":
         quads = list(itertools.permutations(range(g.n), 4))
     elif args.quads.startswith("sample:"):
         count = _int(args.quads.split(":", 1)[1], "--quads sample size")
         if count < 1:
             raise UsageError(f"--quads sample size must be >= 1, got {count}")
-        if g.n < 4:
-            raise UsageError(f"absorb-check samples quadruples, which needs n >= 4, got n = {g.n}")
-        quads = [tuple(rng.sample(range(g.n), 4)) for _ in range(count)]
+        _check_quads_fit("absorb-check", g.n)
+        quads = _sample_quads(g.n, args.seed, count)
     else:
         raise UsageError(f"--quads must be 'all' or 'sample:N', got {args.quads!r}")
 
     # the build rejects a family too large for n at once, so it goes before the counts
-    build = absorbing.build_absorbing_cycle(g, args.family_size, seed=args.seed)
+    built = _abscycle_seed(g, args.seed, {"family_size": args.family_size})
+    cycle_order, _, family_ok, family_coverage = built or (None,) * 4
     counts = [absorbing.count_absorbing(g, q) for q in quads]
     violations = [
         {"quad": list(q), "count": c} for q, c in zip(quads, counts) if c < bound
     ]
-    family_ok = family_coverage = None
-    if build.success:
-        family_ok, family_coverage, _ = absorbing.verify_family_universality(g, build.cycle.family)
     result = {
         "eps": eps,
         "bound": bound,
@@ -270,7 +266,7 @@ def cmd_absorb_check(args) -> int:
         "violations": violations,
         "family_ok": family_ok,
         "family_coverage": family_coverage,
-        "cycle_order": build.cycle.cycle.order if build.success else None,
+        "cycle_order": cycle_order,
     }
     _emit(args, "absorb-check", result, seed=args.seed, instance=_instance_meta(g))
     return EXIT_OK if not violations else EXIT_FAIL
@@ -302,17 +298,31 @@ def _ifar_max_len(eps: float) -> int:
     return 8 if eps <= 0.5 else int(2 * eps ** -2)
 
 
+def _count_bound(eps: float, n: int) -> float:
+    return eps * eps * n ** 4 / 4
+
+
+def _check_quads_fit(who: str, n: int) -> None:
+    if n < 4:
+        raise UsageError(f"{who} samples quadruples, which needs n >= 4, got n = {n}")
+
+
+def _sample_quads(n: int, seed: int, count: int) -> list[tuple[int, ...]]:
+    """`count` ordered quadruples of distinct vertices drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(n), 4)) for _ in range(count)]
+
+
 # each lemma is a per-seed function, (instance, seed, params) -> record, and a
 # report function, (params, records in seed order) -> report
 
 def _abspath_seed(g, seed: int, params: dict) -> list[int]:
-    rng = random.Random(seed)
-    return [absorbing.count_absorbing(g, tuple(rng.sample(range(g.n), 4))) for _ in range(params["quads"])]
+    return [absorbing.count_absorbing(g, q) for q in _sample_quads(g.n, seed, params["quads"])]
 
 
 def _abspath_report(params: dict, records: list) -> dict:
     n, eps = params["n"], params["eps"]
-    bound = eps * eps * n ** 4 / 4
+    bound = _count_bound(eps, n)
     counts = [c for rec in records for c in rec]
     violations = sum(c < bound for c in counts)
     return {
@@ -324,12 +334,8 @@ def _abspath_report(params: dict, records: list) -> dict:
 
 def _ifar_seed(g, seed: int, params: dict) -> int:
     max_len = _ifar_max_len(params["eps"])
-    rng = random.Random(seed)
-    succ = 0
-    for _ in range(IFAR_TRIALS):
-        v1, v2, v1p, v2p = rng.sample(range(g.n), 4)
-        succ += absorbing.join_ends(g, v1, v2, v1p, v2p, max_len=max_len) is not None
-    return succ
+    quads = _sample_quads(g.n, seed, IFAR_TRIALS)
+    return sum(absorbing.join_ends(g, *q, max_len=max_len) is not None for q in quads)
 
 
 def _ifar_report(params: dict, records: list) -> dict:
@@ -422,8 +428,8 @@ def lemma_check(name: str, params: dict) -> dict:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
     if params["quads"] < 1:
         raise UsageError(f"--quads must be >= 1, got {params['quads']}")
-    if name in ("abspath", "ifar") and params["n"] < 4:
-        raise UsageError(f"lemma {name} samples quadruples, which needs n >= 4, got n = {params['n']}")
+    if name in ("abspath", "ifar"):
+        _check_quads_fit(f"lemma {name}", params["n"])
     seeds = range(seeds)
     params = {**params, "dmax": dmax, "seeds": seeds}
     per_seed = functools.partial(_lemma_seed, name, params)

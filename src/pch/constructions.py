@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pch.ec_graph import ColouredComplete, max_mono_degree
+from pch.ec_graph import ColouredComplete, _check_vertices, max_mono_degree
 
 
 class GenerationError(RuntimeError):
@@ -34,15 +34,16 @@ class OrientedGraph:
     arcs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
+        ids = set(range(self.n))    # `in` takes an id of any type, in O(1)
+        for u, v in self.arcs:
             if u == v:
-                raise ValueError(f"loop at {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u}, {v}) outside 0..{self.n - 1}")
-            if (v, u) in arcs:
+                raise ValueError(f"loop at {u!r}")
+            if u not in ids or v not in ids:
+                raise ValueError(f"arc ({u!r}, {v!r}) outside 0..{self.n - 1}")
+            _check_vertices(self, (u, v))     # a bool or a float equal to a vertex
+            if (v, u) in self.arcs:
                 raise ValueError(f"both orientations of {{{u}, {v}}} present")
+        object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
 
 
 def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:

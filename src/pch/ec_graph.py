@@ -14,6 +14,7 @@ between workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -80,10 +81,9 @@ class ColouredComplete:
         return cls(n, k, tab)
 
     def colour(self, u: Vertex, v: Vertex) -> ColourId:
+        _check_vertices(self, (u, v))
         if u == v:
             raise ValueError(f"no self-edge at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) outside 0..{self.n - 1}")
         return self.rows[u][v]
 
     def __eq__(self, other) -> bool:
@@ -100,23 +100,30 @@ class ColouredComplete:
         return f"ColouredComplete(n={self.n}, k={self.k})"
 
 
-def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
-    """counts[i, c] = entries of colour c in row i of a colour matrix (-1 skipped)."""
-    rows = matrix.shape[0]
-    span = k + 1                                  # a leading column per row takes the -1s
-    wide = np.int32 if rows * span < 2 ** 31 else np.int64
-    cells = matrix + (np.arange(rows, dtype=wide) * span + 1)[:, None]
-    return np.bincount(cells.ravel(), minlength=rows * span).reshape(rows, span)[:, 1:]
+def _check_vertices(g, vs) -> None:
+    """The one vertex-id check: an int (not a bool) or a numpy integer in 0..n-1, else a ValueError."""
+    for v in vs:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+
+
+def _colour_run_starts(g: ColouredComplete) -> np.ndarray:
+    """True where a run of one colour starts in each row of g's matrix, sorted, its
+    diagonal -1 (sorted first) dropped: the runs are the colours at a vertex."""
+    return np.diff(np.sort(g.matrix, axis=1)[:, 1:], axis=1, prepend=-1) != 0
 
 
 def max_mono_degree(g: ColouredComplete) -> int:
     """Largest number of same-coloured edges incident with one vertex."""
-    return int(colour_counts(g.matrix, g.k).max())
+    starts = _colour_run_starts(g).ravel()
+    return int(np.diff(np.flatnonzero(starts), append=starts.size).max(initial=0))
 
 
 def min_colour_degree(g: ColouredComplete) -> int:
     """Minimum over vertices of the number of distinct colours at that vertex."""
-    return int((colour_counts(g.matrix, g.k) > 0).sum(axis=1).min())
+    return int(_colour_run_starts(g).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +192,17 @@ class DirectedCycle(_VertexSeq):
 
 def is_properly_coloured_path(g, p) -> bool:
     """True iff each step along p is an edge of g and consecutive edge colours
-    differ (order <= 1 is proper).  A step with a self-pair, an id outside g
-    or an id that is not an integer makes it False.  Each step is checked as
-    ``g.colour`` checks a pair, then read from ``g.rows``."""
+    differ.  A path of at most one vertex is proper without looking at its
+    id.  Otherwise an id that `_check_vertices` rejects, or a step with a
+    self-pair, makes it False; then `_proper_walk` reads the colours."""
     vs = _as_vertex_seq(p)
-    n, rows = g.n, g.rows
-    prev = None
+    if len(vs) < 2:
+        return True
     try:
-        for u, v in zip(vs, vs[1:]):
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                return False
-            cur = rows[u][v]
-            if cur == prev:
-                return False
-            prev = cur
-    except TypeError:  # an id that is not an integer
+        _check_vertices(g, vs)
+    except ValueError:
         return False
-    return True
+    return not any(map(operator.eq, vs, vs[1:])) and _proper_walk(g.rows, vs)
 
 
 def is_properly_coloured_cycle(g, cyc) -> bool:
@@ -246,8 +247,8 @@ def two_factor_certificate(cycles) -> Certificate:
 
 
 def _proper_walk(rows, vs: tuple[int, ...]) -> bool:
-    """The walk of `is_properly_coloured_path` for ids already checked to be
-    distinct ints of g, so no step checks them again."""
+    """The library's one properness walk, for ids already checked to be ids
+    of g with no self-pair step, so no step checks them again."""
     prev = None
     for u, v in zip(vs, vs[1:]):
         cur = rows[u][v]
@@ -268,7 +269,7 @@ def _structure_problem(g, cert: Certificate) -> str | None:
     seen: set[int] = set()
     for name, vs in pieces:
         for v in vs:
-            # exactly an int: a bool is an int subclass, and no vertex id
+            # exactly an int, as JSON gives it: no bool, no numpy id (so not `_check_vertices`)
             if type(v) is not int:
                 return f"{name}: vertex {v!r} is not an int"
             if not 0 <= v < n:

@@ -216,7 +216,8 @@ def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
     the draws that growth on the restriction of g to S makes, relabelled.
     The result cannot be extended by one vertex of the set at either end
     (local maximality); the restarts approximate global maximality.  The
-    vertices must be at least 2 distinct ids of g, else it is a ValueError.
+    vertices must be at least 2 distinct ids of g, else it is a ValueError;
+    every path seed runs this test of the sorted set, cheaper than `_check_vertices`.
     """
     vs = list(range(g.n)) if vertices is None else sorted(vertices)
     if len(vs) < 2 or len(set(vs)) < len(vs) or not 0 <= vs[0] <= vs[-1] < g.n:

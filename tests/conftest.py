@@ -7,8 +7,8 @@ valid 1-path-cycles inside otherwise arbitrary colourings, which
 with a universal family come from retrying build seeds under the exact audit.
 
 The references are plain, fully checked versions of what the library does
-inline: the restriction of a graph to a vertex set, a checked absorption,
-and brute-force cycle enumeration.
+inline: per-vertex colour histograms, the restriction of a graph to a vertex
+set, a checked absorption, and brute-force cycle enumeration.
 """
 
 from __future__ import annotations
@@ -115,6 +115,15 @@ def universal_absorbing_cycle(g, family_size: int, seed: int, builds: int = 25):
         if res.success and verify_family_universality(g, res.cycle.family)[0]:
             return res.cycle
     return None
+
+
+def colour_counts(matrix: np.ndarray, k: int) -> np.ndarray:
+    """counts[i, c] = entries of colour c in row i of a colour matrix (-1 skipped)."""
+    rows = matrix.shape[0]
+    span = k + 1                                  # a leading column per row takes the -1s
+    wide = np.int32 if rows * span < 2 ** 31 else np.int64
+    cells = matrix + (np.arange(rows, dtype=wide) * span + 1)[:, None]
+    return np.bincount(cells.ravel(), minlength=rows * span).reshape(rows, span)[:, 1:]
 
 
 def induced_subgraph(g: ColouredComplete, keep: Iterable[int]) -> tuple[ColouredComplete, tuple[int, ...]]:

@@ -29,13 +29,12 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     ColouredComplete,
-    colour_counts,
     DirectedCycle,
     DirectedPath,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
-from tests.conftest import absorb_path, universal_absorbing_cycle
+from tests.conftest import absorb_path, colour_counts, universal_absorbing_cycle
 
 
 def enumerate_absorbing(g, quad):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,6 +302,24 @@ def test_readme_constant_quotes_match_the_code():
         owners = [getattr(m, name) for m in modules if name in vars(m)]
         assert owners, f"README quotes {name}, which no module defines"
         assert all(v == int(value.replace(",", "")) for v in owners), (name, value, owners)
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m pch.cli` reaches main() through the module's __main__ guard
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-m", "pch.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = script("constants", "--eps", "0.1")
+    assert out.returncode == 0, out.stderr
+    assert isinstance(json.loads(out.stdout), dict)
+    gpath = tmp_path / "g.txt"
+    write_graph(bollobas_erdos(2), gpath)
+    out = script("oracle", "--query", "hamcycle", "--input", str(gpath))
+    assert out.returncode == 1, out.stderr
+    assert json.loads(out.stdout)["result"]["status"] == "not_exists"
 
 
 def test_readme_function_names_resolve():

@@ -24,14 +24,13 @@ from pch.constructions import (
 )
 from pch.ec_graph import (
     ColouredComplete,
-    colour_counts,
     is_properly_coloured_cycle,
     max_mono_degree,
     min_colour_degree,
 )
 from pch.exact import SearchStatus, exact_pc_ham_cycle, longest_pc_cycle
 from pch.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import arc_cycles, directed_cycles, properly_coloured_cycle_set
+from tests.conftest import arc_cycles, colour_counts, directed_cycles, properly_coloured_cycle_set
 
 
 def in_degrees(og: OrientedGraph) -> list[int]:

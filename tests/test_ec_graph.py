@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pch.absorbing import count_absorbing, is_absorbing, join_ends, verify_family_universality
 from pch.constructions import (
+    OrientedGraph,
     colouring_from_oriented,
     layered_colouring,
     monochromatic,
@@ -28,7 +30,6 @@ from pch.ec_graph import (
     GraphFormatError,
     certificate_from_json,
     certificate_to_json,
-    colour_counts,
     graph_from_text,
     graph_to_text,
     ham_cycle_certificate,
@@ -40,7 +41,7 @@ from pch.ec_graph import (
     two_factor_certificate,
     verify_certificate,
 )
-from tests.conftest import canonical, induced_subgraph
+from tests.conftest import canonical, colour_counts, induced_subgraph
 
 colourings = st.builds(
     random_colouring,
@@ -170,6 +171,39 @@ def test_properness_predicates_match_a_per_edge_reference(g):
         seen.update({("path", path), ("cycle", cycle)})
     assert ("path", False) in seen and ("cycle", False) in seen
     assert ("path", True) in seen
+
+
+# every public entry point that takes vertex ids, with `v` in the place of vertex 1 of rainbow(9)
+_ID_ENTRY_POINTS = {
+    "colour": lambda g, v: g.colour(v, 2),
+    "pc-path": lambda g, v: is_properly_coloured_path(g, (v, 2, 3)),
+    "pc-cycle": lambda g, v: is_properly_coloured_cycle(g, (v, 2, 3)),
+    "is_absorbing": lambda g, v: is_absorbing(g, (v, 2, 3, 4), (5, 6, 7, 8)),
+    "count_absorbing": lambda g, v: count_absorbing(g, (v, 2, 3, 4)),
+    "universality-member": lambda g, v: verify_family_universality(g, [(v, 0, 2, 3)]),
+    "universality-outside": lambda g, v: verify_family_universality(g, [(0, 2, 3, 5)], outside=[v, 4, 6, 7, 8]),
+    "join_ends": lambda g, v: join_ends(g, v, 2, 3, 4),
+    "OrientedGraph": lambda g, v: OrientedGraph(g.n, frozenset({(v, 2)})),
+}
+
+
+@pytest.mark.parametrize("entry", _ID_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1, 9], ids=repr)
+def test_every_entry_point_turns_away_a_bad_vertex_id(entry, bad):
+    # one rule: an id is an int or a numpy integer in 0..n-1, and a bool is
+    # neither; the two predicates say False, the rest raise ValueError
+    call, g = _ID_ENTRY_POINTS[entry], rainbow(9)
+    if entry.startswith("pc-"):
+        assert call(g, bad) is False
+    else:
+        with pytest.raises(ValueError):
+            call(g, bad)
+
+
+@pytest.mark.parametrize("entry", _ID_ENTRY_POINTS)
+def test_every_entry_point_reads_a_numpy_id_as_the_int(entry):
+    call, g = _ID_ENTRY_POINTS[entry], rainbow(9)
+    assert call(g, np.int64(1)) == call(g, 1)
 
 
 @pytest.mark.parametrize("vs", [(0, 1, 2.5), (0.0, 1, 2), (0, "1", 2), (0, 1, None)], ids=repr)
@@ -482,6 +516,35 @@ def test_colour_histograms_match_per_pair_loop(g):
     assert colour_counts(g.matrix, g.k).tolist() == hist
     assert max_mono_degree(g) == max(max(row) for row in hist)
     assert min_colour_degree(g) == min(sum(1 for c in row if c) for row in hist)
+
+
+def _degree_cases():
+    cases = [ColouredComplete(1, 1, []), ColouredComplete(1, 50, []), ColouredComplete(2, 1, [0]),
+             ColouredComplete(2, 1000, [999]), ColouredComplete(3, 10 ** 6, [7, 10 ** 6 - 1, 7])]
+    cases += [random_colouring(n, k, seed=n * k) for n in (3, 5, 12, 31, 60) for k in (1, 2, 3, n, n * n)]
+    return cases + [rainbow(40), monochromatic(9), layered_colouring(20, 7)]
+
+
+@pytest.mark.parametrize("g", _degree_cases(), ids=repr)
+def test_degrees_match_the_colour_histogram_reference(g):
+    # palettes from one colour to far more colours than vertices, and n = 1, 2
+    counts = colour_counts(g.matrix, g.k)
+    assert max_mono_degree(g) == int(counts.max())
+    assert min_colour_degree(g) == int((counts > 0).sum(axis=1).min())
+
+
+def test_degrees_take_memory_of_the_graph_not_of_the_palette():
+    # a histogram row per vertex and colour takes n * (k + 1) counts: 115 MB here
+    import tracemalloc
+
+    g = rainbow(300)
+    tracemalloc.start()
+    try:
+        assert (max_mono_degree(g), min_colour_degree(g)) == (1, 299)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("n, k, message", [
