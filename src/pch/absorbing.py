@@ -34,7 +34,6 @@ from pch.ec_graph import (
     DirectedPath,
     _check_vertices,
     _proper_walk,
-    is_properly_coloured_cycle,
     is_properly_coloured_path,
 )
 from pch.rotations import _grow_path
@@ -320,7 +319,7 @@ def join_ends(
     below it: the failure holds on every partial path through them, in every
     order.  Returns None when no order within the cap admits a path (a
     legitimate outcome, not an error).  The anchors go through
-    `_check_vertices`; their colours and the search read ``g.rows``.
+    `_check_vertices`; the search and the join's `_proper_walk` read ``g.rows``.
     """
     ends = (v1, v2, v1p, v2p)
     _check_vertices(g, ends)
@@ -370,7 +369,7 @@ def join_ends(
 
     for order in range(2, max_len + 1):
         if dfs(v2, c_in, order, 0) is None:
-            if not is_properly_coloured_path(g, (v1, v2, *path, v1p, v2p)):
+            if not _proper_walk(rows, (v1, v2, *path, v1p, v2p)):
                 raise RuntimeError("join produced an improper concatenation")
             return DirectedPath(tuple(path))
     return None
@@ -428,9 +427,9 @@ def build_absorbing_cycle(g, family_size: int = 3, seed: int = 0) -> BuildResult
     of P_j to the first two of P_{j+1}, avoiding everything already placed.
     A failed draw ("family") or join ("join:j") abandons the attempt; fresh
     randomness is used until the retry budget runs out.  A stitched cycle
-    that fails its final check is a bug (`AbsorptionError`): members are PC
-    4-paths and `join_ends` checks each junction.  No member has to absorb
-    any given quadruple: the pipeline steers its path until one does.
+    that fails its final `_proper_walk` is a bug (`AbsorptionError`): members
+    are PC 4-paths and `join_ends` checks each junction.  No member has to
+    absorb any given quadruple: the pipeline steers its path until one does.
     """
     if family_size < 1:
         raise ValueError(f"family size must be >= 1, got {family_size}")
@@ -459,7 +458,7 @@ def build_absorbing_cycle(g, family_size: int = 3, seed: int = 0) -> BuildResult
             used.update(q.vertices)
         else:
             cycle = DirectedCycle(tuple(v for mb, q in zip(members, connectors) for v in mb + q.vertices))
-            if not is_properly_coloured_cycle(g, cycle):
+            if not _proper_walk(g.rows, cycle.vertices + cycle.vertices[:2]):
                 raise AbsorptionError("stitched absorbing cycle is not properly coloured")
             return BuildResult(AbsorbingCycle(cycle, members, tuple(connectors)), None, attempt)
     return BuildResult(None, last_stage, RETRY_BUDGET)

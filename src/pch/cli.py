@@ -374,7 +374,10 @@ def _abscycle_seed(g, seed: int, params: dict) -> tuple | None:
     if not res.success:
         return None
     order = res.cycle.cycle.order
-    ok, coverage, _ = absorbing.verify_family_universality(g, res.cycle.family)
+    # the pipeline absorbs paths off the cycle, so those are the vertices audited
+    on_cycle = set(res.cycle.cycle.vertices)
+    off = [v for v in range(g.n) if v not in on_cycle]
+    ok, coverage, _ = absorbing.verify_family_universality(g, res.cycle.family, off)
     return order, order <= (4 + absorbing.JOIN_MAX_LEN) * len(res.cycle.family), ok, coverage
 
 

@@ -326,6 +326,14 @@ def verify_certificate(g, cert: Certificate) -> Certificate:
     return replace(cert, verdict=VERDICT_INVALID, reason=problem)
 
 
+def _verified(g, cert: Certificate, who: str) -> Certificate:
+    """The producers' one verified exit: `cert` judged Valid, else a RuntimeError naming `who`."""
+    out = verify_certificate(g, cert)
+    if not out.valid:
+        raise RuntimeError(f"{who} produced an invalid certificate: {out.reason}")
+    return out
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,

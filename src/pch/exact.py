@@ -65,10 +65,11 @@ from pch.ec_graph import (
     ColouredComplete,
     DirectedCycle,
     DirectedPath,
+    KIND_PATH_CYCLE_SYSTEM,
+    _verified,
     ham_cycle_certificate,
     ham_path_certificate,
     two_factor_certificate,
-    verify_certificate,
 )
 
 DEFAULT_NODE_LIMIT = 5_000_000
@@ -174,13 +175,6 @@ class _Meter:
             raise _OutOfBudget
         self.nodes += rows
         self.rows += rows
-
-
-def _verified(g, cert: Certificate) -> Certificate:
-    out = verify_certificate(g, cert)
-    if not out.valid:
-        raise RuntimeError(f"oracle produced an invalid certificate: {out.reason}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +536,7 @@ def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
     """An oracle answer from a `_search` result: spanning order, exhausted, or neither."""
     order, witness, exact, meter = found
     if order == g.n:
-        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness)), meter.nodes, meter.rows)
+        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness), "oracle"), meter.nodes, meter.rows)
     return OracleResult(SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED, None, meter.nodes, meter.rows)
 
 
@@ -770,7 +764,7 @@ def pc_two_factor_matching(g: ColouredComplete) -> tuple[Certificate | None, Tut
                 cyc.append(y if x == cyc[-2] else x)
             cycles.append(tuple(cyc[:-1]))
             seen.update(cyc)
-        return _verified(g, two_factor_certificate(cycles)), None
+        return _verified(g, two_factor_certificate(cycles), "oracle"), None
     removed = {x for x in range(len(adj)) if not even[x] and any(even[y] for y in adj[x])}
     odd = _odd_components(adj, removed)
     if odd <= len(removed):
@@ -835,7 +829,7 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
         raise ValueError(f"need n >= 3, got {n}")
     order, witness, exact, meter = _search(g, budget, True, n, lambda: True)
     if order == n:
-        return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate([witness])), meter.nodes)
+        return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate([witness]), "oracle"), meter.nodes)
     if not exact:
         return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
     cert, barrier = pc_two_factor_matching(g)
@@ -849,7 +843,7 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
 # ---------------------------------------------------------------------------
 
 def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
-    """Maximum length of a PC cycle (0 if none), with a witness.
+    """Maximum length of a PC cycle (0 if none), with a witness that `_verified` checks.
 
     Out of budget (`exact` False), 0 means that no cycle was found within the
     budget, not that none exists.
@@ -858,11 +852,13 @@ def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) ->
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     order, witness, exact, meter = _search(g, budget, True, 3)
-    return ExtremalResult(order, None if witness is None else DirectedCycle(witness), exact, meter.nodes, meter.rows)
+    if witness is not None:
+        _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, cycles=(witness,)), "oracle")
+    return ExtremalResult(order, None if witness is None else DirectedCycle.unchecked(witness), exact, meter.nodes, meter.rows)
 
 
 def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
-    """Maximum order of a PC path (at least 2 for n >= 2), with a witness."""
+    """Maximum order of a PC path (at least 2 for n >= 2), with a witness that `_verified` checks."""
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -870,4 +866,5 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
     if witness is None:
         # out of budget before the first seed finished: any edge is a PC path
         order, witness = 2, (0, 1)
-    return ExtremalResult(order, DirectedPath(witness), exact, meter.nodes, meter.rows)
+    _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, path=witness), "oracle")
+    return ExtremalResult(order, DirectedPath.unchecked(witness), exact, meter.nodes, meter.rows)

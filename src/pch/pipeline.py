@@ -5,8 +5,8 @@ properly coloured path of the rest; absorb it into the cycle.  Steering tries
 the path forward, then reversed, and then a fresh greedy path of each later
 path seed the same way, until some member absorbs an end quadruple.
 That member takes the path between its second and third vertices unchecked:
-``verify_certificate`` is the one full check of the cycle, and an invalid
-cycle raises RuntimeError instead of being returned.
+the verified exit ``_verified`` makes the one full check of the cycle, and an
+invalid cycle raises RuntimeError instead of being returned.
 The spanning path is the greedy ``maximal_path_cycle`` path, grown inside the
 rest in the input's own vertex ids; steering and absorption use the same ids.
 A first path that does not span fails the run at ``ham_path``, and a later
@@ -36,8 +36,8 @@ from pch.ec_graph import (
     Certificate,
     ColouredComplete,
     DirectedPath,
+    _verified,
     ham_cycle_certificate,
-    verify_certificate,
 )
 
 # spanning paths offered for absorption per run: on the measured threshold,
@@ -174,10 +174,7 @@ def run_pipeline(g: ColouredComplete, cfg: PipelineConfig | None = None) -> Pipe
     if cycle is None:
         quads, seeds = tried["quads"], tried["path_seeds"]
         return fail("absorb", f"no family member absorbs any of {quads} end quadruples over path seeds {seeds}")
-    cert = verify_certificate(g, ham_cycle_certificate(cycle))
-    if not cert.valid:
-        raise RuntimeError(f"pipeline produced an invalid certificate: {cert.reason}")
-    return PipelineResult(cert, None, report)
+    return PipelineResult(_verified(g, ham_cycle_certificate(cycle), "pipeline"), None, report)
 
 
 def _rotation_thresholds(eps: float) -> tuple[int, int]:

@@ -19,8 +19,9 @@ from pch.ec_graph import (
     Certificate,
     DirectedCycle,
     DirectedPath,
+    _check_vertices,
+    _verified,
     two_factor_certificate,
-    verify_certificate,
 )
 from pch.exact import TutteBarrier, pc_two_factor_matching
 
@@ -216,11 +217,14 @@ def maximal_path_cycle(g, seed: int = 0, vertices=None) -> PathCycleSystem:
     the draws that growth on the restriction of g to S makes, relabelled.
     The result cannot be extended by one vertex of the set at either end
     (local maximality); the restarts approximate global maximality.  The
-    vertices must be at least 2 distinct ids of g, else it is a ValueError;
-    every path seed runs this test of the sorted set, cheaper than `_check_vertices`.
+    vertices go through `_check_vertices` before they are sorted, and fewer
+    than 2 distinct ones are a ValueError too.
     """
-    vs = list(range(g.n)) if vertices is None else sorted(vertices)
-    if len(vs) < 2 or len(set(vs)) < len(vs) or not 0 <= vs[0] <= vs[-1] < g.n:
+    vs = list(range(g.n) if vertices is None else vertices)
+    if vertices is not None:
+        _check_vertices(g, vs)
+        vs.sort()
+    if len(vs) < 2 or len(set(vs)) < len(vs):
         raise ValueError(f"need at least 2 distinct vertices in 0..{g.n - 1}, got {vs}")
     rng = random.Random(seed)
     best: list[int] | None = None
@@ -330,10 +334,7 @@ def find_pc_two_factor(g, seed: int = 0) -> TwoFactorOutcome:
     # a closure keeps the system's vertices, so only a spanning path can close into the 2-factor
     closed = _close_system(sys, g, stats) if sys.order == g.n else None
     if closed is not None:
-        cert = verify_certificate(g, two_factor_certificate(closed))
-        if not cert.valid:
-            raise RuntimeError(f"2-factor search produced an invalid certificate: {cert.reason}")
-        return TwoFactorOutcome(cert, None, stats)
+        return TwoFactorOutcome(_verified(g, two_factor_certificate(closed), "2-factor search"), None, stats)
     cert, barrier = pc_two_factor_matching(g)
     if cert is not None:
         stats["closed_via"] = "matching"

@@ -638,8 +638,10 @@ def test_absorbing_cycle_builds_are_pinned(make, digest):
 
 def test_build_raises_on_a_stitched_cycle_that_fails_its_check(monkeypatch):
     # members are PC 4-paths and join_ends checks every junction, so a
-    # failed check of the stitched cycle is a bug, not a retry
-    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_cycle", lambda g, cyc: False)
+    # failed check of the stitched cycle is a bug, not a retry; only the
+    # walk around the cycle, which repeats its first two vertices, fails
+    walk = pch.absorbing._proper_walk
+    monkeypatch.setattr(pch.absorbing, "_proper_walk", lambda rows, vs: vs[:2] != vs[-2:] and walk(rows, vs))
     with pytest.raises(AbsorptionError, match="stitched"):
         build_absorbing_cycle(rainbow(30), 2, seed=0)
 
@@ -718,7 +720,7 @@ def test_absorb_path_lost_vertex_raises(monkeypatch):
 
 
 def test_join_ends_improper_concatenation_raises(monkeypatch):
-    monkeypatch.setattr(pch.absorbing, "is_properly_coloured_path", lambda g, p: False)
+    monkeypatch.setattr(pch.absorbing, "_proper_walk", lambda rows, vs: False)
     with pytest.raises(RuntimeError, match="improper concatenation"):
         join_ends(rainbow(10), 0, 1, 2, 3)
 

@@ -427,7 +427,8 @@ def test_absorb_check(tmp_path):
     g = read_graph(gpath)
     build = build_absorbing_cycle(g, 3, seed=2)
     assert build.success
-    ok, coverage, _ = verify_family_universality(g, build.cycle.family)
+    off = [v for v in range(g.n) if v not in build.cycle.cycle.vertices]
+    ok, coverage, _ = verify_family_universality(g, build.cycle.family, off)
     assert rep["result"]["cycle_order"] == build.cycle.cycle.order
     assert (rep["result"]["family_ok"], rep["result"]["family_coverage"]) == (ok, coverage)
 
@@ -685,12 +686,27 @@ def test_lemma_check_abscycle_audits_what_it_builds(tmp_path):
         g = random_bounded_colouring(30, 12, seed)
         build = build_absorbing_cycle(g, 3, seed=seed)
         if build.success:
-            audits.append(verify_family_universality(g, build.cycle.family))
+            off = [v for v in range(30) if v not in build.cycle.cycle.vertices]
+            audits.append(verify_family_universality(g, build.cycle.family, off))
     assert rep["built"] == len(audits) > 0
     assert rep["universal"] == sum(ok for ok, _, _ in audits)
     assert rep["coverages"] == [coverage for _, coverage, _ in audits]
     assert rep["pass"] == (rep["universal"] > 0 and rep["size_bound_ok"])
     assert code == (0 if rep["pass"] else 1)
+
+
+def test_lemma_check_abscycle_audits_the_vertices_off_the_cycle(tmp_path):
+    # seed 1's family absorbs every quadruple of the 12 vertices off its
+    # 18-vertex cycle, though not every one of the 18 vertices off its members
+    rpath = tmp_path / "abscycle.json"
+    code = run("lemma-check", "--lemma", "abscycle", "--n", "30", "--dmax", "12",
+               "--seeds", "2", "--report", str(rpath))
+    rep = json.loads(rpath.read_text())["result"]
+    assert (rep["built"], rep["orders"], rep["universal"]) == (2, [18, 18], 1)
+    assert rep["coverages"][1] == 1.0
+    assert rep["pass"] is True and code == 0
+    g = random_bounded_colouring(30, 12, 1)
+    assert not verify_family_universality(g, build_absorbing_cycle(g, 3, seed=1).cycle.family)[0]
 
 
 def test_lemma_check_abspath_at_contract_scale(tmp_path):

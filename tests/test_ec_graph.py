@@ -41,6 +41,7 @@ from pch.ec_graph import (
     two_factor_certificate,
     verify_certificate,
 )
+from pch.rotations import maximal_path_cycle
 from tests.conftest import canonical, colour_counts, induced_subgraph
 
 colourings = st.builds(
@@ -184,6 +185,7 @@ _ID_ENTRY_POINTS = {
     "universality-outside": lambda g, v: verify_family_universality(g, [(0, 2, 3, 5)], outside=[v, 4, 6, 7, 8]),
     "join_ends": lambda g, v: join_ends(g, v, 2, 3, 4),
     "OrientedGraph": lambda g, v: OrientedGraph(g.n, frozenset({(v, 2)})),
+    "maximal_path_cycle": lambda g, v: maximal_path_cycle(g, 0, [v, 2, 3]),
 }
 
 

@@ -17,6 +17,7 @@ from pch.constructions import (
     random_bounded_colouring,
     random_colouring,
 )
+import pch.ec_graph
 import pch.exact
 from pch.ec_graph import (
     VERDICT_INVALID,
@@ -532,10 +533,19 @@ def test_no_table_above_memory_ceiling(monkeypatch):
 def test_invalid_certificate_raises(monkeypatch):
     # a plain assert would vanish under python -O and let the certificate out
     monkeypatch.setattr(
-        pch.exact, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+        pch.ec_graph, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
     )
-    with pytest.raises(RuntimeError, match="forced"):
+    with pytest.raises(RuntimeError, match="oracle produced an invalid certificate: forced"):
         exact_pc_ham_cycle(rainbow(5))
+
+
+@pytest.mark.parametrize("oracle", [longest_pc_cycle, longest_pc_path])
+def test_longest_oracle_raises_on_an_improper_witness(monkeypatch, oracle):
+    # the witness leaves through the verified exit, which reads its colours:
+    # on one colour, three distinct vertices are neither a PC cycle nor a PC path
+    monkeypatch.setattr(pch.exact, "_search", lambda *a: (3, (0, 1, 2), True, pch.exact._Meter(None)))
+    with pytest.raises(RuntimeError, match="oracle produced an invalid certificate: .* adjacent edges share a colour"):
+        oracle(monochromatic(5))
 
 
 def test_monotonicity():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import pch.absorbing
+import pch.ec_graph
 import pch.pipeline
 import pch.rotations
 import tests.conftest
@@ -40,9 +41,9 @@ def test_rainbow_succeeds_and_verifies():
 
 def test_invalid_certificate_raises(monkeypatch):
     monkeypatch.setattr(
-        pch.pipeline, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+        pch.ec_graph, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
     )
-    with pytest.raises(RuntimeError, match="forced"):
+    with pytest.raises(RuntimeError, match="pipeline produced an invalid certificate: forced"):
         run_pipeline(rainbow(30))
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import pch.ec_graph
 import pch.rotations
 from pch.constructions import (
     bollobas_erdos,
@@ -436,8 +437,11 @@ def test_growth_inside_a_vertex_set_is_growth_on_its_restriction(make):
 def test_greedy_growth_rejects_bad_vertex_sets():
     # a repeated id, an id outside g and a negative id, which would wrap
     g = random_bounded_colouring(12, 5, 0, colours=3)
-    for vertices in ([3, 3], [20, 1], [-1, 2, 3], [0, 11, 12], [5]):
+    for vertices in ([3, 3], [5]):
         with pytest.raises(ValueError, match="at least 2 distinct vertices in 0..11"):
+            maximal_path_cycle(g, 0, vertices)
+    for vertices, bad in (([20, 1], 20), ([-1, 2, 3], -1), ([0, 11, 12], 12)):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 0..11"):
             maximal_path_cycle(g, 0, vertices)
 
 
@@ -571,9 +575,9 @@ def test_two_factor_rainbow_and_mono():
 
 def test_two_factor_invalid_certificate_raises(monkeypatch):
     monkeypatch.setattr(
-        pch.rotations, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
+        pch.ec_graph, "verify_certificate", lambda g, cert: replace(cert, verdict=VERDICT_INVALID, reason="forced")
     )
-    with pytest.raises(RuntimeError, match="forced"):
+    with pytest.raises(RuntimeError, match="2-factor search produced an invalid certificate: forced"):
         find_pc_two_factor(rainbow(7))
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import pch
+import pch.absorbing
 import pch.pipeline
 
 MODULES = sorted(p for p in Path(pch.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -171,12 +172,32 @@ def test_called_names_finds_bare_and_attribute_calls():
 
 
 def test_pipeline_checks_its_cycle_once():
-    # steering splices the path in unchecked, and verify_certificate checks
+    # steering splices the path in unchecked, and the verified exit checks
     # the whole cycle: a second properness check or a checked absorption
     # would repeat that work on every run
     calls = called_names(Path(pch.pipeline.__file__).read_text())
     assert [c for c in calls if c.startswith("is_properly_coloured_") or c == "absorb_path"] == []
-    assert calls.count("verify_certificate") == 1
+    assert calls.count("_verified") == 1
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_certificates_are_verified_only_through_the_one_exit(path):
+    # a producer hands its certificate to `ec_graph._verified`; only that
+    # exit and the CLI's `verify` and `lemma-check` reports judge one directly
+    calls = called_names(path.read_text())
+    assert ("verify_certificate" in calls) == (path.name in ("ec_graph.py", "cli.py"))
+
+
+def test_absorbing_walks_its_own_output():
+    # join_ends and the build check ids they drew or already checked, so
+    # they walk with `_proper_walk` and import no checked predicate for it
+    tree = ast.parse(Path(pch.absorbing.__file__).read_text())
+    names = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "is_properly_coloured_cycle" not in names
+    funcs = {f.name: called_names(ast.unparse(f)) for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("join_ends", "build_absorbing_cycle"):
+        assert "_proper_walk" in funcs[name]
+        assert not any(c.startswith("is_properly_coloured_") for c in funcs[name])
 
 
 # public functions that the library, the CLI and the bench do not call, kept
