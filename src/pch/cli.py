@@ -192,6 +192,7 @@ def cmd_oracle(args) -> int:
             "nodes": res.nodes,
             "rows": res.rows,
             "witness": list(res.witness.vertices) if res.witness else None,
+            "barrier": _barrier_record(res.barrier),
         }
         code = EXIT_OK if res.exact else EXIT_FAIL
     _emit(args, "oracle", result, instance=_instance_meta(g),

@@ -21,22 +21,23 @@ These are the ground truth for every heuristic.  Three parts serve them:
   first, as a probe of `_PROBE_PER_N2` * n^2 nodes (at most `_PROBE_MAX`)
   for a spanning answer, which needs about n^2 of them, and then hands off to
   the table.  So the sub-millisecond Exists queries build no table, and a
-  proof below n, which would need the DFS to exhaust its states, pays only
-  the probe before the table answers.  The table is skipped when the probe
-  and its rows do not fit into the node limit, or when a pass would take
-  more than `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with at
-  most 8 colours); the DFS then resumes from its memo up to the node limit.
+  proof below n, which would need the DFS to exhaust its states, pays at
+  most the probe before the table answers.  The table is skipped when the
+  probe and its rows do not fit into the node limit, or when a pass would
+  take more than `TABLE_BYTES_MAX` bytes (for example n > 22 for a path with
+  at most 8 colours); the DFS then resumes from its memo up to the node limit.
 - A PC 2-factor test decides in polynomial time whether g has a spanning set
   of vertex-disjoint PC cycles: Edmonds' blossom algorithm (Edmonds 1965),
   seeded greedily, on an auxiliary graph whose perfect matchings are the PC
   2-factors of g (`pc_two_factor_matching`).  A perfect matching gives a
   verified 2-factor; otherwise the final search forest gives a Tutte
   barrier (Tutte 1954; Gallai-Edmonds), which `check_barrier` confirms in
-  linear time before any answer leaves.  Both cycle oracles run it after the
-  Hamiltonian DFS probe.  `exact_pc_two_factor` returns a spanning cycle the
-  probe finds as a 2-factor of one cycle, and otherwise the test's answer;
-  `exact_pc_ham_cycle` runs it before the table: with no PC 2-factor there
-  is no PC Hamiltonian cycle.
+  linear time before any answer leaves.  No PC 2-factor of g (of g + z,
+  `_plus_z`) means no PC Hamiltonian cycle (path).  The Hamiltonian oracles
+  run it after the DFS probe, and the longest oracles before it when the
+  table will answer, so that a barrier skips the probe.  `exact_pc_two_factor`
+  returns a spanning cycle the probe finds as a 2-factor of one cycle, and
+  otherwise the test's answer.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
 the node limit, and `rows`, the table rows alone; the 2-factor test charges
@@ -128,7 +129,8 @@ class OracleResult:
 class ExtremalResult:
     """Result of a longest-structure search; `exact` is False on budget exhaustion.
 
-    `nodes` and `rows` count as in `OracleResult`.
+    `nodes` and `rows` count as in `OracleResult`; `barrier` is the PC 2-factor
+    test's barrier that proved no spanning answer exists and skipped the probe.
     """
 
     value: int
@@ -136,6 +138,7 @@ class ExtremalResult:
     exact: bool
     nodes: int
     rows: int = 0
+    barrier: TutteBarrier | None = None
 
 
 class _OutOfBudget(Exception):
@@ -214,15 +217,13 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     at 0.  The DFS stops as soon as it reaches order n.
 
     The DFS goes first, as a probe of `_probe_nodes` nodes for a spanning
-    answer.  A query the probe answers costs what the DFS alone costs.  When
-    the probe runs out below the node limit and before the deadline, `gate`
-    runs if given: True settles the query with order 0, and no table.
-    Otherwise the table answers when it fits (`_table_rows`, its charge in
-    rows) and probe + charge fits into the node limit; a handed-off query
-    costs the table plus the probe, at about 3 us a node (3.5 ms at n = 17).
-    When the table does not fit, the DFS resumes from its memo up to the
-    node limit.  The probe's best order is not passed to the table as a
-    floor: on the bench's four longest queries the probe closes nothing.
+    answer.  `gate`, if given, returns True when g has no spanning PC cycle
+    (or path).  A Hamiltonian query (shortest n) asks it when the probe runs
+    out below the node limit and before the deadline: True gives order 0.
+    A longest query asks it first, when the table's charge (`_table_rows`,
+    in rows) fits into the node limit: True makes the probe 0 nodes.  The
+    table answers when probe + charge fits, at about 3 us a node (3.5 ms at
+    n = 17); otherwise the DFS resumes from its memo up to the node limit.
 
     Returns (order, witness vertices, exact, meter); the order is 0 and the
     witness None when nothing closes, and the meter holds the nodes and rows
@@ -236,7 +237,11 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     limit = meter.limit
     charge = _table_rows(g, cycle, shortest)
     meter.limit = probe = _probe_nodes(n, limit)
-    handoff = charge is not None and probe + charge <= limit
+    spanning = shortest == n
+    fits = charge is not None and charge <= limit
+    if fits and not spanning and gate is not None and not meter.expired() and gate():
+        meter.limit = probe = 0  # no spanning answer for the probe to find
+    handoff = fits and probe + charge <= limit
     # memo value: best * m + act + 1, where best is the largest closable order
     # from the state and act the next vertex on the way there (-1: close here).
     # One int, not a tuple: Hamiltonian proofs memoise ~10^6 states, and their
@@ -302,7 +307,7 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     exact = sweep()
     if not exact and probe < limit and not meter.expired():
         # the probe ran out, not the budget or the clock
-        if gate is not None and gate():
+        if spanning and gate is not None and gate():
             return 0, None, True, meter
         meter.limit = limit
         if not handoff:
@@ -776,6 +781,26 @@ def pc_two_factor_matching(g: ColouredComplete) -> tuple[Certificate | None, Tut
 # Hamiltonian cycle and path
 # ---------------------------------------------------------------------------
 
+def _plus_z(g: ColouredComplete) -> ColouredComplete:
+    """g + z: a new vertex z = n joined to each vertex v in its own new colour k + v.
+
+    Its PC 2-factors are a PC path of g plus PC cycles, spanning g (Feng et al. 2006).
+    """
+    n, k = g.n, g.k
+    return ColouredComplete(n + 1, k + n, [c for v in range(n) for c in (*g.rows[v][v + 1 :], k + v)])
+
+
+class _Gate:
+    """`_search`'s gate: True when the PC 2-factor test's `barrier` on g (g + z for paths) proves no spanning answer."""
+
+    def __init__(self, g: ColouredComplete, cycle: bool):
+        self.g, self.cycle, self.barrier = g, cycle, None
+
+    def __call__(self) -> bool:
+        self.barrier = pc_two_factor_matching(self.g if self.cycle else _plus_z(self.g))[1]
+        return self.barrier is not None
+
+
 def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
     """Definitive search for a properly coloured Hamiltonian cycle.
 
@@ -788,25 +813,21 @@ def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) 
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    barrier = None
-
-    def gate() -> bool:
-        nonlocal barrier
-        barrier = pc_two_factor_matching(g)[1]
-        return barrier is not None
-
+    gate = _Gate(g, True)
     res = _existence(g, _search(g, budget, True, n, gate), ham_cycle_certificate)
-    res.barrier = barrier
+    res.barrier = gate.barrier
     return res
 
 
 def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
-    """Definitive search for a properly coloured Hamiltonian path."""
+    """As `exact_pc_ham_cycle`, for a PC Hamiltonian path; a barrier is of g + z (`_plus_z`)."""
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    found = _search(g, budget, False, n)
-    return _existence(g, found, ham_path_certificate)
+    gate = _Gate(g, False)
+    res = _existence(g, _search(g, budget, False, n, gate), ham_path_certificate)
+    res.barrier = gate.barrier
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -845,26 +866,33 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
 def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
     """Maximum length of a PC cycle (0 if none), with a witness that `_verified` checks.
 
+    A barrier of the PC 2-factor test skips the DFS probe (`_search`).
     Out of budget (`exact` False), 0 means that no cycle was found within the
     budget, not that none exists.
     """
     n = g.n
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    order, witness, exact, meter = _search(g, budget, True, 3)
+    gate = _Gate(g, True)
+    order, witness, exact, meter = _search(g, budget, True, 3, gate)
     if witness is not None:
         _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, cycles=(witness,)), "oracle")
-    return ExtremalResult(order, None if witness is None else DirectedCycle.unchecked(witness), exact, meter.nodes, meter.rows)
+    witness = None if witness is None else DirectedCycle.unchecked(witness)
+    return ExtremalResult(order, witness, exact, meter.nodes, meter.rows, gate.barrier)
 
 
 def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
-    """Maximum order of a PC path (at least 2 for n >= 2), with a witness that `_verified` checks."""
+    """Maximum order of a PC path (at least 2 for n >= 2), with a witness that `_verified` checks.
+
+    A barrier of the PC 2-factor test on g + z (`_plus_z`) skips the DFS probe.
+    """
     n = g.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    order, witness, exact, meter = _search(g, budget, False, 2)
+    gate = _Gate(g, False)
+    order, witness, exact, meter = _search(g, budget, False, 2, gate)
     if witness is None:
         # out of budget before the first seed finished: any edge is a PC path
         order, witness = 2, (0, 1)
     _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, path=witness), "oracle")
-    return ExtremalResult(order, DirectedPath.unchecked(witness), exact, meter.nodes, meter.rows)
+    return ExtremalResult(order, DirectedPath.unchecked(witness), exact, meter.nodes, meter.rows, gate.barrier)

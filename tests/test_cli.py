@@ -354,14 +354,27 @@ def test_oracle_longest_report(tmp_path):
 
 
 def test_oracle_report_counts_table_rows(tmp_path):
-    # layered(13, 4)'s longest cycle hands off after a probe of 4 * 13^2 =
-    # 676 DFS nodes to a table of 14,122 rows
+    # layered(13, 4) has no PC 2-factor: its longest cycle skips the DFS
+    # probe and hands off at once to a table of 14,122 rows, and the report
+    # gives the barrier that proved no spanning cycle exists
     gpath = tmp_path / "g.txt"
     run("gen", "--family", "layered", "--n", "13", "--l", "4", "--out", str(gpath))
     rpath = tmp_path / "r.json"
     assert run("oracle", "--query", "longest-cycle", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]
-    assert (res["value"], res["nodes"], res["rows"]) == (7, 676 + 14_122, 14_122)
+    assert (res["value"], res["nodes"], res["rows"]) == (7, 14_122, 14_122)
+    assert res["barrier"] == {"size": 39, "odd_components": 45, "aux_order": 130}
+    # g + z has none either (one more vertex, joined in 13 new colours): the
+    # Hamiltonian path query answers after its probe, and the longest path
+    # skips it
+    assert run("oracle", "--query", "hampath", "--input", str(gpath), "--report", str(rpath)) == 1
+    res = json.loads(rpath.read_text())["result"]
+    assert (res["status"], res["nodes"], res["rows"]) == ("not_exists", 676, 0)
+    assert res["barrier"] == {"size": 59, "odd_components": 63, "aux_order": 184}
+    assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
+    res = json.loads(rpath.read_text())["result"]
+    assert (res["value"], res["nodes"], res["rows"]) == (9, 8_099, 8_099)
+    assert res["barrier"]["size"] == 59
     # BE(3) has no PC 2-factor: the test after the probe answers, with no
     # table, and the report gives the barrier's size: the 26 b-nodes, whose
     # removal leaves 26 lone ports and the odd red and blue a-circulants
@@ -379,7 +392,7 @@ def test_oracle_report_counts_table_rows(tmp_path):
     # its spanning path is found by the DFS alone, and a found cycle has no barrier
     assert run("oracle", "--query", "longest-path", "--input", str(gpath), "--report", str(rpath)) == 0
     res = json.loads(rpath.read_text())["result"]
-    assert (res["value"], res["nodes"], res["rows"]) == (13, 88, 0)
+    assert (res["value"], res["nodes"], res["rows"], res["barrier"]) == (13, 88, 0, None)
     run("gen", "--family", "random", "--n", "12", "--dmax", "4", "--seed", "1", "--out", str(gpath))
     assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 0
     assert json.loads(rpath.read_text())["result"]["barrier"] is None

@@ -235,7 +235,8 @@ def test_budget_exhaustion_reported_distinctly(monkeypatch):
     assert exact_pc_ham_cycle(bollobas_erdos(2), tight).status == SearchStatus.EXHAUSTED
     assert exact_pc_ham_path(layered_colouring(8, 2), tight).status == SearchStatus.EXHAUSTED
     # half the nodes of a full DFS (which a handoff's nodes would not count:
-    # they hold the table's rows): the first edges that finished leave a
+    # they hold the table's rows), and below the table's charge, which would
+    # hand off after the 2-factor test: the first edges that finished leave a
     # witness; 5 nodes on rainbow(9) stop before the first edge finishes
     for g, limit in ((layered_colouring(10, 3), None), (rainbow(9), 5)):
         for oracle, is_pc in ((longest_pc_cycle, is_properly_coloured_cycle), (longest_pc_path, is_properly_coloured_path)):
@@ -243,7 +244,9 @@ def test_budget_exhaustion_reported_distinctly(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(pch.exact, "_table_rows", lambda *args: None)  # the DFS alone
                 dfs_nodes = oracle(g).nodes
-            res = oracle(g, SearchBudget(node_limit=limit or dfs_nodes // 2))
+            cycle = oracle is longest_pc_cycle
+            charge = pch.exact._table_rows(g, cycle, 2 + cycle)
+            res = oracle(g, SearchBudget(node_limit=limit or min(dfs_nodes // 2, charge - 1)))
             assert not res.exact
             assert res.value <= full.value
             if res.witness is None:
@@ -318,6 +321,15 @@ TABLE_CORPUS = (
 )
 
 
+def dfs_alone(g, cycle, shortest, monkeypatch):
+    """`_search`'s order with no table and so no gate: the memoised DFS, run to the end."""
+    with monkeypatch.context() as m:
+        m.setattr(pch.exact, "_table_rows", lambda *args: None)
+        order, _, exact, _ = pch.exact._search(g, None, cycle, shortest)
+    assert exact
+    return order
+
+
 @pytest.mark.parametrize("g", TABLE_CORPUS)
 def test_table_matches_search_and_brute_force(g, monkeypatch):
     for mode, (cycle, shortest) in TABLE_MODES.items():
@@ -331,11 +343,10 @@ def test_table_matches_search_and_brute_force(g, monkeypatch):
         charge = pch.exact._table_rows(g, cycle, shortest)
         assert charge == sum(1 << (g.n - cycle - r) for r, _ in passes)
         assert meter.nodes <= charge
-        with monkeypatch.context() as m:
-            m.setattr(pch.exact, "_table_rows", lambda *args: None)  # the DFS alone
-            dfs_order, _, exact, _ = pch.exact._search(g, None, cycle, shortest)
-        assert exact
+        dfs_order = dfs_alone(g, cycle, shortest, monkeypatch)
         assert order == dfs_order, mode
+        if mode.startswith("longest"):  # the oracle, with its 2-factor test first
+            assert (longest_pc_cycle if cycle else longest_pc_path)(g).value == dfs_order, mode
         if g.n <= 8:
             assert order == _brute_order(g, mode), mode
         if witness is None:
@@ -374,16 +385,23 @@ def test_table_hands_off_after_its_charge():
     # the oracle's 2-factor test answers after the probe, with no table
     res = exact_pc_ham_cycle(bollobas_erdos(3))
     assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, 676, 0)
-    # layered(17, 4): the DFS needs 89,332 nodes, over the 4 * 17^2 = 1,156
-    # of the probe, so it hands off; the table stops at its first empty layer
+    # layered(17, 4): the DFS needs 89,332 nodes, and g + z has no PC
+    # 2-factor, so no spanning path exists and the table starts with no
+    # probe; it stops at its first empty layer
     res = longest_pc_path(layered_colouring(17, 4))
-    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 1_156 + 109_293, 109_293)
-    # layered(17, 3): the DFS needs 3,308 nodes, so it hands off as well
+    assert (res.value, res.exact, res.nodes, res.rows) == (9, True, 109_293, 109_293)
+    assert res.barrier is not None
+    # layered(17, 3): the DFS needs 3,308 nodes, and g has no PC 2-factor
     res = longest_pc_cycle(layered_colouring(17, 3))
-    assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 1_156 + 23_719, 23_719)
-    # layered(17, 2): the DFS finishes in 585 nodes, within the probe
+    assert (res.value, res.exact, res.nodes, res.rows) == (5, True, 23_719, 23_719)
+    # layered(17, 2): the DFS alone finishes in 585 nodes, but the barrier
+    # hands the query to the table first
     res = longest_pc_cycle(layered_colouring(17, 2))
-    assert (res.value, res.exact, res.nodes, res.rows) == (3, True, 585, 0)
+    assert (res.value, res.exact, res.nodes, res.rows) == (3, True, 697, 697)
+    # BE(3) has a PC Hamiltonian path: g + z has a PC 2-factor, so there is
+    # no barrier, and the probe answers in 88 nodes
+    res = longest_pc_path(bollobas_erdos(3))
+    assert (res.value, res.exact, res.nodes, res.rows, res.barrier) == (13, True, 88, 0, None)
 
 
 def test_table_charge_over_remaining_budget_stays_exhausted():
@@ -397,12 +415,17 @@ def test_table_charge_over_remaining_budget_stays_exhausted():
     for limit in (handoff - 1, 66_000):
         res = ham_cycle_by_table(bollobas_erdos(4), SearchBudget(node_limit=limit))
         assert (res.status, res.nodes, res.rows) == (SearchStatus.EXHAUSTED, limit, 0)
-    # layered(16, 5) paths charge 2^16 rows as well, after a probe of 1,024
-    limit = 66_000
-    res = longest_pc_path(layered_colouring(16, 5), SearchBudget(node_limit=limit))
-    assert not res.exact and res.nodes <= limit and res.rows == 0
+    # layered(16, 5) paths charge 2^16 rows as well; g + z has no PC
+    # 2-factor, so the probe is skipped and the charge alone must fit
+    g = layered_colouring(16, 5)
+    res = longest_pc_path(g, SearchBudget(node_limit=65_536))
+    assert (res.value, res.exact, res.nodes, res.rows) == (11, True, 64_838, 64_838)
+    # one node fewer: no table, no 2-factor test, and the DFS runs to the budget
+    limit = 65_535
+    res = longest_pc_path(g, SearchBudget(node_limit=limit))
+    assert not res.exact and res.nodes == limit and res.rows == 0 and res.barrier is None
     assert 2 <= res.value <= 11 and res.witness.order == res.value
-    assert is_properly_coloured_path(layered_colouring(16, 5), res.witness)
+    assert is_properly_coloured_path(g, res.witness)
 
 
 def test_table_checks_time_limit_between_layers():
@@ -433,17 +456,21 @@ def test_table_checks_time_limit_between_layers():
 )
 def test_rows_count_the_table_apart_from_the_dfs(oracle, g, rows):
     # each of these hands off: nodes - rows is the DFS's probe of 4 n^2
-    # nodes, and rows are the table's, at most its charge; they are pinned,
-    # so a change to the layer step must fill the same table
+    # nodes, or none where the 2-factor test's barrier skipped it, and rows
+    # are the table's, at most its charge; they are pinned, so a change to
+    # the layer step must fill the same table
     cycle = oracle is not longest_pc_path
     shortest = g.n if oracle is ham_cycle_by_table else 2 + cycle
     charge = pch.exact._table_rows(g, cycle, shortest)
     res = oracle(g)
     if oracle is ham_cycle_by_table:
         assert res.status == SearchStatus.NOT_EXISTS
+        assert res.nodes - res.rows == 4 * g.n * g.n
     else:
-        assert res.exact
-    assert res.nodes - res.rows == 4 * g.n * g.n
+        # the bench's longest queries: the barrier on g (g + z for a path)
+        # proves that no spanning answer exists, so the table starts at once
+        assert res.exact and check_barrier(g if cycle else pch.exact._plus_z(g), res.barrier)
+        assert res.nodes == res.rows
     assert res.rows == rows <= charge
 
 
@@ -465,6 +492,43 @@ def test_bench_longest_witnesses_are_pinned(oracle, g, witness):
     # changes these
     res = oracle(g)
     assert (res.exact, res.value, res.witness.vertices) == (True, len(witness), witness)
+
+
+def test_ham_path_probe_then_two_factor_test_on_g_plus_z():
+    # no table fits layered(33, 8), and its DFS alone took 13 s: the test on
+    # g + z answers after the 4,096-node probe, with a barrier of g + z
+    g = layered_colouring(33, 8)
+    res = exact_pc_ham_path(g)
+    assert (res.status, res.nodes, res.rows) == (SearchStatus.NOT_EXISTS, 4_096, 0)
+    assert check_barrier(pch.exact._plus_z(g), res.barrier)
+
+
+# random_colouring(n, k, s), n 4-9, k 2-4, s 0-16: 306 graphs
+GATE_GRID = [(n, k, s) for n in range(4, 10) for k in (2, 3, 4) for s in range(17)]
+
+
+def test_two_factor_gate_is_sound(monkeypatch):
+    # a barrier on g proves that no PC Hamiltonian cycle exists, and one on
+    # g + z that no PC Hamiltonian path does: the search with no gate agrees,
+    # and the gated longest oracles give the values of the DFS alone
+    barriers = {True: 0, False: 0}
+    for n, k, s in GATE_GRID:
+        g = random_colouring(n, k, s)
+        h = pch.exact._plus_z(g)
+        assert (h.n, h.k) == (n + 1, k + n)
+        assert np.array_equal(h.matrix[:n, :n], g.matrix)
+        assert h.matrix[n, :n].tolist() == list(range(k, k + n))
+        for cycle, oracle in ((True, longest_pc_cycle), (False, longest_pc_path)):
+            _, barrier = pc_two_factor_matching(g if cycle else h)
+            if barrier is not None:
+                barriers[cycle] += 1
+                order, _, exact, _ = pch.exact._search(g, None, cycle, n)  # no gate
+                assert exact and order < n, (n, k, s, cycle)
+            res = oracle(g)
+            assert res.value == dfs_alone(g, cycle, 2 + cycle, monkeypatch), (n, k, s, cycle)
+            assert res.barrier == barrier  # the table fits, so the gate ran first
+    # the grid holds barriers on both sides, so neither claim is vacuous
+    assert barriers == {True: 104, False: 12}
 
 
 def test_rows_zero_without_a_handoff():
