@@ -2,7 +2,7 @@
 lemma-style property harnesses with reproducible seeds and JSON reports.
 
 Exit codes: 0 success / structure exists, 1 failure / does not exist,
-2 usage or input error.  PCH_BUDGET_NODES overrides the search budget.
+2 usage or input error.  --budget-nodes sets the exact oracles' node budget.
 """
 
 from __future__ import annotations
@@ -53,15 +53,9 @@ def _check_eps(eps: float) -> None:
 
 
 def _budget(args) -> exact.SearchBudget:
-    nodes = getattr(args, "budget_nodes", None)
-    source = "--budget-nodes"
-    if nodes is None:
-        env = os.environ.get("PCH_BUDGET_NODES")
-        nodes = _int(env, "PCH_BUDGET_NODES") if env else exact.DEFAULT_NODE_LIMIT
-        source = "PCH_BUDGET_NODES"
-    if nodes < 1:
-        raise UsageError(f"{source} must be >= 1, got {nodes}")
-    return exact.SearchBudget(node_limit=nodes)
+    if args.budget_nodes < 1:
+        raise UsageError(f"--budget-nodes must be >= 1, got {args.budget_nodes}")
+    return exact.SearchBudget(node_limit=args.budget_nodes)
 
 
 def _instance_meta(g: ColouredComplete) -> dict:
@@ -488,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--query", required=True,
                    choices=["hamcycle", "hampath", "twofactor", "longest-cycle", "longest-path"])
     o.add_argument("--input", required=True)
-    o.add_argument("--budget-nodes", type=int, dest="budget_nodes",
+    o.add_argument("--budget-nodes", type=int, dest="budget_nodes", default=exact.DEFAULT_NODE_LIMIT,
                    help="node budget, spent by DFS nodes and Held-Karp table rows alike; "
                         "the report gives the total as nodes and the table's share as rows")
     o.add_argument("--report")
@@ -499,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--fallback", choices=["none", "exact"], default="none")
+    s.add_argument("--budget-nodes", type=int, dest="budget_nodes", default=exact.DEFAULT_NODE_LIMIT,
+                   help="node budget of the --fallback exact oracle, as for pch oracle")
     s.add_argument("--report")
     s.set_defaults(fn=cmd_solve)
 

@@ -33,11 +33,11 @@ These are the ground truth for every heuristic.  Three parts serve them:
   verified 2-factor; otherwise the final search forest gives a Tutte
   barrier (Tutte 1954; Gallai-Edmonds), which `check_barrier` confirms in
   linear time before any answer leaves.  No PC 2-factor of g (of g + z,
-  `_plus_z`) means no PC Hamiltonian cycle (path).  The Hamiltonian oracles
-  run it after the DFS probe, and the longest oracles before it when the
-  table will answer, so that a barrier skips the probe.  `exact_pc_two_factor`
-  returns a spanning cycle the probe finds as a 2-factor of one cycle, and
-  otherwise the test's answer.
+  `_plus_z`) means no PC Hamiltonian cycle (path).  `_search` alone asks it:
+  after the DFS probe for the Hamiltonian oracles, and before it for the
+  longest oracles when the table will answer, so that a barrier skips the
+  probe.  `exact_pc_two_factor` returns a spanning cycle the probe finds as a
+  2-factor of one cycle, and otherwise the test's answer.
 
 Results report `nodes`, the DFS nodes plus the table rows charged against
 the node limit, and `rows`, the table rows alone; the 2-factor test charges
@@ -207,8 +207,8 @@ def _probe_nodes(n: int, limit: int) -> int:
     return min(_PROBE_PER_N2 * n * n, _PROBE_MAX, limit)
 
 
-def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int, gate=None):
-    """Largest order, at least `shortest`, of a PC cycle (or path) of g.
+def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, shortest: int, probe_only: bool = False):
+    """Largest order, at least `shortest`, of a PC cycle (or path) of g; n must be at least 3 (2).
 
     A cycle is rooted at the lowest vertex of its set and grows only above it,
     so only roots 0..n-shortest are searched; it closes when the edge back to
@@ -217,20 +217,24 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     at 0.  The DFS stops as soon as it reaches order n.
 
     The DFS goes first, as a probe of `_probe_nodes` nodes for a spanning
-    answer.  `gate`, if given, returns True when g has no spanning PC cycle
-    (or path).  A Hamiltonian query (shortest n) asks it when the probe runs
-    out below the node limit and before the deadline: True gives order 0.
-    A longest query asks it first, when the table's charge (`_table_rows`,
-    in rows) fits into the node limit: True makes the probe 0 nodes.  The
-    table answers when probe + charge fits, at about 3 us a node (3.5 ms at
+    answer.  The PC 2-factor test (`pc_two_factor_matching` on g, on g + z
+    for paths) gives a barrier when g has no spanning PC cycle (or path).  A
+    Hamiltonian query (shortest n) asks it when the probe runs out below the
+    node limit and before the deadline: a barrier gives order 0; with
+    `probe_only` the query stops there with order 0 and no test.  A longest
+    query asks it first, when the table's charge (`_table_rows`, in rows)
+    fits into the node limit: a barrier makes the probe 0 nodes.  The table
+    answers when probe + charge fits, at about 3 us a node (3.5 ms at
     n = 17); otherwise the DFS resumes from its memo up to the node limit.
 
-    Returns (order, witness vertices, exact, meter); the order is 0 and the
-    witness None when nothing closes, and the meter holds the nodes and rows
-    spent.  Out of budget, exact is False and the result keeps the best first
-    edge whose DFS finished.
+    Returns (order, witness vertices, exact, meter, barrier); the order is 0
+    and the witness None when nothing closes, the meter holds the nodes and
+    rows spent, and the barrier is the test's, or None.  Out of budget, exact
+    is False and the result keeps the best first edge whose DFS finished.
     """
     n, k = g.n, g.k
+    if n < 2 + cycle:
+        raise ValueError(f"need n >= {2 + cycle}, got {n}")
     rows = g.rows
     full = (1 << n) - 1
     meter = _Meter(budget)
@@ -238,8 +242,13 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     charge = _table_rows(g, cycle, shortest)
     meter.limit = probe = _probe_nodes(n, limit)
     spanning = shortest == n
+
+    def two_factor_barrier():
+        return pc_two_factor_matching(g if cycle else _plus_z(g))[1]
+
+    barrier = None
     fits = charge is not None and charge <= limit
-    if fits and not spanning and gate is not None and not meter.expired() and gate():
+    if fits and not spanning and not meter.expired() and (barrier := two_factor_barrier()) is not None:
         meter.limit = probe = 0  # no spanning answer for the probe to find
     handoff = fits and probe + charge <= limit
     # memo value: best * m + act + 1, where best is the largest closable order
@@ -307,15 +316,15 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
     exact = sweep()
     if not exact and probe < limit and not meter.expired():
         # the probe ran out, not the budget or the clock
-        if spanning and gate is not None and gate():
-            return 0, None, True, meter
+        if spanning and (probe_only or (barrier := two_factor_barrier()) is not None):
+            return 0, None, True, meter, barrier
         meter.limit = limit
         if not handoff:
             exact = sweep()
         else:
             try:
                 order, witness = _table(g, cycle, shortest, meter)
-                return order, witness, True, meter
+                return order, witness, True, meter, barrier
             except _OutOfBudget:
                 pass
 
@@ -330,7 +339,7 @@ def _search(g: ColouredComplete, budget: SearchBudget | None, cycle: bool, short
             seq.append(act)
             mask |= 1 << act
         witness = tuple(seq)
-    return best, witness, exact, meter
+    return best, witness, exact, meter, barrier
 
 
 # A table pass over m vertices holds 2^m rows (2^(m-1) for a cycle) of m
@@ -362,14 +371,20 @@ def _table_passes(g: ColouredComplete, cycle: bool, shortest: int):
 def _table_rows(g: ColouredComplete, cycle: bool, shortest: int) -> int | None:
     """Rows the table fills at most, or None when its largest pass is over TABLE_BYTES_MAX.
 
-    A label takes at most min(k, n) bits: one per colour or one per vertex,
-    so at most 4 bytes when the cells fit a quarter of the ceiling (n < 32).
-    Cheap, because every DFS query pays for it.
+    A label takes min(colours, n) bits, as in `_table_pass`: one per colour
+    g uses, or one per vertex, so 1 to 4 bytes.  Every DFS query pays for
+    this check, so g's colours are counted only where they decide: between
+    a quarter of the ceiling and the ceiling itself (paths at n = 21 and 22,
+    cycles at n = 22 and 23).
     """
     n = g.n
     cells = n << (n - cycle)
-    if cells > TABLE_BYTES_MAX // 4 and cells * _label_bytes(min(g.k, n)) > TABLE_BYTES_MAX:
+    if cells > TABLE_BYTES_MAX:
         return None
+    if cells > TABLE_BYTES_MAX // 4:
+        colours = len(np.unique(g.matrix)) - 1  # -1 on the diagonal is no colour
+        if cells * _label_bytes(min(colours, n)) > TABLE_BYTES_MAX:
+            return None
     return sum(1 << (n - cycle - r) for r, _ in _table_passes(g, cycle, shortest))
 
 
@@ -535,14 +550,6 @@ def _popcount_layers(bits: int) -> list[np.ndarray]:
         pc = _popcounts(bits)
         _LAYERS = [np.flatnonzero(pc == j).astype("<i4") for j in range(bits + 1)]
     return [_LAYERS[j][: math.comb(bits, j)] for j in range(bits + 1)]
-
-
-def _existence(g: ColouredComplete, found, certificate) -> OracleResult:
-    """An oracle answer from a `_search` result: spanning order, exhausted, or neither."""
-    order, witness, exact, meter = found
-    if order == g.n:
-        return OracleResult(SearchStatus.EXISTS, _verified(g, certificate(witness), "oracle"), meter.nodes, meter.rows)
-    return OracleResult(SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED, None, meter.nodes, meter.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +797,14 @@ def _plus_z(g: ColouredComplete) -> ColouredComplete:
     return ColouredComplete(n + 1, k + n, [c for v in range(n) for c in (*g.rows[v][v + 1 :], k + v)])
 
 
-class _Gate:
-    """`_search`'s gate: True when the PC 2-factor test's `barrier` on g (g + z for paths) proves no spanning answer."""
-
-    def __init__(self, g: ColouredComplete, cycle: bool):
-        self.g, self.cycle, self.barrier = g, cycle, None
-
-    def __call__(self) -> bool:
-        self.barrier = pc_two_factor_matching(self.g if self.cycle else _plus_z(self.g))[1]
-        return self.barrier is not None
+def _hamiltonian(g: ColouredComplete, budget: SearchBudget | None, cycle: bool) -> OracleResult:
+    """`_search` for a spanning PC cycle (or path): a verified certificate, or none with the test's barrier."""
+    order, witness, exact, meter, barrier = _search(g, budget, cycle, g.n)
+    if order == g.n:
+        cert = (ham_cycle_certificate if cycle else ham_path_certificate)(witness)
+        return OracleResult(SearchStatus.EXISTS, _verified(g, cert, "oracle"), meter.nodes, meter.rows)
+    status = SearchStatus.NOT_EXISTS if exact else SearchStatus.EXHAUSTED
+    return OracleResult(status, None, meter.nodes, meter.rows, barrier)
 
 
 def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
@@ -810,24 +816,12 @@ def exact_pc_ham_cycle(g: ColouredComplete, budget: SearchBudget | None = None) 
     table: with no PC 2-factor there is no PC Hamiltonian cycle, and the
     answer is NOT_EXISTS with the test's barrier and no table rows.
     """
-    n = g.n
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    gate = _Gate(g, True)
-    res = _existence(g, _search(g, budget, True, n, gate), ham_cycle_certificate)
-    res.barrier = gate.barrier
-    return res
+    return _hamiltonian(g, budget, True)
 
 
 def exact_pc_ham_path(g: ColouredComplete, budget: SearchBudget | None = None) -> OracleResult:
     """As `exact_pc_ham_cycle`, for a PC Hamiltonian path; a barrier is of g + z (`_plus_z`)."""
-    n = g.n
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    gate = _Gate(g, False)
-    res = _existence(g, _search(g, budget, False, n, gate), ham_path_certificate)
-    res.barrier = gate.barrier
-    return res
+    return _hamiltonian(g, budget, False)
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +839,8 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
     settles the query with its 2-factor or its barrier; no table is built.
     A budget or deadline that stops the probe gives EXHAUSTED.
     """
-    n = g.n
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    order, witness, exact, meter = _search(g, budget, True, n, lambda: True)
-    if order == n:
+    order, witness, exact, meter, _ = _search(g, budget, True, g.n, probe_only=True)
+    if order == g.n:
         return OracleResult(SearchStatus.EXISTS, _verified(g, two_factor_certificate([witness]), "oracle"), meter.nodes)
     if not exact:
         return OracleResult(SearchStatus.EXHAUSTED, None, meter.nodes)
@@ -863,6 +854,19 @@ def exact_pc_two_factor(g: ColouredComplete, budget: SearchBudget | None = None)
 # longest PC cycle / path
 # ---------------------------------------------------------------------------
 
+def _longest(g: ColouredComplete, budget: SearchBudget | None, cycle: bool) -> ExtremalResult:
+    """`_search` for the longest PC cycle (or path), whose witness `_verified` checks once."""
+    order, witness, exact, meter, barrier = _search(g, budget, cycle, 2 + cycle)
+    if witness is None and not cycle:
+        # out of budget before the first seed finished: any edge is a PC path
+        order, witness = 2, (0, 1)
+    if witness is not None:
+        cert = Certificate(KIND_PATH_CYCLE_SYSTEM, cycles=(witness,) if cycle else (), path=None if cycle else witness)
+        _verified(g, cert, "oracle")
+        witness = (DirectedCycle if cycle else DirectedPath).unchecked(witness)
+    return ExtremalResult(order, witness, exact, meter.nodes, meter.rows, barrier)
+
+
 def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
     """Maximum length of a PC cycle (0 if none), with a witness that `_verified` checks.
 
@@ -870,15 +874,7 @@ def longest_pc_cycle(g: ColouredComplete, budget: SearchBudget | None = None) ->
     Out of budget (`exact` False), 0 means that no cycle was found within the
     budget, not that none exists.
     """
-    n = g.n
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    gate = _Gate(g, True)
-    order, witness, exact, meter = _search(g, budget, True, 3, gate)
-    if witness is not None:
-        _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, cycles=(witness,)), "oracle")
-    witness = None if witness is None else DirectedCycle.unchecked(witness)
-    return ExtremalResult(order, witness, exact, meter.nodes, meter.rows, gate.barrier)
+    return _longest(g, budget, True)
 
 
 def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> ExtremalResult:
@@ -886,13 +882,4 @@ def longest_pc_path(g: ColouredComplete, budget: SearchBudget | None = None) -> 
 
     A barrier of the PC 2-factor test on g + z (`_plus_z`) skips the DFS probe.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    gate = _Gate(g, False)
-    order, witness, exact, meter = _search(g, budget, False, 2, gate)
-    if witness is None:
-        # out of budget before the first seed finished: any edge is a PC path
-        order, witness = 2, (0, 1)
-    _verified(g, Certificate(KIND_PATH_CYCLE_SYSTEM, path=witness), "oracle")
-    return ExtremalResult(order, DirectedPath.unchecked(witness), exact, meter.nodes, meter.rows, gate.barrier)
+    return _longest(g, budget, False)

@@ -398,15 +398,15 @@ def test_oracle_report_counts_table_rows(tmp_path):
     assert json.loads(rpath.read_text())["result"]["barrier"] is None
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
+def test_budget_flag_bounds_oracle_and_fallback(tmp_path):
     gpath = tmp_path / "g.txt"
     run("gen", "--family", "be", "--k", "2", "--out", str(gpath))
-    monkeypatch.setenv("PCH_BUDGET_NODES", "5")
     rpath = tmp_path / "r.json"
-    assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--report", str(rpath)) == 1
+    assert run("oracle", "--query", "hamcycle", "--input", str(gpath), "--budget-nodes", "5",
+               "--report", str(rpath)) == 1
     assert json.loads(rpath.read_text())["result"]["status"] == "exhausted"
-    # pch solve's exact fallback spends the same budget
-    assert run("solve", "--method", "pipeline", "--fallback", "exact",
+    # pch solve's exact fallback takes the same flag
+    assert run("solve", "--method", "pipeline", "--fallback", "exact", "--budget-nodes", "5",
                "--input", str(gpath), "--report", str(rpath)) == 1
     assert json.loads(rpath.read_text())["result"]["fallback"]["status"] == "exhausted"
 
@@ -418,12 +418,11 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys):
     assert "--budget-nodes must be >= 1, got -3" in capsys.readouterr().err
 
 
-def test_budget_env_below_one_is_usage_error(tmp_path, monkeypatch, capsys):
+def test_solve_budget_below_one_is_usage_error(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     run("gen", "--family", "be", "--k", "2", "--out", str(gpath))
-    monkeypatch.setenv("PCH_BUDGET_NODES", "0")
-    assert run("solve", "--method", "pipeline", "--input", str(gpath)) == 2
-    assert "PCH_BUDGET_NODES must be >= 1, got 0" in capsys.readouterr().err
+    assert run("solve", "--method", "pipeline", "--input", str(gpath), "--budget-nodes", "0") == 2
+    assert "--budget-nodes must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_absorb_check(tmp_path):
@@ -590,40 +589,40 @@ def test_lemma_check_ifar_tiny_eps(tmp_path, capsys):
     assert json.loads(rpath.read_text())["result"]["max_len"] == 8
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"], None,
+@pytest.mark.parametrize("argv, message", [
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "-2"],
      "--seeds must be >= 1, got -2"),
-    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"], None,
+    (["lemma-check", "--lemma", "abspath", "--n", "9", "--dmax", "3", "--seeds", "1", "--quads", "-4"],
      "--quads must be >= 1, got -4"),
-    (["absorb-check", "--eps", "0.1", "--quads", "sample:-3"], None,
+    (["absorb-check", "--eps", "0.1", "--quads", "sample:-3"],
      "--quads sample size must be >= 1, got -3"),
     # counts that are no integers at all name their source too
-    (["absorb-check", "--eps", "0.1", "--quads", "sample:x"], None,
+    (["absorb-check", "--eps", "0.1", "--quads", "sample:x"],
      "--quads sample size must be an integer, got 'x'"),
-    (["oracle", "--query", "hamcycle"], "abc", "PCH_BUDGET_NODES must be an integer, got 'abc'"),
+    # argparse rejects a budget that is no integer
+    (["oracle", "--query", "hamcycle", "--budget-nodes", "abc"],
+     "argument --budget-nodes: invalid int value: 'abc'"),
     # absorb-check takes an eps as lemma-check does
-    (["absorb-check", "--eps", "nan", "--quads", "sample:1"], None,
+    (["absorb-check", "--eps", "nan", "--quads", "sample:1"],
      "--eps must be a finite number > 0, got nan"),
-    (["absorb-check", "--eps", "0", "--quads", "sample:1"], None,
+    (["absorb-check", "--eps", "0", "--quads", "sample:1"],
      "--eps must be a finite number > 0, got 0.0"),
-    (["absorb-check", "--eps", "-0.1", "--quads", "sample:1"], None,
+    (["absorb-check", "--eps", "-0.1", "--quads", "sample:1"],
      "--eps must be a finite number > 0, got -0.1"),
-    (["absorb-check", "--eps", "0.1", "--quads", "bogus"], None,
+    (["absorb-check", "--eps", "0.1", "--quads", "bogus"],
      "--quads must be 'all' or 'sample:N', got 'bogus'"),
     # a job count below 1 is no serial run
-    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "0"], None,
+    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "0"],
      "--jobs must be >= 1, got 0"),
-    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "-3"], None,
+    (["lemma-check", "--lemma", "ifar", "--n", "9", "--dmax", "3", "--seeds", "1", "--jobs", "-3"],
      "--jobs must be >= 1, got -3"),
-], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-env-text",
+], ids=["seeds", "quads", "absorb-sample", "absorb-sample-text", "budget-text",
         "absorb-eps-nan", "absorb-eps-zero", "absorb-eps-negative", "absorb-quads-text", "jobs-zero", "jobs"])
-def test_negative_counts_are_usage_errors(tmp_path, monkeypatch, capsys, argv, env, message):
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv, message):
     if argv[0] != "lemma-check":
         gpath = tmp_path / "g.txt"
         write_graph(rainbow(9), gpath)
         argv = argv + ["--input", str(gpath)]
-    if env is not None:
-        monkeypatch.setenv("PCH_BUDGET_NODES", env)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

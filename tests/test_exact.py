@@ -20,8 +20,8 @@ from pch.constructions import (
 import pch.ec_graph
 import pch.exact
 from pch.ec_graph import (
+    ColouredComplete,
     VERDICT_INVALID,
-    ham_cycle_certificate,
     is_properly_coloured_cycle,
     is_properly_coloured_path,
     verify_certificate,
@@ -94,10 +94,18 @@ def brute_two_factor_exists(g):
     return cover(full)
 
 
+def no_two_factor_test(m):
+    """Make `_search`'s PC 2-factor test find neither a 2-factor nor a
+    barrier, so that the search runs as if it never asked."""
+    m.setattr(pch.exact, "pc_two_factor_matching", lambda g: (None, None))
+
+
 def ham_cycle_by_table(g, budget=None):
     """`exact_pc_ham_cycle` without its 2-factor test: the DFS probe, then the
     Held-Karp table or the DFS alone, as for every other query."""
-    return pch.exact._existence(g, pch.exact._search(g, budget, True, g.n), ham_cycle_certificate)
+    with pytest.MonkeyPatch.context() as m:
+        no_two_factor_test(m)
+        return exact_pc_ham_cycle(g, budget)
 
 
 def mask_two_factor_exists(g):
@@ -264,14 +272,91 @@ def test_zero_time_limit_stops_at_first_deadline_check():
     assert res.nodes <= 4096
 
 
-def split_tournament():
-    """Rotational regular tournaments on 0..8 and 9..19, every arc from the
-    first to the second: a PC 2-factor but no PC Hamiltonian cycle, and a
-    table too large for the default budget, so the DFS runs after its probe."""
-    arcs = {(u, v) for u in range(9) for v in range(9, 20)}
-    for first, size in ((0, 9), (9, 11)):
+def split_tournament(a=9, b=11):
+    """Rotational regular tournaments on 0..a-1 and a..a+b-1 (a and b odd),
+    every arc from the first to the second: a PC 2-factor but no PC
+    Hamiltonian cycle.  At 9 + 11 the table is too large for the default
+    budget, so the DFS runs after its probe."""
+    arcs = {(u, v) for u in range(a) for v in range(a, a + b)}
+    for first, size in ((0, a), (a, b)):
         arcs |= {(first + i, first + (i + d) % size) for i in range(size) for d in range(1, size // 2 + 1)}
-    return colouring_from_oriented(OrientedGraph(20, frozenset(arcs)))
+    return colouring_from_oriented(OrientedGraph(a + b, frozenset(arcs)))
+
+
+ORACLES = {
+    "hamcycle": exact_pc_ham_cycle,
+    "hampath": exact_pc_ham_path,
+    "twofactor": exact_pc_two_factor,
+    "longest-cycle": longest_pc_cycle,
+    "longest-path": longest_pc_path,
+}
+# (query, graph): (status, or value and exact; nodes; rows; the barrier's
+# (size, odd_components, aux_order); the witness's vertices).  r20-s is
+# random_bounded_colouring(20, 9, s, colours=3), r14-s is (14, 6, s,
+# colours=3), and "tight" runs layered(16, 5) under a 100-node budget
+PINNED_OUTPUTS = {
+    # the one graph here with a PC 2-factor and no PC Hamiltonian cycle
+    ("hamcycle", "split7+7"): ("not_exists", 76_146, 75_362, None, None),
+    ("hampath", "split7+7"): ("exists", 12, 0, None, tuple(range(14))),
+    ("twofactor", "split7+7"): ("exists", 784, 0, None, ((0, 5, 3, 1), (2, 6, 4), (7, 13, 11, 9), (8, 12, 10))),
+    ("longest-cycle", "split7+7"): (7, True, 151_188, 150_404, None, (0, 6, 5, 4, 3, 2, 1)),
+    ("longest-path", "split7+7"): (14, True, 12, 0, None, tuple(range(14))),
+    # a barrier after the probe
+    ("hamcycle", "be2"): ("not_exists", 324, 0, (18, 20, 54), None),
+    ("hamcycle", "be3"): ("not_exists", 676, 0, (26, 28, 78), None),
+    ("hamcycle", "be4"): ("not_exists", 1_156, 0, (34, 36, 102), None),
+    ("hamcycle", "layered13-4"): ("not_exists", 676, 0, (39, 45, 130), None),
+    ("hampath", "layered33-8"): ("not_exists", 4_096, 0, (259, 275, 728), None),
+    # a barrier before the probe
+    ("longest-cycle", "layered16-5"): (9, True, 162_018, 162_018, (60, 68, 192), (0, 1, 8, 7, 4, 3, 6, 5, 2)),
+    ("longest-path", "layered16-5"): (11, True, 64_838, 64_838, (94, 100, 258), (10, 9, 4, 3, 8, 7, 2, 0, 1, 6, 5)),
+    ("longest-cycle", "layered17-4"): (7, True, 127_538, 127_538, (55, 65, 170), (0, 6, 3, 2, 5, 4, 1)),
+    ("longest-path", "layered17-4"): (9, True, 109_293, 109_293, (83, 91, 240), (8, 7, 3, 2, 6, 5, 1, 0, 4)),
+    # the probe answers
+    ("hamcycle", "r20-s1"): ("exists", 35, 0, None, ((0, 1, 5, 2, 4, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 19, 17, 16, 18),)),
+    ("hamcycle", "r20-s2"): ("exists", 21, 0, None, ((0, 1, 2, 5, 4, 3, 6, 7, 9, 10, 8, 11, 13, 12, 14, 15, 16, 18, 19, 17),)),
+    ("hamcycle", "r20-s3"): ("exists", 39, 0, None, ((0, 1, 2, 3, 4, 7, 5, 8, 6, 9, 10, 11, 12, 14, 16, 19, 15, 17, 13, 18),)),
+    ("hamcycle", "r20-s4"): ("exists", 41, 0, None, ((0, 1, 2, 3, 4, 6, 7, 5, 8, 9, 10, 13, 11, 12, 14, 18, 17, 15, 19, 16),)),
+    ("hamcycle", "r20-s5"): ("exists", 18, 0, None, ((0, 1, 3, 2, 4, 5, 6, 7, 8, 10, 11, 9, 12, 13, 15, 14, 16, 17, 19, 18),)),
+    ("twofactor", "r14-s1"): ("exists", 123, 0, None, ((0, 1, 2, 3, 5, 4, 6, 12, 7, 8, 9, 11, 13, 10),)),
+    ("twofactor", "r14-s2"): ("exists", 15, 0, None, ((0, 1, 4, 5, 2, 6, 3, 8, 7, 9, 13, 10, 11, 12),)),
+    ("twofactor", "r14-s3"): ("exists", 13, 0, None, ((0, 1, 2, 3, 6, 5, 4, 7, 9, 8, 11, 10, 13, 12),)),
+    ("twofactor", "r14-s4"): ("exists", 15, 0, None, ((0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 13, 12, 11),)),
+    ("twofactor", "r14-s5"): ("exists", 12, 0, None, ((0, 1, 2, 3, 4, 5, 7, 6, 8, 10, 12, 9, 11, 13),)),
+    # out of budget
+    ("hamcycle", "tight"): ("exhausted", 100, 0, None, None),
+    ("hampath", "tight"): ("exhausted", 100, 0, None, None),
+    ("twofactor", "tight"): ("exhausted", 100, 0, None, None),
+    ("longest-cycle", "tight"): (0, False, 100, 0, None, None),
+    ("longest-path", "tight"): (2, False, 100, 0, None, (0, 1)),
+}
+
+
+def _oracle_outputs(res):
+    bar = res.barrier and (res.barrier.size, res.barrier.odd_components, res.barrier.aux_order)
+    if isinstance(res, pch.exact.ExtremalResult):
+        return (res.value, res.exact, res.nodes, res.rows, bar, res.witness and res.witness.vertices)
+    cert = res.certificate
+    return (res.status.value, res.nodes, res.rows, bar, cert and (cert.cycles or cert.path))
+
+
+def test_oracle_outputs_are_pinned():
+    # every status, count, barrier and witness order of the five oracles, so
+    # that a change to how they drive the search and the 2-factor test keeps
+    # their outputs
+    graphs = {
+        "split7+7": split_tournament(7, 7),
+        **{f"be{k}": bollobas_erdos(k) for k in (2, 3, 4)},
+        **{f"layered{n}-{l}": layered_colouring(n, l) for n, l in ((13, 4), (33, 8), (16, 5), (17, 4))},
+        **{f"r20-s{s}": random_bounded_colouring(20, 9, s, colours=3) for s in range(1, 6)},
+        **{f"r14-s{s}": random_bounded_colouring(14, 6, s, colours=3) for s in range(1, 6)},
+    }
+    for (query, name), expected in PINNED_OUTPUTS.items():
+        if name == "tight":
+            res = ORACLES[query](graphs["layered16-5"], SearchBudget(node_limit=100))
+        else:
+            res = ORACLES[query](graphs[name])
+        assert _oracle_outputs(res) == expected, (query, name)
 
 
 def test_time_limit_stops_the_dfs_after_its_probe():
@@ -322,10 +407,11 @@ TABLE_CORPUS = (
 
 
 def dfs_alone(g, cycle, shortest, monkeypatch):
-    """`_search`'s order with no table and so no gate: the memoised DFS, run to the end."""
+    """`_search`'s order with no table and no 2-factor test: the memoised DFS, run to the end."""
     with monkeypatch.context() as m:
         m.setattr(pch.exact, "_table_rows", lambda *args: None)
-        order, _, exact, _ = pch.exact._search(g, None, cycle, shortest)
+        no_two_factor_test(m)
+        order, _, exact, _, _ = pch.exact._search(g, None, cycle, shortest)
     assert exact
     return order
 
@@ -509,8 +595,9 @@ GATE_GRID = [(n, k, s) for n in range(4, 10) for k in (2, 3, 4) for s in range(1
 
 def test_two_factor_gate_is_sound(monkeypatch):
     # a barrier on g proves that no PC Hamiltonian cycle exists, and one on
-    # g + z that no PC Hamiltonian path does: the search with no gate agrees,
-    # and the gated longest oracles give the values of the DFS alone
+    # g + z that no PC Hamiltonian path does: the search with no test agrees,
+    # and the longest oracles, which ask the test first, give the values of
+    # the DFS alone
     barriers = {True: 0, False: 0}
     for n, k, s in GATE_GRID:
         g = random_colouring(n, k, s)
@@ -522,11 +609,13 @@ def test_two_factor_gate_is_sound(monkeypatch):
             _, barrier = pc_two_factor_matching(g if cycle else h)
             if barrier is not None:
                 barriers[cycle] += 1
-                order, _, exact, _ = pch.exact._search(g, None, cycle, n)  # no gate
+                with monkeypatch.context() as m:
+                    no_two_factor_test(m)
+                    order, _, exact, _, _ = pch.exact._search(g, None, cycle, n)
                 assert exact and order < n, (n, k, s, cycle)
             res = oracle(g)
             assert res.value == dfs_alone(g, cycle, 2 + cycle, monkeypatch), (n, k, s, cycle)
-            assert res.barrier == barrier  # the table fits, so the gate ran first
+            assert res.barrier == barrier  # the table fits, so the test ran first
     # the grid holds barriers on both sides, so neither claim is vacuous
     assert barriers == {True: 104, False: 12}
 
@@ -594,6 +683,21 @@ def test_no_table_above_memory_ceiling(monkeypatch):
     assert (res.value, res.exact, res.nodes) == (40, True, 39)
 
 
+def test_table_memory_rule_reads_the_colours_g_uses():
+    # layered(n, 3) uses 7 colours: one byte a label, so its tables fit at
+    # n = 21 and 22; the same colouring declared with 40 colours keeps them
+    for n in (21, 22):
+        g = layered_colouring(n, 3)
+        wide = ColouredComplete(n, 40, g.matrix[np.triu_indices(n, 1)])
+        assert g.k == 7
+        for cycle in (True, False):
+            rows = pch.exact._table_rows(g, cycle, 2 + cycle)
+            assert rows is not None and pch.exact._table_rows(wide, cycle, 2 + cycle) == rows, (n, cycle)
+        res, res_wide = longest_pc_path(g), longest_pc_path(wide)
+        assert (res_wide.nodes, res_wide.rows) == (res.nodes, res.rows), n
+        assert res.rows > 0
+
+
 def test_invalid_certificate_raises(monkeypatch):
     # a plain assert would vanish under python -O and let the certificate out
     monkeypatch.setattr(
@@ -607,7 +711,7 @@ def test_invalid_certificate_raises(monkeypatch):
 def test_longest_oracle_raises_on_an_improper_witness(monkeypatch, oracle):
     # the witness leaves through the verified exit, which reads its colours:
     # on one colour, three distinct vertices are neither a PC cycle nor a PC path
-    monkeypatch.setattr(pch.exact, "_search", lambda *a: (3, (0, 1, 2), True, pch.exact._Meter(None)))
+    monkeypatch.setattr(pch.exact, "_search", lambda *a: (3, (0, 1, 2), True, pch.exact._Meter(None), None))
     with pytest.raises(RuntimeError, match="oracle produced an invalid certificate: .* adjacent edges share a colour"):
         oracle(monochromatic(5))
 

@@ -6,6 +6,7 @@ import pytest
 
 import pch
 import pch.absorbing
+import pch.exact
 import pch.pipeline
 
 MODULES = sorted(p for p in Path(pch.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -186,6 +187,17 @@ def test_certificates_are_verified_only_through_the_one_exit(path):
     # exit and the CLI's `verify` and `lemma-check` reports judge one directly
     calls = called_names(path.read_text())
     assert ("verify_certificate" in calls) == (path.name in ("ec_graph.py", "cli.py"))
+
+
+def test_exact_asks_the_two_factor_test_in_one_place():
+    # `_search` decides when the PC 2-factor test runs, on g or on g + z;
+    # `exact_pc_two_factor` asks it only for its answer after the probe
+    tree = ast.parse(Path(pch.exact.__file__).read_text())
+    callers = {
+        name: [node.name for node in tree.body if name in called_names(ast.unparse(node))]
+        for name in ("pc_two_factor_matching", "_plus_z")
+    }
+    assert callers == {"pc_two_factor_matching": ["_search", "exact_pc_two_factor"], "_plus_z": ["_search"]}
 
 
 def test_absorbing_walks_its_own_output():
